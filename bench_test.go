@@ -1067,3 +1067,67 @@ func BenchmarkReplayStreamed(b *testing.B) {
 		})
 	}
 }
+
+// benchLadderBlocks is the three-rung ladder of
+// BenchmarkReplayStreamedLadder — the dewsim-streamed shape.
+var benchLadderBlocks = []int{4, 16, 64}
+
+// BenchmarkReplayStreamedLadder measures the span-ladder driver
+// (engine.SpanLadder) on a three-rung ladder: every span is folded to
+// each rung and the rungs replay through their DEW FIFO passes, with
+// one worker ("serial", the pre-driver schedule) and with GOMAXPROCS
+// workers ("concurrent", one rung per worker). The spans are cut from
+// a materialized stream up front and the engines are Reset per
+// iteration, so the figure is fold plus replay alone; results are
+// bit-identical at either worker count. scripts/bench.sh records the
+// serial-over-concurrent ns/access ratio as
+// speedup_ladder_concurrent_over_serial (bounded by the host's
+// num_cpu and by the finest rung's share of the work).
+func BenchmarkReplayStreamedLadder(b *testing.B) {
+	for _, app := range benchAccessApps {
+		bs, err := benchTrace(b, app).BlockStream(benchLadderBlocks[0])
+		if err != nil {
+			b.Fatal(err)
+		}
+		spans := trace.SplitSpans(bs, 4096)
+		for _, mode := range []struct {
+			name    string
+			workers int
+		}{{"serial", 1}, {"concurrent", 0}} {
+			b.Run(app.Name+"/"+mode.name, func(b *testing.B) {
+				engs := map[int][]engine.Engine{}
+				for _, block := range benchLadderBlocks {
+					e, err := engine.New("dew", engine.Spec{
+						MaxLogSets: benchMaxLog, Assoc: benchAccessOpt.Assoc,
+						BlockSize: block, Policy: cache.FIFO,
+					})
+					if err != nil {
+						b.Fatal(err)
+					}
+					engs[block] = []engine.Engine{e}
+				}
+				ctx := context.Background()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for _, es := range engs {
+						es[0].Reset()
+					}
+					l, err := engine.NewSpanLadder(benchLadderBlocks[0], benchLadderBlocks, false, -1, mode.workers, engs)
+					if err != nil {
+						b.Fatal(err)
+					}
+					for _, s := range spans {
+						if err := l.Feed(ctx, &s.BlockStream); err != nil {
+							b.Fatal(err)
+						}
+					}
+					if err := l.Flush(ctx); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(benchRequests), "ns/access")
+			})
+		}
+	}
+}

@@ -95,7 +95,7 @@
 // stream as bounded spans; each span is split into its 2^S shard
 // substreams by trace.ShardBlockStreamInto (ShardBlockStream's fill
 // rule, one O(runs) pass into a partition reused across spans) and
-// replayed with SimulateSharded (engine.SpanReplayer). The sharded
+// replayed with SimulateSharded (engine.SpanLadder). The sharded
 // passes accumulate across calls, and a shard run cut by a span
 // boundary replays exactly like the merged run, so the results are
 // bit-identical to one replay of the whole stream's partition
@@ -132,10 +132,12 @@
 // ResumeStreamSpans) for exact resume. The
 // incremental trace.LadderFolder folds each arriving span to every
 // rung of a block-size ladder on the fly, so the whole design space
-// still rides one decode; engines accumulate spans through the same
-// SimulateStream seam (engine.ReplayPipeline / explore's streamed
-// tier), with results bit-identical to the phased
-// materialize-then-replay path. The CLIs expose the tier as
+// still rides one decode. One span-ladder driver (engine.SpanLadder)
+// runs every streamed and sharded replay in dewsim, refsim and explore:
+// it folds each span, then replays the rungs concurrently, each rung's
+// engines in order, so every engine still accumulates its spans in
+// order through the same SimulateStream seam, bit-identical to the
+// phased materialize-then-replay path. The CLIs expose the tier as
 // -stream-mem BYTES (0 = materialize an unsharded run; a -shards run
 // always streams, at trace.DefaultSpanMemBytes unless -stream-mem sets
 // its budget — only the sweep still rejects the pair), a cold streamed

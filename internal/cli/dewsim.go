@@ -225,19 +225,19 @@ func DewSim(ctx context.Context, env Env, args []string) error {
 		}
 		if streamMem > 0 || *shards > 1 {
 			// Streamed (and sharded) ladder replay: one bounded span
-			// pipeline decodes the trace chunk-parallel, the incremental
-			// fold derives every rung from each span as it appears, and
-			// each live rung's engine consumes its span in place — split
-			// into set-substreams per span when sharding — so decode, fold
-			// and simulation overlap in bounded memory while the
-			// accumulated statistics stay bit-identical to the
-			// materialized replay. Warm rungs still merge from the result
-			// tier; a cold artifact cache additionally receives the finest
-			// rung, spooled span by span without the pass ever re-buffering
-			// the stream, and a sharded run takes a stream-tier hit
-			// instead of decoding (see spanSource).
+			// pipeline decodes the trace chunk-parallel, and the span-ladder
+			// driver folds every rung from each span as it appears and
+			// replays the live rungs concurrently — each span split into
+			// set-substreams when sharding — so decode, fold and simulation
+			// overlap in bounded memory while the accumulated statistics
+			// stay bit-identical to the materialized replay. Warm rungs
+			// still merge from the result tier; a cold artifact cache
+			// additionally receives the finest rung, spooled span by span
+			// without the pass ever re-buffering the stream, and a sharded
+			// run takes a stream-tier hit instead of decoding (see
+			// engine.SpanInput).
 			log := trace.ShardLog(*shards, *maxLog)
-			engs := make(map[int]engine.Engine, len(blockLadder))
+			engs := make(map[int][]engine.Engine, len(blockLadder))
 			for i, b := range blockLadder {
 				if rungWarm[i] != nil {
 					continue
@@ -246,9 +246,9 @@ func DewSim(ctx context.Context, env Env, args []string) error {
 				if err != nil {
 					return err
 				}
-				engs[b] = eng
+				engs[b] = []engine.Engine{eng}
 			}
-			folder, err := trace.NewLadderFolder(blockLadder[0], blockLadder, writeSim)
+			ladder, err := engine.NewSpanLadder(blockLadder[0], blockLadder, writeSim, log, 0, engs)
 			if err != nil {
 				return err
 			}
@@ -256,18 +256,8 @@ func DewSim(ctx context.Context, env Env, args []string) error {
 			if err != nil {
 				return err
 			}
-			defer src.close()
-			rp := engine.NewSpanReplayer(log)
-			visit := func(b int, s *trace.BlockStream) error {
-				if eng, ok := engs[b]; ok {
-					return rp.Replay(ctx, s, eng)
-				}
-				return nil
-			}
-			if err := src.each(ctx, func(s *trace.BlockStream) error { return folder.Feed(s, visit) }); err != nil {
-				return err
-			}
-			if err := folder.Flush(visit); err != nil {
+			defer src.Close()
+			if err := src.Replay(ctx, ladder, nil); err != nil {
 				return err
 			}
 			cachedRungs := 0
@@ -277,7 +267,7 @@ func DewSim(ctx context.Context, env Env, args []string) error {
 					cachedRungs++
 					continue
 				}
-				eng := engs[b]
+				eng := engs[b][0]
 				rungResults := eng.Results()
 				results = append(results, rungResults...)
 				accesses = eng.Accesses()
@@ -297,7 +287,7 @@ func DewSim(ctx context.Context, env Env, args []string) error {
 			if log >= 0 {
 				mode += fmt.Sprintf(" sharded across %d substreams,", 1<<log)
 			}
-			mode += fmt.Sprintf(" %s, %v", src.note(), pol)
+			mode += fmt.Sprintf(" %s, %v", spanNote(src), pol)
 			if cachedRungs > 0 {
 				mode += fmt.Sprintf(", %d/%d rungs result-cached", cachedRungs, len(blockLadder))
 			}

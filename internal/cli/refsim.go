@@ -121,11 +121,12 @@ func printRefStats(w io.Writer, stats refsim.Stats, tr refsim.Traffic) {
 // refSimStreamed is the stream-replay path (-stream-mem, -shards ≥ 2):
 // the trace's kind-preserving spans — decoded chunk-parallel by one
 // bounded span pipeline, or for a sharded run a stream-tier cache hit
-// cut into spans (see spanSource) — replay through the
+// cut into spans (see engine.SpanInput) — replay through the
 // single-configuration reference engine as they appear, so decode and
 // simulation overlap and the resident stream state stays within the
-// budget. With -shards each span is split into set-substreams
-// (engine.SpanReplayer) replayed by the sharded engine; the shard count
+// budget. The replay runs on the span-ladder driver (engine.SpanLadder)
+// as a one-rung ladder; with -shards each span is split into
+// set-substreams replayed by the sharded engine. The shard count
 // resolves through the trace.ShardLog rounding every -shards knob uses,
 // capped at the set count, and Random replacement (whose decomposition
 // is not exact) falls back to the monolithic replay inside the engine.
@@ -178,9 +179,13 @@ func refSimStreamed(ctx context.Context, env Env, tf traceFlags, opts refsim.Opt
 	if err != nil {
 		return err
 	}
-	defer src.close()
-	rp := engine.NewSpanReplayer(log)
-	if err := src.each(ctx, func(s *trace.BlockStream) error { return rp.Replay(ctx, s, eng) }); err != nil {
+	defer src.Close()
+	ladder, err := engine.NewSpanLadder(cfg.BlockSize, []int{cfg.BlockSize}, true, log, 0,
+		map[int][]engine.Engine{cfg.BlockSize: {eng}})
+	if err != nil {
+		return err
+	}
+	if err := src.Replay(ctx, ladder, nil); err != nil {
 		return err
 	}
 	elapsed := time.Since(start)
@@ -199,13 +204,13 @@ func refSimStreamed(ctx context.Context, env Env, tf traceFlags, opts refsim.Opt
 		cfg, policy, opts.Write, opts.Alloc)
 	switch {
 	case log < 0:
-		fmt.Fprintf(env.Stdout, "replay:            %s, replayed in %v\n", src.note(), elapsed.Round(time.Millisecond))
+		fmt.Fprintf(env.Stdout, "replay:            %s, replayed in %v\n", spanNote(src), elapsed.Round(time.Millisecond))
 	case engine.Parallel(eng):
 		fmt.Fprintf(env.Stdout, "replay:            %d set-substreams in parallel (%s, replayed in %v)\n",
-			1<<log, src.note(), elapsed.Round(time.Millisecond))
+			1<<log, spanNote(src), elapsed.Round(time.Millisecond))
 	default:
 		fmt.Fprintf(env.Stdout, "replay:            monolithic fallback (%v policy or %d sets < %d shards; %s, replayed in %v)\n",
-			policy, cfg.Sets, 1<<log, src.note(), elapsed.Round(time.Millisecond))
+			policy, cfg.Sets, 1<<log, spanNote(src), elapsed.Round(time.Millisecond))
 	}
 	printRefStats(env.Stdout, stats, traffic)
 	return nil

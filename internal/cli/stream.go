@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"dew/internal/cache"
+	"dew/internal/engine"
 	"dew/internal/store"
 	"dew/internal/trace"
 )
@@ -65,94 +66,18 @@ func (tf traceFlags) streamSpans(ctx context.Context, blockSize int, opts trace.
 	return trace.StreamSpans(ctx, r, blockSize, opts)
 }
 
-// spanSource is where a streamed or sharded replay's finest-rung spans
-// come from: the bounded decode pipeline, spooling each span into the
-// artifact cache's stream tier as it passes when the entry is absent,
-// or — for a sharded run without an explicit -stream-mem budget — a
-// stream-tier hit, loaded whole (zero trace decodes) and cut into the
-// spans the pipeline would have emitted. An explicit budget always
-// decodes: a loaded stream is resident in full, which is what the
-// budget rules out.
-type spanSource struct {
-	pl     *trace.StreamPipeline
-	loaded *trace.BlockStream
-	put    *store.StreamPut
+// openSpans resolves the span input for the trace flags at blockSize
+// (see engine.OpenSpanInput); key is the finest rung's stream key.
+func openSpans(ctx context.Context, tf traceFlags, st *store.Store, key string, blockSize int, kinds bool, streamMem int64) (*engine.SpanInput, error) {
+	return engine.OpenSpanInput(ctx, st, key, blockSize, kinds, streamMem, func() (*trace.StreamPipeline, error) {
+		return tf.streamSpans(ctx, blockSize, trace.SpanOptions{MemBytes: streamMem, Kinds: kinds})
+	})
 }
 
-// openSpans resolves the span source for the trace flags at blockSize.
-// st may be nil (no cache); key is the finest rung's stream key.
-func openSpans(ctx context.Context, tf traceFlags, st *store.Store, key string, blockSize int, kinds bool, streamMem int64) (*spanSource, error) {
-	if st != nil && streamMem == 0 {
-		// A miss or a corrupt entry (quarantined by Load) decodes.
-		if bs, err := st.Load(ctx, key, blockSize, kinds); err == nil {
-			return &spanSource{loaded: bs}, nil
-		}
-	}
-	pl, err := tf.streamSpans(ctx, blockSize, trace.SpanOptions{MemBytes: streamMem, Kinds: kinds})
-	if err != nil {
-		return nil, err
-	}
-	src := &spanSource{pl: pl}
-	if st != nil && !st.Has(key) {
-		// Publishing is best-effort: without a spool the run just
-		// leaves the cache cold.
-		src.put, _ = st.NewStreamPut(key, blockSize, kinds)
-	}
-	return src, nil
-}
-
-// each feeds every span to fn in stream order, honouring ctx between
-// spans, then commits the spooled publish. A publish failure abandons
-// the spool, never the replay.
-func (src *spanSource) each(ctx context.Context, fn func(*trace.BlockStream) error) error {
-	if src.loaded != nil {
-		for _, s := range trace.SplitSpans(src.loaded, 0) {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := fn(&s.BlockStream); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for s := range src.pl.Spans() {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if src.put != nil && src.put.Add(&s.BlockStream) != nil {
-			src.put.Abort()
-			src.put = nil
-		}
-		if err := fn(&s.BlockStream); err != nil {
-			return err
-		}
-	}
-	if err := src.pl.Err(); err != nil {
-		return err
-	}
-	if src.put != nil {
-		src.put.Commit(ctx) // best-effort, like every publish
-		src.put = nil
-	}
-	return nil
-}
-
-// close stops the pipeline and abandons an uncommitted publish; safe
-// after each and safe to defer.
-func (src *spanSource) close() {
-	if src.pl != nil {
-		src.pl.Close()
-	}
-	if src.put != nil {
-		src.put.Abort()
-	}
-}
-
-// note renders the source for the tools' provenance lines.
-func (src *spanSource) note() string {
-	if src.loaded != nil {
+// spanNote renders the span input for the tools' provenance lines.
+func spanNote(in *engine.SpanInput) string {
+	if in.Loaded() {
 		return "cache load, 0 trace decodes"
 	}
-	return fmt.Sprintf("streamed, peak %s stream resident, decode overlapped", cache.FormatSize(int(src.pl.ResidentBound())))
+	return fmt.Sprintf("streamed, peak %s stream resident, decode overlapped", cache.FormatSize(int(in.ResidentBound())))
 }

@@ -20,6 +20,7 @@ func (s *Simulator) AccessBatch(batch []trace.Access) {
 		}
 		return
 	}
+	s.settleWave()
 	s.counters.Accesses += uint64(len(batch))
 	off := s.offBits
 	prev, ok := s.lastBlk, s.lastOK

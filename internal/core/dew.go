@@ -292,6 +292,11 @@ type Simulator struct {
 	// cannot discard them; never read.
 	pfSink uint64
 
+	// waveStale marks the wave pointers and MRE records as left stale by
+	// the columnar FIFO walk (FIFO passes only); the entry points that
+	// read them apply the pending reset first (see settleWave).
+	waveStale bool
+
 	counters Counters
 }
 
@@ -423,6 +428,7 @@ func (s *Simulator) Options() Options { return s.opt }
 // pass. The request kind does not influence FIFO state; it is accepted so
 // the simulator is a drop-in trace consumer.
 func (s *Simulator) Access(a trace.Access) {
+	s.settleWave()
 	blk := a.Addr >> s.offBits
 	s.counters.Accesses++
 	// Keep the fast path's repeated-block memo sound when the two entry

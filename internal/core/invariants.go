@@ -24,7 +24,11 @@ import "fmt"
 //     every filled way exactly once, and the MRU way holds the node's
 //     MRA tag (the most recently used entry is the most recently
 //     accessed tag).
+//
+// A wave-domain reset left pending by the columnar FIFO walk is applied
+// first, so 5 and 6 see the state the next reader sees.
 func (s *Simulator) CheckInvariants() error {
+	s.settleWave()
 	for li := range s.levels {
 		lv := &s.levels[li]
 		nodes := int(lv.mask) + 1

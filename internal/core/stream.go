@@ -132,10 +132,10 @@ func (s *Simulator) AccessRuns(ids []uint64, runs []uint32) {
 //
 // Both are work-saving devices, not result-changing ones, but leaving
 // them stale would be unsound for the entry points that still use them,
-// so the walk concludes by resetting the wave pointers and MRE records
-// to "unknown" — always sound, merely unhelpful until repopulated — one
-// sweep over two small arenas per call, amortized across the whole
-// column.
+// so a walk that inserted anything marks them stale, and the entry
+// points that read them first reset them to "unknown" (settleWave) —
+// always sound, merely unhelpful until repopulated. A streamed pass
+// that never reads them never pays that sweep.
 //
 // The warm 4-way level (the steady state of the sweep shapes) updates
 // without a data-dependent branch: the hit/miss outcome of a warm level
@@ -284,16 +284,21 @@ walk:
 	s.lastBlk, s.lastOK = prev, ok
 	s.pfSink = pf
 	if misses > 0 {
-		s.resetWaveDomain()
+		s.waveStale = true
 	}
 	return total
 }
 
-// resetWaveDomain marks every wave pointer and MRE record "unknown".
-// The empty states are always sound — Property 3, Property 4 and the
-// resurrection restore simply fall back to scans until repopulated by
-// the entry points that maintain them.
-func (s *Simulator) resetWaveDomain() {
+// settleWave applies the reset runsFastFIFO left pending: it marks
+// every wave pointer and MRE record "unknown". The empty states are
+// always sound — Property 3, Property 4 and the resurrection restore
+// simply fall back to scans until repopulated by the entry points that
+// maintain them.
+func (s *Simulator) settleWave() {
+	if !s.waveStale {
+		return
+	}
+	s.waveStale = false
 	for i := range s.wave {
 		s.wave[i] = -1
 	}

@@ -193,6 +193,57 @@ func TestAccessRunsInterleaved(t *testing.T) {
 	_ = bs
 }
 
+// TestAccessRunsLazyWaveReset alternates the columnar walk, which only
+// marks the wave domain stale, with the entry points that read it —
+// Access and AccessBatch — in segments of varying length on one
+// simulator. Every alternation must apply the pending reset before the
+// first read, so results match per-access replay; one replica also
+// validates the invariants after every segment (which applies the reset
+// early) and one never does, so neither ordering can hide a missed
+// reset.
+func TestAccessRunsLazyWaveReset(t *testing.T) {
+	tr := workload.Take(workload.MPEG2Dec.Generator(5), 40_000)
+	shapes := []Options{
+		{MaxLogSets: 6, Assoc: 4, BlockSize: 16},
+		{MinLogSets: 2, MaxLogSets: 7, Assoc: 2, BlockSize: 8},
+		{MaxLogSets: 5, Assoc: 8, BlockSize: 32},
+		{MaxLogSets: 6, Assoc: 4, BlockSize: 16, Policy: cache.LRU},
+	}
+	sizes := []int{1, 7, 300, 2500, 40}
+	for _, opt := range shapes {
+		label := fmt.Sprintf("min%d/A%d/B%d/%v", opt.MinLogSets, opt.Assoc, opt.BlockSize, opt.Policy)
+		want := runInstrumented(t, opt, tr)
+		checked, unchecked := MustNew(opt), MustNew(opt)
+		for seg, lo := 0, 0; lo < len(tr); seg++ {
+			hi := min(lo+sizes[seg%len(sizes)], len(tr))
+			part := tr[lo:hi]
+			for _, s := range []*Simulator{checked, unchecked} {
+				switch seg % 3 {
+				case 0:
+					if err := s.SimulateStream(mustStream(t, part, opt.BlockSize)); err != nil {
+						t.Fatal(err)
+					}
+				case 1:
+					for _, a := range part {
+						s.Access(a)
+					}
+				default:
+					s.AccessBatch(part)
+				}
+			}
+			if err := checked.CheckInvariants(); err != nil {
+				t.Fatalf("%s: segment %d: %v", label, seg, err)
+			}
+			lo = hi
+		}
+		assertSameResults(t, label+" checked", want, checked)
+		assertSameResults(t, label+" unchecked", want, unchecked)
+		if err := unchecked.CheckInvariants(); err != nil {
+			t.Fatalf("%s: final invariants: %v", label, err)
+		}
+	}
+}
+
 // FuzzStreamEquivalence fuzzes the stream path against the instrumented
 // per-access path: arbitrary folded address streams, both policies,
 // forest (MinLogSets > 0) shapes included.

@@ -37,9 +37,11 @@ func TestReplayCancelled(t *testing.T) {
 	}
 }
 
-// TestSpanReplayerCancelMidStream cancels a sharded span replay halfway
-// through the spans: the next span's substream fan-out refuses the
-// cancelled context and returns with its pool drained.
+// TestSpanReplayerCancelMidStream cancels a sharded three-rung
+// span-ladder replay halfway through the spans: the next Feed refuses
+// the cancelled context and returns with every pool drained, and a
+// cancellation raised inside a rung's replay stops the rungs queued
+// behind it.
 func TestSpanReplayerCancelMidStream(t *testing.T) {
 	defer leakcheck.Check(t)()
 	bs, err := engineTrace(20000).BlockStream(16)
@@ -50,18 +52,31 @@ func TestSpanReplayerCancelMidStream(t *testing.T) {
 	if len(spans) < 4 {
 		t.Fatalf("only %d spans", len(spans))
 	}
-	e, err := New("dew", Spec{MaxLogSets: 5, Assoc: 2, BlockSize: 16, Policy: cache.FIFO, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
+	ladder := []int{16, 32, 64}
+	newLadder := func(wrap func(int, Engine) Engine) (*SpanLadder, map[int][]Engine) {
+		engs := map[int][]Engine{}
+		for _, b := range ladder {
+			e, err := New("dew", Spec{MaxLogSets: 5, Assoc: 2, BlockSize: b, Policy: cache.FIFO, Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			engs[b] = []Engine{wrap(b, e)}
+		}
+		l, err := NewSpanLadder(16, ladder, false, 2, 2, engs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l, engs
 	}
+
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	rp := NewSpanReplayer(2)
+	l, _ := newLadder(func(_ int, e Engine) Engine { return e })
 	for i, s := range spans {
 		if i == len(spans)/2 {
 			cancel()
 		}
-		err = rp.Replay(ctx, &s.BlockStream, e)
+		err = l.Feed(ctx, &s.BlockStream)
 		if i < len(spans)/2 && err != nil {
 			t.Fatalf("span %d before the cancellation: %v", i, err)
 		}
@@ -72,4 +87,39 @@ func TestSpanReplayerCancelMidStream(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("replay after cancellation: %v, want context.Canceled", err)
 	}
+
+	// Cancelled from inside the first rung's replay, one rung at a time:
+	// the pool must not start the rungs queued behind it.
+	ctx2, cancel2 := context.WithCancel(context.Background())
+	defer cancel2()
+	l2, engs := newLadder(func(b int, e Engine) Engine {
+		if b == 16 {
+			return &hookEngine{Engine: e, before: cancel2}
+		}
+		return e
+	})
+	l2.workers = 1
+	if err := l2.Feed(ctx2, &spans[0].BlockStream); !errors.Is(err, context.Canceled) {
+		t.Fatalf("replay cancelled inside a rung: %v, want context.Canceled", err)
+	}
+	if n := engs[64][0].Accesses(); n != 0 {
+		t.Fatalf("a rung queued behind the cancellation replayed %d accesses", n)
+	}
+}
+
+// hookEngine runs before ahead of every replay of the wrapped engine —
+// a test seam for panics and cancellations raised mid-Feed.
+type hookEngine struct {
+	Engine
+	before func()
+}
+
+func (h *hookEngine) SimulateStream(bs *trace.BlockStream) error {
+	h.before()
+	return h.Engine.SimulateStream(bs)
+}
+
+func (h *hookEngine) SimulateSharded(ctx context.Context, ss *trace.ShardStream) error {
+	h.before()
+	return h.Engine.SimulateSharded(ctx, ss)
 }

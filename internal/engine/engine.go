@@ -12,15 +12,16 @@
 // fanned out across the partition's substreams. How the stream came to
 // be is not the engine's concern — a directly materialized stream, a
 // fold-derived rung of a block-size ladder (trace.FoldBlockStream) and
-// the per-span shard partitions of a streamed pass (SpanReplayer)
-// replay to bit-identical results, so the frontends choose the
-// cheapest construction and the engine contract only sees
-// BlockSize-consistent columns. The same property makes
-// SimulateStream the streaming seam: feeding the spans of a bounded
-// trace.StreamPipeline one by one (SimulateSpans / ReplayPipeline)
+// the per-span shard partitions of a streamed pass replay to
+// bit-identical results, so the frontends choose the cheapest
+// construction and the engine contract only sees BlockSize-consistent
+// columns. The same property makes SimulateStream the streaming seam:
+// feeding the spans of a bounded trace.StreamPipeline one by one
 // accumulates results bit-identical to one whole-stream call, so the
 // design-space layers replay traces larger than RAM with decode
-// overlapped against simulation. Both replay kinds accumulate
+// overlapped against simulation. SpanLadder is the one driver of that
+// seam: it folds each span into every rung of a block-size ladder and
+// replays the rungs concurrently, each rung's engines in order. Both replay kinds accumulate
 // into the same per-configuration results; Reset rewinds to the
 // freshly built state reusing the arenas. Replays of either kind must be
 // bit-identical: an engine that cannot decompose a configuration

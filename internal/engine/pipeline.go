@@ -2,115 +2,229 @@ package engine
 
 import (
 	"context"
-	"time"
+	"fmt"
 
+	"dew/internal/pool"
+	"dew/internal/store"
 	"dew/internal/trace"
 )
 
-// SpanSource is the streaming input seam: an ordered span channel plus
-// the producer's terminal error. *trace.StreamPipeline satisfies it;
-// tests substitute in-memory sources. The engines are sequential state
-// machines whose SimulateStream accumulates across calls, so feeding a
-// stream span-by-span is bit-identical to one monolithic replay of the
-// spans' concatenation — streaming changes peak memory and overlap,
-// never results.
-type SpanSource interface {
-	// Spans returns the ordered span channel; it closes when the source
-	// is exhausted or fails.
-	Spans() <-chan *trace.Span
-	// Err blocks until the source has stopped and returns its terminal
-	// error — nil after a complete stream.
-	Err() error
+// SpanLadder is the span-ladder replay driver behind every streamed or
+// sharded replay: each finest-rung span is folded through a
+// trace.LadderFolder into every rung of the block-size ladder, then the
+// rungs with live engines replay concurrently, one pool task per rung
+// replaying its engines in order. Every engine belongs to exactly one
+// rung and accumulates across calls, so it still sees its spans in
+// stream order, one call at a time: the results are bit-identical to
+// the monolithic replay at every worker count and shard level. Feed
+// every span in order, then Flush exactly once.
+type SpanLadder struct {
+	folder  *trace.LadderFolder
+	rungs   map[int]*ladderRung
+	workers int
+	ready   []*ladderRung // rungs collected by the current Feed
 }
 
-// SimulateSpans replays an in-memory span slice through the engine in
-// order (chunked replay; results accumulate exactly as one
-// SimulateStream over the concatenation).
-func SimulateSpans(e Engine, spans []*trace.Span) error {
-	for _, s := range spans {
-		if err := e.SimulateStream(&s.BlockStream); err != nil {
-			return err
+// ladderRung is one block size of the ladder and the stream shape it
+// has seen so far.
+type ladderRung struct {
+	engs     []Engine
+	log      int
+	part     trace.ShardStream
+	span     *trace.BlockStream // the folded span collected by the current Feed
+	accesses uint64
+	runs     uint64
+}
+
+// NewSpanLadder builds a driver folding spans at base into every size
+// of blocks (kinds: kind-preserving folds) and replaying engs[b], the
+// engines of rung b, at shard level shardLog (negative: unsharded) with
+// at most workers rungs in flight (≤ 0: GOMAXPROCS). A rung without
+// engines is still folded and counted (see Shape).
+func NewSpanLadder(base int, blocks []int, kinds bool, shardLog, workers int, engs map[int][]Engine) (*SpanLadder, error) {
+	folder, err := trace.NewLadderFolder(base, blocks, kinds)
+	if err != nil {
+		return nil, err
+	}
+	l := &SpanLadder{folder: folder, rungs: make(map[int]*ladderRung, len(blocks)), workers: workers}
+	for _, b := range folder.Blocks() {
+		l.rungs[b] = &ladderRung{engs: engs[b], log: shardLog}
+	}
+	for b := range engs {
+		if l.rungs[b] == nil {
+			return nil, fmt.Errorf("engine: engines at block size %d, not a rung of the ladder %v", b, folder.Blocks())
 		}
+	}
+	return l, nil
+}
+
+// collect is the fold visit: it counts the span into rung b's shape
+// and queues the rung for replay when it has engines.
+func (l *SpanLadder) collect(b int, s *trace.BlockStream) error {
+	r := l.rungs[b]
+	r.accesses += s.Accesses
+	r.runs += uint64(s.Len())
+	if len(r.engs) > 0 {
+		r.span = s
+		l.ready = append(l.ready, r)
 	}
 	return nil
 }
 
-// ReplayPipeline consumes src span-by-span through the engine, with
-// decode (the source's producer goroutines) overlapping the simulate
-// loop. It returns the first of: a simulate error, ctx's error
-// (checked between spans — the span is this seam's cancellation
-// granularity), or the source's terminal error once the channel
-// closes. On early return the channel is left undrained: the caller
-// owns the source's lifecycle and should Close a *trace.StreamPipeline
-// (idempotent, also fine after normal completion) to release its
-// goroutines.
-func ReplayPipeline(ctx context.Context, e Engine, src SpanSource) error {
-	for s := range src.Spans() {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := e.SimulateStream(&s.BlockStream); err != nil {
-			return err
-		}
-	}
-	if err := src.Err(); err != nil {
+// replay replays the queued rungs, at most workers at a time. A failed
+// rung stops the pool (its error names the rung's block size; a panic
+// surfaces as a *pool.PanicError), and a cancelled ctx returns ctx's
+// error with the pool drained; either way the engines are left
+// mid-stream. The pool's return is the barrier before the folder reuses
+// the rungs' spans.
+func (l *SpanLadder) replay(ctx context.Context, workers int) error {
+	err := pool.Run(ctx, workers, len(l.ready), func(i int) error { return l.ready[i].replay(ctx) })
+	l.ready = l.ready[:0]
+	return err
+}
+
+// Feed folds one finest-rung span through the ladder, collecting every
+// rung's folded span, then replays the collected rungs concurrently.
+func (l *SpanLadder) Feed(ctx context.Context, span *trace.BlockStream) error {
+	if err := l.folder.Feed(span, l.collect); err != nil {
 		return err
 	}
-	return ctx.Err()
+	return l.replay(ctx, l.workers)
 }
 
-// SpanReplayer replays spans through engines at one shard level, the
-// span-side form of Replay's stream-vs-sharded choice. With a level
-// ≥ 0 each span is split into a partition retained across calls
-// (trace.ShardBlockStreamInto, O(runs), allocation-free once warm) and
-// replayed with SimulateSharded, so a sharded pass holds one span's
-// partition instead of the whole stream's. The sharded passes
-// accumulate across calls like SimulateStream does, and a run split at
-// a span cut replays exactly as the merged run, so the results are
-// bit-identical to one SimulateSharded over the whole stream's
-// partition — and to the monolithic replay. A negative level replays
-// each span monolithically.
-type SpanReplayer struct {
-	log  int
-	part trace.ShardStream
+// Flush drains the folder's carries and replays each rung's final span
+// before the next is folded: the folder's flush spans share one scratch
+// buffer across stages.
+func (l *SpanLadder) Flush(ctx context.Context) error {
+	return l.folder.Flush(func(b int, s *trace.BlockStream) error {
+		l.collect(b, s)
+		return l.replay(ctx, 1)
+	})
 }
 
-// NewSpanReplayer returns a replayer at shard level log (negative:
-// unsharded).
-func NewSpanReplayer(log int) *SpanReplayer { return &SpanReplayer{log: log} }
+// Shape reports the accesses and runs of every span rung b (a block
+// size of the ladder) has been fed so far; after Flush, those of the
+// whole rung stream.
+func (l *SpanLadder) Shape(b int) (accesses, runs uint64) {
+	r := l.rungs[b]
+	return r.accesses, r.runs
+}
 
-// Replay replays one span through every engine in order, splitting it
-// once for all of them. The span is only read during the call, so a
-// caller may reuse its buffer (the ladder folder's scratch spans) once
-// Replay returns.
-func (r *SpanReplayer) Replay(ctx context.Context, span *trace.BlockStream, engs ...Engine) error {
+// replay replays the rung's collected span through its engines in
+// order. Sharded, the span is split once for all of them into the
+// rung's partition, retained across calls (trace.ShardBlockStreamInto,
+// O(runs), allocation-free once warm), so a sharded pass holds one
+// span's partition, not the whole stream's; a run cut at a span
+// boundary replays exactly as the merged run.
+func (r *ladderRung) replay(ctx context.Context) error {
 	var part *trace.ShardStream
 	if r.log >= 0 {
 		var err error
-		if part, err = trace.ShardBlockStreamInto(&r.part, span, r.log); err != nil {
+		if part, err = trace.ShardBlockStreamInto(&r.part, r.span, r.log); err != nil {
 			return err
 		}
 	}
-	for _, e := range engs {
-		if err := Replay(ctx, e, span, part); err != nil {
-			return err
+	for _, e := range r.engs {
+		if err := Replay(ctx, e, r.span, part); err != nil {
+			return fmt.Errorf("engine: rung B=%d: %w", r.span.BlockSize, err)
 		}
 	}
 	return nil
 }
 
-// TimedRunPipeline builds the named engine and replays the streaming
-// source through it, timing the whole consume loop — decode overlap
-// included, so the figure is comparable to TimedRun's replay time plus
-// the materialize phase it absorbs.
-func TimedRunPipeline(ctx context.Context, name string, spec Spec, src SpanSource) (Engine, time.Duration, error) {
-	e, err := New(name, spec)
+// SpanInput is where a streamed or sharded replay's finest-rung spans
+// come from: the bounded decode pipeline, spooling each span into the
+// store's stream tier when the entry is absent, or — for a sharded
+// replay without an explicit budget, which a stream resident in full
+// would break — a stream-tier hit cut into the pipeline's spans.
+type SpanInput struct {
+	pl     *trace.StreamPipeline
+	loaded *trace.BlockStream
+	put    *store.StreamPut
+}
+
+// OpenSpanInput resolves the span input at blockSize for a streamed
+// (streamMem > 0) or sharded (streamMem == 0) replay. st may be nil and
+// key "" (no cache); decode starts the pipeline when the store cannot
+// serve.
+func OpenSpanInput(ctx context.Context, st *store.Store, key string, blockSize int, kinds bool, streamMem int64,
+	decode func() (*trace.StreamPipeline, error)) (*SpanInput, error) {
+	cached := st != nil && key != ""
+	if cached && streamMem == 0 {
+		// A miss or a corrupt entry (quarantined by Load) decodes.
+		if bs, err := st.Load(ctx, key, blockSize, kinds); err == nil {
+			return &SpanInput{loaded: bs}, nil
+		}
+	}
+	pl, err := decode()
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	start := time.Now()
-	if err := ReplayPipeline(ctx, e, src); err != nil {
-		return nil, 0, err
+	in := &SpanInput{pl: pl}
+	if cached && !st.Has(key) {
+		in.put, _ = st.NewStreamPut(key, blockSize, kinds) // best-effort: no spool leaves the cache cold
 	}
-	return e, time.Since(start), nil
+	return in, nil
+}
+
+// Replay feeds every span through the ladder in stream order — observe,
+// when non-nil, sees each finest-rung span first — commits the spooled
+// publish and flushes the ladder. A publish failure abandons the spool,
+// never the replay.
+func (in *SpanInput) Replay(ctx context.Context, l *SpanLadder, observe func(*trace.BlockStream)) error {
+	feed := func(s *trace.BlockStream) error {
+		if observe != nil {
+			observe(s)
+		}
+		return l.Feed(ctx, s)
+	}
+	if in.loaded != nil {
+		for _, s := range trace.SplitSpans(in.loaded, 0) {
+			if err := feed(&s.BlockStream); err != nil {
+				return err
+			}
+		}
+		return l.Flush(ctx)
+	}
+	for s := range in.pl.Spans() {
+		if in.put != nil && in.put.Add(&s.BlockStream) != nil {
+			in.put.Abort()
+			in.put = nil
+		}
+		if err := feed(&s.BlockStream); err != nil {
+			return err
+		}
+	}
+	if err := in.pl.Err(); err != nil {
+		return err
+	}
+	if in.put != nil {
+		in.put.Commit(ctx) // best-effort, like every publish
+		in.put = nil
+	}
+	return l.Flush(ctx)
+}
+
+// Close stops the pipeline and abandons an uncommitted publish; safe
+// after Replay and safe to defer.
+func (in *SpanInput) Close() {
+	if in.pl != nil {
+		in.pl.Close()
+	}
+	if in.put != nil {
+		in.put.Abort()
+	}
+}
+
+// Loaded reports whether the spans came from a stream-tier hit instead
+// of a decode.
+func (in *SpanInput) Loaded() bool { return in.loaded != nil }
+
+// ResidentBound is the decode pipeline's enforced resident-stream bound
+// in bytes; 0 for a loaded stream.
+func (in *SpanInput) ResidentBound() int64 {
+	if in.pl == nil {
+		return 0
+	}
+	return in.pl.ResidentBound()
 }

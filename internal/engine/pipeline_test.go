@@ -6,12 +6,15 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"dew/internal/cache"
 	"dew/internal/leakcheck"
+	"dew/internal/pool"
 	"dew/internal/refsim"
 	"dew/internal/trace"
+	"dew/internal/trace/faultreader"
 	"dew/internal/workload"
 )
 
@@ -102,26 +105,28 @@ func sameEngineState(t *testing.T, label string, got, want Engine) {
 	}
 }
 
-// replaySpans replays spans through e, each split at shard level log
-// by a SpanReplayer — the sharded span loop every tool runs — or, for a
-// negative level, monolithically through SimulateSpans.
+// replaySpans replays spans through e with a one-rung span-ladder
+// driver at shard level log (negative: monolithic) — the span loop every
+// tool runs.
 func replaySpans(e Engine, spans []*trace.Span, log int) error {
-	if log < 0 {
-		return SimulateSpans(e, spans)
+	block := spans[0].BlockSize
+	l, err := NewSpanLadder(block, []int{block}, spans[0].Kinds != nil, log, 1, map[int][]Engine{block: {e}})
+	if err != nil {
+		return err
 	}
-	rp := NewSpanReplayer(log)
 	for _, s := range spans {
-		if err := rp.Replay(context.Background(), &s.BlockStream, e); err != nil {
+		if err := l.Feed(context.Background(), &s.BlockStream); err != nil {
 			return err
 		}
 	}
-	return nil
+	return l.Flush(context.Background())
 }
 
-// TestSimulateSpansEverySplit replays each engine over the stream split
-// at every single run boundary (and at several multi-span strides),
-// monolithically and sharded span by span: results must be
-// bit-identical to the monolithic replay of the whole stream.
+// TestSimulateSpansEverySplit replays each engine through the span-ladder
+// driver over the stream split at every single run boundary (and at
+// several multi-span strides), monolithically and sharded span by span:
+// results must be bit-identical to the monolithic replay of the whole
+// stream.
 func TestSimulateSpansEverySplit(t *testing.T) {
 	tr := engineKindTrace(600)
 	const block = 8
@@ -176,9 +181,9 @@ func TestSimulateSpansEverySplit(t *testing.T) {
 	}
 }
 
-// TestReplayPipelineMatchesMaterialized runs every engine over a live
-// span pipeline with a tiny budget and checks against the monolithic
-// materialized replay.
+// TestReplayPipelineMatchesMaterialized runs every engine through the
+// span-ladder driver over a live span pipeline with a tiny budget and
+// checks against the monolithic materialized replay.
 func TestReplayPipelineMatchesMaterialized(t *testing.T) {
 	tr := engineKindTrace(20000)
 	const block = 8
@@ -207,58 +212,117 @@ func TestReplayPipelineMatchesMaterialized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, dur, err := TimedRunPipeline(context.Background(), tc.name, tc.spec, p)
-		p.Close()
+		e, err := New(tc.name, tc.spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if dur <= 0 {
-			t.Errorf("%s: non-positive replay time", tc.label)
+		if err := feedPipeline(context.Background(), p, block, tc.spec.WriteSim, 2, map[int][]Engine{block: {e}}); err != nil {
+			t.Fatal(err)
 		}
 		sameEngineState(t, tc.label+" streamed", e, oracle)
 	}
 }
 
-type fakeSource struct {
-	ch  chan *trace.Span
-	err error
+// feedPipeline drains a live span pipeline through a span-ladder driver
+// built from the rest of the arguments (unsharded, ladder = the keys of
+// engs plus base), then closes the pipeline.
+func feedPipeline(ctx context.Context, p *trace.StreamPipeline, base int, kinds bool, workers int, engs map[int][]Engine) error {
+	defer p.Close()
+	blocks := []int{base}
+	for b := range engs {
+		blocks = append(blocks, b)
+	}
+	l, err := NewSpanLadder(base, blocks, kinds, -1, workers, engs)
+	if err != nil {
+		return err
+	}
+	for s := range p.Spans() {
+		if err := l.Feed(ctx, &s.BlockStream); err != nil {
+			return err
+		}
+	}
+	if err := p.Err(); err != nil {
+		return err
+	}
+	return l.Flush(ctx)
 }
-
-func (f *fakeSource) Spans() <-chan *trace.Span { return f.ch }
-func (f *fakeSource) Err() error                { return f.err }
 
 func TestReplayPipelineErrors(t *testing.T) {
 	defer leakcheck.Check(t)()
 	spec := Spec{MaxLogSets: 3, Assoc: 1, BlockSize: 8, Policy: cache.LRU}
+	tr := engineTrace(30000)
+	bs, err := tr.BlockStream(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := trace.SplitSpans(bs, 64)
 
-	// Source failure surfaces after the channel closes.
+	// A source failure surfaces from the span input once the pipeline
+	// stops, after the spans decoded before it replayed.
 	boom := errors.New("decode died")
-	src := &fakeSource{ch: make(chan *trace.Span), err: boom}
-	close(src.ch)
+	in, err := OpenSpanInput(context.Background(), nil, "", 8, false, 1, func() (*trace.StreamPipeline, error) {
+		return trace.StreamSpans(context.Background(), faultreader.NewAccess(tr.NewSliceReader(), 20000, boom), 8,
+			trace.SpanOptions{MemBytes: 1, Workers: 2})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e0, err := New("dew", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l0, err := NewSpanLadder(8, []int{8}, false, -1, 2, map[int][]Engine{8: {e0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = in.Replay(context.Background(), l0, nil)
+	in.Close()
+	if !errors.Is(err, boom) {
+		t.Fatalf("source failure surfaced as %v", err)
+	}
+
+	// Engines keyed at a block size outside the ladder are refused.
 	e, err := New("dew", spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ReplayPipeline(context.Background(), e, src); !errors.Is(err, boom) {
-		t.Fatalf("source failure surfaced as %v", err)
+	if _, err := NewSpanLadder(8, []int{8, 32}, false, -1, 2, map[int][]Engine{16: {e}}); err == nil {
+		t.Fatal("engines off the ladder accepted")
 	}
 
-	// A simulate error aborts mid-stream without draining.
-	bad := &trace.Span{}
-	bad.BlockStream = trace.BlockStream{BlockSize: 16, IDs: []uint64{1}, Runs: []uint32{1}, Accesses: 1}
-	src2 := &fakeSource{ch: make(chan *trace.Span, 1)}
-	src2.ch <- bad // block size mismatch: the engine must reject it
-	close(src2.ch)
-	e2, err := New("dew", spec)
+	// A span at the wrong block size fails the fold before any replay.
+	l, err := NewSpanLadder(8, []int{8}, false, -1, 2, map[int][]Engine{8: {e}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ReplayPipeline(context.Background(), e2, src2); err == nil {
-		t.Fatal("mismatched span replayed without error")
+	bad := &trace.BlockStream{BlockSize: 16, IDs: []uint64{1}, Runs: []uint32{1}, Accesses: 1}
+	if err := l.Feed(context.Background(), bad); err == nil {
+		t.Fatal("mismatched span fed without error")
+	}
+	if e.Accesses() != 0 {
+		t.Fatalf("a refused span replayed %d accesses", e.Accesses())
+	}
+
+	// A simulate error in one rung aborts the Feed, naming the rung; the
+	// rungs replaying beside it finish first (the pool drains).
+	good, err := New("dew", Spec{MaxLogSets: 3, Assoc: 1, BlockSize: 32, Policy: cache.LRU})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrong, err := New("dew", spec) // a block-8 pass on the block-16 rung
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err = NewSpanLadder(8, []int{16, 32}, false, -1, 2, map[int][]Engine{16: {wrong}, 32: {good}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = l.Feed(context.Background(), &spans[0].BlockStream)
+	if err == nil || !strings.Contains(err.Error(), "rung B=16") {
+		t.Fatalf("rung simulate failure surfaced as %v", err)
 	}
 
 	// Cancellation between spans, with a live pipeline drained by Close.
-	tr := engineTrace(30000)
 	ctx, cancel := context.WithCancel(context.Background())
 	p, err := trace.StreamSpans(ctx, tr.NewSliceReader(), 8, trace.SpanOptions{MemBytes: 1, Workers: 2})
 	if err != nil {
@@ -269,9 +333,7 @@ func TestReplayPipelineErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = ReplayPipeline(ctx, e3, p)
-	p.Close()
-	if !errors.Is(err, context.Canceled) {
+	if err := feedPipeline(ctx, p, 8, false, 2, map[int][]Engine{8: {e3}}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled pipeline replay: %v", err)
 	}
 }
@@ -287,10 +349,11 @@ func (g *scatterGen) Next() trace.Access {
 }
 
 // TestReplayPipelineBoundedMemory streams an endless-feed workload
-// whose materialized stream would be ~10× the budget and asserts, via
-// runtime.ReadMemStats sampled across the replay, that heap growth
-// stays bounded — the regression guard against accidental full-stream
-// accumulation anywhere in the span path.
+// whose materialized stream would be ~10× the budget through a
+// three-rung span-ladder driver and asserts, via runtime.ReadMemStats
+// sampled across the replay, that heap growth stays bounded — the
+// regression guard against accidental full-stream accumulation
+// anywhere in the span path.
 func TestReplayPipelineBoundedMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-million access stream")
@@ -303,7 +366,15 @@ func TestReplayPipelineBoundedMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	e, err := New("dew", Spec{MaxLogSets: 3, Assoc: 1, BlockSize: 64, Policy: cache.LRU})
+	engs := map[int][]Engine{}
+	for _, b := range []int{64, 128, 256} {
+		e, err := New("dew", Spec{MaxLogSets: 3, Assoc: 1, BlockSize: b, Policy: cache.LRU})
+		if err != nil {
+			t.Fatal(err)
+		}
+		engs[b] = []Engine{e}
+	}
+	l, err := NewSpanLadder(64, []int{64, 128, 256}, false, -1, 2, engs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +385,7 @@ func TestReplayPipelineBoundedMemory(t *testing.T) {
 	var peak uint64
 	spans := 0
 	for s := range p.Spans() {
-		if err := e.SimulateStream(&s.BlockStream); err != nil {
+		if err := l.Feed(context.Background(), &s.BlockStream); err != nil {
 			t.Fatal(err)
 		}
 		if spans++; spans%16 == 0 {
@@ -326,16 +397,165 @@ func TestReplayPipelineBoundedMemory(t *testing.T) {
 	if err := p.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if e.Accesses() != n {
-		t.Fatalf("simulated %d accesses, want %d", e.Accesses(), n)
+	if err := l.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for b, es := range engs {
+		if es[0].Accesses() != n {
+			t.Fatalf("rung B=%d simulated %d accesses, want %d", b, es[0].Accesses(), n)
+		}
 	}
 	if spans < 8 {
 		t.Fatalf("budget %d produced only %d spans", budget, spans)
 	}
-	// Generous slack over the ~4 MiB pipeline bound for GC lag and the
-	// engine's own arenas — but far under the ~72 MiB a full-stream
-	// accumulation would show.
+	// Generous slack over the ~4 MiB pipeline bound for GC lag, the fold
+	// stages' output spans and the engines' own arenas — but far under
+	// the ~72 MiB a full-stream accumulation would show.
 	if limit := base + 32<<20; peak > limit {
 		t.Fatalf("heap peaked at %d bytes (baseline %d): streaming is not bounded", peak, base)
+	}
+}
+
+// ladderEngines builds the live engines of every rung for one engine
+// family of TestSpanLadderMatchesReplay: two DEW FIFO passes per rung
+// (so a rung replays several engines in order), one LRU simulation
+// tree, or one write-through no-write-allocate reference configuration
+// over kind-preserving spans.
+func ladderEngines(t *testing.T, family string, blocks []int) map[int][]Engine {
+	t.Helper()
+	engs := map[int][]Engine{}
+	for _, b := range blocks {
+		var specs []Spec
+		name := family
+		switch family {
+		case "dew":
+			specs = []Spec{
+				{MaxLogSets: 5, Assoc: 2, BlockSize: b, Policy: cache.FIFO},
+				{MinLogSets: 1, MaxLogSets: 5, Assoc: 4, BlockSize: b, Policy: cache.FIFO},
+			}
+		case "lrutree":
+			specs = []Spec{{MaxLogSets: 5, Assoc: 4, BlockSize: b, Policy: cache.LRU}}
+		case "ref":
+			specs = []Spec{{MinLogSets: 4, MaxLogSets: 4, Assoc: 2, BlockSize: b, Policy: cache.FIFO,
+				WriteSim: true, Write: refsim.WriteThrough, Alloc: refsim.NoWriteAllocate, StoreBytes: 2}}
+		}
+		for _, spec := range specs {
+			e, err := New(name, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			engs[b] = append(engs[b], e)
+		}
+	}
+	return engs
+}
+
+// TestSpanLadderMatchesReplay is the driver's exactness table: for every
+// engine family, ladder depth (1, 3 and 7 rungs), shard level, worker
+// count and span size (down to one run per span), the span-ladder
+// driver's accumulated results must equal the materialized
+// engine.Replay of each rung's directly materialized stream, bit for
+// bit, and its per-rung shape must match that stream's. CI runs it
+// under -race, which also proves the concurrent rungs share no state.
+func TestSpanLadderMatchesReplay(t *testing.T) {
+	tr := engineKindTrace(2500)
+	ladders := [][]int{{8}, {4, 16, 64}, {4, 8, 16, 32, 64, 128, 256}}
+	for _, family := range []string{"dew", "lrutree", "ref"} {
+		kinds := family == "ref"
+		for _, blocks := range ladders {
+			// The oracle: a materialized stream per rung, one Replay.
+			want := ladderEngines(t, family, blocks)
+			streams := map[int]*trace.BlockStream{}
+			for _, b := range blocks {
+				bs, err := tr.BlockStream(b)
+				if kinds {
+					bs, err = tr.BlockStreamWithKinds(b)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				streams[b] = bs
+				for _, e := range want[b] {
+					if err := Replay(context.Background(), e, bs, nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for _, log := range []int{-1, 1, 2} {
+				for _, workers := range []int{1, 2, 4} {
+					for _, spanRuns := range []int{1, 37} {
+						label := fmt.Sprintf("%s ladder=%v log=%d workers=%d spanRuns=%d", family, blocks, log, workers, spanRuns)
+						got := ladderEngines(t, family, blocks)
+						l, err := NewSpanLadder(blocks[0], blocks, kinds, log, workers, got)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for _, s := range trace.SplitSpans(streams[blocks[0]], spanRuns) {
+							if err := l.Feed(context.Background(), &s.BlockStream); err != nil {
+								t.Fatalf("%s: %v", label, err)
+							}
+						}
+						if err := l.Flush(context.Background()); err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						for _, b := range blocks {
+							for i := range got[b] {
+								sameEngineState(t, fmt.Sprintf("%s B=%d engine %d", label, b, i), got[b][i], want[b][i])
+							}
+							if acc, runs := l.Shape(b); acc != streams[b].Accesses || runs != uint64(streams[b].Len()) {
+								t.Fatalf("%s B=%d: shape %d accesses/%d runs, want %d/%d",
+									label, b, acc, runs, streams[b].Accesses, streams[b].Len())
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSpanLadderPanic panics inside one rung's engine, once mid-stream
+// and once during Flush: each must surface as a *pool.PanicError from
+// the driver call, with no goroutine left behind.
+func TestSpanLadderPanic(t *testing.T) {
+	defer leakcheck.Check(t)()
+	tr := engineTrace(6000)
+	bs, err := tr.BlockStream(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := trace.SplitSpans(bs, 100)
+	blocks := []int{8, 32, 128}
+	for _, inFlush := range []bool{false, true} {
+		for _, log := range []int{-1, 2} {
+			armed := !inFlush
+			calls := 0
+			engs := ladderEngines(t, "dew", blocks)
+			engs[32][1] = &hookEngine{Engine: engs[32][1], before: func() {
+				if calls++; armed && calls == 3 {
+					panic("rung engine exploded")
+				}
+			}}
+			l, err := NewSpanLadder(8, blocks, false, log, 2, engs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range spans {
+				if err = l.Feed(context.Background(), &s.BlockStream); err != nil {
+					break
+				}
+			}
+			if inFlush {
+				if err != nil {
+					t.Fatalf("log=%d: unarmed feed: %v", log, err)
+				}
+				armed, calls = true, 2
+				err = l.Flush(context.Background())
+			}
+			var pe *pool.PanicError
+			if !errors.As(err, &pe) || pe.Value != "rung engine exploded" {
+				t.Fatalf("flush=%v log=%d: panic surfaced as %v", inFlush, log, err)
+			}
+		}
 	}
 }

@@ -62,8 +62,9 @@ type Request struct {
 	// Source provides the trace.
 	Source Source
 	// Workers bounds concurrent DEW passes — or, on the span pipeline
-	// (StreamMem, Shards), the decode workers and each sharded pass's
-	// fan-out; 0 means GOMAXPROCS.
+	// (StreamMem, Shards), the decode workers, the block-size rungs
+	// replayed concurrently per span and each sharded pass's fan-out;
+	// 0 means GOMAXPROCS.
 	Workers int
 	// Shards, when at least 2, runs every DEW pass in set-sharded
 	// parallel form on the span pipeline: each span of each block size
@@ -90,18 +91,19 @@ type Request struct {
 	// StreamMem, when positive, runs the exploration's replay through
 	// the bounded span pipeline instead of materializing the finest
 	// stream: the raw trace decodes chunk-parallel into run-compressed
-	// spans (trace.StreamSpans), a streaming fold ladder
-	// (trace.LadderFolder) derives every coarser rung span-by-span, and
+	// spans (trace.StreamSpans), the span-ladder driver
+	// (engine.SpanLadder) folds every coarser rung span-by-span, and
 	// every pass's engine consumes its rung's spans as they appear —
 	// decode, fold and simulation overlap, and the pipeline's resident
 	// stream state stays within roughly StreamMem bytes no matter the
 	// trace length (Result.StreamPeakBytes reports the exact bound).
 	// Results are bit-identical to the materialized path; what moves is
-	// peak memory and scheduling — the passes share one streaming pass,
-	// serial per span, instead of fanning out across Workers (Workers
-	// still sizes the pipeline's decode stage). With Shards ≥ 2 it sets
-	// the sharded replay's span budget. 0 keeps the materialized path
-	// for unsharded explorations.
+	// peak memory and scheduling — the passes share one streaming pass
+	// in which each span's block-size rungs replay concurrently across
+	// Workers, every rung's passes in order (Workers also sizes the
+	// pipeline's decode stage). With Shards ≥ 2 it sets the sharded
+	// replay's span budget. 0 keeps the materialized path for unsharded
+	// explorations.
 	StreamMem int64
 	// Kinds, when set, materializes the kind-preserving stream
 	// (trace.MaterializeBlockStreamWithKinds, or kind-preserving spans on

@@ -34,26 +34,24 @@ func mergeStats(res *Result, includeAssoc1 bool, results []engine.Result) error 
 // runStreamed is Run's span-pipeline schedule (Request.StreamMem, or
 // sharded passes): the raw trace decodes once into run-compressed spans
 // at the finest rung (trace.StreamSpans — chunk-parallel, backpressured
-// against the memory budget), the streaming fold ladder derives every
-// coarser rung span by span, and every live pass's engine consumes its
-// rung's spans as they appear — split into a shard partition per span
-// when the passes are sharded (engine.SpanReplayer). The engines are
-// sequential state machines whose replays accumulate across calls, so
-// the merged results are bit-identical to the materialized schedule;
-// only peak memory and overlap change. Warm passes are still served
-// from the result tier, the sampled warm pass re-simulates on the same
-// spans, and — with a cache configured and the finest-rung entry
-// absent — the pass publishes that rung to the stream tier as it flows
-// past (store.StreamPut, spooled to disk, never re-buffered in memory).
-// A sharded run without an explicit StreamMem budget takes a
-// stream-tier hit instead of decoding, feeding the loaded stream
-// through the same span loop.
+// against the memory budget), and the span-ladder driver
+// (engine.SpanLadder) folds every coarser rung span by span and replays
+// the rungs concurrently across Workers — each rung's passes in order
+// on its spans, split into a shard partition per span when the passes
+// are sharded. The engines are sequential state machines whose replays
+// accumulate across calls, so the merged results are bit-identical to
+// the materialized schedule; only peak memory and overlap change. Warm
+// passes are still served from the result tier, the sampled warm pass
+// re-simulates on the same spans, and the span input
+// (engine.SpanInput) publishes a cold finest rung to the stream tier as
+// it flows past, or — for a sharded run without an explicit StreamMem
+// budget — takes a stream-tier hit instead of decoding.
 func runStreamed(ctx context.Context, req Request, name string, passes []passSpec,
 	warmBlobs []*store.ResultBlob, passKeys []string, checkIdx, workers, shardLog int) (*Result, error) {
 	blocks := req.Space.BlockSizes()
 
 	// One engine per pass that replays live this run (result-tier misses
-	// plus the sampled warm check), grouped by rung for the fold visits.
+	// plus the sampled warm check), grouped by rung for the driver.
 	engs := make([]engine.Engine, len(passes))
 	byBlock := make(map[int][]engine.Engine, len(blocks))
 	for i, ps := range passes {
@@ -70,7 +68,7 @@ func runStreamed(ctx context.Context, req Request, name string, passes []passSpe
 		byBlock[ps.block] = append(byBlock[ps.block], e)
 	}
 
-	folder, err := trace.NewLadderFolder(blocks[0], blocks, req.Kinds)
+	ladder, err := engine.NewSpanLadder(blocks[0], blocks, req.Kinds, shardLog, workers, byBlock)
 	if err != nil {
 		return nil, err
 	}
@@ -79,88 +77,29 @@ func runStreamed(ctx context.Context, req Request, name string, passes []passSpe
 		cacheKey = store.Key(req.SourceID, blocks[0], 0, req.Kinds)
 	}
 
-	// Per-rung stream shape (for StreamCompression and the result-tier
-	// scalars) and trace-wide kind totals accumulate across spans;
-	// folding and span cuts both preserve access counts exactly.
-	accesses := make(map[int]uint64, len(blocks))
-	runs := make(map[int]uint64, len(blocks))
-	var kt [3]uint64
-	rp := engine.NewSpanReplayer(shardLog)
-	visit := func(b int, s *trace.BlockStream) error {
-		accesses[b] += s.Accesses
-		runs[b] += uint64(s.Len())
-		if err := rp.Replay(ctx, s, byBlock[b]...); err != nil {
-			return fmt.Errorf("explore: passes at B=%d: %w", b, err)
-		}
-		return nil
+	in, err := engine.OpenSpanInput(ctx, req.Cache, cacheKey, blocks[0], req.Kinds, req.StreamMem,
+		func() (*trace.StreamPipeline, error) {
+			return trace.StreamSpans(ctx, req.Source(), blocks[0], trace.SpanOptions{
+				MemBytes: req.StreamMem, Workers: workers, Kinds: req.Kinds,
+			})
+		})
+	if err != nil {
+		return nil, err
 	}
-	feed := func(s *trace.BlockStream) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if req.Kinds {
+	defer in.Close()
+	// Trace-wide kind totals accumulate across spans; the driver keeps
+	// each rung's stream shape (folding and span cuts both preserve
+	// access counts exactly).
+	var kt [3]uint64
+	var countKinds func(*trace.BlockStream)
+	if req.Kinds {
+		countKinds = func(s *trace.BlockStream) {
 			for k, n := range s.KindTotals() {
 				kt[k] += n
 			}
 		}
-		return folder.Feed(s, visit)
 	}
-
-	var loaded *trace.BlockStream
-	if cacheKey != "" && shardLog >= 0 && req.StreamMem == 0 {
-		// A miss or a corrupt entry (quarantined) falls back to decoding.
-		loaded, _ = req.Cache.Load(ctx, cacheKey, blocks[0], req.Kinds)
-	}
-	var peak int64
-	if loaded != nil {
-		for _, s := range trace.SplitSpans(loaded, 0) {
-			if err := feed(&s.BlockStream); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		p, err := trace.StreamSpans(ctx, req.Source(), blocks[0], trace.SpanOptions{
-			MemBytes: req.StreamMem, Workers: workers, Kinds: req.Kinds,
-		})
-		if err != nil {
-			return nil, err
-		}
-		defer p.Close()
-		peak = p.ResidentBound()
-		// Stream-tier publish rides the pass: spool each finest-rung span
-		// as it arrives. A publish failure abandons the spool, never the
-		// run.
-		var put *store.StreamPut
-		if cacheKey != "" && !req.Cache.Has(cacheKey) {
-			if put, err = req.Cache.NewStreamPut(cacheKey, blocks[0], req.Kinds); err != nil {
-				put = nil
-			}
-		}
-		defer func() {
-			if put != nil {
-				put.Abort()
-			}
-		}()
-		for s := range p.Spans() {
-			if put != nil {
-				if err := put.Add(&s.BlockStream); err != nil {
-					put.Abort()
-					put = nil
-				}
-			}
-			if err := feed(&s.BlockStream); err != nil {
-				return nil, err
-			}
-		}
-		if err := p.Err(); err != nil {
-			return nil, fmt.Errorf("explore: streaming block-%d spans: %w", blocks[0], err)
-		}
-		if put != nil {
-			put.Commit(ctx)
-			put = nil
-		}
-	}
-	if err := folder.Flush(visit); err != nil {
+	if err := in.Replay(ctx, ladder, countKinds); err != nil {
 		return nil, err
 	}
 
@@ -169,24 +108,23 @@ func runStreamed(ctx context.Context, req Request, name string, passes []passSpe
 		StreamCompression: make(map[int]float64, len(blocks)),
 		Decodes:           1,
 		Folds:             len(blocks) - 1,
-		Streamed:          loaded == nil,
-		StreamPeakBytes:   peak,
-		CacheHit:          loaded != nil,
+		Streamed:          !in.Loaded(),
+		StreamPeakBytes:   in.ResidentBound(),
+		CacheHit:          in.Loaded(),
 		CacheKey:          cacheKey,
 		KindTotals:        kt,
 	}
-	if loaded != nil {
+	if in.Loaded() {
 		res.Decodes = 0
 	}
 	if shardLog >= 0 {
 		res.Shards = 1 << shardLog
 	}
 	for _, b := range blocks {
-		ratio := 0.0
-		if runs[b] > 0 {
-			ratio = float64(accesses[b]) / float64(runs[b])
+		res.StreamCompression[b] = 0
+		if acc, runs := ladder.Shape(b); runs > 0 {
+			res.StreamCompression[b] = float64(acc) / float64(runs)
 		}
-		res.StreamCompression[b] = ratio
 	}
 
 	includeAssoc1 := req.Space.MinLogAssoc == 0
@@ -220,9 +158,10 @@ func runStreamed(ctx context.Context, req Request, name string, passes []passSpe
 			continue
 		}
 		results := engs[i].Results()
+		acc, runs := ladder.Shape(ps.block)
 		if warm != nil {
 			// The sampled warm check, replayed on the shared spans.
-			if err := passDiverges(warm, results, accesses[ps.block], runs[ps.block], kt); err != nil {
+			if err := passDiverges(warm, results, acc, runs, kt); err != nil {
 				req.Cache.DropResult(passKeys[i])
 				return nil, fmt.Errorf("explore: result cache diverged from live re-simulation at pass B=%d A=%d (entry dropped): %w",
 					ps.block, ps.assoc, err)
@@ -234,7 +173,7 @@ func runStreamed(ctx context.Context, req Request, name string, passes []passSpe
 		}
 		if passKeys[i] != "" {
 			blob := passBlob(name, passResultSpec(req, ps.block, ps.assoc).CacheKey(),
-				passScalars(accesses[ps.block], runs[ps.block], kt), results)
+				passScalars(acc, runs, kt), results)
 			req.Cache.PutResult(ctx, passKeys[i], blob)
 		}
 		if err := finish(results, true, false); err != nil {

@@ -449,9 +449,7 @@ func (r Runner) RunCell(ctx context.Context, p Params) (Cell, error) {
 // tests and by trace-file driven tools). With a cache configured the
 // result tier is probed first — a hit serves the finished cell without
 // materializing a stream or simulating anything — and a simulated cell
-// is published on completion. The block stream is materialized here;
-// callers holding a pre-materialized stream for this trace and block
-// size can pass it through RunCellStream.
+// is published on completion. The block stream is materialized here.
 func (r Runner) RunCellTrace(ctx context.Context, p Params, tr trace.Trace) (Cell, error) {
 	key := ""
 	if r.Cache != nil {
@@ -479,17 +477,6 @@ func (r Runner) RunCellTrace(ctx context.Context, p Params, tr trace.Trace) (Cel
 		r.publishCell(ctx, key, cell)
 	}
 	return cell, err
-}
-
-// RunCellStream runs one cell over a trace and its pre-materialized
-// block stream. The stream must correspond to the trace at the cell's
-// block size; it is only read, so one stream may be shared across
-// concurrent cells. With Runner.Shards ≥ 2 the shard partition is
-// materialized here; callers holding a pre-partitioned ShardStream for
-// this stream (RunCells builds one per distinct stream) use the
-// unexported path.
-func (r Runner) RunCellStream(ctx context.Context, p Params, tr trace.Trace, bs *trace.BlockStream) (Cell, error) {
-	return r.runCellStream(ctx, p, tr, bs, nil, streamProv{})
 }
 
 // refStats extracts the full Dinero-style statistics of a reference

@@ -32,20 +32,27 @@ func spanKindRun(sel uint8, w uint32) trace.KindRun {
 	return kr
 }
 
-// spanReplay replays spans through a fresh engine, each span split at
-// shard level log into one reused partition — the tools' sharded span
-// loop.
+// spanReplay replays spans through a fresh engine on a one-rung
+// span-ladder driver, each span split at shard level log into the
+// rung's reused partition — the tools' sharded span loop.
 func spanReplay(t *testing.T, name string, spec engine.Spec, spans []*trace.Span, log int) engine.Engine {
 	t.Helper()
 	e, err := engine.New(name, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp := engine.NewSpanReplayer(log)
+	b := spec.BlockSize
+	l, err := engine.NewSpanLadder(b, []int{b}, spans[0].Kinds != nil, log, 0, map[int][]engine.Engine{b: {e}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, s := range spans {
-		if err := rp.Replay(context.Background(), &s.BlockStream, e); err != nil {
+		if err := l.Feed(context.Background(), &s.BlockStream); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := l.Flush(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 	return e
 }

@@ -9,8 +9,9 @@
 # write-policy reference replay over the kind-preserving stream vs its
 # per-access baseline, the DBS1 artifact marshal/load costs, the
 # artifact-store warm-vs-cold exploration pair, the result-tier
-# warm-vs-cold sweep pair, and the pipelined streaming replay vs the
-# phased materialize-then-replay baseline, and writes:
+# warm-vs-cold sweep pair, the pipelined streaming replay vs the
+# phased materialize-then-replay baseline, and the span-ladder driver's
+# concurrent vs serial rung replay, and writes:
 #   BENCH_core.txt   raw `go test -bench` output (benchstat input)
 #   BENCH_core.json  summary with means, batch-over-single,
 #                    stream-over-batch and sharded-over-stream speedup
@@ -29,7 +30,9 @@
 #                    pipelined streaming replay's speedup over the
 #                    materialize-then-replay baseline
 #                    (speedup_streamed_over_phased) and its enforced
-#                    resident-stream bound (peak_resident_bytes), the host core
+#                    resident-stream bound (peak_resident_bytes), the
+#                    span-ladder driver's concurrent-over-serial rung
+#                    speedup (speedup_ladder_concurrent_over_serial), the host core
 #                    count (num_cpu), speedups against the committed
 #                    seed baseline, and a history of previous recordings
 #                    (appended, not overwritten)
@@ -47,7 +50,7 @@ REV="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
 # Tee into a temp file and move it into place only once the benchmarks
 # pass (set -o pipefail fails the pipeline with go test), so a failed
 # or interrupted run cannot leave a truncated $OUT.txt behind.
-go test -run '^$' -bench 'Benchmark(Access(Single|Batch|Stream|StreamLRU|Sharded)|(Span|Serial)Shard|(Fold|Decode)Ladder|Ref(Access|Stream)Write|Stream(Marshal|Load)|Explore(Cold|Warm)|Sweep(Cold|Warm)|Replay(Streamed|Materialized))$' -benchmem -count "$COUNT" . | tee "$OUT.txt.tmp"
+go test -run '^$' -bench 'Benchmark(Access(Single|Batch|Stream|StreamLRU|Sharded)|(Span|Serial)Shard|(Fold|Decode)Ladder|Ref(Access|Stream)Write|Stream(Marshal|Load)|Explore(Cold|Warm)|Sweep(Cold|Warm)|Replay(Streamed|Materialized|StreamedLadder))$' -benchmem -count "$COUNT" . | tee "$OUT.txt.tmp"
 mv "$OUT.txt.tmp" "$OUT.txt"
 
 # Preserve the previous recording as history: benchjson reads it from a

@@ -11,7 +11,10 @@
 // BenchmarkRefAccessWrite), the result tier's warm-sweep speedup and
 // cell-serve throughput (BenchmarkSweepWarm vs BenchmarkSweepCold,
 // recorded as speedup_sweep_warm_over_cold and
-// result_cache_hit_cells_per_s), the host's core count (num_cpu —
+// result_cache_hit_cells_per_s), the span-ladder driver's
+// concurrent-over-serial rung speedup (BenchmarkReplayStreamedLadder,
+// recorded as speedup_ladder_concurrent_over_serial), the host's core
+// count (num_cpu —
 // context for the parallel curves), and —
 // when a seed baseline file is given — speedups against the seed
 // commit's single-access path. With -prev pointing at the previous
@@ -102,6 +105,7 @@ type historyEntry struct {
 	ResultCacheHitCellsPerS    map[string]float64            `json:"result_cache_hit_cells_per_s,omitempty"`
 	SpeedupStreamedOverPhased  map[string]float64            `json:"speedup_streamed_over_phased,omitempty"`
 	PeakResidentBytes          map[string]float64            `json:"peak_resident_bytes,omitempty"`
+	SpeedupLadderConcurrent    map[string]float64            `json:"speedup_ladder_concurrent_over_serial,omitempty"`
 	SpeedupVsSeed              map[string]float64            `json:"speedup_vs_seed,omitempty"`
 }
 
@@ -203,6 +207,10 @@ type output struct {
 	// the memory the pipeline holds where the phased baseline holds the
 	// whole materialized stream.
 	PeakResidentBytes map[string]float64 `json:"peak_resident_bytes,omitempty"`
+	// SpeedupLadderConcurrent is, per workload, how much faster the
+	// span-ladder driver replays a three-rung ladder with GOMAXPROCS
+	// workers than with one (BenchmarkReplayStreamedLadder; see num_cpu).
+	SpeedupLadderConcurrent map[string]float64 `json:"speedup_ladder_concurrent_over_serial,omitempty"`
 	// SeedBaseline echoes the committed baseline measurements of the
 	// seed commit's single-access path.
 	SeedBaseline json.RawMessage `json:"seed_baseline,omitempty"`
@@ -242,6 +250,7 @@ func (o *output) summarize() historyEntry {
 		ResultCacheHitCellsPerS:    o.ResultCacheHitCellsPerS,
 		SpeedupStreamedOverPhased:  o.SpeedupStreamedOverPhased,
 		PeakResidentBytes:          o.PeakResidentBytes,
+		SpeedupLadderConcurrent:    o.SpeedupLadderConcurrent,
 		SpeedupVsSeed:              o.SpeedupVsSeed,
 	}
 	if len(o.Benchmarks) > 0 {
@@ -400,6 +409,7 @@ func main() {
 	out.ResultCacheHitCellsPerS = map[string]float64{}
 	out.SpeedupStreamedOverPhased = map[string]float64{}
 	out.PeakResidentBytes = map[string]float64{}
+	out.SpeedupLadderConcurrent = map[string]float64{}
 	for name, s := range out.Benchmarks {
 		if app, ok := strings.CutPrefix(name, "BenchmarkAccessBatch/"); ok && s.NsPerAccessFastest > 0 {
 			if single, ok := out.Benchmarks["BenchmarkAccessSingle/"+app]; ok && single.NsPerAccessFastest > 0 {
@@ -462,6 +472,13 @@ func main() {
 			}
 			if s.PeakB > 0 {
 				out.PeakResidentBytes[app] = s.PeakB
+			}
+		}
+		if rest, ok := strings.CutPrefix(name, "BenchmarkReplayStreamedLadder/"); ok && s.NsPerAccessFastest > 0 {
+			if app, ok := strings.CutSuffix(rest, "/concurrent"); ok {
+				if serial, ok := out.Benchmarks["BenchmarkReplayStreamedLadder/"+app+"/serial"]; ok && serial.NsPerAccessFastest > 0 {
+					out.SpeedupLadderConcurrent[app] = round2(serial.NsPerAccessFastest / s.NsPerAccessFastest)
+				}
 			}
 		}
 		if app, ok := strings.CutPrefix(name, "BenchmarkSpanShard/"); ok && s.BlocksPerSFastest > 0 {
