@@ -828,10 +828,12 @@ func BenchmarkStreamLoad(b *testing.B) {
 	}
 }
 
-// benchExploreReq builds the exploration both cache benchmarks share: a
-// narrow one-block-size space over a .din-text rendering of the trace,
-// the format real trace files arrive in, so the cold run pays the parse
-// the warm run skips. The request arrives cache-free (cold form).
+// benchExploreReq builds the exploration both cache benchmarks share:
+// Table 1's set-count range at four block sizes and associativities
+// 1–4 (eight passes, so engines are recycled across block sizes and the
+// fold ladder slides) over a .din-text rendering of the trace, the
+// format real trace files arrive in, so the cold run pays the parse the
+// warm run skips. The request arrives cache-free (cold form).
 func benchExploreReq(b *testing.B, app workload.App) explore.Request {
 	b.Helper()
 	tr := benchTrace(b, app)
@@ -848,9 +850,9 @@ func benchExploreReq(b *testing.B, app workload.App) explore.Request {
 	din := buf.Bytes()
 	return explore.Request{
 		Space: cache.ParamSpace{
-			MinLogSets: 0, MaxLogSets: 6,
-			MinLogBlock: 4, MaxLogBlock: 4,
-			MinLogAssoc: 1, MaxLogAssoc: 1,
+			MinLogSets: 0, MaxLogSets: 14,
+			MinLogBlock: 2, MaxLogBlock: 5,
+			MinLogAssoc: 0, MaxLogAssoc: 2,
 		},
 		Source:  func() trace.Reader { return trace.NewDinReader(bytes.NewReader(din)) },
 		Workers: 1,
@@ -858,7 +860,8 @@ func benchExploreReq(b *testing.B, app workload.App) explore.Request {
 }
 
 // BenchmarkExploreCold measures an exploration that decodes the raw
-// trace every run (no artifact store).
+// trace every run (no artifact store). Its B/op is recorded as
+// explore_cold_bytes_per_op in BENCH_core.json.
 func BenchmarkExploreCold(b *testing.B) {
 	for _, app := range benchAccessApps {
 		b.Run(app.Name, func(b *testing.B) {

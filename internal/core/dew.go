@@ -364,6 +364,9 @@ func New(opt Options) (*Simulator, error) {
 // stay stale because every read of a way is gated on the owning node's
 // fill count, which Reset zeroes — a stale entry is unreachable until an
 // insertion rewrites it, exactly as an uninitialized entry is after New.
+// The same gate makes a pending lazy wave reset moot: clearing the node
+// records drops every MRE record, and every wave read is gated on fill,
+// so Reset also discards the pending settle sweep.
 func (s *Simulator) Reset() {
 	clear(s.nodes)
 	clear(s.missDM)
@@ -371,6 +374,23 @@ func (s *Simulator) Reset() {
 	clear(s.exitHist)
 	s.counters = Counters{}
 	s.lastBlk, s.lastOK = 0, false
+	s.waveStale = false
+}
+
+// Rebind re-targets the simulator to another block size and resets it,
+// keeping every arena: their shape depends only on the set-count range,
+// the associativity and the policy, so a pass at a new block size on a
+// recycled simulator allocates nothing.
+func (s *Simulator) Rebind(blockSize int) error {
+	opt := s.opt
+	opt.BlockSize = blockSize
+	if err := opt.Validate(); err != nil {
+		return err
+	}
+	s.opt = opt
+	s.offBits = uint(bits.TrailingZeros(uint(blockSize)))
+	s.Reset()
+	return nil
 }
 
 // lruTouch moves the linked way n to the MRU end of the node's recency

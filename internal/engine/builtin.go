@@ -28,8 +28,8 @@ func init() {
 // stream replay and a core.Sharded for sharded replay, built lazily so
 // one engine only allocates the arenas it uses.
 type dewEngine struct {
+	spec    Spec
 	opt     core.Options
-	workers int
 	mono    *core.Simulator
 	sharded *core.Sharded
 	// last points at the backend that ran most recently; Results and
@@ -50,7 +50,27 @@ func newDewEngine(spec Spec) (Engine, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	return &dewEngine{opt: opt, workers: spec.Workers}, nil
+	return &dewEngine{spec: spec, opt: opt}, nil
+}
+
+// sameArenas reports whether a pass built for spec a can run spec b on
+// the same arenas: only the block size (a valid one) and the worker
+// count may differ.
+func sameArenas(a, b Spec) bool {
+	a.BlockSize, a.Workers = b.BlockSize, b.Workers
+	return a == b && b.BlockSize > 0 && b.BlockSize&(b.BlockSize-1) == 0
+}
+
+// Rebind implements Rebinder: the monolithic simulator keeps its
+// arenas; a sharded backend, whose tree shapes depend on the block
+// size, is dropped and rebuilt on demand.
+func (e *dewEngine) Rebind(spec Spec) bool {
+	if !sameArenas(e.spec, spec) || e.mono != nil && e.mono.Rebind(spec.BlockSize) != nil {
+		return false
+	}
+	e.spec, e.opt.BlockSize = spec, spec.BlockSize
+	e.sharded, e.last = nil, nil
+	return true
 }
 
 func (e *dewEngine) SimulateStream(bs *trace.BlockStream) error {
@@ -67,7 +87,7 @@ func (e *dewEngine) SimulateStream(bs *trace.BlockStream) error {
 func (e *dewEngine) SimulateSharded(ctx context.Context, ss *trace.ShardStream) error {
 	if e.sharded == nil || e.sharded.ShardLog() != ss.Log {
 		var err error
-		if e.sharded, err = core.NewSharded(e.opt, ss.Log, e.workers); err != nil {
+		if e.sharded, err = core.NewSharded(e.opt, ss.Log, e.spec.Workers); err != nil {
 			return err
 		}
 	}
@@ -105,8 +125,8 @@ func (e *dewEngine) Accesses() uint64 {
 
 // treeEngine adapts the LRU simulation tree the same way.
 type treeEngine struct {
+	spec    Spec
 	opt     lrutree.Options
-	workers int
 	mono    *lrutree.Simulator
 	sharded *lrutree.Sharded
 	last    interface {
@@ -128,7 +148,17 @@ func newTreeEngine(spec Spec) (Engine, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	return &treeEngine{opt: opt, workers: spec.Workers}, nil
+	return &treeEngine{spec: spec, opt: opt}, nil
+}
+
+// Rebind implements Rebinder exactly as dewEngine.Rebind does.
+func (e *treeEngine) Rebind(spec Spec) bool {
+	if !sameArenas(e.spec, spec) || e.mono != nil && e.mono.Rebind(spec.BlockSize) != nil {
+		return false
+	}
+	e.spec, e.opt.BlockSize = spec, spec.BlockSize
+	e.sharded, e.last = nil, nil
+	return true
 }
 
 func (e *treeEngine) SimulateStream(bs *trace.BlockStream) error {
@@ -145,7 +175,7 @@ func (e *treeEngine) SimulateStream(bs *trace.BlockStream) error {
 func (e *treeEngine) SimulateSharded(ctx context.Context, ss *trace.ShardStream) error {
 	if e.sharded == nil || e.sharded.ShardLog() != ss.Log {
 		var err error
-		if e.sharded, err = lrutree.NewSharded(e.opt, ss.Log, e.workers); err != nil {
+		if e.sharded, err = lrutree.NewSharded(e.opt, ss.Log, e.spec.Workers); err != nil {
 			return err
 		}
 	}

@@ -177,6 +177,26 @@ func Parallel(e Engine) bool {
 	return ok && p.Parallel()
 }
 
+// Rebinder is the optional interface of engines whose arenas depend
+// only on the set-count range, associativity and policy. Rebind
+// re-targets a finished engine to spec's block size and resets it,
+// keeping its arenas; it reports false, leaving the engine untouched,
+// when any other axis of spec differs from the engine's own.
+type Rebinder interface {
+	Rebind(spec Spec) bool
+}
+
+// Reuse returns e rebound to spec when e is a Rebinder that accepts
+// spec, and a fresh New(name, spec) otherwise (e == nil included). The
+// caller must only offer an engine whose last replay succeeded: a
+// cancelled or failed replay leaves the pass state undefined.
+func Reuse(e Engine, name string, spec Spec) (Engine, error) {
+	if r, ok := e.(Rebinder); ok && r.Rebind(spec) {
+		return e, nil
+	}
+	return New(name, spec)
+}
+
 // Builder constructs an engine for a spec.
 type Builder func(Spec) (Engine, error)
 

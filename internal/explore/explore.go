@@ -3,7 +3,7 @@
 // and a replayable trace source, it decodes the trace exactly once — a
 // run-compressed trace.BlockStream at the space's finest block size —
 // derives every coarser block size from it by folding
-// (trace.FoldLadder, O(runs) per rung instead of a re-decode), and
+// (trace.FoldTo, O(runs) per rung instead of a re-decode), and
 // schedules one DEW pass per (block size, associativity) pair — each
 // pass covering every set count plus the direct-mapped configurations
 // for free — across a worker pool, merging the exact per-configuration
@@ -13,6 +13,14 @@
 // "finding the optimal L1 cache" workflow of the paper's introduction,
 // packaged as a library (see cmd/explore and examples/designspace for
 // front ends).
+//
+// The materialized schedule keeps only what the running passes need.
+// The fold ladder slides: each coarser rung is folded the first time a
+// pass asks for it and released after its last pass, so about two
+// rungs are resident rather than the whole ladder. Engines are
+// recycled: a finished pass's engine is rebound to the next pass's
+// block size (engine.Reuse) instead of rebuilt, so at most workers ×
+// associativities engine arenas exist over the run.
 //
 // Passes run on a simulation engine resolved by name from the engine
 // registry (Request.Engine, default "dew"), through a single dispatch
@@ -233,16 +241,16 @@ func Run(ctx context.Context, req Request) (*Result, error) {
 	// the direct-mapped row. A space containing only associativity 1
 	// needs explicit assoc-1 passes.
 	var passes []passSpec
-	for _, b := range req.Space.BlockSizes() {
+	for k, b := range req.Space.BlockSizes() {
 		hasWide := false
 		for _, a := range req.Space.Assocs() {
 			if a > 1 {
 				hasWide = true
-				passes = append(passes, passSpec{block: b, assoc: a})
+				passes = append(passes, passSpec{block: b, assoc: a, rung: k})
 			}
 		}
 		if !hasWide {
-			passes = append(passes, passSpec{block: b, assoc: 1})
+			passes = append(passes, passSpec{block: b, assoc: 1, rung: k})
 		}
 	}
 
@@ -284,11 +292,11 @@ func Run(ctx context.Context, req Request) (*Result, error) {
 	}
 
 	// Build the per-block-size inputs: one raw-trace materialization at
-	// the finest block size, every coarser size fold-derived from it
-	// (trace.FoldLadder — O(runs) per rung, bit-identical to a direct
-	// materialization at that size).
+	// the finest block size, every coarser size fold-derived from it on
+	// demand by the sliding ladder below (O(runs) per rung, bit-identical
+	// to a direct materialization at that size).
 	blocks := req.Space.BlockSizes() // ascending; blocks[0] is the decode rung
-	var streams map[int]*trace.BlockStream
+	var base *trace.BlockStream
 	materialize := trace.MaterializeBlockStream
 	if req.Kinds {
 		// The kind channel rides along through folding; the engines'
@@ -304,7 +312,6 @@ func Run(ctx context.Context, req Request) (*Result, error) {
 	// A fully-warm run serves every pass from the result tier: no
 	// decode, no stream load, no fold ladder.
 	if !allWarm {
-		var base *trace.BlockStream
 		var err error
 		if cacheKey != "" {
 			base, cacheHit, err = req.Cache.GetOrMaterialize(ctx, cacheKey, blocks[0], req.Kinds,
@@ -317,17 +324,6 @@ func Run(ctx context.Context, req Request) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("explore: materializing block-%d stream: %w", blocks[0], err)
 		}
-		if streams, err = trace.FoldLadder(base, blocks); err != nil {
-			return nil, err
-		}
-	}
-
-	// pending counts each block size's outstanding passes so its stream
-	// can be released (for large traces, a stream per block size is the
-	// run's dominant allocation) as soon as the last pass over it ends.
-	pending := make(map[int]int, len(streams))
-	for _, ps := range passes {
-		pending[ps.block]++
 	}
 
 	var (
@@ -335,9 +331,46 @@ func Run(ctx context.Context, req Request) (*Result, error) {
 		done int
 		res  = &Result{
 			Stats:             make(map[cache.Config]cache.Stats, req.Space.Count()),
-			StreamCompression: make(map[int]float64, len(streams)),
+			StreamCompression: make(map[int]float64, len(blocks)),
 		}
+		// free holds the engines of finished passes by associativity for
+		// the next pass to rebind (engine.Reuse), so the run builds at
+		// most workers × len(assocs) engines instead of one per pass.
+		free = map[int][]engine.Engine{}
+		// The sliding fold ladder: rung k+1 is folded from rung k the
+		// first time a pass needs it (once, outside mu), and rung k is
+		// released once its last pass has merged and rung k+1 exists.
+		// Passes are claimed in rung order, so only the rungs under
+		// replay stay resident. mu guards rungs, built and pending.
+		rungs   = make([]*trace.BlockStream, len(blocks))
+		pending = make([]int, len(blocks))
+		built   = 1 // rungs[:built] have been derived
+		foldMu  sync.Mutex
 	)
+	for _, ps := range passes {
+		pending[ps.rung]++
+	}
+	release := func(k int) {
+		if pending[k] == 0 && (k+1 < built || k+1 == len(rungs)) {
+			rungs[k] = nil
+		}
+	}
+	rung := func(k int) *trace.BlockStream {
+		foldMu.Lock()
+		defer foldMu.Unlock()
+		mu.Lock()
+		defer mu.Unlock()
+		for built <= k {
+			n, src := built, rungs[built-1]
+			mu.Unlock()
+			next := trace.FoldBlockStream(src) // block sizes are consecutive doublings
+			mu.Lock()
+			rungs[n], built = next, n+1
+			res.StreamCompression[blocks[n]] = next.CompressionRatio()
+			release(n - 1)
+		}
+		return rungs[k]
+	}
 	res.CacheKey = cacheKey
 	if allWarm {
 		// No streams exist: the per-rung shapes and kind totals come out
@@ -359,9 +392,8 @@ func Run(ctx context.Context, req Request) (*Result, error) {
 			res.KindTotals = [3]uint64{sc[2], sc[3], sc[4]}
 		}
 	} else {
-		for b, bs := range streams {
-			res.StreamCompression[b] = bs.CompressionRatio()
-		}
+		rungs[0] = base
+		res.StreamCompression[blocks[0]] = base.CompressionRatio()
 		res.Decodes = 1
 		res.Folds = len(blocks) - 1
 		if cacheHit {
@@ -370,17 +402,16 @@ func Run(ctx context.Context, req Request) (*Result, error) {
 		}
 		if req.Kinds {
 			// Folding preserves per-kind weights exactly, so any rung
-			// reports the same totals; read them before passes release the
-			// streams.
-			res.KindTotals = streams[blocks[0]].KindTotals()
+			// reports the same totals.
+			res.KindTotals = base.KindTotals()
 		}
 	}
 	includeAssoc1 := req.Space.MinLogAssoc == 0
 
 	// merge folds one pass's results into the shared tables, tallies its
-	// provenance, and releases its rung's streams when it was the last
-	// pass over them.
-	merge := func(i int, results []engine.Result, simulated, verified bool) error {
+	// provenance, recycles its engine (nil for a result-tier hit) and
+	// releases its rung when it was the last pass over it.
+	merge := func(i int, eng engine.Engine, results []engine.Result, simulated, verified bool) error {
 		ps := passes[i]
 		mu.Lock()
 		defer mu.Unlock()
@@ -397,11 +428,11 @@ func Run(ctx context.Context, req Request) (*Result, error) {
 			}
 		}
 		done++
-		pending[ps.block]--
-		if pending[ps.block] == 0 {
-			// Last pass over this stream: release it.
-			delete(streams, ps.block)
+		if _, ok := eng.(engine.Rebinder); ok {
+			free[ps.assoc] = append(free[ps.assoc], eng)
 		}
+		pending[ps.rung]--
+		release(ps.rung)
 		if req.Progress != nil {
 			req.Progress(done, len(passes))
 		}
@@ -411,16 +442,29 @@ func Run(ctx context.Context, req Request) (*Result, error) {
 	if err := pool.Run(ctx, workers, len(passes), func(i int) error {
 		ps := passes[i]
 		warm := warmBlobs[i]
+		if allWarm {
+			return merge(i, nil, passResults(warm), false, false)
+		}
+		// Every pass, warm or not, takes its rung: the ladder folds each
+		// rung exactly once, so StreamCompression covers every block size.
+		bs := rung(ps.rung)
 		if warm != nil && i != checkIdx {
 			// Served whole from the result tier: zero engine work.
-			return merge(i, passResults(warm), false, false)
+			return merge(i, nil, passResults(warm), false, false)
 		}
+		// The exploration's single engine-dispatch site: rebind a
+		// recycled engine (or build one) and replay the shared stream. An
+		// engine whose replay failed is dropped, never recycled.
 		mu.Lock()
-		bs := streams[ps.block]
+		var eng engine.Engine
+		if n := len(free[ps.assoc]); n > 0 {
+			eng, free[ps.assoc] = free[ps.assoc][n-1], free[ps.assoc][:n-1]
+		}
 		mu.Unlock()
-		// The exploration's single engine-dispatch site: build the
-		// requested engine and replay the shared stream.
-		eng, err := engine.Run(ctx, name, passResultSpec(req, ps.block, ps.assoc), bs, nil)
+		eng, err := engine.Reuse(eng, name, passResultSpec(req, ps.block, ps.assoc))
+		if err == nil {
+			err = engine.Replay(ctx, eng, bs, nil)
+		}
 		if err != nil {
 			return fmt.Errorf("explore: pass B=%d A=%d: %w", ps.block, ps.assoc, err)
 		}
@@ -437,7 +481,7 @@ func Run(ctx context.Context, req Request) (*Result, error) {
 				return fmt.Errorf("explore: result cache diverged from live re-simulation at pass B=%d A=%d (entry dropped): %w",
 					ps.block, ps.assoc, err)
 			}
-			return merge(i, passResults(warm), false, true)
+			return merge(i, eng, passResults(warm), false, true)
 		}
 		if passKeys[i] != "" {
 			// Publish the finished pass; failures are non-fatal — the
@@ -446,7 +490,7 @@ func Run(ctx context.Context, req Request) (*Result, error) {
 				passScalars(bs.Accesses, uint64(bs.Len()), kt), results)
 			req.Cache.PutResult(ctx, passKeys[i], blob)
 		}
-		return merge(i, results, true, false)
+		return merge(i, eng, results, true, false)
 	}); err != nil {
 		return nil, err
 	}

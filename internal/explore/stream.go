@@ -11,8 +11,9 @@ import (
 )
 
 // passSpec identifies one DEW pass: one (block size, associativity)
-// pair covering every set count of the space.
-type passSpec struct{ block, assoc int }
+// pair covering every set count of the space. rung indexes the block
+// size in the space's ascending ladder.
+type passSpec struct{ block, assoc, rung int }
 
 // mergeStats folds one pass's per-configuration results into the shared
 // table. Direct-mapped rows arrive from several passes and must agree

@@ -251,3 +251,44 @@ func FuzzFastEquivalence(f *testing.F) {
 		assertSameResults(t, "stream", inst, stream)
 	})
 }
+
+// TestRebindEquivalence: a simulator rebound across block sizes equals
+// a fresh one after each step, whether the stream walk or per-access
+// Access ran last.
+func TestRebindEquivalence(t *testing.T) {
+	tr := streakyTrace(15_000, 1<<13, 7)
+	blocks := []int{16, 4, 64, 8}
+	opt := Options{MinLogSets: 1, MaxLogSets: 6, Assoc: 4, BlockSize: blocks[0]}
+	s := mustSim(opt)
+	for round, b := range blocks {
+		if round > 0 {
+			if err := s.Rebind(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		opt.BlockSize = b
+		fresh := mustSim(opt)
+		for _, sim := range []*Simulator{s, fresh} {
+			if round%2 == 0 {
+				bs, err := tr.BlockStream(b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sim.SimulateStream(bs); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				for _, a := range tr {
+					sim.Access(a)
+				}
+			}
+		}
+		assertSameResults(t, fmt.Sprintf("B%d", b), fresh, s)
+		if fresh.Counters() != s.Counters() {
+			t.Errorf("B%d: counters %+v, want %+v", b, s.Counters(), fresh.Counters())
+		}
+	}
+	if err := s.Rebind(6); err == nil {
+		t.Error("Rebind accepted block size 6")
+	}
+}

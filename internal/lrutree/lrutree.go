@@ -248,6 +248,20 @@ func (s *Simulator) Reset() {
 	s.havePrev, s.prevBlk = false, 0
 }
 
+// Rebind re-targets the simulator to another block size and resets it,
+// keeping both arenas (their shape does not depend on the block size).
+func (s *Simulator) Rebind(blockSize int) error {
+	opt := s.opt
+	opt.BlockSize = blockSize
+	if err := opt.Validate(); err != nil {
+		return err
+	}
+	s.opt = opt
+	s.offBits = uint(bits.TrailingZeros(uint(blockSize)))
+	s.Reset()
+	return nil
+}
+
 // Options returns the pass configuration.
 func (s *Simulator) Options() Options { return s.opt }
 

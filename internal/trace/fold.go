@@ -178,8 +178,10 @@ func FoldTo(bs *BlockStream, blockSize int) (*BlockStream, error) {
 // finest size: the block sizes are sorted and deduplicated, and each
 // rung is folded from the nearest finer one, so the whole ladder costs
 // O(total runs) after the single decode that produced bs — this is the
-// cache the design-space frontends (explore.Run, sweep.RunCells) share
-// per trace instead of re-decoding the trace once per block size. Every
+// cache the sweep (sweep.RunCells) and dewsim's block ladder share per
+// trace instead of re-decoding the trace once per block size
+// (explore.Run folds rung by rung with FoldTo as its passes need them,
+// so it never holds the whole ladder). Every
 // requested size must be a power of two at least bs.BlockSize; the map
 // holds bs itself under its own size when requested. Intermediate
 // rungs that were not requested are folded through but not retained.

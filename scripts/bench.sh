@@ -32,7 +32,9 @@
 #                    (speedup_streamed_over_phased) and its enforced
 #                    resident-stream bound (peak_resident_bytes), the
 #                    span-ladder driver's concurrent-over-serial rung
-#                    speedup (speedup_ladder_concurrent_over_serial), the host core
+#                    speedup (speedup_ladder_concurrent_over_serial), the
+#                    cold exploration's heap bytes per run
+#                    (explore_cold_bytes_per_op), the host core
 #                    count (num_cpu), speedups against the committed
 #                    seed baseline, and a history of previous recordings
 #                    (appended, not overwritten)

@@ -13,8 +13,10 @@
 // recorded as speedup_sweep_warm_over_cold and
 // result_cache_hit_cells_per_s), the span-ladder driver's
 // concurrent-over-serial rung speedup (BenchmarkReplayStreamedLadder,
-// recorded as speedup_ladder_concurrent_over_serial), the host's core
-// count (num_cpu —
+// recorded as speedup_ladder_concurrent_over_serial), the cold
+// exploration's heap allocation per run (BenchmarkExploreCold's B/op,
+// recorded as explore_cold_bytes_per_op), the host's core count
+// (num_cpu —
 // context for the parallel curves), and —
 // when a seed baseline file is given — speedups against the seed
 // commit's single-access path. With -prev pointing at the previous
@@ -58,6 +60,10 @@ type run struct {
 	// PeakB is BenchmarkReplayStreamed's enforced resident-stream bound
 	// in bytes (from the peakB metric).
 	PeakB float64 `json:"peak_b,omitempty"`
+	// BytesPerOp and AllocsPerOp are -benchmem's heap bytes and
+	// allocations per iteration.
+	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
+	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
 }
 
 // series aggregates every run of one benchmark name.
@@ -72,6 +78,8 @@ type series struct {
 	FoldAddrPerRun     map[string]float64 `json:"fold_addr_per_run,omitempty"`
 	KindBPerAccess     float64            `json:"kind_b_per_access,omitempty"`
 	PeakB              float64            `json:"peak_b,omitempty"`
+	// BytesPerOpFastest is the B/op of the run with the lowest ns/op.
+	BytesPerOpFastest float64 `json:"bytes_per_op_fastest,omitempty"`
 }
 
 // ratioBasis documents how the speedup maps of a recording were
@@ -106,6 +114,7 @@ type historyEntry struct {
 	SpeedupStreamedOverPhased  map[string]float64            `json:"speedup_streamed_over_phased,omitempty"`
 	PeakResidentBytes          map[string]float64            `json:"peak_resident_bytes,omitempty"`
 	SpeedupLadderConcurrent    map[string]float64            `json:"speedup_ladder_concurrent_over_serial,omitempty"`
+	ExploreColdBytesPerOp      map[string]float64            `json:"explore_cold_bytes_per_op,omitempty"`
 	SpeedupVsSeed              map[string]float64            `json:"speedup_vs_seed,omitempty"`
 }
 
@@ -211,6 +220,10 @@ type output struct {
 	// span-ladder driver replays a three-rung ladder with GOMAXPROCS
 	// workers than with one (BenchmarkReplayStreamedLadder; see num_cpu).
 	SpeedupLadderConcurrent map[string]float64 `json:"speedup_ladder_concurrent_over_serial,omitempty"`
+	// ExploreColdBytesPerOp is, per workload, the heap bytes one cold
+	// exploration of the benchmark space allocates (B/op of
+	// BenchmarkExploreCold's fastest run).
+	ExploreColdBytesPerOp map[string]float64 `json:"explore_cold_bytes_per_op,omitempty"`
 	// SeedBaseline echoes the committed baseline measurements of the
 	// seed commit's single-access path.
 	SeedBaseline json.RawMessage `json:"seed_baseline,omitempty"`
@@ -251,6 +264,7 @@ func (o *output) summarize() historyEntry {
 		SpeedupStreamedOverPhased:  o.SpeedupStreamedOverPhased,
 		PeakResidentBytes:          o.PeakResidentBytes,
 		SpeedupLadderConcurrent:    o.SpeedupLadderConcurrent,
+		ExploreColdBytesPerOp:      o.ExploreColdBytesPerOp,
 		SpeedupVsSeed:              o.SpeedupVsSeed,
 	}
 	if len(o.Benchmarks) > 0 {
@@ -327,6 +341,10 @@ func main() {
 				r.KindBPerAccess = val
 			case "peakB":
 				r.PeakB = val
+			case "B/op":
+				r.BytesPerOp = val
+			case "allocs/op":
+				r.AllocsPerOp = val
 			default:
 				// addr/run/B<size>: one fold rung's compression ratio.
 				if rung, ok := strings.CutPrefix(unit, "addr/run/"); ok {
@@ -354,8 +372,11 @@ func main() {
 	}
 
 	for _, s := range out.Benchmarks {
-		var opSum, accSum, cmpSum float64
+		var opSum, accSum, cmpSum, fastestOp float64
 		for _, r := range s.Runs {
+			if r.BytesPerOp > 0 && (fastestOp == 0 || r.NsPerOp < fastestOp) {
+				fastestOp, s.BytesPerOpFastest = r.NsPerOp, r.BytesPerOp
+			}
 			opSum += r.NsPerOp
 			accSum += r.NsPerAccess
 			cmpSum += r.AddrPerRun
@@ -410,6 +431,7 @@ func main() {
 	out.SpeedupStreamedOverPhased = map[string]float64{}
 	out.PeakResidentBytes = map[string]float64{}
 	out.SpeedupLadderConcurrent = map[string]float64{}
+	out.ExploreColdBytesPerOp = map[string]float64{}
 	for name, s := range out.Benchmarks {
 		if app, ok := strings.CutPrefix(name, "BenchmarkAccessBatch/"); ok && s.NsPerAccessFastest > 0 {
 			if single, ok := out.Benchmarks["BenchmarkAccessSingle/"+app]; ok && single.NsPerAccessFastest > 0 {
@@ -450,6 +472,9 @@ func main() {
 			if cold, ok := out.Benchmarks["BenchmarkExploreCold/"+app]; ok && cold.NsPerAccessFastest > 0 {
 				out.SpeedupWarmOverCold[app] = round2(cold.NsPerAccessFastest / s.NsPerAccessFastest)
 			}
+		}
+		if app, ok := strings.CutPrefix(name, "BenchmarkExploreCold/"); ok && s.BytesPerOpFastest > 0 {
+			out.ExploreColdBytesPerOp[app] = s.BytesPerOpFastest
 		}
 		if app, ok := strings.CutPrefix(name, "BenchmarkStreamLoad/"); ok && s.BlocksPerSFastest > 0 {
 			out.CacheLoadBlocksPerS[app] = round2(s.BlocksPerSFastest)
