@@ -34,6 +34,7 @@ fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzFoldBlockStream -fuzztime 20s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzSpanEquivalence -fuzztime 20s
 	$(GO) test ./internal/refsim -run '^$$' -fuzz FuzzKindStreamWrite -fuzztime 20s
+	$(GO) test ./internal/refsim -run '^$$' -fuzz FuzzRefStream -fuzztime 20s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzDinCorrupt -fuzztime 20s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzBinCorrupt -fuzztime 20s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzCheckpointResume -fuzztime 20s

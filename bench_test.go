@@ -597,6 +597,50 @@ func BenchmarkTable3Reference(b *testing.B) {
 	}
 }
 
+// BenchmarkRefStream is the reference side of one sweep cell: kind-free
+// FIFO passes at associativity 1 and A for each of the 15 set counts
+// 2^0..2^14, each a fresh simulator replaying one stream materialized
+// outside the timed region — what sweep.RunCell times as the baseline
+// DEW's speedup is measured against. It covers the apps, block sizes
+// and associativities of BenchmarkTable3Reference; ns/access is the
+// whole cell's time per trace access and cmp/access its tag
+// comparisons. bench.sh records the ns/access per app and cell
+// geometry as ref_stream_ns_per_access.
+func BenchmarkRefStream(b *testing.B) {
+	const sweepMaxLog = 14
+	for _, app := range []workload.App{workload.CJPEG, workload.MPEG2Dec} {
+		for _, block := range []int{4, 64} {
+			for _, assoc := range []int{4, 8} {
+				name := fmt.Sprintf("%s/B%d/A%d", app.Name, block, assoc)
+				b.Run(name, func(b *testing.B) {
+					tr := benchTrace(b, app)
+					bs, err := tr.BlockStream(block)
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.ResetTimer()
+					var cmps uint64
+					for i := 0; i < b.N; i++ {
+						cmps = 0
+						for log := 0; log <= sweepMaxLog; log++ {
+							for _, a := range []int{1, assoc} {
+								cfg := cache.Config{Sets: 1 << log, Assoc: a, BlockSize: block}
+								stats, err := refsim.RunStream(cfg, cache.FIFO, bs)
+								if err != nil {
+									b.Fatal(err)
+								}
+								cmps += stats.TagComparisons
+							}
+						}
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(tr)), "ns/access")
+					b.ReportMetric(float64(cmps)/float64(len(tr)), "cmp/access")
+				})
+			}
+		}
+	}
+}
+
 // BenchmarkTable4Properties reports the Table 4 property counters per
 // access for every app at block size 4 (associativity 4 and 8).
 func BenchmarkTable4Properties(b *testing.B) {

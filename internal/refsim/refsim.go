@@ -5,6 +5,12 @@
 // (per-kind counts, compulsory-miss classification, eviction counts, tag
 // comparisons).
 //
+// Compulsory misses are classified the way Dinero IV's "infinite cache"
+// does it: every block ever referenced is recorded in one bitmap per
+// aligned range of 512 blocks, not in a per-block hash, so the full
+// information set costs a miss a bit test in a memoized bitmap rather
+// than a hash probe per block.
+//
 // It is deliberately policy-general (FIFO, LRU, Random) and
 // configuration-general where DEW is specialized; the experiment harness
 // replays the trace through one Simulator per configuration exactly as
@@ -22,7 +28,9 @@ import (
 // Stats is the full statistics record of one simulation, a superset of
 // cache.Stats modeled on Dinero IV's output. Maintaining this "large
 // information set" is part of what the paper charges to Dinero's runtime;
-// keeping it here keeps the comparison honest.
+// keeping it here keeps the comparison honest. CompulsoryMisses is
+// classified against a per-range bitmap of every block referenced, the
+// analogue of Dinero IV's infinite cache.
 type Stats struct {
 	cache.Stats
 
@@ -49,9 +57,9 @@ type Simulator struct {
 	policy cache.Policy
 
 	// tags holds Sets×Assoc entries; tags[s*assoc+w] is way w of set s.
-	tags  []uint64
-	valid []bool
-	// fill is the number of valid ways per set.
+	tags []uint64
+	// fill is the number of valid ways per set: ways [0, fill) of a set
+	// hold blocks, and no search reads past them.
 	fill []int32
 	// head is the FIFO round-robin insertion cursor per set.
 	head []int32
@@ -60,8 +68,9 @@ type Simulator struct {
 	order []int8
 
 	// seen records every block address ever referenced, for
-	// compulsory-miss classification (Dinero keeps the same structure).
-	seen map[uint64]struct{}
+	// compulsory-miss classification (Dinero keeps the same information
+	// in its infinite cache).
+	seen blockSet
 
 	// rnd is the deterministic replacement stream for cache.Random.
 	rnd uint64
@@ -97,10 +106,8 @@ func New(cfg cache.Config, policy cache.Policy) (*Simulator, error) {
 		cfg:       cfg,
 		policy:    policy,
 		tags:      make([]uint64, n),
-		valid:     make([]bool, n),
 		fill:      make([]int32, cfg.Sets),
 		head:      make([]int32, cfg.Sets),
-		seen:      make(map[uint64]struct{}),
 		rnd:       0x9E3779B97F4A7C15,
 		fillBytes: cfg.BlockSize,
 	}
@@ -114,14 +121,13 @@ func New(cfg cache.Config, policy cache.Policy) (*Simulator, error) {
 // cold cache, empty reference history, zeroed statistics and a rewound
 // random-replacement stream — reusing the allocated arenas so a
 // build-once-replay-many loop settles into zero steady-state
-// allocations (the map of seen blocks is cleared, not reallocated).
+// allocations (the seen-block bitmaps are cleared, keeping their slab).
 func (s *Simulator) Reset() {
 	clear(s.tags)
-	clear(s.valid)
 	clear(s.fill)
 	clear(s.head)
 	clear(s.order)
-	clear(s.seen)
+	s.seen.Reset()
 	clear(s.dirty)
 	s.rnd = 0x9E3779B97F4A7C15
 	s.traffic = Traffic{}
@@ -171,16 +177,10 @@ func (s *Simulator) Access(a trace.Access) bool {
 	if a.Kind.Valid() {
 		s.stats.MissesByKind[a.Kind]++
 	}
-	if _, ok := s.seen[blk]; !ok {
-		s.seen[blk] = struct{}{}
+	if s.seen.add(blk) {
 		s.stats.CompulsoryMisses++
 	}
-	if s.dirty != nil {
-		s.traffic.BytesFromMemory += uint64(s.fillBytes)
-		s.insertAt(set, tag)
-	} else {
-		s.insert(set, tag)
-	}
+	s.install(set, tag)
 	return false
 }
 
@@ -197,47 +197,48 @@ func (s *Simulator) touchLRU(set, w int) {
 	}
 }
 
-// insert places tag into the set, evicting per policy if full, and
-// returns the way used (the stream replay folds repeat costs from it).
-func (s *Simulator) insert(set int, tag uint64) int {
-	base := set * s.cfg.Assoc
+// install places tag into the set — the next free way while the set
+// fills, else the policy's victim — and returns the way used. A
+// write-policy simulator (built with NewSim) also charges the fill's
+// memory traffic and writes a dirty victim back.
+func (s *Simulator) install(set int, tag uint64) int {
 	assoc := s.cfg.Assoc
-
-	if int(s.fill[set]) < assoc {
-		// Cold fill: next free way.
-		w := int(s.fill[set])
-		s.tags[base+w] = tag
-		s.valid[base+w] = true
+	base := set * assoc
+	w := int(s.fill[set])
+	if w < assoc {
+		// Cold fill. FIFO's head keeps pointing at way 0, the oldest.
 		s.fill[set]++
-		switch s.policy {
-		case cache.LRU:
+		if s.policy == cache.LRU {
 			copy(s.order[base+1:base+w+1], s.order[base:base+w])
 			s.order[base] = int8(w)
-		case cache.FIFO:
-			// head tracks the oldest entry; while filling, oldest
-			// remains way 0, and head stays pointing at it.
 		}
-		return w
+	} else {
+		switch s.policy {
+		case cache.FIFO:
+			w = int(s.head[set])
+			s.head[set] = int32((w + 1) & (assoc - 1))
+		case cache.LRU:
+			w = int(s.order[base+assoc-1])
+			copy(s.order[base+1:base+assoc], s.order[base:base+assoc-1])
+			s.order[base] = int8(w)
+		case cache.Random:
+			// xorshift64 step, deterministic across runs.
+			s.rnd ^= s.rnd << 13
+			s.rnd ^= s.rnd >> 7
+			s.rnd ^= s.rnd << 17
+			w = int(s.rnd & uint64(assoc-1))
+		}
+		s.stats.Evictions++
 	}
-
-	// Choose a victim.
-	var w int
-	switch s.policy {
-	case cache.FIFO:
-		w = int(s.head[set])
-		s.head[set] = int32((w + 1) % assoc)
-	case cache.LRU:
-		w = int(s.order[base+assoc-1])
-		copy(s.order[base+1:base+assoc], s.order[base:base+assoc-1])
-		s.order[base] = int8(w)
-	case cache.Random:
-		// xorshift64 step, deterministic across runs.
-		s.rnd ^= s.rnd << 13
-		s.rnd ^= s.rnd >> 7
-		s.rnd ^= s.rnd << 17
-		w = int(s.rnd % uint64(assoc))
+	if s.dirty != nil {
+		// A cold way is never dirty, so only a victim writes back.
+		s.traffic.BytesFromMemory += uint64(s.fillBytes)
+		if s.dirty[base+w] {
+			s.traffic.BytesToMemory += uint64(s.fillBytes)
+			s.traffic.Writebacks++
+			s.dirty[base+w] = false
+		}
 	}
-	s.stats.Evictions++
 	s.tags[base+w] = tag
 	return w
 }

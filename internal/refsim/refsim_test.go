@@ -137,24 +137,37 @@ func TestAgainstNaiveOracle(t *testing.T) {
 }
 
 func TestCompulsoryMatchesUniqueBlocks(t *testing.T) {
-	tr := randomTrace(20000, 1<<16, 7)
-	for _, cfg := range []cache.Config{
-		mustCfg(4, 2, 4),
-		mustCfg(256, 4, 32),
+	for name, tr := range map[string]trace.Trace{
+		"dense":  randomTrace(20000, 1<<16, 7),
+		"sparse": sparseTrace(20000, testRand(t, 7)),
 	} {
-		stats, err := RunTrace(cfg, cache.FIFO, tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := trace.ProfileReader(tr.NewSliceReader(), cfg.BlockSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.CompulsoryMisses != p.UniqueBlocks {
-			t.Errorf("%v: compulsory %d != unique blocks %d", cfg, stats.CompulsoryMisses, p.UniqueBlocks)
-		}
-		if stats.Misses < stats.CompulsoryMisses {
-			t.Errorf("%v: misses %d < compulsory %d", cfg, stats.Misses, stats.CompulsoryMisses)
+		for _, cfg := range []cache.Config{
+			mustCfg(4, 2, 4),
+			mustCfg(256, 4, 32),
+		} {
+			stats, err := RunTrace(cfg, cache.FIFO, tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bs, err := tr.BlockStream(cfg.BlockSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			streamed, err := RunStream(cfg, cache.FIFO, bs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := trace.ProfileReader(tr.NewSliceReader(), cfg.BlockSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.CompulsoryMisses != p.UniqueBlocks || streamed.CompulsoryMisses != p.UniqueBlocks {
+				t.Errorf("%s %v: compulsory %d (stream %d) != unique blocks %d",
+					name, cfg, stats.CompulsoryMisses, streamed.CompulsoryMisses, p.UniqueBlocks)
+			}
+			if stats.Misses < stats.CompulsoryMisses {
+				t.Errorf("%s %v: misses %d < compulsory %d", name, cfg, stats.Misses, stats.CompulsoryMisses)
+			}
 		}
 	}
 }

@@ -89,7 +89,8 @@ func NewSharded(cfg cache.Config, policy cache.Policy, log, workers int) (*Shard
 // reference pass: each sub-simulator is built with NewSim, so the
 // sharded replay keeps dirty bits, per-kind statistics and memory
 // traffic. The decomposition stays exact: dirty bits live per way of a
-// single set, the seen map partitions by block, and every traffic
+// single set, each block's first reference falls in exactly one
+// sub-simulator's seen-block set, and every traffic
 // counter is a sum of per-set contributions. The sub-simulators run at
 // the widened shard block size, which is an addressing trick rather
 // than a longer line, so their fill and writeback traffic is charged at

@@ -44,46 +44,65 @@ func (s *Simulator) SimulateStream(bs *trace.BlockStream) (Stats, error) {
 	if s.dirty != nil {
 		return s.stats, fmt.Errorf("refsim: write-policy simulation needs a kind-preserving stream (materialize with kinds) or the raw trace")
 	}
+	// The hot loop of every reference pass: the search runs inline, the
+	// counters live in locals until the call returns, and comparisons
+	// are counted arithmetically (a hit at search position i costs i+1,
+	// a miss one per valid way, each repeat of a run its head's cost).
 	setMask := s.cfg.Sets - 1
 	idxBits := uint(s.cfg.IndexBits())
+	assoc := s.cfg.Assoc
 	lru := s.policy == cache.LRU
+	tags, fill, order := s.tags, s.fill, s.order
+	var accesses, misses, compulsory, cmps uint64
 	for i, blk := range bs.IDs {
-		w := bs.Runs[i]
+		w := uint64(bs.Runs[i])
 		if w == 0 {
 			continue
 		}
 		set := int(blk) & setMask
 		tag := blk >> idxBits
+		base := set * assoc
+		n := int(fill[set])
+		accesses += w
 
-		s.stats.Accesses++
-		way := s.findWay(set, tag)
-		if way >= 0 {
-			if lru {
-				s.touchLRU(set, way)
+		way, probes := -1, n
+		if lru {
+			for j, o := range order[base : base+n] {
+				if tags[base+int(o)] == tag {
+					way, probes = int(o), j+1
+					copy(order[base+1:base+j+1], order[base:base+j])
+					order[base] = o
+					break
+				}
 			}
 		} else {
-			s.stats.Misses++
-			if _, ok := s.seen[blk]; !ok {
-				s.seen[blk] = struct{}{}
-				s.stats.CompulsoryMisses++
+			for j, t := range tags[base : base+n] {
+				if t == tag {
+					way, probes = j, j+1
+					break
+				}
 			}
-			way = s.insert(set, tag)
 		}
-
-		if w > 1 {
-			rest := uint64(w - 1)
-			s.stats.Accesses += rest
-			if lru {
-				// The block is MRU after the head access: each repeat's
-				// recency-ordered search hits on the first probe, and
-				// the MRU rotation is a no-op.
-				s.stats.TagComparisons += rest
-			} else {
-				// Physical-order search stops at the block's way.
-				s.stats.TagComparisons += rest * uint64(way+1)
+		cmps += uint64(probes)
+		if way < 0 {
+			misses++
+			if s.seen.add(blk) {
+				compulsory++
 			}
+			way = s.install(set, tag)
+		}
+		// The run's repeats hit, charged as foldRepeats does (the LRU
+		// touch of an MRU block is a no-op).
+		if lru {
+			cmps += w - 1
+		} else {
+			cmps += (w - 1) * uint64(way+1)
 		}
 	}
+	s.stats.Accesses += accesses
+	s.stats.Misses += misses
+	s.stats.CompulsoryMisses += compulsory
+	s.stats.TagComparisons += cmps
 	return s.stats, nil
 }
 
@@ -141,20 +160,12 @@ func (s *Simulator) simulateKindStream(bs *trace.BlockStream) (Stats, error) {
 			} else {
 				s.stats.Misses++
 				s.stats.MissesByKind[kr.FirstKind()]++
-				if _, ok := s.seen[blk]; !ok {
-					s.seen[blk] = struct{}{}
+				if s.seen.add(blk) {
 					s.stats.CompulsoryMisses++
 				}
-				way = s.insert(set, tag)
+				way = s.install(set, tag)
 			}
-			if w > 1 {
-				rest := uint64(w - 1)
-				if lru {
-					s.stats.TagComparisons += rest
-				} else {
-					s.stats.TagComparisons += rest * uint64(way+1)
-				}
-			}
+			s.foldRepeats(uint64(w-1), way)
 			continue
 		}
 
@@ -166,14 +177,7 @@ func (s *Simulator) simulateKindStream(bs *trace.BlockStream) (Stats, error) {
 			if lru {
 				s.touchLRU(set, way)
 			}
-			if w > 1 {
-				rest := uint64(w - 1)
-				if lru {
-					s.stats.TagComparisons += rest
-				} else {
-					s.stats.TagComparisons += rest * uint64(way+1)
-				}
-			}
+			s.foldRepeats(uint64(w-1), way)
 			if writes > 0 {
 				if s.write == WriteBack {
 					s.dirty[base+way] = true
@@ -192,8 +196,7 @@ func (s *Simulator) simulateKindStream(bs *trace.BlockStream) (Stats, error) {
 			lead := uint64(kr.Lead)
 			s.stats.Misses += lead
 			s.stats.MissesByKind[trace.DataWrite] += lead
-			if _, ok := s.seen[blk]; !ok {
-				s.seen[blk] = struct{}{}
+			if s.seen.add(blk) {
 				s.stats.CompulsoryMisses++
 			}
 			s.traffic.BytesToMemory += lead * uint64(s.storeBytes)
@@ -206,15 +209,8 @@ func (s *Simulator) simulateKindStream(bs *trace.BlockStream) (Stats, error) {
 			s.stats.TagComparisons += fillCount
 			s.stats.Misses++
 			s.stats.MissesByKind[kr.First]++
-			s.traffic.BytesFromMemory += uint64(s.fillBytes)
-			way = s.insertAt(set, tag)
-			if rest := uint64(w) - lead - 1; rest > 0 {
-				if lru {
-					s.stats.TagComparisons += rest
-				} else {
-					s.stats.TagComparisons += rest * uint64(way+1)
-				}
-			}
+			way = s.install(set, tag)
+			s.foldRepeats(uint64(w)-lead-1, way)
 			// Stores after the install hit the now-resident block.
 			if remWrites := writes - lead; remWrites > 0 {
 				if s.write == WriteBack {
@@ -230,20 +226,11 @@ func (s *Simulator) simulateKindStream(bs *trace.BlockStream) (Stats, error) {
 		// the rest of the run hits.
 		s.stats.Misses++
 		s.stats.MissesByKind[kr.FirstKind()]++
-		if _, ok := s.seen[blk]; !ok {
-			s.seen[blk] = struct{}{}
+		if s.seen.add(blk) {
 			s.stats.CompulsoryMisses++
 		}
-		s.traffic.BytesFromMemory += uint64(s.fillBytes)
-		way = s.insertAt(set, tag)
-		if w > 1 {
-			rest := uint64(w - 1)
-			if lru {
-				s.stats.TagComparisons += rest
-			} else {
-				s.stats.TagComparisons += rest * uint64(way+1)
-			}
-		}
+		way = s.install(set, tag)
+		s.foldRepeats(uint64(w-1), way)
 		if writes > 0 {
 			if s.write == WriteBack {
 				s.dirty[base+way] = true
@@ -253,6 +240,16 @@ func (s *Simulator) simulateKindStream(bs *trace.BlockStream) (Stats, error) {
 		}
 	}
 	return s.stats, nil
+}
+
+// foldRepeats charges n repeat accesses to the block resident in way:
+// under LRU it is MRU, so each hits on the first probe; the
+// physical-order search stops at its way.
+func (s *Simulator) foldRepeats(n uint64, way int) {
+	if s.policy != cache.LRU {
+		n *= uint64(way + 1)
+	}
+	s.stats.TagComparisons += n
 }
 
 // RunStream builds a Simulator and replays the stream through it.

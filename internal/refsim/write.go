@@ -133,8 +133,7 @@ func (s *Simulator) accessWrite(set int, tag uint64, blk uint64) bool {
 	// Write miss.
 	s.stats.Misses++
 	s.stats.MissesByKind[trace.DataWrite]++
-	if _, ok := s.seen[blk]; !ok {
-		s.seen[blk] = struct{}{}
+	if s.seen.add(blk) {
 		s.stats.CompulsoryMisses++
 	}
 	if s.alloc == NoWriteAllocate {
@@ -143,8 +142,7 @@ func (s *Simulator) accessWrite(set int, tag uint64, blk uint64) bool {
 		return false
 	}
 	// Allocate: fetch the block, install it, then apply the store.
-	s.traffic.BytesFromMemory += uint64(s.fillBytes)
-	w := s.insertAt(set, tag)
+	w := s.install(set, tag)
 	if s.write == WriteBack {
 		s.dirty[base+w] = true
 	} else {
@@ -154,68 +152,28 @@ func (s *Simulator) accessWrite(set int, tag uint64, blk uint64) bool {
 }
 
 // findWay searches the set for the tag, counting comparisons exactly as
-// the read path does, and returns the way index or -1.
+// the read path does, and returns the way index or -1. LRU searches in
+// recency order (Dinero searches its recency-linked list), FIFO and
+// Random in physical order; a hit at search position i costs i+1
+// comparisons and a miss one per valid way.
 func (s *Simulator) findWay(set int, tag uint64) int {
 	base := set * s.cfg.Assoc
+	n := int(s.fill[set])
 	if s.policy == cache.LRU {
-		for i := 0; i < int(s.fill[set]); i++ {
-			w := int(s.order[base+i])
-			s.stats.TagComparisons++
-			if s.tags[base+w] == tag {
+		for i, w := range s.order[base : base+n] {
+			if s.tags[base+int(w)] == tag {
+				s.stats.TagComparisons += uint64(i + 1)
+				return int(w)
+			}
+		}
+	} else {
+		for w, t := range s.tags[base : base+n] {
+			if t == tag {
+				s.stats.TagComparisons += uint64(w + 1)
 				return w
 			}
 		}
-		return -1
 	}
-	for w := 0; w < int(s.fill[set]); w++ {
-		s.stats.TagComparisons++
-		if s.valid[base+w] && s.tags[base+w] == tag {
-			return w
-		}
-	}
+	s.stats.TagComparisons += uint64(n)
 	return -1
-}
-
-// insertAt is insert, but additionally returns the way used and performs
-// dirty-eviction accounting. Only called on the NewSim path.
-func (s *Simulator) insertAt(set int, tag uint64) int {
-	base := set * s.cfg.Assoc
-	assoc := s.cfg.Assoc
-
-	if int(s.fill[set]) < assoc {
-		w := int(s.fill[set])
-		s.tags[base+w] = tag
-		s.valid[base+w] = true
-		s.fill[set]++
-		if s.policy == cache.LRU {
-			copy(s.order[base+1:base+w+1], s.order[base:base+w])
-			s.order[base] = int8(w)
-		}
-		s.dirty[base+w] = false
-		return w
-	}
-
-	var w int
-	switch s.policy {
-	case cache.FIFO:
-		w = int(s.head[set])
-		s.head[set] = int32((w + 1) % assoc)
-	case cache.LRU:
-		w = int(s.order[base+assoc-1])
-		copy(s.order[base+1:base+assoc], s.order[base:base+assoc-1])
-		s.order[base] = int8(w)
-	case cache.Random:
-		s.rnd ^= s.rnd << 13
-		s.rnd ^= s.rnd >> 7
-		s.rnd ^= s.rnd << 17
-		w = int(s.rnd % uint64(assoc))
-	}
-	s.stats.Evictions++
-	if s.dirty[base+w] {
-		s.traffic.BytesToMemory += uint64(s.fillBytes)
-		s.traffic.Writebacks++
-		s.dirty[base+w] = false
-	}
-	s.tags[base+w] = tag
-	return w
 }

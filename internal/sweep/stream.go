@@ -8,6 +8,7 @@ import (
 	"dew/internal/cache"
 	"dew/internal/core"
 	"dew/internal/engine"
+	"dew/internal/refsim"
 	"dew/internal/trace"
 )
 
@@ -133,7 +134,8 @@ func (r Runner) runCellStreamed(ctx context.Context, p Params, tr trace.Trace) (
 	}
 
 	// Reference cross-check over the engines fed by the same spans.
-	for _, res := range cell.Results {
+	var first refsim.Stats
+	for i, res := range cell.Results {
 		ri, ok := byCfg[res.Config]
 		if !ok {
 			return cell, fmt.Errorf("sweep: no streamed reference pass for %v", res.Config)
@@ -142,11 +144,13 @@ func (r Runner) runCellStreamed(ctx context.Context, p Params, tr trace.Trace) (
 		if err != nil {
 			return cell, err
 		}
+		if i == 0 {
+			first = stats
+		}
 		cell.RefTime += refs[ri].dur
 		cell.RefComparisons += stats.TagComparisons
-		if stats.Misses != res.Misses {
-			return cell, fmt.Errorf("sweep: exactness violation at %v: DEW %d misses, reference %d",
-				res.Config, res.Misses, stats.Misses)
+		if err := verifyRef(cell, res, stats, first); err != nil {
+			return cell, err
 		}
 		cell.Verified++
 	}

@@ -489,6 +489,26 @@ func refStats(e engine.Engine) (refsim.Stats, error) {
 	return rs.RefStats(), nil
 }
 
+// verifyRef holds one reference pass of a cell to the DEW result for
+// its configuration and to two facts every configuration of the cell
+// shares: the pass replayed all of the cell's requests, and its
+// compulsory misses — a property of the stream alone — equal those of
+// the cell's first reference pass.
+func verifyRef(cell Cell, res engine.Result, st, first refsim.Stats) error {
+	switch {
+	case st.Misses != res.Misses:
+		return fmt.Errorf("sweep: exactness violation at %v: DEW %d misses, reference %d",
+			res.Config, res.Misses, st.Misses)
+	case st.Accesses != cell.Requests:
+		return fmt.Errorf("sweep: reference pass at %v replayed %d accesses of %d requests",
+			res.Config, st.Accesses, cell.Requests)
+	case st.CompulsoryMisses != first.CompulsoryMisses:
+		return fmt.Errorf("sweep: compulsory-miss divergence at %v: %d, against %d at %v",
+			res.Config, st.CompulsoryMisses, first.CompulsoryMisses, cell.Results[0].Config)
+	}
+	return nil
+}
+
 func (r Runner) runCellStream(ctx context.Context, p Params, tr trace.Trace, bs *trace.BlockStream, ss *trace.ShardStream, prov streamProv) (Cell, error) {
 	cell := Cell{Params: p, Requests: uint64(len(tr)), StreamRuns: uint64(bs.Len()),
 		StreamFolded: prov.folded, CacheHit: prov.cacheHit, CacheKey: prov.cacheKey}
@@ -634,9 +654,8 @@ func (r Runner) runCellStream(ctx context.Context, p Params, tr trace.Trace, bs 
 	for i, res := range cell.Results {
 		cell.RefTime += outs[i].dur
 		cell.RefComparisons += outs[i].stats.TagComparisons
-		if outs[i].stats.Misses != res.Misses {
-			return cell, fmt.Errorf("sweep: exactness violation at %v: DEW %d misses, reference %d",
-				res.Config, res.Misses, outs[i].stats.Misses)
+		if err := verifyRef(cell, res, outs[i].stats, outs[0].stats); err != nil {
+			return cell, err
 		}
 		if ss != nil {
 			cell.RefShardTime += outs[i].shardDur

@@ -5,6 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"dew/internal/cache"
+	"dew/internal/engine"
+	"dew/internal/refsim"
 	"dew/internal/trace"
 	"dew/internal/workload"
 )
@@ -82,6 +85,40 @@ func TestRunCellTrace(t *testing.T) {
 	}
 	if cell.Verified != 10 {
 		t.Errorf("Verified = %d, want 10", cell.Verified)
+	}
+}
+
+// TestVerifyRefInvariants feeds verifyRef reference statistics that
+// break each per-cell invariant in turn: a miss count that disagrees
+// with DEW, a pass that replayed too few accesses, and compulsory
+// misses that differ between two configurations of one stream.
+func TestVerifyRefInvariants(t *testing.T) {
+	cfgA := cache.Config{Sets: 1, Assoc: 1, BlockSize: 16}
+	cfgB := cache.Config{Sets: 2, Assoc: 1, BlockSize: 16}
+	cell := Cell{Requests: 100, Results: []engine.Result{
+		{Config: cfgA, Stats: cache.Stats{Accesses: 100, Misses: 40}},
+		{Config: cfgB, Stats: cache.Stats{Accesses: 100, Misses: 30}},
+	}}
+	first := refsim.Stats{Stats: cache.Stats{Accesses: 100, Misses: 40}, CompulsoryMisses: 12}
+	good := refsim.Stats{Stats: cache.Stats{Accesses: 100, Misses: 30}, CompulsoryMisses: 12}
+	if err := verifyRef(cell, cell.Results[1], good, first); err != nil {
+		t.Fatalf("consistent pass rejected: %v", err)
+	}
+	for _, c := range []struct {
+		name string
+		edit func(*refsim.Stats)
+		want string
+	}{
+		{"misses", func(st *refsim.Stats) { st.Misses++ }, "exactness violation"},
+		{"accesses", func(st *refsim.Stats) { st.Accesses-- }, "replayed 99 accesses"},
+		{"compulsory", func(st *refsim.Stats) { st.CompulsoryMisses++ }, "compulsory-miss divergence"},
+	} {
+		st := good
+		c.edit(&st)
+		err := verifyRef(cell, cell.Results[1], st, first)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want it to mention %q", c.name, err, c.want)
+		}
 	}
 }
 

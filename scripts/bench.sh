@@ -10,8 +10,9 @@
 # per-access baseline, the DBS1 artifact marshal/load costs, the
 # artifact-store warm-vs-cold exploration pair, the result-tier
 # warm-vs-cold sweep pair, the pipelined streaming replay vs the
-# phased materialize-then-replay baseline, and the span-ladder driver's
-# concurrent vs serial rung replay, and writes:
+# phased materialize-then-replay baseline, the span-ladder driver's
+# concurrent vs serial rung replay, and one sweep cell's reference side
+# (30 kind-free FIFO passes over a materialized stream), and writes:
 #   BENCH_core.txt   raw `go test -bench` output (benchstat input)
 #   BENCH_core.json  summary with means, batch-over-single,
 #                    stream-over-batch and sharded-over-stream speedup
@@ -34,7 +35,9 @@
 #                    span-ladder driver's concurrent-over-serial rung
 #                    speedup (speedup_ladder_concurrent_over_serial), the
 #                    cold exploration's heap bytes per run
-#                    (explore_cold_bytes_per_op), the host core
+#                    (explore_cold_bytes_per_op), the sweep cell's
+#                    reference replay time (ref_stream_ns_per_access),
+#                    the host core
 #                    count (num_cpu), speedups against the committed
 #                    seed baseline, and a history of previous recordings
 #                    (appended, not overwritten)
@@ -52,7 +55,7 @@ REV="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
 # Tee into a temp file and move it into place only once the benchmarks
 # pass (set -o pipefail fails the pipeline with go test), so a failed
 # or interrupted run cannot leave a truncated $OUT.txt behind.
-go test -run '^$' -bench 'Benchmark(Access(Single|Batch|Stream|StreamLRU|Sharded)|(Span|Serial)Shard|(Fold|Decode)Ladder|Ref(Access|Stream)Write|Stream(Marshal|Load)|Explore(Cold|Warm)|Sweep(Cold|Warm)|Replay(Streamed|Materialized|StreamedLadder))$' -benchmem -count "$COUNT" . | tee "$OUT.txt.tmp"
+go test -run '^$' -bench 'Benchmark(Access(Single|Batch|Stream|StreamLRU|Sharded)|(Span|Serial)Shard|(Fold|Decode)Ladder|Ref(Access|Stream)Write|RefStream|Stream(Marshal|Load)|Explore(Cold|Warm)|Sweep(Cold|Warm)|Replay(Streamed|Materialized|StreamedLadder))$' -benchmem -count "$COUNT" . | tee "$OUT.txt.tmp"
 mv "$OUT.txt.tmp" "$OUT.txt"
 
 # Preserve the previous recording as history: benchjson reads it from a

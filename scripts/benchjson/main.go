@@ -15,7 +15,9 @@
 // concurrent-over-serial rung speedup (BenchmarkReplayStreamedLadder,
 // recorded as speedup_ladder_concurrent_over_serial), the cold
 // exploration's heap allocation per run (BenchmarkExploreCold's B/op,
-// recorded as explore_cold_bytes_per_op), the host's core count
+// recorded as explore_cold_bytes_per_op), one sweep cell's reference
+// replay time per access (BenchmarkRefStream, recorded as
+// ref_stream_ns_per_access), the host's core count
 // (num_cpu —
 // context for the parallel curves), and —
 // when a seed baseline file is given — speedups against the seed
@@ -115,6 +117,7 @@ type historyEntry struct {
 	PeakResidentBytes          map[string]float64            `json:"peak_resident_bytes,omitempty"`
 	SpeedupLadderConcurrent    map[string]float64            `json:"speedup_ladder_concurrent_over_serial,omitempty"`
 	ExploreColdBytesPerOp      map[string]float64            `json:"explore_cold_bytes_per_op,omitempty"`
+	RefStreamNsPerAccess       map[string]float64            `json:"ref_stream_ns_per_access,omitempty"`
 	SpeedupVsSeed              map[string]float64            `json:"speedup_vs_seed,omitempty"`
 }
 
@@ -224,6 +227,12 @@ type output struct {
 	// exploration of the benchmark space allocates (B/op of
 	// BenchmarkExploreCold's fastest run).
 	ExploreColdBytesPerOp map[string]float64 `json:"explore_cold_bytes_per_op,omitempty"`
+	// RefStreamNsPerAccess is, per app and cell geometry
+	// ("<app>/B<block>/A<assoc>"), the fastest ns/access of
+	// BenchmarkRefStream: one sweep cell's 30 kind-free FIFO reference
+	// passes over a materialized stream, the baseline DEW's Table 3
+	// speedup is measured against.
+	RefStreamNsPerAccess map[string]float64 `json:"ref_stream_ns_per_access,omitempty"`
 	// SeedBaseline echoes the committed baseline measurements of the
 	// seed commit's single-access path.
 	SeedBaseline json.RawMessage `json:"seed_baseline,omitempty"`
@@ -265,6 +274,7 @@ func (o *output) summarize() historyEntry {
 		PeakResidentBytes:          o.PeakResidentBytes,
 		SpeedupLadderConcurrent:    o.SpeedupLadderConcurrent,
 		ExploreColdBytesPerOp:      o.ExploreColdBytesPerOp,
+		RefStreamNsPerAccess:       o.RefStreamNsPerAccess,
 		SpeedupVsSeed:              o.SpeedupVsSeed,
 	}
 	if len(o.Benchmarks) > 0 {
@@ -432,6 +442,7 @@ func main() {
 	out.PeakResidentBytes = map[string]float64{}
 	out.SpeedupLadderConcurrent = map[string]float64{}
 	out.ExploreColdBytesPerOp = map[string]float64{}
+	out.RefStreamNsPerAccess = map[string]float64{}
 	for name, s := range out.Benchmarks {
 		if app, ok := strings.CutPrefix(name, "BenchmarkAccessBatch/"); ok && s.NsPerAccessFastest > 0 {
 			if single, ok := out.Benchmarks["BenchmarkAccessSingle/"+app]; ok && single.NsPerAccessFastest > 0 {
@@ -475,6 +486,9 @@ func main() {
 		}
 		if app, ok := strings.CutPrefix(name, "BenchmarkExploreCold/"); ok && s.BytesPerOpFastest > 0 {
 			out.ExploreColdBytesPerOp[app] = s.BytesPerOpFastest
+		}
+		if cell, ok := strings.CutPrefix(name, "BenchmarkRefStream/"); ok && s.NsPerAccessFastest > 0 {
+			out.RefStreamNsPerAccess[cell] = round2(s.NsPerAccessFastest)
 		}
 		if app, ok := strings.CutPrefix(name, "BenchmarkStreamLoad/"); ok && s.BlocksPerSFastest > 0 {
 			out.CacheLoadBlocksPerS[app] = round2(s.BlocksPerSFastest)
