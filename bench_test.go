@@ -111,7 +111,7 @@ var benchAccessApps = []workload.App{workload.CJPEG, workload.G721Dec}
 // BenchmarkAccessSingle measures the single-access pipeline exactly as
 // the seed ran it: one interface-dispatched Reader.Next call plus one
 // fully instrumented Access call per request. Compare with
-// BenchmarkAccessBatch; the ns/access pair is the perf trajectory
+// BenchmarkAccessStream; the ns/access pair is the perf trajectory
 // scripts/bench.sh records in BENCH_core.json.
 func BenchmarkAccessSingle(b *testing.B) {
 	for _, app := range benchAccessApps {
@@ -135,34 +135,14 @@ func BenchmarkAccessSingle(b *testing.B) {
 	}
 }
 
-// BenchmarkAccessBatch measures the counter-free batched fast path over
-// the same workloads and pass shape as BenchmarkAccessSingle. The
-// simulator is built once and Reset between iterations — the arenas are
-// reused, so the allocs/op column doubles as the zero-steady-state-
-// allocation regression check.
-func BenchmarkAccessBatch(b *testing.B) {
-	for _, app := range benchAccessApps {
-		b.Run(app.Name, func(b *testing.B) {
-			tr := benchTrace(b, app)
-			sim := core.MustNew(benchAccessOpt)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sim.Reset()
-				sim.AccessBatch(tr)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(tr)), "ns/access")
-		})
-	}
-}
-
 // BenchmarkAccessStream measures the run-compressed stream fast path
-// over the same workloads and pass shape as BenchmarkAccessBatch. The
+// over the same workloads and pass shape as BenchmarkAccessSingle. The
 // stream is materialized once outside the timed region — exactly how
 // the sweep and explore layers amortize it across a whole design space —
 // and the addr/run metric records the measured run-compression ratio.
-// Like the batch benchmark, the simulator is Reset per iteration, so
-// steady-state iterations allocate nothing.
+// The simulator is built once and Reset per iteration — the arenas are
+// reused, so the allocs/op column doubles as the zero-steady-state-
+// allocation regression check.
 func BenchmarkAccessStream(b *testing.B) {
 	for _, app := range benchAccessApps {
 		b.Run(app.Name, func(b *testing.B) {
@@ -468,7 +448,7 @@ func BenchmarkRefAccessWrite(b *testing.B) {
 // the kind-preserving run stream: each repeated-block run folds exactly
 // under the write/alloc policy from its KindRun record instead of being
 // expanded per access. The stream is materialized once outside the
-// timed region — how sweep.RunWriteCell amortizes it across a design
+// timed region — how sweep.RunWriteCellTrace amortizes it across a design
 // space — and the kindB/access metric reports the kind channel's
 // memory cost per trace access (the price of keeping the write-policy
 // axes on the stream path), which bench.sh records per workload
@@ -625,7 +605,11 @@ func BenchmarkRefStream(b *testing.B) {
 						for log := 0; log <= sweepMaxLog; log++ {
 							for _, a := range []int{1, assoc} {
 								cfg := cache.Config{Sets: 1 << log, Assoc: a, BlockSize: block}
-								stats, err := refsim.RunStream(cfg, cache.FIFO, bs)
+								ref, err := refsim.New(cfg, cache.FIFO)
+								if err != nil {
+									b.Fatal(err)
+								}
+								stats, err := ref.SimulateStream(bs)
 								if err != nil {
 									b.Fatal(err)
 								}

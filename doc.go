@@ -37,20 +37,18 @@
 // replacement state, so run weights fold arithmetically into the access
 // counters.
 //
-// On the consuming side core.Simulator offers equivalent paths with
-// different instrumentation: the instrumented Access/Simulate path that
-// maintains the full Table 3/4 counter set, the counter-free
-// AccessBatch/SimulateBatch fast path, and the fastest
+// On the consuming side core.Simulator offers two equivalent paths
+// with different instrumentation: the instrumented Access/Simulate path
+// that maintains the full Table 3/4 counter set, and the counter-free
 // AccessRuns/SimulateStream stream path, which consumes block IDs
 // directly — no per-access struct loads or shifts — and sheds the
 // wave-pointer and MRE bookkeeping (work-saving state, not result
-// state, reset to a sound "unknown" afterwards). All paths are
+// state, reset to a sound "unknown" afterwards). Both paths are
 // bit-identical in results, verified on every sweep.RunCell and fuzzed
-// against each other (≥1.3× the batched path and ≥2× the seed's
-// single-access throughput on the sequential-fetch workloads; the
-// trajectory is recorded in BENCH_core.json by scripts/bench.sh).
-// lrutree mirrors the same instrumented/fast/stream split for the LRU
-// tree.
+// against each other (FuzzStreamEquivalence; ≥2× the seed's
+// single-access throughput on the sequential-fetch workloads, the
+// trajectory recorded in BENCH_core.json by scripts/bench.sh). lrutree
+// mirrors the same instrumented/stream split for the LRU tree.
 //
 // Independent passes parallelize above the core: sweep.Runner.Workers
 // spreads reference passes and whole cells across a worker pool with
@@ -137,14 +135,16 @@
 // it folds each span, then replays the rungs concurrently, each rung's
 // engines in order, so every engine still accumulates its spans in
 // order through the same SimulateStream seam, bit-identical to the
-// phased materialize-then-replay path. The CLIs expose the tier as
-// -stream-mem BYTES (0 = materialize an unsharded run; a -shards run
-// always streams, at trace.DefaultSpanMemBytes unless -stream-mem sets
-// its budget — only the sweep still rejects the pair), a cold streamed
-// pass publishes the finest rung to the artifact store without
-// re-buffering (store.StreamPut), and provenance records the mode and
-// the enforced bound end to end (explore.Result.Streamed /
-// StreamPeakBytes, sweep.Cell likewise, the CLI mode lines).
+// phased materialize-then-replay path. dewsim always replays this way,
+// -stream-mem BYTES setting the span budget (0 =
+// trace.DefaultSpanMemBytes). refsim and explore expose the tier as
+// -stream-mem BYTES (0 = refsim's per-access replay or explore's
+// materialized schedule for an unsharded run; a -shards run always
+// streams, at trace.DefaultSpanMemBytes unless -stream-mem sets its
+// budget). A cold streamed pass publishes the finest rung to the
+// artifact store without re-buffering (store.StreamPut), and
+// provenance records the mode and the enforced bound end to end
+// (explore.Result.Streamed / StreamPeakBytes, the CLI mode lines).
 // BenchmarkReplayStreamed vs BenchmarkReplayMaterialized tracks the
 // overlap's speedup (speedup_streamed_over_phased) in BENCH_core.json.
 //
@@ -167,7 +167,7 @@
 // traffic are arithmetic in the weights — bit-identical, per
 // statistic and per traffic counter, to expanding the run per access
 // (equivalence- and fuzz-tested over every policy combination, and
-// re-verified at runtime by sweep.RunWriteCell). The same channel
+// re-verified by every sweep.RunWriteCellTrace cell). The same channel
 // feeds the energy model's read/write split: per-kind totals are a
 // trace property (every configuration sees the same request mix), so
 // explore -kinds prices the store share of the whole design space from
@@ -203,8 +203,8 @@
 // change (sets range, associativity, block size, policy, write axes)
 // is a different key, while scheduling knobs like worker count are
 // not. The sweep and explore layers schedule deltas against it:
-// sweep.RunCells / RunWriteCell and explore.Run probe the result tier
-// per cell first, simulate only the missing cells, and publish on
+// sweep.RunCells / RunWriteCellTrace and explore.Run probe the result
+// tier per cell first, simulate only the missing cells, and publish on
 // completion — a fully-warm run performs zero engine simulations and
 // zero trace decodes and emits byte-identical tables (recorded wall
 // times ride along as cached scalars). Warm cells are cross-checked

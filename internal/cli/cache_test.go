@@ -10,8 +10,8 @@ import (
 )
 
 // TestDewSimCacheWarm: a cold dewsim run decodes and publishes, the
-// warm run loads — identical result tables, provenance in the mode
-// line.
+// warm run is fully result-cached — identical result tables, provenance
+// in the mode line.
 func TestDewSimCacheWarm(t *testing.T) {
 	dir := t.TempDir()
 	args := []string{"-cache", dir, "-app", "CJPEG", "-n", "8000", "-assoc", "2", "-block", "16", "-maxlog", "4"}
@@ -19,7 +19,7 @@ func TestDewSimCacheWarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(cold, "1 trace decode") {
+	if !strings.Contains(cold, "decode overlapped") {
 		t.Errorf("cold mode line lacks decode provenance:\n%s", cold)
 	}
 	warm, _, err := run(t, DewSim, args...)
@@ -62,7 +62,7 @@ func TestDewSimCacheWriteSimSeparation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// First write-policy run after a kind-free run must still decode.
-	if !strings.Contains(out, "1 trace decode") {
+	if !strings.Contains(out, "decode overlapped") || strings.Contains(out, "cache load") {
 		t.Errorf("write-policy run hit the kind-free entry:\n%s", out)
 	}
 	out, _, err = run(t, DewSim, wargs...)

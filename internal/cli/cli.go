@@ -6,7 +6,6 @@
 package cli
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -127,32 +126,6 @@ func (tf traceFlags) sourceID() (string, error) {
 	default:
 		return "", usagef("pass -trace FILE or -app NAME")
 	}
-}
-
-// materializeCached consults the store (when non-nil) before paying
-// fn's decode; a nil store degrades to calling fn directly. The
-// returned bool reports a cache hit — a stream loaded with zero
-// decodes.
-func materializeCached(ctx context.Context, st *store.Store, key string, blockSize int, kinds bool, fn func(context.Context) (*trace.BlockStream, error)) (*trace.BlockStream, bool, error) {
-	if st == nil {
-		bs, err := fn(ctx)
-		return bs, false, err
-	}
-	return st.GetOrMaterialize(ctx, key, blockSize, kinds, fn)
-}
-
-// decodeNote renders stream provenance for the tools' mode lines:
-// where the finest-rung stream came from (artifact-cache load or trace
-// decode) and how many coarser fold rungs were derived from it.
-func decodeNote(cacheHit bool, folds int) string {
-	src := "1 trace decode"
-	if cacheHit {
-		src = "cache load, 0 trace decodes"
-	}
-	if folds > 0 {
-		return fmt.Sprintf("%s + %d folds", src, folds)
-	}
-	return src
 }
 
 // engineFlagDoc builds the -engine usage string from the registry.

@@ -95,7 +95,7 @@ func TestDewSimBlockLadder(t *testing.T) {
 		extra []string
 		prov  string
 	}{
-		{[]string{"-blocks", "64,4,16,16"}, "1 trace decode + 2 folds"}, // order and duplicates are normalized
+		{[]string{"-blocks", "64,4,16,16"}, "3 dew passes over a fold-derived block ladder streamed"}, // order and duplicates are normalized
 		{[]string{"-blocks", "4,16,64", "-shards", "4"}, "3 dew passes over a fold-derived block ladder sharded across 4 substreams, streamed"},
 	} {
 		out, _, err := run(t, DewSim, append(base, c.extra...)...)

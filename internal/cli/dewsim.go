@@ -22,9 +22,8 @@ import (
 
 // DewSim runs one DEW pass: exact simulation of every power-of-two set
 // count (plus direct-mapped results) for one (associativity, block size)
-// pair in a single pass over the trace. Cancelling ctx stops a
-// streamed or sharded run between spans (and a sharded replay at shard
-// granularity); the materialized replay checks ctx between passes.
+// pair in a single pass over the trace. Cancelling ctx stops the engine
+// replay between spans (and a sharded replay at shard granularity).
 func DewSim(ctx context.Context, env Env, args []string) error {
 	fs := flag.NewFlagSet("dewsim", flag.ContinueOnError)
 	fs.SetOutput(env.Stderr)
@@ -47,7 +46,8 @@ func DewSim(ctx context.Context, env Env, args []string) error {
 		sbytes   = fs.Int("store-bytes", 0, "store width in bytes for write-policy traffic accounting (0 = 4)")
 	)
 	cacheDir := addCacheFlag(fs)
-	streamMemStr := addStreamMemFlag(fs)
+	streamMemStr := fs.String("stream-mem", "0",
+		"span budget of the engine replay: roughly this much stream state stays resident while decode, fold and simulation overlap (e.g. 1MiB; 0 = 8MiB)")
 	tf := addTraceFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return usageError{err}
@@ -143,13 +143,12 @@ func DewSim(ctx context.Context, env Env, args []string) error {
 		accesses = sim.Counters().Accesses
 		mode = fmt.Sprintf("single instrumented pass, %v", pol)
 	} else {
-		// Engine fast path: decode the trace exactly once — into the
-		// run-compressed stream at the finest requested block size, or
-		// into its spans when streaming or sharding — fold-derive every
-		// coarser rung of the block ladder from it, and replay each rung
-		// through the requested engine. Decode and folding are timed
-		// here — unlike the sweep, this tool has no second consumer to
-		// amortize them.
+		// Engine fast path: decode the trace exactly once, into
+		// run-compressed spans at the finest requested block size,
+		// fold-derive every coarser rung of the block ladder from each
+		// span, and replay each rung through the requested engine.
+		// Decode and folding are timed here — unlike the sweep, this
+		// tool has no second consumer to amortize them.
 		specFor := func(b int) engine.Spec {
 			return engine.Spec{
 				MinLogSets: *minLog, MaxLogSets: *maxLog,
@@ -223,124 +222,49 @@ func DewSim(ctx context.Context, env Env, args []string) error {
 			}
 			return renderDewSim(env, *csv, *counters, results, accesses, mode, sim, elapsed, traffics)
 		}
-		if streamMem > 0 || *shards > 1 {
-			// Streamed (and sharded) ladder replay: one bounded span
-			// pipeline decodes the trace chunk-parallel, and the span-ladder
-			// driver folds every rung from each span as it appears and
-			// replays the live rungs concurrently — each span split into
-			// set-substreams when sharding — so decode, fold and simulation
-			// overlap in bounded memory while the accumulated statistics
-			// stay bit-identical to the materialized replay. Warm rungs
-			// still merge from the result tier; a cold artifact cache
-			// additionally receives the finest rung, spooled span by span
-			// without the pass ever re-buffering the stream, and a sharded
-			// run takes a stream-tier hit instead of decoding (see
-			// engine.SpanInput).
-			log := trace.ShardLog(*shards, *maxLog)
-			engs := make(map[int][]engine.Engine, len(blockLadder))
-			for i, b := range blockLadder {
-				if rungWarm[i] != nil {
-					continue
-				}
-				eng, err := engine.New(*engName, specFor(b))
-				if err != nil {
-					return err
-				}
-				engs[b] = []engine.Engine{eng}
+		// One bounded span pipeline decodes the trace chunk-parallel,
+		// and the span-ladder driver folds every rung from each span as
+		// it appears and replays the live rungs concurrently — each span
+		// split into set-substreams when sharding — so decode, fold and
+		// simulation overlap in bounded memory while the accumulated
+		// statistics stay bit-identical to one monolithic replay. Warm
+		// rungs still merge from the result tier; a cold artifact cache
+		// additionally receives the finest rung, spooled span by span
+		// without the pass ever re-buffering the stream, and a run
+		// without an explicit -stream-mem takes a stream-tier hit
+		// instead of decoding (see engine.SpanInput).
+		log := trace.ShardLog(*shards, *maxLog)
+		engs := make(map[int][]engine.Engine, len(blockLadder))
+		for i, b := range blockLadder {
+			if rungWarm[i] != nil {
+				continue
 			}
-			ladder, err := engine.NewSpanLadder(blockLadder[0], blockLadder, writeSim, log, 0, engs)
+			eng, err := engine.New(*engName, specFor(b))
 			if err != nil {
 				return err
 			}
-			src, err := openSpans(ctx, tf, cacheStore, cacheKey, blockLadder[0], writeSim, streamMem)
-			if err != nil {
-				return err
-			}
-			defer src.Close()
-			if err := src.Replay(ctx, ladder, nil); err != nil {
-				return err
-			}
-			cachedRungs := 0
-			for i, b := range blockLadder {
-				if rungWarm[i] != nil {
-					mergeRung(i)
-					cachedRungs++
-					continue
-				}
-				eng := engs[b][0]
-				rungResults := eng.Results()
-				results = append(results, rungResults...)
-				accesses = eng.Accesses()
-				if writeSim {
-					if ts, ok := eng.(engine.TrafficStatser); ok {
-						traffics = append(traffics, rungTraffic{b, ts.RefTraffic()})
-					}
-				}
-				publishRung(ctx, cacheStore, rungKeys[i], *engName, specFor(b).CacheKey(), writeSim, eng, rungResults)
-			}
-			elapsed = time.Since(start)
-			if len(blockLadder) == 1 {
-				mode = fmt.Sprintf("single %s pass", *engName)
-			} else {
-				mode = fmt.Sprintf("%d %s passes over a fold-derived block ladder", len(blockLadder), *engName)
-			}
-			if log >= 0 {
-				mode += fmt.Sprintf(" sharded across %d substreams,", 1<<log)
-			}
-			mode += fmt.Sprintf(" %s, %v", spanNote(src), pol)
-			if cachedRungs > 0 {
-				mode += fmt.Sprintf(", %d/%d rungs result-cached", cachedRungs, len(blockLadder))
-			}
-			if writeSim {
-				mode += fmt.Sprintf(", write-policy %v/%v", writePol, allocPol)
-			}
-			return renderDewSim(env, *csv, *counters, results, accesses, mode, sim, elapsed, traffics)
+			engs[b] = []engine.Engine{eng}
 		}
-		materialize := trace.MaterializeBlockStream
-		if writeSim {
-			// The write-policy replay folds repeated-block runs per
-			// write/alloc policy from the per-run kind records, so the
-			// stream must preserve them; the ID and run columns are
-			// identical either way.
-			materialize = trace.MaterializeBlockStreamWithKinds
-		}
-		base, cacheHit, err := materializeCached(ctx, cacheStore, cacheKey, blockLadder[0], writeSim,
-			func(context.Context) (*trace.BlockStream, error) {
-				r, closer, err := tf.open()
-				if err != nil {
-					return nil, err
-				}
-				if closer != nil {
-					defer closer.Close()
-				}
-				return materialize(r, blockLadder[0])
-			})
+		ladder, err := engine.NewSpanLadder(blockLadder[0], blockLadder, writeSim, log, 0, engs)
 		if err != nil {
 			return err
 		}
-		ladder, err := trace.FoldLadder(base, blockLadder)
+		src, err := openSpans(ctx, tf, cacheStore, cacheKey, blockLadder[0], writeSim, streamMem)
 		if err != nil {
 			return err
 		}
-		if len(blockLadder) == 1 {
-			mode = fmt.Sprintf("single %s stream pass (%s), %v", *engName, decodeNote(cacheHit, 0), pol)
-		} else {
-			mode = fmt.Sprintf("%d %s stream passes over a fold-derived block ladder (%s), %v",
-				len(blockLadder), *engName, decodeNote(cacheHit, len(blockLadder)-1), pol)
+		defer src.Close()
+		if err := src.Replay(ctx, ladder, nil); err != nil {
+			return err
 		}
 		cachedRungs := 0
 		for i, b := range blockLadder {
 			if rungWarm[i] != nil {
-				// Delta scheduling: this rung's pass was served from the
-				// result tier; only the missing rungs replay.
 				mergeRung(i)
 				cachedRungs++
 				continue
 			}
-			eng, _, err := engine.TimedRun(ctx, *engName, specFor(b), ladder[b], nil)
-			if err != nil {
-				return err
-			}
+			eng := engs[b][0]
 			rungResults := eng.Results()
 			results = append(results, rungResults...)
 			accesses = eng.Accesses()
@@ -352,6 +276,15 @@ func DewSim(ctx context.Context, env Env, args []string) error {
 			publishRung(ctx, cacheStore, rungKeys[i], *engName, specFor(b).CacheKey(), writeSim, eng, rungResults)
 		}
 		elapsed = time.Since(start)
+		if len(blockLadder) == 1 {
+			mode = fmt.Sprintf("single %s pass", *engName)
+		} else {
+			mode = fmt.Sprintf("%d %s passes over a fold-derived block ladder", len(blockLadder), *engName)
+		}
+		if log >= 0 {
+			mode += fmt.Sprintf(" sharded across %d substreams,", 1<<log)
+		}
+		mode += fmt.Sprintf(" %s, %v", spanNote(src), pol)
 		if cachedRungs > 0 {
 			mode += fmt.Sprintf(", %d/%d rungs result-cached", cachedRungs, len(blockLadder))
 		}

@@ -14,9 +14,9 @@ import (
 	"dew/internal/trace"
 )
 
-// addStreamMemFlag adds the -stream-mem flag shared by the
-// stream-replaying tools: a byte budget that switches the replay onto
-// the bounded span pipeline.
+// addStreamMemFlag adds the -stream-mem flag refsim and explore share:
+// a byte budget that switches the replay onto the bounded span
+// pipeline.
 func addStreamMemFlag(fs *flag.FlagSet) *string {
 	return fs.String("stream-mem", "0",
 		"replay through the bounded streaming span pipeline holding roughly this much stream state resident (e.g. 8MiB) — decode, fold and simulation overlap and results are bit-identical to the materialized path; 0 materializes streams in full, except that -shards runs always stream (at an 8MiB default budget) and this sets their budget")

@@ -2,6 +2,7 @@ package cli
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -33,29 +34,38 @@ func TestParseMemBytes(t *testing.T) {
 	}
 }
 
-// TestDewSimStreamed: the bounded-memory streamed replay must emit the
-// same result table as the materialized replay — single block size and
-// fold ladder — and echo streamed provenance in the mode line.
+// TestDewSimStreamed: the span-pipeline replay — at the default budget
+// and at a small explicit one, single block size and fold ladder — must
+// emit, rung for rung, the table of the instrumented per-access pass
+// (-block B -counters), and echo streamed provenance in the mode line.
 func TestDewSimStreamed(t *testing.T) {
 	tableOf := func(s string) string { return s[:strings.Index(s, "\nsimulated ")] }
-	for _, blocks := range [][]string{
-		{"-block", "16"},
-		{"-blocks", "8,16,32"},
-	} {
-		args := append([]string{"-app", "DJPEG", "-n", "12000", "-assoc", "4", "-maxlog", "5", "-csv"}, blocks...)
-		mat, _, err := run(t, DewSim, args...)
-		if err != nil {
-			t.Fatal(err)
+	base := []string{"-app", "DJPEG", "-n", "12000", "-assoc", "4", "-maxlog", "5", "-csv"}
+	for _, blocks := range [][]string{{"16"}, {"8", "16", "32"}} {
+		var want string
+		for _, b := range blocks {
+			out, _, err := run(t, DewSim, append(base, "-block", b, "-counters")...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := tableOf(out)
+			if want != "" {
+				rows = rows[strings.Index(rows, "\n")+1:] // drop the repeated CSV header
+			}
+			want += rows
 		}
-		str, _, err := run(t, DewSim, append(args, "-stream-mem", "8MiB")...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tableOf(str) != tableOf(mat) {
-			t.Errorf("%v: streamed table differs from materialized:\n%s\nvs\n%s", blocks, tableOf(str), tableOf(mat))
-		}
-		if !strings.Contains(str, "streamed, peak ") || !strings.Contains(str, "decode overlapped") {
-			t.Errorf("%v: streamed provenance missing from mode line: %q", blocks, str)
+		for _, mem := range []string{"0", "4KiB"} {
+			args := append(base, "-blocks", strings.Join(blocks, ","), "-stream-mem", mem)
+			got, _, err := run(t, DewSim, args...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tableOf(got) != want {
+				t.Errorf("%v -stream-mem %s: table differs from the per-access pass:\n%s\nvs\n%s", blocks, mem, tableOf(got), want)
+			}
+			if !strings.Contains(got, "streamed, peak ") || !strings.Contains(got, "decode overlapped") {
+				t.Errorf("%v -stream-mem %s: streamed provenance missing from mode line: %q", blocks, mem, got)
+			}
 		}
 	}
 	if _, _, err := run(t, DewSim, "-app", "CJPEG", "-stream-mem", "1MiB", "-counters"); err == nil || !IsUsage(err) {
@@ -67,33 +77,36 @@ func TestDewSimStreamed(t *testing.T) {
 }
 
 // TestDewSimStreamedWritePolicy: the kind-preserving write-policy
-// replay works through the span pipeline too, traffic lines included.
+// replay through the span pipeline must report the misses and memory
+// traffic of per-access refsim on the same configuration.
 func TestDewSimStreamedWritePolicy(t *testing.T) {
-	args := []string{"-app", "DJPEG", "-n", "10000", "-engine", "ref",
-		"-minlog", "6", "-maxlog", "6", "-block", "16", "-write", "wt", "-alloc", "nwa", "-csv"}
-	mat, _, err := run(t, DewSim, args...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	str, _, err := run(t, DewSim, append(args, "-stream-mem", "1")...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stripTiming := func(s string) string {
-		var keep []string
-		for _, line := range strings.Split(s, "\n") {
-			if strings.HasPrefix(line, "simulated ") {
-				continue
-			}
-			keep = append(keep, line)
+	src := []string{"-app", "DJPEG", "-n", "10000", "-assoc", "4", "-block", "16"}
+	for _, pol := range [][2]string{{"wt", "nwa"}, {"wb", "wa"}} {
+		ref, _, err := run(t, RefSim, append(src, "-sets", "64", "-write", pol[0], "-alloc", pol[1])...)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return strings.Join(keep, "\n")
-	}
-	if stripTiming(str) != stripTiming(mat) {
-		t.Errorf("streamed write-policy output differs:\n%s\nvs\n%s", str, mat)
-	}
-	if !strings.Contains(str, "traffic B=16:") {
-		t.Errorf("traffic line missing: %q", str)
+		var misses, from, to, wbs uint64
+		for _, line := range strings.Split(ref, "\n") {
+			fmt.Sscanf(line, "misses: %d", &misses)
+			fmt.Sscanf(line, "bytes from memory: %d", &from)
+			fmt.Sscanf(line, "bytes to memory: %d (%d writebacks)", &to, &wbs)
+		}
+		if misses == 0 || from == 0 {
+			t.Fatalf("%v: unparsed refsim output:\n%s", pol, ref)
+		}
+		wantRow := fmt.Sprintf("64,4,16,4KiB,10000,%d,%.4f", misses, float64(misses)/10000)
+		wantTraffic := fmt.Sprintf("traffic B=16: %d bytes from memory, %d to memory (%d writebacks)", from, to, wbs)
+		for _, mem := range []string{"0", "1"} {
+			got, _, err := run(t, DewSim, append(src, "-engine", "ref", "-minlog", "6", "-maxlog", "6",
+				"-write", pol[0], "-alloc", pol[1], "-stream-mem", mem, "-csv")...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(got, wantRow+"\n") || !strings.Contains(got, wantTraffic+"\n") {
+				t.Errorf("%v -stream-mem %s: want %q and %q, got:\n%s", pol, mem, wantRow, wantTraffic, got)
+			}
+		}
 	}
 }
 
@@ -122,8 +135,8 @@ func TestDewSimStreamedCache(t *testing.T) {
 	if tableOf(warm) != tableOf(cold) {
 		t.Error("warm table differs from cold streamed run")
 	}
-	// The stream tier must hold the finest rung: a materialized run on
-	// a different ladder rung reuses it as a cache load.
+	// The stream tier must hold the finest rung: a run at the default
+	// budget on a different ladder reuses it as a cache load.
 	other, _, err := run(t, DewSim, "-app", "CJPEG", "-n", "8000", "-blocks", "16,32",
 		"-maxlog", "4", "-cache", dir, "-csv")
 	if err != nil {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
@@ -10,55 +9,30 @@ import (
 	"dew/internal/workload"
 )
 
-// runInstrumented drives the single-access instrumented path.
-func runInstrumented(t *testing.T, opt Options, tr trace.Trace) *Simulator {
+// simulateBatch feeds one batch of raw accesses to the fast path: the
+// batch is folded into a block stream of its own and replayed, so a run
+// cut by the batch boundary resumes mid-run in the next batch.
+func simulateBatch(t testing.TB, s *Simulator, batch trace.Trace) {
 	t.Helper()
-	s := MustNew(opt)
-	for _, a := range tr {
-		s.Access(a)
-	}
-	return s
-}
-
-// assertSameResults fails unless the two simulators agree bit for bit on
-// every configuration's outcome and on the per-level miss splits.
-func assertSameResults(t *testing.T, label string, want, got *Simulator) {
-	t.Helper()
-	wr, gr := want.Results(), got.Results()
-	if len(wr) != len(gr) {
-		t.Fatalf("%s: %d results vs %d", label, len(wr), len(gr))
-	}
-	for i := range wr {
-		if wr[i] != gr[i] {
-			t.Errorf("%s: result %d: instrumented %+v, batched %+v", label, i, wr[i], gr[i])
-		}
-	}
-	for i := range want.levels {
-		if want.missDM[i] != got.missDM[i] {
-			t.Errorf("%s: level %d missDM: instrumented %d, batched %d",
-				label, i, want.missDM[i], got.missDM[i])
-		}
-		if want.missA[i] != got.missA[i] {
-			t.Errorf("%s: level %d missA: instrumented %d, batched %d",
-				label, i, want.missA[i], got.missA[i])
-		}
+	if err := s.SimulateStream(mustStream(t, batch, s.opt.BlockSize)); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestAccessBatchEquivalence checks the counter-free fast path against
-// the instrumented path — including each single-property ablation of the
-// instrumented path, which must not change results — across both
-// policies and several pass shapes.
+// simulateBatches feeds tr to the fast path in batches of size accesses.
+func simulateBatches(t testing.TB, s *Simulator, tr trace.Trace, size int) {
+	t.Helper()
+	for i := 0; i < len(tr); i += size {
+		simulateBatch(t, s, tr[i:min(i+size, len(tr))])
+	}
+}
+
+// TestAccessBatchEquivalence checks the counter-free fast path, fed the
+// trace in reader-sized batches, against the instrumented path —
+// including each single-property ablation of the instrumented path,
+// which must not change results — across both policies and several pass
+// shapes.
 func TestAccessBatchEquivalence(t *testing.T) {
-	apps := []workload.App{workload.CJPEG, workload.MPEG2Dec}
-	shapes := []Options{
-		{MaxLogSets: 6, Assoc: 4, BlockSize: 16},
-		{MaxLogSets: 4, Assoc: 8, BlockSize: 4},
-		{MinLogSets: 2, MaxLogSets: 7, Assoc: 2, BlockSize: 32},
-		{MaxLogSets: 5, Assoc: 1, BlockSize: 8},
-		{MaxLogSets: 6, Assoc: 4, BlockSize: 16, Policy: cache.LRU},
-		{MaxLogSets: 3, Assoc: 16, BlockSize: 4, Policy: cache.LRU},
-	}
 	ablations := []struct {
 		name string
 		mod  func(*Options)
@@ -68,11 +42,11 @@ func TestAccessBatchEquivalence(t *testing.T) {
 		{"noWave", func(o *Options) { o.DisableWave = true }},
 		{"noMRE", func(o *Options) { o.DisableMRE = true }},
 	}
-	for _, app := range apps {
+	for _, app := range []workload.App{workload.CJPEG, workload.MPEG2Dec} {
 		tr := workload.Take(app.Generator(7), 30_000)
-		for _, opt := range shapes {
+		for _, opt := range streamShapes {
 			fast := MustNew(opt)
-			fast.AccessBatch(tr)
+			simulateBatches(t, fast, tr, trace.DefaultBatchSize)
 			if err := fast.CheckInvariants(); err != nil {
 				t.Fatalf("%s %+v: fast-path invariants: %v", app.Name, opt, err)
 			}
@@ -82,49 +56,42 @@ func TestAccessBatchEquivalence(t *testing.T) {
 			for _, ab := range ablations {
 				abOpt := opt
 				ab.mod(&abOpt)
-				label := fmt.Sprintf("%s/%s/A%d/B%d/%v", app.Name, ab.name, opt.Assoc, opt.BlockSize, opt.Policy)
-				inst := runInstrumented(t, abOpt, tr)
-				assertSameResults(t, label, inst, fast)
+				label := fmt.Sprintf("%s/%s/min%d/A%d/B%d/%v", app.Name, ab.name, opt.MinLogSets, opt.Assoc, opt.BlockSize, opt.Policy)
+				assertSameResults(t, label, runInstrumented(t, abOpt, tr), fast)
 			}
 		}
 	}
 }
 
 // TestAccessBatchChunking confirms that how a trace is split into
-// batches cannot affect results, and that Instrument routes AccessBatch
-// back onto the counted path.
+// batches of raw accesses cannot affect results, and that Instrument
+// routes batched replay back onto the counted path.
 func TestAccessBatchChunking(t *testing.T) {
 	tr := workload.Take(workload.G721Enc.Generator(3), 20_000)
 	opt := Options{MaxLogSets: 6, Assoc: 4, BlockSize: 16}
 
 	whole := MustNew(opt)
-	whole.AccessBatch(tr)
+	simulateBatch(t, whole, tr)
 
 	for _, chunk := range []int{1, 7, 1024, trace.DefaultBatchSize} {
 		split := MustNew(opt)
-		for i := 0; i < len(tr); i += chunk {
-			end := i + chunk
-			if end > len(tr) {
-				end = len(tr)
-			}
-			split.AccessBatch(tr[i:end])
-		}
+		simulateBatches(t, split, tr, chunk)
 		assertSameResults(t, fmt.Sprintf("chunk=%d", chunk), whole, split)
 	}
 
 	instOpt := opt
 	instOpt.Instrument = true
 	inst := MustNew(instOpt)
-	inst.AccessBatch(tr)
+	simulateBatches(t, inst, tr, 1024)
 	want := runInstrumented(t, opt, tr)
 	assertSameResults(t, "instrumented batch", want, inst)
 	if inst.Counters() != want.Counters() {
-		t.Errorf("Instrument: AccessBatch counters %+v, Access counters %+v",
+		t.Errorf("Instrument: batched counters %+v, Access counters %+v",
 			inst.Counters(), want.Counters())
 	}
 }
 
-// TestAccessBatchInterleaved mixes the two exported entry points on one
+// TestAccessBatchInterleaved mixes batched replay and Access on one
 // Simulator: Access must keep the fast path's repeated-block memo sound,
 // so an interleaved sequence matches the pure single-access sequence.
 func TestAccessBatchInterleaved(t *testing.T) {
@@ -133,76 +100,33 @@ func TestAccessBatchInterleaved(t *testing.T) {
 	b := trace.Access{Addr: 4}
 
 	mixed := MustNew(opt)
-	mixed.AccessBatch(trace.Trace{a})
+	simulateBatch(t, mixed, trace.Trace{a})
 	mixed.Access(b)
-	mixed.AccessBatch(trace.Trace{a})
+	simulateBatch(t, mixed, trace.Trace{a})
+	assertSameResults(t, "interleaved", runInstrumented(t, opt, trace.Trace{a, b, a}), mixed)
 
-	pure := MustNew(opt)
-	for _, acc := range []trace.Access{a, b, a} {
-		pure.Access(acc)
-	}
-	assertSameResults(t, "interleaved", pure, mixed)
-
-	// And the long way around: alternate entry points over a real trace.
+	// And the long way around: alternate entry points every 100 accesses
+	// over a real trace.
 	tr := workload.Take(workload.CJPEG.Generator(11), 10_000)
 	opt = Options{MaxLogSets: 6, Assoc: 4, BlockSize: 16}
 	alt := MustNew(opt)
 	for i := 0; i < len(tr); i += 100 {
-		end := i + 100
-		if end > len(tr) {
-			end = len(tr)
-		}
+		part := tr[i:min(i+100, len(tr))]
 		if (i/100)%2 == 0 {
-			alt.AccessBatch(tr[i:end])
+			simulateBatch(t, alt, part)
 		} else {
-			for _, acc := range tr[i:end] {
+			for _, acc := range part {
 				alt.Access(acc)
 			}
 		}
 	}
-	want := runInstrumented(t, opt, tr)
-	assertSameResults(t, "alternating", want, alt)
+	assertSameResults(t, "alternating", runInstrumented(t, opt, tr), alt)
 }
 
-// TestSimulateBatchReaders runs the fast path through every batched
-// reader front end — in-memory slice, DTB1 binary round trip, workload
-// stream — and demands identical results from each.
-func TestSimulateBatchReaders(t *testing.T) {
-	const n = 15_000
-	app := workload.DJPEG
-	tr := workload.Take(app.Generator(5), n)
-	opt := Options{MaxLogSets: 6, Assoc: 8, BlockSize: 16}
-
-	want := runInstrumented(t, opt, tr)
-
-	var bin bytes.Buffer
-	bw := trace.NewBinWriter(&bin)
-	for _, a := range tr {
-		if err := bw.WriteAccess(a); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	readers := map[string]trace.Reader{
-		"slice":  tr.NewSliceReader(),
-		"binary": trace.NewBinReader(&bin),
-		"stream": workload.Stream(app.Generator(5), n),
-	}
-	for name, r := range readers {
-		s := MustNew(opt)
-		if err := s.SimulateBatch(r); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		assertSameResults(t, name, want, s)
-	}
-}
-
-// FuzzBatchEquivalence fuzzes the fast path against the instrumented
+// FuzzBatchEquivalence fuzzes batched replay against the instrumented
 // path: identical results for arbitrary folded address streams under
-// both policies.
+// both policies, with the stream cut into two batches at a point the
+// input chooses.
 func FuzzBatchEquivalence(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(2), uint8(2), uint8(4), false)
 	f.Add([]byte{0, 0, 0, 0, 0, 0}, uint8(0), uint8(0), uint8(1), true)
@@ -232,7 +156,9 @@ func FuzzBatchEquivalence(f *testing.F) {
 			inst.Access(a)
 		}
 		fast := MustNew(opt)
-		fast.AccessBatch(tr)
+		cut := int(raw[0]) % (len(tr) + 1)
+		simulateBatch(t, fast, tr[:cut])
+		simulateBatch(t, fast, tr[cut:])
 		if err := fast.CheckInvariants(); err != nil {
 			t.Fatalf("fast-path invariants: %v", err)
 		}

@@ -56,15 +56,17 @@
 // The simulator exposes two equivalent evaluation paths. Access (and
 // Simulate, which batches its reads but still calls Access per request)
 // is the instrumented path: it maintains the full Counters set that
-// Tables 3 and 4 report. AccessBatch (and SimulateBatch) is the
-// counter-free fast path: the same node walk with the per-access counter
+// Tables 3 and 4 report. AccessRuns (and SimulateStream, its
+// materialized-stream wrapper) is the counter-free fast path: the same
+// node walk over run-compressed block IDs with the per-access counter
 // increments compiled out and the hot per-level slices (tags, wave,
 // fill, mra) hoisted into local slice headers, counting only
 // Counters.Accesses. The two paths are bit-identical in Results —
-// batch_test.go and FuzzBatchEquivalence enforce it — and sweep.RunCell
-// cross-checks them on every cell. Setting Options.Instrument (or any
-// ablation switch, whose whole point is moving counters) routes the
-// batched entry points back through Access.
+// stream_test.go and FuzzStreamEquivalence enforce it — and every sweep
+// cell replays the fast path and cross-checks it against the
+// instrumented pass. Setting Options.Instrument (or any ablation switch,
+// whose whole point is moving counters) routes the stream entry points
+// back through the counted path.
 //
 // # Sharded parallel passes
 //
@@ -137,19 +139,18 @@ type Options struct {
 	DisableWave bool
 	DisableMRE  bool
 
-	// Instrument forces the batched and stream entry points
-	// (AccessBatch, SimulateBatch, AccessRuns, SimulateStream) onto the
-	// instrumented path, maintaining the full Counters set exactly as
-	// Access does (the stream entry points fold run weights into the
-	// level-0 MRA counters arithmetically; see AccessRuns). When false
-	// (the default) and no property is disabled, they take the
-	// counter-free fast paths: identical Results, but only
+	// Instrument forces the stream entry points (AccessRuns,
+	// SimulateStream) onto the instrumented path, maintaining the full
+	// Counters set exactly as Access does (they fold run weights into
+	// the level-0 MRA counters arithmetically; see AccessRuns). When
+	// false (the default) and no property is disabled, they take the
+	// counter-free fast path: identical Results, but only
 	// Counters.Accesses is maintained. Access and Simulate are always
 	// instrumented — they are the Table 3/4 measurement path.
 	Instrument bool
 }
 
-// instrumented reports whether the batched entry points must route
+// instrumented reports whether the fast entry points must route
 // through the fully counted per-access path: explicitly requested, or
 // required because an ablation switch changes which counters move.
 func (o Options) instrumented() bool {
@@ -278,8 +279,9 @@ type Simulator struct {
 	// A walk increments missDM at exactly the levels before its exit, so
 	// missDM[l] ≡ Σ_{d>l} exitHist[d]; the fast path pays one histogram
 	// increment per access instead of one missDM increment per level,
-	// and AccessBatch folds the suffix sums back into missDM after each
-	// batch (so missDM is current whenever AccessBatch is not running).
+	// and foldExitHist folds the suffix sums back into missDM after each
+	// stream chunk (so missDM is current whenever AccessRuns is not
+	// running).
 	exitHist []uint64
 
 	// lastBlk memoizes the most recently simulated block address for the
@@ -595,7 +597,8 @@ func (s *Simulator) Access(a trace.Access) {
 // Simulate drains the reader through the instrumented per-access path.
 // Reads are batched (trace.BatchReader) so the reader is consulted once
 // per chunk, but every access still flows through Access and maintains
-// the full counter set. For the counter-free fast path use SimulateBatch.
+// the full counter set. For the counter-free fast path use
+// SimulateStream or AccessRuns.
 func (s *Simulator) Simulate(r trace.Reader) error {
 	return trace.Drain(r, func(batch []trace.Access) {
 		for _, a := range batch {

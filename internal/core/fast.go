@@ -1,52 +1,12 @@
 package core
 
-import (
-	"dew/internal/trace"
-)
-
-// AccessBatch simulates a slice of memory requests against every
-// configuration of the pass. With Options.Instrument unset and no
-// property ablated it takes the counter-free fast path — identical
-// Results to Access, with only Counters.Accesses maintained; otherwise
-// it feeds the instrumented per-access path so every counter moves
-// exactly as it would under Access.
-//
-// A trace.Trace is itself an []trace.Access, so a whole in-memory trace
-// can be passed in one call.
-func (s *Simulator) AccessBatch(batch []trace.Access) {
-	if s.opt.instrumented() {
-		for _, a := range batch {
-			s.Access(a)
-		}
-		return
-	}
-	s.settleWave()
-	s.counters.Accesses += uint64(len(batch))
-	off := s.offBits
-	prev, ok := s.lastBlk, s.lastOK
-	for k := range batch {
-		blk := batch[k].Addr >> off
-		if ok && blk == prev {
-			// A repeated block address is a guaranteed level-0 MRA hit:
-			// the previous access left its level-0 node's MRA equal to
-			// blk, and an MRA hit mutates nothing and stops the walk, so
-			// the whole access is a no-op.
-			continue
-		}
-		prev, ok = blk, true
-		s.accessFast(blk)
-	}
-	s.lastBlk, s.lastOK = prev, ok
-	s.foldExitHist()
-}
-
 // foldExitHist folds the pending exit-depth histogram into missDM: an
 // exit at depth d means the walk MRA-missed (and so
 // direct-mapped-missed) levels 0..d-1. Memoized skips and folded run
 // weights are level-0 exits and contribute to no level, so they need no
-// histogram entry at all. Called at the end of every counter-free batch
-// or stream chunk, so missDM is current whenever no fast-path entry
-// point is running.
+// histogram entry at all. Called at the end of every counter-free
+// stream chunk, so missDM is current whenever no fast-path entry point
+// is running.
 func (s *Simulator) foldExitHist() {
 	var suffix uint64
 	for li := len(s.exitHist) - 1; li >= 1; li-- {
@@ -54,13 +14,6 @@ func (s *Simulator) foldExitHist() {
 		s.exitHist[li] = 0
 		s.missDM[li-1] += suffix
 	}
-}
-
-// SimulateBatch drains the reader through AccessBatch in
-// trace.DefaultBatchSize chunks. It is the fast-path counterpart of
-// Simulate.
-func (s *Simulator) SimulateBatch(r trace.Reader) error {
-	return trace.Drain(r, s.AccessBatch)
 }
 
 // accessFast is Access with the instrumentation compiled out: the same

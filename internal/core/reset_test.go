@@ -20,23 +20,25 @@ func TestResetEquivalence(t *testing.T) {
 		{MaxLogSets: 5, Assoc: 8, BlockSize: 4, Instrument: true},
 	} {
 		bs := mustStream(t, tr, opt.BlockSize)
+		// Alternate entry points across rounds: Reset must restore the
+		// memo and histogram state they share.
+		replay := func(s *Simulator, round int) {
+			if round%2 == 0 {
+				for _, a := range tr {
+					s.Access(a)
+				}
+			} else if err := s.SimulateStream(bs); err != nil {
+				t.Fatal(err)
+			}
+		}
 		reused := MustNew(opt)
 		for round := 0; round < 3; round++ {
 			if round > 0 {
 				reused.Reset()
 			}
-			// Alternate entry points across rounds: Reset must restore
-			// the memo and histogram state they share.
-			switch round {
-			case 0:
-				reused.AccessBatch(tr)
-			default:
-				if err := reused.SimulateStream(bs); err != nil {
-					t.Fatal(err)
-				}
-			}
+			replay(reused, round)
 			fresh := MustNew(opt)
-			fresh.AccessBatch(tr)
+			replay(fresh, round)
 			assertSameResults(t, "reset round", fresh, reused)
 			if fresh.Counters() != reused.Counters() {
 				t.Errorf("round %d: counters %+v, want %+v", round, reused.Counters(), fresh.Counters())

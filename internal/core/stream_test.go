@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -8,6 +9,41 @@ import (
 	"dew/internal/trace"
 	"dew/internal/workload"
 )
+
+// runInstrumented drives the single-access instrumented path.
+func runInstrumented(t *testing.T, opt Options, tr trace.Trace) *Simulator {
+	t.Helper()
+	s := MustNew(opt)
+	for _, a := range tr {
+		s.Access(a)
+	}
+	return s
+}
+
+// assertSameResults fails unless the two simulators agree bit for bit on
+// every configuration's outcome and on the per-level miss splits.
+func assertSameResults(t *testing.T, label string, want, got *Simulator) {
+	t.Helper()
+	wr, gr := want.Results(), got.Results()
+	if len(wr) != len(gr) {
+		t.Fatalf("%s: %d results vs %d", label, len(wr), len(gr))
+	}
+	for i := range wr {
+		if wr[i] != gr[i] {
+			t.Errorf("%s: result %d: want %+v, got %+v", label, i, wr[i], gr[i])
+		}
+	}
+	for i := range want.levels {
+		if want.missDM[i] != got.missDM[i] {
+			t.Errorf("%s: level %d missDM: want %d, got %d",
+				label, i, want.missDM[i], got.missDM[i])
+		}
+		if want.missA[i] != got.missA[i] {
+			t.Errorf("%s: level %d missA: want %d, got %d",
+				label, i, want.missA[i], got.missA[i])
+		}
+	}
+}
 
 // mustStream materializes tr at the option's block size.
 func mustStream(t testing.TB, tr trace.Trace, blockSize int) *trace.BlockStream {
@@ -19,24 +55,27 @@ func mustStream(t testing.TB, tr trace.Trace, blockSize int) *trace.BlockStream 
 	return bs
 }
 
+// streamShapes are the pass shapes the equivalence tests cover: both
+// policies, a direct-mapped pass, and MinLogSets > 0 forests.
+var streamShapes = []Options{
+	{MaxLogSets: 6, Assoc: 4, BlockSize: 16},
+	{MaxLogSets: 4, Assoc: 8, BlockSize: 4},
+	{MinLogSets: 2, MaxLogSets: 7, Assoc: 2, BlockSize: 32},
+	{MinLogSets: 3, MaxLogSets: 6, Assoc: 4, BlockSize: 64},
+	{MaxLogSets: 5, Assoc: 1, BlockSize: 8},
+	{MaxLogSets: 6, Assoc: 4, BlockSize: 16, Policy: cache.LRU},
+	{MinLogSets: 1, MaxLogSets: 5, Assoc: 8, BlockSize: 32, Policy: cache.LRU},
+	{MaxLogSets: 3, Assoc: 16, BlockSize: 4, Policy: cache.LRU},
+}
+
 // TestSimulateStreamEquivalence proves the stream path bit-identical to
 // the instrumented per-access path for FIFO and LRU across pass shapes,
 // including MinLogSets > 0 forests; runs with weight > 1 are guaranteed
 // by the generated workloads' sequential-fetch components.
 func TestSimulateStreamEquivalence(t *testing.T) {
-	apps := []workload.App{workload.CJPEG, workload.MPEG2Dec}
-	shapes := []Options{
-		{MaxLogSets: 6, Assoc: 4, BlockSize: 16},
-		{MaxLogSets: 4, Assoc: 8, BlockSize: 4},
-		{MinLogSets: 2, MaxLogSets: 7, Assoc: 2, BlockSize: 32},
-		{MinLogSets: 3, MaxLogSets: 6, Assoc: 4, BlockSize: 64},
-		{MaxLogSets: 5, Assoc: 1, BlockSize: 8},
-		{MaxLogSets: 6, Assoc: 4, BlockSize: 16, Policy: cache.LRU},
-		{MinLogSets: 1, MaxLogSets: 5, Assoc: 8, BlockSize: 32, Policy: cache.LRU},
-	}
-	for _, app := range apps {
+	for _, app := range []workload.App{workload.CJPEG, workload.MPEG2Dec} {
 		tr := workload.Take(app.Generator(7), 30_000)
-		for _, opt := range shapes {
+		for _, opt := range streamShapes {
 			label := fmt.Sprintf("%s/min%d/A%d/B%d/%v", app.Name, opt.MinLogSets, opt.Assoc, opt.BlockSize, opt.Policy)
 			bs := mustStream(t, tr, opt.BlockSize)
 			if bs.CompressionRatio() <= 1 && opt.BlockSize >= 16 {
@@ -57,6 +96,46 @@ func TestSimulateStreamEquivalence(t *testing.T) {
 			}
 			assertSameResults(t, label, inst, fast)
 		}
+	}
+}
+
+// TestSimulateStreamReaders materializes the stream through every
+// batched reader front end — in-memory slice, DTB1 binary round trip,
+// workload stream — and demands identical results from each.
+func TestSimulateStreamReaders(t *testing.T) {
+	const n = 15_000
+	app := workload.DJPEG
+	tr := workload.Take(app.Generator(5), n)
+	opt := Options{MaxLogSets: 6, Assoc: 8, BlockSize: 16}
+
+	want := runInstrumented(t, opt, tr)
+
+	var bin bytes.Buffer
+	bw := trace.NewBinWriter(&bin)
+	for _, a := range tr {
+		if err := bw.WriteAccess(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	readers := map[string]trace.Reader{
+		"slice":  tr.NewSliceReader(),
+		"binary": trace.NewBinReader(&bin),
+		"stream": workload.Stream(app.Generator(5), n),
+	}
+	for name, r := range readers {
+		bs, err := trace.MaterializeBlockStream(r, opt.BlockSize)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		s := MustNew(opt)
+		if err := s.SimulateStream(bs); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		assertSameResults(t, name, want, s)
 	}
 }
 
@@ -169,33 +248,45 @@ func TestAccessRunsInstrumented(t *testing.T) {
 	}
 }
 
-// TestAccessRunsInterleaved mixes all three entry points on one
-// simulator; the shared repeated-block memo must keep them coherent.
+// TestAccessRunsInterleaved mixes the two entry points on one
+// simulator: Access must keep the fast path's repeated-block memo sound,
+// so an interleaved sequence matches the pure single-access sequence.
 func TestAccessRunsInterleaved(t *testing.T) {
+	small := Options{MaxLogSets: 2, Assoc: 2, BlockSize: 4}
+	a := trace.Access{Addr: 0}
+	b := trace.Access{Addr: 4}
+	mixedSmall := MustNew(small)
+	mixedSmall.AccessRuns([]uint64{a.Addr >> 2}, []uint32{1})
+	mixedSmall.Access(b)
+	mixedSmall.AccessRuns([]uint64{a.Addr >> 2}, []uint32{1})
+	assertSameResults(t, "a,b,a", runInstrumented(t, small, trace.Trace{a, b, a}), mixedSmall)
+
+	// And the long way around: stream, per-access, stream thirds of a
+	// real trace.
 	tr := workload.Take(workload.CJPEG.Generator(11), 12_000)
 	opt := Options{MaxLogSets: 6, Assoc: 4, BlockSize: 16}
-	bs := mustStream(t, tr, opt.BlockSize)
 	want := runInstrumented(t, opt, tr)
 
 	mixed := MustNew(opt)
 	third := len(tr) / 3
-	// First third as raw accesses, then the stream tail covering the
-	// rest: rebuild a stream for each remaining segment.
-	mixed.AccessBatch(tr[:third])
-	midStream := mustStream(t, tr[third:2*third], opt.BlockSize)
-	if err := mixed.SimulateStream(midStream); err != nil {
+	if err := mixed.SimulateStream(mustStream(t, tr[:third], opt.BlockSize)); err != nil {
 		t.Fatal(err)
 	}
-	for _, a := range tr[2*third:] {
+	for _, a := range tr[third : 2*third] {
 		mixed.Access(a)
 	}
-	assertSameResults(t, "batch+stream+access", want, mixed)
-	_ = bs
+	if err := mixed.SimulateStream(mustStream(t, tr[2*third:], opt.BlockSize)); err != nil {
+		t.Fatal(err)
+	}
+	assertSameResults(t, "stream+access+stream", want, mixed)
+	if got := mixed.Counters().Accesses; got != uint64(len(tr)) {
+		t.Errorf("Accesses = %d, want %d", got, len(tr))
+	}
 }
 
 // TestAccessRunsLazyWaveReset alternates the columnar walk, which only
-// marks the wave domain stale, with the entry points that read it —
-// Access and AccessBatch — in segments of varying length on one
+// marks the wave domain stale, with the entry point that reads it —
+// Access — in segments of varying length on one
 // simulator. Every alternation must apply the pending reset before the
 // first read, so results match per-access replay; one replica also
 // validates the invariants after every segment (which applies the reset
@@ -218,17 +309,14 @@ func TestAccessRunsLazyWaveReset(t *testing.T) {
 			hi := min(lo+sizes[seg%len(sizes)], len(tr))
 			part := tr[lo:hi]
 			for _, s := range []*Simulator{checked, unchecked} {
-				switch seg % 3 {
-				case 0:
+				if seg%2 == 0 {
 					if err := s.SimulateStream(mustStream(t, part, opt.BlockSize)); err != nil {
 						t.Fatal(err)
 					}
-				case 1:
+				} else {
 					for _, a := range part {
 						s.Access(a)
 					}
-				default:
-					s.AccessBatch(part)
 				}
 			}
 			if err := checked.CheckInvariants(); err != nil {

@@ -157,7 +157,11 @@ func TestEnginesMatchDirectSimulators(t *testing.T) {
 			spec := Spec{MinLogSets: logSets, MaxLogSets: logSets, Assoc: 2, BlockSize: block,
 				Policy: cache.FIFO, Workers: 2}
 			cfg := mustCfg(1<<logSets, 2, block)
-			want, err := refsim.RunStream(cfg, cache.FIFO, bs)
+			ref, err := refsim.New(cfg, cache.FIFO)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ref.SimulateStream(bs)
 			if err != nil {
 				t.Fatal(err)
 			}

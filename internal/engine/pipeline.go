@@ -132,21 +132,21 @@ func (r *ladderRung) replay(ctx context.Context) error {
 	return nil
 }
 
-// SpanInput is where a streamed or sharded replay's finest-rung spans
-// come from: the bounded decode pipeline, spooling each span into the
-// store's stream tier when the entry is absent, or — for a sharded
-// replay without an explicit budget, which a stream resident in full
-// would break — a stream-tier hit cut into the pipeline's spans.
+// SpanInput is where a span replay's finest-rung spans come from: the
+// bounded decode pipeline, spooling each span into the store's stream
+// tier when the entry is absent, or — when no explicit budget was set
+// (loading a stream whole would break one) — a stream-tier hit cut
+// into the pipeline's spans.
 type SpanInput struct {
 	pl     *trace.StreamPipeline
 	loaded *trace.BlockStream
 	put    *store.StreamPut
 }
 
-// OpenSpanInput resolves the span input at blockSize for a streamed
-// (streamMem > 0) or sharded (streamMem == 0) replay. st may be nil and
-// key "" (no cache); decode starts the pipeline when the store cannot
-// serve.
+// OpenSpanInput resolves the span input at blockSize for a replay at an
+// explicit budget (streamMem > 0) or at the default one (streamMem ==
+// 0, where a stream-tier hit loads whole). st may be nil and key ""
+// (no cache); decode starts the pipeline when the store cannot serve.
 func OpenSpanInput(ctx context.Context, st *store.Store, key string, blockSize int, kinds bool, streamMem int64,
 	decode func() (*trace.StreamPipeline, error)) (*SpanInput, error) {
 	cached := st != nil && key != ""

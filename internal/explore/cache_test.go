@@ -35,7 +35,7 @@ func TestRunCacheWarmBitIdentical(t *testing.T) {
 	var coldCalls atomic.Int32
 	req := Request{
 		Space: smallSpace(), Workers: 2,
-		Source: countingSource(FromTrace(tr), &coldCalls),
+		Source: countingSource(fromTrace(tr), &coldCalls),
 		Cache:  st, SourceID: sourceID,
 	}
 	cold, err := Run(context.Background(), req)
@@ -60,7 +60,7 @@ func TestRunCacheWarmBitIdentical(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		var warmCalls atomic.Int32
 		req.Shards = shards
-		req.Source = countingSource(FromTrace(tr), &warmCalls)
+		req.Source = countingSource(fromTrace(tr), &warmCalls)
 		warm, err := Run(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
@@ -113,7 +113,7 @@ func TestRunFullyWarmZeroWork(t *testing.T) {
 	tr := randomTrace(8000, 11)
 	req := Request{
 		Space: smallSpace(), Workers: 2, Kinds: true,
-		Source: FromTrace(tr), Cache: st, SourceID: store.TraceID(tr),
+		Source: fromTrace(tr), Cache: st, SourceID: store.TraceID(tr),
 		NoWarmCheck: true,
 	}
 	cold, err := Run(context.Background(), req)
@@ -125,7 +125,7 @@ func TestRunFullyWarmZeroWork(t *testing.T) {
 	}
 
 	var warmCalls atomic.Int32
-	req.Source = countingSource(FromTrace(tr), &warmCalls)
+	req.Source = countingSource(fromTrace(tr), &warmCalls)
 	warm, err := Run(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +161,7 @@ func TestRunCacheKindsKeySeparation(t *testing.T) {
 	tr := randomTrace(4000, 5)
 	req := Request{
 		Space: smallSpace(), Workers: 2,
-		Source: FromTrace(tr), Cache: st, SourceID: store.TraceID(tr),
+		Source: fromTrace(tr), Cache: st, SourceID: store.TraceID(tr),
 	}
 	plain, err := Run(context.Background(), req)
 	if err != nil {
@@ -194,7 +194,7 @@ func TestRunCacheCorruptFallback(t *testing.T) {
 	tr := randomTrace(6000, 7)
 	req := Request{
 		Space: smallSpace(), Workers: 2,
-		Source: FromTrace(tr), Cache: st, SourceID: store.TraceID(tr),
+		Source: fromTrace(tr), Cache: st, SourceID: store.TraceID(tr),
 	}
 	cold, err := Run(context.Background(), req)
 	if err != nil {

@@ -13,7 +13,7 @@ func TestRunCancelledUpFront(t *testing.T) {
 	defer leakcheck.Check(t)()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := Run(ctx, Request{Space: smallSpace(), Source: FromTrace(randomTrace(1000, 1)), Workers: 2})
+	res, err := Run(ctx, Request{Space: smallSpace(), Source: fromTrace(randomTrace(1000, 1)), Workers: 2})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run on cancelled ctx: %v, want context.Canceled", err)
 	}
@@ -33,7 +33,7 @@ func TestRunCancelMidExploration(t *testing.T) {
 	fired := 0
 	res, err := Run(ctx, Request{
 		Space:   smallSpace(),
-		Source:  FromTrace(randomTrace(20000, 3)),
+		Source:  fromTrace(randomTrace(20000, 3)),
 		Workers: 1,
 		Progress: func(done, total int) {
 			mu.Lock()

@@ -58,11 +58,6 @@ func FromApp(app workload.App, seed uint64, requests uint64) Source {
 	}
 }
 
-// FromTrace returns a Source replaying one in-memory trace.
-func FromTrace(tr trace.Trace) Source {
-	return func() trace.Reader { return tr.NewSliceReader() }
-}
-
 // Request describes an exploration.
 type Request struct {
 	// Space is the configuration space to cover.

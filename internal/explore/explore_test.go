@@ -21,6 +21,11 @@ func smallSpace() cache.ParamSpace {
 	}
 }
 
+// fromTrace returns a Source replaying one in-memory trace.
+func fromTrace(tr trace.Trace) Source {
+	return func() trace.Reader { return tr.NewSliceReader() }
+}
+
 func randomTrace(n int, seed int64) trace.Trace {
 	rng := rand.New(rand.NewSource(seed))
 	tr := make(trace.Trace, n)
@@ -33,7 +38,7 @@ func randomTrace(n int, seed int64) trace.Trace {
 func TestRunCoversSpaceExactly(t *testing.T) {
 	space := smallSpace()
 	tr := randomTrace(5000, 1)
-	res, err := Run(context.Background(), Request{Space: space, Source: FromTrace(tr), Workers: 4})
+	res, err := Run(context.Background(), Request{Space: space, Source: fromTrace(tr), Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +83,11 @@ func TestRunCoversSpaceExactly(t *testing.T) {
 func TestRunWorkersEquivalence(t *testing.T) {
 	space := smallSpace()
 	tr := randomTrace(3000, 2)
-	seq, err := Run(context.Background(), Request{Space: space, Source: FromTrace(tr), Workers: 1})
+	seq, err := Run(context.Background(), Request{Space: space, Source: fromTrace(tr), Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Run(context.Background(), Request{Space: space, Source: FromTrace(tr), Workers: 8})
+	par, err := Run(context.Background(), Request{Space: space, Source: fromTrace(tr), Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,14 +113,14 @@ func TestRunShardedEquivalence(t *testing.T) {
 	space := smallSpace()
 	tr := randomTrace(4000, 5)
 	for _, policy := range []cache.Policy{cache.FIFO, cache.LRU} {
-		mono, err := Run(context.Background(), Request{Space: space, Source: FromTrace(tr), Workers: 2, Policy: policy})
+		mono, err := Run(context.Background(), Request{Space: space, Source: fromTrace(tr), Workers: 2, Policy: policy})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if mono.Shards != 0 {
 			t.Errorf("monolithic run recorded %d shards", mono.Shards)
 		}
-		sharded, err := Run(context.Background(), Request{Space: space, Source: FromTrace(tr), Workers: 2, Shards: 4, Policy: policy})
+		sharded, err := Run(context.Background(), Request{Space: space, Source: fromTrace(tr), Workers: 2, Shards: 4, Policy: policy})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +139,7 @@ func TestRunShardedEquivalence(t *testing.T) {
 	// A shard request above the deepest level is capped, not rejected.
 	capped, err := Run(context.Background(), Request{
 		Space:  cache.ParamSpace{MaxLogSets: 1, MaxLogBlock: 1, MaxLogAssoc: 1},
-		Source: FromTrace(tr), Shards: 64,
+		Source: fromTrace(tr), Shards: 64,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +188,7 @@ func TestRunAssocOneOnlySpace(t *testing.T) {
 		MinLogBlock: 2, MaxLogBlock: 2,
 		MinLogAssoc: 0, MaxLogAssoc: 0,
 	}
-	res, err := Run(context.Background(), Request{Space: space, Source: FromTrace(randomTrace(2000, 3))})
+	res, err := Run(context.Background(), Request{Space: space, Source: fromTrace(randomTrace(2000, 3))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +206,7 @@ func TestRunExcludesAssocOneWhenOutOfSpace(t *testing.T) {
 		MinLogBlock: 0, MaxLogBlock: 0,
 		MinLogAssoc: 1, MaxLogAssoc: 2, // assoc 2 and 4 only
 	}
-	res, err := Run(context.Background(), Request{Space: space, Source: FromTrace(randomTrace(2000, 4))})
+	res, err := Run(context.Background(), Request{Space: space, Source: fromTrace(randomTrace(2000, 4))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +225,7 @@ func TestRunProgressMonotone(t *testing.T) {
 	var seen []int
 	_, err := Run(context.Background(), Request{
 		Space:  smallSpace(),
-		Source: FromTrace(randomTrace(1000, 5)),
+		Source: fromTrace(randomTrace(1000, 5)),
 		Progress: func(done, total int) {
 			mu.Lock()
 			defer mu.Unlock()
@@ -279,7 +284,7 @@ func TestRunLRUPolicy(t *testing.T) {
 		MinLogAssoc: 0, MaxLogAssoc: 2,
 	}
 	tr := randomTrace(4000, 6)
-	res, err := Run(context.Background(), Request{Space: space, Source: FromTrace(tr), Policy: cache.LRU})
+	res, err := Run(context.Background(), Request{Space: space, Source: fromTrace(tr), Policy: cache.LRU})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +300,7 @@ func TestRunLRUPolicy(t *testing.T) {
 			t.Errorf("%v: LRU explore %d misses, refsim %d", cfg, got.Misses, want.Misses)
 		}
 	}
-	if _, err := Run(context.Background(), Request{Space: space, Source: FromTrace(tr), Policy: cache.Random}); err == nil {
+	if _, err := Run(context.Background(), Request{Space: space, Source: fromTrace(tr), Policy: cache.Random}); err == nil {
 		t.Error("Random policy should be rejected by the passes")
 	}
 }
@@ -330,13 +335,13 @@ func TestRunEngineSelection(t *testing.T) {
 		MinLogAssoc: 0, MaxLogAssoc: 1,
 	}
 	tr := randomTrace(4000, 8)
-	want, err := Run(context.Background(), Request{Space: space, Source: FromTrace(tr), Policy: cache.LRU})
+	want, err := Run(context.Background(), Request{Space: space, Source: fromTrace(tr), Policy: cache.LRU})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, shards := range []int{0, 4} {
 		got, err := Run(context.Background(), Request{
-			Space: space, Source: FromTrace(tr), Policy: cache.LRU,
+			Space: space, Source: fromTrace(tr), Policy: cache.LRU,
 			Engine: "lrutree", Shards: shards,
 		})
 		if err != nil {
@@ -351,10 +356,10 @@ func TestRunEngineSelection(t *testing.T) {
 			}
 		}
 	}
-	if _, err := Run(context.Background(), Request{Space: space, Source: FromTrace(tr), Engine: "nope"}); err == nil {
+	if _, err := Run(context.Background(), Request{Space: space, Source: fromTrace(tr), Engine: "nope"}); err == nil {
 		t.Error("unknown engine must fail")
 	}
-	if _, err := Run(context.Background(), Request{Space: space, Source: FromTrace(tr), Engine: "lrutree"}); err == nil {
+	if _, err := Run(context.Background(), Request{Space: space, Source: fromTrace(tr), Engine: "lrutree"}); err == nil {
 		t.Error("lrutree under FIFO must fail")
 	}
 }
@@ -366,11 +371,11 @@ func TestRunKindsTotalsAndEquivalence(t *testing.T) {
 	for _, a := range tr {
 		want[a.Kind]++
 	}
-	plain, err := Run(context.Background(), Request{Space: space, Source: FromTrace(tr), Workers: 2})
+	plain, err := Run(context.Background(), Request{Space: space, Source: fromTrace(tr), Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	kinds, err := Run(context.Background(), Request{Space: space, Source: FromTrace(tr), Workers: 2, Kinds: true})
+	kinds, err := Run(context.Background(), Request{Space: space, Source: fromTrace(tr), Workers: 2, Kinds: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +395,7 @@ func TestRunKindsTotalsAndEquivalence(t *testing.T) {
 		}
 	}
 	// The sharded span pipeline carries the channel too.
-	sharded, err := Run(context.Background(), Request{Space: space, Source: FromTrace(tr), Workers: 2, Shards: 4, Kinds: true})
+	sharded, err := Run(context.Background(), Request{Space: space, Source: fromTrace(tr), Workers: 2, Shards: 4, Kinds: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,7 +103,7 @@ func TestRunRecycledEnginesBitIdentical(t *testing.T) {
 	wide := len(space.Assocs()) - 1
 	tr := randomTrace(6000, 21)
 	for _, kinds := range []bool{false, true} {
-		want, err := Run(context.Background(), Request{Space: space, Source: FromTrace(tr), Workers: 1, Engine: "explore-fresh", Kinds: kinds})
+		want, err := Run(context.Background(), Request{Space: space, Source: fromTrace(tr), Workers: 1, Engine: "explore-fresh", Kinds: kinds})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func TestRunRecycledEnginesBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			req := Request{Space: space, Source: FromTrace(tr), Workers: workers, Engine: "explore-recycle", Kinds: kinds}
+			req := Request{Space: space, Source: fromTrace(tr), Workers: workers, Engine: "explore-recycle", Kinds: kinds}
 			narrow := req
 			narrow.Space.MaxLogBlock = 1
 			narrow.Cache, narrow.SourceID = st, store.TraceID(tr)
@@ -169,7 +169,7 @@ func TestRunRecycleFaults(t *testing.T) {
 				recycleFaultStop = cancel
 			}
 			defer func() { recycleFaultAt, recycleFaultStop = 0, nil }()
-			res, err := Run(ctx, Request{Space: recycleSpace(), Source: FromTrace(tr), Workers: 2, Engine: "explore-recycle"})
+			res, err := Run(ctx, Request{Space: recycleSpace(), Source: fromTrace(tr), Workers: 2, Engine: "explore-recycle"})
 			var pe *pool.PanicError
 			switch {
 			case cancelRun && !errors.Is(err, context.Canceled):

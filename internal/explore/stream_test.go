@@ -19,7 +19,7 @@ func TestRunStreamedMatchesMaterialized(t *testing.T) {
 	tr := randomTrace(20000, 7)
 	for _, policy := range []cache.Policy{cache.FIFO, cache.LRU} {
 		for _, kinds := range []bool{false, true} {
-			base := Request{Space: space, Source: FromTrace(tr), Workers: 3, Policy: policy, Kinds: kinds}
+			base := Request{Space: space, Source: fromTrace(tr), Workers: 3, Policy: policy, Kinds: kinds}
 			mat, err := Run(context.Background(), base)
 			if err != nil {
 				t.Fatal(err)
@@ -60,7 +60,7 @@ func TestRunStreamedMatchesMaterialized(t *testing.T) {
 func TestRunStreamedSharded(t *testing.T) {
 	tr := randomTrace(12000, 5)
 	for _, kinds := range []bool{false, true} {
-		base := Request{Space: smallSpace(), Source: FromTrace(tr), Workers: 2, Kinds: kinds}
+		base := Request{Space: smallSpace(), Source: fromTrace(tr), Workers: 2, Kinds: kinds}
 		mono, err := Run(context.Background(), base)
 		if err != nil {
 			t.Fatal(err)
@@ -96,7 +96,7 @@ func TestRunStreamedCachePublish(t *testing.T) {
 	sourceID := store.TraceID(tr)
 	req := Request{
 		Space: smallSpace(), Workers: 2, Kinds: true,
-		Source: FromTrace(tr), Cache: st, SourceID: sourceID,
+		Source: fromTrace(tr), Cache: st, SourceID: sourceID,
 		StreamMem: 1,
 	}
 	cold, err := Run(context.Background(), req)
@@ -127,7 +127,7 @@ func TestRunStreamedCachePublish(t *testing.T) {
 	// Second streamed run: result-tier warm, one sampled pass re-run
 	// live on the pipeline's spans.
 	var calls atomic.Int32
-	req.Source = countingSource(FromTrace(tr), &calls)
+	req.Source = countingSource(fromTrace(tr), &calls)
 	warm, err := Run(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +142,7 @@ func TestRunStreamedCachePublish(t *testing.T) {
 	// A materialized run over the same cache loads the streamed publish
 	// through the stream tier for its sampled check pass.
 	req.StreamMem = 0
-	req.Source = FromTrace(tr)
+	req.Source = fromTrace(tr)
 	mat, err := Run(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +162,7 @@ func TestRunStreamedCachePublish(t *testing.T) {
 	req.StreamMem = 1
 	req.NoWarmCheck = true
 	var warmCalls atomic.Int32
-	req.Source = countingSource(FromTrace(tr), &warmCalls)
+	req.Source = countingSource(fromTrace(tr), &warmCalls)
 	full, err := Run(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)

@@ -6,43 +6,6 @@ import (
 	"dew/internal/trace"
 )
 
-// AccessBatch simulates a slice of memory requests against every
-// configuration of the pass. With Options.Instrument unset and no
-// pruning rule ablated it takes the counter-free fast path — identical
-// Results to Access, with only Counters.Accesses maintained; otherwise
-// it feeds the instrumented per-access path so every counter moves
-// exactly as it would under Access.
-func (s *Simulator) AccessBatch(batch []trace.Access) {
-	if s.opt.instrumented() {
-		for _, a := range batch {
-			s.Access(a)
-		}
-		return
-	}
-	s.counters.Accesses += uint64(len(batch))
-	off := s.offBits
-	prev, ok := s.prevBlk, s.havePrev
-	for k := range batch {
-		blk := batch[k].Addr >> off
-		if ok && blk == prev {
-			// Same-block pruning: a repeat hits everywhere and every
-			// LRU reorder is a no-op.
-			continue
-		}
-		prev, ok = blk, true
-		s.accessFast(blk)
-	}
-	s.prevBlk, s.havePrev = prev, ok
-	s.foldExitHist()
-}
-
-// SimulateBatch drains the reader through AccessBatch in
-// trace.DefaultBatchSize chunks. It is the fast-path counterpart of
-// Simulate.
-func (s *Simulator) SimulateBatch(r trace.Reader) error {
-	return trace.Drain(r, s.AccessBatch)
-}
-
 // SimulateStream replays a materialized block stream through the pass.
 // The stream must have been materialized at the pass's block size. Like
 // the DEW core's SimulateStream, the stream is only read, so one stream

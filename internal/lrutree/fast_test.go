@@ -50,8 +50,10 @@ var fastShapes = []Options{
 	{MinLogSets: 1, MaxLogSets: 4, Assoc: 16, BlockSize: 4},
 }
 
-// TestAccessBatchEquivalence checks the counter-free fast path against
-// the instrumented path across pass shapes, including forests.
+// TestAccessBatchEquivalence checks the counter-free fast path, fed raw
+// accesses whole and in 997-access batches that each fold into a block
+// stream of their own, against the instrumented path across pass shapes,
+// including forests.
 func TestAccessBatchEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		tr := streakyTrace(20_000, 1<<13, seed)
@@ -60,32 +62,48 @@ func TestAccessBatchEquivalence(t *testing.T) {
 			want := runInstrumented(t, opt, tr)
 
 			fast := mustSim(opt)
-			fast.AccessBatch(tr)
+			simulateBatch(t, fast, tr)
 			if got := fast.Counters().Accesses; got != uint64(len(tr)) {
 				t.Errorf("%s: fast path Accesses = %d, want %d", label, got, len(tr))
 			}
 			assertSameResults(t, label, want, fast)
 
-			// Chunked delivery cannot change results.
+			// Batched delivery cannot change results, even where a batch
+			// boundary cuts a run.
 			split := mustSim(opt)
 			for i := 0; i < len(tr); i += 997 {
-				end := i + 997
-				if end > len(tr) {
-					end = len(tr)
-				}
-				split.AccessBatch(tr[i:end])
+				simulateBatch(t, split, tr[i:min(i+997, len(tr))])
 			}
-			assertSameResults(t, label+"/chunked", want, split)
+			assertSameResults(t, label+"/batched", want, split)
 		}
 	}
 }
 
+// simulateBatch folds one batch of raw accesses into a block stream and
+// replays it on the fast path.
+func simulateBatch(t *testing.T, s *Simulator, batch trace.Trace) {
+	t.Helper()
+	bs, err := batch.BlockStream(s.opt.BlockSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SimulateStream(bs); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestSimulateStreamEquivalence checks the stream entry point — run
-// weights folded, mid-run chunk starts — against the instrumented path.
+// weights folded, chunked delivery, mid-run chunk starts — against the
+// instrumented path across pass shapes, including forests.
 func TestSimulateStreamEquivalence(t *testing.T) {
-	tr := streakyTrace(20_000, 1<<13, 5)
+	for seed := int64(5); seed < 8; seed++ {
+		testStreamEquivalence(t, streakyTrace(20_000, 1<<13, seed), fmt.Sprintf("seed%d", seed))
+	}
+}
+
+func testStreamEquivalence(t *testing.T, tr trace.Trace, name string) {
 	for _, opt := range fastShapes {
-		label := fmt.Sprintf("min%d/A%d/B%d", opt.MinLogSets, opt.Assoc, opt.BlockSize)
+		label := fmt.Sprintf("%s/min%d/A%d/B%d", name, opt.MinLogSets, opt.Assoc, opt.BlockSize)
 		bs, err := tr.BlockStream(opt.BlockSize)
 		if err != nil {
 			t.Fatal(err)
@@ -100,6 +118,14 @@ func TestSimulateStreamEquivalence(t *testing.T) {
 			t.Errorf("%s: stream Accesses = %d, want %d", label, got, len(tr))
 		}
 		assertSameResults(t, label, want, fast)
+
+		// Chunked delivery cannot change results.
+		chunked := mustSim(opt)
+		for i := 0; i < bs.Len(); i += 997 {
+			end := min(i+997, bs.Len())
+			chunked.AccessRuns(bs.IDs[i:end], bs.Runs[i:end])
+		}
+		assertSameResults(t, label+"/chunked", want, chunked)
 
 		// Cut runs of weight > 1 in half: later chunks start mid-run.
 		var ids []uint64
@@ -153,9 +179,8 @@ func TestAccessRunsInstrumented(t *testing.T) {
 	}
 }
 
-// TestFastEntryPointsInterleaved mixes Access, AccessBatch and
-// AccessRuns on one simulator; the shared same-block memo must keep them
-// coherent.
+// TestFastEntryPointsInterleaved mixes Access and AccessRuns on one
+// simulator; the shared same-block memo must keep them coherent.
 func TestFastEntryPointsInterleaved(t *testing.T) {
 	tr := streakyTrace(9_000, 1<<12, 13)
 	opt := Options{MaxLogSets: 6, Assoc: 4, BlockSize: 16}
@@ -163,18 +188,21 @@ func TestFastEntryPointsInterleaved(t *testing.T) {
 
 	third := len(tr) / 3
 	mixed := mustSim(opt)
-	mixed.AccessBatch(tr[:third])
-	mid, err := tr[third : 2*third].BlockStream(opt.BlockSize)
-	if err != nil {
-		t.Fatal(err)
+	stream := func(seg trace.Trace) {
+		bs, err := seg.BlockStream(opt.BlockSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mixed.SimulateStream(bs); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := mixed.SimulateStream(mid); err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range tr[2*third:] {
+	stream(tr[:third])
+	for _, a := range tr[third : 2*third] {
 		mixed.Access(a)
 	}
-	assertSameResults(t, "batch+stream+access", want, mixed)
+	stream(tr[2*third:])
+	assertSameResults(t, "stream+access+stream", want, mixed)
 	if got := mixed.Counters().Accesses; got != uint64(len(tr)) {
 		t.Errorf("Accesses = %d, want %d", got, len(tr))
 	}
@@ -192,24 +220,28 @@ func TestSimulateStreamRejectsBlockMismatch(t *testing.T) {
 	}
 }
 
-// TestSimulateBatchMatchesSimulate runs the fast reader-draining loop
-// against the instrumented one.
-func TestSimulateBatchMatchesSimulate(t *testing.T) {
+// TestSimulateStreamMatchesSimulate runs the stream path against the
+// instrumented reader-draining loop on a uniform random trace.
+func TestSimulateStreamMatchesSimulate(t *testing.T) {
 	tr := randomTrace(8_000, 1<<12, 21)
 	opt := Options{MaxLogSets: 6, Assoc: 4, BlockSize: 8}
 	want := mustSim(opt)
 	if err := want.Simulate(tr.NewSliceReader()); err != nil {
 		t.Fatal(err)
 	}
-	got := mustSim(opt)
-	if err := got.SimulateBatch(tr.NewSliceReader()); err != nil {
+	bs, err := tr.BlockStream(opt.BlockSize)
+	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameResults(t, "SimulateBatch", want, got)
+	got := mustSim(opt)
+	if err := got.SimulateStream(bs); err != nil {
+		t.Fatal(err)
+	}
+	assertSameResults(t, "SimulateStream", want, got)
 }
 
-// FuzzFastEquivalence fuzzes the lrutree fast path (batch and stream)
-// against the instrumented path.
+// FuzzFastEquivalence fuzzes the lrutree fast path (whole stream and
+// one-run chunks) against the instrumented path.
 func FuzzFastEquivalence(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(2), uint8(2), uint8(4), uint8(0))
 	f.Add([]byte{0, 0, 0, 0, 0, 0}, uint8(0), uint8(0), uint8(1), uint8(2))
@@ -236,10 +268,6 @@ func FuzzFastEquivalence(f *testing.F) {
 			inst.Access(a)
 		}
 
-		batch := mustSim(opt)
-		batch.AccessBatch(tr)
-		assertSameResults(t, "batch", inst, batch)
-
 		bs, err := tr.BlockStream(opt.BlockSize)
 		if err != nil {
 			t.Fatal(err)
@@ -249,6 +277,12 @@ func FuzzFastEquivalence(f *testing.F) {
 			t.Fatal(err)
 		}
 		assertSameResults(t, "stream", inst, stream)
+
+		runs := mustSim(opt)
+		for i := range bs.IDs {
+			runs.AccessRuns(bs.IDs[i:i+1], bs.Runs[i:i+1])
+		}
+		assertSameResults(t, "one-run chunks", inst, runs)
 	})
 }
 

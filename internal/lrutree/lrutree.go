@@ -38,15 +38,15 @@
 //
 // Like the DEW core, the simulator exposes two equivalent evaluation
 // paths. Access (and Simulate) is the instrumented path, maintaining the
-// full Counters set. AccessBatch / SimulateBatch and the stream entry
-// points AccessRuns / SimulateStream are the counter-free fast path: the
-// same walk with per-access counter increments compiled out (only
-// Counters.Accesses is maintained), the per-node metadata packed into a
+// full Counters set. The stream entry points AccessRuns /
+// SimulateStream are the counter-free fast path: the same walk with
+// per-access counter increments compiled out (only Counters.Accesses is
+// maintained), the per-node metadata packed into a
 // level-major nodeState arena — the same layout the DEW core's fast path
 // uses — and the per-level miss splits for the direct-mapped
 // configurations recovered from an exit-depth histogram. The two paths
 // are bit-identical in Results (fast_test.go enforces it). Setting
-// Options.Instrument, or disabling a pruning rule, routes the batched
+// Options.Instrument, or disabling a pruning rule, routes the stream
 // entry points back through Access.
 //
 // Sharded mirrors the DEW core's set-sharded parallel pass for the LRU
@@ -80,16 +80,16 @@ type Options struct {
 	DisableSameBlock bool
 	DisableMRUCutoff bool
 
-	// Instrument forces the batched entry points (AccessBatch,
-	// SimulateBatch, AccessRuns, SimulateStream) onto the instrumented
-	// per-access path, maintaining the full Counters set exactly as
-	// Access does. When false (the default) and no pruning rule is
-	// disabled, they take the counter-free fast path: identical Results,
-	// but only Counters.Accesses is maintained.
+	// Instrument forces the stream entry points (AccessRuns,
+	// SimulateStream) onto the instrumented per-access path, maintaining
+	// the full Counters set exactly as Access does. When false (the
+	// default) and no pruning rule is disabled, they take the
+	// counter-free fast path: identical Results, but only
+	// Counters.Accesses is maintained.
 	Instrument bool
 }
 
-// instrumented reports whether the batched entry points must route
+// instrumented reports whether the fast entry points must route
 // through the fully counted per-access path: explicitly requested, or
 // required because an ablation switch changes which counters move.
 func (o Options) instrumented() bool {
@@ -185,7 +185,7 @@ type Simulator struct {
 	// at level d (or d == Levels() for full walks). A walk increments
 	// missDM at exactly the levels before its exit, so
 	// missDM[l] ≡ Σ_{d>l} exitHist[d]; foldExitHist folds the suffix
-	// sums back after each batch or stream chunk.
+	// sums back after each stream chunk.
 	exitHist []uint64
 
 	// havePrev/prevBlk memoize the most recently simulated block for
@@ -346,7 +346,7 @@ func (s *Simulator) Access(a trace.Access) {
 // Simulate drains the reader through the instrumented per-access path.
 // Reads are batched (trace.BatchReader) so the reader is consulted once
 // per chunk, but every access maintains the full counter set. For the
-// counter-free fast path use SimulateBatch or SimulateStream.
+// counter-free fast path use SimulateStream.
 func (s *Simulator) Simulate(r trace.Reader) error {
 	return trace.Drain(r, func(batch []trace.Access) {
 		for _, a := range batch {

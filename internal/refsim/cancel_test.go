@@ -30,9 +30,12 @@ func TestRunShardedCancelled(t *testing.T) {
 	ss := cancelShardStream(t, 20000)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunSharded(ctx, cache.Config{Sets: 64, Assoc: 2, BlockSize: 16}, cache.FIFO, ss, 4)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunSharded on cancelled ctx: %v, want context.Canceled", err)
+	sh, err := NewSharded(cache.Config{Sets: 64, Assoc: 2, BlockSize: 16}, cache.FIFO, ss.Log, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sh.SimulateStream(ctx, ss); !errors.Is(err, context.Canceled) {
+		t.Fatalf("sharded SimulateStream on cancelled ctx: %v, want context.Canceled", err)
 	}
 }
 

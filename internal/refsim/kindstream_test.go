@@ -139,7 +139,7 @@ func TestKindStreamPerKindStats(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := RunStream(cfg, policy, bs)
+		got, err := runStream(cfg, policy, bs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -153,7 +153,7 @@ func TestCompulsoryMatchesUniqueBlocks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			streamed, err := RunStream(cfg, cache.FIFO, bs)
+			streamed, err := runStream(cfg, cache.FIFO, bs)
 			if err != nil {
 				t.Fatal(err)
 			}

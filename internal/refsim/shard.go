@@ -228,13 +228,3 @@ func (sh *Sharded) SimulateStream(ctx context.Context, ss *trace.ShardStream) (S
 	sh.traffic = traffic
 	return sh.stats, nil
 }
-
-// RunSharded builds a sharded pass matching the stream's shard level,
-// replays the stream and returns the final statistics.
-func RunSharded(ctx context.Context, cfg cache.Config, policy cache.Policy, ss *trace.ShardStream, workers int) (Stats, error) {
-	sh, err := NewSharded(cfg, policy, ss.Log, workers)
-	if err != nil {
-		return Stats{}, err
-	}
-	return sh.SimulateStream(ctx, ss)
-}

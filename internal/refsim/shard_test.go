@@ -50,7 +50,7 @@ func TestShardedMatchesMonolithic(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, policy := range []cache.Policy{cache.FIFO, cache.LRU} {
-				want, err := RunStream(cfg, policy, bs)
+				want, err := runStream(cfg, policy, bs)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -105,7 +105,7 @@ func TestShardedRandomFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := RunStream(cfg, cache.Random, bs)
+	want, err := runStream(cfg, cache.Random, bs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -251,12 +251,3 @@ func (s *Simulator) foldRepeats(n uint64, way int) {
 	}
 	s.stats.TagComparisons += n
 }
-
-// RunStream builds a Simulator and replays the stream through it.
-func RunStream(cfg cache.Config, policy cache.Policy, bs *trace.BlockStream) (Stats, error) {
-	s, err := New(cfg, policy)
-	if err != nil {
-		return Stats{}, err
-	}
-	return s.SimulateStream(bs)
-}

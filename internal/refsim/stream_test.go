@@ -11,6 +11,15 @@ import (
 	"dew/internal/trace"
 )
 
+// runStream builds a Simulator and replays the stream through it.
+func runStream(cfg cache.Config, policy cache.Policy, bs *trace.BlockStream) (Stats, error) {
+	s, err := New(cfg, policy)
+	if err != nil {
+		return Stats{}, err
+	}
+	return s.SimulateStream(bs)
+}
+
 // streamTestTrace mixes runs (sequential fetch inside a block) with
 // random jumps so both the fold and the walk paths are exercised.
 func streamTestTrace(n int, seed int64) trace.Trace {
@@ -104,7 +113,7 @@ func TestSimulateStreamEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := RunStream(cfg, policy, bs)
+				got, err := runStream(cfg, policy, bs)
 				if err != nil {
 					t.Fatal(err)
 				}

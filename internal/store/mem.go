@@ -72,9 +72,3 @@ func (m *memLRU) put(key string, bs *trace.BlockStream) {
 		m.size -= victim.size
 	}
 }
-
-func (m *memLRU) stats() (entries int, bytes int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.order.Len(), m.size
-}

@@ -422,8 +422,8 @@ func TestMemTierHit(t *testing.T) {
 	if mh := s.Stats().MemHits; mh != 1 {
 		t.Fatalf("MemHits = %d, want 1", mh)
 	}
-	if entries, bytes := s.MemStats(); entries != 1 || bytes <= 0 {
-		t.Fatalf("MemStats = %d entries, %d bytes", entries, bytes)
+	if entries, bytes := s.mem.order.Len(), s.mem.size; entries != 1 || bytes <= 0 {
+		t.Fatalf("in-process tier holds %d entries, %d bytes", entries, bytes)
 	}
 
 	// A geometry mismatch must not be served from memory either.
@@ -455,7 +455,7 @@ func TestMemTierEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if entries, _ := s.MemStats(); entries != 1 {
+	if entries := s.mem.order.Len(); entries != 1 {
 		t.Fatalf("%d in-process entries after overflow, want 1 (cold end evicted)", entries)
 	}
 	// The survivor is the recent stream: it hits memory with its disk

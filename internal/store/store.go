@@ -188,15 +188,6 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// MemStats reports the in-process stream tier: live decoded streams
-// and their estimated size. Both are zero when the tier is disabled.
-func (s *Store) MemStats() (entries int, bytes int64) {
-	if s.mem == nil {
-		return 0, 0
-	}
-	return s.mem.stats()
-}
-
 // FileID returns the content identity of a trace file: "file:" plus
 // the hex SHA-256 of its bytes (as stored — a gzipped trace hashes the
 // gzip bytes). Two paths holding identical bytes share one identity,

@@ -29,8 +29,9 @@ func TestRunWriteCellCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	p := WriteParams{Params: cancelParams()}
-	if _, err := (Runner{Workers: 2}).RunWriteCell(ctx, p); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunWriteCell on cancelled ctx: %v, want context.Canceled", err)
+	tr := workload.Take(p.App.Generator(p.Seed), int(p.requests()))
+	if _, err := (Runner{Workers: 2}).RunWriteCellTrace(ctx, p, tr); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunWriteCellTrace on cancelled ctx: %v, want context.Canceled", err)
 	}
 }
 

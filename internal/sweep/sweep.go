@@ -95,7 +95,7 @@
 //
 // The same stream-sharing and runtime-verification machinery extends
 // to the reference simulator's write/alloc axes: a write cell
-// (WriteParams, RunWriteCell) replays one kind-preserving stream
+// (WriteParams, RunWriteCellTrace) replays one kind-preserving stream
 // through the write-policy reference engine per configuration and
 // cross-checks statistics and memory traffic bit-for-bit against the
 // per-access replay — see write.go.
@@ -185,16 +185,6 @@ type Cell struct {
 	// to decoded ones, so like StreamFolded this is provenance only.
 	CacheHit bool
 	CacheKey string
-
-	// Streamed records that the cell's timed replays consumed the
-	// bounded span pipeline (Runner.StreamMem) instead of a materialized
-	// stream; StreamPeakBytes is the pipeline's worst-case resident
-	// stream footprint under its resolved geometry. Results, counters
-	// and comparison counts are bit-identical either way — like
-	// StreamFolded this is provenance (plus the memory bound actually
-	// enforced), and result-cache entries do not carry it.
-	Streamed        bool
-	StreamPeakBytes int64
 
 	// ResultCacheHit records that the whole finished cell — results,
 	// counters and recorded wall times — was served from the runner's
@@ -347,25 +337,6 @@ type Runner struct {
 	// Cell.ResultCacheHit/ResultCacheKey record the provenance.
 	Cache *store.Store
 
-	// StreamMem, when positive, replaces each simulating cell's stream
-	// materialization with the bounded span pipeline: the raw trace
-	// decodes chunk-parallel into run-compressed spans
-	// (trace.StreamSpans) that the timed DEW pass and every reference
-	// pass consume as they appear, so decode and simulation overlap and
-	// the resident stream state stays within roughly StreamMem bytes
-	// (Cell.StreamPeakBytes reports the exact bound). Results are
-	// bit-identical to the materialized path — the engines accumulate
-	// across spans exactly as one monolithic replay — and the untimed
-	// instrumented cross-check still replays the raw per-access trace,
-	// so every streamed cell remains a full exactness proof. Timing
-	// semantics are preserved: DEWTime and each reference pass's
-	// contribution to RefTime sum only that engine's simulate calls,
-	// never the decode or the wait for spans. Incompatible with Shards
-	// (sharded passes need the whole partition resident); RunCells skips
-	// the ladder/shard machinery for streamed batches. 0 keeps the
-	// materialized path.
-	StreamMem int64
-
 	// NoWarmCheck disables the sampled warm check: by default RunCells
 	// re-simulates one result-cache hit per batch live and compares it
 	// field-for-field against the cached copy, dropping the entry and
@@ -460,18 +431,11 @@ func (r Runner) RunCellTrace(ctx context.Context, p Params, tr trace.Trace) (Cel
 			return cell, nil
 		}
 	}
-	var cell Cell
-	var err error
-	if r.StreamMem > 0 {
-		cell, err = r.runCellStreamed(ctx, p, tr)
-	} else {
-		var bs *trace.BlockStream
-		var prov streamProv
-		if bs, prov, err = r.materializeStream(ctx, tr, p.BlockSize, false); err != nil {
-			return Cell{Params: p}, err
-		}
-		cell, err = r.runCellStream(ctx, p, tr, bs, nil, prov)
+	bs, prov, err := r.materializeStream(ctx, tr, p.BlockSize, false)
+	if err != nil {
+		return Cell{Params: p}, err
 	}
+	cell, err := r.runCellStream(ctx, p, tr, bs, nil, prov)
 	if err == nil && key != "" {
 		cell.ResultCacheKey = key
 		r.publishCell(ctx, key, cell)
@@ -706,9 +670,6 @@ func (r Runner) runCellStream(ctx context.Context, p Params, tr trace.Trace, bs 
 // goroutines left behind. A panic inside a cell surfaces as a
 // *pool.PanicError.
 func (r Runner) RunCells(ctx context.Context, params []Params) ([]Cell, error) {
-	if r.StreamMem > 0 && r.sharding() {
-		return nil, fmt.Errorf("sweep: StreamMem is incompatible with sharded passes (Shards=%d)", r.Shards)
-	}
 	// Materialize shared inputs, each distinct one once, in parallel
 	// across the worker pool. Keys deduplicate on the workload
 	// identity, not the App struct (which contains function values).
@@ -809,13 +770,10 @@ func (r Runner) RunCells(ctx context.Context, params []Params) ([]Cell, error) {
 	// derived rather than decoded, for Cell.StreamFolded. Only the
 	// (trace, block) pairs some simulating cell needs are built —
 	// result-warm cells never touch a stream.
-	// A streamed batch (StreamMem) builds no ladders at all: every
-	// simulating cell decodes its trace through its own bounded span
-	// pipeline, so only the raw traces are shared.
 	blocksByTrace := make(map[traceKey][]int, len(tKeys))
 	seenB := map[streamKey]bool{}
 	for i, p := range params {
-		if !needSim[i] || r.StreamMem > 0 {
+		if !needSim[i] {
 			continue
 		}
 		sk := streamKey{traceKey{p.App.Name, p.Seed, p.requests()}, p.BlockSize}
@@ -953,13 +911,7 @@ func (r Runner) RunCells(ctx context.Context, params []Params) ([]Cell, error) {
 
 	err := pool.Run(ctx, r.workers(), len(simIdx), func(k int) error {
 		i := simIdx[k]
-		var cell Cell
-		var cellErr error
-		if inner.StreamMem > 0 {
-			cell, cellErr = inner.runCellStreamed(ctx, params[i], cellTrace[i])
-		} else {
-			cell, cellErr = inner.runCellStream(ctx, params[i], cellTrace[i], cellStream[i], cellShards[i], cellProv[i])
-		}
+		cell, cellErr := inner.runCellStream(ctx, params[i], cellTrace[i], cellStream[i], cellShards[i], cellProv[i])
 		// Release this cell's references: a shared trace or stream
 		// becomes collectable as soon as its last consuming cell
 		// finishes. (Materialization is still up-front, so the batch's

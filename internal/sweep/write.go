@@ -26,7 +26,6 @@ import (
 	"dew/internal/refsim"
 	"dew/internal/store"
 	"dew/internal/trace"
-	"dew/internal/workload"
 )
 
 // WriteParams identifies one write-policy comparison cell: one trace
@@ -135,22 +134,16 @@ func (c WriteCell) CompressionRatio() float64 {
 	return float64(c.Requests) / float64(c.StreamRuns)
 }
 
-// RunWriteCell materializes the workload trace and runs one
-// write-policy cell over it. Cancellation follows the miss-rate cells'
-// contract: ctx stops the cell between configuration replays and
-// returns its error with the pool drained.
-func (r Runner) RunWriteCell(ctx context.Context, p WriteParams) (WriteCell, error) {
-	tr := workload.Take(p.App.Generator(p.Seed), int(p.requests()))
-	return r.RunWriteCellTrace(ctx, p, tr)
-}
-
-// RunWriteCellTrace is RunWriteCell over an explicit in-memory trace.
-// The kind-preserving stream is materialized here, once, and shared by
-// every timed stream pass; the per-access cross-check passes replay
-// the raw trace. With Runner sharding on, the stream's shard partition
-// is materialized once as well and every configuration additionally
-// replays it through the sharded write-policy engine, cross-checked
-// bit-for-bit like the stream pass.
+// RunWriteCellTrace runs one write-policy cell over an explicit
+// in-memory trace. Cancellation follows the miss-rate cells' contract:
+// ctx stops the cell between configuration replays and returns its
+// error with the pool drained. The kind-preserving stream is
+// materialized here, once, and shared by every timed stream pass; the
+// per-access cross-check passes replay the raw trace. With Runner
+// sharding on, the stream's shard partition is materialized once as
+// well and every configuration additionally replays it through the
+// sharded write-policy engine, cross-checked bit-for-bit like the
+// stream pass.
 func (r Runner) RunWriteCellTrace(ctx context.Context, p WriteParams, tr trace.Trace) (WriteCell, error) {
 	cell := WriteCell{WriteParams: p, Requests: uint64(len(tr))}
 	key := ""

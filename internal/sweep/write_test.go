@@ -106,7 +106,8 @@ func TestRunWriteCellFromApp(t *testing.T) {
 	p := WriteParams{
 		Params: Params{App: workload.CJPEG, Seed: 1, Requests: 4000, BlockSize: 32, Assoc: 2, MaxLogSets: 3},
 	}
-	cell, err := Runner{}.RunWriteCell(context.Background(), p)
+	tr := workload.Take(p.App.Generator(p.Seed), int(p.requests()))
+	cell, err := Runner{}.RunWriteCellTrace(context.Background(), p, tr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -513,11 +513,16 @@ func StreamDinSpans(ctx context.Context, r io.Reader, blockSize int, opts SpanOp
 	if err != nil {
 		return nil, err
 	}
-	// Scale the text chunks with the budget: a .din line is ≥ 8 bytes
-	// per access, so the access geometry bounds the byte geometry.
-	chunkBytes := max(64<<10, min(p.chunkAcc*16, dinChunkBytes))
-	p.start(ctx, st, spanDinProducer(r, blockSize, opts.Kinds, chunkBytes))
+	p.startDin(ctx, st, r, blockSize, opts.Kinds)
 	return p, nil
+}
+
+// startDin starts the .din text producer over r. The text chunks scale
+// with the budget: a .din line is ≥ 8 bytes per access, so the access
+// geometry bounds the byte geometry.
+func (p *StreamPipeline) startDin(ctx context.Context, st *spanStitcher, r io.Reader, blockSize int, kinds bool) {
+	chunkBytes := max(64<<10, min(p.chunkAcc*16, dinChunkBytes))
+	p.start(ctx, st, spanDinProducer(r, blockSize, kinds, chunkBytes))
 }
 
 // spanDinProducer emits .din text chunks cut at line boundaries.
@@ -612,8 +617,7 @@ func StreamFileSpans(ctx context.Context, name string, blockSize int, opts SpanO
 	if DetectFormat(name) == FormatBin {
 		p.start(ctx, st, spanReaderProducer(NewBinReader(bufio.NewReader(src)), blockSize, opts.Kinds, p.chunkAcc))
 	} else {
-		chunkBytes := max(64<<10, min(p.chunkAcc*16, dinChunkBytes))
-		p.start(ctx, st, spanDinProducer(src, blockSize, opts.Kinds, chunkBytes))
+		p.startDin(ctx, st, src, blockSize, opts.Kinds)
 	}
 	return p, nil
 }
@@ -653,9 +657,9 @@ func resumePipeline(cp *Checkpoint, opts SpanOptions) (*StreamPipeline, *spanSti
 	return p, st, nil
 }
 
-// ConcatSpans materializes spans back into one stream — the equivalence
-// oracle the tests replay, and occasionally useful to a consumer that
-// discovers late it needs the whole stream after all.
+// ConcatSpans materializes spans back into one stream. It is the test
+// oracle: span-pipeline tests replay its result as the monolithic
+// stream the spans must reproduce.
 func ConcatSpans(blockSize int, kinds bool, spans []*Span) *BlockStream {
 	bs := &BlockStream{BlockSize: blockSize}
 	if kinds {

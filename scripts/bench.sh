@@ -55,7 +55,7 @@ REV="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
 # Tee into a temp file and move it into place only once the benchmarks
 # pass (set -o pipefail fails the pipeline with go test), so a failed
 # or interrupted run cannot leave a truncated $OUT.txt behind.
-go test -run '^$' -bench 'Benchmark(Access(Single|Batch|Stream|StreamLRU|Sharded)|(Span|Serial)Shard|(Fold|Decode)Ladder|Ref(Access|Stream)Write|RefStream|Stream(Marshal|Load)|Explore(Cold|Warm)|Sweep(Cold|Warm)|Replay(Streamed|Materialized|StreamedLadder))$' -benchmem -count "$COUNT" . | tee "$OUT.txt.tmp"
+go test -run '^$' -bench 'Benchmark(Access(Single|Stream|StreamLRU|Sharded)|(Span|Serial)Shard|(Fold|Decode)Ladder|Ref(Access|Stream)Write|RefStream|Stream(Marshal|Load)|Explore(Cold|Warm)|Sweep(Cold|Warm)|Replay(Streamed|Materialized|StreamedLadder))$' -benchmem -count "$COUNT" . | tee "$OUT.txt.tmp"
 mv "$OUT.txt.tmp" "$OUT.txt"
 
 # Preserve the previous recording as history: benchjson reads it from a

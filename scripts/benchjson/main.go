@@ -1,8 +1,8 @@
 // Command benchjson converts `go test -bench` output on stdin into the
 // benchstat-compatible JSON summary the repository tracks as
 // BENCH_core.json: per-benchmark run lists and means, derived
-// batch-over-single, stream-over-batch and sharded-over-stream speedup
-// curves (the latter per shard fan-out, from BenchmarkAccessSharded),
+// sharded-over-stream speedup curves (per shard fan-out, from
+// BenchmarkAccessSharded),
 // the fold-over-decode speedup and per-rung fold compression of the
 // block-size ladder (BenchmarkFoldLadder vs BenchmarkDecodeLadder),
 // the stream's measured per-workload run-compression ratios, the
@@ -27,7 +27,7 @@
 //
 // Usage:
 //
-//	go test -run '^$' -bench 'BenchmarkAccess(Single|Batch|Stream)$' . |
+//	go test -run '^$' -bench 'BenchmarkAccess(Single|Stream)$' . |
 //	    go run ./scripts/benchjson -baseline scripts/seed_baseline.json \
 //	        -prev BENCH_core.prev.json > BENCH_core.json
 package main
@@ -135,11 +135,12 @@ type output struct {
 	// recordings that predate it, which divided per-series means).
 	RatioBasis string             `json:"ratio_basis,omitempty"`
 	Benchmarks map[string]*series `json:"benchmarks"`
-	// SpeedupBatchOverSingle is ns_per_access(Single)/ns_per_access(Batch)
-	// per workload, both measured in this tree.
+	// SpeedupBatchOverSingle (ns_per_access(Single)/ns_per_access(Batch))
+	// and SpeedupStreamOverBatch (ns_per_access(Batch)/ns_per_access(Stream))
+	// are read from recordings made before the batched entry points were
+	// removed (BenchmarkAccessBatch), so their history survives; nothing
+	// writes them now.
 	SpeedupBatchOverSingle map[string]float64 `json:"speedup_batch_over_single,omitempty"`
-	// SpeedupStreamOverBatch is ns_per_access(Batch)/ns_per_access(Stream)
-	// per workload, both measured in this tree.
 	SpeedupStreamOverBatch map[string]float64 `json:"speedup_stream_over_batch,omitempty"`
 	// SpeedupShardedOverStream is, per workload and per shard fan-out
 	// ("S2", "S4", ...), ns_per_access(Stream)/ns_per_access(Sharded) —
@@ -424,8 +425,6 @@ func main() {
 	// only ever slows a run, so the minimum is the least-contaminated
 	// estimate of the true cost (means drift with whatever else the
 	// host was doing while that series happened to run).
-	out.SpeedupBatchOverSingle = map[string]float64{}
-	out.SpeedupStreamOverBatch = map[string]float64{}
 	out.SpeedupShardedOverStream = map[string]map[string]float64{}
 	out.RunCompression = map[string]float64{}
 	out.SpanShardBlocksPerS = map[string]float64{}
@@ -444,18 +443,8 @@ func main() {
 	out.ExploreColdBytesPerOp = map[string]float64{}
 	out.RefStreamNsPerAccess = map[string]float64{}
 	for name, s := range out.Benchmarks {
-		if app, ok := strings.CutPrefix(name, "BenchmarkAccessBatch/"); ok && s.NsPerAccessFastest > 0 {
-			if single, ok := out.Benchmarks["BenchmarkAccessSingle/"+app]; ok && single.NsPerAccessFastest > 0 {
-				out.SpeedupBatchOverSingle[app] = round2(single.NsPerAccessFastest / s.NsPerAccessFastest)
-			}
-		}
-		if app, ok := strings.CutPrefix(name, "BenchmarkAccessStream/"); ok && s.NsPerAccessFastest > 0 {
-			if batch, ok := out.Benchmarks["BenchmarkAccessBatch/"+app]; ok && batch.NsPerAccessFastest > 0 {
-				out.SpeedupStreamOverBatch[app] = round2(batch.NsPerAccessFastest / s.NsPerAccessFastest)
-			}
-			if s.AddrPerRunMean > 0 {
-				out.RunCompression[app] = round2(s.AddrPerRunMean)
-			}
+		if app, ok := strings.CutPrefix(name, "BenchmarkAccessStream/"); ok && s.NsPerAccessFastest > 0 && s.AddrPerRunMean > 0 {
+			out.RunCompression[app] = round2(s.AddrPerRunMean)
 		}
 		if app, ok := strings.CutPrefix(name, "BenchmarkFoldLadder/"); ok && s.NsPerAccessFastest > 0 {
 			if decode, ok := out.Benchmarks["BenchmarkDecodeLadder/"+app]; ok && decode.NsPerAccessFastest > 0 {
@@ -562,11 +551,7 @@ func main() {
 		}
 		sort.Strings(apps)
 		for _, app := range apps {
-			best, ok := out.Benchmarks["BenchmarkAccessStream/"+app]
-			if !ok || best.NsPerAccessFastest <= 0 {
-				best, ok = out.Benchmarks["BenchmarkAccessBatch/"+app]
-			}
-			if ok && best.NsPerAccessFastest > 0 {
+			if best, ok := out.Benchmarks["BenchmarkAccessStream/"+app]; ok && best.NsPerAccessFastest > 0 {
 				out.SpeedupVsSeed[app] = round2(base.NsPerAccess[app] / best.NsPerAccessFastest)
 			}
 		}
