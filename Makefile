@@ -37,7 +37,5 @@ fuzz:
 	$(GO) test ./internal/refsim -run '^$$' -fuzz FuzzRefStream -fuzztime 20s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzDinCorrupt -fuzztime 20s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzBinCorrupt -fuzztime 20s
-	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzCheckpointResume -fuzztime 20s
-	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzCheckpointUnmarshal -fuzztime 20s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzStreamUnmarshal -fuzztime 20s
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzResultUnmarshal -fuzztime 20s

@@ -448,8 +448,8 @@ func BenchmarkRefAccessWrite(b *testing.B) {
 // the kind-preserving run stream: each repeated-block run folds exactly
 // under the write/alloc policy from its KindRun record instead of being
 // expanded per access. The stream is materialized once outside the
-// timed region — how sweep.RunWriteCellTrace amortizes it across a design
-// space — and the kindB/access metric reports the kind channel's
+// timed region — how a write-policy design-space sweep would amortize
+// it — and the kindB/access metric reports the kind channel's
 // memory cost per trace access (the price of keeping the write-policy
 // axes on the stream path), which bench.sh records per workload
 // alongside the stream-over-access speedup.

@@ -125,9 +125,7 @@
 // pipeline enforces SpanOptions.MemBytes as a hard bound on resident
 // decoded spans (ResidentBound reports it; the replay benchmarks
 // record it as peak_resident_bytes), overlaps the chunk-parallel
-// decode with the consumer, honours context cancellation, and can
-// checkpoint at span boundaries (DCP1 blobs via CheckpointEvery /
-// ResumeStreamSpans) for exact resume. The
+// decode with the consumer, and honours context cancellation. The
 // incremental trace.LadderFolder folds each arriving span to every
 // rung of a block-size ladder on the fly, so the whole design space
 // still rides one decode. One span-ladder driver (engine.SpanLadder)
@@ -166,15 +164,14 @@
 // each shape the per-kind statistics, dirty-bit state and memory
 // traffic are arithmetic in the weights — bit-identical, per
 // statistic and per traffic counter, to expanding the run per access
-// (equivalence- and fuzz-tested over every policy combination, and
-// re-verified by every sweep.RunWriteCellTrace cell). The same channel
-// feeds the energy model's read/write split: per-kind totals are a
-// trace property (every configuration sees the same request mix), so
-// explore -kinds prices the store share of the whole design space from
-// one stream (energy.TotalSplit / RankSplit) with no per-configuration
-// kind bookkeeping. BenchmarkRefStreamWrite vs BenchmarkRefAccessWrite
-// tracks the stream-over-per-access speedup and the kind channel's
-// bytes-per-access footprint in BENCH_core.json.
+// (equivalence- and fuzz-tested over every policy combination). The
+// same channel feeds the energy model's read/write split: per-kind
+// totals are a trace property (every configuration sees the same
+// request mix), so explore -kinds prices the store share of the whole
+// design space from one stream (energy.TotalSplit / RankSplit) with no
+// per-configuration kind bookkeeping. BenchmarkRefStreamWrite vs
+// BenchmarkRefAccessWrite tracks the stream-over-per-access speedup
+// and the kind channel's bytes-per-access footprint in BENCH_core.json.
 //
 // # The artifact store: zero-decode, zero-simulation warm paths
 //
@@ -182,7 +179,7 @@
 // artifact store (package store): the finest-rung stream a run
 // materializes is published as a self-describing DBS1 blob
 // (trace.BlockStream.MarshalBinary / WriteTo, CRC-32-sealed, sharing
-// its column codec with the DCP1 checkpoint format), keyed by the
+// its column codec with the DRS1 result blobs), keyed by the
 // SHA-256 of the trace's content identity plus the block size, kind
 // flag and format version. A later run with the same identity loads
 // the stream in O(runs) — zero trace decodes, results bit-identical —
@@ -203,7 +200,7 @@
 // change (sets range, associativity, block size, policy, write axes)
 // is a different key, while scheduling knobs like worker count are
 // not. The sweep and explore layers schedule deltas against it:
-// sweep.RunCells / RunWriteCellTrace and explore.Run probe the result
+// sweep.RunCells and explore.Run probe the result
 // tier per cell first, simulate only the missing cells, and publish on
 // completion — a fully-warm run performs zero engine simulations and
 // zero trace decodes and emits byte-identical tables (recorded wall

@@ -17,7 +17,6 @@ import (
 	"sort"
 
 	"dew/internal/cache"
-	"dew/internal/refsim"
 	"dew/internal/trace"
 )
 
@@ -89,26 +88,6 @@ func (m Model) MissPenalty(cfg cache.Config) float64 {
 // trace with the given outcome through the configuration.
 func (m Model) Total(cfg cache.Config, s cache.Stats) float64 {
 	return float64(s.Accesses)*m.AccessEnergy(cfg) + float64(s.Misses)*m.MissPenalty(cfg)
-}
-
-// TotalRef estimates total energy from a reference simulation's full
-// record: the read/write split prices stores at WriteEnergyFactor times
-// the access energy, and the per-byte refill charge is levied on the
-// actual memory traffic (fills, write-throughs, writebacks) instead of
-// assuming every miss moves one block — so write-policy and alloc-policy
-// choices show up in the ranking. With a zero factor, zero traffic and
-// kind-free statistics it degrades to Total.
-func (m Model) TotalRef(cfg cache.Config, s refsim.Stats, tr refsim.Traffic) float64 {
-	writes := float64(s.AccessesByKind[trace.DataWrite])
-	other := float64(s.Accesses) - writes
-	access := other*m.AccessEnergy(cfg) + writes*m.AccessEnergy(cfg)*m.writeFactor()
-	bytes := float64(tr.BytesFromMemory + tr.BytesToMemory)
-	if bytes == 0 {
-		// No traffic accounting (legacy simulator): fall back to the
-		// block-per-miss assumption.
-		bytes = float64(s.Misses) * float64(cfg.BlockSize)
-	}
-	return access + float64(s.Misses)*m.MissEnergy + bytes*m.MissEnergyPerByte
 }
 
 // TotalSplit prices a kind-free per-configuration outcome using

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"dew/internal/cache"
-	"dew/internal/refsim"
 	"dew/internal/trace"
 )
 
@@ -118,6 +117,11 @@ func TestTotalSplitDegradesToTotal(t *testing.T) {
 	if m.TotalSplit(cfg, s, 600) <= m.TotalSplit(cfg, s, 300) {
 		t.Error("more stores should cost more under a factor > 1")
 	}
+	// A zero write factor prices stores like any other access.
+	m.WriteEnergyFactor = 0
+	if got, want := m.TotalSplit(cfg, s, 300), m.Total(cfg, s); got != want {
+		t.Errorf("TotalSplit with zero factor = %f, want %f", got, want)
+	}
 }
 
 func TestRankSplitOrdersLikeRank(t *testing.T) {
@@ -145,63 +149,6 @@ func TestRankSplitOrdersLikeRank(t *testing.T) {
 		if plain[i] != zero[i] {
 			t.Errorf("RankSplit with no stores diverges at %d: %+v vs %+v", i, zero[i], plain[i])
 		}
-	}
-}
-
-func TestTotalRefDegradesToTotal(t *testing.T) {
-	// Kind-free stats, zero traffic, unit write factor: TotalRef must
-	// reproduce Total exactly.
-	m := DefaultModel()
-	m.WriteEnergyFactor = 1
-	cfg := mustCfg(64, 2, 16)
-	s := refsim.Stats{Stats: cache.Stats{Accesses: 1000, Misses: 100}}
-	if got, want := m.TotalRef(cfg, s, refsim.Traffic{}), m.Total(cfg, s.Stats); got != want {
-		t.Errorf("TotalRef = %f, want %f", got, want)
-	}
-	// The zero factor defaults to 1 as well.
-	m.WriteEnergyFactor = 0
-	if got, want := m.TotalRef(cfg, s, refsim.Traffic{}), m.Total(cfg, s.Stats); got != want {
-		t.Errorf("TotalRef with zero factor = %f, want %f", got, want)
-	}
-}
-
-func TestTotalRefWriteSplit(t *testing.T) {
-	m := DefaultModel()
-	cfg := mustCfg(64, 2, 16)
-	var s refsim.Stats
-	s.Accesses = 1000
-	s.AccessesByKind[trace.DataRead] = 600
-	s.AccessesByKind[trace.DataWrite] = 300
-	s.AccessesByKind[trace.IFetch] = 100
-	s.Misses = 50
-	tr := refsim.Traffic{BytesFromMemory: 800, BytesToMemory: 400}
-
-	want := 700*m.AccessEnergy(cfg) +
-		300*m.AccessEnergy(cfg)*m.WriteEnergyFactor +
-		50*m.MissEnergy +
-		1200*m.MissEnergyPerByte
-	if got := m.TotalRef(cfg, s, tr); got != want {
-		t.Errorf("TotalRef = %f, want %f", got, want)
-	}
-
-	// More store-heavy mixes must cost more under a factor > 1.
-	var s2 refsim.Stats
-	s2.Accesses = 1000
-	s2.AccessesByKind[trace.DataRead] = 300
-	s2.AccessesByKind[trace.DataWrite] = 600
-	s2.AccessesByKind[trace.IFetch] = 100
-	s2.Misses = 50
-	if m.WriteEnergyFactor <= 1 {
-		t.Fatal("DefaultModel write factor should exceed 1")
-	}
-	if m.TotalRef(cfg, s2, tr) <= m.TotalRef(cfg, s, tr) {
-		t.Error("store-heavy mix should cost more energy")
-	}
-
-	// Traffic-aware pricing: write-through traffic raises the bill.
-	heavier := refsim.Traffic{BytesFromMemory: 800, BytesToMemory: 4000}
-	if m.TotalRef(cfg, s, heavier) <= m.TotalRef(cfg, s, tr) {
-		t.Error("more memory traffic should cost more energy")
 	}
 }
 

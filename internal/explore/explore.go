@@ -271,7 +271,7 @@ func Run(ctx context.Context, req Request) (*Result, error) {
 			}
 		}
 		if len(warmIdx) > 0 && !req.NoWarmCheck {
-			checkIdx = warmIdx[warmCheckPick(warmKeys)]
+			checkIdx = warmIdx[store.WarmCheckPick(warmKeys)]
 		}
 		allWarm = len(warmIdx) == len(passes) && checkIdx < 0
 	}

@@ -2,8 +2,6 @@ package explore
 
 import (
 	"fmt"
-	"hash/fnv"
-	"io"
 
 	"dew/internal/cache"
 	"dew/internal/engine"
@@ -101,15 +99,4 @@ func passDiverges(rb *store.ResultBlob, live []engine.Result, accesses, runs uin
 		}
 	}
 	return nil
-}
-
-// warmCheckPick selects the warm pass to re-run live, exactly like the
-// sweep's: FNV-1a over the warm keys, mod their count — deterministic
-// for identical reruns, rotating whenever the warm set changes.
-func warmCheckPick(keys []string) int {
-	h := fnv.New32a()
-	for _, k := range keys {
-		io.WriteString(h, k)
-	}
-	return int(h.Sum32() % uint32(len(keys)))
 }

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"hash/fnv"
 	"io"
 	"io/fs"
 	"os"
@@ -83,6 +84,19 @@ func ResultKey(streamKey, engine, specKey string) string {
 		h.Write([]byte{0})
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// WarmCheckPick selects which of a warm run's cached entries to
+// re-simulate live: an FNV-1a hash over the warm keys, mod their count.
+// Deterministic in the warm set — identical reruns re-verify the same
+// entry — while any change to the set (a delta entry, an eviction, a
+// new trace) rotates the choice. keys must be non-empty.
+func WarmCheckPick(keys []string) int {
+	h := fnv.New32a()
+	for _, k := range keys {
+		io.WriteString(h, k)
+	}
+	return int(h.Sum32() % uint32(len(keys)))
 }
 
 // ResultRecord is one configuration's cached outcome. Ref and Traffic

@@ -9,8 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"dew/internal/cache"
-	"dew/internal/refsim"
 	"dew/internal/store"
 	"dew/internal/trace"
 	"dew/internal/workload"
@@ -80,81 +78,6 @@ func TestRunCellTraceCacheWarm(t *testing.T) {
 	}
 	if !hitLogged {
 		t.Fatal("result cache hit not reported in progress output")
-	}
-}
-
-// TestRunWriteCellTraceCacheWarm is the same contract for the
-// kind-preserving write-policy cells: the warm cell carries the full
-// reference statistics and memory traffic out of the result tier.
-func TestRunWriteCellTraceCacheWarm(t *testing.T) {
-	st, err := store.Open(t.TempDir(), store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := cacheTestTrace(6000)
-	p := WriteParams{
-		Params: Params{App: workload.CJPEG, BlockSize: 8, Assoc: 2, MaxLogSets: 3},
-		Policy: cache.FIFO, Write: refsim.WriteThrough, Alloc: refsim.NoWriteAllocate,
-	}
-	r := Runner{Cache: st}
-	cold, err := r.RunWriteCellTrace(context.Background(), p, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.CacheHit || cold.ResultCacheHit {
-		t.Fatalf("cold write cell reported a hit: stream=%v result=%v", cold.CacheHit, cold.ResultCacheHit)
-	}
-	if cold.CacheKey == "" || cold.ResultCacheKey == "" {
-		t.Fatalf("cold write cell missing cache keys: stream=%q result=%q", cold.CacheKey, cold.ResultCacheKey)
-	}
-	warm, err := r.RunWriteCellTrace(context.Background(), p, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !warm.ResultCacheHit {
-		t.Fatal("warm write cell missed the result cache")
-	}
-	if !reflect.DeepEqual(warm.Results, cold.Results) {
-		t.Fatal("warm write results differ from cold")
-	}
-	if warm.StreamRuns != cold.StreamRuns {
-		t.Fatalf("stream shape changed: %d vs %d runs", warm.StreamRuns, cold.StreamRuns)
-	}
-	if warm.Verified != cold.Verified || warm.Verified == 0 {
-		t.Fatalf("warm verified %d configs, cold %d", warm.Verified, cold.Verified)
-	}
-}
-
-// TestRunWriteCellKeySeparation: neither the stream tier nor the
-// result tier may collide between a kind-free miss-rate cell and a
-// kind-preserving write cell of the same trace and block size.
-func TestRunWriteCellKeySeparation(t *testing.T) {
-	st, err := store.Open(t.TempDir(), store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := cacheTestTrace(3000)
-	r := Runner{Cache: st}
-	plainCell, err := r.RunCellTrace(context.Background(),
-		Params{App: workload.CJPEG, BlockSize: 8, Assoc: 2, MaxLogSets: 2}, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeCell, err := r.RunWriteCellTrace(context.Background(), WriteParams{
-		Params: Params{App: workload.CJPEG, BlockSize: 8, Assoc: 2, MaxLogSets: 2},
-		Policy: cache.FIFO,
-	}, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if writeCell.CacheHit || writeCell.ResultCacheHit {
-		t.Fatal("kind-preserving cell hit a kind-free entry")
-	}
-	if plainCell.CacheKey == writeCell.CacheKey {
-		t.Fatal("kind axis is not part of the stream cache key")
-	}
-	if plainCell.ResultCacheKey == writeCell.ResultCacheKey {
-		t.Fatal("cell kind is not part of the result cache key")
 	}
 }
 

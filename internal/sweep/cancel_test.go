@@ -24,17 +24,6 @@ func TestRunCellCancelled(t *testing.T) {
 	}
 }
 
-func TestRunWriteCellCancelled(t *testing.T) {
-	defer leakcheck.Check(t)()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	p := WriteParams{Params: cancelParams()}
-	tr := workload.Take(p.App.Generator(p.Seed), int(p.requests()))
-	if _, err := (Runner{Workers: 2}).RunWriteCellTrace(ctx, p, tr); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunWriteCellTrace on cancelled ctx: %v, want context.Canceled", err)
-	}
-}
-
 // TestRunCellsCancelMidBatch cancels from the Logf hook, which fires
 // when the first cell completes: the batch must stop dispatching and
 // return context.Canceled with the pool drained — cancellation at cell

@@ -3,8 +3,6 @@ package sweep
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"reflect"
 	"time"
 
@@ -27,12 +25,10 @@ import (
 
 const (
 	// The "engine" component of the sweep's result keys names the
-	// orchestration, not a registry engine: a miss-rate cell bundles the
-	// DEW pass, the instrumented cross-check and every reference pass,
-	// and a write cell bundles the write-policy replays, so their
-	// payloads are sweep-shaped, not single-engine-shaped.
-	cellEngineName      = "sweep-cell"
-	writeCellEngineName = "sweep-write-cell"
+	// orchestration, not a registry engine: a cell bundles the DEW pass,
+	// the instrumented cross-check and every reference pass, so its
+	// payload is sweep-shaped, not single-engine-shaped.
+	cellEngineName = "sweep-cell"
 )
 
 // shardsAxis serializes the runner's shard setting into the result
@@ -162,110 +158,6 @@ func (r Runner) publishCell(ctx context.Context, key string, c Cell) {
 	}
 }
 
-// writeCellSpec is the canonical engine spec of a write cell's
-// write-policy replays.
-func writeCellSpec(p WriteParams) engine.Spec {
-	return engine.Spec{
-		MinLogSets: 0, MaxLogSets: p.MaxLogSets,
-		Assoc: p.Assoc, BlockSize: p.BlockSize, Policy: p.Policy,
-		WriteSim: true, Write: p.Write, Alloc: p.Alloc, StoreBytes: p.StoreBytes,
-	}
-}
-
-func (r Runner) writeCellSpecKey(p WriteParams) string {
-	return writeCellSpec(p).CacheKey() + r.shardsAxis()
-}
-
-// writeCellResultKey derives the result-store key of a write-policy
-// cell; "" without a cache. The stream-key component carries the kinds
-// flag — a write cell replays the kind-preserving stream.
-func (r Runner) writeCellResultKey(traceID string, p WriteParams) string {
-	if r.Cache == nil {
-		return ""
-	}
-	streamKey := store.Key(traceID, p.BlockSize, 0, true)
-	return store.ResultKey(streamKey, writeCellEngineName, r.writeCellSpecKey(p))
-}
-
-// writeCellScalarCount pins the write cell scalar layout, under the
-// same version-bump discipline as cellScalarCount.
-const writeCellScalarCount = 8
-
-func writeCellScalars(c WriteCell) []uint64 {
-	return []uint64{
-		c.Requests, c.StreamRuns,
-		uint64(c.StreamTime), uint64(c.AccessTime),
-		uint64(c.Shards), uint64(c.ShardTime),
-		uint64(c.Parallel), uint64(c.Verified),
-	}
-}
-
-func writeCellBlob(r Runner, c WriteCell) *store.ResultBlob {
-	rb := &store.ResultBlob{
-		Engine:  writeCellEngineName,
-		SpecKey: r.writeCellSpecKey(c.WriteParams),
-		HasRef:  true,
-		Scalars: writeCellScalars(c),
-		Records: make([]store.ResultRecord, len(c.Results)),
-	}
-	for i := range c.Results {
-		res := c.Results[i]
-		rb.Records[i] = store.ResultRecord{
-			Config:  res.Config,
-			Stats:   res.Stats.Stats,
-			Ref:     &res.Stats,
-			Traffic: &res.Traffic,
-		}
-	}
-	return rb
-}
-
-func writeCellFromBlob(p WriteParams, rb *store.ResultBlob, key string) (WriteCell, bool) {
-	if len(rb.Scalars) != writeCellScalarCount || !rb.HasRef {
-		return WriteCell{}, false
-	}
-	sc := rb.Scalars
-	c := WriteCell{
-		WriteParams:    p,
-		Requests:       sc[0],
-		StreamRuns:     sc[1],
-		StreamTime:     time.Duration(sc[2]),
-		AccessTime:     time.Duration(sc[3]),
-		Shards:         int(sc[4]),
-		ShardTime:      time.Duration(sc[5]),
-		Parallel:       int(sc[6]),
-		Verified:       int(sc[7]),
-		ResultCacheHit: true,
-		ResultCacheKey: key,
-	}
-	c.Results = make([]WriteConfigResult, len(rb.Records))
-	for i, rec := range rb.Records {
-		if rec.Ref == nil || rec.Traffic == nil {
-			return WriteCell{}, false
-		}
-		c.Results[i] = WriteConfigResult{Config: rec.Config, Stats: *rec.Ref, Traffic: *rec.Traffic}
-	}
-	return c, true
-}
-
-// loadWriteCell probes the result tier for a finished write cell, with
-// loadCell's any-failure-reads-as-miss contract.
-func (r Runner) loadWriteCell(ctx context.Context, key string, p WriteParams) (WriteCell, bool) {
-	rb, err := r.Cache.GetResult(ctx, key, writeCellEngineName, r.writeCellSpecKey(p))
-	if err != nil {
-		return WriteCell{}, false
-	}
-	return writeCellFromBlob(p, rb, key)
-}
-
-// publishWriteCell publishes a simulated write cell; failures are
-// logged, not fatal.
-func (r Runner) publishWriteCell(ctx context.Context, key string, c WriteCell) {
-	if err := r.Cache.PutResult(ctx, key, writeCellBlob(r, c)); err != nil {
-		r.logf("%s: result-cache publish failed: %v", c.WriteParams, err)
-	}
-}
-
 // warmCellDiverges compares a cached cell against a live re-simulation
 // on every scheduling-independent field. Wall times are excluded — they
 // are honest per-recording measurements, different on every run —
@@ -290,18 +182,6 @@ func warmCellDiverges(cached, live Cell) error {
 			cached.Shards, cached.ShardRuns, cached.RefParallel, live.Shards, live.ShardRuns, live.RefParallel)
 	}
 	return nil
-}
-
-// warmCheckPick selects the warm cell to live-check: an FNV-1a hash
-// over the warm keys, mod their count. Deterministic in the warm set —
-// identical reruns re-verify the same cell — while any change to the
-// set (a delta cell, an eviction, a new trace) rotates the choice.
-func warmCheckPick(keys []string) int {
-	h := fnv.New32a()
-	for _, k := range keys {
-		io.WriteString(h, k)
-	}
-	return int(h.Sum32() % uint32(len(keys)))
 }
 
 // Provenance tallies a batch's delta-scheduling outcome: cells

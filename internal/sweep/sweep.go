@@ -91,15 +91,6 @@
 // fan-out from its own stream statistics (AutoShardsStream) instead of
 // a fixed count.
 //
-// # Write-policy cells
-//
-// The same stream-sharing and runtime-verification machinery extends
-// to the reference simulator's write/alloc axes: a write cell
-// (WriteParams, RunWriteCellTrace) replays one kind-preserving stream
-// through the write-policy reference engine per configuration and
-// cross-checks statistics and memory traffic bit-for-bit against the
-// per-access replay — see write.go.
-//
 // # Engine dispatch
 //
 // Every timed pass of a cell — DEW stream, DEW sharded, and both
@@ -356,18 +347,14 @@ type streamProv struct {
 
 // materializeStream builds tr's stream at blockSize, consulting the
 // runner's artifact store when one is configured.
-func (r Runner) materializeStream(ctx context.Context, tr trace.Trace, blockSize int, kinds bool) (*trace.BlockStream, streamProv, error) {
-	mat := tr.BlockStream
-	if kinds {
-		mat = tr.BlockStreamWithKinds
-	}
+func (r Runner) materializeStream(ctx context.Context, tr trace.Trace, blockSize int) (*trace.BlockStream, streamProv, error) {
 	if r.Cache == nil {
-		bs, err := mat(blockSize)
+		bs, err := tr.BlockStream(blockSize)
 		return bs, streamProv{}, err
 	}
-	key := store.Key(store.TraceID(tr), blockSize, 0, kinds)
-	bs, hit, err := r.Cache.GetOrMaterialize(ctx, key, blockSize, kinds,
-		func(context.Context) (*trace.BlockStream, error) { return mat(blockSize) })
+	key := store.Key(store.TraceID(tr), blockSize, 0, false)
+	bs, hit, err := r.Cache.GetOrMaterialize(ctx, key, blockSize, false,
+		func(context.Context) (*trace.BlockStream, error) { return tr.BlockStream(blockSize) })
 	return bs, streamProv{cacheHit: hit, cacheKey: key}, err
 }
 
@@ -431,7 +418,7 @@ func (r Runner) RunCellTrace(ctx context.Context, p Params, tr trace.Trace) (Cel
 			return cell, nil
 		}
 	}
-	bs, prov, err := r.materializeStream(ctx, tr, p.BlockSize, false)
+	bs, prov, err := r.materializeStream(ctx, tr, p.BlockSize)
 	if err != nil {
 		return Cell{Params: p}, err
 	}
@@ -753,7 +740,7 @@ func (r Runner) RunCells(ctx context.Context, params []Params) ([]Cell, error) {
 		if len(warmIdx) > 0 {
 			note := ""
 			if !r.NoWarmCheck {
-				checkIdx := warmIdx[warmCheckPick(warmKeys)]
+				checkIdx := warmIdx[store.WarmCheckPick(warmKeys)]
 				needSim[checkIdx] = true
 				note = " (1 sampled for live re-verification)"
 			}
@@ -793,7 +780,7 @@ func (r Runner) RunCells(ctx context.Context, params []Params) ([]Cell, error) {
 			return nil // every cell of this trace was result-warm
 		}
 		sort.Ints(blocks)
-		base, prov, err := r.materializeStream(ctx, traces[tKeys[i]], blocks[0], false)
+		base, prov, err := r.materializeStream(ctx, traces[tKeys[i]], blocks[0])
 		if err != nil {
 			return err
 		}

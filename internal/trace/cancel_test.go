@@ -3,6 +3,7 @@ package trace
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -26,28 +27,33 @@ func (c *cancelReader) Next() (Access, error) {
 	return c.r.Next()
 }
 
-// TestIngestCancelMidStream cancels a checkpointed sharded span loop
-// mid-stream: the pipeline drains (no leaked goroutines) with
-// context.Canceled, and the kill-and-restart story holds — the spans
-// consumed before the last checkpoint plus a pipeline resumed from it
-// shard to exactly the uninterrupted partition.
+// seededTrace builds a run-heavy trace whose shape exercises chunk
+// edges and kind merges around arbitrary cut points.
+func seededTrace(seed uint64, n int) Trace {
+	rng := rand.New(rand.NewSource(int64(seed)))
+	return pipelineTrace(rng, n)
+}
+
+// TestIngestCancelMidStream cancels a sharded span loop mid-stream: the
+// pipeline drains (no leaked goroutines) with context.Canceled, and
+// what it emitted before stopping is an exact run-boundary prefix of
+// the uninterrupted stream.
 func TestIngestCancelMidStream(t *testing.T) {
 	defer leakcheck.Check(t)()
 	const n = 20000
-	tr := checkpointTrace(7, n)
-	want := serialShards(t, tr, 16, 2)
+	tr := seededTrace(7, n)
+	want, err := tr.BlockStream(16)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var last *Checkpoint
 	// The pipeline holds at most a few chunks in flight between reader
 	// and stitcher, so cancelling at 15000 of 20000 accesses always
-	// lands after several checkpoints and before the end.
+	// lands after several spans and before the end.
 	r := &cancelReader{r: tr.NewSliceReader(), n: 15000, cancel: cancel}
-	p, err := streamSpansWithRuns(ctx, r, 16, SpanOptions{
-		MemBytes: 1, Workers: 4, CheckpointEvery: 500,
-		Checkpoint: func(cp *Checkpoint) error { last = cp; return nil },
-	}, 16, 256)
+	p, err := streamSpansWithRuns(ctx, r, 16, SpanOptions{MemBytes: 1, Workers: 4}, 16, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,35 +72,20 @@ func TestIngestCancelMidStream(t *testing.T) {
 	if p.EmittedAccesses() >= n {
 		t.Fatalf("cancelled pipeline emitted all %d accesses", n)
 	}
-	if last == nil {
-		t.Fatal("no checkpoint before the cancellation")
+	got := ConcatSpans(16, false, spans)
+	m := got.Len()
+	if m == 0 {
+		t.Fatal("no span before the cancellation")
 	}
-	pend, err := last.pending()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var prefix []*Span
-	for _, s := range spans {
-		if s.Start+s.Accesses <= last.Accesses()-pend {
-			prefix = append(prefix, s)
-		}
-	}
-	r2 := tr.NewSliceReader()
-	if err := SkipAccesses(r2, last.Accesses()); err != nil {
-		t.Fatal(err)
-	}
-	p2, err := ResumeStreamSpans(context.Background(), last, r2, SpanOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameShardStream(t, shardSpans(t, append(prefix, collectSpans(t, p2)...), 16, 2, false), want)
+	want.IDs, want.Runs, want.Accesses = want.IDs[:m], want.Runs[:m], got.Accesses
+	sameBlockStream(t, "cancelled prefix", got, want)
 }
 
 func TestIngestCancelBeforeStart(t *testing.T) {
 	defer leakcheck.Check(t)()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	p, err := StreamSpans(ctx, checkpointTrace(1, 100).NewSliceReader(), 16, SpanOptions{Workers: 2})
+	p, err := StreamSpans(ctx, seededTrace(1, 100).NewSliceReader(), 16, SpanOptions{Workers: 2})
 	bs, err := drainSpans(p, err, 16, false)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)

@@ -8,22 +8,22 @@ import (
 	"math"
 )
 
-// This file holds the varint/column codec shared by the two on-disk
-// formats: DCP1 span checkpoints (checkpoint.go) and DBS1 stream
-// blobs (streamio.go). Both serialize BlockStream columns the same way
-// — accesses, run count n, n block IDs, n run weights, and with kinds
-// n records of (W0, W1, W2, Lead, First byte), all unsigned varints
-// except the trailing kind byte — and both decode through the same
-// allocation-hardened reader: every column length is bounded by the
-// remaining input before allocating, so a corrupt length prefix fails
-// cleanly instead of ballooning memory.
+// This file holds the varint/column codec behind the on-disk formats:
+// DBS1 stream blobs (streamio.go), the span-blob spool (spanblob.go)
+// and, through ColWriter/ColDecoder, the store's DRS1 result blobs.
+// BlockStream columns are serialized one way — accesses, run count n,
+// n block IDs, n run weights, and with kinds n records of (W0, W1, W2,
+// Lead, First byte), all unsigned varints except the trailing kind
+// byte — and decode through one allocation-hardened reader: every
+// column length is bounded by the remaining input before allocating,
+// so a corrupt length prefix fails cleanly instead of ballooning
+// memory.
 
-// colWriter appends varint/byte fields, either accumulating in memory
-// (w == nil: the DCP1 MarshalBinary path returns the buffer directly)
-// or flushing to an io.Writer in chunks while folding the flushed
-// bytes into a running CRC-32 (the DBS1 WriteTo path, so a blob larger
-// than the chunk never double-buffers). Errors are sticky: the first
-// write error silences all later ops and is returned by finish.
+// colWriter appends varint/byte fields and flushes them to an
+// io.Writer in chunks while folding the flushed bytes into a running
+// CRC-32, so a blob larger than the chunk never double-buffers. Errors
+// are sticky: the first write error silences all later ops and is
+// returned by finish.
 type colWriter struct {
 	w       io.Writer
 	buf     []byte
@@ -35,22 +35,18 @@ type colWriter struct {
 const colWriterChunk = 1 << 16
 
 func newColWriter(w io.Writer) *colWriter {
-	cw := &colWriter{w: w}
-	if w != nil {
-		cw.buf = make([]byte, 0, colWriterChunk)
-	}
-	return cw
+	return &colWriter{w: w, buf: make([]byte, 0, colWriterChunk)}
 }
 
 func (cw *colWriter) maybeFlush() {
-	if cw.w != nil && len(cw.buf) >= colWriterChunk {
+	if len(cw.buf) >= colWriterChunk {
 		cw.flush()
 	}
 }
 
 // flush folds the pending bytes into the CRC and writes them out.
 func (cw *colWriter) flush() {
-	if cw.err != nil || cw.w == nil || len(cw.buf) == 0 {
+	if cw.err != nil || len(cw.buf) == 0 {
 		return
 	}
 	cw.crc = crc32.Update(cw.crc, crc32.IEEETable, cw.buf)
@@ -95,7 +91,7 @@ func (cw *colWriter) sum32() uint32 {
 // finish writes any pending bytes without touching the CRC and returns
 // the total byte count handed to w plus the sticky error.
 func (cw *colWriter) finish() (int64, error) {
-	if cw.err == nil && cw.w != nil && len(cw.buf) > 0 {
+	if cw.err == nil && len(cw.buf) > 0 {
 		n, err := cw.w.Write(cw.buf)
 		cw.flushed += int64(n)
 		cw.err = err
@@ -253,7 +249,7 @@ func (c ColWriter) Finish() (int64, error) { return c.cw.finish() }
 // ColDecoder is the exported face of the shared column decoder: every
 // read is bounds-checked and failures carry the format name and byte
 // offset (CorruptError / TruncatedError), so sibling formats inherit
-// the same hardening as DBS1/DCP1.
+// the same hardening as DBS1.
 type ColDecoder struct {
 	d colDecoder
 }

@@ -80,15 +80,6 @@ type SpanOptions struct {
 	Workers int
 	// Kinds selects the kind-preserving channel on every span.
 	Kinds bool
-	// CheckpointEvery requests a DCP1 checkpoint roughly every that many
-	// accesses, delivered at span boundaries; 0 disables checkpoints.
-	CheckpointEvery uint64
-	// Checkpoint receives each periodic checkpoint, synchronously on the
-	// stitcher goroutine between span emissions: when it is called,
-	// every span covering accesses before the checkpoint's pending tail
-	// has already been emitted. A non-nil error aborts the pipeline.
-	// Resume with ResumeStreamSpans.
-	Checkpoint func(*Checkpoint) error
 }
 
 // StreamPipeline is a running span pipeline. Consume Spans until the
@@ -188,10 +179,6 @@ type spanStitcher struct {
 	spanRuns int
 	kinds    bool
 	emit     func(*Span) error
-
-	ckEvery uint64
-	ckFn    func(*Checkpoint) error
-	lastCk  uint64
 }
 
 // add appends one chunk in stream order: chunk edges replay through the
@@ -241,7 +228,7 @@ func (st *spanStitcher) flush(final bool) error {
 			return err
 		}
 	}
-	return st.maybeCheckpoint()
+	return nil
 }
 
 // emitSpan cuts the first n (final) pending runs into a Span and
@@ -273,30 +260,6 @@ func (st *spanStitcher) emitSpan(n int) error {
 	return st.emit(s)
 }
 
-// maybeCheckpoint delivers a DCP1 checkpoint once CheckpointEvery
-// accesses have been consumed since the last one.
-func (st *spanStitcher) maybeCheckpoint() error {
-	if st.ckFn == nil || st.ckEvery == 0 {
-		return nil
-	}
-	consumed := st.start + st.pend.Accesses
-	if consumed-st.lastCk < st.ckEvery {
-		return nil
-	}
-	st.lastCk = consumed
-	return st.ckFn(st.checkpoint())
-}
-
-// checkpoint snapshots the pipeline position as a DCP1 checkpoint: its
-// source holds only the pending tail runs while its access count covers
-// everything consumed so far — Accesses() is the resume read position
-// (the emitted prefix is deliberately absent; see ResumeStreamSpans).
-func (st *spanStitcher) checkpoint() *Checkpoint {
-	src := cloneStream(&st.pend)
-	src.Accesses = st.start + st.pend.Accesses
-	return &Checkpoint{blockSize: st.pend.BlockSize, kinds: st.kinds, source: src}
-}
-
 // newStreamPipeline validates geometry and builds the pipeline shell
 // and its stitcher.
 func newStreamPipeline(blockSize int, opts SpanOptions) (*StreamPipeline, *spanStitcher, error) {
@@ -325,8 +288,6 @@ func newStreamPipeline(blockSize int, opts SpanOptions) (*StreamPipeline, *spanS
 		pend:     BlockStream{BlockSize: blockSize},
 		spanRuns: spanRuns,
 		kinds:    opts.Kinds,
-		ckEvery:  opts.CheckpointEvery,
-		ckFn:     opts.Checkpoint,
 	}
 	if opts.Kinds {
 		st.pend.Kinds = []KindRun{}
@@ -620,41 +581,6 @@ func StreamFileSpans(ctx context.Context, name string, blockSize int, opts SpanO
 		p.startDin(ctx, st, src, blockSize, opts.Kinds)
 	}
 	return p, nil
-}
-
-// ResumeStreamSpans restarts a span pipeline from a checkpoint taken by
-// SpanOptions.Checkpoint: the caller re-positions r at cp.Accesses()
-// (SkipAccesses) and the pipeline
-// continues emitting spans from the checkpoint's pending tail — the
-// concatenation of the spans emitted before the checkpoint and the
-// spans emitted after the resume is bit-identical to an uninterrupted
-// pipeline, uint32 overflow splits and kind merges at the cut included.
-func ResumeStreamSpans(ctx context.Context, cp *Checkpoint, r Reader, opts SpanOptions) (*StreamPipeline, error) {
-	p, st, err := resumePipeline(cp, opts)
-	if err != nil {
-		return nil, err
-	}
-	p.start(ctx, st, spanReaderProducer(r, cp.blockSize, cp.kinds, p.chunkAcc))
-	return p, nil
-}
-
-// resumePipeline builds a pipeline shell whose stitcher continues from
-// cp's pending tail and position.
-func resumePipeline(cp *Checkpoint, opts SpanOptions) (*StreamPipeline, *spanStitcher, error) {
-	pendAcc, err := cp.pending()
-	if err != nil {
-		return nil, nil, err
-	}
-	opts.Kinds = cp.kinds
-	p, st, err := newStreamPipeline(cp.blockSize, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	st.pend = cloneStream(&cp.source)
-	st.pend.Accesses = pendAcc
-	st.start = cp.source.Accesses - pendAcc
-	st.lastCk = cp.source.Accesses
-	return p, st, nil
 }
 
 // ConcatSpans materializes spans back into one stream. It is the test

@@ -355,123 +355,6 @@ func TestStreamSpansCancelAndClose(t *testing.T) {
 	p3.Close()
 }
 
-// TestStreamSpansCheckpointResume takes periodic DCP1 checkpoints
-// during a streamed pass, round-trips each through the binary codec,
-// and resumes a fresh pipeline from every one of them: spans emitted
-// before the checkpoint plus spans emitted by the resumed pipeline must
-// concatenate to the materialized stream, bit for bit.
-func TestStreamSpansCheckpointResume(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	tr := pipelineTrace(rng, 30000)
-	ctx := context.Background()
-	for _, kinds := range []bool{false, true} {
-		var want *BlockStream
-		var err error
-		if kinds {
-			want, err = tr.BlockStreamWithKinds(8)
-		} else {
-			want, err = tr.BlockStream(8)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		var cps []*Checkpoint
-		p, err := streamSpansWithRuns(ctx, tr.NewSliceReader(), 8, SpanOptions{
-			MemBytes: 1, Workers: 3, Kinds: kinds,
-			CheckpointEvery: 2500,
-			Checkpoint: func(cp *Checkpoint) error {
-				// Persist through the real codec so resume exercises the
-				// DCP1 wire format, not a shared pointer.
-				data, err := cp.MarshalBinary()
-				if err != nil {
-					return err
-				}
-				rt := new(Checkpoint)
-				if err := rt.UnmarshalBinary(data); err != nil {
-					return err
-				}
-				cps = append(cps, rt)
-				return nil
-			},
-		}, 16, 512)
-		if err != nil {
-			t.Fatal(err)
-		}
-		spans := collectSpans(t, p)
-		sameBlockStream(t, "checkpointed pass", ConcatSpans(8, kinds, spans), want)
-		if len(cps) < 3 {
-			t.Fatalf("only %d checkpoints for %d accesses", len(cps), want.Accesses)
-		}
-		for ci, cp := range cps {
-			if cp.BlockSize() != 8 || cp.HasKinds() != kinds {
-				t.Fatalf("checkpoint %d shape: block %d kinds %v", ci, cp.BlockSize(), cp.HasKinds())
-			}
-			var pendAcc uint64
-			for _, w := range cp.source.Runs {
-				pendAcc += uint64(w)
-			}
-			resumeStart := cp.Accesses() - pendAcc
-			var prefix []*Span
-			for _, s := range spans {
-				if s.Start >= resumeStart {
-					break
-				}
-				if s.Start+s.Accesses > resumeStart {
-					t.Fatalf("checkpoint %d: span [%d,%d) straddles the resume point %d",
-						ci, s.Start, s.Start+s.Accesses, resumeStart)
-				}
-				prefix = append(prefix, s)
-			}
-			r := tr.NewSliceReader()
-			if err := SkipAccesses(r, cp.Accesses()); err != nil {
-				t.Fatal(err)
-			}
-			p2, err := ResumeStreamSpans(ctx, cp, r, SpanOptions{MemBytes: 1, Workers: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			resumed := collectSpans(t, p2)
-			if len(resumed) > 0 && resumed[0].Start != resumeStart {
-				t.Fatalf("checkpoint %d: resumed stream starts at %d, want %d", ci, resumed[0].Start, resumeStart)
-			}
-			got := ConcatSpans(8, kinds, append(append([]*Span(nil), prefix...), resumed...))
-			sameBlockStream(t, fmt.Sprintf("kinds=%v checkpoint %d resume", kinds, ci), got, want)
-		}
-	}
-}
-
-func TestStreamSpansCheckpointCallbackError(t *testing.T) {
-	defer leakcheck.Check(t)()
-	rng := rand.New(rand.NewSource(13))
-	tr := pipelineTrace(rng, 20000)
-	boom := errors.New("checkpoint store full")
-	p, err := StreamSpans(context.Background(), tr.NewSliceReader(), 8, SpanOptions{
-		MemBytes: 1, Workers: 2, CheckpointEvery: 1000,
-		Checkpoint: func(*Checkpoint) error { return boom },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for range p.Spans() {
-	}
-	if err := p.Err(); !errors.Is(err, boom) {
-		t.Fatalf("checkpoint failure surfaced as %v, want the callback's error", err)
-	}
-}
-
-// TestResumeStreamSpansRejectsShardedCheckpoint: DCP1 snapshots with a
-// shard level (the retired sharded-ingest form) never decode into a
-// resumable checkpoint.
-func TestResumeStreamSpansRejectsShardedCheckpoint(t *testing.T) {
-	// magic, flags, block size 8, shard log 2, feed position 0, then an
-	// empty parent stream and four empty shard streams.
-	blob := append([]byte("DCP1"), 0, 8, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
-	var cp Checkpoint
-	if err := cp.UnmarshalBinary(blob); err == nil || !errors.Is(err, ErrCorrupt) {
-		t.Errorf("sharded snapshot: %v, want a corrupt-checkpoint error", err)
-	}
-}
-
 // FuzzSpanEquivalence cross-checks streamed spans against the serial
 // materialization over fuzzer-chosen traces, span sizes, chunk sizes
 // and kind channels — including the weighted path whose near-MaxUint32

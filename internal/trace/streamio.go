@@ -17,7 +17,7 @@ import (
 // rungs in O(runs)).
 //
 // Wire format (integers are unsigned varints unless noted; the column
-// section shares the codec in codec.go with DCP1 checkpoints):
+// section is the shared column codec in codec.go):
 //
 //	magic "DBS1" (4 bytes)
 //	version (1 byte, currently 1)
@@ -392,4 +392,15 @@ func (b *BlockStream) ReadFrom(r io.Reader) (int64, error) {
 	}
 	*b = out
 	return d.off, nil
+}
+
+// cloneCol copies a column preserving nil-ness (a nil column and an
+// empty one are distinct: HasKinds and DeepEqual both care).
+func cloneCol[T any](s []T) []T {
+	if s == nil {
+		return nil
+	}
+	out := make([]T, len(s))
+	copy(out, s)
+	return out
 }

@@ -258,6 +258,12 @@ func TestStreamUnmarshalRejects(t *testing.T) {
 		"bad-block":   func(b []byte) []byte { b[6] = 3; return reseal(b) },
 		"trailing":    func(b []byte) []byte { return reseal(append(b, 0)) },
 		"bad-crc":     func(b []byte) []byte { b[len(b)-1] ^= 0xFF; return b },
+		// A run count far beyond the remaining input must fail before
+		// any column is allocated.
+		"run-count-bomb": func(b []byte) []byte {
+			return reseal(append(b[:8:8], 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0, 0, 0, 0))
+		},
+		"zero-run-weight": func(b []byte) []byte { b[11] = 0; return reseal(b) },
 	}
 	for name, mutate := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -293,6 +299,19 @@ func TestStreamUnmarshalRejects(t *testing.T) {
 		}
 		var got trace.BlockStream
 		if err := got.UnmarshalBinary(blob); !errors.Is(err, trace.ErrCorrupt) {
+			t.Fatalf("err = %v, want ErrCorrupt", err)
+		}
+	})
+	t.Run("bad-kind-byte", func(t *testing.T) {
+		blob, err := (&trace.BlockStream{BlockSize: 32, IDs: []uint64{1},
+			Runs: []uint32{1}, Accesses: 1,
+			Kinds: []trace.KindRun{{W: [3]uint32{1, 0, 0}, First: trace.DataRead}}}).MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob[len(blob)-5] = 7 // the last body byte is the run's First kind
+		var got trace.BlockStream
+		if err := got.UnmarshalBinary(reseal(blob)); !errors.Is(err, trace.ErrCorrupt) {
 			t.Fatalf("err = %v, want ErrCorrupt", err)
 		}
 	})

@@ -27,15 +27,13 @@
 // partitioning); MaterializeBlockStream remains the serial in-process
 // form.
 //
-// The frontend is built to fail loudly and resumably rather than
-// silently: decode errors are typed and position-carrying
-// (CorruptError, TruncatedError, both matching the ErrCorrupt
-// sentinel — see errors.go), the pipeline honours context cancellation
-// at chunk granularity and contains worker panics as *pool.PanicError,
-// and a long decode can be snapshotted at span boundaries (DCP1
-// checkpoints, SpanOptions.Checkpoint) and resumed bit-identically
-// (ResumeStreamSpans, SkipAccesses). The faultreader subpackage injects
-// deterministic I/O faults for testing these paths.
+// The frontend is built to fail loudly rather than silently: decode
+// errors are typed and position-carrying (CorruptError,
+// TruncatedError, both matching the ErrCorrupt sentinel — see
+// errors.go), and the pipeline honours context cancellation at chunk
+// granularity and contains worker panics as *pool.PanicError. The
+// faultreader subpackage injects deterministic I/O faults for testing
+// these paths.
 //
 // The DEW paper drives its simulators with SimpleScalar-generated traces
 // of byte-addressable memory requests (Table 2). This package plays that
@@ -180,16 +178,3 @@ type FuncReader func() (Access, error)
 
 // Next implements Reader.
 func (f FuncReader) Next() (Access, error) { return f() }
-
-// LimitReader returns a Reader that stops (io.EOF) after at most n
-// accesses from r. It is used to cap scaled-down experiment runs.
-func LimitReader(r Reader, n uint64) Reader {
-	remaining := n
-	return FuncReader(func() (Access, error) {
-		if remaining == 0 {
-			return Access{}, io.EOF
-		}
-		remaining--
-		return r.Next()
-	})
-}

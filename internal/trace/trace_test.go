@@ -46,29 +46,6 @@ func TestSliceReader(t *testing.T) {
 	}
 }
 
-func TestLimitReader(t *testing.T) {
-	tr := sampleTrace(50, 2)
-	lim := LimitReader(tr.NewSliceReader(), 7)
-	got, err := ReadAll(lim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 7 {
-		t.Fatalf("LimitReader yielded %d, want 7", len(got))
-	}
-	// Limit above length yields everything.
-	lim = LimitReader(tr.NewSliceReader(), 1000)
-	got, err = ReadAll(lim)
-	if err != nil || len(got) != 50 {
-		t.Fatalf("LimitReader(1000) yielded %d, %v", len(got), err)
-	}
-	// Limit zero yields nothing.
-	lim = LimitReader(tr.NewSliceReader(), 0)
-	if got, _ := ReadAll(lim); len(got) != 0 {
-		t.Fatalf("LimitReader(0) yielded %d", len(got))
-	}
-}
-
 func TestKindString(t *testing.T) {
 	cases := map[Kind]string{DataRead: "read", DataWrite: "write", IFetch: "ifetch"}
 	for k, want := range cases {
