@@ -199,16 +199,20 @@
 // the full config-axis string from engine.Spec.CacheKey, so any axis
 // change (sets range, associativity, block size, policy, write axes)
 // is a different key, while scheduling knobs like worker count are
-// not. The sweep and explore layers schedule deltas against it:
-// sweep.RunCells and explore.Run probe the result
-// tier per cell first, simulate only the missing cells, and publish on
+// not. Two planners schedule deltas against it: engine.Plan, the one
+// probe/verify/publish site for engine passes (dewsim, refsim's
+// streamed path and both explore schedules), and sweep.RunCells for
+// the sweep's cell records. Each probes the result tier per pass or
+// cell first, simulates only the missing ones, and publishes on
 // completion — a fully-warm run performs zero engine simulations and
 // zero trace decodes and emits byte-identical tables (recorded wall
-// times ride along as cached scalars). Warm cells are cross-checked
-// against one sampled live re-simulation per run (Runner.NoWarmCheck
-// opts out), and provenance is recorded end to end
-// (Cell.ResultCacheHit, Result.CellsSimulated/CellsCached). Both blob
-// kinds share one MaxBytes budget and one LRU eviction, quarantine
+// times ride along as cached scalars). engine.Plan stores one record
+// per pass for every tool, so a pass dewsim published answers warm in
+// explore and the reverse. Warm entries are cross-checked against one
+// sampled live re-simulation per run (Plan.WarmCheck, or
+// Runner/Request.NoWarmCheck to opt out), and provenance is recorded
+// end to end (Cell.ResultCacheHit, Result.CellsSimulated/CellsCached).
+// Both blob kinds share one MaxBytes budget and one LRU eviction, quarantine
 // and `dew cache stats|gc|clear` accounting, broken out per kind; an
 // in-process LRU of decoded streams (Options.MemBytes, enabled by the
 // CLIs) additionally serves repeat materializations within a process

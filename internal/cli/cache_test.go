@@ -1,9 +1,11 @@
 package cli
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -173,6 +175,65 @@ func TestRefSimShardedCacheWarm(t *testing.T) {
 	statsOf := func(s string) string { return s[strings.Index(s, "accesses:"):] }
 	if statsOf(cold) != statsOf(warm) {
 		t.Error("warm refsim statistics differ from cold")
+	}
+}
+
+// TestCrossToolResultSharing: dewsim, refsim and explore store one
+// pass record (engine.Plan), so a pass one tool published answers warm
+// for another and no tool overwrites another's entry. Each row runs its
+// steps against one cache directory; the last step must be served from
+// the result tier and print exactly what the same run prints without a
+// cache (its footer line aside).
+func TestCrossToolResultSharing(t *testing.T) {
+	type step struct {
+		tool func(context.Context, Env, []string) error
+		args []string
+		want string // regexp the step's stdout must match
+	}
+	src := []string{"-app", "CJPEG", "-n", "8000"}
+	dewArgs := append([]string{"-assoc", "4", "-block", "8", "-maxlog", "4"}, src...)
+	writeArgs := append([]string{"-engine", "ref", "-minlog", "4", "-maxlog", "4", "-assoc", "2", "-block", "16",
+		"-write", "wt", "-alloc", "nwa"}, src...)
+	rows := []struct {
+		name  string
+		steps []step
+	}{
+		{"dewsim-explore-dewsim", []step{
+			{DewSim, dewArgs, "decode overlapped"},
+			// explore's space holds dewsim's pass (B=8, A=4, sets 1..16).
+			{Explore, append([]string{"-maxlog-sets", "4", "-maxlog-block", "3", "-maxlog-assoc", "2", "-quiet"}, src...),
+				`[1-9][0-9]* result-cached`},
+			{DewSim, dewArgs, `fully result-cached \(0 simulations, 0 trace decodes\)`},
+		}},
+		{"refsim-dewsim-write", []step{
+			{RefSim, append([]string{"-sets", "16", "-assoc", "2", "-block", "16", "-write", "wt", "-alloc", "nwa",
+				"-shards", "2"}, src...), "set-substreams"},
+			{DewSim, writeArgs, `fully result-cached \(0 simulations, 0 trace decodes\)`},
+		}},
+	}
+	dropFooter := regexp.MustCompile(`(?m)^simulated .*\n`)
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			dir := t.TempDir()
+			var out string
+			for i, st := range row.steps {
+				var err error
+				if out, _, err = run(t, st.tool, append([]string{"-cache", dir}, st.args...)...); err != nil {
+					t.Fatalf("step %d: %v", i, err)
+				}
+				if !regexp.MustCompile(st.want).MatchString(out) {
+					t.Fatalf("step %d output lacks %q:\n%s", i, st.want, out)
+				}
+			}
+			last := row.steps[len(row.steps)-1]
+			plain, _, err := run(t, last.tool, last.args...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := dropFooter.ReplaceAllString(out, ""), dropFooter.ReplaceAllString(plain, ""); got != want {
+				t.Errorf("result-cached output differs from a cache-less run:\n%s\nvs\n%s", got, want)
+			}
+		})
 	}
 }
 

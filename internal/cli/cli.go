@@ -128,6 +128,17 @@ func (tf traceFlags) sourceID() (string, error) {
 	}
 }
 
+// openSourceCache opens the -cache store together with the identity of
+// the trace input; both are zero when caching is off.
+func (tf traceFlags) openSourceCache(dir string) (*store.Store, string, error) {
+	st, err := openCache(dir)
+	if st == nil || err != nil {
+		return nil, "", err
+	}
+	id, err := tf.sourceID()
+	return st, id, err
+}
+
 // engineFlagDoc builds the -engine usage string from the registry.
 // Tool passes replay through the engine package's one dispatch seam
 // (engine.TimedRun → engine.Replay), so a newly registered engine is

@@ -15,7 +15,6 @@ import (
 	"dew/internal/engine"
 	"dew/internal/refsim"
 	"dew/internal/report"
-	"dew/internal/store"
 	"dew/internal/sweep"
 	"dew/internal/trace"
 )
@@ -143,150 +142,67 @@ func DewSim(ctx context.Context, env Env, args []string) error {
 		accesses = sim.Counters().Accesses
 		mode = fmt.Sprintf("single instrumented pass, %v", pol)
 	} else {
-		// Engine fast path: decode the trace exactly once, into
-		// run-compressed spans at the finest requested block size,
-		// fold-derive every coarser rung of the block ladder from each
-		// span, and replay each rung through the requested engine.
-		// Decode and folding are timed here — unlike the sweep, this
-		// tool has no second consumer to amortize them.
-		specFor := func(b int) engine.Spec {
-			return engine.Spec{
+		// Engine fast path: one engine.Plan over the block ladder. It
+		// probes the result tier first — a fully-warm ladder skips the
+		// decode, the folds and every replay, a partially-warm one
+		// replays only the rungs that missed — builds every live engine
+		// before any stream work, then decodes the trace once into
+		// bounded spans at the finest rung, fold-derives the coarser
+		// rungs span by span and replays them concurrently (split into
+		// set-substreams when sharding), bit-identical to one monolithic
+		// replay, and publishes every replayed rung. Decode and folding
+		// are timed here: unlike the sweep, this tool has no second
+		// consumer to amortize them.
+		plan := &engine.Plan{Kinds: writeSim}
+		if plan.Store, plan.SourceID, err = tf.openSourceCache(*cacheDir); err != nil {
+			return err
+		}
+		for _, b := range blockLadder {
+			plan.Passes = append(plan.Passes, engine.Pass{Engine: *engName, Spec: engine.Spec{
 				MinLogSets: *minLog, MaxLogSets: *maxLog,
 				Assoc: *assoc, BlockSize: b, Policy: pol,
 				WriteSim: writeSim, Write: writePol, Alloc: allocPol, StoreBytes: *sbytes,
-			}
+			}})
 		}
-		// Fail fast on a bad spec or engine/policy combination before
-		// paying for the trace decode (engine construction is cheap —
-		// the arenas build lazily on first replay).
-		for _, b := range blockLadder {
-			if _, err := engine.New(*engName, specFor(b)); err != nil {
-				return err
-			}
-		}
-		cacheStore, err := openCache(*cacheDir)
-		if err != nil {
-			return err
-		}
-		// Result-tier probe: each rung's finished pass is looked up
-		// before any stream work. A fully-warm ladder skips the decode,
-		// the folds and every replay; a partially-warm one decodes once
-		// and replays only the rungs that missed.
-		var cacheKey string
-		rungKeys := make([]string, len(blockLadder))
-		rungWarm := make([]*store.ResultBlob, len(blockLadder))
-		allWarm := false
-		if cacheStore != nil {
-			srcID, err := tf.sourceID()
-			if err != nil {
-				return err
-			}
-			cacheKey = store.Key(srcID, blockLadder[0], 0, writeSim)
-			allWarm = true
-			for i, b := range blockLadder {
-				specKey := specFor(b).CacheKey()
-				rungKeys[i] = store.ResultKey(store.Key(srcID, b, 0, writeSim), *engName, specKey)
-				rb, err := cacheStore.GetResult(ctx, rungKeys[i], *engName, specKey)
-				if err == nil && len(rb.Scalars) == 1 && rb.HasRef == writeSim && len(rb.Records) > 0 {
-					rungWarm[i] = rb
-				} else {
-					allWarm = false
-				}
-			}
-		}
-		// mergeRung folds one cached rung's payload into the output rows.
-		mergeRung := func(i int) {
-			rb := rungWarm[i]
-			accesses = rb.Scalars[0]
-			for _, rec := range rb.Records {
-				results = append(results, engine.Result{Config: rec.Config, Stats: rec.Stats})
-				if rec.Traffic != nil {
-					traffics = append(traffics, rungTraffic{blockLadder[i], *rec.Traffic})
-				}
-			}
-		}
-		start := time.Now()
-		if allWarm {
-			for i := range blockLadder {
-				mergeRung(i)
-			}
-			elapsed = time.Since(start)
-			if len(blockLadder) == 1 {
-				mode = fmt.Sprintf("single %s pass fully result-cached (0 simulations, 0 trace decodes), %v", *engName, pol)
-			} else {
-				mode = fmt.Sprintf("%d %s passes fully result-cached (0 simulations, 0 trace decodes), %v",
-					len(blockLadder), *engName, pol)
-			}
-			if writeSim {
-				mode += fmt.Sprintf(", write-policy %v/%v", writePol, allocPol)
-			}
-			return renderDewSim(env, *csv, *counters, results, accesses, mode, sim, elapsed, traffics)
-		}
-		// One bounded span pipeline decodes the trace chunk-parallel,
-		// and the span-ladder driver folds every rung from each span as
-		// it appears and replays the live rungs concurrently — each span
-		// split into set-substreams when sharding — so decode, fold and
-		// simulation overlap in bounded memory while the accumulated
-		// statistics stay bit-identical to one monolithic replay. Warm
-		// rungs still merge from the result tier; a cold artifact cache
-		// additionally receives the finest rung, spooled span by span
-		// without the pass ever re-buffering the stream, and a run
-		// without an explicit -stream-mem takes a stream-tier hit
-		// instead of decoding (see engine.SpanInput).
 		log := trace.ShardLog(*shards, *maxLog)
-		engs := make(map[int][]engine.Engine, len(blockLadder))
-		for i, b := range blockLadder {
-			if rungWarm[i] != nil {
-				continue
-			}
-			eng, err := engine.New(*engName, specFor(b))
-			if err != nil {
-				return err
-			}
-			engs[b] = []engine.Engine{eng}
-		}
-		ladder, err := engine.NewSpanLadder(blockLadder[0], blockLadder, writeSim, log, 0, engs)
+		start := time.Now()
+		passes, src, err := plan.Replay(ctx, engine.Spans{
+			Blocks: blockLadder, ShardLog: log, StreamMem: streamMem,
+			Decode: tf.spans(ctx, blockLadder[0], streamMem, writeSim),
+		})
 		if err != nil {
 			return err
-		}
-		src, err := openSpans(ctx, tf, cacheStore, cacheKey, blockLadder[0], writeSim, streamMem)
-		if err != nil {
-			return err
-		}
-		defer src.Close()
-		if err := src.Replay(ctx, ladder, nil); err != nil {
-			return err
-		}
-		cachedRungs := 0
-		for i, b := range blockLadder {
-			if rungWarm[i] != nil {
-				mergeRung(i)
-				cachedRungs++
-				continue
-			}
-			eng := engs[b][0]
-			rungResults := eng.Results()
-			results = append(results, rungResults...)
-			accesses = eng.Accesses()
-			if writeSim {
-				if ts, ok := eng.(engine.TrafficStatser); ok {
-					traffics = append(traffics, rungTraffic{b, ts.RefTraffic()})
-				}
-			}
-			publishRung(ctx, cacheStore, rungKeys[i], *engName, specFor(b).CacheKey(), writeSim, eng, rungResults)
 		}
 		elapsed = time.Since(start)
-		if len(blockLadder) == 1 {
-			mode = fmt.Sprintf("single %s pass", *engName)
-		} else {
-			mode = fmt.Sprintf("%d %s passes over a fold-derived block ladder", len(blockLadder), *engName)
+		cachedRungs := 0
+		for i, pr := range passes {
+			results = append(results, pr.Results...)
+			accesses = pr.Accesses
+			if pr.Traffic != nil {
+				traffics = append(traffics, rungTraffic{blockLadder[i], *pr.Traffic})
+			}
+			if pr.Cached {
+				cachedRungs++
+			}
 		}
-		if log >= 0 {
-			mode += fmt.Sprintf(" sharded across %d substreams,", 1<<log)
+		mode = fmt.Sprintf("single %s pass", *engName)
+		if len(blockLadder) > 1 {
+			mode = fmt.Sprintf("%d %s passes", len(blockLadder), *engName)
 		}
-		mode += fmt.Sprintf(" %s, %v", spanNote(src), pol)
-		if cachedRungs > 0 {
-			mode += fmt.Sprintf(", %d/%d rungs result-cached", cachedRungs, len(blockLadder))
+		switch {
+		case src == nil:
+			mode += fmt.Sprintf(" fully result-cached (0 simulations, 0 trace decodes), %v", pol)
+		default:
+			if len(blockLadder) > 1 {
+				mode += " over a fold-derived block ladder"
+			}
+			if log >= 0 {
+				mode += fmt.Sprintf(" sharded across %d substreams,", 1<<log)
+			}
+			mode += fmt.Sprintf(" %s, %v", spanNote(src), pol)
+			if cachedRungs > 0 {
+				mode += fmt.Sprintf(", %d/%d rungs result-cached", cachedRungs, len(blockLadder))
+			}
 		}
 		if writeSim {
 			mode += fmt.Sprintf(", write-policy %v/%v", writePol, allocPol)
@@ -339,36 +255,6 @@ func renderDewSim(env Env, csv, counters bool, results []engine.Result, accesses
 		fmt.Fprintf(env.Stdout, "tree storage (paper accounting): %d bits\n", sim.Options().PaperBits())
 	}
 	return nil
-}
-
-// publishRung publishes one finished dewsim rung to the store's result
-// tier, best-effort. Write-policy rungs must carry the full reference
-// record (stats plus traffic) and are skipped when the engine cannot
-// supply it for a single configuration.
-func publishRung(ctx context.Context, st *store.Store, key, engName, specKey string, writeSim bool, eng engine.Engine, results []engine.Result) {
-	if st == nil || key == "" {
-		return
-	}
-	rb := &store.ResultBlob{
-		Engine: engName, SpecKey: specKey, HasRef: writeSim,
-		Scalars: []uint64{eng.Accesses()},
-		Records: make([]store.ResultRecord, len(results)),
-	}
-	for i, res := range results {
-		rb.Records[i] = store.ResultRecord{Config: res.Config, Stats: res.Stats}
-	}
-	if writeSim {
-		rs, okR := eng.(engine.RefStatser)
-		ts, okT := eng.(engine.TrafficStatser)
-		if !okR || !okT || len(results) != 1 {
-			return
-		}
-		refStats := rs.RefStats()
-		traffic := ts.RefTraffic()
-		rb.Records[0].Ref = &refStats
-		rb.Records[0].Traffic = &traffic
-	}
-	st.PutResult(ctx, key, rb)
 }
 
 // parseBlockLadder parses the -blocks list into ascending distinct

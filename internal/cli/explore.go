@@ -87,16 +87,8 @@ func Explore(ctx context.Context, env Env, args []string) error {
 		return err
 	}
 	req := explore.Request{Space: space, Source: src, Workers: *workers, Shards: *shards, Policy: pol, Engine: *engName, Kinds: *kinds, StreamMem: streamMem}
-	cacheStore, err := openCache(*cacheDir)
-	if err != nil {
+	if req.Cache, req.SourceID, err = tf.openSourceCache(*cacheDir); err != nil {
 		return err
-	}
-	if cacheStore != nil {
-		srcID, err := tf.sourceID()
-		if err != nil {
-			return err
-		}
-		req.Cache, req.SourceID = cacheStore, srcID
 	}
 	if !*quiet {
 		req.Progress = func(done, total int) {

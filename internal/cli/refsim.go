@@ -11,7 +11,6 @@ import (
 	"dew/internal/cache"
 	"dew/internal/engine"
 	"dew/internal/refsim"
-	"dew/internal/store"
 	"dew/internal/sweep"
 	"dew/internal/trace"
 )
@@ -124,12 +123,13 @@ func printRefStats(w io.Writer, stats refsim.Stats, tr refsim.Traffic) {
 // cut into spans (see engine.SpanInput) — replay through the
 // single-configuration reference engine as they appear, so decode and
 // simulation overlap and the resident stream state stays within the
-// budget. The replay runs on the span-ladder driver (engine.SpanLadder)
-// as a one-rung ladder; with -shards each span is split into
-// set-substreams replayed by the sharded engine. The shard count
-// resolves through the trace.ShardLog rounding every -shards knob uses,
-// capped at the set count, and Random replacement (whose decomposition
-// is not exact) falls back to the monolithic replay inside the engine.
+// budget. The replay is a one-pass engine.Plan, so it runs on the
+// span-ladder driver (engine.SpanLadder) as a one-rung ladder; with
+// -shards each span is split into set-substreams replayed by the
+// sharded engine. The shard count resolves through the trace.ShardLog
+// rounding every -shards knob uses, capped at the set count, and
+// Random replacement (whose decomposition is not exact) falls back to
+// the monolithic replay inside the engine.
 // The accumulated statistics are bit-identical to the per-access replay
 // for every policy (including Random: its generator steps once per
 // eviction, evictions happen only on a run's first access, and run
@@ -142,76 +142,42 @@ func refSimStreamed(ctx context.Context, env Env, tf traceFlags, opts refsim.Opt
 	cfg := opts.Config
 	logSets := bits.Len(uint(cfg.Sets)) - 1
 	log := trace.ShardLog(shards, logSets)
-	cacheStore, err := openCache(cacheDir)
-	if err != nil {
-		return err
-	}
-	spec := engine.Spec{
+	// Neither the span budget nor the shard fan-out is a key axis: the
+	// statistics are bit-identical across both.
+	plan := &engine.Plan{Kinds: true, Passes: []engine.Pass{{Engine: "ref", Spec: engine.Spec{
 		MinLogSets: logSets, MaxLogSets: logSets,
 		Assoc: cfg.Assoc, BlockSize: cfg.BlockSize, Policy: policy,
 		WriteSim: true, Write: opts.Write, Alloc: opts.Alloc, StoreBytes: opts.StoreBytes,
-	}
-	eng, err := engine.New("ref", spec)
-	if err != nil {
+	}}}}
+	var err error
+	if plan.Store, plan.SourceID, err = tf.openSourceCache(cacheDir); err != nil {
 		return err
-	}
-	var cacheKey, resultKey string
-	if cacheStore != nil {
-		srcID, err := tf.sourceID()
-		if err != nil {
-			return err
-		}
-		cacheKey = store.Key(srcID, cfg.BlockSize, 0, true)
-		// Neither the span budget nor the shard fan-out is a key axis:
-		// the statistics are bit-identical across both.
-		resultKey = store.ResultKey(cacheKey, "ref", spec.CacheKey())
-		rb, err := cacheStore.GetResult(ctx, resultKey, "ref", spec.CacheKey())
-		if err == nil && rb.HasRef && len(rb.Records) == 1 && rb.Records[0].Ref != nil && rb.Records[0].Traffic != nil {
-			fmt.Fprintf(env.Stdout, "config:            %v, %v replacement, %v, %v\n",
-				cfg, policy, opts.Write, opts.Alloc)
-			fmt.Fprintf(env.Stdout, "replay:            result-cached (0 simulations, 0 trace decodes)\n")
-			printRefStats(env.Stdout, *rb.Records[0].Ref, *rb.Records[0].Traffic)
-			return nil
-		}
 	}
 	start := time.Now()
-	src, err := openSpans(ctx, tf, cacheStore, cacheKey, cfg.BlockSize, true, streamMem)
+	passes, src, err := plan.Replay(ctx, engine.Spans{
+		Blocks: []int{cfg.BlockSize}, ShardLog: log, StreamMem: streamMem,
+		Decode: tf.spans(ctx, cfg.BlockSize, streamMem, true),
+	})
 	if err != nil {
-		return err
-	}
-	defer src.Close()
-	ladder, err := engine.NewSpanLadder(cfg.BlockSize, []int{cfg.BlockSize}, true, log, 0,
-		map[int][]engine.Engine{cfg.BlockSize: {eng}})
-	if err != nil {
-		return err
-	}
-	if err := src.Replay(ctx, ladder, nil); err != nil {
 		return err
 	}
 	elapsed := time.Since(start)
-	stats := eng.(engine.RefStatser).RefStats()
-	traffic := eng.(engine.TrafficStatser).RefTraffic()
-	if resultKey != "" {
-		// Publish the finished record for later runs; best-effort.
-		cacheStore.PutResult(ctx, resultKey, &store.ResultBlob{
-			Engine: "ref", SpecKey: spec.CacheKey(), HasRef: true,
-			Scalars: []uint64{stats.Accesses},
-			Records: []store.ResultRecord{{Config: cfg, Stats: stats.Stats, Ref: &stats, Traffic: &traffic}},
-		})
-	}
+	pr := passes[0]
 
 	fmt.Fprintf(env.Stdout, "config:            %v, %v replacement, %v, %v\n",
 		cfg, policy, opts.Write, opts.Alloc)
 	switch {
+	case src == nil:
+		fmt.Fprintf(env.Stdout, "replay:            result-cached (0 simulations, 0 trace decodes)\n")
 	case log < 0:
 		fmt.Fprintf(env.Stdout, "replay:            %s, replayed in %v\n", spanNote(src), elapsed.Round(time.Millisecond))
-	case engine.Parallel(eng):
+	case pr.Parallel:
 		fmt.Fprintf(env.Stdout, "replay:            %d set-substreams in parallel (%s, replayed in %v)\n",
 			1<<log, spanNote(src), elapsed.Round(time.Millisecond))
 	default:
 		fmt.Fprintf(env.Stdout, "replay:            monolithic fallback (%v policy or %d sets < %d shards; %s, replayed in %v)\n",
 			policy, cfg.Sets, 1<<log, spanNote(src), elapsed.Round(time.Millisecond))
 	}
-	printRefStats(env.Stdout, stats, traffic)
+	printRefStats(env.Stdout, *pr.Ref, *pr.Traffic)
 	return nil
 }

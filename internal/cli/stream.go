@@ -10,7 +10,6 @@ import (
 
 	"dew/internal/cache"
 	"dew/internal/engine"
-	"dew/internal/store"
 	"dew/internal/trace"
 )
 
@@ -52,26 +51,21 @@ func parseMemBytes(s string) (int64, error) {
 	return n * mult, nil
 }
 
-// streamSpans resolves the trace flags into a bounded span pipeline at
-// blockSize — the chunk-parallel file fast path for -trace, the
-// workload generator stream for -app.
-func (tf traceFlags) streamSpans(ctx context.Context, blockSize int, opts trace.SpanOptions) (*trace.StreamPipeline, error) {
-	if *tf.traceFile != "" {
-		return trace.StreamFileSpans(ctx, *tf.traceFile, blockSize, opts)
+// spans returns the span pipeline constructor for the trace flags at
+// blockSize (engine.Spans.Decode) — the chunk-parallel file fast path
+// for -trace, the workload generator stream for -app.
+func (tf traceFlags) spans(ctx context.Context, blockSize int, streamMem int64, kinds bool) func() (*trace.StreamPipeline, error) {
+	return func() (*trace.StreamPipeline, error) {
+		opts := trace.SpanOptions{MemBytes: streamMem, Kinds: kinds}
+		if *tf.traceFile != "" {
+			return trace.StreamFileSpans(ctx, *tf.traceFile, blockSize, opts)
+		}
+		r, _, err := tf.open() // only file traces carry a closer
+		if err != nil {
+			return nil, err
+		}
+		return trace.StreamSpans(ctx, r, blockSize, opts)
 	}
-	r, _, err := tf.open() // only file traces carry a closer
-	if err != nil {
-		return nil, err
-	}
-	return trace.StreamSpans(ctx, r, blockSize, opts)
-}
-
-// openSpans resolves the span input for the trace flags at blockSize
-// (see engine.OpenSpanInput); key is the finest rung's stream key.
-func openSpans(ctx context.Context, tf traceFlags, st *store.Store, key string, blockSize int, kinds bool, streamMem int64) (*engine.SpanInput, error) {
-	return engine.OpenSpanInput(ctx, st, key, blockSize, kinds, streamMem, func() (*trace.StreamPipeline, error) {
-		return tf.streamSpans(ctx, blockSize, trace.SpanOptions{MemBytes: streamMem, Kinds: kinds})
-	})
 }
 
 // spanNote renders the span input for the tools' provenance lines.

@@ -122,11 +122,11 @@ type Request struct {
 	// Cache, when non-nil together with a non-empty SourceID, is the
 	// content-addressed artifact store consulted at two tiers. The
 	// result tier first: every pass's finished per-configuration
-	// results are probed before any stream work (see resultcache.go),
-	// and only the passes that miss are simulated — a fully-warm
-	// exploration performs zero simulations and zero decodes, and a
-	// partially-warm one runs only the delta, publishing each simulated
-	// pass on completion. Then the stream tier: when any pass
+	// results are probed before any stream work (engine.Plan, whose
+	// pass records dewsim shares), and only the passes that miss are
+	// simulated — a fully-warm exploration performs zero simulations
+	// and zero decodes, and a partially-warm one runs only the delta,
+	// publishing each simulated pass on completion. Then the stream tier: when any pass
 	// simulates, a hit loads the finest-rung stream from disk (the fold
 	// ladder is still derived in O(runs)) instead of decoding the raw
 	// trace; a miss decodes once and publishes the stream for every
@@ -232,58 +232,46 @@ func Run(ctx context.Context, req Request) (*Result, error) {
 		name = "dew"
 	}
 
-	// One pass per (block, assoc) with assoc > 1; the pass also yields
-	// the direct-mapped row. A space containing only associativity 1
-	// needs explicit assoc-1 passes.
-	var passes []passSpec
-	for k, b := range req.Space.BlockSizes() {
-		hasWide := false
-		for _, a := range req.Space.Assocs() {
-			if a > 1 {
-				hasWide = true
-				passes = append(passes, passSpec{block: b, assoc: a, rung: k})
-			}
-		}
-		if !hasWide {
-			passes = append(passes, passSpec{block: b, assoc: 1, rung: k})
-		}
-	}
-
 	// Result-tier probe (delta scheduling): with a cache and a source
 	// identity, every pass's finished results are looked up before any
 	// stream work. Only the passes that miss — plus one sampled warm
 	// pass re-run live as a cross-check — are simulated; when nothing
 	// needs an engine, the stream machinery below is skipped entirely.
-	warmBlobs := make([]*store.ResultBlob, len(passes))
-	passKeys := make([]string, len(passes))
-	checkIdx := -1
-	allWarm := false
-	if req.Cache != nil && req.SourceID != "" {
-		var warmIdx []int
-		var warmKeys []string
-		for i, ps := range passes {
-			passKeys[i] = passResultKey(req, name, ps.block, ps.assoc)
-			specKey := passResultSpec(req, ps.block, ps.assoc).CacheKey()
-			if rb, err := req.Cache.GetResult(ctx, passKeys[i], name, specKey); err == nil && passWarmOK(rb) {
-				warmBlobs[i] = rb
-				warmIdx = append(warmIdx, i)
-				warmKeys = append(warmKeys, passKeys[i])
+	// The pass records are the ones every engine.Plan caller shares, so
+	// a pass dewsim published answers here too.
+	plan := &engine.Plan{Store: req.Cache, SourceID: req.SourceID, Kinds: req.Kinds, WarmCheck: !req.NoWarmCheck}
+	var rungOf []int // each pass's index in the block-size ladder
+	addPass := func(k, block, assoc int) {
+		rungOf = append(rungOf, k)
+		plan.Passes = append(plan.Passes, engine.Pass{Engine: name, Spec: engine.Spec{
+			MinLogSets: req.Space.MinLogSets, MaxLogSets: req.Space.MaxLogSets,
+			Assoc: assoc, BlockSize: block, Policy: req.Policy,
+		}})
+	}
+	// One pass per (block, assoc) with assoc > 1; the pass also yields
+	// the direct-mapped row. A space containing only associativity 1
+	// needs explicit assoc-1 passes.
+	for k, b := range req.Space.BlockSizes() {
+		n := len(rungOf)
+		for _, a := range req.Space.Assocs() {
+			if a > 1 {
+				addPass(k, b, a)
 			}
 		}
-		if len(warmIdx) > 0 && !req.NoWarmCheck {
-			checkIdx = warmIdx[store.WarmCheckPick(warmKeys)]
+		if len(rungOf) == n {
+			addPass(k, b, 1)
 		}
-		allWarm = len(warmIdx) == len(passes) && checkIdx < 0
 	}
+	allWarm := plan.Probe(ctx) == 0
 
 	// Bounded streaming replay: one span pipeline at the finest rung
 	// feeds every pass through the streaming fold ladder — each span
 	// split into a shard partition for sharded passes — bit-identical to
-	// the materialized schedule below. A fully-warm run stays on the warm
-	// path — it builds no streams either way.
+	// the materialized schedule below. A fully-warm run takes the same
+	// route, which builds no streams when no pass is live.
 	shardLog := trace.ShardLog(req.Shards, req.Space.MaxLogSets)
-	if (req.StreamMem > 0 || shardLog >= 0) && !allWarm {
-		return runStreamed(ctx, req, name, passes, warmBlobs, passKeys, checkIdx, workers, shardLog)
+	if req.StreamMem > 0 || shardLog >= 0 || allWarm {
+		return runStreamed(ctx, req, plan, workers, shardLog)
 	}
 
 	// Build the per-block-size inputs: one raw-trace materialization at
@@ -291,7 +279,6 @@ func Run(ctx context.Context, req Request) (*Result, error) {
 	// demand by the sliding ladder below (O(runs) per rung, bit-identical
 	// to a direct materialization at that size).
 	blocks := req.Space.BlockSizes() // ascending; blocks[0] is the decode rung
-	var base *trace.BlockStream
 	materialize := trace.MaterializeBlockStream
 	if req.Kinds {
 		// The kind channel rides along through folding; the engines'
@@ -300,25 +287,19 @@ func Run(ctx context.Context, req Request) (*Result, error) {
 	}
 	// With a cache, the store is consulted before the decode: only the
 	// finest-rung stream is stored (folding re-derives in O(runs)).
-	cacheKey, cacheHit := "", false
-	if req.Cache != nil && req.SourceID != "" {
-		cacheKey = store.Key(req.SourceID, blocks[0], 0, req.Kinds)
+	cacheKey, cacheHit := streamKey(req), false
+	var base *trace.BlockStream
+	var err error
+	if cacheKey != "" {
+		base, cacheHit, err = req.Cache.GetOrMaterialize(ctx, cacheKey, blocks[0], req.Kinds,
+			func(ctx context.Context) (*trace.BlockStream, error) {
+				return materialize(req.Source(), blocks[0])
+			})
+	} else {
+		base, err = materialize(req.Source(), blocks[0])
 	}
-	// A fully-warm run serves every pass from the result tier: no
-	// decode, no stream load, no fold ladder.
-	if !allWarm {
-		var err error
-		if cacheKey != "" {
-			base, cacheHit, err = req.Cache.GetOrMaterialize(ctx, cacheKey, blocks[0], req.Kinds,
-				func(ctx context.Context) (*trace.BlockStream, error) {
-					return materialize(req.Source(), blocks[0])
-				})
-		} else {
-			base, err = materialize(req.Source(), blocks[0])
-		}
-		if err != nil {
-			return nil, fmt.Errorf("explore: materializing block-%d stream: %w", blocks[0], err)
-		}
+	if err != nil {
+		return nil, fmt.Errorf("explore: materializing block-%d stream: %w", blocks[0], err)
 	}
 
 	var (
@@ -342,8 +323,8 @@ func Run(ctx context.Context, req Request) (*Result, error) {
 		built   = 1 // rungs[:built] have been derived
 		foldMu  sync.Mutex
 	)
-	for _, ps := range passes {
-		pending[ps.rung]++
+	for _, k := range rungOf {
+		pending[k]++
 	}
 	release := func(k int) {
 		if pending[k] == 0 && (k+1 < built || k+1 == len(rungs)) {
@@ -367,125 +348,76 @@ func Run(ctx context.Context, req Request) (*Result, error) {
 		return rungs[k]
 	}
 	res.CacheKey = cacheKey
-	if allWarm {
-		// No streams exist: the per-rung shapes and kind totals come out
-		// of the cached pass payloads (every pass of a rung recorded the
-		// same stream shape, and kind totals are trace-wide).
-		for i, ps := range passes {
-			if _, ok := res.StreamCompression[ps.block]; ok {
-				continue
-			}
-			sc := warmBlobs[i].Scalars
-			ratio := 0.0
-			if sc[1] > 0 {
-				ratio = float64(sc[0]) / float64(sc[1])
-			}
-			res.StreamCompression[ps.block] = ratio
-		}
-		if req.Kinds {
-			sc := warmBlobs[0].Scalars
-			res.KindTotals = [3]uint64{sc[2], sc[3], sc[4]}
-		}
-	} else {
-		rungs[0] = base
-		res.StreamCompression[blocks[0]] = base.CompressionRatio()
-		res.Decodes = 1
-		res.Folds = len(blocks) - 1
-		if cacheHit {
-			res.CacheHit = true
-			res.Decodes = 0
-		}
-		if req.Kinds {
-			// Folding preserves per-kind weights exactly, so any rung
-			// reports the same totals.
-			res.KindTotals = base.KindTotals()
-		}
+	rungs[0] = base
+	res.StreamCompression[blocks[0]] = base.CompressionRatio()
+	res.Decodes = 1
+	res.Folds = len(blocks) - 1
+	if cacheHit {
+		res.CacheHit = true
+		res.Decodes = 0
+	}
+	if req.Kinds {
+		// Folding preserves per-kind weights exactly, so any rung
+		// reports the same totals.
+		res.KindTotals = base.KindTotals()
+		plan.KindTotals = res.KindTotals
 	}
 	includeAssoc1 := req.Space.MinLogAssoc == 0
 
-	// merge folds one pass's results into the shared tables, tallies its
-	// provenance, recycles its engine (nil for a result-tier hit) and
-	// releases its rung when it was the last pass over it.
-	merge := func(i int, eng engine.Engine, results []engine.Result, simulated, verified bool) error {
-		ps := passes[i]
+	// merge folds one pass's results into the shared tables, recycles
+	// its engine (nil for a result-tier hit) and releases its rung when
+	// it was the last pass over it.
+	merge := func(i int, eng engine.Engine, r engine.PassResult) error {
 		mu.Lock()
 		defer mu.Unlock()
-		if err := mergeStats(res, includeAssoc1, results); err != nil {
+		if err := res.add(includeAssoc1, r); err != nil {
 			return err
-		}
-		res.Passes++
-		if simulated {
-			res.CellsSimulated++
-		} else {
-			res.CellsCached++
-			if verified {
-				res.WarmVerified++
-			}
 		}
 		done++
 		if _, ok := eng.(engine.Rebinder); ok {
-			free[ps.assoc] = append(free[ps.assoc], eng)
+			a := plan.Passes[i].Spec.Assoc
+			free[a] = append(free[a], eng)
 		}
-		pending[ps.rung]--
-		release(ps.rung)
+		pending[rungOf[i]]--
+		release(rungOf[i])
 		if req.Progress != nil {
-			req.Progress(done, len(passes))
+			req.Progress(done, len(rungOf))
 		}
 		return nil
 	}
 
-	if err := pool.Run(ctx, workers, len(passes), func(i int) error {
-		ps := passes[i]
-		warm := warmBlobs[i]
-		if allWarm {
-			return merge(i, nil, passResults(warm), false, false)
-		}
+	if err := pool.Run(ctx, workers, len(rungOf), func(i int) error {
+		spec := plan.Passes[i].Spec
 		// Every pass, warm or not, takes its rung: the ladder folds each
 		// rung exactly once, so StreamCompression covers every block size.
-		bs := rung(ps.rung)
-		if warm != nil && i != checkIdx {
+		bs := rung(rungOf[i])
+		if !plan.Live(i) {
 			// Served whole from the result tier: zero engine work.
-			return merge(i, nil, passResults(warm), false, false)
+			r, _ := plan.Cached(i)
+			return merge(i, nil, r)
 		}
 		// The exploration's single engine-dispatch site: rebind a
 		// recycled engine (or build one) and replay the shared stream. An
 		// engine whose replay failed is dropped, never recycled.
 		mu.Lock()
 		var eng engine.Engine
-		if n := len(free[ps.assoc]); n > 0 {
-			eng, free[ps.assoc] = free[ps.assoc][n-1], free[ps.assoc][:n-1]
+		if n := len(free[spec.Assoc]); n > 0 {
+			eng, free[spec.Assoc] = free[spec.Assoc][n-1], free[spec.Assoc][:n-1]
 		}
 		mu.Unlock()
-		eng, err := engine.Reuse(eng, name, passResultSpec(req, ps.block, ps.assoc))
+		eng, err := engine.Reuse(eng, name, spec)
 		if err == nil {
 			err = engine.Replay(ctx, eng, bs, nil)
 		}
 		if err != nil {
-			return fmt.Errorf("explore: pass B=%d A=%d: %w", ps.block, ps.assoc, err)
+			return fmt.Errorf("explore: pass B=%d A=%d: %w", spec.BlockSize, spec.Assoc, err)
 		}
-		results := eng.Results()
-		var kt [3]uint64
-		if req.Kinds {
-			kt = bs.KindTotals()
+		// Verify the warm check or publish the finished pass.
+		r, err := plan.Finish(ctx, i, eng, bs.Accesses, uint64(bs.Len()))
+		if err != nil {
+			return err
 		}
-		if warm != nil {
-			// The sampled warm check: the cached entry must match the
-			// live pass configuration for configuration.
-			if err := passDiverges(warm, results, bs.Accesses, uint64(bs.Len()), kt); err != nil {
-				req.Cache.DropResult(passKeys[i])
-				return fmt.Errorf("explore: result cache diverged from live re-simulation at pass B=%d A=%d (entry dropped): %w",
-					ps.block, ps.assoc, err)
-			}
-			return merge(i, eng, passResults(warm), false, true)
-		}
-		if passKeys[i] != "" {
-			// Publish the finished pass; failures are non-fatal — the
-			// results are already in hand.
-			blob := passBlob(name, passResultSpec(req, ps.block, ps.assoc).CacheKey(),
-				passScalars(bs.Accesses, uint64(bs.Len()), kt), results)
-			req.Cache.PutResult(ctx, passKeys[i], blob)
-		}
-		return merge(i, eng, results, true, false)
+		return merge(i, eng, r)
 	}); err != nil {
 		return nil, err
 	}
