@@ -527,24 +527,6 @@ func BenchmarkBatchedReaders(b *testing.B) {
 	})
 }
 
-// BenchmarkSweepCellWorkers measures one full comparison cell (DEW fast
-// pass + instrumented pass + all reference passes) serial vs parallel.
-func BenchmarkSweepCellWorkers(b *testing.B) {
-	tr := benchTrace(b, workload.MPEG2Dec)
-	p := sweep.Params{App: workload.MPEG2Dec, BlockSize: 16, Assoc: 4, MaxLogSets: benchMaxLog}
-	for _, workers := range []int{1, 0} {
-		name := fmt.Sprintf("workers=%d", workers)
-		b.Run(name, func(b *testing.B) {
-			r := sweep.Runner{Workers: workers}
-			for i := 0; i < b.N; i++ {
-				if _, err := r.RunCellTrace(context.Background(), p, tr); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkTable3Reference measures the baseline side of Table 3: one
 // reference pass per configuration (the Dinero IV methodology) for a
 // representative subset of cells.
@@ -580,7 +562,7 @@ func BenchmarkTable3Reference(b *testing.B) {
 // BenchmarkRefStream is the reference side of one sweep cell: kind-free
 // FIFO passes at associativity 1 and A for each of the 15 set counts
 // 2^0..2^14, each a fresh simulator replaying one stream materialized
-// outside the timed region — what sweep.RunCell times as the baseline
+// outside the timed region — what sweep.RunCells times as the baseline
 // DEW's speedup is measured against. It covers the apps, block sizes
 // and associativities of BenchmarkTable3Reference; ns/access is the
 // whole cell's time per trace access and cmp/access its tag
@@ -665,15 +647,14 @@ func BenchmarkFigure5Speedup(b *testing.B) {
 		for _, block := range []int{4, 16, 64} {
 			name := fmt.Sprintf("%s/B%d", app.Name, block)
 			b.Run(name, func(b *testing.B) {
-				tr := benchTrace(b, app)
-				p := sweep.Params{App: app, BlockSize: block, Assoc: 4, MaxLogSets: benchMaxLog}
+				params := []sweep.Params{{App: app, Seed: 1, Requests: benchRequests, BlockSize: block, Assoc: 4, MaxLogSets: benchMaxLog}}
 				var speedup float64
 				for i := 0; i < b.N; i++ {
-					cell, err := (sweep.Runner{}).RunCellTrace(context.Background(), p, tr)
+					cells, err := (sweep.Runner{}).RunCells(context.Background(), params)
 					if err != nil {
 						b.Fatal(err)
 					}
-					speedup = cell.Speedup()
+					speedup = cells[0].Speedup()
 				}
 				b.ReportMetric(speedup, "speedup")
 			})
@@ -688,15 +669,14 @@ func BenchmarkFigure6ComparisonReduction(b *testing.B) {
 		for _, block := range []int{4, 16, 64} {
 			name := fmt.Sprintf("%s/B%d", app.Name, block)
 			b.Run(name, func(b *testing.B) {
-				tr := benchTrace(b, app)
-				p := sweep.Params{App: app, BlockSize: block, Assoc: 4, MaxLogSets: benchMaxLog}
+				params := []sweep.Params{{App: app, Seed: 1, Requests: benchRequests, BlockSize: block, Assoc: 4, MaxLogSets: benchMaxLog}}
 				var red float64
 				for i := 0; i < b.N; i++ {
-					cell, err := (sweep.Runner{}).RunCellTrace(context.Background(), p, tr)
+					cells, err := (sweep.Runner{}).RunCells(context.Background(), params)
 					if err != nil {
 						b.Fatal(err)
 					}
-					red = cell.ComparisonReduction()
+					red = cells[0].ComparisonReduction()
 				}
 				b.ReportMetric(red, "reduction%")
 			})

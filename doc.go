@@ -44,19 +44,20 @@
 // directly — no per-access struct loads or shifts — and sheds the
 // wave-pointer and MRE bookkeeping (work-saving state, not result
 // state, reset to a sound "unknown" afterwards). Both paths are
-// bit-identical in results, verified on every sweep.RunCell and fuzzed
+// bit-identical in results, verified on every sweep cell and fuzzed
 // against each other (FuzzStreamEquivalence; ≥2× the seed's
 // single-access throughput on the sequential-fetch workloads, the
 // trajectory recorded in BENCH_core.json by scripts/bench.sh). lrutree
 // mirrors the same instrumented/stream split for the LRU tree.
 //
 // Independent passes parallelize above the core: sweep.Runner.Workers
-// spreads reference passes and whole cells across a worker pool with
-// deterministic result ordering, and package explore does the same for
-// design-space DEW passes — exactness verification is unaffected because
-// every pass replays the same materialized read-only stream; only wall
-// times are scheduling-sensitive (use one worker for timing-faithful
-// Table 3 runs).
+// spreads whole cells (every seed's, under -seeds) across a worker pool
+// with deterministic result ordering, each cell running its passes
+// serially, and package explore does the same for design-space DEW
+// passes — exactness verification is unaffected because every pass
+// replays the same materialized read-only stream; only wall times are
+// scheduling-sensitive (use one worker for timing-faithful Table 3
+// runs).
 //
 // One pass also parallelizes *internally*, and exactly so, via set
 // sharding: below a shard level S the simulation tree is a forest of
@@ -107,9 +108,8 @@
 // trace.LadderFolder on the span pipeline, trace.FoldLadder on a
 // materialized stream), and sweep.RunCells shares one folded ladder
 // per trace across its cells — every frontend reads the raw trace
-// exactly once per run no matter how many block sizes the space spans,
-// and records the provenance (explore.Result.Decodes/Folds,
-// sweep.Cell.StreamFolded).
+// exactly once per run no matter how many block sizes the space spans
+// (explore records the provenance in explore.Result.Decodes/Folds).
 //
 // # The streaming tier: pipelined replay in bounded memory
 //

@@ -178,6 +178,44 @@ func TestRefSimShardedCacheWarm(t *testing.T) {
 	}
 }
 
+// TestExperimentsSeedsCacheWarm: a multi-seed sweep runs as one batch,
+// so its warm rerun is byte-identical and live re-verifies one sampled
+// cell, and its provenance counts every seed's cell — a third seed
+// simulates only its own cells.
+func TestExperimentsSeedsCacheWarm(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-seed sweep skipped in -short mode")
+	}
+	dir := t.TempDir()
+	args := func(seeds string) []string {
+		return []string{"-table", "3", "-requests", "5000", "-maxlog", "4", "-seeds", seeds, "-cache", dir, "-csv"}
+	}
+	cold, coldErr, err := run(t, Experiments, args("2")...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(coldErr, "sweep of 108 cells") || !strings.Contains(coldErr, "cells: 108 simulated, 0 result-cached (0 live re-verified)") {
+		t.Errorf("cold provenance:\n%s", coldErr)
+	}
+	warm, warmErr, err := run(t, Experiments, args("2")...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm != cold {
+		t.Errorf("warm stdout differs from cold:\n%s\nvs\n%s", warm, cold)
+	}
+	if !strings.Contains(warmErr, "cells: 0 simulated, 108 result-cached (1 live re-verified)") {
+		t.Errorf("warm provenance:\n%s", warmErr)
+	}
+	_, moreErr, err := run(t, Experiments, args("3")...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(moreErr, "sweep of 162 cells") || !strings.Contains(moreErr, "cells: 54 simulated, 108 result-cached (1 live re-verified)") {
+		t.Errorf("-seeds 3 provenance:\n%s", moreErr)
+	}
+}
+
 // TestCrossToolResultSharing: dewsim, refsim and explore store one
 // pass record (engine.Plan), so a pass one tool published answers warm
 // for another and no tool overwrites another's entry. Each row runs its

@@ -29,7 +29,7 @@ func Experiments(ctx context.Context, env Env, args []string) error {
 		seeds      = fs.Int("seeds", 1, "replicate each cell across N consecutive seeds and combine")
 		maxLog     = fs.Int("maxlog", 14, "log2 of the largest simulated set count (14 = paper)")
 		extList    = fs.String("ext", "", "comma-separated extended experiments to run (1-4, beyond the paper)")
-		workers    = fs.Int("workers", 1, "worker pool size for sweep cells (1 = serial, timing-faithful; 0 = all cores)")
+		workers    = fs.Int("workers", 1, "worker pool size for sweep cells, every seed's replica included (1 = serial, timing-faithful; 0 = all cores)")
 		shards     = fs.Int("shards", 1, "also run each cell's set-sharded parallel DEW pass and sharded reference replays with this fan-out, cross-checked against the monolithic passes (1 = off, 0 = auto per cell from the stream's own statistics)")
 		csv        = fs.Bool("csv", false, "emit tables as CSV")
 		quiet      = fs.Bool("quiet", false, "suppress progress output")
@@ -193,33 +193,24 @@ func expSweep(ctx context.Context, ec expConfig, params []sweep.Params) ([]sweep
 			fmt.Fprintf(ec.env.Stderr, "  "+f+"\n", a...)
 		}
 	}
+	// Every cell and seed runs as one batch across the worker pool;
+	// each table row combines its cell's seeds, in params order.
 	start := time.Now()
-	var cells []sweep.Cell
-	if ec.seeds > 1 {
-		// Multi-seed cells aggregate sequentially; the reference passes
-		// inside each cell still use the worker pool.
-		cells = make([]sweep.Cell, 0, len(params))
-		for _, p := range params {
-			agg, err := r.RunCellSeeds(ctx, p, sweep.Seeds(ec.seed, ec.seeds))
-			if err != nil {
-				return nil, err
-			}
-			cells = append(cells, agg.Combined())
-		}
-	} else {
-		// Independent cells spread across the worker pool, results in
-		// params order.
-		var err error
-		cells, err = r.RunCells(ctx, params)
-		if err != nil {
-			return nil, err
-		}
+	aggs, err := r.RunSeeds(ctx, params, sweep.Seeds(ec.seed, ec.seeds))
+	if err != nil {
+		return nil, err
+	}
+	var seedCells []sweep.Cell
+	cells := make([]sweep.Cell, len(aggs))
+	for i, agg := range aggs {
+		seedCells = append(seedCells, agg.Cells...)
+		cells[i] = agg.Combined()
 	}
 	if !ec.quiet {
 		fmt.Fprintf(ec.env.Stderr, "sweep of %d cells finished in %v; every configuration verified exact\n",
-			len(cells), time.Since(start).Round(time.Millisecond))
+			len(seedCells), time.Since(start).Round(time.Millisecond))
 		if ec.cache != nil {
-			sim, cached, verified := sweep.Provenance(cells)
+			sim, cached, verified := sweep.Provenance(seedCells)
 			fmt.Fprintf(ec.env.Stderr, "cells: %d simulated, %d result-cached (%d live re-verified)\n",
 				sim, cached, verified)
 		}

@@ -213,19 +213,21 @@ func extVariability(ctx context.Context, ec expConfig) error {
 	t := report.NewTable(
 		fmt.Sprintf("Extended 4: variability across %d seeds (B=16, A=1&4)", seeds),
 		"application", "speedup min", "speedup max", "reduction% min", "reduction% max")
-	const maxLog = extMaxLog
+	var params []sweep.Params
 	for _, app := range workload.Apps() {
-		p := sweep.Params{
+		params = append(params, sweep.Params{
 			App: app, Requests: ec.requestsFor(app),
-			BlockSize: 16, Assoc: 4, MaxLogSets: maxLog,
-		}
-		agg, err := (sweep.Runner{Workers: ec.workers, Cache: ec.cache}).RunCellSeeds(ctx, p, sweep.Seeds(ec.seed, seeds))
-		if err != nil {
-			return err
-		}
+			BlockSize: 16, Assoc: 4, MaxLogSets: extMaxLog,
+		})
+	}
+	aggs, err := (sweep.Runner{Workers: ec.workers, Cache: ec.cache}).RunSeeds(ctx, params, sweep.Seeds(ec.seed, seeds))
+	if err != nil {
+		return err
+	}
+	for _, agg := range aggs {
 		sMin, sMax := agg.SpeedupRange()
 		rMin, rMax := agg.ReductionRange()
-		t.AddRow(app.Name,
+		t.AddRow(agg.App.Name,
 			fmt.Sprintf("%.2f", sMin), fmt.Sprintf("%.2f", sMax),
 			fmt.Sprintf("%.2f", rMin), fmt.Sprintf("%.2f", rMax))
 	}

@@ -3,7 +3,7 @@
 // and a replayable trace source, it decodes the trace exactly once — a
 // run-compressed trace.BlockStream at the space's finest block size —
 // derives every coarser block size from it by folding
-// (trace.FoldTo, O(runs) per rung instead of a re-decode), and
+// (trace.FoldBlockStream, O(runs) per rung instead of a re-decode), and
 // schedules one DEW pass per (block size, associativity) pair — each
 // pass covering every set count plus the direct-mapped configurations
 // for free — across a worker pool, merging the exact per-configuration

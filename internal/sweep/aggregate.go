@@ -14,22 +14,32 @@ type Aggregate struct {
 	Cells []Cell
 }
 
-// RunCellSeeds runs the cell once per seed and aggregates.
-func (r Runner) RunCellSeeds(ctx context.Context, p Params, seeds []uint64) (Aggregate, error) {
+// RunSeeds replicates every cell across the seeds — each params entry
+// once per seed, its Seed replaced — and runs the whole params × seeds
+// matrix as one RunCells batch, so the replicas share the worker pool,
+// the result-tier probe and its sampled warm check. The aggregates come
+// back in params order, each holding its cells in seed order.
+func (r Runner) RunSeeds(ctx context.Context, params []Params, seeds []uint64) ([]Aggregate, error) {
 	if len(seeds) == 0 {
-		return Aggregate{}, fmt.Errorf("sweep: RunCellSeeds needs at least one seed")
+		return nil, fmt.Errorf("sweep: RunSeeds needs at least one seed")
 	}
-	agg := Aggregate{Params: p, Cells: make([]Cell, 0, len(seeds))}
-	for _, seed := range seeds {
-		ps := p
-		ps.Seed = seed
-		cell, err := r.RunCell(ctx, ps)
-		if err != nil {
-			return agg, err
+	batch := make([]Params, 0, len(params)*len(seeds))
+	for _, p := range params {
+		for _, seed := range seeds {
+			ps := p
+			ps.Seed = seed
+			batch = append(batch, ps)
 		}
-		agg.Cells = append(agg.Cells, cell)
 	}
-	return agg, nil
+	cells, err := r.RunCells(ctx, batch)
+	if err != nil {
+		return nil, err
+	}
+	aggs := make([]Aggregate, len(params))
+	for i, p := range params {
+		aggs[i] = Aggregate{Params: p, Cells: cells[i*len(seeds) : (i+1)*len(seeds) : (i+1)*len(seeds)]}
+	}
+	return aggs, nil
 }
 
 // Combined sums the per-seed measurements into one Cell: total times and

@@ -8,12 +8,33 @@ import (
 	"dew/internal/workload"
 )
 
+// TestRunCellSeeds replicates two cells across three seeds in one
+// batch: the aggregates come back in params order, each with its cells
+// in seed order.
 func TestRunCellSeeds(t *testing.T) {
-	p := Params{App: workload.DJPEG, Requests: 10000, BlockSize: 16, Assoc: 4, MaxLogSets: 4}
-	agg, err := (Runner{}).RunCellSeeds(context.Background(), p, Seeds(1, 3))
+	params := []Params{
+		{App: workload.DJPEG, Requests: 10000, BlockSize: 16, Assoc: 4, MaxLogSets: 4},
+		{App: workload.CJPEG, Requests: 10000, BlockSize: 4, Assoc: 2, MaxLogSets: 4},
+	}
+	aggs, err := (Runner{}).RunSeeds(context.Background(), params, Seeds(1, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(aggs) != len(params) {
+		t.Fatalf("aggregates = %d, want %d", len(aggs), len(params))
+	}
+	for i, agg := range aggs {
+		want := params[i].String()
+		if agg.String() != want {
+			t.Errorf("aggregate %d is %s, want %s", i, agg.Params, want)
+		}
+		for _, c := range agg.Cells {
+			if c.String() != want {
+				t.Errorf("aggregate %d holds a %s cell", i, c.Params)
+			}
+		}
+	}
+	agg := aggs[0]
 	if len(agg.Cells) != 3 {
 		t.Fatalf("cells = %d", len(agg.Cells))
 	}
@@ -53,7 +74,7 @@ func TestRunCellSeeds(t *testing.T) {
 }
 
 func TestRunCellSeedsEmpty(t *testing.T) {
-	if _, err := (Runner{}).RunCellSeeds(context.Background(), Params{}, nil); err == nil {
+	if _, err := (Runner{}).RunSeeds(context.Background(), []Params{{}}, nil); err == nil {
 		t.Error("empty seed list should fail")
 	}
 }

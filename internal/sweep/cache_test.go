@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,50 +11,34 @@ import (
 	"testing"
 
 	"dew/internal/store"
-	"dew/internal/trace"
 	"dew/internal/workload"
 )
 
-func cacheTestTrace(n int) trace.Trace {
-	tr := make(trace.Trace, n)
-	for i := range tr {
-		tr[i] = trace.Access{Addr: uint64(i*13) % 8192, Kind: trace.Kind(i % 3)}
-	}
-	return tr
-}
-
-// TestRunCellTraceCacheWarm: the second identical cell is served whole
-// from the result tier — zero stream work, zero simulations — with
-// bit-identical verified results.
+// TestRunCellTraceCacheWarm: the second identical one-cell batch is
+// served whole from the result tier, bit-identical, with the cell as
+// the batch's sampled warm check.
 func TestRunCellTraceCacheWarm(t *testing.T) {
 	st, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := cacheTestTrace(6000)
-	p := Params{App: workload.CJPEG, BlockSize: 8, Assoc: 2, MaxLogSets: 4}
+	p := Params{App: workload.CJPEG, Seed: 1, Requests: 6000, BlockSize: 8, Assoc: 2, MaxLogSets: 4}
 
 	var logged []string
 	r := Runner{Cache: st, Logf: func(f string, a ...interface{}) {
 		logged = append(logged, fmt.Sprintf(f, a...))
 	}}
-	cold, err := r.RunCellTrace(context.Background(), p, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold := runOne(t, r, p)
 	if cold.CacheHit || cold.ResultCacheHit {
 		t.Fatalf("cold cell reported a cache hit: stream=%v result=%v", cold.CacheHit, cold.ResultCacheHit)
 	}
-	if cold.CacheKey == "" || cold.ResultCacheKey == "" {
-		t.Fatalf("cold cell missing cache keys: stream=%q result=%q", cold.CacheKey, cold.ResultCacheKey)
+	if cold.ResultCacheKey == "" {
+		t.Fatal("cold cell missing its result cache key")
 	}
 
-	warm, err := r.RunCellTrace(context.Background(), p, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !warm.ResultCacheHit {
-		t.Fatal("warm cell missed the result cache")
+	warm := runOne(t, r, p)
+	if !warm.ResultCacheHit || !warm.WarmVerified {
+		t.Fatalf("warm cell: result hit %v, live re-verified %v; want both", warm.ResultCacheHit, warm.WarmVerified)
 	}
 	if warm.CacheHit {
 		t.Fatal("result-warm cell reported stream work")
@@ -72,7 +57,7 @@ func TestRunCellTraceCacheWarm(t *testing.T) {
 	}
 	hitLogged := false
 	for _, l := range logged {
-		if strings.Contains(l, "result-cache-hit") {
+		if strings.Contains(l, "result cache: 1/1 cells warm") {
 			hitLogged = true
 		}
 	}
@@ -225,6 +210,55 @@ func TestRunCellsWarmCheckDivergence(t *testing.T) {
 	}
 }
 
+// TestRunSeedsWarmCheckDivergence: a multi-seed batch gets the same
+// sampled warm check as a single-seed one. The sampled entry, tampered
+// with, fails the batch with "diverged" and is dropped; the rerun
+// re-simulates it and verifies another.
+func TestRunSeedsWarmCheckDivergence(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := []Params{{App: workload.CJPEG, Requests: 4000, BlockSize: 8, Assoc: 2, MaxLogSets: 3}}
+	seeds := Seeds(1, 2)
+	r := Runner{Cache: st}
+	cold, err := r.RunSeeds(context.Background(), params, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := cold[0].Cells
+	keys := []string{cells[0].ResultCacheKey, cells[1].ResultCacheKey}
+
+	// Republish the entry the warm check samples with a falsified
+	// property counter.
+	tampered := cells[store.WarmCheckPick(keys)]
+	tampered.Counters.Searches += 7
+	r.publishCell(context.Background(), tampered.ResultCacheKey, tampered)
+
+	if _, err := r.RunSeeds(context.Background(), params, seeds); err == nil {
+		t.Fatal("tampered result entry survived the warm check")
+	} else if !strings.Contains(err.Error(), "diverged") {
+		t.Fatalf("unexpected warm-check error: %v", err)
+	}
+	if _, err := st.GetResult(context.Background(), tampered.ResultCacheKey, cellEngineName,
+		r.cellSpecKey(tampered.Params)); !errors.Is(err, store.ErrMiss) {
+		t.Fatalf("divergent entry still served: %v", err)
+	}
+
+	healed, err := r.RunSeeds(context.Background(), params, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sim, cached, verified := Provenance(healed[0].Cells); sim != 1 || cached != 1 || verified != 1 {
+		t.Fatalf("rerun provenance: %d simulated, %d cached, %d verified; want 1/1/1", sim, cached, verified)
+	}
+	for i := range cells {
+		if !reflect.DeepEqual(healed[0].Cells[i].Results, cells[i].Results) {
+			t.Fatalf("seed %d: healed results differ from the original simulation", seeds[i])
+		}
+	}
+}
+
 // TestRunCellCorruptResultFallback: a bit-flipped .drs entry reads as
 // a miss — the cell re-simulates transparently and republishes, and
 // the corrupt file is quarantined out of the key's path.
@@ -234,13 +268,9 @@ func TestRunCellCorruptResultFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := cacheTestTrace(6000)
-	p := Params{App: workload.CJPEG, BlockSize: 8, Assoc: 2, MaxLogSets: 3}
+	p := Params{App: workload.CJPEG, Seed: 1, Requests: 6000, BlockSize: 8, Assoc: 2, MaxLogSets: 3}
 	r := Runner{Cache: st}
-	cold, err := r.RunCellTrace(context.Background(), p, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold := runOne(t, r, p)
 
 	path := filepath.Join(dir, cold.ResultCacheKey+".drs")
 	blob, err := os.ReadFile(path)
@@ -252,10 +282,7 @@ func TestRunCellCorruptResultFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	warm, err := r.RunCellTrace(context.Background(), p, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	warm := runOne(t, r, p)
 	if warm.ResultCacheHit {
 		t.Fatal("corrupt result entry served as a hit")
 	}
@@ -266,11 +293,7 @@ func TestRunCellCorruptResultFallback(t *testing.T) {
 		t.Fatalf("corrupt entry not quarantined: %v", err)
 	}
 	// The re-simulation republished: a third run hits.
-	again, err := r.RunCellTrace(context.Background(), p, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !again.ResultCacheHit {
+	if again := runOne(t, r, p); !again.ResultCacheHit {
 		t.Fatal("republished result entry missed")
 	}
 }

@@ -19,8 +19,8 @@ func TestRunCellCancelled(t *testing.T) {
 	defer leakcheck.Check(t)()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := (Runner{Workers: 2}).RunCell(ctx, cancelParams()); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunCell on cancelled ctx: %v, want context.Canceled", err)
+	if _, err := (Runner{Workers: 2}).RunCells(ctx, []Params{cancelParams()}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunCells on cancelled ctx: %v, want context.Canceled", err)
 	}
 }
 

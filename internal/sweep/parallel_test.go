@@ -32,33 +32,35 @@ func cellsEquivalent(t *testing.T, label string, a, b Cell) {
 	}
 }
 
-// TestRunCellWorkersEquivalence runs one cell serially and with a wide
-// worker pool; everything except wall time must be identical.
+// TestRunCellWorkersEquivalence runs one cell's seed replicas as a
+// serial batch and across a wide worker pool; everything except wall
+// time must be identical, seed by seed.
 func TestRunCellWorkersEquivalence(t *testing.T) {
-	p := Params{
-		App: workload.G721Dec, Seed: 2, Requests: 15000,
+	params := []Params{{
+		App: workload.G721Dec, Requests: 15000,
 		BlockSize: 16, Assoc: 4, MaxLogSets: 5,
-	}
-	serial, err := Runner{Workers: 1}.RunCell(context.Background(), p)
+	}}
+	serial, err := Runner{Workers: 1}.RunSeeds(context.Background(), params, Seeds(2, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Runner{Workers: 8}.RunCell(context.Background(), p)
+	parallel, err := Runner{Workers: 8}.RunSeeds(context.Background(), params, Seeds(2, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cellsEquivalent(t, "workers 1 vs 8", serial, parallel)
-	if serial.Verified != 12 {
-		t.Errorf("Verified = %d, want 12", serial.Verified)
+	for i, c := range serial[0].Cells {
+		cellsEquivalent(t, "workers 1 vs 8", c, parallel[0].Cells[i])
+		if c.Verified != 12 {
+			t.Errorf("seed %d: Verified = %d, want 12", c.Seed, c.Verified)
+		}
 	}
 }
 
 // TestRunCellsFoldLadder spans several block sizes per trace: the batch
 // decodes each trace once at its finest block size and folds the
-// coarser rungs, so every cell above the finest block must carry the
-// fold provenance and still be identical (modulo timing) to an
-// individual RunCell, whose stream is decoded at the cell's own block
-// size. The stream-length and compression fields come from the folded
+// coarser rungs, so every cell above the finest block replays a folded
+// stream and must still be identical (modulo timing) to a one-cell
+// batch, whose stream is decoded at the cell's own block size. The stream-length and compression fields come from the folded
 // stream, so their equality doubles as a fold-exactness check at the
 // sweep layer.
 func TestRunCellsFoldLadder(t *testing.T) {
@@ -74,16 +76,7 @@ func TestRunCellsFoldLadder(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, p := range params {
-		if want := p.BlockSize != 4; cells[i].StreamFolded != want {
-			t.Errorf("%s: StreamFolded = %v, want %v", p, cells[i].StreamFolded, want)
-		}
-		single, err := Runner{Workers: 1}.RunCell(context.Background(), p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if single.StreamFolded {
-			t.Errorf("%s: single-cell stream marked folded", p)
-		}
+		single := runOne(t, Runner{Workers: 1}, p)
 		cellsEquivalent(t, p.String(), single, cells[i])
 		if cells[i].StreamRuns != single.StreamRuns {
 			t.Errorf("%s: folded stream has %d runs, direct decode %d", p, cells[i].StreamRuns, single.StreamRuns)
@@ -95,7 +88,7 @@ func TestRunCellsFoldLadder(t *testing.T) {
 }
 
 // TestRunCells checks the batched cell runner returns results in params
-// order and identical (modulo timing) to individual RunCell calls.
+// order and identical (modulo timing) to one-cell batches run serially.
 func TestRunCells(t *testing.T) {
 	var params []Params
 	for _, app := range []workload.App{workload.CJPEG, workload.DJPEG, workload.G721Enc} {
@@ -119,10 +112,7 @@ func TestRunCells(t *testing.T) {
 			t.Fatalf("cell %d is %s/A%d, want %s/A%d (ordering not deterministic)",
 				i, cells[i].App.Name, cells[i].Assoc, p.App.Name, p.Assoc)
 		}
-		single, err := Runner{Workers: 1}.RunCell(context.Background(), p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		single := runOne(t, Runner{Workers: 1}, p)
 		cellsEquivalent(t, p.String(), single, cells[i])
 	}
 }

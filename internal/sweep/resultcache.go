@@ -161,7 +161,7 @@ func (r Runner) publishCell(ctx context.Context, key string, c Cell) {
 // warmCellDiverges compares a cached cell against a live re-simulation
 // on every scheduling-independent field. Wall times are excluded — they
 // are honest per-recording measurements, different on every run —
-// as are the provenance flags this PR's machinery sets itself.
+// as are the provenance flags the runner sets itself.
 func warmCellDiverges(cached, live Cell) error {
 	switch {
 	case !reflect.DeepEqual(cached.Results, live.Results):

@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"context"
 	"testing"
 
 	"dew/internal/workload"
@@ -19,13 +18,10 @@ func TestComparisonReductionShape(t *testing.T) {
 	for _, app := range workload.Apps() {
 		var prev float64
 		for i, block := range []int{4, 16, 64} {
-			cell, err := (Runner{}).RunCell(context.Background(), Params{
+			cell := runOne(t, Runner{}, Params{
 				App: app, Seed: 1, Requests: requests,
 				BlockSize: block, Assoc: 4, MaxLogSets: 9,
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 			red := cell.ComparisonReduction()
 			if red <= 0 {
 				t.Errorf("%s B=%d: no comparison reduction (%.2f%%)", app.Name, block, red)
@@ -55,13 +51,10 @@ func TestComparisonReductionGrowsWithAssoc(t *testing.T) {
 	for _, app := range []workload.App{workload.CJPEG, workload.MPEG2Dec} {
 		var prev float64
 		for i, assoc := range []int{4, 8, 16} {
-			cell, err := (Runner{}).RunCell(context.Background(), Params{
+			cell := runOne(t, Runner{}, Params{
 				App: app, Seed: 1, Requests: requests,
 				BlockSize: 16, Assoc: assoc, MaxLogSets: 9,
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 			red := cell.ComparisonReduction()
 			if i > 0 && red <= prev {
 				t.Errorf("%s: reduction did not grow with associativity: %.2f%% at A=%d vs %.2f%%",

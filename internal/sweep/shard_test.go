@@ -17,14 +17,8 @@ func TestRunCellSharded(t *testing.T) {
 		App: workload.CJPEG, Seed: 3, Requests: 15000,
 		BlockSize: 16, Assoc: 4, MaxLogSets: 6,
 	}
-	plain, err := Runner{Workers: 1}.RunCell(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := Runner{Workers: 1, Shards: 4}.RunCell(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := runOne(t, Runner{Workers: 1}, p)
+	sharded := runOne(t, Runner{Workers: 1, Shards: 4}, p)
 	if plain.Shards != 0 || plain.ShardTime != 0 {
 		t.Errorf("unsharded cell has shard fields: %d trees, %v", plain.Shards, plain.ShardTime)
 	}
@@ -56,8 +50,8 @@ func TestRunCellSharded(t *testing.T) {
 }
 
 // TestRunCellsShardedSharing exercises the shared ShardStream path of
-// RunCells (several cells per distinct stream) and equivalence with the
-// per-cell materialization.
+// RunCells (several cells per distinct stream) and equivalence with
+// one-cell batches, which partition their own stream.
 func TestRunCellsShardedSharing(t *testing.T) {
 	params := []Params{
 		{App: workload.G721Dec, Seed: 2, Requests: 8000, BlockSize: 16, Assoc: 4, MaxLogSets: 5},
@@ -73,10 +67,7 @@ func TestRunCellsShardedSharing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, c := range cells {
-		single, err := r.RunCell(context.Background(), params[i])
-		if err != nil {
-			t.Fatal(err)
-		}
+		single := runOne(t, r, params[i])
 		if c.Shards != single.Shards || c.ShardRuns != single.ShardRuns {
 			t.Errorf("cell %d: shared shard stream (%d trees, %d runs) vs per-cell (%d, %d)",
 				i, c.Shards, c.ShardRuns, single.Shards, single.ShardRuns)

@@ -5,26 +5,26 @@
 // configuration, exactly how Dinero IV had to be run. It records wall
 // times, tag comparisons and DEW's property counters, and cross-checks
 // every configuration's miss count between the two simulators (the
-// paper's exactness verification).
+// paper's exactness verification). Runner.RunCells is the one way a
+// cell runs; RunSeeds replicates a batch across trace seeds through it.
 //
 // # Stream materialization and sharing
 //
-// A cell materializes its workload trace exactly once, and from it one
-// run-compressed trace.BlockStream at the cell's block size (see the
-// trace package: consecutive same-block accesses collapse into one
-// weighted run). Both timed sides replay that same read-only stream —
-// the timed DEW pass through core.SimulateStream, every reference pass
-// through refsim.SimulateStream — so DEWTime and RefTime measure pure
-// simulation over identical inputs, with the one-off decode-and-shift
-// cost of materialization charged to neither side. Run folding is exact
-// on both sides (DEW's Property 2; a deterministic fold in refsim).
-// RunCells materializes each distinct trace once, decodes it once at
-// the finest block size the batch needs, and derives every coarser
-// (trace, block size) stream by folding that ladder
-// (trace.FoldLadder — bit-identical to a direct materialization,
-// O(runs) per rung instead of one full decode per block size), handing
-// the same immutable stream to every cell and worker that needs it;
-// Cell.StreamFolded records which cells replayed a fold-derived rung.
+// RunCells materializes each distinct workload trace exactly once, and
+// from it one run-compressed trace.BlockStream per block size its cells
+// need (see the trace package: consecutive same-block accesses collapse
+// into one weighted run). Both timed sides of a cell replay that same
+// read-only stream — the timed DEW pass through core.SimulateStream,
+// every reference pass through refsim.SimulateStream — so DEWTime and
+// RefTime measure pure simulation over identical inputs, with the
+// one-off decode-and-shift cost of materialization charged to neither
+// side. Run folding is exact on both sides (DEW's Property 2; a
+// deterministic fold in refsim). Each trace is decoded once, at the
+// finest block size the batch needs, and every coarser (trace, block
+// size) stream is folded from that ladder (trace.FoldLadder —
+// bit-identical to a direct materialization, O(runs) per rung instead
+// of one full decode per block size), the same immutable stream handed
+// to every cell that needs it.
 //
 // The untimed instrumented DEW pass still replays the raw trace through
 // the per-access path; its per-configuration results must match the
@@ -43,29 +43,28 @@
 // streams and simulate. One sampled warm cell per batch is re-simulated
 // live and compared field-for-field against its cached copy, so cached
 // results stay trustworthy without forfeiting the zero-simulation warm
-// path.
+// path. A multi-seed run is one batch too, so it gets the same check.
 //
 // # Parallelism
 //
-// Runner.Workers bounds a worker pool. RunCell spreads the independent
-// per-configuration reference passes across it; RunCells spreads whole
-// cells (each cell then running its reference passes serially, so the
-// machine is not oversubscribed). Result ordering is deterministic
-// either way — outputs land in slices indexed by configuration or cell,
-// never in completion order, and exactness verification is unaffected
+// Runner.Workers bounds a worker pool that RunCells spreads whole cells
+// across; each cell runs its DEW and reference passes serially, so the
+// machine is not oversubscribed. Result ordering is deterministic —
+// cells land in params order, configurations in configuration order,
+// never in completion order — and exactness verification is unaffected
 // because every pass replays the same shared stream. Only the wall-time
 // fields are scheduling-sensitive: each reference pass is timed
 // individually, so RefTime remains the *summed* single-pass cost the
-// paper reports, but under Workers > 1 those passes contend for memory
-// bandwidth and the sum can drift upward. Benchmarking runs that feed
-// Table 3 should therefore use Workers = 1 — the experiments CLI's
+// paper reports, but under Workers > 1 concurrent cells contend for
+// memory bandwidth and the sum can drift upward. Benchmarking runs that
+// feed Table 3 should therefore use Workers = 1 — the experiments CLI's
 // -workers flag defaults to exactly that — while correctness-focused
 // runs can use all cores (-workers 0).
 //
 // # Sharded passes
 //
-// Workers parallelizes *across* passes; Runner.Shards parallelizes
-// *inside* one. With Shards ≥ 2 every cell additionally runs the
+// Workers parallelizes *across* cells; Runner.Shards parallelizes
+// *inside* one pass. With Shards ≥ 2 every cell additionally runs the
 // set-sharded parallel DEW pass (core.Sharded): the cell's stream is
 // partitioned once per (trace, block size) into a trace.ShardStream —
 // shared read-only across cells exactly like the streams — and 2^S
@@ -108,7 +107,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -160,22 +159,12 @@ type Cell struct {
 	// timed sides replayed; Requests/StreamRuns is the compression
 	// ratio the stream frontend bought at this block size.
 	StreamRuns uint64
-	// StreamFolded records the stream's provenance: true when the cell
-	// replayed a rung fold-derived from a finer block size's stream
-	// (RunCells decodes each trace once at its finest block size),
-	// false when the stream was materialized from the trace directly.
-	// Fold-derived streams are bit-identical to directly materialized
-	// ones, so only the materialization cost — not any result — depends
-	// on this.
-	StreamFolded bool
 	// CacheHit records that the cell's stream (for fold-derived rungs:
 	// its trace's ladder base) was loaded from the runner's artifact
 	// store — or shared from a concurrent materialization — instead of
-	// decoded from the trace; CacheKey is the store key consulted (""
-	// when the runner has no cache). Loaded streams are bit-identical
-	// to decoded ones, so like StreamFolded this is provenance only.
+	// decoded from the trace. Loaded streams are bit-identical to
+	// decoded ones, so this is provenance only.
 	CacheHit bool
-	CacheKey string
 
 	// ResultCacheHit records that the whole finished cell — results,
 	// counters and recorded wall times — was served from the runner's
@@ -253,8 +242,8 @@ func (c Cell) ComparisonReduction() float64 {
 // accesses the average replayed stream entry stood for. Folding
 // preserves the stream's access count, so the ratio is exact whether
 // the cell's stream was decoded directly or fold-derived
-// (StreamFolded), without re-counting the raw trace; an empty trace
-// yields 0.
+// (RunCells folds coarser rungs from the finest), without re-counting
+// the raw trace; an empty trace yields 0.
 func (c Cell) CompressionRatio() float64 {
 	if c.StreamRuns == 0 {
 		return 0
@@ -287,11 +276,11 @@ type Runner struct {
 	// Logf, when non-nil, receives progress lines. Calls are serialized.
 	Logf func(format string, args ...interface{})
 
-	// Workers bounds the worker pool used for the independent passes of
-	// a run: the per-configuration reference passes inside RunCell, and
-	// whole cells inside RunCells. 0 means GOMAXPROCS; 1 runs serially,
-	// which is what timing-faithful Table 3 runs should use (see the
-	// package comment).
+	// Workers bounds the worker pool RunCells spreads whole cells (and
+	// their up-front trace, stream and partition builds) across; each
+	// cell runs its own passes serially. 0 means GOMAXPROCS; 1 runs
+	// serially, which is what timing-faithful Table 3 runs should use
+	// (see the package comment).
 	Workers int
 
 	// Shards, when at least 2, additionally runs every cell through the
@@ -300,7 +289,7 @@ type Runner struct {
 	// level, Shards rounded up to a power of two and capped at the
 	// cell's MaxLogSets) and replayed by 2^S independent tree passes
 	// across GOMAXPROCS goroutines — intra-pass parallelism, where
-	// Workers is inter-pass. Sharding also turns on the sharded
+	// Workers is inter-cell. Sharding also turns on the sharded
 	// reference replays: every configuration's refsim pass additionally
 	// runs over the set-substreams (Cell.RefShardTime) and is
 	// cross-checked bit-for-bit against the monolithic reference pass.
@@ -324,8 +313,8 @@ type Runner struct {
 	// instrumented cross-check pass still replays the raw trace, so a
 	// stream-warm cell remains a full exactness proof; a result-warm
 	// cell's trustworthiness rests on the sampled live re-check (see
-	// NoWarmCheck). Cell.CacheHit/CacheKey and
-	// Cell.ResultCacheHit/ResultCacheKey record the provenance.
+	// NoWarmCheck). Cell.CacheHit and Cell.ResultCacheHit/ResultCacheKey
+	// record the provenance.
 	Cache *store.Store
 
 	// NoWarmCheck disables the sampled warm check: by default RunCells
@@ -335,27 +324,6 @@ type Runner struct {
 	// this to measure cache-hit throughput without one cell's
 	// simulation cost.
 	NoWarmCheck bool
-}
-
-// streamProv carries a stream's provenance (fold-derived? loaded from
-// the artifact store?) into the cell it feeds.
-type streamProv struct {
-	folded   bool
-	cacheHit bool
-	cacheKey string
-}
-
-// materializeStream builds tr's stream at blockSize, consulting the
-// runner's artifact store when one is configured.
-func (r Runner) materializeStream(ctx context.Context, tr trace.Trace, blockSize int) (*trace.BlockStream, streamProv, error) {
-	if r.Cache == nil {
-		bs, err := tr.BlockStream(blockSize)
-		return bs, streamProv{}, err
-	}
-	key := store.Key(store.TraceID(tr), blockSize, 0, false)
-	bs, hit, err := r.Cache.GetOrMaterialize(ctx, key, blockSize, false,
-		func(context.Context) (*trace.BlockStream, error) { return tr.BlockStream(blockSize) })
-	return bs, streamProv{cacheHit: hit, cacheKey: key}, err
 }
 
 // shardLog resolves the runner's shard level for a cell via the shared
@@ -383,51 +351,6 @@ func (r Runner) logf(format string, args ...interface{}) {
 	if r.Logf != nil {
 		r.Logf(format, args...)
 	}
-}
-
-// RunCell materializes the workload trace and its block stream once,
-// times one DEW pass against per-configuration reference passes — every
-// timed pass replaying the same in-memory stream, so the times measure
-// simulation and not trace regeneration or decoding — and verifies
-// exactness. It returns an error if any configuration's miss counts
-// disagree — which would falsify the simulator, so it is checked on
-// every run.
-//
-// Cancelling ctx stops the cell between passes and between reference
-// configurations — the cell's cancellation granularity is the pass, a
-// running replay finishes — and returns ctx's error with every pool
-// goroutine drained. A panic inside a pooled pass surfaces as a
-// *pool.PanicError rather than crashing the process.
-func (r Runner) RunCell(ctx context.Context, p Params) (Cell, error) {
-	tr := workload.Take(p.App.Generator(p.Seed), int(p.requests()))
-	return r.RunCellTrace(ctx, p, tr)
-}
-
-// RunCellTrace is RunCell over an explicit in-memory trace (used by
-// tests and by trace-file driven tools). With a cache configured the
-// result tier is probed first — a hit serves the finished cell without
-// materializing a stream or simulating anything — and a simulated cell
-// is published on completion. The block stream is materialized here.
-func (r Runner) RunCellTrace(ctx context.Context, p Params, tr trace.Trace) (Cell, error) {
-	key := ""
-	if r.Cache != nil {
-		key = r.cellResultKey(store.TraceID(tr), p)
-		if cell, ok := r.loadCell(ctx, key, p); ok {
-			r.logf("%s: result-cache-hit (%d configs, %d requests, 0 simulations)",
-				p, cell.Verified, cell.Requests)
-			return cell, nil
-		}
-	}
-	bs, prov, err := r.materializeStream(ctx, tr, p.BlockSize)
-	if err != nil {
-		return Cell{Params: p}, err
-	}
-	cell, err := r.runCellStream(ctx, p, tr, bs, nil, prov)
-	if err == nil && key != "" {
-		cell.ResultCacheKey = key
-		r.publishCell(ctx, key, cell)
-	}
-	return cell, err
 }
 
 // refStats extracts the full Dinero-style statistics of a reference
@@ -460,9 +383,13 @@ func verifyRef(cell Cell, res engine.Result, st, first refsim.Stats) error {
 	return nil
 }
 
-func (r Runner) runCellStream(ctx context.Context, p Params, tr trace.Trace, bs *trace.BlockStream, ss *trace.ShardStream, prov streamProv) (Cell, error) {
-	cell := Cell{Params: p, Requests: uint64(len(tr)), StreamRuns: uint64(bs.Len()),
-		StreamFolded: prov.folded, CacheHit: prov.cacheHit, CacheKey: prov.cacheKey}
+// runCellStream simulates and verifies one cell over the shared inputs
+// RunCells built for it: the raw trace, its block stream at the cell's
+// block size, and — when the cell is sharded — that stream's partition
+// at the cell's resolved shard level (nil otherwise). Every pass runs
+// serially; cancelling ctx stops the cell between passes.
+func (r Runner) runCellStream(ctx context.Context, p Params, tr trace.Trace, bs *trace.BlockStream, ss *trace.ShardStream, cacheHit bool) (Cell, error) {
+	cell := Cell{Params: p, Requests: uint64(len(tr)), StreamRuns: uint64(bs.Len()), CacheHit: cacheHit}
 	if bs.BlockSize != p.BlockSize || bs.Accesses != uint64(len(tr)) {
 		return cell, fmt.Errorf("sweep: stream (block %d, %d accesses) does not match cell %v over %d requests",
 			bs.BlockSize, bs.Accesses, p, len(tr))
@@ -513,33 +440,8 @@ func (r Runner) runCellStream(ctx context.Context, p Params, tr trace.Trace, bs 
 	// Sharded pass (timed): the intra-pass parallel replay over the
 	// partitioned stream, cross-checked bit-for-bit against the
 	// instrumented pass exactly like the stream pass above. The
-	// partition itself is untimed shared input, like the stream. A
-	// caller-supplied partition carries its own resolved level (RunCells
-	// resolves ShardsAuto once per shared stream); only a fixed shard
-	// count is re-checked against it.
-	log := -1
-	switch {
-	case ss != nil:
-		if ss.Source != bs {
-			return cell, fmt.Errorf("sweep: shard stream does not partition cell %v's block stream", p)
-		}
-		if r.Shards != ShardsAuto {
-			if want := trace.ShardLog(r.Shards, p.MaxLogSets); want != ss.Log {
-				return cell, fmt.Errorf("sweep: shard stream (level %d) does not match cell %v at level %d",
-					ss.Log, p, want)
-			}
-		}
-		log = ss.Log
-	case r.sharding():
-		log = r.shardLog(p.MaxLogSets, bs)
-	}
-	if log >= 0 {
-		if ss == nil {
-			var err error
-			if ss, err = trace.ShardBlockStream(bs, log); err != nil {
-				return cell, err
-			}
-		}
+	// partition itself is untimed shared input, like the stream.
+	if ss != nil {
 		sharded, dur, err := engine.TimedRun(ctx, "dew", spec, bs, ss)
 		if err != nil {
 			return cell, err
@@ -555,67 +457,50 @@ func (r Runner) runCellStream(ctx context.Context, p Params, tr trace.Trace, bs 
 		}
 	}
 
-	// Reference baseline: one pass per configuration, Dinero-style, all
-	// replaying the shared read-only stream across the worker pool.
+	// Reference baseline: one pass per configuration, Dinero-style, each
+	// replaying the shared read-only stream and verified as it finishes.
 	// With sharding on, each configuration additionally replays its
 	// set-substreams through the sharded reference pass, cross-checked
-	// bit-for-bit against the monolithic pass. Outputs are indexed by
-	// configuration, so ordering (and therefore every field of the
-	// Cell) is deterministic regardless of scheduling; only wall-time
-	// contention varies with Workers.
-	type refOut struct {
-		dur, shardDur time.Duration
-		stats         refsim.Stats
-		shardStats    refsim.Stats
-		parallel      bool
-	}
-	outs := make([]refOut, len(cell.Results))
-	if err := pool.Run(ctx, r.workers(), len(cell.Results), func(i int) error {
-		cfg := cell.Results[i].Config
-		logSets := bits.Len(uint(cfg.Sets)) - 1
+	// bit-for-bit against the monolithic pass.
+	var first refsim.Stats
+	for i, res := range cell.Results {
+		logSets := bits.Len(uint(res.Config.Sets)) - 1
 		refSpec := engine.Spec{
 			MinLogSets: logSets, MaxLogSets: logSets,
-			Assoc: cfg.Assoc, BlockSize: cfg.BlockSize, Policy: cache.FIFO,
+			Assoc: res.Config.Assoc, BlockSize: res.Config.BlockSize, Policy: cache.FIFO,
 		}
 		eng, dur, err := engine.TimedRun(ctx, "ref", refSpec, bs, nil)
 		if err != nil {
-			return err
+			return cell, err
 		}
-		outs[i].dur = dur
-		if outs[i].stats, err = refStats(eng); err != nil {
-			return err
-		}
-		if ss == nil {
-			return nil
-		}
-		shardEng, shardDur, err := engine.TimedRun(ctx, "ref", refSpec, bs, ss)
+		st, err := refStats(eng)
 		if err != nil {
-			return err
+			return cell, err
 		}
-		outs[i].shardDur = shardDur
-		if outs[i].shardStats, err = refStats(shardEng); err != nil {
-			return err
+		if i == 0 {
+			first = st
 		}
-		outs[i].parallel = engine.Parallel(shardEng)
-		return nil
-	}); err != nil {
-		return cell, err
-	}
-
-	for i, res := range cell.Results {
-		cell.RefTime += outs[i].dur
-		cell.RefComparisons += outs[i].stats.TagComparisons
-		if err := verifyRef(cell, res, outs[i].stats, outs[0].stats); err != nil {
+		cell.RefTime += dur
+		cell.RefComparisons += st.TagComparisons
+		if err := verifyRef(cell, res, st, first); err != nil {
 			return cell, err
 		}
 		if ss != nil {
-			cell.RefShardTime += outs[i].shardDur
-			if outs[i].parallel {
-				cell.RefParallel++
+			shardEng, shardDur, err := engine.TimedRun(ctx, "ref", refSpec, bs, ss)
+			if err != nil {
+				return cell, err
 			}
-			if outs[i].shardStats != outs[i].stats {
+			shardSt, err := refStats(shardEng)
+			if err != nil {
+				return cell, err
+			}
+			if shardSt != st {
 				return cell, fmt.Errorf("sweep: sharded reference divergence at %v: sharded %+v, monolithic %+v",
-					res.Config, outs[i].shardStats, outs[i].stats)
+					res.Config, shardSt, st)
+			}
+			cell.RefShardTime += shardDur
+			if engine.Parallel(shardEng) {
+				cell.RefParallel++
 			}
 		}
 		cell.Verified++
@@ -635,21 +520,21 @@ func (r Runner) runCellStream(ctx context.Context, p Params, tr trace.Trace, bs 
 	return cell, nil
 }
 
-// RunCells executes independent cells across the worker pool and returns
-// their results in params order. Each distinct trace is materialized
-// exactly once up front and decoded into a block stream exactly once —
-// at the finest block size any of its cells needs — with every coarser
-// (trace, block size) stream fold-derived from that ladder and shared
-// read-only by every cell that needs it; each cell then runs its
-// reference passes serially (the cells themselves are the unit of
-// parallelism here). Traces are deduplicated by (App.Name, Seed,
-// Requests) — App.Name is the workload registry's identity (see
-// workload.Lookup), so two different generators must not share a name
-// within one batch. The first error — e.g. an exactness violation,
-// which falsifies everything else — stops further cells from being
-// dispatched; cells already in flight finish, and the first error in
-// params order is returned. Logf output is serialized by the per-cell
-// runner but may interleave across cells.
+// RunCells runs comparison cells across the worker pool and returns
+// their results in params order; it is the only way a cell runs. Each
+// distinct trace is materialized exactly once up front and decoded into
+// a block stream exactly once — at the finest block size any of its
+// cells needs — with every coarser (trace, block size) stream
+// fold-derived from that ladder and shared read-only by every cell that
+// needs it; each cell then runs its passes serially (the cells
+// themselves are the unit of parallelism). Traces are deduplicated by
+// (App.Name, Seed, Requests) — App.Name is the workload registry's
+// identity (see workload.Lookup), so two different generators must not
+// share a name within one batch. The first error — e.g. an exactness
+// violation, which falsifies everything else — stops further cells from
+// being dispatched; cells already in flight finish, and the first error
+// in params order is returned. Logf calls are serialized but may
+// interleave across cells.
 //
 // Cancelling ctx stops dispatching cells (the batch's cancellation
 // granularity is the cell; in-flight cells stop at their own pass
@@ -657,47 +542,44 @@ func (r Runner) runCellStream(ctx context.Context, p Params, tr trace.Trace, bs 
 // goroutines left behind. A panic inside a cell surfaces as a
 // *pool.PanicError.
 func (r Runner) RunCells(ctx context.Context, params []Params) ([]Cell, error) {
-	// Materialize shared inputs, each distinct one once, in parallel
-	// across the worker pool. Keys deduplicate on the workload
-	// identity, not the App struct (which contains function values).
-	// References are handed to cells through per-cell slots (released
-	// as cells finish); the maps only wire up the sharing here.
+	if r.Logf != nil {
+		logf := r.Logf
+		var mu sync.Mutex
+		r.Logf = func(format string, args ...interface{}) {
+			mu.Lock()
+			defer mu.Unlock()
+			logf(format, args...)
+		}
+	}
+
+	// Materialize each distinct trace once, in parallel across the
+	// worker pool. Traces deduplicate on the workload identity, not the
+	// App struct (which contains function values); traceOf maps every
+	// cell to its trace.
 	type traceKey struct {
 		app      string
 		seed     uint64
 		requests uint64
 	}
-	type streamKey struct {
-		tk    traceKey
-		block int
-	}
-	var tKeys []traceKey
-	tGen := map[traceKey]workload.App{}
-	var sKeys []streamKey
-	seenS := map[streamKey]bool{}
-	for _, p := range params {
+	index := map[traceKey]int{}
+	var gens []Params
+	traceOf := make([]int, len(params))
+	for i, p := range params {
 		tk := traceKey{p.App.Name, p.Seed, p.requests()}
-		if _, ok := tGen[tk]; !ok {
-			tGen[tk] = p.App
-			tKeys = append(tKeys, tk)
+		t, ok := index[tk]
+		if !ok {
+			t = len(gens)
+			index[tk] = t
+			gens = append(gens, p)
 		}
-		sk := streamKey{tk, p.BlockSize}
-		if !seenS[sk] {
-			seenS[sk] = true
-			sKeys = append(sKeys, sk)
-		}
+		traceOf[i] = t
 	}
-	trVals := make([]trace.Trace, len(tKeys))
-	if err := pool.Run(ctx, r.workers(), len(tKeys), func(i int) error {
-		tk := tKeys[i]
-		trVals[i] = workload.Take(tGen[tk].Generator(tk.seed), int(tk.requests))
+	traces := make([]trace.Trace, len(gens))
+	if err := pool.Run(ctx, r.workers(), len(gens), func(t int) error {
+		traces[t] = workload.Take(gens[t].App.Generator(gens[t].Seed), int(gens[t].requests()))
 		return nil
 	}); err != nil {
 		return nil, err
-	}
-	traces := make(map[traceKey]trace.Trace, len(tKeys))
-	for i, tk := range tKeys {
-		traces[tk] = trVals[i]
 	}
 
 	// Delta scheduling: with a cache configured, probe the result tier
@@ -709,169 +591,137 @@ func (r Runner) RunCells(ctx context.Context, params []Params) ([]Cell, error) {
 	// and a fully-warm sweep performs zero simulations.
 	cellKeys := make([]string, len(params))
 	warm := make([]*Cell, len(params))
-	needSim := make([]bool, len(params))
-	for i := range needSim {
-		needSim[i] = true
-	}
+	checkIdx := -1
+	var traceIDs []string
 	if r.Cache != nil {
-		traceIDs := make([]string, len(tKeys))
-		if err := pool.Run(ctx, r.workers(), len(tKeys), func(i int) error {
-			traceIDs[i] = store.TraceID(trVals[i])
+		traceIDs = make([]string, len(traces))
+		if err := pool.Run(ctx, r.workers(), len(traces), func(t int) error {
+			traceIDs[t] = store.TraceID(traces[t])
 			return nil
 		}); err != nil {
 			return nil, err
 		}
-		idByKey := make(map[traceKey]string, len(tKeys))
-		for i, tk := range tKeys {
-			idByKey[tk] = traceIDs[i]
-		}
 		var warmIdx []int
 		var warmKeys []string
 		for i, p := range params {
-			key := r.cellResultKey(idByKey[traceKey{p.App.Name, p.Seed, p.requests()}], p)
-			cellKeys[i] = key
-			if cell, ok := r.loadCell(ctx, key, p); ok {
+			cellKeys[i] = r.cellResultKey(traceIDs[traceOf[i]], p)
+			if cell, ok := r.loadCell(ctx, cellKeys[i], p); ok {
 				warm[i] = &cell
-				needSim[i] = false
 				warmIdx = append(warmIdx, i)
-				warmKeys = append(warmKeys, key)
+				warmKeys = append(warmKeys, cellKeys[i])
 			}
 		}
 		if len(warmIdx) > 0 {
 			note := ""
 			if !r.NoWarmCheck {
-				checkIdx := warmIdx[store.WarmCheckPick(warmKeys)]
-				needSim[checkIdx] = true
+				checkIdx = warmIdx[store.WarmCheckPick(warmKeys)]
 				note = " (1 sampled for live re-verification)"
 			}
 			r.logf("result cache: %d/%d cells warm%s", len(warmIdx), len(params), note)
 		}
 	}
-
-	// One raw-trace decode per trace: group the distinct block sizes by
-	// trace, decode each trace once at its finest size, and fold the
-	// coarser rungs from it (trace.FoldLadder — bit-identical to direct
-	// materialization, O(runs) per rung instead of one O(accesses)
-	// decode per (trace, block size) key). The ladders build in
-	// parallel across traces; foldedBlock marks the rungs that were
-	// derived rather than decoded, for Cell.StreamFolded. Only the
-	// (trace, block) pairs some simulating cell needs are built —
-	// result-warm cells never touch a stream.
-	blocksByTrace := make(map[traceKey][]int, len(tKeys))
-	seenB := map[streamKey]bool{}
-	for i, p := range params {
-		if !needSim[i] {
-			continue
-		}
-		sk := streamKey{traceKey{p.App.Name, p.Seed, p.requests()}, p.BlockSize}
-		if !seenB[sk] {
-			seenB[sk] = true
-			blocksByTrace[sk.tk] = append(blocksByTrace[sk.tk], sk.block)
+	var simIdx []int
+	for i := range params {
+		if warm[i] == nil || i == checkIdx {
+			simIdx = append(simIdx, i)
 		}
 	}
-	// With a cache configured, each ladder base is looked up in the
-	// artifact store first — a warm batch folds its whole ladder from
-	// loaded streams without one raw-trace decode.
-	ladders := make([]map[int]*trace.BlockStream, len(tKeys))
-	ladderProv := make([]streamProv, len(tKeys))
-	if err := pool.Run(ctx, r.workers(), len(tKeys), func(i int) error {
-		blocks := blocksByTrace[tKeys[i]]
-		if len(blocks) == 0 {
+
+	// One raw-trace decode per trace: collect the distinct block sizes
+	// the simulating cells need per trace, decode each trace once at its
+	// finest size — from the artifact store's stream tier when it holds
+	// it — and fold the coarser rungs from it (trace.FoldLadder —
+	// bit-identical to direct materialization, O(runs) per rung instead
+	// of one O(accesses) decode per (trace, block size)). Result-warm
+	// cells never touch a stream.
+	blocks := make([][]int, len(traces))
+	for _, i := range simIdx {
+		if t, b := traceOf[i], params[i].BlockSize; !slices.Contains(blocks[t], b) {
+			blocks[t] = append(blocks[t], b)
+		}
+	}
+	ladders := make([]map[int]*trace.BlockStream, len(traces))
+	baseHit := make([]bool, len(traces))
+	if err := pool.Run(ctx, r.workers(), len(traces), func(t int) error {
+		if len(blocks[t]) == 0 {
 			return nil // every cell of this trace was result-warm
 		}
-		sort.Ints(blocks)
-		base, prov, err := r.materializeStream(ctx, traces[tKeys[i]], blocks[0])
+		finest := slices.Min(blocks[t])
+		decode := func(context.Context) (*trace.BlockStream, error) { return traces[t].BlockStream(finest) }
+		var base *trace.BlockStream
+		var err error
+		if r.Cache == nil {
+			base, err = decode(ctx)
+		} else {
+			key := store.Key(traceIDs[t], finest, 0, false)
+			base, baseHit[t], err = r.Cache.GetOrMaterialize(ctx, key, finest, false, decode)
+		}
 		if err != nil {
 			return err
 		}
-		ladderProv[i] = prov
-		ladders[i], err = trace.FoldLadder(base, blocks)
+		ladders[t], err = trace.FoldLadder(base, blocks[t])
 		return err
 	}); err != nil {
 		return nil, err
-	}
-	streams := make(map[streamKey]*trace.BlockStream, len(sKeys))
-	streamProvs := make(map[streamKey]streamProv, len(sKeys))
-	for i, tk := range tKeys {
-		for b, bs := range ladders[i] {
-			sk := streamKey{tk, b}
-			streams[sk] = bs
-			prov := ladderProv[i]
-			prov.folded = b != blocksByTrace[tk][0]
-			streamProvs[sk] = prov
-		}
-	}
-
-	// With sharding on, partition each distinct stream once per shard
-	// level the batch needs (cells can differ in MaxLogSets, which caps
-	// the level) and share the partitions read-only like the streams.
-	type shardKey struct {
-		sk  streamKey
-		log int
-	}
-	shardStreams := map[shardKey]*trace.ShardStream{}
-	resolvedLog := make([]int, len(params))
-	if r.sharding() {
-		// Resolve each cell's shard level exactly once — under
-		// ShardsAuto the resolution reads the stream's statistics, so
-		// memoize it per (stream, MaxLogSets) rather than re-deriving
-		// it per cell and again at partition time.
-		type levelKey struct {
-			sk     streamKey
-			maxLog int
-		}
-		levels := map[levelKey]int{}
-		var shKeys []shardKey
-		seenSh := map[shardKey]bool{}
-		for i, p := range params {
-			if !needSim[i] {
-				continue
-			}
-			sk := streamKey{traceKey{p.App.Name, p.Seed, p.requests()}, p.BlockSize}
-			lk := levelKey{sk, p.MaxLogSets}
-			log, ok := levels[lk]
-			if !ok {
-				log = r.shardLog(p.MaxLogSets, streams[sk])
-				levels[lk] = log
-			}
-			resolvedLog[i] = log
-			if log < 0 {
-				continue // auto tuning judged this stream not worth sharding
-			}
-			k := shardKey{sk, log}
-			if !seenSh[k] {
-				seenSh[k] = true
-				shKeys = append(shKeys, k)
-			}
-		}
-		ssVals := make([]*trace.ShardStream, len(shKeys))
-		if err := pool.Run(ctx, r.workers(), len(shKeys), func(i int) (err error) {
-			ssVals[i], err = trace.ShardBlockStream(streams[shKeys[i].sk], shKeys[i].log)
-			return err
-		}); err != nil {
-			return nil, err
-		}
-		for i, k := range shKeys {
-			shardStreams[k] = ssVals[i]
-		}
 	}
 
 	cellTrace := make([]trace.Trace, len(params))
 	cellStream := make([]*trace.BlockStream, len(params))
 	cellShards := make([]*trace.ShardStream, len(params))
-	cellProv := make([]streamProv, len(params))
-	var simIdx []int
-	for i, p := range params {
-		if !needSim[i] {
-			continue
+	for _, i := range simIdx {
+		cellTrace[i] = traces[traceOf[i]]
+		cellStream[i] = ladders[traceOf[i]][params[i].BlockSize]
+	}
+
+	// With sharding on, resolve each cell's shard level once per
+	// (stream, MaxLogSets) — under ShardsAuto that reads the stream's
+	// statistics, and MaxLogSets caps the level — then partition each
+	// distinct (stream, level) once and share it read-only like the
+	// streams.
+	if r.sharding() {
+		type levelKey struct {
+			bs     *trace.BlockStream
+			maxLog int
 		}
-		simIdx = append(simIdx, i)
-		tk := traceKey{p.App.Name, p.Seed, p.requests()}
-		cellTrace[i] = traces[tk]
-		cellStream[i] = streams[streamKey{tk, p.BlockSize}]
-		cellProv[i] = streamProvs[streamKey{tk, p.BlockSize}]
-		if r.sharding() && resolvedLog[i] >= 0 {
-			cellShards[i] = shardStreams[shardKey{streamKey{tk, p.BlockSize}, resolvedLog[i]}]
+		type shardKey struct {
+			bs  *trace.BlockStream
+			log int
+		}
+		levels := map[levelKey]int{}
+		slot := map[shardKey]int{}
+		var keys []shardKey
+		cellSlot := make([]int, len(params))
+		for _, i := range simIdx {
+			lk := levelKey{cellStream[i], params[i].MaxLogSets}
+			log, ok := levels[lk]
+			if !ok {
+				log = r.shardLog(lk.maxLog, lk.bs)
+				levels[lk] = log
+			}
+			cellSlot[i] = -1
+			if log < 0 {
+				continue // auto tuning judged this stream not worth sharding
+			}
+			k := shardKey{lk.bs, log}
+			s, ok := slot[k]
+			if !ok {
+				s = len(keys)
+				slot[k] = s
+				keys = append(keys, k)
+			}
+			cellSlot[i] = s
+		}
+		parts := make([]*trace.ShardStream, len(keys))
+		if err := pool.Run(ctx, r.workers(), len(keys), func(s int) (err error) {
+			parts[s], err = trace.ShardBlockStream(keys[s].bs, keys[s].log)
+			return err
+		}); err != nil {
+			return nil, err
+		}
+		for _, i := range simIdx {
+			if cellSlot[i] >= 0 {
+				cellShards[i] = parts[cellSlot[i]]
+			}
 		}
 	}
 
@@ -884,29 +734,17 @@ func (r Runner) RunCells(ctx context.Context, params []Params) ([]Cell, error) {
 			cells[i] = *warm[i]
 		}
 	}
-
-	inner := r
-	inner.Workers = 1
-	var logMu sync.Mutex
-	if r.Logf != nil {
-		inner.Logf = func(format string, args ...interface{}) {
-			logMu.Lock()
-			defer logMu.Unlock()
-			r.Logf(format, args...)
-		}
-	}
-
 	err := pool.Run(ctx, r.workers(), len(simIdx), func(k int) error {
 		i := simIdx[k]
-		cell, cellErr := inner.runCellStream(ctx, params[i], cellTrace[i], cellStream[i], cellShards[i], cellProv[i])
+		cell, err := r.runCellStream(ctx, params[i], cellTrace[i], cellStream[i], cellShards[i], baseHit[traceOf[i]])
 		// Release this cell's references: a shared trace or stream
 		// becomes collectable as soon as its last consuming cell
 		// finishes. (Materialization is still up-front, so the batch's
 		// full input set is live at the start and memory falls as cells
 		// complete.)
 		cellTrace[i], cellStream[i], cellShards[i] = nil, nil, nil
-		if cellErr != nil {
-			return cellErr
+		if err != nil {
+			return err
 		}
 		cell.ResultCacheKey = cellKeys[i]
 		if warm[i] != nil {
@@ -922,16 +760,14 @@ func (r Runner) RunCells(ctx context.Context, params []Params) ([]Cell, error) {
 				return fmt.Errorf("sweep: result cache diverged from live re-simulation at %v (entry dropped): %w",
 					params[i], err)
 			}
-			checked := *warm[i]
-			checked.WarmVerified = true
-			cells[i] = checked
+			cells[i].WarmVerified = true
 			return nil
 		}
 		if cellKeys[i] != "" {
-			inner.publishCell(ctx, cellKeys[i], cell)
+			r.publishCell(ctx, cellKeys[i], cell)
 		}
 		cells[i] = cell
-		return cellErr
+		return nil
 	})
 	return cells, err
 }

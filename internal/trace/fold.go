@@ -177,14 +177,15 @@ func FoldTo(bs *BlockStream, blockSize int) (*BlockStream, error) {
 // FoldLadder derives every requested block size from one stream at the
 // finest size: the block sizes are sorted and deduplicated, and each
 // rung is folded from the nearest finer one, so the whole ladder costs
-// O(total runs) after the single decode that produced bs — this is the
-// cache the sweep (sweep.RunCells) and dewsim's block ladder share per
-// trace instead of re-decoding the trace once per block size
-// (explore.Run folds rung by rung with FoldTo as its passes need them,
-// so it never holds the whole ladder). Every
-// requested size must be a power of two at least bs.BlockSize; the map
-// holds bs itself under its own size when requested. Intermediate
-// rungs that were not requested are folded through but not retained.
+// O(total runs) after the single decode that produced bs — this is how
+// the sweep (sweep.RunCells) shares one ladder per trace instead of
+// re-decoding the trace once per block size. (dewsim folds its ladder
+// span by span through LadderFolder, and explore.Run folds rung by rung
+// with FoldBlockStream as its passes need them, so neither holds the
+// whole ladder.) Every requested size must be a power of two at least
+// bs.BlockSize; the map holds bs itself under its own size when
+// requested. Intermediate rungs that were not requested are folded
+// through but not retained.
 func FoldLadder(bs *BlockStream, blockSizes []int) (map[int]*BlockStream, error) {
 	sorted := append([]int(nil), blockSizes...)
 	sort.Ints(sorted)
