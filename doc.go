@@ -122,10 +122,18 @@
 // concatenation of the spans is bit-identical — run splits, kind
 // channel and uint32 overflow handling included — to the materialized
 // stream (FuzzSpanEquivalence holds the two shapes together). The
-// pipeline enforces SpanOptions.MemBytes as a hard bound on resident
-// decoded spans (ResidentBound reports it; the replay benchmarks
-// record it as peak_resident_bytes), overlaps the chunk-parallel
-// decode with the consumer, and honours context cancellation. The
+// pipeline sizes its spans, decode chunks and in-flight chunk count
+// from SpanOptions.MemBytes, a working-set budget rather than an
+// allocator cap (ResidentBound reports the resolved figure; the replay
+// benchmarks record it as peak_resident_bytes). Every buffer it
+// allocates has one owner at a time and returns to a free list bounded
+// by those same counts once its last reader is done — an input buffer
+// after its chunk is compressed, a run chunk after the stitch, a span
+// after the consumer's StreamPipeline.Release — so the heap tracks the
+// live working set instead of its garbage; a consumer that never
+// releases keeps every span it received. The pipeline overlaps the
+// chunk-parallel decode with the consumer and honours context
+// cancellation. The
 // incremental trace.LadderFolder folds each arriving span to every
 // rung of a block-size ladder on the fly, so the whole design space
 // still rides one decode. One span-ladder driver (engine.SpanLadder)

@@ -171,6 +171,12 @@ func OpenSpanInput(ctx context.Context, st *store.Store, key string, blockSize i
 // when non-nil, sees each finest-rung span first — commits the spooled
 // publish and flushes the ladder. A publish failure abandons the spool,
 // never the replay.
+//
+// Each decoded span is released back to the pipeline once it has been
+// fed: the spool's Add copies it, observe must only read it, and the
+// ladder's Feed is synchronous, folding and replaying the span before it
+// returns. A loaded stream's spans are views of the store's shared
+// stream and are never released.
 func (in *SpanInput) Replay(ctx context.Context, l *SpanLadder, observe func(*trace.BlockStream)) error {
 	feed := func(s *trace.BlockStream) error {
 		if observe != nil {
@@ -194,6 +200,7 @@ func (in *SpanInput) Replay(ctx context.Context, l *SpanLadder, observe func(*tr
 		if err := feed(&s.BlockStream); err != nil {
 			return err
 		}
+		in.pl.Release(s)
 	}
 	if err := in.pl.Err(); err != nil {
 		return err

@@ -16,8 +16,12 @@
 //
 // The materialized schedule keeps only what the running passes need.
 // The fold ladder slides: each coarser rung is folded the first time a
-// pass asks for it and released after its last pass, so about two
-// rungs are resident rather than the whole ladder. Engines are
+// pass asks for it and released after its last pass, and the next fold
+// refills a released rung's columns in place (trace.FoldBlockStreamInto)
+// instead of allocating new ones, so the rungs under replay plus one
+// spare are resident rather than the whole ladder or its garbage. The
+// finest rung is refilled only when the run decoded it itself: a
+// store's stream is shared by its in-process tier. Engines are
 // recycled: a finished pass's engine is rebound to the next pass's
 // block size (engine.Reuse) instead of rebuilt, so at most workers ×
 // associativities engine arenas exist over the run.
@@ -317,19 +321,30 @@ func Run(ctx context.Context, req Request) (*Result, error) {
 		// first time a pass needs it (once, outside mu), and rung k is
 		// released once its last pass has merged and rung k+1 exists.
 		// Passes are claimed in rung order, so only the rungs under
-		// replay stay resident. mu guards rungs, built and pending.
-		rungs   = make([]*trace.BlockStream, len(blocks))
-		pending = make([]int, len(blocks))
-		built   = 1 // rungs[:built] have been derived
-		foldMu  sync.Mutex
+		// replay stay resident. A released rung becomes the spare the
+		// next fold refills in place (trace.FoldBlockStreamInto): it is
+		// finer than any rung still to fold, so its columns are large
+		// enough. Rung 0 is recycled only when this run decoded it
+		// without a store, because a store's stream is shared by its
+		// in-process tier. mu guards rungs, built, pending and spare.
+		rungs    = make([]*trace.BlockStream, len(blocks))
+		pending  = make([]int, len(blocks))
+		built    = 1 // rungs[:built] have been derived
+		spare    *trace.BlockStream
+		ownRung0 = cacheKey == ""
+		foldMu   sync.Mutex
 	)
 	for _, k := range rungOf {
 		pending[k]++
 	}
 	release := func(k int) {
-		if pending[k] == 0 && (k+1 < built || k+1 == len(rungs)) {
-			rungs[k] = nil
+		if rungs[k] == nil || pending[k] > 0 || k+1 < len(rungs) && k+1 >= built {
+			return
 		}
+		if k > 0 || ownRung0 {
+			spare = rungs[k]
+		}
+		rungs[k] = nil
 	}
 	rung := func(k int) *trace.BlockStream {
 		foldMu.Lock()
@@ -337,9 +352,16 @@ func Run(ctx context.Context, req Request) (*Result, error) {
 		mu.Lock()
 		defer mu.Unlock()
 		for built <= k {
-			n, src := built, rungs[built-1]
+			n, src, dst := built, rungs[built-1], spare
+			spare = nil
 			mu.Unlock()
-			next := trace.FoldBlockStream(src) // block sizes are consecutive doublings
+			// Block sizes are consecutive doublings.
+			var next *trace.BlockStream
+			if dst != nil {
+				next = trace.FoldBlockStreamInto(dst, src)
+			} else {
+				next = trace.FoldBlockStream(src)
+			}
 			mu.Lock()
 			rungs[n], built = next, n+1
 			res.StreamCompression[blocks[n]] = next.CompressionRatio()

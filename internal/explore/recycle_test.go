@@ -186,3 +186,58 @@ func TestRunRecycleFaults(t *testing.T) {
 		}()
 	}
 }
+
+// TestRunSharedStoreRungIntact: two explorations in one process share a
+// store with an in-process tier, so both replay the tier's copy of the
+// finest rung. The sliding fold ladder refills released rungs in place,
+// but never that shared one: after both runs it still holds exactly
+// what the trace materializes to, and each run matches a cache-less run
+// (whose ladder does refill its own finest rung) at 1, 2 and 4 workers.
+func TestRunSharedStoreRungIntact(t *testing.T) {
+	ctx := context.Background()
+	tr := randomTrace(6000, 23)
+	first := recycleSpace()
+	second := first
+	second.MaxLogSets++ // other passes over the same finest rung
+	base := first.BlockSizes()[0]
+	want0, err := trace.MaterializeBlockStream(tr.NewSliceReader(), base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := store.TraceID(tr)
+	key := store.Key(id, base, 0, false)
+	for _, workers := range []int{1, 2, 4} {
+		st, err := store.Open(t.TempDir(), store.Options{MemBytes: 64 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var shared *trace.BlockStream
+		for i, space := range []cache.ParamSpace{first, second} {
+			label := fmt.Sprintf("workers=%d run %d", workers, i+1)
+			want, err := Run(ctx, Request{Space: space, Source: fromTrace(tr), Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Run(ctx, Request{Space: space, Source: fromTrace(tr), Workers: workers, Cache: st, SourceID: id})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameExploration(t, label, got, want)
+			if got.CacheHit != (i == 1) || got.CellsSimulated != got.Passes {
+				t.Fatalf("%s: cache hit %v, %d of %d passes simulated", label, got.CacheHit, got.CellsSimulated, got.Passes)
+			}
+			bs, err := st.Load(ctx, key, base, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if shared == nil {
+				shared = bs
+			} else if bs != shared {
+				t.Fatalf("%s: the in-process tier holds another stream", label)
+			}
+			if !reflect.DeepEqual(bs, want0) {
+				t.Fatalf("%s: the in-process tier's finest rung was overwritten", label)
+			}
+		}
+	}
+}

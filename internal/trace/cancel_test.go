@@ -179,7 +179,7 @@ func startWith(t *testing.T, kinds bool, jobs ...func() (*runChunk, error)) *Str
 	}
 	p.start(context.Background(), st, func(emit func(chunkJob), stop func() bool) error {
 		for seq, run := range jobs {
-			emit(chunkJob{seq: seq, run: run})
+			emit(chunkJob{seq: seq, run: func(*runChunk) (*runChunk, error) { return run() }})
 		}
 		return nil
 	})
@@ -210,7 +210,7 @@ func TestIngestStitcherPanicPoisons(t *testing.T) {
 		return &runChunk{ids: []uint64{1}, runs: []uint32{1}, accesses: 1, head: 1, tail: 1}, nil
 	}
 	fine := func() (*runChunk, error) {
-		cc := &chunkCompressor{kinds: true}
+		cc := compressInto(&runChunk{}, true, 0)
 		for i := 0; i < 1000; i++ {
 			cc.addAccess(uint64(i), DataRead)
 		}

@@ -181,8 +181,9 @@ func FoldTo(bs *BlockStream, blockSize int) (*BlockStream, error) {
 // the sweep (sweep.RunCells) shares one ladder per trace instead of
 // re-decoding the trace once per block size. (dewsim folds its ladder
 // span by span through LadderFolder, and explore.Run folds rung by rung
-// with FoldBlockStream as its passes need them, so neither holds the
-// whole ladder.) Every requested size must be a power of two at least
+// as its passes need them, refilling a released rung with
+// FoldBlockStreamInto when it has one, so neither holds the whole
+// ladder.) Every requested size must be a power of two at least
 // bs.BlockSize; the map holds bs itself under its own size when
 // requested. Intermediate rungs that were not requested are folded
 // through but not retained.

@@ -90,8 +90,27 @@ type runChunk struct {
 // kind mode (kinds set at construction) every addition goes through
 // addAccess or addKindRun, which keep the kind column parallel.
 type chunkCompressor struct {
-	c     runChunk
+	c     *runChunk
 	kinds bool
+}
+
+// compressInto starts a compressor filling dst, an empty chunk, first
+// reserving its columns for maxRuns runs: a chunk of n accesses (or n
+// .din lines) forms at most n runs unless a weight overflows uint32, so
+// the columns are allocated at their full size instead of regrown. A
+// fresh reservation gets 1/8 slack because a text chunk's line count
+// varies with its line lengths, and a recycled chunk should fit the
+// next one.
+func compressInto(dst *runChunk, kinds bool, maxRuns int) chunkCompressor {
+	if cap(dst.ids) < maxRuns {
+		n := maxRuns + maxRuns/8
+		dst.ids = make([]uint64, 0, n)
+		dst.runs = make([]uint32, 0, n)
+		if kinds {
+			dst.kinds = make([]KindRun, 0, n)
+		}
+	}
+	return chunkCompressor{c: dst, kinds: kinds}
 }
 
 func (cc *chunkCompressor) add(id uint64, w uint32) {
@@ -154,7 +173,7 @@ func (cc *chunkCompressor) addKindRun(id uint64, w uint32, kr KindRun) {
 
 // finish computes the chunk's edge spans.
 func (cc *chunkCompressor) finish() *runChunk {
-	c := &cc.c
+	c := cc.c
 	n := len(c.ids)
 	if n == 0 {
 		return c
@@ -176,10 +195,11 @@ func (cc *chunkCompressor) finish() *runChunk {
 	return c
 }
 
-// chunkJob is one chunk's parallel work unit.
+// chunkJob is one chunk's parallel work unit: run compresses the chunk
+// into dst, an empty chunk the worker supplies, and returns it.
 type chunkJob struct {
 	seq int
-	run func() (*runChunk, error)
+	run func(dst *runChunk) (*runChunk, error)
 }
 
 type chunkResult struct {
@@ -189,11 +209,12 @@ type chunkResult struct {
 }
 
 // parseDinChunk parses whole .din lines from b (the producer cuts at
-// line boundaries) with the same zero-allocation field split as
-// DinReader, feeding block IDs straight into a chunk compressor.
-// Semantics, including error line numbers, match NewDinReader.
-func parseDinChunk(b []byte, startLine int, off uint, kinds bool) (*runChunk, error) {
-	cc := &chunkCompressor{kinds: kinds}
+// line boundaries, so b holds at most lines+1 of them) with the same
+// zero-allocation field split as DinReader, feeding block IDs straight
+// into a chunk compressor filling dst. Semantics, including error line
+// numbers, match NewDinReader.
+func parseDinChunk(dst *runChunk, b []byte, startLine, lines int, off uint, kinds bool) (*runChunk, error) {
+	cc := compressInto(dst, kinds, lines+1)
 	line := startLine - 1
 	for len(b) > 0 {
 		var ln []byte
@@ -271,6 +292,7 @@ func ingestFileShards(ctx context.Context, name string, blockSize, log, workers 
 	}
 	for s := range p.Spans() {
 		bs.appendSpan(&s.BlockStream)
+		p.Release(s)
 	}
 	if err := p.Err(); err != nil {
 		return nil, err

@@ -115,7 +115,7 @@ func streamDinSpansWith(ctx context.Context, r io.Reader, blockSize int, opts Sp
 	if spanRuns > 0 {
 		st.spanRuns = spanRuns
 	}
-	p.start(ctx, st, spanDinProducer(r, blockSize, opts.Kinds, chunkBytes))
+	p.start(ctx, st, spanDinProducer(r, blockSize, opts.Kinds, chunkBytes, liveChunks(p.workers)))
 	return p, nil
 }
 
@@ -153,8 +153,8 @@ func weightedProducer(ids [][]uint64, runs [][]uint32, kinds [][]KindRun) func(e
 			if kinds != nil {
 				ckinds = kinds[seq]
 			}
-			emit(chunkJob{seq: seq, run: func() (*runChunk, error) {
-				cc := &chunkCompressor{kinds: ckinds != nil}
+			emit(chunkJob{seq: seq, run: func(dst *runChunk) (*runChunk, error) {
+				cc := compressInto(dst, ckinds != nil, len(cids))
 				for i := range cids {
 					if ckinds != nil {
 						cc.addKindRun(cids[i], cruns[i], ckinds[i])

@@ -47,19 +47,27 @@ import (
 // offset of the span's first access within the full stream, and Seq
 // numbers spans from 0. Spans arrive in order and their concatenation
 // is bit-identical to the materialized stream.
+//
+// A span a pipeline emits is leased to its consumer: it stays intact
+// until the consumer hands it back with StreamPipeline.Release, after
+// which the pipeline refills its columns for a later span. A consumer
+// that never releases keeps every span it received.
 type Span struct {
 	BlockStream
 	Start uint64
 	Seq   int
+
+	owner *StreamPipeline // the pipeline that may reuse it; nil once released
 }
 
 // DefaultSpanMemBytes is the pipeline's resident-byte budget when
 // SpanOptions.MemBytes is zero — the budget of every sharded replay
 // not given one. Measured against 64 MiB on a 2-CPU Xeon host over a
-// 2M-access CJPEG .din, 8 MiB ran faster and peaked lower for both
-// sharded tools: refsim wt/nwa -shards 2 0.22 s / 29 MiB RSS vs
-// 0.25 s / 89 MiB, dewsim -blocks 4,16,64 -shards 2 0.53 s / 45 MiB vs
-// 0.58 s / 101 MiB.
+// 2M-access CJPEG .din (medians of 5 alternating runs, with the
+// consumers releasing their spans), 8 MiB ran faster and peaked lower
+// for both sharded tools: refsim wt/nwa -shards 2 0.17 s / 16 MiB RSS
+// vs 0.23 s / 56 MiB, dewsim -blocks 4,16,64 -shards 2 0.46 s / 27 MiB
+// vs 0.54 s / 116 MiB.
 const DefaultSpanMemBytes = 8 << 20
 
 // spanChanCap bounds the spans buffered between stitcher and consumer:
@@ -67,13 +75,24 @@ const DefaultSpanMemBytes = 8 << 20
 // channel never holds a meaningful share of the budget.
 const spanChanCap = 2
 
+// liveSpans is the number of spans the geometry charges: spanChanCap
+// in the channel, one being built in the pending tail, one held by the
+// consumer, one in flight.
+const liveSpans = spanChanCap + 3
+
+// liveChunks is the number of decode chunks the geometry charges: one
+// per worker plus one queued and one being produced.
+func liveChunks(workers int) int { return workers + 2 }
+
 // SpanOptions configures a span pipeline.
 type SpanOptions struct {
-	// MemBytes bounds the pipeline's resident bytes — buffered spans,
+	// MemBytes is the pipeline's working-set budget — buffered spans,
 	// the pending tail, and in-flight decode chunks; 0 means
-	// DefaultSpanMemBytes. The bound is a working-set target, not a hard
-	// allocator cap: tiny budgets are clamped to the minimum workable
-	// chunk and span sizes (see ResidentBound for the resolved figure).
+	// DefaultSpanMemBytes. It sizes the geometry (spans, chunks and the
+	// free lists that recycle them), not a hard allocator cap: tiny
+	// budgets are clamped to the minimum workable chunk and span sizes,
+	// and a consumer that holds spans without releasing them keeps them
+	// alive past it (see ResidentBound for the resolved figure).
 	MemBytes int64
 	// Workers bounds the decode/compress goroutines; <= 0 means
 	// GOMAXPROCS.
@@ -85,6 +104,14 @@ type SpanOptions struct {
 // StreamPipeline is a running span pipeline. Consume Spans until the
 // channel closes, then check Err; Close abandons the pipeline early
 // (cancel + drain) and is safe to defer alongside normal consumption.
+//
+// Every buffer the pipeline allocates has one owner at a time and goes
+// back to a per-pipeline free list once its last reader is done: input
+// buffers after their chunk is compressed, run chunks after the stitch,
+// spans after the consumer's Release. Each list is bounded by the
+// geometry's counts (liveChunks input buffers and run chunks, liveSpans
+// spans), so what the lists park is charged in ResidentBound and the
+// heap tracks the live working set instead of its garbage.
 type StreamPipeline struct {
 	spans  chan *Span
 	done   chan struct{}
@@ -98,13 +125,52 @@ type StreamPipeline struct {
 	chunkAcc int
 	workers  int
 
+	freeSpans  freeList[*Span]
+	freeChunks freeList[*runChunk]
+
 	spansOut atomic.Uint64
 	accOut   atomic.Uint64
 }
 
+// freeList is a bounded list of released buffers. put never blocks and
+// drops a buffer the list has no room for; get returns the zero value
+// (a nil buffer) when the list is empty. The channel is never closed,
+// so both stay safe after the pipeline stops.
+type freeList[T any] chan T
+
+func (f freeList[T]) get() T {
+	select {
+	case v := <-f:
+		return v
+	default:
+		var zero T
+		return zero
+	}
+}
+
+func (f freeList[T]) put(v T) {
+	select {
+	case f <- v:
+	default:
+	}
+}
+
 // Spans returns the ordered span channel; it closes when the input is
-// exhausted, the context is cancelled, or the pipeline fails.
+// exhausted, the context is cancelled, or the pipeline fails. Each span
+// received is the consumer's until it passes the span to Release.
 func (p *StreamPipeline) Spans() <-chan *Span { return p.spans }
+
+// Release hands a span back to the pipeline once the consumer has
+// finished reading it; the pipeline may then overwrite its columns for
+// a later span. Release never blocks and is safe after Close. Spans the
+// pipeline did not emit (SplitSpans views, say) and spans already
+// released are ignored; a span must not be read after its release.
+func (p *StreamPipeline) Release(s *Span) {
+	if s != nil && s.owner == p {
+		s.owner = nil
+		p.freeSpans.put(s)
+	}
+}
 
 // Err blocks until the pipeline has fully stopped and returns its
 // terminal error: nil after a complete stream, the context's error
@@ -129,8 +195,10 @@ func (p *StreamPipeline) MemBytes() int64 { return p.memBytes }
 
 // ResidentBound returns the pipeline's worst-case resident bytes under
 // the resolved geometry: every bufferable span live at once plus every
-// worker's in-flight decode chunk. This is the figure provenance
-// reports as "peak resident".
+// in-flight decode chunk. The free lists park no more than those same
+// counts, so the figure covers every buffer the pipeline holds; spans a
+// consumer keeps without releasing are its own. This is the figure
+// provenance reports as "peak resident".
 func (p *StreamPipeline) ResidentBound() int64 { return p.resident }
 
 // EmittedSpans returns the spans emitted so far (final once Err
@@ -154,19 +222,15 @@ func bytesPerSpanRun(kinds bool) int64 {
 // instead of failing. workers must already be resolved.
 func spanGeometry(memBytes int64, workers int, kinds bool) (spanRuns, chunkAcc int, resident int64) {
 	bpr := bytesPerSpanRun(kinds)
-	// Buffered spans: chanCap in the channel, one being built in the
-	// pending tail, one held by the consumer, one in flight.
-	liveSpans := int64(spanChanCap + 3)
 	spanRuns = int(memBytes / 2 / (bpr * liveSpans))
 	spanRuns = max(256, min(spanRuns, 1<<22))
-	// In-flight chunks: one per worker plus one queued and one being
-	// produced; each costs the raw accesses (16 B) plus worst-case
+	// Each chunk costs the raw accesses (16 B) plus worst-case
 	// run-compressed columns.
 	perAcc := int64(16) + bpr
-	liveChunks := int64(workers + 2)
-	chunkAcc = int(memBytes / 2 / (perAcc * liveChunks))
+	chunks := int64(liveChunks(workers))
+	chunkAcc = int(memBytes / 2 / (perAcc * chunks))
 	chunkAcc = max(1024, min(chunkAcc, defaultChunkAcc))
-	resident = liveSpans*int64(spanRuns)*bpr + liveChunks*int64(chunkAcc)*perAcc
+	resident = liveSpans*int64(spanRuns)*bpr + chunks*int64(chunkAcc)*perAcc
 	return spanRuns, chunkAcc, resident
 }
 
@@ -178,6 +242,7 @@ type spanStitcher struct {
 	seq      int
 	spanRuns int
 	kinds    bool
+	owner    *StreamPipeline // recycles released spans
 	emit     func(*Span) error
 }
 
@@ -231,17 +296,24 @@ func (st *spanStitcher) flush(final bool) error {
 	return nil
 }
 
-// emitSpan cuts the first n (final) pending runs into a Span and
-// compacts the pending tail.
+// emitSpan cuts the first n (final) pending runs into a Span — a
+// released one when its columns are large enough, else a fresh one
+// sized to n, which is the full geometry for every span but a stream's
+// last — and compacts the pending tail.
 func (st *spanStitcher) emitSpan(n int) error {
-	s := &Span{Seq: st.seq, Start: st.start}
-	s.BlockStream = BlockStream{
-		BlockSize: st.pend.BlockSize,
-		IDs:       append([]uint64(nil), st.pend.IDs[:n]...),
-		Runs:      append([]uint32(nil), st.pend.Runs[:n]...),
+	s := st.owner.freeSpans.get()
+	if s == nil || cap(s.IDs) < n {
+		s = &Span{BlockStream: BlockStream{IDs: make([]uint64, 0, n), Runs: make([]uint32, 0, n)}}
+		if st.kinds {
+			s.Kinds = make([]KindRun, 0, n)
+		}
 	}
+	s.Seq, s.Start, s.owner = st.seq, st.start, st.owner
+	s.BlockSize, s.Accesses = st.pend.BlockSize, 0
+	s.IDs = append(s.IDs[:0], st.pend.IDs[:n]...)
+	s.Runs = append(s.Runs[:0], st.pend.Runs[:n]...)
 	if st.kinds {
-		s.Kinds = append([]KindRun(nil), st.pend.Kinds[:n]...)
+		s.Kinds = append(s.Kinds[:0], st.pend.Kinds[:n]...)
 	}
 	for _, w := range s.Runs {
 		s.Accesses += uint64(w)
@@ -283,11 +355,15 @@ func newStreamPipeline(blockSize int, opts SpanOptions) (*StreamPipeline, *spanS
 		spanRuns: spanRuns,
 		chunkAcc: chunkAcc,
 		workers:  workers,
+
+		freeSpans:  make(freeList[*Span], liveSpans),
+		freeChunks: make(freeList[*runChunk], liveChunks(workers)),
 	}
 	st := &spanStitcher{
 		pend:     BlockStream{BlockSize: blockSize},
 		spanRuns: spanRuns,
 		kinds:    opts.Kinds,
+		owner:    p,
 	}
 	if opts.Kinds {
 		st.pend.Kinds = []KindRun{}
@@ -305,10 +381,11 @@ func (p *StreamPipeline) start(ctx context.Context, st *spanStitcher,
 	produce func(emit func(chunkJob), stop func() bool) error) {
 	ctx, p.cancel = context.WithCancel(ctx)
 	st.emit = func(s *Span) error {
+		acc := s.Accesses // the consumer owns s once it is sent
 		select {
 		case p.spans <- s:
 			p.spansOut.Add(1)
-			p.accOut.Add(s.Accesses)
+			p.accOut.Add(acc)
 			return nil
 		case <-ctx.Done():
 			return ctx.Err()
@@ -317,8 +394,21 @@ func (p *StreamPipeline) start(ctx context.Context, st *spanStitcher,
 
 	jobs := make(chan chunkJob, p.workers)
 	results := make(chan chunkResult, p.workers)
-	var abort atomic.Bool
-	stop := func() bool { return abort.Load() || ctx.Err() != nil }
+	// tickets holds one slot per chunk from its emit to its stitch; with
+	// the chunk the producer is filling, at most liveChunks chunks exist
+	// at once — the count ResidentBound charges and the free lists keep
+	// — even while the stitcher holds later chunks back behind a slow
+	// worker. A failure cancels ctx, which releases a producer waiting
+	// for a slot.
+	tickets := make(chan struct{}, liveChunks(p.workers)-1)
+	emit := func(j chunkJob) {
+		select {
+		case tickets <- struct{}{}:
+			jobs <- j
+		case <-ctx.Done():
+		}
+	}
+	stop := func() bool { return ctx.Err() != nil }
 
 	var wg sync.WaitGroup
 	for w := 0; w < p.workers; w++ {
@@ -329,7 +419,7 @@ func (p *StreamPipeline) start(ctx context.Context, st *spanStitcher,
 				var c *runChunk
 				err := pool.Protect(func() error {
 					var err error
-					c, err = j.run()
+					c, err = j.run(p.chunk())
 					return err
 				})
 				results <- chunkResult{seq: j.seq, chunk: c, err: err}
@@ -339,7 +429,7 @@ func (p *StreamPipeline) start(ctx context.Context, st *spanStitcher,
 	prodErr := make(chan error, 1)
 	go func() {
 		err := pool.Protect(func() error {
-			return produce(func(j chunkJob) { jobs <- j }, stop)
+			return produce(emit, stop)
 		})
 		close(jobs)
 		prodErr <- err
@@ -362,13 +452,16 @@ func (p *StreamPipeline) start(ctx context.Context, st *spanStitcher,
 		pending := map[int]*runChunk{}
 		next := 0
 		var firstErr error
+		fail := func(err error) {
+			firstErr = err
+			p.cancel()
+		}
 		for res := range results {
 			if firstErr != nil {
 				continue // drain
 			}
 			if res.err != nil {
-				firstErr = res.err
-				abort.Store(true)
+				fail(res.err)
 				continue
 			}
 			pending[res.seq] = res.chunk
@@ -382,11 +475,12 @@ func (p *StreamPipeline) start(ctx context.Context, st *spanStitcher,
 					if err := st.add(c); err != nil {
 						return err
 					}
+					p.freeChunks.put(c)
+					<-tickets
 					next++
 				}
 			}); err != nil {
-				firstErr = err
-				abort.Store(true)
+				fail(err)
 			}
 		}
 		if err := <-prodErr; err != nil && firstErr == nil {
@@ -402,6 +496,18 @@ func (p *StreamPipeline) start(ctx context.Context, st *spanStitcher,
 	}()
 }
 
+// chunk returns an empty run chunk for a decode worker: a released one
+// when the free list has one, else a fresh one (its compressor sizes
+// the columns to the chunk's access count).
+func (p *StreamPipeline) chunk() *runChunk {
+	c := p.freeChunks.get()
+	if c == nil {
+		return &runChunk{}
+	}
+	*c = runChunk{ids: c.ids[:0], runs: c.runs[:0], kinds: c.kinds[:0]}
+	return c
+}
+
 // StreamSpans starts a span pipeline over a generic trace reader at the
 // given block size: decode and run compression proceed chunk-parallel
 // while the caller consumes spans. Cancelling ctx (or Close) stops the
@@ -411,18 +517,24 @@ func StreamSpans(ctx context.Context, r Reader, blockSize int, opts SpanOptions)
 	if err != nil {
 		return nil, err
 	}
-	p.start(ctx, st, spanReaderProducer(r, blockSize, opts.Kinds, p.chunkAcc))
+	p.start(ctx, st, spanReaderProducer(r, blockSize, opts.Kinds, p.chunkAcc, liveChunks(p.workers)))
 	return p, nil
 }
 
 // spanReaderProducer emits chunk jobs from a batched access reader.
-func spanReaderProducer(r Reader, blockSize int, kinds bool, chunkSize int) func(emit func(chunkJob), stop func() bool) error {
+// Its input buffers go back to a free list of at most buffers once
+// their chunk is compressed.
+func spanReaderProducer(r Reader, blockSize int, kinds bool, chunkSize, buffers int) func(emit func(chunkJob), stop func() bool) error {
 	off := blockShift(blockSize)
+	free := make(freeList[[]Access], buffers)
 	return func(emit func(chunkJob), stop func() bool) error {
 		br := Batch(r)
 		seq := 0
 		for !stop() {
-			buf := make([]Access, chunkSize)
+			buf := free.get()
+			if buf == nil {
+				buf = make([]Access, chunkSize)
+			}
 			filled := 0
 			var err error
 			for filled < chunkSize {
@@ -435,8 +547,9 @@ func spanReaderProducer(r Reader, blockSize int, kinds bool, chunkSize int) func
 			}
 			if filled > 0 {
 				accs := buf[:filled]
-				emit(chunkJob{seq: seq, run: func() (*runChunk, error) {
-					cc := &chunkCompressor{kinds: kinds}
+				emit(chunkJob{seq: seq, run: func(dst *runChunk) (*runChunk, error) {
+					defer free.put(buf)
+					cc := compressInto(dst, kinds, len(accs))
 					if kinds {
 						for _, a := range accs {
 							if !a.Kind.Valid() {
@@ -452,6 +565,8 @@ func spanReaderProducer(r Reader, blockSize int, kinds bool, chunkSize int) func
 					return cc.finish(), nil
 				}})
 				seq++
+			} else {
+				free.put(buf)
 			}
 			if err != nil {
 				if errors.Is(err, io.EOF) {
@@ -483,27 +598,40 @@ func StreamDinSpans(ctx context.Context, r io.Reader, blockSize int, opts SpanOp
 // geometry bounds the byte geometry.
 func (p *StreamPipeline) startDin(ctx context.Context, st *spanStitcher, r io.Reader, blockSize int, kinds bool) {
 	chunkBytes := max(64<<10, min(p.chunkAcc*16, dinChunkBytes))
-	p.start(ctx, st, spanDinProducer(r, blockSize, kinds, chunkBytes))
+	p.start(ctx, st, spanDinProducer(r, blockSize, kinds, chunkBytes, liveChunks(p.workers)))
 }
 
-// spanDinProducer emits .din text chunks cut at line boundaries.
-func spanDinProducer(r io.Reader, blockSize int, kinds bool, chunkBytes int) func(emit func(chunkJob), stop func() bool) error {
+// spanDinProducer emits .din text chunks cut at line boundaries. Its
+// text buffers go back to a free list of at most buffers once their
+// chunk is parsed; the partial line after each cut is carried in a
+// buffer the producer alone owns.
+func spanDinProducer(r io.Reader, blockSize int, kinds bool, chunkBytes, buffers int) func(emit func(chunkJob), stop func() bool) error {
 	off := blockShift(blockSize)
+	free := make(freeList[[]byte], buffers)
 	return func(emit func(chunkJob), stop func() bool) error {
-		var rem []byte
+		var rem, carry []byte
 		seq := 0
 		startLine := 1
-		emitChunk := func(b []byte) {
+		emitChunk := func(buf []byte, n int) {
+			b := buf[:n]
 			lines := countNewlines(b)
 			base := startLine
 			startLine += lines
-			emit(chunkJob{seq: seq, run: func() (*runChunk, error) {
-				return parseDinChunk(b, base, off, kinds)
+			emit(chunkJob{seq: seq, run: func(dst *runChunk) (*runChunk, error) {
+				defer free.put(buf)
+				return parseDinChunk(dst, b, base, lines, off, kinds)
 			}})
 			seq++
 		}
 		for !stop() {
-			buf := make([]byte, len(rem)+chunkBytes)
+			need := len(rem) + chunkBytes
+			buf := free.get()
+			if cap(buf) < need {
+				// Slack for the carried partial line, so a recycled
+				// buffer fits the next chunk too.
+				buf = make([]byte, need, need+chunkBytes/64)
+			}
+			buf = buf[:need]
 			copy(buf, rem)
 			n, err := io.ReadFull(r, buf[len(rem):])
 			buf = buf[:len(rem)+n]
@@ -513,19 +641,20 @@ func spanDinProducer(r io.Reader, blockSize int, kinds bool, chunkBytes int) fun
 					return err
 				}
 				if len(buf) > 0 {
-					emitChunk(buf)
+					emitChunk(buf, len(buf))
 				}
 				return nil
 			}
+			// Without a line boundary yet (a pathological line longer
+			// than the chunk) the whole buffer is carried.
 			cut := lastNewline(buf)
+			carry = append(carry[:0], buf[cut+1:]...)
+			rem = carry
 			if cut < 0 {
-				// No line boundary yet (pathological line longer than
-				// the chunk): keep accumulating.
-				rem = buf
+				free.put(buf)
 				continue
 			}
-			emitChunk(buf[:cut+1])
-			rem = append([]byte(nil), buf[cut+1:]...)
+			emitChunk(buf, cut+1)
 		}
 		return nil
 	}
@@ -576,7 +705,7 @@ func StreamFileSpans(ctx context.Context, name string, blockSize int, opts SpanO
 	}
 	p.closer = closer
 	if DetectFormat(name) == FormatBin {
-		p.start(ctx, st, spanReaderProducer(NewBinReader(bufio.NewReader(src)), blockSize, opts.Kinds, p.chunkAcc))
+		p.start(ctx, st, spanReaderProducer(NewBinReader(bufio.NewReader(src)), blockSize, opts.Kinds, p.chunkAcc, liveChunks(p.workers)))
 	} else {
 		p.startDin(ctx, st, src, blockSize, opts.Kinds)
 	}

@@ -67,7 +67,7 @@ func streamSpansWithRuns(ctx context.Context, r Reader, blockSize int, opts Span
 	if chunkAcc <= 0 {
 		chunkAcc = p.chunkAcc
 	}
-	p.start(ctx, st, spanReaderProducer(r, blockSize, opts.Kinds, chunkAcc))
+	p.start(ctx, st, spanReaderProducer(r, blockSize, opts.Kinds, chunkAcc, liveChunks(p.workers)))
 	return p, nil
 }
 

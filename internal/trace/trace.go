@@ -18,7 +18,10 @@
 // emits the run-compressed stream as a bounded, backpressured pipeline
 // of spans whose concatenation is bit-identical to the materialized
 // BlockStream (FuzzSpanEquivalence), with decode overlapped with the
-// consumer and resident decoded spans capped at SpanOptions.MemBytes.
+// consumer and the pipeline's span, chunk and free-list geometry sized
+// from SpanOptions.MemBytes (a working-set budget: spans are leased, and
+// only those the consumer hands back with StreamPipeline.Release are
+// reused).
 // The incremental LadderFolder derives every coarser ladder rung from
 // the spans as they arrive, and ShardBlockStreamInto splits each span
 // into a reused shard partition, so streamed and sharded replays both
