@@ -36,6 +36,7 @@ fuzz:
 	$(GO) test ./internal/refsim -run '^$$' -fuzz FuzzKindStreamWrite -fuzztime 20s
 	$(GO) test ./internal/refsim -run '^$$' -fuzz FuzzRefStream -fuzztime 20s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzDinCorrupt -fuzztime 20s
+	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzDinKernel -fuzztime 20s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzBinCorrupt -fuzztime 20s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzStreamUnmarshal -fuzztime 20s
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzResultUnmarshal -fuzztime 20s

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 )
 
 // The Dinero .din trace format is one access per line:
@@ -16,6 +17,35 @@ import (
 // fetch. Addresses are hexadecimal without a 0x prefix. Blank lines are
 // ignored; anything after the address on a line is ignored (Dinero IV
 // tolerates trailing fields).
+//
+// Both decoders — DinReader and the chunk-parallel span producer
+// (parseDinChunk) — run every line through one kernel, dinCanonical,
+// that accepts exactly the shape DinWriter emits: a label 0–2, one
+// space, 1–16 hex digits (either case, no prefix), then '\n' or the end
+// of the input. It parses such a line in one pass with a 256-entry hex
+// table. Any other line falls back to the general field split
+// (parseDinLine), which also accepts leading and separating runs of
+// spaces, tabs, '\r', '\v' and '\f' (so CRLF endings), labels with
+// leading zeros ("00"), 0x/0X prefixes, addresses with more than 16
+// digits when the value still fits in 64 bits, and trailing fields. The
+// general path is the only code that builds a decode error, so the
+// kernel changes no accepted input, value, message or line number.
+// Lines of maxDinLine bytes or more (newline excluded) fail both
+// decoders with a "line too long" CorruptError.
+
+// maxDinLine is the length, newline excluded, at which a .din line is
+// too long for either decoder: the largest line DinReader's scanner
+// buffer holds with its newline is maxDinLine-1 bytes, and Next rejects
+// the one longer token the scanner can yield, a final line of exactly
+// maxDinLine bytes.
+const maxDinLine = 1 << 20
+
+// errDinLineTooLong is the error both decoders return for a line of
+// maxDinLine bytes or more.
+func errDinLineTooLong(line int) error {
+	return &CorruptError{Format: "din", Line: line, Offset: -1,
+		Msg: "line too long", Err: bufio.ErrTooLong}
+}
 
 // DinReader decodes the .din format from an io.Reader.
 type DinReader struct {
@@ -26,59 +56,126 @@ type DinReader struct {
 // NewDinReader returns a DinReader wrapping r.
 func NewDinReader(r io.Reader) *DinReader {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 1024*1024)
+	sc.Buffer(make([]byte, 64*1024), maxDinLine)
 	return &DinReader{scanner: sc}
 }
 
 // Next implements Reader. It returns io.EOF at end of input and a
 // descriptive error (with line number) on malformed input.
 //
-// The hot path is allocation-free: fields are located by an index-based
-// two-field split over the scanner's byte view (no per-line string or
-// field-slice allocation), and the label and address parse directly
-// from the bytes. Only error construction allocates.
+// The hot path is allocation-free: a canonical line parses in one pass
+// over the scanner's byte view (dinCanonical), any other line through
+// the general field split, and only error construction allocates.
 func (d *DinReader) Next() (Access, error) {
 	for d.scanner.Scan() {
 		d.line++
 		b := d.scanner.Bytes()
-		// First field: the label.
-		i := skipSpace(b, 0)
-		if i == len(b) {
-			continue // blank line
+		if len(b) >= maxDinLine {
+			// Only a final line with no newline gets here, handed over
+			// whole when the read that fills the buffer also returns
+			// io.EOF.
+			return Access{}, errDinLineTooLong(d.line)
 		}
-		labelStart := i
-		i = skipField(b, i)
-		labelEnd := i
-		// Second field: the address. Anything after it is ignored
-		// (Dinero IV tolerates trailing fields).
-		i = skipSpace(b, i)
-		addrStart := i
-		i = skipField(b, i)
-		addrEnd := i
-		if addrEnd == addrStart {
-			return Access{}, &CorruptError{Format: "din", Line: d.line, Offset: -1,
-				Msg: fmt.Sprintf("need label and address, got %q", bytes.TrimSpace(b))}
+		if a, n := dinCanonical(b); n > 0 {
+			return a, nil
 		}
-		label, ok := parseLabel(b[labelStart:labelEnd])
-		if !ok || !Kind(label).Valid() {
-			return Access{}, &CorruptError{Format: "din", Line: d.line, Offset: -1,
-				Msg: fmt.Sprintf("bad label %q", b[labelStart:labelEnd])}
+		a, blank, err := parseDinLine(b, d.line)
+		if blank {
+			continue
 		}
-		addr, ok := parseHex(b[addrStart:addrEnd])
-		if !ok {
-			return Access{}, &CorruptError{Format: "din", Line: d.line, Offset: -1,
-				Msg: fmt.Sprintf("bad address %q", b[addrStart:addrEnd])}
-		}
-		return Access{Addr: addr, Kind: Kind(label)}, nil
+		return a, err
 	}
 	if err := d.scanner.Err(); err != nil {
 		if errors.Is(err, bufio.ErrTooLong) {
-			return Access{}, &CorruptError{Format: "din", Line: d.line + 1, Offset: -1,
-				Msg: "line too long", Err: err}
+			return Access{}, errDinLineTooLong(d.line + 1)
 		}
 		return Access{}, err
 	}
 	return Access{}, io.EOF
+}
+
+// hexDigit maps a byte to its hexadecimal digit value, or 0xff for a
+// byte that is not a hex digit.
+var hexDigit = func() (t [256]uint8) {
+	for i := range t {
+		t[i] = 0xff
+	}
+	for c := '0'; c <= '9'; c++ {
+		t[c] = uint8(c - '0')
+	}
+	for c := 'a'; c <= 'f'; c++ {
+		t[c] = uint8(c-'a') + 10
+		t[c-'a'+'A'] = uint8(c-'a') + 10
+	}
+	return t
+}()
+
+// dinCanonical parses the canonical .din line at the head of b (see the
+// format comment above): a label 0–2, one space, 1–16 hex digits, then
+// '\n' or the end of b. It returns the access and the bytes consumed,
+// the newline included, or n == 0 when b does not start with a
+// canonical line; the caller then hands the line to parseDinLine. Every
+// line it accepts, parseDinLine parses to the same access.
+func dinCanonical(b []byte) (a Access, n int) {
+	if len(b) < 3 || b[0]-'0' > 2 || b[1] != ' ' {
+		return Access{}, 0
+	}
+	var v uint64
+	i := 2
+	// At most 17 digits are read: a 17th marks a non-canonical line.
+	for end := min(len(b), 2+17); i < end; i++ {
+		d := hexDigit[b[i]]
+		if d > 0xf {
+			break
+		}
+		v = v<<4 | uint64(d)
+	}
+	if i == 2 || i > 2+16 {
+		return Access{}, 0
+	}
+	if i < len(b) {
+		if b[i] != '\n' {
+			return Access{}, 0
+		}
+		i++
+	}
+	return Access{Addr: v, Kind: Kind(b[0] - '0')}, i
+}
+
+// parseDinLine is the general .din line parser, for one line without
+// its newline: an index-based two-field split over the bytes, with no
+// per-line allocation. It reports a line holding only whitespace as
+// blank, and it is the only code that builds a .din line error.
+func parseDinLine(ln []byte, line int) (a Access, blank bool, err error) {
+	// First field: the label.
+	i := skipSpace(ln, 0)
+	if i == len(ln) {
+		return Access{}, true, nil
+	}
+	labelStart := i
+	i = skipField(ln, i)
+	labelEnd := i
+	// Second field: the address. Anything after it is ignored (Dinero
+	// IV tolerates trailing fields).
+	i = skipSpace(ln, i)
+	addrStart := i
+	i = skipField(ln, i)
+	addrEnd := i
+	if addrEnd == addrStart {
+		return Access{}, false, &CorruptError{Format: "din", Line: line, Offset: -1,
+			Msg: fmt.Sprintf("need label and address, got %q", bytes.TrimSpace(ln))}
+	}
+	label, ok := parseLabel(ln[labelStart:labelEnd])
+	if !ok || !Kind(label).Valid() {
+		return Access{}, false, &CorruptError{Format: "din", Line: line, Offset: -1,
+			Msg: fmt.Sprintf("bad label %q", ln[labelStart:labelEnd])}
+	}
+	addr, ok := parseHex(ln[addrStart:addrEnd])
+	if !ok {
+		return Access{}, false, &CorruptError{Format: "din", Line: line, Offset: -1,
+			Msg: fmt.Sprintf("bad address %q", ln[addrStart:addrEnd])}
+	}
+	return Access{Addr: addr, Kind: Kind(label)}, false, nil
 }
 
 // skipSpace advances past ASCII whitespace from i.
@@ -127,21 +224,14 @@ func parseHex(b []byte) (uint64, bool) {
 	}
 	var v uint64
 	for _, c := range b {
-		var d uint64
-		switch {
-		case c >= '0' && c <= '9':
-			d = uint64(c - '0')
-		case c >= 'a' && c <= 'f':
-			d = uint64(c-'a') + 10
-		case c >= 'A' && c <= 'F':
-			d = uint64(c-'A') + 10
-		default:
+		d := hexDigit[c]
+		if d > 0xf {
 			return 0, false
 		}
 		if v >= 1<<60 {
 			return 0, false // next shift would overflow
 		}
-		v = v<<4 | d
+		v = v<<4 | uint64(d)
 	}
 	return v, true
 }
@@ -163,9 +253,12 @@ func (d *DinReader) ReadBatch(dst []Access) (int, error) {
 	return len(dst), nil
 }
 
-// DinWriter encodes accesses in the .din format.
+// DinWriter encodes accesses in the .din format, one canonical line
+// per access (the shape dinCanonical parses): the label, one space and
+// the address in lower-case hex without leading zeros.
 type DinWriter struct {
-	w *bufio.Writer
+	w    *bufio.Writer
+	line [2 + 16 + 1]byte // the longest line: label, space, 16 digits, newline
 }
 
 // NewDinWriter returns a DinWriter targeting w. Call Flush when done.
@@ -178,7 +271,10 @@ func (d *DinWriter) WriteAccess(a Access) error {
 	if !a.Kind.Valid() {
 		return fmt.Errorf("trace: cannot encode invalid kind %d", a.Kind)
 	}
-	_, err := fmt.Fprintf(d.w, "%d %x\n", a.Kind, a.Addr)
+	b := append(d.line[:0], '0'+byte(a.Kind), ' ')
+	b = strconv.AppendUint(b, a.Addr, 16)
+	b = append(b, '\n')
+	_, err := d.w.Write(b)
 	return err
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -58,21 +59,93 @@ func TestDinReaderDecodesAllocFree(t *testing.T) {
 }
 
 // BenchmarkDinReader measures .din text decoding through the batched
-// path; allocs/op is reported and must stay flat (the per-reader setup
-// only; see TestDinReaderDecodesAllocFree for the hard assertion).
+// path, over canonical lines (the kernel's fast path) and over mixed
+// shapes (mostly the general fallback); allocs/op is reported and must
+// stay flat (the per-reader setup only; see
+// TestDinReaderDecodesAllocFree for the hard assertion).
 func BenchmarkDinReader(b *testing.B) {
 	const lines = 10_000
-	data := dinInput(lines)
-	buf := make([]Access, DefaultBatchSize)
+	for _, in := range []struct {
+		name string
+		data string
+	}{{"canonical", string(canonicalDin(lines))}, {"mixed", dinInput(lines)}} {
+		b.Run(in.name, func(b *testing.B) {
+			buf := make([]Access, DefaultBatchSize)
+			b.ReportAllocs()
+			for b.Loop() {
+				d := NewDinReader(strings.NewReader(in.data))
+				for {
+					if _, err := d.ReadBatch(buf); err != nil {
+						break
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(lines), "ns/line")
+		})
+	}
+}
+
+// canonicalDin renders n accesses the way DinWriter (and so tracegen)
+// does, with the locality of a real trace: runs of nearby addresses.
+func canonicalDin(n int) []byte {
+	rng := rand.New(rand.NewSource(1))
+	tr := make(Trace, n)
+	addr := uint64(0x7fff0000)
+	for i := range tr {
+		if rng.Intn(8) == 0 {
+			addr = rng.Uint64() >> 32
+		}
+		addr += uint64(rng.Intn(16))
+		tr[i] = Access{Addr: addr, Kind: Kind(rng.Intn(3))}
+	}
+	return dinText(tr)
+}
+
+// BenchmarkDinChunk measures the chunk-parallel decoder's kernel:
+// parseDinChunk over one chunk of canonical lines at block size 16,
+// kind-free and with the kind channel, reported per line.
+func BenchmarkDinChunk(b *testing.B) {
+	const lines = 50_000
+	text := canonicalDin(lines)
+	for _, kinds := range []bool{false, true} {
+		name := "kindfree"
+		if kinds {
+			name = "kinds"
+		}
+		b.Run(name, func(b *testing.B) {
+			dst := &runChunk{}
+			b.SetBytes(int64(len(text)))
+			b.ReportAllocs()
+			for b.Loop() {
+				*dst = runChunk{ids: dst.ids[:0], runs: dst.runs[:0], kinds: dst.kinds[:0]}
+				if _, err := parseDinChunk(dst, text, 1, lines, 4, kinds); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/lines, "ns/line")
+		})
+	}
+}
+
+// BenchmarkDinWriter measures .din encoding, reported per line.
+func BenchmarkDinWriter(b *testing.B) {
+	const lines = 50_000
+	rng := rand.New(rand.NewSource(1))
+	tr := make(Trace, lines)
+	for i := range tr {
+		tr[i] = Access{Addr: rng.Uint64() >> 32, Kind: Kind(rng.Intn(3))}
+	}
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d := NewDinReader(strings.NewReader(data))
-		for {
-			if _, err := d.ReadBatch(buf); err != nil {
-				break
+	for b.Loop() {
+		w := NewDinWriter(io.Discard)
+		for _, a := range tr {
+			if err := w.WriteAccess(a); err != nil {
+				b.Fatal(err)
 			}
 		}
+		if err := w.Flush(); err != nil {
+			b.Fatal(err)
+		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(lines), "ns/line")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/lines, "ns/line")
 }

@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"math"
 )
 
@@ -113,23 +112,16 @@ func compressInto(dst *runChunk, kinds bool, maxRuns int) chunkCompressor {
 	return chunkCompressor{c: dst, kinds: kinds}
 }
 
-func (cc *chunkCompressor) add(id uint64, w uint32) {
-	if w == 0 {
+// add appends one access in kind-free mode.
+func (cc *chunkCompressor) add(id uint64) {
+	c := cc.c
+	c.accesses++
+	if n := len(c.ids); n > 0 && c.ids[n-1] == id && c.runs[n-1] < math.MaxUint32 {
+		c.runs[n-1]++
 		return
 	}
-	cc.c.accesses += uint64(w)
-	rem := uint64(w)
-	if n := len(cc.c.ids); n > 0 && cc.c.ids[n-1] == id && cc.c.runs[n-1] < math.MaxUint32 {
-		take := min(rem, uint64(math.MaxUint32-cc.c.runs[n-1]))
-		cc.c.runs[n-1] += uint32(take)
-		rem -= take
-	}
-	for rem > 0 {
-		take := min(rem, math.MaxUint32)
-		cc.c.ids = append(cc.c.ids, id)
-		cc.c.runs = append(cc.c.runs, uint32(take))
-		rem -= take
-	}
+	c.ids = append(c.ids, id)
+	c.runs = append(c.runs, 1)
 }
 
 // addAccess is add for one access in kind mode.
@@ -145,7 +137,7 @@ func (cc *chunkCompressor) addAccess(id uint64, k Kind) {
 	cc.c.kinds = append(cc.c.kinds, kindRunOf(k))
 }
 
-// addKindRun is add for a pre-weighted kind run (kr.Total() == w),
+// addKindRun appends a pre-weighted kind run (kr.Total() == w),
 // splitting the record at the uint32 counter boundary exactly where
 // the weight splits.
 func (cc *chunkCompressor) addKindRun(id uint64, w uint32, kr KindRun) {
@@ -209,50 +201,35 @@ type chunkResult struct {
 }
 
 // parseDinChunk parses whole .din lines from b (the producer cuts at
-// line boundaries, so b holds at most lines+1 of them) with the same
-// zero-allocation field split as DinReader, feeding block IDs straight
-// into a chunk compressor filling dst. Semantics, including error line
-// numbers, match NewDinReader.
+// line boundaries, so b holds at most lines+1 of them) through the
+// same line kernel as DinReader — dinCanonical, falling back to
+// parseDinLine — feeding block IDs straight into a chunk compressor
+// filling dst. Semantics, including error line numbers, match
+// NewDinReader.
 func parseDinChunk(dst *runChunk, b []byte, startLine, lines int, off uint, kinds bool) (*runChunk, error) {
 	cc := compressInto(dst, kinds, lines+1)
 	line := startLine - 1
 	for len(b) > 0 {
-		var ln []byte
-		if nl := bytes.IndexByte(b, '\n'); nl >= 0 {
-			ln, b = b[:nl], b[nl+1:]
-		} else {
-			ln, b = b, nil
-		}
 		line++
-		i := skipSpace(ln, 0)
-		if i == len(ln) {
-			continue // blank line
-		}
-		labelStart := i
-		i = skipField(ln, i)
-		labelEnd := i
-		i = skipSpace(ln, i)
-		addrStart := i
-		i = skipField(ln, i)
-		addrEnd := i
-		if addrEnd == addrStart {
-			return nil, &CorruptError{Format: "din", Line: line, Offset: -1,
-				Msg: fmt.Sprintf("need label and address, got %q", bytes.TrimSpace(ln))}
-		}
-		label, ok := parseLabel(ln[labelStart:labelEnd])
-		if !ok || !Kind(label).Valid() {
-			return nil, &CorruptError{Format: "din", Line: line, Offset: -1,
-				Msg: fmt.Sprintf("bad label %q", ln[labelStart:labelEnd])}
-		}
-		addr, ok := parseHex(ln[addrStart:addrEnd])
-		if !ok {
-			return nil, &CorruptError{Format: "din", Line: line, Offset: -1,
-				Msg: fmt.Sprintf("bad address %q", ln[addrStart:addrEnd])}
+		a, n := dinCanonical(b)
+		if n > 0 {
+			b = b[n:]
+		} else {
+			var ln []byte
+			ln, b, _ = bytes.Cut(b, []byte{'\n'})
+			var blank bool
+			var err error
+			if a, blank, err = parseDinLine(ln, line); err != nil {
+				return nil, err
+			}
+			if blank {
+				continue
+			}
 		}
 		if kinds {
-			cc.addAccess(addr>>off, Kind(label))
+			cc.addAccess(a.Addr>>off, a.Kind)
 		} else {
-			cc.add(addr>>off, 1)
+			cc.add(a.Addr >> off)
 		}
 	}
 	return cc.finish(), nil

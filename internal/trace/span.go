@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"context"
 	"errors"
@@ -452,17 +453,24 @@ func (p *StreamPipeline) start(ctx context.Context, st *spanStitcher,
 		pending := map[int]*runChunk{}
 		next := 0
 		var firstErr error
+		errSeq := -1 // the failed chunk's seq while firstErr is a chunk's
 		fail := func(err error) {
 			firstErr = err
 			p.cancel()
 		}
 		for res := range results {
+			if res.err != nil {
+				// The earliest failed chunk's error wins, whichever
+				// worker finishes first, so the error (and its line)
+				// is the one a serial decode reports.
+				if firstErr == nil || res.seq < errSeq {
+					fail(res.err)
+					errSeq = res.seq
+				}
+				continue
+			}
 			if firstErr != nil {
 				continue // drain
-			}
-			if res.err != nil {
-				fail(res.err)
-				continue
 			}
 			pending[res.seq] = res.chunk
 			if err := pool.Protect(func() error {
@@ -559,7 +567,7 @@ func spanReaderProducer(r Reader, blockSize int, kinds bool, chunkSize, buffers 
 						}
 					} else {
 						for _, a := range accs {
-							cc.add(a.Addr>>off, 1)
+							cc.add(a.Addr >> off)
 						}
 					}
 					return cc.finish(), nil
@@ -604,17 +612,22 @@ func (p *StreamPipeline) startDin(ctx context.Context, st *spanStitcher, r io.Re
 // spanDinProducer emits .din text chunks cut at line boundaries. Its
 // text buffers go back to a free list of at most buffers once their
 // chunk is parsed; the partial line after each cut is carried in a
-// buffer the producer alone owns.
+// buffer the producer alone owns. A line of maxDinLine bytes or more
+// fails the decode exactly as it fails DinReader, after every earlier
+// line, so the carry stays below maxDinLine+chunkBytes.
 func spanDinProducer(r io.Reader, blockSize int, kinds bool, chunkBytes, buffers int) func(emit func(chunkJob), stop func() bool) error {
 	off := blockShift(blockSize)
 	free := make(freeList[[]byte], buffers)
+	// Every line but a buffer's first lies within one read of at most
+	// chunkBytes bytes, so only the first can reach the limit.
+	chunkBytes = min(chunkBytes, maxDinLine)
 	return func(emit func(chunkJob), stop func() bool) error {
 		var rem, carry []byte
 		seq := 0
 		startLine := 1
 		emitChunk := func(buf []byte, n int) {
 			b := buf[:n]
-			lines := countNewlines(b)
+			lines := bytes.Count(b, []byte{'\n'})
 			base := startLine
 			startLine += lines
 			emit(chunkJob{seq: seq, run: func(dst *runChunk) (*runChunk, error) {
@@ -635,6 +648,14 @@ func spanDinProducer(r io.Reader, blockSize int, kinds bool, chunkBytes, buffers
 			copy(buf, rem)
 			n, err := io.ReadFull(r, buf[len(rem):])
 			buf = buf[:len(rem)+n]
+			// The first line continues the carry, which holds no newline.
+			first := len(buf)
+			if i := bytes.IndexByte(buf[len(rem):], '\n'); i >= 0 {
+				first = len(rem) + i
+			}
+			if first >= maxDinLine {
+				return errDinLineTooLong(startLine)
+			}
 			rem = nil
 			if err != nil {
 				if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
@@ -645,9 +666,9 @@ func spanDinProducer(r io.Reader, blockSize int, kinds bool, chunkBytes, buffers
 				}
 				return nil
 			}
-			// Without a line boundary yet (a pathological line longer
-			// than the chunk) the whole buffer is carried.
-			cut := lastNewline(buf)
+			// Without a line boundary yet (a line longer than the chunk)
+			// the whole buffer is carried.
+			cut := bytes.LastIndexByte(buf, '\n')
 			carry = append(carry[:0], buf[cut+1:]...)
 			rem = carry
 			if cut < 0 {
@@ -658,25 +679,6 @@ func spanDinProducer(r io.Reader, blockSize int, kinds bool, chunkBytes, buffers
 		}
 		return nil
 	}
-}
-
-func countNewlines(b []byte) int {
-	n := 0
-	for _, c := range b {
-		if c == '\n' {
-			n++
-		}
-	}
-	return n
-}
-
-func lastNewline(b []byte) int {
-	for i := len(b) - 1; i >= 0; i-- {
-		if b[i] == '\n' {
-			return i
-		}
-	}
-	return -1
 }
 
 // StreamFileSpans starts a span pipeline over a trace file,
