@@ -166,6 +166,37 @@ func BenchmarkAccessStream(b *testing.B) {
 	}
 }
 
+// BenchmarkAccessStreamAssoc measures the columnar FIFO walk at each
+// associativity the paper sweeps up to 16 ways, on one workload and
+// otherwise the pass shape of BenchmarkAccessStream. The levels the MRA
+// check does not decide test membership with a different kernel per
+// associativity: an unrolled compare of conditional moves at 2 and 4
+// ways, the fingerprint match at 8 and 16. The simulator is Reset per
+// iteration, so allocs/op must read 0.
+func BenchmarkAccessStreamAssoc(b *testing.B) {
+	tr := benchTrace(b, workload.MPEG2Dec)
+	bs, err := tr.BlockStream(benchAccessOpt.BlockSize)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, assoc := range []int{2, 4, 8, 16} {
+		b.Run(fmt.Sprintf("A%d", assoc), func(b *testing.B) {
+			opt := benchAccessOpt
+			opt.Assoc = assoc
+			sim := core.MustNew(opt)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sim.Reset()
+				if err := sim.SimulateStream(bs); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(tr)), "ns/access")
+		})
+	}
+}
+
 // BenchmarkAccessSharded measures the set-sharded parallel pass at
 // increasing fan-outs against the same workloads, pass shape and
 // underlying stream as BenchmarkAccessStream (whose single-thread

@@ -68,6 +68,23 @@
 // whose whole point is moving counters) routes the stream entry points
 // back through the counted path.
 //
+// # Memory layout
+//
+// Per-node state is split by reader. The 16-byte nodeState record —
+// MRA tag, FIFO cursor, fill count, LRU endpoints — is what every walk
+// reads at every level, four records to a cache line. The MRE record
+// (tag plus saved wave pointer) lives in a side arena that only the
+// per-access walks (Access, and accessFast under LRU) read; they
+// allocate it on first use, so a FIFO pass that only streams never
+// holds it. Per-way state is the tag arena, the wave-pointer arena and,
+// for passes of 8 or more ways, a fingerprint arena of one hash byte
+// per way: every walk writes a way's fingerprint with its tag, and the
+// columnar FIFO walk matches a node's fingerprints eight ways per
+// 64-bit word (a SWAR byte match, as in SwissTable-style hash tables'
+// control-byte groups) so that it reads only candidate tags. The
+// instrumented path never reads the fingerprints, which keeps the
+// Table 4 comparison counters defined as the paper defines them.
+//
 // # Sharded parallel passes
 //
 // A third, parallel execution form of the same pass lives in Sharded:
@@ -180,28 +197,34 @@ func (o Options) Validate() error {
 // Levels returns the number of tree levels the pass simulates.
 func (o Options) Levels() int { return o.MaxLogSets - o.MinLogSets + 1 }
 
-// nodeState packs one node's (one cache set's) metadata into a single
-// 24-byte record: the MRA tag the direct-mapped check reads on every
-// visit, the MRE tag, and the small bookkeeping fields. Keeping them in
-// one record instead of seven parallel arrays means the per-level work
-// of the hot walk — which usually ends at the MRA comparison — touches
-// one cache line, not seven.
+// nodeState packs the per-node metadata every walk reads into one
+// 16-byte record: the MRA tag the direct-mapped check reads on every
+// visit plus the small bookkeeping fields. Keeping them in one record
+// instead of parallel arrays means the per-level work of the hot walk —
+// which usually ends at the MRA comparison — touches one cache line, and
+// the 16-byte stride puts exactly four records on every line, so no
+// record ever straddles one. The two LRU recency-list endpoints occupy
+// what would otherwise be padding, so LRU passes add no record growth.
+// The MRE record (Property 4) lives in a side arena (mreState), because
+// the columnar FIFO walk, which runs the bulk of every design-space
+// sweep, never reads it.
 type nodeState struct {
-	// Field order is deliberate: the stream fast path touches only mra,
-	// head and fill (bytes 0..9), so with the 24-byte record stride
-	// those bytes stay on one cache line for 7 of every 8 records (only
-	// the offset-56-mod-64 record straddles a boundary); the MRE-domain
-	// fields the stream path never reads sit in the back half. The two
-	// LRU recency-list endpoints occupy what was padding, so LRU passes
-	// add no record growth.
-	mra     uint64 // most recently accessed tag (= the DM configuration's content)
-	head    int8   // FIFO round-robin victim cursor
-	fill    int8   // number of valid ways
-	mreOK   bool   // mre holds a real tag
-	mreWave int8   // wave pointer saved with the MRE tag
-	mruWay  int8   // most recently used way (LRU passes; valid when fill > 0)
-	lruWay  int8   // least recently used way = O(1) victim (LRU passes; valid when fill > 0)
-	mre     uint64 // most recently evicted tag
+	mra    uint64 // most recently accessed tag (= the DM configuration's content)
+	head   int8   // FIFO round-robin victim cursor
+	fill   int8   // number of valid ways
+	mruWay int8   // most recently used way (LRU passes; valid when fill > 0)
+	lruWay int8   // least recently used way = O(1) victim (LRU passes; valid when fill > 0)
+}
+
+// mreState is one node's Property 4 record: the most recently evicted
+// tag and the wave pointer saved with it. Only the per-access walks
+// (Access, accessFast) read or write it, so it lives in a side arena
+// indexed like the node records and allocated on their first use (see
+// Simulator.mres).
+type mreState struct {
+	tag  uint64 // most recently evicted tag
+	ok   bool   // tag holds a real tag
+	wave int8   // wave pointer saved with the MRE tag
 }
 
 // mraValid reports whether the node's MRA entry holds a real tag. Every
@@ -216,6 +239,10 @@ func (n *nodeState) mraValid() bool { return n.fill > 0 }
 // [i*assoc, (i+1)*assoc) of the per-way slices and record i of node.
 type level struct {
 	mask uint64 // 2^log - 1
+	// nodeOff and wayOff locate the level's node records and way entries
+	// in the arenas; the columnar FIFO walk indexes the arenas with them
+	// directly.
+	nodeOff, wayOff int
 
 	// Per-way state.
 	tags []uint64 // stored block addresses
@@ -228,17 +255,20 @@ type level struct {
 	// endpoint, read in O(1).
 	older []int8
 	newer []int8
+	fps   []uint8 // fingerprint of each way's tag (Assoc >= 8 only)
 
 	// Per-node state.
 	node []nodeState
+	mre  []mreState // nil until the MRE side arena is allocated
 }
 
 // Simulator is one DEW pass in progress. Create with New, feed with
 // Access or Simulate, then read Results and Counters.
 //
 // All per-way and per-node state lives in level-major arenas (nodes,
-// tags, wave, and — for LRU passes — the older/newer recency links);
-// each level's slices are views into them.
+// tags, wave, the fingerprints of Assoc >= 8 passes, the MRE side arena
+// once a per-access walk has run, and — for LRU passes — the
+// older/newer recency links); each level's slices are views into them.
 // The instrumented path walks the per-level views, the fast path walks
 // the arenas directly with incrementally computed masks and offsets —
 // same memory, same results.
@@ -256,15 +286,22 @@ type Simulator struct {
 	older []int8 // LRU passes only
 	newer []int8 // LRU passes only
 
-	// lvlMask, lvlNodeOff and lvlWayOff are the per-level node masks and
-	// arena offsets, precomputed once. The per-access fast path computes
-	// them incrementally in registers instead (the serial chain is free
-	// there, hidden behind the node-record load); the columnar stream
-	// walk, which keeps many walks in flight per call, reads these tiny
-	// L1-resident tables to break the cross-level dependency chain.
-	lvlMask    []uint64
-	lvlNodeOff []int32
-	lvlWayOff  []int32
+	// fps is the fingerprint arena of passes with Assoc >= 8 (nil
+	// otherwise): fps[i] is fingerprint(tags[i]), one byte per way,
+	// written at every tag write of every walk. The columnar FIFO walk
+	// matches a node's fingerprints eight ways per 64-bit word and reads
+	// the full tags only of the candidate ways (see matchFingerprint).
+	// Like the tags, bytes beyond a node's fill are stale and never read.
+	fps []uint8
+
+	// mres is the MRE side arena, one record per node in node-arena
+	// order. It is allocated by the first Access or accessFast walk
+	// (mreArena), so a pass that only runs the columnar FIFO walk never
+	// allocates it. mreDirty reports whether any record may be set;
+	// while it is false the arena (if any) is all "no MRE", so Reset and
+	// settleWave skip it.
+	mres     []mreState
+	mreDirty bool
 
 	// missDM and missA hold each level's miss counts for the
 	// associativity-1 and associativity-A configurations. They live in
@@ -326,6 +363,9 @@ func New(opt Options) (*Simulator, error) {
 	// into it unconditionally, which removes a has-parent branch from
 	// every level of the walk. The slot is never read.
 	s.wave = make([]int8, totalWays+1)
+	if opt.Assoc >= 8 {
+		s.fps = make([]uint8, totalWays)
+	}
 	s.missDM = make([]uint64, opt.Levels())
 	s.missA = make([]uint64, opt.Levels())
 	s.exitHist = make([]uint64, opt.Levels()+1)
@@ -333,24 +373,22 @@ func New(opt Options) (*Simulator, error) {
 		s.older = make([]int8, totalWays)
 		s.newer = make([]int8, totalWays)
 	}
-	s.lvlMask = make([]uint64, opt.Levels())
-	s.lvlNodeOff = make([]int32, opt.Levels())
-	s.lvlWayOff = make([]int32, opt.Levels())
 	nodeOff, wayOff := 0, 0
 	for i := range s.levels {
 		nodes := 1 << (opt.MinLogSets + i)
 		ways := nodes * opt.Assoc
 		lv := &s.levels[i]
 		lv.mask = uint64(nodes - 1)
-		s.lvlMask[i] = lv.mask
-		s.lvlNodeOff[i] = int32(nodeOff)
-		s.lvlWayOff[i] = int32(wayOff)
+		lv.nodeOff, lv.wayOff = nodeOff, wayOff
 		lv.node = s.nodes[nodeOff : nodeOff+nodes : nodeOff+nodes]
 		lv.tags = s.tags[wayOff : wayOff+ways : wayOff+ways]
 		lv.wave = s.wave[wayOff : wayOff+ways : wayOff+ways]
 		if s.isLRU {
 			lv.older = s.older[wayOff : wayOff+ways : wayOff+ways]
 			lv.newer = s.newer[wayOff : wayOff+ways : wayOff+ways]
+		}
+		if s.fps != nil {
+			lv.fps = s.fps[wayOff : wayOff+ways : wayOff+ways]
 		}
 		nodeOff += nodes
 		wayOff += ways
@@ -361,22 +399,67 @@ func New(opt Options) (*Simulator, error) {
 // Reset returns the simulator to its freshly constructed state while
 // keeping every arena allocation, so repeated passes — benchmark
 // iterations, sweep cells, per-shard tree replays — run with zero
-// steady-state allocations. Only the node records and the result/counter
-// arrays are cleared: the per-way arenas (tags, wave, recency links) can
-// stay stale because every read of a way is gated on the owning node's
-// fill count, which Reset zeroes — a stale entry is unreachable until an
+// steady-state allocations. Only the node records, the MRE side arena
+// (when a walk used it) and the result/counter arrays are cleared: the
+// per-way arenas (tags, fingerprints, wave, recency links) can stay
+// stale because every read of a way is gated on the owning node's fill
+// count, which Reset zeroes — a stale entry is unreachable until an
 // insertion rewrites it, exactly as an uninitialized entry is after New.
-// The same gate makes a pending lazy wave reset moot: clearing the node
-// records drops every MRE record, and every wave read is gated on fill,
-// so Reset also discards the pending settle sweep.
+// The same gate makes a pending lazy wave reset moot: clearing the MRE
+// records drops every saved wave pointer, and every wave read is gated
+// on fill, so Reset also discards the pending settle sweep.
 func (s *Simulator) Reset() {
 	clear(s.nodes)
+	s.clearMRE()
 	clear(s.missDM)
 	clear(s.missA)
 	clear(s.exitHist)
 	s.counters = Counters{}
 	s.lastBlk, s.lastOK = 0, false
 	s.waveStale = false
+}
+
+// mreArena allocates the MRE side arena on first use and marks it
+// dirty: the caller is a per-access walk, which may record an eviction.
+func (s *Simulator) mreArena() {
+	if s.mres == nil {
+		s.mres = make([]mreState, len(s.nodes))
+		for i := range s.levels {
+			lv := &s.levels[i]
+			lv.mre = s.mres[lv.nodeOff : lv.nodeOff+len(lv.node) : lv.nodeOff+len(lv.node)]
+		}
+	}
+	s.mreDirty = true
+}
+
+// clearMRE resets every MRE record to "no MRE" if any walk may have set
+// one since the last clear.
+func (s *Simulator) clearMRE() {
+	if s.mreDirty {
+		clear(s.mres)
+		s.mreDirty = false
+	}
+}
+
+// fingerprint is the one-byte summary of a block ID kept per way in the
+// fingerprint arena: the top byte of a multiplicative (Fibonacci) hash,
+// which depends on every bit of the ID — the node's own low bits are
+// shared by every tag it holds, so a byte of the ID itself would not do.
+func fingerprint(blk uint64) uint8 {
+	return uint8((blk * 0x9e3779b97f4a7c15) >> 56)
+}
+
+// matchFingerprint returns the candidate mask of one fingerprint word
+// (eight ways, way k in byte k) for the fingerprint f: bit 8k+7 is set
+// for every way k whose byte equals f. This is the SWAR has-zero-byte
+// test on word ^ broadcast(f); it never misses a match, but a borrow out
+// of a zero byte can also flag the byte above it (when that byte is
+// f ^ 1), so every candidate must be verified against the full tag. The
+// lowest flagged byte is always a true match.
+func matchFingerprint(word uint64, f uint8) uint64 {
+	const lo, hi = 0x0101010101010101, 0x8080808080808080
+	x := word ^ lo*uint64(f)
+	return (x - lo) &^ x & hi
 }
 
 // Rebind re-targets the simulator to another block size and resets it,
@@ -451,6 +534,7 @@ func (s *Simulator) Options() Options { return s.opt }
 // the simulator is a drop-in trace consumer.
 func (s *Simulator) Access(a trace.Access) {
 	s.settleWave()
+	s.mreArena()
 	blk := a.Addr >> s.offBits
 	s.counters.Accesses++
 	// Keep the fast path's repeated-block memo sound when the two entry
@@ -486,6 +570,7 @@ func (s *Simulator) Access(a trace.Access) {
 		}
 
 		// Decide associativity-A membership.
+		me := &lv.mre[node]
 		hitWay := -1
 		decided := false
 		resurrect := false
@@ -500,11 +585,11 @@ func (s *Simulator) Access(a trace.Access) {
 			}
 			decided = true
 		}
-		if !decided && !s.opt.DisableMRE && nd.mreOK {
+		if !decided && !s.opt.DisableMRE && me.ok {
 			// P4: the most recently evicted tag cannot be resident.
 			s.counters.TagComparisons++
 			mreChecked = true
-			if nd.mre == blk {
+			if me.tag == blk {
 				s.counters.MRECount++
 				decided = true
 				resurrect = true
@@ -539,6 +624,9 @@ func (s *Simulator) Access(a trace.Access) {
 				nd.fill++
 				lv.tags[base+n] = blk
 				lv.wave[base+n] = -1
+				if lv.fps != nil {
+					lv.fps[base+n] = fingerprint(blk)
+				}
 			} else {
 				if s.isLRU {
 					// LRU victim: the recency list's LRU endpoint, O(1).
@@ -547,11 +635,11 @@ func (s *Simulator) Access(a trace.Access) {
 					n = int(nd.head)
 					nd.head = int8((n + 1) & (s.assoc - 1))
 				}
-				if !s.opt.DisableMRE && !mreChecked && nd.mreOK {
+				if !s.opt.DisableMRE && !mreChecked && me.ok {
 					// Algorithm 2 line 4 when the miss was decided by P3
 					// or a scan: the MRE may still be the requested tag.
 					s.counters.TagComparisons++
-					resurrect = nd.mre == blk
+					resurrect = me.tag == blk
 				}
 				victimTag := lv.tags[base+n]
 				victimWave := lv.wave[base+n]
@@ -559,17 +647,20 @@ func (s *Simulator) Access(a trace.Access) {
 					// Exchange the victim with the MRE entry, restoring
 					// the requested tag's saved wave pointer.
 					lv.tags[base+n] = blk
-					lv.wave[base+n] = nd.mreWave
-					nd.mre = victimTag
-					nd.mreWave = victimWave
+					lv.wave[base+n] = me.wave
+					me.tag = victimTag
+					me.wave = victimWave
 				} else {
 					lv.tags[base+n] = blk
 					lv.wave[base+n] = -1
 					if !s.opt.DisableMRE {
-						nd.mre = victimTag
-						nd.mreWave = victimWave
-						nd.mreOK = true
+						me.tag = victimTag
+						me.wave = victimWave
+						me.ok = true
 					}
+				}
+				if lv.fps != nil {
+					lv.fps[base+n] = fingerprint(blk)
 				}
 			}
 		}

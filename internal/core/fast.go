@@ -35,10 +35,14 @@ func (s *Simulator) foldExitHist() {
 // one always agree), and the level-0 "no parent yet" case writes its
 // parent wave refresh into a dedicated scratch slot at the end of the
 // wave arena instead of branching on has-parent at every level.
+//
+// The caller must have allocated the MRE side arena (mreArena).
 func (s *Simulator) accessFast(blk uint64) {
 	assoc := s.assoc
 	nodes := s.nodes
+	mres := s.mres
 	tags := s.tags
+	fps := s.fps
 	wave := s.wave
 	missA := s.missA
 	exitHist := s.exitHist
@@ -54,7 +58,8 @@ func (s *Simulator) accessFast(blk uint64) {
 
 	for li := 0; li < nLevels; li++ {
 		node := int(blk & mask)
-		nd := &nodes[nodeOff+node]
+		ni := nodeOff + node
+		nd := &nodes[ni]
 		levelNodes := int(mask) + 1
 		nodeOff += levelNodes
 		base := wayOff + node*assoc
@@ -74,6 +79,7 @@ func (s *Simulator) accessFast(blk uint64) {
 		}
 
 		fill := int(nd.fill)
+		me := &mres[ni]
 
 		// Decide associativity-A membership: P3, then P4, then scan.
 		hitWay := -1
@@ -83,7 +89,7 @@ func (s *Simulator) accessFast(blk uint64) {
 			if w < fill && tags[base+w] == blk {
 				hitWay = w
 			}
-		} else if nd.mre == blk && nd.mreOK {
+		} else if me.tag == blk && me.ok {
 			// P4: the most recently evicted tag cannot be resident —
 			// a decided miss, no scan. The eviction path below re-derives
 			// the resurrection from the same comparison.
@@ -132,6 +138,9 @@ func (s *Simulator) accessFast(blk uint64) {
 				nd.fill++
 				tags[base+n] = blk
 				wave[base+n] = -1
+				if fps != nil {
+					fps[base+n] = fingerprint(blk)
+				}
 			} else {
 				if isLRU {
 					// LRU victim: the recency list's LRU endpoint, O(1).
@@ -142,20 +151,23 @@ func (s *Simulator) accessFast(blk uint64) {
 				}
 				victimTag := tags[base+n]
 				victimWave := wave[base+n]
-				if nd.mre == blk && nd.mreOK {
+				if me.tag == blk && me.ok {
 					// Algorithm 2 lines 4-5: the requested tag is the
 					// MRE — exchange the victim with the MRE entry,
 					// restoring the tag's saved wave pointer.
 					tags[base+n] = blk
-					wave[base+n] = nd.mreWave
-					nd.mre = victimTag
-					nd.mreWave = victimWave
+					wave[base+n] = me.wave
+					me.tag = victimTag
+					me.wave = victimWave
 				} else {
 					tags[base+n] = blk
 					wave[base+n] = -1
-					nd.mre = victimTag
-					nd.mreWave = victimWave
-					nd.mreOK = true
+					me.tag = victimTag
+					me.wave = victimWave
+					me.ok = true
+				}
+				if fps != nil {
+					fps[base+n] = fingerprint(blk)
 				}
 			}
 		}

@@ -16,13 +16,14 @@ func FuzzExactness(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(2), uint8(2), uint8(4))
 	f.Add([]byte{0, 0, 0, 0, 0, 0}, uint8(0), uint8(0), uint8(1))
 	f.Add([]byte{9, 9, 1, 1, 9, 9, 1, 1, 2, 2}, uint8(3), uint8(1), uint8(3))
+	f.Add(wideSeed(), uint8(4), uint8(0), uint8(1))
 	f.Fuzz(func(t *testing.T, raw []byte, logAssoc, logBlock, maxLog uint8) {
 		if len(raw) == 0 || len(raw) > 4096 {
 			return
 		}
 		opt := Options{
 			MaxLogSets: int(maxLog%5) + 1,
-			Assoc:      1 << (logAssoc % 4),
+			Assoc:      1 << (logAssoc % 5),
 			BlockSize:  1 << (logBlock % 4),
 		}
 		tr := make(trace.Trace, 0, len(raw)/2+1)
@@ -50,4 +51,16 @@ func FuzzExactness(f *testing.F) {
 			}
 		}
 	})
+}
+
+// wideSeed is a fuzz seed for 16-way passes: 200 accesses over 21
+// distinct blocks (each access's second byte is zero), so a 16-way set
+// fills both fingerprint words, then evicts, with hits in both the cold
+// and the warm phase.
+func wideSeed() []byte {
+	raw := make([]byte, 0, 400)
+	for i := 0; i < 200; i++ {
+		raw = append(raw, byte((i*i+i/3)%23), 0)
+	}
+	return raw
 }

@@ -24,9 +24,14 @@ import "fmt"
 //     every filled way exactly once, and the MRU way holds the node's
 //     MRA tag (the most recently used entry is the most recently
 //     accessed tag).
+//  8. Fingerprints (passes of 8 or more ways): every live way's
+//     fingerprint byte equals the fingerprint of its tag, so the
+//     columnar walk's byte match cannot miss a resident tag.
 //
 // A wave-domain reset left pending by the columnar FIFO walk is applied
-// first, so 5 and 6 see the state the next reader sees.
+// first, so 5 and 6 see the state the next reader sees. A simulator that
+// has only run the columnar walk has no MRE arena yet, so 5 holds
+// vacuously.
 func (s *Simulator) CheckInvariants() error {
 	s.settleWave()
 	for li := range s.levels {
@@ -127,9 +132,18 @@ func (s *Simulator) CheckInvariants() error {
 				}
 			}
 
-			if lv.node[node].mreOK {
-				if find(lv, node, lv.node[node].mre) >= 0 {
-					return fmt.Errorf("core: level %d node %d: MRE %#x still resident", li, node, lv.node[node].mre)
+			if lv.mre != nil && lv.mre[node].ok {
+				if find(lv, node, lv.mre[node].tag) >= 0 {
+					return fmt.Errorf("core: level %d node %d: MRE %#x still resident", li, node, lv.mre[node].tag)
+				}
+			}
+
+			if lv.fps != nil {
+				for w := 0; w < fill; w++ {
+					if got, want := lv.fps[base+w], fingerprint(lv.tags[base+w]); got != want {
+						return fmt.Errorf("core: level %d node %d way %d: fingerprint %#02x, tag %#x hashes to %#02x",
+							li, node, w, got, lv.tags[base+w], want)
+					}
 				}
 			}
 

@@ -102,9 +102,9 @@ func TestInvariantsCatchCorruption(t *testing.T) {
 	}
 
 	s = build()
-	// MRE pointing at a resident tag must be caught.
-	s.levels[0].node[0].mre = s.levels[0].tags[0]
-	s.levels[0].node[0].mreOK = true
+	// MRE pointing at a resident tag must be caught. The record lives in
+	// the side arena, which the Access calls above allocated.
+	s.levels[0].mre[0] = mreState{tag: s.levels[0].tags[0], ok: true}
 	if err := s.CheckInvariants(); err == nil {
 		t.Error("resident MRE undetected")
 	}
@@ -131,6 +131,40 @@ func TestInvariantsCatchCorruption(t *testing.T) {
 	if found {
 		if err := s.CheckInvariants(); err == nil {
 			t.Error("stale wave pointer undetected")
+		}
+	}
+}
+
+// TestInvariantsCatchFingerprintCorruption: a pass of 8 or more ways
+// keeps one fingerprint byte per way, and the columnar walk trusts it
+// to find resident tags, so a byte disagreeing with its way's tag must
+// be reported — and a byte beyond the node's fill, which no walk reads,
+// must not.
+func TestInvariantsCatchFingerprintCorruption(t *testing.T) {
+	for _, assoc := range []int{8, 16} {
+		s := MustNew(Options{MaxLogSets: 3, Assoc: assoc, BlockSize: 1})
+		// 12 distinct blocks: the 8-way root fills up, the 16-way one does not.
+		bs := mustStream(t, randomTrace(400, 12, 3), 1)
+		if err := s.SimulateStream(bs); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatalf("A=%d: clean simulator fails check: %v", assoc, err)
+		}
+		lv := &s.levels[0]
+		fill := int(lv.node[0].fill)
+		if fill < 2 {
+			t.Fatalf("A=%d: test premise: root set should hold at least 2 ways, has %d", assoc, fill)
+		}
+		if fill < assoc {
+			lv.fps[fill] ^= 0xff // stale byte: unreachable, not an error
+			if err := s.CheckInvariants(); err != nil {
+				t.Errorf("A=%d: byte beyond fill reported: %v", assoc, err)
+			}
+		}
+		lv.fps[fill-1] ^= 0x01
+		if err := s.CheckInvariants(); err == nil {
+			t.Errorf("A=%d: corrupted fingerprint undetected", assoc)
 		}
 	}
 }

@@ -20,7 +20,7 @@ func TestQuickExactness(t *testing.T) {
 		}
 		opt := Options{
 			MaxLogSets: int(maxLog%6) + 1,
-			Assoc:      1 << (logAssoc % 4),
+			Assoc:      1 << (logAssoc % 5),
 			BlockSize:  1 << (logBlock % 5),
 		}
 		tr := make(trace.Trace, len(addrs))
@@ -52,7 +52,7 @@ func TestQuickMissBounds(t *testing.T) {
 		if len(addrs) == 0 {
 			return true
 		}
-		opt := Options{MaxLogSets: 5, Assoc: 1 << (logAssoc % 4), BlockSize: 4}
+		opt := Options{MaxLogSets: 5, Assoc: 1 << (logAssoc % 5), BlockSize: 4}
 		tr := make(trace.Trace, len(addrs))
 		unique := map[uint64]struct{}{}
 		for i, a := range addrs {

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"dew/internal/trace"
 )
@@ -84,6 +86,7 @@ func (s *Simulator) AccessRuns(ids []uint64, runs []uint32) {
 	if !s.isLRU {
 		s.counters.Accesses += s.runsFastFIFO(ids, runs)
 	} else {
+		s.mreArena()
 		var total uint64
 		prev, ok := s.lastBlk, s.lastOK
 		for i, id := range ids {
@@ -137,13 +140,21 @@ func (s *Simulator) AccessRuns(ids []uint64, runs []uint32) {
 // always sound, merely unhelpful until repopulated. A streamed pass
 // that never reads them never pays that sweep.
 //
-// The warm 4-way level (the steady state of the sweep shapes) updates
-// without a data-dependent branch: the hit/miss outcome of a warm level
-// is close to a coin flip on real traces, so branching on it would
-// mispredict on most visits; instead the unrolled scan (at most one
-// comparison can match) and the way/cursor/miss-count selections
-// compile to conditional moves, and the tag write is idempotent on a
-// hit (it rewrites the hit way's own tag).
+// A warm level (a full node, the steady state) updates without
+// branching on its hit/miss outcome, which is close to a coin flip on
+// real traces, so a branch on it would mispredict on most visits: the
+// way/cursor/miss-count selections compile to conditional moves, and
+// the tag write is idempotent on a hit (it rewrites the hit way's own
+// tag). At 2 and 4 ways the membership test is branch-free too: an
+// unrolled scan (at most one comparison can match) of conditional
+// moves.
+//
+// Levels of 8 or more ways decide membership from the fingerprint arena
+// instead of the tag list: one 64-bit load and a SWAR byte match cover
+// eight ways (matchFingerprint), masked to the fill on a cold node, and
+// only the candidate ways' full tags are compared. A miss with no
+// candidate — the common miss — reads no tag at all, and a hit reads
+// one tag instead of half the list on average.
 //
 // LRU passes take the generic accessFast loop instead: every non-MRA
 // hit must reorder the node's recency links, update work this hot loop
@@ -154,12 +165,10 @@ func (s *Simulator) runsFastFIFO(ids []uint64, runs []uint32) uint64 {
 	tags := s.tags
 	missA := s.missA
 	exitHist := s.exitHist
-	lvlMask := s.lvlMask
-	nLevels := len(lvlMask)
-	lvlNodeOff := s.lvlNodeOff[:nLevels]
-	lvlWayOff := s.lvlWayOff[:nLevels]
+	levels := s.levels
+	nLevels := len(levels)
 
-	warm4 := assoc == 4
+	fps := s.fps      // nil below 8 ways
 	var misses uint64 // insertions performed; any of them moves a way
 	prev, ok := s.lastBlk, s.lastOK
 
@@ -204,14 +213,15 @@ walk:
 		// are permanently cache-resident and need no help.
 		if idx+1 < len(ids) && nLevels > 6 {
 			nb := ids[idx+1]
-			pf += nodes[int(lvlNodeOff[4])+int(nb&lvlMask[4])].mra
-			pf += nodes[int(lvlNodeOff[5])+int(nb&lvlMask[5])].mra
-			pf += nodes[int(lvlNodeOff[6])+int(nb&lvlMask[6])].mra
+			pf += nodes[levels[4].nodeOff+int(nb&levels[4].mask)].mra
+			pf += nodes[levels[5].nodeOff+int(nb&levels[5].mask)].mra
+			pf += nodes[levels[6].nodeOff+int(nb&levels[6].mask)].mra
 		}
 
-		for li := range lvlMask {
-			node := int(blk & lvlMask[li])
-			nd := &nodes[int(lvlNodeOff[li])+node]
+		for li := range levels {
+			lv := &levels[li]
+			node := int(blk & lv.mask)
+			nd := &nodes[lv.nodeOff+node]
 			fill := int(nd.fill)
 
 			// Direct-mapped check, doubling as Property 2: decided from
@@ -222,20 +232,41 @@ walk:
 				continue walk
 			}
 
-			base := int(lvlWayOff[li]) + node*assoc
-			if fill == 4 && warm4 {
+			base := lv.wayOff + node*assoc
+			if fill == assoc && assoc > 1 {
+				// Warm node: find the hit way (a node never holds
+				// duplicate tags, so at most one way matches), then update
+				// without branching on the outcome.
 				hitWay := -1
-				if tags[base+3] == blk {
-					hitWay = 3
-				}
-				if tags[base+2] == blk {
-					hitWay = 2
-				}
-				if tags[base+1] == blk {
-					hitWay = 1
-				}
-				if tags[base] == blk {
-					hitWay = 0
+				var f uint8
+				if fps == nil {
+					// 2 or 4 ways: every comparison compiles to a
+					// conditional move.
+					if assoc == 4 {
+						if tags[base+3] == blk {
+							hitWay = 3
+						}
+						if tags[base+2] == blk {
+							hitWay = 2
+						}
+					}
+					if tags[base+1] == blk {
+						hitWay = 1
+					}
+					if tags[base] == blk {
+						hitWay = 0
+					}
+				} else {
+					f = fingerprint(blk)
+				warm:
+					for k := 0; k < assoc; k += 8 {
+						for m := matchFingerprint(binary.LittleEndian.Uint64(fps[base+k:]), f); m != 0; m &= m - 1 {
+							if w := k + bits.TrailingZeros64(m)>>3; tags[base+w] == blk {
+								hitWay = w
+								break warm
+							}
+						}
+					}
 				}
 				victim := int(nd.head)
 				miss := 0
@@ -248,32 +279,55 @@ walk:
 				}
 				misses += uint64(miss)
 				missA[li] += uint64(miss)
-				nd.head = int8((victim + miss) & 3)
+				nd.head = int8((victim + miss) & (assoc - 1))
 				tags[base+way] = blk
+				if fps != nil {
+					fps[base+way] = f
+				}
 				nd.mra = blk
 				continue
 			}
 
-			// Cold or non-4-way node: the transient (or generic-
-			// associativity) branchy path, the same decisions Access
-			// makes minus the counters and the wave/MRE bookkeeping.
+			// Cold node, or a 1-way node: the same decisions Access makes
+			// minus the counters and the wave/MRE bookkeeping.
 			hitWay := -1
-			for w := 0; w < fill; w++ {
-				if tags[base+w] == blk {
-					hitWay = w
-					break
+			var f uint8
+			if fps != nil {
+				f = fingerprint(blk)
+			search:
+				for k := 0; k < fill; k += 8 {
+					// Ways at or beyond fill hold stale bytes; a shift of
+					// 64 or more leaves the mask all ones.
+					m := matchFingerprint(binary.LittleEndian.Uint64(fps[base+k:]), f) &
+						(1<<(uint(fill-k)*8) - 1)
+					for ; m != 0; m &= m - 1 {
+						if w := k + bits.TrailingZeros64(m)>>3; tags[base+w] == blk {
+							hitWay = w
+							break search
+						}
+					}
+				}
+			} else {
+				for w := 0; w < fill; w++ {
+					if tags[base+w] == blk {
+						hitWay = w
+						break
+					}
 				}
 			}
 			if hitWay < 0 {
 				misses++
 				missA[li]++
+				way := fill
 				if fill < assoc {
 					nd.fill++
-					tags[base+fill] = blk
 				} else {
-					way := int(nd.head)
+					way = int(nd.head)
 					nd.head = int8((way + 1) & (assoc - 1))
-					tags[base+way] = blk
+				}
+				tags[base+way] = blk
+				if fps != nil {
+					fps[base+way] = f
 				}
 			}
 			nd.mra = blk
@@ -302,8 +356,5 @@ func (s *Simulator) settleWave() {
 	for i := range s.wave {
 		s.wave[i] = -1
 	}
-	for i := range s.nodes {
-		s.nodes[i].mreOK = false
-		s.nodes[i].mreWave = -1
-	}
+	s.clearMRE()
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # bench.sh — record the core perf trajectory.
 #
-# Runs the single-vs-batch-vs-stream access benchmarks, the LRU-policy
+# Runs the single-vs-batch-vs-stream access benchmarks, the FIFO stream
+# walk at associativities 2/4/8/16, the LRU-policy
 # stream benchmark, the set-sharded parallel pass at fan-outs 2/4/8,
 # the span pipeline's per-span shard split vs the serial
 # materialize-then-shard baseline, the
@@ -55,7 +56,7 @@ REV="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
 # Tee into a temp file and move it into place only once the benchmarks
 # pass (set -o pipefail fails the pipeline with go test), so a failed
 # or interrupted run cannot leave a truncated $OUT.txt behind.
-go test -run '^$' -bench 'Benchmark(Access(Single|Stream|StreamLRU|Sharded)|(Span|Serial)Shard|(Fold|Decode)Ladder|Ref(Access|Stream)Write|RefStream|Stream(Marshal|Load)|Explore(Cold|Warm)|Sweep(Cold|Warm)|Replay(Streamed|Materialized|StreamedLadder))$' -benchmem -count "$COUNT" . | tee "$OUT.txt.tmp"
+go test -run '^$' -bench 'Benchmark(Access(Single|Stream|StreamAssoc|StreamLRU|Sharded)|(Span|Serial)Shard|(Fold|Decode)Ladder|Ref(Access|Stream)Write|RefStream|Stream(Marshal|Load)|Explore(Cold|Warm)|Sweep(Cold|Warm)|Replay(Streamed|Materialized|StreamedLadder))$' -benchmem -count "$COUNT" . | tee "$OUT.txt.tmp"
 mv "$OUT.txt.tmp" "$OUT.txt"
 
 # Preserve the previous recording as history: benchjson reads it from a
