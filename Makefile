@@ -38,5 +38,4 @@ fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzDinCorrupt -fuzztime 20s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzDinKernel -fuzztime 20s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzBinCorrupt -fuzztime 20s
-	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzStreamUnmarshal -fuzztime 20s
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzResultUnmarshal -fuzztime 20s

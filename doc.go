@@ -83,7 +83,7 @@
 // passes, so benchmark iterations, sweep cells and per-shard replays
 // run allocation-free in steady state.
 //
-// # Pipeline architecture: result cache? → store? → decode once → fold → shard → engine → stitch
+// # Pipeline architecture: result cache? → decode once → fold → shard → engine → stitch
 //
 // A sharded run never materializes the raw trace, never holds the
 // whole run-compressed stream and never walks the trace twice. The
@@ -147,9 +147,7 @@
 // -stream-mem BYTES (0 = refsim's per-access replay or explore's
 // materialized schedule for an unsharded run; a -shards run always
 // streams, at trace.DefaultSpanMemBytes unless -stream-mem sets its
-// budget). A cold streamed pass publishes the finest rung to the
-// artifact store without re-buffering (store.StreamPut), and
-// provenance records the mode and the enforced bound end to end
+// budget). Provenance records the mode and the enforced bound end to end
 // (explore.Result.Streamed / StreamPeakBytes, the CLI mode lines).
 // BenchmarkReplayStreamed vs BenchmarkReplayMaterialized tracks the
 // overlap's speedup (speedup_streamed_over_phased) in BENCH_core.json.
@@ -181,30 +179,16 @@
 // BenchmarkRefAccessWrite tracks the stream-over-per-access speedup
 // and the kind channel's bytes-per-access footprint in BENCH_core.json.
 //
-// # The artifact store: zero-decode, zero-simulation warm paths
+// # The result store: zero-decode, zero-simulation warm paths
 //
-// The decode stage itself sits behind an optional content-addressed
-// artifact store (package store): the finest-rung stream a run
-// materializes is published as a self-describing DBS1 blob
-// (trace.BlockStream.MarshalBinary / WriteTo, CRC-32-sealed, sharing
-// its column codec with the DRS1 result blobs), keyed by the
-// SHA-256 of the trace's content identity plus the block size, kind
-// flag and format version. A later run with the same identity loads
-// the stream in O(runs) — zero trace decodes, results bit-identical —
-// and every derived artifact (fold ladder, shard partition) is
-// re-derived from the loaded stream at stream speed. Entries are
-// written atomically (temp file + rename), deduplicated across
-// concurrent runs by a single-flight gate, evicted
-// least-recently-used under a size cap, and verified on load:
-// a corrupt or truncated entry is quarantined and the run falls back
-// to a fresh decode transparently.
-//
-// Above the stream tier sits a result tier under the same key scheme:
-// a completed pass's counter tables are published as a DRS1 blob
-// (same uvarint column codec, CRC-32-sealed, the engine name and
-// config axes echoed inside the blob and verified on load), keyed by
-// store.ResultKey — the SHA-256 of the stream key × the engine name ×
-// the full config-axis string from engine.Spec.CacheKey, so any axis
+// Finished simulations sit behind an optional content-addressed result
+// store (package store): a completed pass's counter tables are
+// published as a DRS1 blob (a uvarint column codec, CRC-32-sealed, the
+// engine name and config axes echoed inside the blob and verified on
+// load), keyed by store.ResultKey — the SHA-256 of the stream identity
+// (store.Key: the trace's content identity plus the block size and
+// kind flag) × the engine name × the full config-axis string from
+// engine.Spec.CacheKey, so any axis
 // change (sets range, associativity, block size, policy, write axes)
 // is a different key, while scheduling knobs like worker count are
 // not. Two planners schedule deltas against it: engine.Plan, the one
@@ -220,18 +204,19 @@
 // sampled live re-simulation per run (Plan.WarmCheck, or
 // Runner/Request.NoWarmCheck to opt out), and provenance is recorded
 // end to end (Cell.ResultCacheHit, Result.CellsSimulated/CellsCached).
-// Both blob kinds share one MaxBytes budget and one LRU eviction, quarantine
-// and `dew cache stats|gc|clear` accounting, broken out per kind; an
-// in-process LRU of decoded streams (Options.MemBytes, enabled by the
-// CLIs) additionally serves repeat materializations within a process
-// without touching disk. explore.Run (Request.Cache / SourceID) and
-// the sweep runner (sweep.Runner.Cache) consult the store before
-// decoding or simulating; the CLIs expose it as -cache DIR (or
-// DEW_CACHE). BenchmarkExploreWarm vs BenchmarkExploreCold tracks the
-// stream tier's warm-over-cold speedup, BenchmarkStreamLoad the load
-// throughput, and BenchmarkSweepWarm vs BenchmarkSweepCold the result
-// tier's warm-over-cold sweep speedup and warm cell-serve throughput
-// in BENCH_core.json.
+// Entries are written atomically (temp file + rename), evicted
+// least-recently-used under one MaxBytes cap, and verified on load: a
+// corrupt or truncated entry is quarantined and the pass re-simulated
+// transparently; `dew cache stats|gc|clear` maintains the directory.
+// Streams are never stored: any pass that must simulate decodes the
+// trace again, which the chunk-parallel decode overlapped with the
+// replay makes cheaper than loading a serialized stream.
+// explore.Run (Request.Cache / SourceID) and the sweep runner
+// (sweep.Runner.Cache) consult the store before decoding or
+// simulating; the CLIs expose it as -cache DIR (or DEW_CACHE).
+// BenchmarkExploreWarm vs BenchmarkExploreCold and BenchmarkSweepWarm
+// vs BenchmarkSweepCold track the warm-over-cold speedups and the warm
+// cell-serve throughput in BENCH_core.json.
 //
 // Simulation itself runs behind the engine seam: package engine wraps
 // the three simulators (dew, lrutree, ref) in one interface —

@@ -10,8 +10,8 @@ import (
 
 // Dew is the umbrella tool: maintenance subcommands that are about the
 // toolchain's shared state rather than any one simulation. Today that
-// is the content-addressed artifact cache the stream-replaying tools
-// populate ("dew cache stats|gc|clear").
+// is the content-addressed result cache the simulating tools populate
+// ("dew cache stats|gc|clear").
 func Dew(ctx context.Context, env Env, args []string) error {
 	if len(args) == 0 {
 		return usagef("usage: dew cache {stats|gc|clear} [flags]")
@@ -26,14 +26,14 @@ func Dew(ctx context.Context, env Env, args []string) error {
 
 // cacheCmd inspects and maintains an artifact cache directory:
 //
-//	dew cache stats  — what is on disk, split by entry kind (decoded
-//	                   streams vs finished results), plus this
-//	                   process's hit/miss counters
-//	dew cache gc     — remove quarantined and abandoned temp files,
-//	                   then evict least-recently-used entries of either
-//	                   kind down to -max-bytes (0 keeps every live
-//	                   entry), reporting files removed and bytes
-//	                   reclaimed
+//	dew cache stats  — what is on disk: live result entries, dead files
+//	                   (quarantined entries, stream entries of earlier
+//	                   builds) and temp files, plus this process's
+//	                   hit/miss counters
+//	dew cache gc     — remove dead and abandoned temp files, then evict
+//	                   least-recently-used entries down to -max-bytes
+//	                   (0 keeps every live entry), reporting files
+//	                   removed and bytes reclaimed
 //	dew cache clear  — remove everything
 func cacheCmd(ctx context.Context, env Env, args []string) error {
 	if len(args) == 0 {
@@ -62,21 +62,18 @@ func cacheCmd(ctx context.Context, env Env, args []string) error {
 			return err
 		}
 		tbl := report.NewTable("", "what", "count", "bytes")
-		tbl.AddRow("stream entries", ds.StreamEntries, ds.StreamBytes)
-		tbl.AddRow("result entries", ds.ResultEntries, ds.ResultBytes)
-		tbl.AddRow("entries", ds.Entries, ds.Bytes)
-		tbl.AddRow("quarantined", ds.Quarantined, ds.QuarantinedBytes)
+		tbl.AddRow("result entries", ds.Entries, ds.Bytes)
+		tbl.AddRow("dead (gc reclaims)", ds.Quarantined, ds.QuarantinedBytes)
 		tbl.AddRow("temp", ds.Temp, "-")
 		if err := tbl.Render(env.Stdout); err != nil {
 			return err
 		}
 		cs := st.Stats()
-		if _, err := fmt.Fprintf(env.Stdout, "\nthis process: stream %d hits / %d misses (%d in-memory), result %d hits / %d misses\n",
-			cs.Hits, cs.Misses, cs.MemHits, cs.ResultHits, cs.ResultMisses); err != nil {
+		if _, err := fmt.Fprintf(env.Stdout, "\nthis process: result %d hits / %d misses\n",
+			cs.ResultHits, cs.ResultMisses); err != nil {
 			return err
 		}
-		_, err = fmt.Fprintf(env.Stdout, "cache %s: %d entries, %d bytes (%d stream, %d result)\n",
-			st.Dir(), ds.Entries, ds.Bytes, ds.StreamEntries, ds.ResultEntries)
+		_, err = fmt.Fprintf(env.Stdout, "cache %s: %d entries, %d bytes\n", st.Dir(), ds.Entries, ds.Bytes)
 		return err
 	case "gc":
 		removed, reclaimed, err := st.GC(*maxBytes)

@@ -49,8 +49,9 @@ func TestDewSimCacheWarm(t *testing.T) {
 	}
 }
 
-// TestDewSimCacheWriteSimSeparation: -write uses the kind-preserving
-// stream, which must not collide with the kind-free entry.
+// TestDewSimCacheWriteSimSeparation: -write keys its result on the
+// kind-preserving stream, which must not collide with the kind-free
+// entry.
 func TestDewSimCacheWriteSimSeparation(t *testing.T) {
 	dir := t.TempDir()
 	base := []string{"-cache", dir, "-app", "CJPEG", "-n", "5000", "-block", "16", "-maxlog", "3"}
@@ -64,7 +65,7 @@ func TestDewSimCacheWriteSimSeparation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// First write-policy run after a kind-free run must still decode.
-	if !strings.Contains(out, "decode overlapped") || strings.Contains(out, "cache load") {
+	if !strings.Contains(out, "decode overlapped") {
 		t.Errorf("write-policy run hit the kind-free entry:\n%s", out)
 	}
 	out, _, err = run(t, DewSim, wargs...)
@@ -78,7 +79,7 @@ func TestDewSimCacheWriteSimSeparation(t *testing.T) {
 
 // TestExploreCacheWarm: explore's -csv output must be byte-identical
 // between cold and warm runs (the CSV has no timing), and the default
-// output must report load provenance.
+// output must report result-cache provenance.
 func TestExploreCacheWarm(t *testing.T) {
 	dir := t.TempDir()
 	args := []string{"-cache", dir, "-app", "CJPEG", "-n", "6000",
@@ -98,10 +99,8 @@ func TestExploreCacheWarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "cache load + ") || !strings.Contains(out, "0 trace decodes") {
-		t.Errorf("warm explore output lacks cache provenance:\n%s", out)
-	}
-	if !strings.Contains(out, "0 simulated") || !strings.Contains(out, "result-cached") {
+	if !strings.Contains(out, "0 simulated") || !strings.Contains(out, "result-cached") ||
+		!strings.Contains(out, "(1 live re-verified)") {
 		t.Errorf("warm explore output lacks result-tier provenance:\n%s", out)
 	}
 }
@@ -147,13 +146,13 @@ func TestExploreCacheTraceFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "cache load") {
+	if !strings.Contains(out, "0 simulated") {
 		t.Errorf("renamed trace file missed the cache:\n%s", out)
 	}
 }
 
-// TestRefSimShardedCacheWarm: the sharded reference replay loads the
-// kind-preserving stream on the second run.
+// TestRefSimShardedCacheWarm: the sharded reference replay is served
+// from the result store on the second run.
 func TestRefSimShardedCacheWarm(t *testing.T) {
 	dir := t.TempDir()
 	args := []string{"-cache", dir, "-app", "CJPEG", "-n", "6000",
@@ -282,7 +281,8 @@ func TestDewCacheSubcommand(t *testing.T) {
 	if _, _, err := run(t, DewSim, "-cache", dir, "-app", "CJPEG", "-n", "4000", "-maxlog", "3"); err != nil {
 		t.Fatal(err)
 	}
-	// Plant junk for gc: a temp file abandoned long enough to reap.
+	// Plant junk for gc: a temp file abandoned long enough to reap, and
+	// a stream entry an earlier build published.
 	orphan := filepath.Join(dir, "tmp-orphan")
 	if err := os.WriteFile(orphan, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
@@ -291,27 +291,34 @@ func TestDewCacheSubcommand(t *testing.T) {
 	if err := os.Chtimes(orphan, stale, stale); err != nil {
 		t.Fatal(err)
 	}
+	legacy := filepath.Join(dir, strings.Repeat("ab", 32)+".dbs")
+	if err := os.WriteFile(legacy, []byte("old stream"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	out, _, err := run(t, Dew, "cache", "stats", "-cache", dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One dewsim run leaves one stream entry and one result entry.
-	if !strings.Contains(out, "stream entries") || !strings.Contains(out, "result entries") ||
-		!strings.Contains(out, "2 entries") || !strings.Contains(out, "1 stream, 1 result") {
+	// One dewsim run leaves one result entry; the old stream is dead.
+	if !strings.Contains(out, "result entries") || !strings.Contains(out, "1 entries") ||
+		strings.Contains(out, "stream entries") {
 		t.Errorf("stats output unexpected:\n%s", out)
+	}
+	if !regexp.MustCompile(`dead \(gc reclaims\) *\| *1 *\| *10 `).MatchString(out) {
+		t.Errorf("stats output does not count the old stream entry as dead:\n%s", out)
 	}
 	out, _, err = run(t, Dew, "cache", "gc", "-cache", dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "gc removed 1 files") || !strings.Contains(out, "reclaimed") {
+	if !strings.Contains(out, "gc removed 2 files") || !strings.Contains(out, "reclaimed") {
 		t.Errorf("gc output unexpected:\n%s", out)
 	}
 	out, _, err = run(t, Dew, "cache", "clear", "-cache", dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "cleared 2 files") {
+	if !strings.Contains(out, "cleared 1 files") {
 		t.Errorf("clear output unexpected:\n%s", out)
 	}
 	ents, err := os.ReadDir(dir)

@@ -85,13 +85,8 @@ func (tf traceFlags) open() (trace.Reader, io.Closer, error) {
 // tool. An empty value falls back to $DEW_CACHE; both empty disables
 // the artifact store.
 func addCacheFlag(fs *flag.FlagSet) *string {
-	return fs.String("cache", "", "content-addressed artifact cache directory holding decoded streams and finished results (default $DEW_CACHE; empty = no cache)")
+	return fs.String("cache", "", "content-addressed artifact cache directory holding finished simulation results (default $DEW_CACHE; empty = no cache)")
 }
-
-// cliMemBytes is the in-process decoded-stream LRU budget the tools
-// run with: repeated stream loads inside one invocation (e.g. a sweep
-// over many cells of one trace) skip even the DBS1 decode.
-const cliMemBytes = 256 << 20
 
 // openCache resolves the -cache flag (falling back to $DEW_CACHE) into
 // an artifact store; a nil store means caching is off.
@@ -102,7 +97,7 @@ func openCache(dir string) (*store.Store, error) {
 	if dir == "" {
 		return nil, nil
 	}
-	return store.Open(dir, store.Options{MemBytes: cliMemBytes})
+	return store.Open(dir, store.Options{})
 }
 
 // sourceID derives the cache identity of the selected trace input: a

@@ -166,8 +166,8 @@ func DewSim(ctx context.Context, env Env, args []string) error {
 		}
 		log := trace.ShardLog(*shards, *maxLog)
 		start := time.Now()
-		passes, src, err := plan.Replay(ctx, engine.Spans{
-			Blocks: blockLadder, ShardLog: log, StreamMem: streamMem,
+		passes, resident, err := plan.Replay(ctx, engine.Spans{
+			Blocks: blockLadder, ShardLog: log,
 			Decode: tf.spans(ctx, blockLadder[0], streamMem, writeSim),
 		})
 		if err != nil {
@@ -190,7 +190,7 @@ func DewSim(ctx context.Context, env Env, args []string) error {
 			mode = fmt.Sprintf("%d %s passes", len(blockLadder), *engName)
 		}
 		switch {
-		case src == nil:
+		case resident == 0:
 			mode += fmt.Sprintf(" fully result-cached (0 simulations, 0 trace decodes), %v", pol)
 		default:
 			if len(blockLadder) > 1 {
@@ -199,7 +199,7 @@ func DewSim(ctx context.Context, env Env, args []string) error {
 			if log >= 0 {
 				mode += fmt.Sprintf(" sharded across %d substreams,", 1<<log)
 			}
-			mode += fmt.Sprintf(" %s, %v", spanNote(src), pol)
+			mode += fmt.Sprintf(" %s, %v", spanNote(resident), pol)
 			if cachedRungs > 0 {
 				mode += fmt.Sprintf(", %d/%d rungs result-cached", cachedRungs, len(blockLadder))
 			}

@@ -139,10 +139,8 @@ func Explore(ctx context.Context, env Env, args []string) error {
 	}
 	prov := fmt.Sprintf("%d trace decode + %d folds", res.Decodes, res.Folds)
 	switch {
-	case res.Decodes == 0 && !res.CacheHit:
+	case res.Decodes == 0:
 		prov = "fully result-cached, 0 trace decodes"
-	case res.CacheHit:
-		prov = fmt.Sprintf("cache load + %d folds, 0 trace decodes", res.Folds)
 	case res.Streamed:
 		prov = fmt.Sprintf("streamed: 1 overlapped decode + %d incremental folds, peak %s stream resident",
 			res.Folds, cache.FormatSize(int(res.StreamPeakBytes)))

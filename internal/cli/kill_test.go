@@ -22,13 +22,12 @@ import (
 const killChildEnv = "DEW_KILL_TEST_CHILD_ARGS"
 
 // TestDewSimKillRerun kills a cold `dewsim -blocks 4,16,64 -cache DIR`
-// with SIGKILL at several points — mid stream spool, right after the
-// stream entry or the first result entry lands, and at fixed fractions
-// of a measured cold run — and reruns it on the same DIR. Every live
-// entry left behind must decode (a kill leaves only tmp- files, never a
-// torn entry), the rerun's tables must be byte-identical to a run with
-// no cache, nothing may be quarantined, and a second rerun must be
-// fully result-cached. This is why an interrupted run needs no resume:
+// with SIGKILL at several points — mid result publish, right after the
+// first result entry lands, and at fixed fractions of a measured cold
+// run — and reruns it on the same DIR. Every live entry left behind
+// must decode (a kill leaves only tmp- files, never a torn entry), the
+// rerun's tables must be byte-identical to a run with no cache, nothing
+// may be quarantined, and a second rerun must be fully result-cached. This is why an interrupted run needs no resume:
 // rerunning it is exact and reuses whatever was published.
 func TestDewSimKillRerun(t *testing.T) {
 	if args, ok := os.LookupEnv(killChildEnv); ok {
@@ -95,12 +94,9 @@ func TestDewSimKillRerun(t *testing.T) {
 		return false
 	}
 	isTmp := func(n string) bool { return strings.HasPrefix(n, "tmp-") }
-	isStream := func(n string) bool { return strings.HasSuffix(n, ".dbs") }
 	isResult := func(n string) bool { return strings.HasSuffix(n, ".drs") }
 	points := []killPoint{
-		{"stream spool", func(n []string, _ time.Duration) bool { return has(n, isTmp) }},
-		{"stream entry", func(n []string, _ time.Duration) bool { return has(n, isStream) }},
-		{"result put", func(n []string, _ time.Duration) bool { return has(n, isStream) && has(n, isTmp) }},
+		{"result put", func(n []string, _ time.Duration) bool { return has(n, isTmp) }},
 		{"result entry", func(n []string, _ time.Duration) bool { return has(n, isResult) }},
 	}
 	for _, frac := range []float64{0.2, 0.4, 0.6, 0.8, 0.9} {
@@ -109,7 +105,7 @@ func TestDewSimKillRerun(t *testing.T) {
 			func(_ []string, since time.Duration) bool { return since >= at }})
 	}
 
-	killedMidSpool := false
+	killed := 0
 	for i, kp := range points {
 		dir := filepath.Join(tmp, fmt.Sprintf("cache%d", i))
 		if err := os.Mkdir(dir, 0o755); err != nil {
@@ -144,9 +140,7 @@ func TestDewSimKillRerun(t *testing.T) {
 			t.Logf("%s: child finished before the kill point", kp.name)
 		case errors.As(err, &exitErr) && exitErr.ExitCode() == -1: // terminated by the signal
 			t.Logf("%s: killed with %v in the cache directory", kp.name, atKill)
-			if kp.name == "stream spool" {
-				killedMidSpool = true
-			}
+			killed++
 		default:
 			t.Fatalf("%s: child failed: %v\n%s", kp.name, err, stderr)
 		}
@@ -166,8 +160,8 @@ func TestDewSimKillRerun(t *testing.T) {
 		}
 		checkEntries(t, kp.name, dir)
 	}
-	if !killedMidSpool {
-		t.Error("the stream-spool kill point never caught the child mid-run")
+	if killed == 0 {
+		t.Error("no kill point caught the child mid-run")
 	}
 }
 
@@ -195,8 +189,9 @@ func dirNames(t *testing.T, dir string) []string {
 	return names
 }
 
-// checkEntries loads every live stream and result entry in dir: each
-// must decode whole, and nothing may be (or have been) quarantined.
+// checkEntries decodes every live result entry in dir: each must
+// decode whole, no stream entry may appear, and nothing may have been
+// quarantined.
 func checkEntries(t *testing.T, name, dir string) {
 	t.Helper()
 	st, err := store.Open(dir, store.Options{})
@@ -206,9 +201,7 @@ func checkEntries(t *testing.T, name, dir string) {
 	for _, n := range dirNames(t, dir) {
 		switch filepath.Ext(n) {
 		case ".dbs":
-			if _, err := st.Get(context.Background(), strings.TrimSuffix(n, ".dbs")); err != nil {
-				t.Errorf("%s: stream entry %s: %v", name, n, err)
-			}
+			t.Errorf("%s: stream entry %s in a result-only cache", name, n)
 		case ".drs":
 			data, err := os.ReadFile(filepath.Join(dir, n))
 			if err != nil {
@@ -219,9 +212,6 @@ func checkEntries(t *testing.T, name, dir string) {
 				t.Errorf("%s: result entry %s: %v", name, n, err)
 			}
 		}
-	}
-	if q := st.Stats().Quarantines; q != 0 {
-		t.Errorf("%s: %d entries quarantined", name, q)
 	}
 	ds, err := st.DiskStats()
 	if err != nil {

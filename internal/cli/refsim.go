@@ -118,12 +118,10 @@ func printRefStats(w io.Writer, stats refsim.Stats, tr refsim.Traffic) {
 }
 
 // refSimStreamed is the stream-replay path (-stream-mem, -shards ≥ 2):
-// the trace's kind-preserving spans — decoded chunk-parallel by one
-// bounded span pipeline, or for a sharded run a stream-tier cache hit
-// cut into spans (see engine.SpanInput) — replay through the
-// single-configuration reference engine as they appear, so decode and
-// simulation overlap and the resident stream state stays within the
-// budget. The replay is a one-pass engine.Plan, so it runs on the
+// the trace's kind-preserving spans, decoded chunk-parallel by one
+// bounded span pipeline, replay through the single-configuration
+// reference engine as they appear, so decode and simulation overlap
+// and the resident stream state stays within the budget. The replay is a one-pass engine.Plan, so it runs on the
 // span-ladder driver (engine.SpanLadder) as a one-rung ladder; with
 // -shards each span is split into set-substreams replayed by the
 // sharded engine. The shard count resolves through the trace.ShardLog
@@ -135,9 +133,8 @@ func printRefStats(w io.Writer, stats refsim.Stats, tr refsim.Traffic) {
 // eviction, evictions happen only on a run's first access, and run
 // compression preserves exactly that sequence). With an artifact cache
 // the result tier is probed first — a warm run prints the full record
-// with zero simulations and zero trace decodes — a cold decode spools
-// the finest stream into the stream tier without re-buffering, and the
-// finished record is published to the result tier.
+// with zero simulations and zero trace decodes — and a simulated
+// record is published to the result tier.
 func refSimStreamed(ctx context.Context, env Env, tf traceFlags, opts refsim.Options, policy cache.Policy, streamMem int64, shards int, cacheDir string) error {
 	cfg := opts.Config
 	logSets := bits.Len(uint(cfg.Sets)) - 1
@@ -154,8 +151,8 @@ func refSimStreamed(ctx context.Context, env Env, tf traceFlags, opts refsim.Opt
 		return err
 	}
 	start := time.Now()
-	passes, src, err := plan.Replay(ctx, engine.Spans{
-		Blocks: []int{cfg.BlockSize}, ShardLog: log, StreamMem: streamMem,
+	passes, resident, err := plan.Replay(ctx, engine.Spans{
+		Blocks: []int{cfg.BlockSize}, ShardLog: log,
 		Decode: tf.spans(ctx, cfg.BlockSize, streamMem, true),
 	})
 	if err != nil {
@@ -167,16 +164,16 @@ func refSimStreamed(ctx context.Context, env Env, tf traceFlags, opts refsim.Opt
 	fmt.Fprintf(env.Stdout, "config:            %v, %v replacement, %v, %v\n",
 		cfg, policy, opts.Write, opts.Alloc)
 	switch {
-	case src == nil:
+	case resident == 0:
 		fmt.Fprintf(env.Stdout, "replay:            result-cached (0 simulations, 0 trace decodes)\n")
 	case log < 0:
-		fmt.Fprintf(env.Stdout, "replay:            %s, replayed in %v\n", spanNote(src), elapsed.Round(time.Millisecond))
+		fmt.Fprintf(env.Stdout, "replay:            %s, replayed in %v\n", spanNote(resident), elapsed.Round(time.Millisecond))
 	case pr.Parallel:
 		fmt.Fprintf(env.Stdout, "replay:            %d set-substreams in parallel (%s, replayed in %v)\n",
-			1<<log, spanNote(src), elapsed.Round(time.Millisecond))
+			1<<log, spanNote(resident), elapsed.Round(time.Millisecond))
 	default:
 		fmt.Fprintf(env.Stdout, "replay:            monolithic fallback (%v policy or %d sets < %d shards; %s, replayed in %v)\n",
-			policy, cfg.Sets, 1<<log, spanNote(src), elapsed.Round(time.Millisecond))
+			policy, cfg.Sets, 1<<log, spanNote(resident), elapsed.Round(time.Millisecond))
 	}
 	printRefStats(env.Stdout, *pr.Ref, *pr.Traffic)
 	return nil

@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"dew/internal/cache"
-	"dew/internal/engine"
 	"dew/internal/trace"
 )
 
@@ -68,10 +67,8 @@ func (tf traceFlags) spans(ctx context.Context, blockSize int, streamMem int64, 
 	}
 }
 
-// spanNote renders the span input for the tools' provenance lines.
-func spanNote(in *engine.SpanInput) string {
-	if in.Loaded() {
-		return "cache load, 0 trace decodes"
-	}
-	return fmt.Sprintf("streamed, peak %s stream resident, decode overlapped", cache.FormatSize(int(in.ResidentBound())))
+// spanNote renders a span replay's resident-stream bound (the second
+// result of engine.Plan.Replay) for the tools' provenance lines.
+func spanNote(resident int64) string {
+	return fmt.Sprintf("streamed, peak %s stream resident, decode overlapped", cache.FormatSize(int(resident)))
 }

@@ -3,6 +3,7 @@ package cli
 import (
 	"context"
 	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -110,9 +111,8 @@ func TestDewSimStreamedWritePolicy(t *testing.T) {
 	}
 }
 
-// TestDewSimStreamedCache: a cold streamed run publishes both store
-// tiers through the pipeline (spooled, never re-buffered); the second
-// run is fully result-cached with zero stream work.
+// TestDewSimStreamedCache: a cold streamed run publishes its result;
+// the second run is fully result-cached with zero stream work.
 func TestDewSimStreamedCache(t *testing.T) {
 	dir := t.TempDir()
 	args := []string{"-app", "CJPEG", "-n", "8000", "-block", "16", "-maxlog", "4",
@@ -135,15 +135,19 @@ func TestDewSimStreamedCache(t *testing.T) {
 	if tableOf(warm) != tableOf(cold) {
 		t.Error("warm table differs from cold streamed run")
 	}
-	// The stream tier must hold the finest rung: a run at the default
-	// budget on a different ladder reuses it as a cache load.
+	// A run at the default budget on a wider ladder reuses the cached
+	// rung and decodes the trace again for the rung that missed: the
+	// store holds results, never streams.
 	other, _, err := run(t, DewSim, "-app", "CJPEG", "-n", "8000", "-blocks", "16,32",
 		"-maxlog", "4", "-cache", dir, "-csv")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(other, "cache load, 0 trace decodes") {
-		t.Fatalf("streamed publish not loadable: %q", other)
+	if !strings.Contains(other, "streamed, peak ") || !strings.Contains(other, "1/2 rungs result-cached") {
+		t.Fatalf("partially warm ladder: %q", other)
+	}
+	if streams, _ := filepath.Glob(filepath.Join(dir, "*.dbs")); len(streams) != 0 {
+		t.Fatalf("cache holds stream entries: %v", streams)
 	}
 }
 
@@ -259,12 +263,10 @@ func TestShardedStreamMem(t *testing.T) {
 	}
 }
 
-// TestShardedStreamCache: the merged streamed/sharded paths keep both
-// cache tiers. A cold sharded run decodes once and spools the finest
-// stream into the stream tier; a later sharded run that misses the
-// result tier loads that stream (0 trace decodes) instead of decoding.
-// refsim probes and publishes the result tier on every streamed or
-// sharded run, -stream-mem alone included.
+// TestShardedStreamCache: the merged streamed/sharded paths share the
+// result store. A sharded run that misses it decodes the trace and
+// matches the monolithic run; refsim probes and publishes the result
+// store on every streamed or sharded run, -stream-mem alone included.
 func TestShardedStreamCache(t *testing.T) {
 	dir := t.TempDir()
 	dew := []string{"-app", "CJPEG", "-n", "9000", "-block", "16", "-maxlog", "6", "-shards", "2", "-cache", dir, "-csv"}
@@ -275,21 +277,20 @@ func TestShardedStreamCache(t *testing.T) {
 	if !strings.Contains(cold, "sharded across 2 substreams, streamed, peak ") {
 		t.Fatalf("cold sharded run did not stream: %q", cold)
 	}
-	// A different associativity misses the result tier but shares the
-	// finest-rung stream.
+	// A different associativity misses the result store and decodes.
 	other, _, err := run(t, DewSim, append(append([]string{}, dew...), "-assoc", "2")...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(other, "sharded across 2 substreams, cache load, 0 trace decodes") {
-		t.Fatalf("sharded run did not load the cached stream: %q", other)
+	if !strings.Contains(other, "sharded across 2 substreams, streamed, peak ") {
+		t.Fatalf("sharded result-store miss did not decode: %q", other)
 	}
 	mono, _, err := run(t, DewSim, "-app", "CJPEG", "-n", "9000", "-block", "16", "-maxlog", "6", "-assoc", "2", "-csv")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if withoutLines(other, "simulated ") != withoutLines(mono, "simulated ") {
-		t.Errorf("cache-loaded sharded run differs from the monolithic run:\n%s\nvs\n%s", other, mono)
+		t.Errorf("sharded run differs from the monolithic run:\n%s\nvs\n%s", other, mono)
 	}
 
 	ref := []string{"-app", "CJPEG", "-n", "9000", "-sets", "64", "-assoc", "2", "-block", "16", "-write", "wt", "-cache", dir}
@@ -310,20 +311,20 @@ func TestShardedStreamCache(t *testing.T) {
 	if withoutLines(warm, "replay:") != withoutLines(streamed, "replay:") {
 		t.Error("result-cached refsim output differs from the cold run")
 	}
-	// Another write policy misses the result tier; the sharded run loads
-	// the kind-preserving stream the streamed run published.
+	// Another write policy misses the result store; the sharded run
+	// decodes the kind-preserving spans.
 	sharded, _, err := run(t, RefSim, append(append([]string{}, ref...), "-alloc", "nwa", "-shards", "4")...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sharded, "4 set-substreams in parallel (cache load, 0 trace decodes") {
-		t.Fatalf("sharded refsim did not load the cached stream: %q", sharded)
+	if !strings.Contains(sharded, "4 set-substreams in parallel (streamed, peak ") {
+		t.Fatalf("sharded refsim result-store miss did not decode: %q", sharded)
 	}
 	plain, _, err := run(t, RefSim, "-app", "CJPEG", "-n", "9000", "-sets", "64", "-assoc", "2", "-block", "16", "-write", "wt", "-alloc", "nwa")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if withoutLines(sharded, "replay:") != withoutLines(plain, "replay:") {
-		t.Errorf("cache-loaded sharded refsim differs from the per-access replay:\n%s\nvs\n%s", sharded, plain)
+		t.Errorf("sharded refsim differs from the per-access replay:\n%s\nvs\n%s", sharded, plain)
 	}
 }

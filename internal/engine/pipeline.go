@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"dew/internal/pool"
-	"dew/internal/store"
 	"dew/internal/trace"
 )
 
@@ -130,108 +129,4 @@ func (r *ladderRung) replay(ctx context.Context) error {
 		}
 	}
 	return nil
-}
-
-// SpanInput is where a span replay's finest-rung spans come from: the
-// bounded decode pipeline, spooling each span into the store's stream
-// tier when the entry is absent, or — when no explicit budget was set
-// (loading a stream whole would break one) — a stream-tier hit cut
-// into the pipeline's spans.
-type SpanInput struct {
-	pl     *trace.StreamPipeline
-	loaded *trace.BlockStream
-	put    *store.StreamPut
-}
-
-// OpenSpanInput resolves the span input at blockSize for a replay at an
-// explicit budget (streamMem > 0) or at the default one (streamMem ==
-// 0, where a stream-tier hit loads whole). st may be nil and key ""
-// (no cache); decode starts the pipeline when the store cannot serve.
-func OpenSpanInput(ctx context.Context, st *store.Store, key string, blockSize int, kinds bool, streamMem int64,
-	decode func() (*trace.StreamPipeline, error)) (*SpanInput, error) {
-	cached := st != nil && key != ""
-	if cached && streamMem == 0 {
-		// A miss or a corrupt entry (quarantined by Load) decodes.
-		if bs, err := st.Load(ctx, key, blockSize, kinds); err == nil {
-			return &SpanInput{loaded: bs}, nil
-		}
-	}
-	pl, err := decode()
-	if err != nil {
-		return nil, err
-	}
-	in := &SpanInput{pl: pl}
-	if cached && !st.Has(key) {
-		in.put, _ = st.NewStreamPut(key, blockSize, kinds) // best-effort: no spool leaves the cache cold
-	}
-	return in, nil
-}
-
-// Replay feeds every span through the ladder in stream order — observe,
-// when non-nil, sees each finest-rung span first — commits the spooled
-// publish and flushes the ladder. A publish failure abandons the spool,
-// never the replay.
-//
-// Each decoded span is released back to the pipeline once it has been
-// fed: the spool's Add copies it, observe must only read it, and the
-// ladder's Feed is synchronous, folding and replaying the span before it
-// returns. A loaded stream's spans are views of the store's shared
-// stream and are never released.
-func (in *SpanInput) Replay(ctx context.Context, l *SpanLadder, observe func(*trace.BlockStream)) error {
-	feed := func(s *trace.BlockStream) error {
-		if observe != nil {
-			observe(s)
-		}
-		return l.Feed(ctx, s)
-	}
-	if in.loaded != nil {
-		for _, s := range trace.SplitSpans(in.loaded, 0) {
-			if err := feed(&s.BlockStream); err != nil {
-				return err
-			}
-		}
-		return l.Flush(ctx)
-	}
-	for s := range in.pl.Spans() {
-		if in.put != nil && in.put.Add(&s.BlockStream) != nil {
-			in.put.Abort()
-			in.put = nil
-		}
-		if err := feed(&s.BlockStream); err != nil {
-			return err
-		}
-		in.pl.Release(s)
-	}
-	if err := in.pl.Err(); err != nil {
-		return err
-	}
-	if in.put != nil {
-		in.put.Commit(ctx) // best-effort, like every publish
-		in.put = nil
-	}
-	return l.Flush(ctx)
-}
-
-// Close stops the pipeline and abandons an uncommitted publish; safe
-// after Replay and safe to defer.
-func (in *SpanInput) Close() {
-	if in.pl != nil {
-		in.pl.Close()
-	}
-	if in.put != nil {
-		in.put.Abort()
-	}
-}
-
-// Loaded reports whether the spans came from a stream-tier hit instead
-// of a decode.
-func (in *SpanInput) Loaded() bool { return in.loaded != nil }
-
-// ResidentBound is the decode pipeline's enforced resident-stream bound
-// in bytes; 0 for a loaded stream.
-func (in *SpanInput) ResidentBound() int64 {
-	if in.pl == nil {
-		return 0
-	}
-	return in.pl.ResidentBound()
 }

@@ -257,26 +257,17 @@ func TestReplayPipelineErrors(t *testing.T) {
 	}
 	spans := trace.SplitSpans(bs, 64)
 
-	// A source failure surfaces from the span input once the pipeline
-	// stops, after the spans decoded before it replayed.
+	// A source failure surfaces from the plan's replay once the
+	// pipeline stops, after the spans decoded before it replayed.
 	boom := errors.New("decode died")
-	in, err := OpenSpanInput(context.Background(), nil, "", 8, false, 1, func() (*trace.StreamPipeline, error) {
-		return trace.StreamSpans(context.Background(), faultreader.NewAccess(tr.NewSliceReader(), 20000, boom), 8,
-			trace.SpanOptions{MemBytes: 1, Workers: 2})
+	plan := &Plan{Passes: []Pass{{Engine: "dew", Spec: spec}}}
+	_, _, err = plan.Replay(context.Background(), Spans{
+		Blocks: []int{8}, ShardLog: -1, Workers: 2,
+		Decode: func() (*trace.StreamPipeline, error) {
+			return trace.StreamSpans(context.Background(), faultreader.NewAccess(tr.NewSliceReader(), 20000, boom), 8,
+				trace.SpanOptions{MemBytes: 1, Workers: 2})
+		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e0, err := New("dew", spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l0, err := NewSpanLadder(8, []int{8}, false, -1, 2, map[int][]Engine{8: {e0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = in.Replay(context.Background(), l0, nil)
-	in.Close()
 	if !errors.Is(err, boom) {
 		t.Fatalf("source failure surfaced as %v", err)
 	}

@@ -227,20 +227,23 @@ type Spans struct {
 	// Workers bounds the rungs replayed concurrently and every live
 	// pass's sharded fan-out (Spec.Workers); 0 means GOMAXPROCS.
 	Workers int
-	// StreamMem is the span budget (see OpenSpanInput).
-	StreamMem int64
-	// Decode starts the decode pipeline at Blocks[0] when the stream
-	// tier cannot serve.
+	// Decode starts the decode pipeline at Blocks[0]; its span budget
+	// is the caller's.
 	Decode func() (*trace.StreamPipeline, error)
 }
 
 // Replay runs the plan on the span pipeline: it probes (unless the
 // caller already did), builds every live pass's engine before any
-// stream work, replays them through one SpanLadder fed by a SpanInput
-// and finishes each, returning every pass's result in plan order and
-// the span input for provenance. The input is nil when every pass came
-// from the result tier: nothing was decoded, loaded or simulated.
-func (p *Plan) Replay(ctx context.Context, sp Spans) ([]PassResult, *SpanInput, error) {
+// stream work, decodes the trace into spans, replays them through one
+// SpanLadder and finishes each pass, returning every pass's result in
+// plan order and, for provenance, the pipeline's enforced
+// resident-stream bound in bytes. The bound is 0 when every pass came
+// from the result tier: nothing was decoded or simulated.
+//
+// Each span is released back to the pipeline once the ladder has
+// folded and replayed it (Feed is synchronous), so the pipeline
+// recycles its buffers.
+func (p *Plan) Replay(ctx context.Context, sp Spans) ([]PassResult, int64, error) {
 	if p.warm == nil {
 		p.Probe(ctx)
 	}
@@ -256,40 +259,42 @@ func (p *Plan) Replay(ctx context.Context, sp Spans) ([]PassResult, *SpanInput, 
 		spec.Workers = sp.Workers
 		e, err := New(ps.Engine, spec)
 		if err != nil {
-			return nil, nil, err
+			return nil, 0, err
 		}
 		engs[i] = e
 		byBlock[spec.BlockSize] = append(byBlock[spec.BlockSize], e)
 	}
 	if len(byBlock) == 0 {
-		return out, nil, nil
+		return out, 0, nil
 	}
 	ladder, err := NewSpanLadder(sp.Blocks[0], sp.Blocks, p.Kinds, sp.ShardLog, sp.Workers, byBlock)
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
-	streamKey := ""
-	if p.Store != nil && p.SourceID != "" {
-		streamKey = store.Key(p.SourceID, sp.Blocks[0], 0, p.Kinds)
-	}
-	in, err := OpenSpanInput(ctx, p.Store, streamKey, sp.Blocks[0], p.Kinds, sp.StreamMem, sp.Decode)
+	pl, err := sp.Decode()
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
-	defer in.Close()
+	defer pl.Close()
 	// Folding and span cuts both preserve per-kind weights exactly, so
 	// the finest rung's spans give the trace-wide totals.
 	p.KindTotals = [3]uint64{}
-	var observe func(*trace.BlockStream)
-	if p.Kinds {
-		observe = func(s *trace.BlockStream) {
+	for s := range pl.Spans() {
+		if p.Kinds {
 			for k, n := range s.KindTotals() {
 				p.KindTotals[k] += n
 			}
 		}
+		if err := ladder.Feed(ctx, &s.BlockStream); err != nil {
+			return nil, 0, err
+		}
+		pl.Release(s)
 	}
-	if err := in.Replay(ctx, ladder, observe); err != nil {
-		return nil, nil, err
+	if err := pl.Err(); err != nil {
+		return nil, 0, err
+	}
+	if err := ladder.Flush(ctx); err != nil {
+		return nil, 0, err
 	}
 	for i, ps := range p.Passes {
 		if engs[i] == nil {
@@ -297,8 +302,8 @@ func (p *Plan) Replay(ctx context.Context, sp Spans) ([]PassResult, *SpanInput, 
 		}
 		acc, runs := ladder.Shape(ps.Spec.BlockSize)
 		if out[i], err = p.Finish(ctx, i, engs[i], acc, runs); err != nil {
-			return nil, nil, err
+			return nil, 0, err
 		}
 	}
-	return out, in, nil
+	return out, pl.ResidentBound(), nil
 }

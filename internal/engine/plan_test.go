@@ -47,7 +47,7 @@ func (f planFixture) plan(name string, spec Spec, kinds, warmCheck bool) *Plan {
 }
 
 // replay runs p over the fixture's trace on the span pipeline.
-func (f planFixture) replay(p *Plan) ([]PassResult, *SpanInput, error) {
+func (f planFixture) replay(p *Plan) ([]PassResult, int64, error) {
 	block := p.Passes[0].Spec.BlockSize
 	return p.Replay(context.Background(), Spans{
 		Blocks: []int{block}, ShardLog: -1, Workers: 1,
@@ -151,11 +151,11 @@ func TestPlanOldRecordOverwritten(t *testing.T) {
 	if _, ok := p.Cached(0); ok {
 		t.Fatal("old record served as cached")
 	}
-	got, in, err := f.replay(p)
+	got, resident, err := f.replay(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if in == nil || got[0].Cached {
+	if resident == 0 || got[0].Cached {
 		t.Fatal("old record was not re-simulated")
 	}
 	rb, err := f.st.GetResult(context.Background(), f.key(p), "dew", planDewSpec.CacheKey())
@@ -168,24 +168,24 @@ func TestPlanOldRecordOverwritten(t *testing.T) {
 }
 
 // TestPlanNoWarmCheckBuildsNoEngine: with WarmCheck false a fully-warm
-// plan builds no engine and opens no span input; with it, exactly the
+// plan builds no engine and decodes nothing; with it, exactly the
 // sampled pass is rebuilt and reported verified.
 func TestPlanNoWarmCheckBuildsNoEngine(t *testing.T) {
 	f := newPlanFixture(t)
-	cold, in, err := f.replay(f.plan("plan-count", planDewSpec, false, false))
+	cold, resident, err := f.replay(f.plan("plan-count", planDewSpec, false, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if in == nil || cold[0].Cached {
+	if resident == 0 || cold[0].Cached {
 		t.Fatal("cold plan did not simulate")
 	}
 	before := planBuilds.Load()
-	warm, in, err := f.replay(f.plan("plan-count", planDewSpec, false, false))
+	warm, resident, err := f.replay(f.plan("plan-count", planDewSpec, false, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := planBuilds.Load() - before; n != 0 || in != nil {
-		t.Fatalf("warm plan without the warm check built %d engines (span input %v)", n, in != nil)
+	if n := planBuilds.Load() - before; n != 0 || resident != 0 {
+		t.Fatalf("warm plan without the warm check built %d engines (resident bound %d)", n, resident)
 	}
 	if !warm[0].Cached || warm[0].Verified {
 		t.Fatalf("warm pass provenance cached=%v verified=%v", warm[0].Cached, warm[0].Verified)

@@ -22,8 +22,9 @@ func countingSource(src Source, calls *atomic.Int32) Source {
 }
 
 // TestRunCacheWarmBitIdentical: a cold exploration populates the
-// store, a warm one loads it — zero decodes, zero source reads — and
-// the merged statistics are bit-identical.
+// store with one result per pass and no stream; a warm one serves
+// every pass from it — the only decode is the sampled live re-check's —
+// and the merged statistics are bit-identical.
 func TestRunCacheWarmBitIdentical(t *testing.T) {
 	st, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
@@ -42,11 +43,8 @@ func TestRunCacheWarmBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.CacheHit {
-		t.Fatal("cold run reported a cache hit")
-	}
-	if cold.CacheKey == "" {
-		t.Fatal("cold run has no cache key")
+	if cold.CellsCached != 0 {
+		t.Fatalf("cold run served %d passes from the cache", cold.CellsCached)
 	}
 	if cold.Decodes != 1 {
 		t.Fatalf("cold run decoded %d times, want 1", cold.Decodes)
@@ -55,8 +53,8 @@ func TestRunCacheWarmBitIdentical(t *testing.T) {
 		t.Fatal("cold run never pulled the source")
 	}
 
-	// Warm runs — unsharded and sharded (the sharded path re-derives
-	// its partition from the cached unsharded finest-rung stream).
+	// Warm runs — unsharded and sharded (the shard fan-out is not part
+	// of the result key).
 	for _, shards := range []int{1, 2} {
 		var warmCalls atomic.Int32
 		req.Shards = shards
@@ -65,17 +63,9 @@ func TestRunCacheWarmBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !warm.CacheHit {
-			t.Fatalf("shards=%d: warm run missed the cache", shards)
-		}
-		if warm.Decodes != 0 {
-			t.Fatalf("shards=%d: warm run decoded %d times, want 0", shards, warm.Decodes)
-		}
-		if warmCalls.Load() != 0 {
-			t.Fatalf("shards=%d: warm run pulled the source %d times, want 0", shards, warmCalls.Load())
-		}
-		if warm.CacheKey != cold.CacheKey {
-			t.Fatalf("shards=%d: cache key changed between runs", shards)
+		if warm.Decodes != 1 || warmCalls.Load() != 1 {
+			t.Fatalf("shards=%d: warm run decoded %d times from %d source reads, want 1 for the live re-check",
+				shards, warm.Decodes, warmCalls.Load())
 		}
 		if !reflect.DeepEqual(warm.Stats, cold.Stats) {
 			t.Fatalf("shards=%d: warm statistics differ from cold", shards)
@@ -86,18 +76,19 @@ func TestRunCacheWarmBitIdentical(t *testing.T) {
 				shards, sim, cached, verified, warm.Passes)
 		}
 	}
-	// Every shard setting shares the one finest-rung stream (shardLog
-	// is not part of either tier's key), so exactly one stream entry
-	// and one result entry per pass exist.
-	ds, err := st.DiskStats()
+	// Every shard setting shares the one result per pass, and no
+	// stream is ever stored.
+	ents, err := os.ReadDir(st.Dir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ds.StreamEntries != 1 {
-		t.Fatalf("%d stream entries, want 1 shared across shard settings", ds.StreamEntries)
+	if len(ents) != cold.Passes {
+		t.Fatalf("%d cache files, want one result per pass (%d)", len(ents), cold.Passes)
 	}
-	if ds.ResultEntries != cold.Passes {
-		t.Fatalf("%d result entries, want one per pass (%d)", ds.ResultEntries, cold.Passes)
+	for _, e := range ents {
+		if filepath.Ext(e.Name()) != ".drs" {
+			t.Fatalf("cache holds %s, not a result entry", e.Name())
+		}
 	}
 }
 
@@ -133,8 +124,8 @@ func TestRunFullyWarmZeroWork(t *testing.T) {
 	if warmCalls.Load() != 0 {
 		t.Fatalf("fully-warm run pulled the source %d times, want 0", warmCalls.Load())
 	}
-	if warm.Decodes != 0 || warm.CacheHit {
-		t.Fatalf("fully-warm run: %d decodes, stream hit=%v; want 0 and false", warm.Decodes, warm.CacheHit)
+	if warm.Decodes != 0 {
+		t.Fatalf("fully-warm run: %d decodes, want 0", warm.Decodes)
 	}
 	if warm.CellsSimulated != 0 || warm.CellsCached != warm.Passes || warm.WarmVerified != 0 {
 		t.Fatalf("fully-warm provenance: %d simulated, %d cached, %d verified",
@@ -152,7 +143,7 @@ func TestRunFullyWarmZeroWork(t *testing.T) {
 }
 
 // TestRunCacheKindsKeySeparation: a kind-free and a kind-preserving
-// exploration of the same trace must not share an entry.
+// exploration of the same trace must not share a result entry.
 func TestRunCacheKindsKeySeparation(t *testing.T) {
 	st, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
@@ -172,19 +163,20 @@ func TestRunCacheKindsKeySeparation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kinds.CacheHit {
-		t.Fatal("kind-preserving run hit the kind-free entry")
+	if kinds.CellsCached != 0 || kinds.CellsSimulated != kinds.Passes {
+		t.Fatalf("kind-preserving run served %d passes from kind-free entries", kinds.CellsCached)
 	}
-	if plain.CacheKey == kinds.CacheKey {
-		t.Fatal("kind axis is not part of the cache key")
+	if ds, err := st.DiskStats(); err != nil || ds.Entries != plain.Passes+kinds.Passes {
+		t.Fatalf("kind axis is not part of the result key: %+v (err %v)", ds, err)
 	}
 	if !reflect.DeepEqual(plain.Stats, kinds.Stats) {
 		t.Fatal("kind channel changed replacement statistics")
 	}
 }
 
-// TestRunCacheCorruptFallback: a corrupted entry must be quarantined
-// and transparently re-decoded — same results, no error, no hit.
+// TestRunCacheCorruptFallback: a corrupted pass record must be
+// quarantined and its pass transparently re-simulated — same results,
+// no error — and the re-published record serves the next run.
 func TestRunCacheCorruptFallback(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Open(dir, store.Options{})
@@ -201,8 +193,12 @@ func TestRunCacheCorruptFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Flip one byte mid-entry.
-	path := filepath.Join(dir, cold.CacheKey+".dbs")
+	// Flip one byte mid-record.
+	paths, err := filepath.Glob(filepath.Join(dir, "*.drs"))
+	if err != nil || len(paths) != cold.Passes {
+		t.Fatalf("%d pass records (err %v), want %d", len(paths), err, cold.Passes)
+	}
+	path := paths[0]
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -216,8 +212,9 @@ func TestRunCacheCorruptFallback(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run over a corrupt entry: %v", err)
 	}
-	if again.CacheHit {
-		t.Fatal("corrupt entry served as a hit")
+	if again.CellsSimulated != 1 || again.CellsCached != cold.Passes-1 {
+		t.Fatalf("fallback: %d passes simulated, %d cached; want 1 and %d",
+			again.CellsSimulated, again.CellsCached, cold.Passes-1)
 	}
 	if again.Decodes != 1 {
 		t.Fatalf("fallback decoded %d times, want 1", again.Decodes)
@@ -233,8 +230,8 @@ func TestRunCacheCorruptFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !warm.CacheHit {
-		t.Fatal("re-published entry missed")
+	if warm.CellsSimulated != 0 || warm.CellsCached != cold.Passes {
+		t.Fatalf("re-published record missed: %d passes simulated", warm.CellsSimulated)
 	}
 	if !reflect.DeepEqual(warm.Stats, cold.Stats) {
 		t.Fatal("post-fallback warm statistics differ")

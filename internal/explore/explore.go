@@ -19,12 +19,10 @@
 // pass asks for it and released after its last pass, and the next fold
 // refills a released rung's columns in place (trace.FoldBlockStreamInto)
 // instead of allocating new ones, so the rungs under replay plus one
-// spare are resident rather than the whole ladder or its garbage. The
-// finest rung is refilled only when the run decoded it itself: a
-// store's stream is shared by its in-process tier. Engines are
-// recycled: a finished pass's engine is rebound to the next pass's
-// block size (engine.Reuse) instead of rebuilt, so at most workers ×
-// associativities engine arenas exist over the run.
+// spare are resident rather than the whole ladder or its garbage.
+// Engines are recycled: a finished pass's engine is rebound to the next
+// pass's block size (engine.Reuse) instead of rebuilt, so at most
+// workers × associativities engine arenas exist over the run.
 //
 // Passes run on a simulation engine resolved by name from the engine
 // registry (Request.Engine, default "dew"), through a single dispatch
@@ -124,18 +122,14 @@ type Request struct {
 	// the number of completed and total passes. Calls are serialized.
 	Progress func(done, total int)
 	// Cache, when non-nil together with a non-empty SourceID, is the
-	// content-addressed artifact store consulted at two tiers. The
-	// result tier first: every pass's finished per-configuration
-	// results are probed before any stream work (engine.Plan, whose
-	// pass records dewsim shares), and only the passes that miss are
-	// simulated — a fully-warm exploration performs zero simulations
-	// and zero decodes, and a partially-warm one runs only the delta,
-	// publishing each simulated pass on completion. Then the stream tier: when any pass
-	// simulates, a hit loads the finest-rung stream from disk (the fold
-	// ladder is still derived in O(runs)) instead of decoding the raw
-	// trace; a miss decodes once and publishes the stream for every
-	// later run. Corrupt entries in either tier are quarantined and
-	// re-simulated or re-decoded transparently.
+	// content-addressed result store: every pass's finished
+	// per-configuration results are probed before any stream work
+	// (engine.Plan, whose pass records dewsim shares), and only the
+	// passes that miss are simulated — a fully-warm exploration
+	// performs zero simulations and zero decodes, and a partially-warm
+	// one decodes the trace once and runs only the delta, publishing
+	// each simulated pass on completion. Corrupt entries are
+	// quarantined and re-simulated transparently.
 	Cache *store.Store
 	// SourceID is the content identity of the trace behind Source
 	// (store.FileID / store.AppID / store.TraceID) — the caller vouches
@@ -165,10 +159,10 @@ type Result struct {
 	// sweep package) when Table 3/4-style counters are wanted.
 	Passes int
 	// Decodes is the number of full raw-trace reads the exploration
-	// performed: 1 on a cold run — the finest block size's
-	// materialization (or span pipeline) — and 0 on a warm run whose
-	// finest-rung stream came from the artifact store (CacheHit). Every
-	// other block size's stream is always fold-derived.
+	// performed: 1 whenever any pass simulates — the finest block
+	// size's materialization (or span pipeline) — and 0 on a fully
+	// result-warm run. Every other block size's stream is always
+	// fold-derived.
 	Decodes int
 	// Folds is the number of block sizes whose stream was derived by
 	// folding a finer rung instead of re-decoding the trace —
@@ -188,15 +182,6 @@ type Result struct {
 	// all zeros otherwise. Every configuration replays the same trace,
 	// so the totals apply to every entry of Stats.
 	KindTotals [3]uint64
-	// CacheHit reports that the finest-rung stream was loaded from the
-	// artifact store (or shared from a concurrent materialization)
-	// instead of decoded from the raw trace; Decodes is 0 in that case.
-	// A fully result-warm run builds no streams at all, so CacheHit is
-	// false there too — distinguish it by CellsSimulated == 0.
-	CacheHit bool
-	// CacheKey is the store key consulted for the finest-rung stream;
-	// "" when the run had no cache.
-	CacheKey string
 	// Streamed reports that the run replayed through the bounded span
 	// pipeline (Request.StreamMem) instead of materialized streams;
 	// StreamPeakBytes is the pipeline's worst-case resident stream
@@ -289,19 +274,7 @@ func Run(ctx context.Context, req Request) (*Result, error) {
 		// replay columns are unchanged.
 		materialize = trace.MaterializeBlockStreamWithKinds
 	}
-	// With a cache, the store is consulted before the decode: only the
-	// finest-rung stream is stored (folding re-derives in O(runs)).
-	cacheKey, cacheHit := streamKey(req), false
-	var base *trace.BlockStream
-	var err error
-	if cacheKey != "" {
-		base, cacheHit, err = req.Cache.GetOrMaterialize(ctx, cacheKey, blocks[0], req.Kinds,
-			func(ctx context.Context) (*trace.BlockStream, error) {
-				return materialize(req.Source(), blocks[0])
-			})
-	} else {
-		base, err = materialize(req.Source(), blocks[0])
-	}
+	base, err := materialize(req.Source(), blocks[0])
 	if err != nil {
 		return nil, fmt.Errorf("explore: materializing block-%d stream: %w", blocks[0], err)
 	}
@@ -324,15 +297,12 @@ func Run(ctx context.Context, req Request) (*Result, error) {
 		// replay stay resident. A released rung becomes the spare the
 		// next fold refills in place (trace.FoldBlockStreamInto): it is
 		// finer than any rung still to fold, so its columns are large
-		// enough. Rung 0 is recycled only when this run decoded it
-		// without a store, because a store's stream is shared by its
-		// in-process tier. mu guards rungs, built, pending and spare.
-		rungs    = make([]*trace.BlockStream, len(blocks))
-		pending  = make([]int, len(blocks))
-		built    = 1 // rungs[:built] have been derived
-		spare    *trace.BlockStream
-		ownRung0 = cacheKey == ""
-		foldMu   sync.Mutex
+		// enough. mu guards rungs, built, pending and spare.
+		rungs   = make([]*trace.BlockStream, len(blocks))
+		pending = make([]int, len(blocks))
+		built   = 1 // rungs[:built] have been derived
+		spare   *trace.BlockStream
+		foldMu  sync.Mutex
 	)
 	for _, k := range rungOf {
 		pending[k]++
@@ -341,10 +311,7 @@ func Run(ctx context.Context, req Request) (*Result, error) {
 		if rungs[k] == nil || pending[k] > 0 || k+1 < len(rungs) && k+1 >= built {
 			return
 		}
-		if k > 0 || ownRung0 {
-			spare = rungs[k]
-		}
-		rungs[k] = nil
+		spare, rungs[k] = rungs[k], nil
 	}
 	rung := func(k int) *trace.BlockStream {
 		foldMu.Lock()
@@ -369,15 +336,10 @@ func Run(ctx context.Context, req Request) (*Result, error) {
 		}
 		return rungs[k]
 	}
-	res.CacheKey = cacheKey
 	rungs[0] = base
 	res.StreamCompression[blocks[0]] = base.CompressionRatio()
 	res.Decodes = 1
 	res.Folds = len(blocks) - 1
-	if cacheHit {
-		res.CacheHit = true
-		res.Decodes = 0
-	}
 	if req.Kinds {
 		// Folding preserves per-kind weights exactly, so any rung
 		// reports the same totals.

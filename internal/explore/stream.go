@@ -6,19 +6,8 @@ import (
 
 	"dew/internal/cache"
 	"dew/internal/engine"
-	"dew/internal/store"
 	"dew/internal/trace"
 )
-
-// streamKey is the store key of the request's finest-rung stream; ""
-// without a cache. Only that rung is stored: folding re-derives the
-// others in O(runs).
-func streamKey(req Request) string {
-	if req.Cache == nil || req.SourceID == "" {
-		return ""
-	}
-	return store.Key(req.SourceID, req.Space.BlockSizes()[0], 0, req.Kinds)
-}
 
 // add folds one finished pass into the result: its per-configuration
 // outcomes and its provenance. Direct-mapped rows arrive from several
@@ -57,16 +46,14 @@ func (res *Result) add(includeAssoc1 bool, r engine.PassResult) error {
 // passes are sharded. The engines are sequential state machines whose
 // replays accumulate across calls, so the merged results are
 // bit-identical to the materialized schedule; only peak memory and
-// overlap change. Warm passes are still served from the result tier,
-// the sampled warm pass re-simulates on the same spans, and the span
-// input publishes a cold finest rung to the stream tier as it flows
-// past, or — for a sharded run without an explicit StreamMem budget —
-// takes a stream-tier hit instead of decoding. A fully-warm run, on any
-// schedule, comes here too and touches no stream at all.
+// overlap change. Warm passes are still served from the result tier
+// and the sampled warm pass re-simulates on the same spans. A
+// fully-warm run, on any schedule, comes here too and touches no
+// stream at all.
 func runStreamed(ctx context.Context, req Request, plan *engine.Plan, workers, shardLog int) (*Result, error) {
 	blocks := req.Space.BlockSizes()
-	passes, in, err := plan.Replay(ctx, engine.Spans{
-		Blocks: blocks, ShardLog: shardLog, Workers: workers, StreamMem: req.StreamMem,
+	passes, resident, err := plan.Replay(ctx, engine.Spans{
+		Blocks: blocks, ShardLog: shardLog, Workers: workers,
 		Decode: func() (*trace.StreamPipeline, error) {
 			return trace.StreamSpans(ctx, req.Source(), blocks[0], trace.SpanOptions{
 				MemBytes: req.StreamMem, Workers: workers, Kinds: req.Kinds,
@@ -80,20 +67,16 @@ func runStreamed(ctx context.Context, req Request, plan *engine.Plan, workers, s
 	res := &Result{
 		Stats:             make(map[cache.Config]cache.Stats, req.Space.Count()),
 		StreamCompression: make(map[int]float64, len(blocks)),
-		CacheKey:          streamKey(req),
 		KindTotals:        plan.KindTotals,
 	}
-	if in == nil {
+	if resident == 0 {
 		// Every pass came from the result tier: no stream exists, so
 		// the rung shapes (below) and the trace-wide kind totals come
 		// out of the cached records.
 		res.KindTotals = passes[0].KindTotals
 	} else {
 		res.Decodes, res.Folds = 1, len(blocks)-1
-		res.Streamed, res.StreamPeakBytes, res.CacheHit = !in.Loaded(), in.ResidentBound(), in.Loaded()
-		if in.Loaded() {
-			res.Decodes = 0
-		}
+		res.Streamed, res.StreamPeakBytes = true, resident
 		if shardLog >= 0 {
 			res.Shards = 1 << shardLog
 		}

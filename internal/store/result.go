@@ -21,10 +21,10 @@ import (
 	"dew/internal/trace"
 )
 
-// The result tier: DRS1 blobs holding the complete outcome of one
+// Result entries: DRS1 blobs holding the complete outcome of one
 // finished simulation pass — per-configuration statistics plus a small
 // caller-defined scalar column (counters, recorded wall times) — so a
-// warm query skips the simulation itself, not just the trace decode.
+// warm query skips the simulation and the trace decode.
 //
 // Wire format (all integers unsigned varints via the shared column
 // codec, trace.ColWriter/ColDecoder):
@@ -42,7 +42,7 @@ import (
 // evictions, tag comparisons, bytes-from-memory, bytes-to-memory,
 // writebacks. The engine name and spec key are echoed into the blob so
 // a load can prove the entry answers the question the key was derived
-// from — the result tier's analog of the stream tier's geometry check.
+// from.
 
 const (
 	resultSuffix  = ".drs"
@@ -333,7 +333,7 @@ func (s *Store) resultPath(key string) string {
 // ErrMiss; a malformed blob, or one whose engine/spec-key echo
 // disagrees with the caller's derivation, is quarantined and returns a
 // CorruptEntryError (fall back to simulating). On a hit the entry's
-// mtime is bumped (LRU recency, shared with the stream tier).
+// mtime is bumped (LRU recency).
 func (s *Store) GetResult(ctx context.Context, key, engine, specKey string) (*ResultBlob, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -367,12 +367,13 @@ func (s *Store) GetResult(ctx context.Context, key, engine, specKey string) (*Re
 	return rb, nil
 }
 
-// PutResult publishes a result blob under key with the same atomic
-// temp-write-and-rename discipline as Put; publishing past the size
-// cap evicts least-recently-used entries of either kind. There is no
-// single-flight here: result publication follows simulation, which the
-// callers already delta-schedule, and a double publish is idempotent —
-// equal keys mean equal blobs.
+// PutResult publishes a result blob under key: the blob is written to
+// a temp file in the cache directory, synced, and renamed into place,
+// so concurrent readers (including other processes) see either the old
+// state or the complete entry. Publishing past the size cap evicts
+// least-recently-used entries. Publication follows simulation, which
+// the callers already delta-schedule, and a double publish is
+// idempotent — equal keys mean equal blobs.
 func (s *Store) PutResult(ctx context.Context, key string, rb *ResultBlob) error {
 	if err := ctx.Err(); err != nil {
 		return err

@@ -13,7 +13,6 @@ import (
 
 	"dew/internal/cache"
 	"dew/internal/refsim"
-	"dew/internal/trace"
 )
 
 func mkConfig(sets, assoc, block int) cache.Config {
@@ -209,7 +208,7 @@ func TestResultPutGetDrop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ds.ResultEntries != 1 || ds.ResultBytes <= 0 || ds.StreamEntries != 0 {
+	if ds.Entries != 1 || ds.Bytes <= 0 {
 		t.Fatalf("disk stats = %+v, want one result entry", ds)
 	}
 
@@ -278,16 +277,13 @@ func TestResultCorruptQuarantine(t *testing.T) {
 }
 
 // TestResultFormatVersionBump: bumping the result format version must
-// orphan every DRS1 entry — the keys change — while DBS1 stream
-// entries, keyed under their own format version, keep hitting.
+// orphan every DRS1 entry — the keys change — while the stream
+// identity folded into them (Key) is versioned independently and stays
+// put.
 func TestResultFormatVersionBump(t *testing.T) {
 	s := openTestStore(t, Options{})
 	ctx := context.Background()
-	bs := testStream(t, 11, 3000, 16, false)
 	streamKey := Key("file:bump", 16, 0, false)
-	if err := s.Put(ctx, streamKey, bs); err != nil {
-		t.Fatal(err)
-	}
 	rb := plainResultBlob()
 	oldKey := ResultKey(streamKey, rb.Engine, rb.SpecKey)
 	if err := s.PutResult(ctx, oldKey, rb); err != nil {
@@ -305,191 +301,14 @@ func TestResultFormatVersionBump(t *testing.T) {
 	if _, err := s.GetResult(ctx, newKey, rb.Engine, rb.SpecKey); !errors.Is(err, ErrMiss) {
 		t.Fatalf("bumped-version lookup = %v, want ErrMiss", err)
 	}
-	// The stream tier is versioned independently and must be untouched.
 	if Key("file:bump", 16, 0, false) != streamKey {
 		t.Fatal("result version bump changed a stream key")
 	}
-	if got, err := s.Get(ctx, streamKey); err != nil || !reflect.DeepEqual(got, bs) {
-		t.Fatalf("stream entry after result version bump: %v", err)
+	if got, err := s.GetResult(ctx, oldKey, rb.Engine, rb.SpecKey); err != nil || !reflect.DeepEqual(got, rb) {
+		t.Fatalf("old-version entry under its own key: %v", err)
 	}
 }
 
-// TestMixedKindEviction: stream and result entries share one MaxBytes
-// budget, and LRU eviction crosses kinds in both directions.
-func TestMixedKindEviction(t *testing.T) {
-	ctx := context.Background()
-	bs := testStream(t, 12, 5000, 16, false)
-	streamBlob, err := bs.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb := plainResultBlob()
-	resultBlob, err := rb.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(streamBlob) <= 3*len(resultBlob)+32 {
-		t.Fatalf("test geometry broken: stream blob %d B not large against result blob %d B",
-			len(streamBlob), len(resultBlob))
-	}
-	// Cap holds a few results but never the stream alongside them.
-	s := openTestStore(t, Options{MaxBytes: int64(3*len(resultBlob) + 32)})
-
-	streamKey := Key("file:mix", 16, 0, false)
-	if err := s.Put(ctx, streamKey, bs); err != nil {
-		t.Fatal(err)
-	}
-	age := func(path string, hours int) {
-		past := time.Now().Add(time.Duration(-hours) * time.Hour)
-		if err := os.Chtimes(path, past, past); err != nil {
-			t.Fatal(err)
-		}
-	}
-	age(s.entryPath(streamKey), 4)
-
-	// Publishing a result overflows the budget; the stalest entry — the
-	// stream — is evicted to make room.
-	rKeys := []string{
-		ResultKey(streamKey, "dew", "spec-a"),
-		ResultKey(streamKey, "dew", "spec-b"),
-	}
-	if err := s.PutResult(ctx, rKeys[0], rb); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(s.entryPath(streamKey)); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("result publish did not evict the stale stream entry")
-	}
-	age(s.resultPath(rKeys[0]), 3)
-	if err := s.PutResult(ctx, rKeys[1], rb); err != nil {
-		t.Fatal(err)
-	}
-	age(s.resultPath(rKeys[1]), 2)
-	ds, err := s.DiskStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds.StreamEntries != 0 || ds.ResultEntries != 2 {
-		t.Fatalf("disk stats after result publishes = %+v", ds)
-	}
-
-	// The reverse direction: a stream publish evicts stale results (the
-	// just-published entry itself is exempt even though it alone
-	// overflows the cap).
-	if err := s.Put(ctx, Key("file:mix2", 16, 0, false), bs); err != nil {
-		t.Fatal(err)
-	}
-	ds, err = s.DiskStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds.StreamEntries != 1 || ds.ResultEntries != 0 {
-		t.Fatalf("disk stats after stream publish = %+v", ds)
-	}
-	if ev := s.Stats().Evictions; ev != 3 {
-		t.Fatalf("eviction counter = %d, want 3", ev)
-	}
-}
-
-// TestMemTierHit: with MemBytes set, a decoded stream is served from
-// the in-process tier even after its disk entry vanishes.
-func TestMemTierHit(t *testing.T) {
-	s := openTestStore(t, Options{MemBytes: 1 << 20})
-	ctx := context.Background()
-	want := testStream(t, 13, 2000, 32, true)
-	key := Key(TraceID(testTrace(13, 2000)), 32, 0, true)
-
-	decodes := 0
-	bs, hit, err := s.GetOrMaterialize(ctx, key, 32, true, func(context.Context) (*trace.BlockStream, error) {
-		decodes++
-		return want, nil
-	})
-	if err != nil || hit || decodes != 1 {
-		t.Fatalf("cold: hit=%v decodes=%d err=%v", hit, decodes, err)
-	}
-	if err := os.Remove(s.entryPath(key)); err != nil {
-		t.Fatal(err)
-	}
-	bs, hit, err = s.GetOrMaterialize(ctx, key, 32, true, func(context.Context) (*trace.BlockStream, error) {
-		t.Fatal("decode ran despite a live in-process entry")
-		return nil, nil
-	})
-	if err != nil || !hit {
-		t.Fatalf("warm: hit=%v err=%v", hit, err)
-	}
-	if !reflect.DeepEqual(bs, want) {
-		t.Fatal("in-process tier returned a different stream")
-	}
-	if mh := s.Stats().MemHits; mh != 1 {
-		t.Fatalf("MemHits = %d, want 1", mh)
-	}
-	if entries, bytes := s.mem.order.Len(), s.mem.size; entries != 1 || bytes <= 0 {
-		t.Fatalf("in-process tier holds %d entries, %d bytes", entries, bytes)
-	}
-
-	// A geometry mismatch must not be served from memory either.
-	if got := s.memGet(key, 16, true); got != nil {
-		t.Fatal("in-process tier served a stream under the wrong geometry")
-	}
-}
-
-// TestMemTierEviction: the in-process LRU evicts from the cold end
-// when the estimated footprint exceeds the budget.
-func TestMemTierEviction(t *testing.T) {
-	ctx := context.Background()
-	one := testStream(t, 14, 4000, 16, false)
-	two := testStream(t, 15, 2500, 16, false)
-	budget := streamMemSize(one) + streamMemSize(two)/2
-	if budget >= streamMemSize(one)+streamMemSize(two) || budget < streamMemSize(one) || budget < streamMemSize(two) {
-		t.Fatalf("test geometry broken: budget %d vs sizes %d, %d",
-			budget, streamMemSize(one), streamMemSize(two))
-	}
-	s := openTestStore(t, Options{MemBytes: budget})
-	key1 := Key("file:one", 16, 0, false)
-	key2 := Key("file:two", 16, 0, false)
-	for _, p := range []struct {
-		key string
-		bs  *trace.BlockStream
-	}{{key1, one}, {key2, two}} {
-		if _, _, err := s.GetOrMaterialize(ctx, p.key, 16, false,
-			func(context.Context) (*trace.BlockStream, error) { return p.bs, nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if entries := s.mem.order.Len(); entries != 1 {
-		t.Fatalf("%d in-process entries after overflow, want 1 (cold end evicted)", entries)
-	}
-	// The survivor is the recent stream: it hits memory with its disk
-	// entry gone; the evicted one has to go back to disk.
-	if err := os.Remove(s.entryPath(key2)); err != nil {
-		t.Fatal(err)
-	}
-	if _, hit, err := s.GetOrMaterialize(ctx, key2, 16, false,
-		func(context.Context) (*trace.BlockStream, error) {
-			t.Fatal("recent stream was evicted from the in-process tier")
-			return nil, nil
-		}); err != nil || !hit {
-		t.Fatalf("recent stream: hit=%v err=%v", hit, err)
-	}
-	if mh := s.Stats().MemHits; mh != 1 {
-		t.Fatalf("MemHits = %d, want 1", mh)
-	}
-	decodes := 0
-	if _, _, err := s.GetOrMaterialize(ctx, key1, 16, false,
-		func(context.Context) (*trace.BlockStream, error) { decodes++; return one, nil }); err != nil {
-		t.Fatal(err)
-	}
-	// key1's disk entry is still live, so this is a disk hit, not a
-	// decode — but it must not have come from memory.
-	if decodes != 0 {
-		t.Fatalf("%d decodes for a disk-backed stream", decodes)
-	}
-	if mh := s.Stats().MemHits; mh != 1 {
-		t.Fatalf("evicted stream was served from memory (MemHits = %d)", mh)
-	}
-}
-
-// FuzzResultUnmarshal pins the DRS1 decode hardening: no input may
-// panic, and any accepted blob must re-marshal to the identical bytes.
 func FuzzResultUnmarshal(f *testing.F) {
 	for _, rb := range []*ResultBlob{
 		plainResultBlob(),
@@ -518,4 +337,106 @@ func FuzzResultUnmarshal(f *testing.F) {
 			t.Fatal("accepted blob does not re-marshal byte-identical")
 		}
 	})
+}
+
+// bigResultBlob is a DEW entry many times the size of refResultBlob's.
+func bigResultBlob() *ResultBlob {
+	rb := &ResultBlob{Engine: "dew", SpecKey: "sets=0..9,assoc=1..8,block=16..64,policy=FIFO"}
+	for logSets := 0; logSets <= 9; logSets++ {
+		for _, assoc := range []int{1, 2, 4, 8} {
+			for _, block := range []int{16, 32, 64} {
+				rb.Records = append(rb.Records, ResultRecord{
+					Config: mkConfig(1<<logSets, assoc, block),
+					Stats:  cache.Stats{Accesses: 1 << 30, Misses: uint64(logSets*1000 + assoc*10 + block)},
+				})
+			}
+		}
+	}
+	return rb
+}
+
+// TestMixedKindEviction: DEW and reference result entries share one
+// MaxBytes budget, and LRU eviction crosses engines in both directions.
+// The just-published entry is exempt even when it alone overflows the
+// cap.
+func TestMixedKindEviction(t *testing.T) {
+	ctx := context.Background()
+	big, small := bigResultBlob(), refResultBlob()
+	bigBlob, err := big.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	smallBlob, err := small.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bigBlob) <= 3*len(smallBlob)+32 {
+		t.Fatalf("test geometry broken: DEW blob %d B not large against reference blob %d B",
+			len(bigBlob), len(smallBlob))
+	}
+	// Cap holds a few reference entries but never the DEW one alongside
+	// them.
+	s := openTestStore(t, Options{MaxBytes: int64(3*len(smallBlob) + 32)})
+	age := func(key string, hours int) {
+		past := time.Now().Add(time.Duration(-hours) * time.Hour)
+		if err := os.Chtimes(s.resultPath(key), past, past); err != nil {
+			t.Fatal(err)
+		}
+	}
+	exists := func(key string) bool {
+		_, err := os.Stat(s.resultPath(key))
+		return err == nil
+	}
+
+	bigKey := ResultKey(Key("file:mix", 16, 0, false), big.Engine, big.SpecKey)
+	if err := s.PutResult(ctx, bigKey, big); err != nil {
+		t.Fatal(err)
+	}
+	if !exists(bigKey) {
+		t.Fatal("an entry over the cap on its own was evicted by its own publish")
+	}
+	age(bigKey, 4)
+
+	// Publishing a reference entry overflows the budget; the stalest
+	// entry — the DEW one — is evicted to make room.
+	refKeys := []string{
+		ResultKey(Key("file:mix", 32, 0, true), small.Engine, small.SpecKey),
+		ResultKey(Key("file:mix2", 32, 0, true), small.Engine, small.SpecKey),
+	}
+	if err := s.PutResult(ctx, refKeys[0], small); err != nil {
+		t.Fatal(err)
+	}
+	if exists(bigKey) {
+		t.Fatal("reference publish did not evict the stale DEW entry")
+	}
+	age(refKeys[0], 3)
+	if err := s.PutResult(ctx, refKeys[1], small); err != nil {
+		t.Fatal(err)
+	}
+	age(refKeys[1], 2)
+	ds, err := s.DiskStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds.Entries != 2 || ds.Bytes != 2*int64(len(smallBlob)) {
+		t.Fatalf("disk stats after reference publishes = %+v", ds)
+	}
+
+	// The reverse direction: a DEW publish evicts the stale reference
+	// entries and itself stays.
+	bigKey2 := ResultKey(Key("file:mix2", 16, 0, false), big.Engine, big.SpecKey)
+	if err := s.PutResult(ctx, bigKey2, big); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range refKeys {
+		if exists(key) {
+			t.Fatal("DEW publish did not evict a stale reference entry")
+		}
+	}
+	if got, err := s.GetResult(ctx, bigKey2, big.Engine, big.SpecKey); err != nil || !reflect.DeepEqual(got, big) {
+		t.Fatalf("oversized just-published entry: %v", err)
+	}
+	if ev := s.Stats().Evictions; ev != 3 {
+		t.Fatalf("eviction counter = %d, want 3", ev)
+	}
 }

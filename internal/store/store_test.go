@@ -7,12 +7,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"dew/internal/leakcheck"
 	"dew/internal/trace"
 )
 
@@ -27,20 +24,6 @@ func testTrace(seed uint64, n int) trace.Trace {
 		tr[i] = trace.Access{Addr: block*64 + uint64(rng.Intn(64)), Kind: trace.Kind(rng.Intn(3))}
 	}
 	return tr
-}
-
-func testStream(t testing.TB, seed uint64, n, blockSize int, kinds bool) *trace.BlockStream {
-	t.Helper()
-	tr := testTrace(seed, n)
-	mat := trace.MaterializeBlockStream
-	if kinds {
-		mat = trace.MaterializeBlockStreamWithKinds
-	}
-	bs, err := mat(tr.NewSliceReader(), blockSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return bs
 }
 
 func openTestStore(t testing.TB, opt Options) *Store {
@@ -115,235 +98,148 @@ func TestFileID(t *testing.T) {
 	}
 }
 
+// putAged publishes rb under the result key of src and backdates the
+// entry by age, so LRU order is explicit even on coarse filesystem
+// clocks. It returns the key.
+func putAged(t *testing.T, s *Store, src string, rb *ResultBlob, age time.Duration) string {
+	t.Helper()
+	key := ResultKey(Key(src, 16, 0, false), rb.Engine, rb.SpecKey)
+	if err := s.PutResult(context.Background(), key, rb); err != nil {
+		t.Fatal(err)
+	}
+	past := time.Now().Add(-age)
+	if err := os.Chtimes(s.resultPath(key), past, past); err != nil {
+		t.Fatal(err)
+	}
+	return key
+}
+
+// resultBlobSize is the encoded size of rb.
+func resultBlobSize(t *testing.T, rb *ResultBlob) int64 {
+	t.Helper()
+	blob, err := rb.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int64(len(blob))
+}
+
+// TestPutGetRoundTrip publishes a DEW and a reference result entry and
+// loads each back bit-identically, from the publishing store and from a
+// second store opened on the same directory (another process, say).
 func TestPutGetRoundTrip(t *testing.T) {
 	s := openTestStore(t, Options{})
 	ctx := context.Background()
-	for _, kinds := range []bool{false, true} {
-		bs := testStream(t, 5, 5000, 64, kinds)
-		key := Key(TraceID(testTrace(5, 5000)), 64, 0, kinds)
-		if _, err := s.Get(ctx, key); !errors.Is(err, ErrMiss) {
-			t.Fatalf("kinds=%v: Get before Put: %v, want ErrMiss", kinds, err)
+	blobs := []*ResultBlob{plainResultBlob(), refResultBlob()}
+	var keys []string
+	var total int64
+	for _, rb := range blobs {
+		key := ResultKey(Key(TraceID(testTrace(5, 5000)), 64, 0, rb.HasRef), rb.Engine, rb.SpecKey)
+		if _, err := s.GetResult(ctx, key, rb.Engine, rb.SpecKey); !errors.Is(err, ErrMiss) {
+			t.Fatalf("%s: GetResult before Put: %v, want ErrMiss", rb.Engine, err)
 		}
-		if err := s.Put(ctx, key, bs); err != nil {
+		if err := s.PutResult(ctx, key, rb); err != nil {
 			t.Fatal(err)
 		}
-		got, err := s.Get(ctx, key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, bs) {
-			t.Fatalf("kinds=%v: loaded stream differs from published stream", kinds)
+		keys = append(keys, key)
+		total += resultBlobSize(t, rb)
+	}
+	other, err := Open(s.Dir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range []*Store{s, other} {
+		for i, rb := range blobs {
+			got, err := st.GetResult(ctx, keys[i], rb.Engine, rb.SpecKey)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, rb) {
+				t.Fatalf("%s: loaded result differs from published result", rb.Engine)
+			}
 		}
 	}
-	st := s.Stats()
-	if st.Hits != 2 || st.Misses != 2 || st.Stores != 2 {
-		t.Fatalf("stats = %+v, want 2 hits, 2 misses, 2 stores", st)
+	if st := s.Stats(); st.ResultHits != 2 || st.ResultMisses != 2 || st.ResultStores != 2 {
+		t.Fatalf("stats = %+v, want 2 result hits, 2 misses, 2 stores", st)
+	}
+	if st := other.Stats(); st.ResultHits != 2 || st.ResultMisses != 0 || st.ResultStores != 0 {
+		t.Fatalf("second store's stats = %+v, want 2 result hits only", st)
 	}
 	ds, err := s.DiskStats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ds.Entries != 2 || ds.Bytes <= 0 || ds.Quarantined != 0 || ds.Temp != 0 {
-		t.Fatalf("disk stats = %+v", ds)
+	if ds.Entries != 2 || ds.Bytes != total || ds.Quarantined != 0 || ds.Temp != 0 {
+		t.Fatalf("disk stats = %+v, want 2 entries of %d bytes", ds, total)
 	}
 }
 
 func TestGetRejectsBadKey(t *testing.T) {
 	s := openTestStore(t, Options{})
 	ctx := context.Background()
+	rb := plainResultBlob()
 	for _, key := range []string{"", "short", "../../../../etc/passwd", Key("x", 16, 0, false) + "ff"} {
-		if _, err := s.Get(ctx, key); err == nil || errors.Is(err, ErrMiss) {
-			t.Fatalf("Get(%q) = %v, want a key error", key, err)
+		if _, err := s.GetResult(ctx, key, rb.Engine, rb.SpecKey); err == nil || errors.Is(err, ErrMiss) {
+			t.Fatalf("GetResult(%q) = %v, want a key error", key, err)
 		}
-		if err := s.Put(ctx, key, testStream(t, 1, 100, 16, false)); err == nil {
-			t.Fatalf("Put(%q) succeeded", key)
+		if err := s.PutResult(ctx, key, rb); err == nil {
+			t.Fatalf("PutResult(%q) succeeded", key)
+		}
+		if err := s.DropResult(key); err == nil {
+			t.Fatalf("DropResult(%q) succeeded", key)
 		}
 	}
 }
 
-// TestSingleFlight races N identical misses: exactly one decode must
-// run, everyone must receive the identical stream, and the goroutines
-// must all unwind.
-func TestSingleFlight(t *testing.T) {
-	defer leakcheck.Check(t)()
-	s := openTestStore(t, Options{})
-	ctx := context.Background()
-	want := testStream(t, 9, 8000, 32, true)
-	key := Key(TraceID(testTrace(9, 8000)), 32, 0, true)
-
-	const callers = 16
-	var (
-		decodes atomic.Int32
-		release = make(chan struct{})
-		wg      sync.WaitGroup
-		hits    atomic.Int32
-	)
-	results := make([]*trace.BlockStream, callers)
-	errs := make([]error, callers)
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			bs, hit, err := s.GetOrMaterialize(ctx, key, 32, true, func(context.Context) (*trace.BlockStream, error) {
-				decodes.Add(1)
-				<-release // hold the flight open until every caller has joined
-				return want, nil
-			})
-			results[i], errs[i] = bs, err
-			if hit {
-				hits.Add(1)
-			}
-		}(i)
-	}
-	// Let the callers pile onto the flight, then release the leader.
-	time.Sleep(50 * time.Millisecond)
-	close(release)
-	wg.Wait()
-
-	if got := decodes.Load(); got != 1 {
-		t.Fatalf("%d decodes ran, want 1", got)
-	}
-	if got := hits.Load(); got != callers-1 {
-		t.Fatalf("%d callers reported a hit, want %d (all but the leader)", got, callers-1)
-	}
-	for i := range results {
-		if errs[i] != nil {
-			t.Fatalf("caller %d: %v", i, errs[i])
-		}
-		if !reflect.DeepEqual(results[i], want) {
-			t.Fatalf("caller %d received a different stream", i)
-		}
-	}
-	// The published entry must serve later processes.
-	got, err := s.Get(ctx, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("published entry differs from the materialized stream")
-	}
-}
-
-// TestSingleFlightLeaderFailure checks that one caller's failure does
-// not poison the others: a waiter takes over and materializes.
-func TestSingleFlightLeaderFailure(t *testing.T) {
-	defer leakcheck.Check(t)()
-	s := openTestStore(t, Options{})
-	ctx := context.Background()
-	want := testStream(t, 4, 2000, 16, false)
-	key := Key(TraceID(testTrace(4, 2000)), 16, 0, false)
-
-	boom := errors.New("decode exploded")
-	var calls atomic.Int32
-	started := make(chan struct{})
-	fail := make(chan struct{})
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var leadErr error
-	go func() {
-		defer wg.Done()
-		_, _, leadErr = s.GetOrMaterialize(ctx, key, 16, false, func(context.Context) (*trace.BlockStream, error) {
-			calls.Add(1)
-			close(started)
-			<-fail
-			return nil, boom
-		})
-	}()
-	<-started
-	wg.Add(1)
-	var (
-		followerBS  *trace.BlockStream
-		followerErr error
-	)
-	go func() {
-		defer wg.Done()
-		followerBS, _, followerErr = s.GetOrMaterialize(ctx, key, 16, false, func(context.Context) (*trace.BlockStream, error) {
-			calls.Add(1)
-			return want, nil
-		})
-	}()
-	time.Sleep(20 * time.Millisecond) // let the follower join the flight
-	close(fail)
-	wg.Wait()
-
-	if !errors.Is(leadErr, boom) {
-		t.Fatalf("leader error = %v, want the injected failure", leadErr)
-	}
-	if followerErr != nil {
-		t.Fatalf("follower failed: %v", followerErr)
-	}
-	if !reflect.DeepEqual(followerBS, want) {
-		t.Fatal("follower stream differs")
-	}
-	if calls.Load() != 2 {
-		t.Fatalf("%d decode calls, want 2 (failed leader + retrying follower)", calls.Load())
-	}
-}
-
-func TestGetOrMaterializeCancellation(t *testing.T) {
-	defer leakcheck.Check(t)()
-	s := openTestStore(t, Options{})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, _, err := s.GetOrMaterialize(ctx, Key("x", 16, 0, false), 16, false,
-		func(context.Context) (*trace.BlockStream, error) {
-			t.Fatal("decode ran under a cancelled context")
-			return nil, nil
-		})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-// TestCorruptEntryQuarantine flips a byte in a published entry: the
-// load must fail typed, quarantine the file, and GetOrMaterialize must
-// transparently re-decode and re-publish.
+// TestCorruptEntryQuarantine truncates a published entry: the load must
+// fail typed (matching the trace package's sentinel), quarantine the
+// file where DiskStats counts it as dead, and GC must reclaim it while
+// a re-publish heals the entry.
 func TestCorruptEntryQuarantine(t *testing.T) {
 	s := openTestStore(t, Options{})
 	ctx := context.Background()
-	want := testStream(t, 6, 4000, 32, false)
-	key := Key(TraceID(testTrace(6, 4000)), 32, 0, false)
-	if err := s.Put(ctx, key, want); err != nil {
+	rb := refResultBlob()
+	key := ResultKey(Key(TraceID(testTrace(6, 4000)), 32, 0, true), rb.Engine, rb.SpecKey)
+	if err := s.PutResult(ctx, key, rb); err != nil {
 		t.Fatal(err)
 	}
-
-	path := s.entryPath(key)
+	path := s.resultPath(key)
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob[len(blob)/2] ^= 0x10
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
+	if err := os.WriteFile(path, blob[:len(blob)-3], 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	var ce *CorruptEntryError
-	if _, err := s.Get(ctx, key); !errors.As(err, &ce) {
-		t.Fatalf("Get of corrupt entry = %v, want CorruptEntryError", err)
+	if _, err := s.GetResult(ctx, key, rb.Engine, rb.SpecKey); !errors.As(err, &ce) {
+		t.Fatalf("GetResult of corrupt entry = %v, want CorruptEntryError", err)
 	} else if !errors.Is(err, trace.ErrCorrupt) {
 		t.Fatalf("corrupt entry error %v does not match trace.ErrCorrupt", err)
 	}
 	if _, err := os.Stat(path + quarantineSuffix); err != nil {
 		t.Fatalf("corrupt entry was not quarantined: %v", err)
 	}
-	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("corrupt entry still live: %v", err)
+	if _, err := s.GetResult(ctx, key, rb.Engine, rb.SpecKey); !errors.Is(err, ErrMiss) {
+		t.Fatalf("lookup after quarantine = %v, want ErrMiss", err)
+	}
+	ds, err := s.DiskStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds.Entries != 0 || ds.Quarantined != 1 || ds.QuarantinedBytes != int64(len(blob)-3) {
+		t.Fatalf("disk stats after quarantine = %+v", ds)
 	}
 
-	// The fallback path: re-decode, re-publish, then serve from disk.
-	decodes := 0
-	bs, hit, err := s.GetOrMaterialize(ctx, key, 32, false, func(context.Context) (*trace.BlockStream, error) {
-		decodes++
-		return want, nil
-	})
-	if err != nil || hit || decodes != 1 {
-		t.Fatalf("fallback: hit=%v decodes=%d err=%v, want a clean re-decode", hit, decodes, err)
+	// The fallback path: the caller re-simulates and re-publishes.
+	if err := s.PutResult(ctx, key, rb); err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(bs, want) {
-		t.Fatal("fallback stream differs")
+	if removed, _, err := s.GC(0); err != nil || removed != 1 {
+		t.Fatalf("gc removed %d files (err %v), want the quarantined one", removed, err)
 	}
-	if got, err := s.Get(ctx, key); err != nil || !reflect.DeepEqual(got, want) {
+	if got, err := s.GetResult(ctx, key, rb.Engine, rb.SpecKey); err != nil || !reflect.DeepEqual(got, rb) {
 		t.Fatalf("re-published entry: %v", err)
 	}
 	if q := s.Stats().Quarantines; q != 1 {
@@ -351,29 +247,43 @@ func TestCorruptEntryQuarantine(t *testing.T) {
 	}
 }
 
-// TestGeometryMismatchQuarantine: an entry whose stream disagrees with
-// the key's derivation (block size or kind channel) is corruption, not
-// a hit.
+// TestGeometryMismatchQuarantine: an entry whose echoed derivation
+// disagrees with the lookup's — another engine, or another cache
+// geometry in the spec key — is corruption, not a hit. It is
+// quarantined, the lookup under the right derivation then misses, and
+// a re-publish heals the entry.
 func TestGeometryMismatchQuarantine(t *testing.T) {
 	s := openTestStore(t, Options{})
 	ctx := context.Background()
-	bs16 := testStream(t, 7, 1000, 16, false)
-	key := Key("file:whatever", 32, 0, false)
-	if err := s.Put(ctx, key, bs16); err != nil {
+	rb := plainResultBlob()
+	key := ResultKey(Key("file:whatever", 16, 0, false), rb.Engine, rb.SpecKey)
+	mismatches := []struct{ engine, specKey string }{
+		{"ref", rb.SpecKey},
+		{rb.Engine, "sets=0..4,assoc=2,block=32,policy=FIFO"},
+	}
+	for i, m := range mismatches {
+		if err := s.PutResult(ctx, key, rb); err != nil {
+			t.Fatal(err)
+		}
+		var ce *CorruptEntryError
+		if _, err := s.GetResult(ctx, key, m.engine, m.specKey); !errors.As(err, &ce) {
+			t.Fatalf("lookup as %s %q = %v, want CorruptEntryError", m.engine, m.specKey, err)
+		}
+		if _, err := os.Stat(s.resultPath(key) + quarantineSuffix); err != nil {
+			t.Fatalf("mismatched entry was not quarantined: %v", err)
+		}
+		if _, err := s.GetResult(ctx, key, rb.Engine, rb.SpecKey); !errors.Is(err, ErrMiss) {
+			t.Fatalf("lookup after quarantine = %v, want ErrMiss", err)
+		}
+		if q := s.Stats().Quarantines; q != uint64(i+1) {
+			t.Fatalf("quarantine counter = %d, want %d", q, i+1)
+		}
+	}
+	if err := s.PutResult(ctx, key, rb); err != nil {
 		t.Fatal(err)
 	}
-	want := testStream(t, 7, 1000, 32, false)
-	got, hit, err := s.GetOrMaterialize(ctx, key, 32, false, func(context.Context) (*trace.BlockStream, error) {
-		return want, nil
-	})
-	if err != nil || hit {
-		t.Fatalf("hit=%v err=%v, want a quarantine-and-redecode", hit, err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("re-decoded stream differs")
-	}
-	if q := s.Stats().Quarantines; q != 1 {
-		t.Fatalf("quarantine counter = %d, want 1", q)
+	if got, err := s.GetResult(ctx, key, rb.Engine, rb.SpecKey); err != nil || !reflect.DeepEqual(got, rb) {
+		t.Fatalf("re-published entry: %v", err)
 	}
 }
 
@@ -381,35 +291,16 @@ func TestGeometryMismatchQuarantine(t *testing.T) {
 // order: the least recently touched entries go first, the newest
 // survives.
 func TestEviction(t *testing.T) {
-	ctx := context.Background()
-	one := testStream(t, 8, 3000, 16, false)
-	blob, err := one.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rb := plainResultBlob()
 	// Cap at two entries' worth.
-	s := openTestStore(t, Options{MaxBytes: int64(len(blob))*2 + 16})
-
-	keys := []string{
-		Key("file:a", 16, 0, false),
-		Key("file:b", 16, 0, false),
-		Key("file:c", 16, 0, false),
-	}
-	for i, k := range keys {
-		if err := s.Put(ctx, k, one); err != nil {
-			t.Fatal(err)
-		}
-		// Ensure distinct mtimes even on coarse filesystem clocks.
-		past := time.Now().Add(time.Duration(i-len(keys)) * time.Hour)
-		if err := os.Chtimes(s.entryPath(k), past, past); err != nil {
-			t.Fatal(err)
-		}
+	s := openTestStore(t, Options{MaxBytes: resultBlobSize(t, rb)*2 + 16})
+	var keys []string
+	for i, src := range []string{"file:a", "file:b", "file:c"} {
+		keys = append(keys, putAged(t, s, src, rb, time.Duration(3-i)*time.Hour))
 	}
 	// Publishing a fourth entry must evict the stalest until the cap
 	// holds.
-	if err := s.Put(ctx, Key("file:d", 16, 0, false), one); err != nil {
-		t.Fatal(err)
-	}
+	newest := putAged(t, s, "file:d", rb, 0)
 	ds, err := s.DiskStats()
 	if err != nil {
 		t.Fatal(err)
@@ -417,11 +308,15 @@ func TestEviction(t *testing.T) {
 	if ds.Entries != 2 {
 		t.Fatalf("%d live entries after eviction, want 2", ds.Entries)
 	}
-	if _, err := os.Stat(s.entryPath(keys[0])); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("stalest entry survived the cap")
+	for _, gone := range keys[:2] {
+		if _, err := os.Stat(s.resultPath(gone)); !errors.Is(err, os.ErrNotExist) {
+			t.Fatal("a stale entry survived the cap")
+		}
 	}
-	if _, err := os.Stat(s.entryPath(Key("file:d", 16, 0, false))); err != nil {
-		t.Fatal("just-published entry was evicted")
+	for _, kept := range []string{keys[2], newest} {
+		if _, err := os.Stat(s.resultPath(kept)); err != nil {
+			t.Fatalf("a recent entry was evicted: %v", err)
+		}
 	}
 	if ev := s.Stats().Evictions; ev != 2 {
 		t.Fatalf("eviction counter = %d, want 2", ev)
@@ -431,14 +326,11 @@ func TestEviction(t *testing.T) {
 func TestGCAndClear(t *testing.T) {
 	s := openTestStore(t, Options{})
 	ctx := context.Background()
-	bs := testStream(t, 2, 2000, 16, false)
-	key := Key("file:live", 16, 0, false)
-	if err := s.Put(ctx, key, bs); err != nil {
-		t.Fatal(err)
-	}
+	rb := plainResultBlob()
+	key := putAged(t, s, "file:live", rb, 0)
 	// Plant a quarantined file, an abandoned temp file and a fresh one
 	// (another publisher's, mid-write).
-	if err := os.WriteFile(filepath.Join(s.Dir(), key+entrySuffix+quarantineSuffix), []byte("junk"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(s.Dir(), key+resultSuffix+quarantineSuffix), []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	orphan := filepath.Join(s.Dir(), tmpPrefix+"orphan")
@@ -468,7 +360,7 @@ func TestGCAndClear(t *testing.T) {
 	if removed != 2 || reclaimed <= 0 {
 		t.Fatalf("gc removed %d files (%d bytes), want the 2 junk files", removed, reclaimed)
 	}
-	if _, err := s.Get(ctx, key); err != nil {
+	if _, err := s.GetResult(ctx, key, rb.Engine, rb.SpecKey); err != nil {
 		t.Fatalf("gc removed a live entry: %v", err)
 	}
 	if _, err := os.Stat(fresh); err != nil {
@@ -482,8 +374,106 @@ func TestGCAndClear(t *testing.T) {
 	if removed != 2 {
 		t.Fatalf("clear removed %d files, want the live entry and the temp file", removed)
 	}
-	if _, err := s.Get(ctx, key); !errors.Is(err, ErrMiss) {
-		t.Fatalf("Get after clear = %v, want ErrMiss", err)
+	if _, err := s.GetResult(ctx, key, rb.Engine, rb.SpecKey); !errors.Is(err, ErrMiss) {
+		t.Fatalf("GetResult after clear = %v, want ErrMiss", err)
+	}
+}
+
+// TestGCDuringPublish: a GC that runs while another process is still
+// writing its publish's temp file leaves the file alone, so the
+// publish's rename still lands a loadable entry.
+func TestGCDuringPublish(t *testing.T) {
+	s := openTestStore(t, Options{})
+	ctx := context.Background()
+	rb := refResultBlob()
+	key := ResultKey(Key("file:concurrent", 32, 0, true), rb.Engine, rb.SpecKey)
+	blob, err := rb.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The other publisher's temp file, half written.
+	f, err := os.CreateTemp(s.Dir(), tmpPrefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(blob[:len(blob)/2]); err != nil {
+		t.Fatal(err)
+	}
+	if removed, _, err := s.GC(0); err != nil || removed != 0 {
+		t.Fatalf("gc during an open publish removed %d files (err %v), want 0", removed, err)
+	}
+	if _, err := f.Write(blob[len(blob)/2:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(f.Name(), s.resultPath(key)); err != nil {
+		t.Fatalf("publish after a concurrent gc: %v", err)
+	}
+	got, err := s.GetResult(ctx, key, rb.Engine, rb.SpecKey)
+	if err != nil {
+		t.Fatalf("published entry does not load: %v", err)
+	}
+	if !reflect.DeepEqual(got, rb) {
+		t.Fatal("published entry differs")
+	}
+}
+
+// TestGCReclaimsLegacyStreamEntries: stream entries an earlier build
+// published (<key>.dbs, and quarantined <key>.dbs.bad) are dead files —
+// outside the live totals and the size cap, reclaimed by GC and Clear —
+// while the result entries next to them keep serving.
+func TestGCReclaimsLegacyStreamEntries(t *testing.T) {
+	rb := plainResultBlob()
+	size := resultBlobSize(t, rb)
+	// The cap holds both result entries but not the stream entry.
+	s := openTestStore(t, Options{MaxBytes: 2 * size})
+	ctx := context.Background()
+	streamKey := Key("file:old", 16, 0, false)
+	legacy := filepath.Join(s.Dir(), streamKey+legacyStreamSuffix)
+	legacyBad := filepath.Join(s.Dir(), Key("file:older", 16, 0, false)+legacyStreamSuffix+quarantineSuffix)
+	junk := make([]byte, 4*size)
+	for _, p := range []string{legacy, legacyBad} {
+		if err := os.WriteFile(p, junk, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a := putAged(t, s, "file:old", rb, time.Hour)
+	b := putAged(t, s, "file:new", rb, 0)
+	ds, err := s.DiskStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds.Entries != 2 || ds.Bytes != 2*size || ds.Quarantined != 2 || ds.QuarantinedBytes != 2*int64(len(junk)) {
+		t.Fatalf("disk stats with legacy stream entries = %+v", ds)
+	}
+	if ev := s.Stats().Evictions; ev != 0 {
+		t.Fatalf("legacy stream entries pushed %d results out of the cap", ev)
+	}
+	removed, reclaimed, err := s.GC(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if removed != 2 || reclaimed != 2*int64(len(junk)) {
+		t.Fatalf("gc removed %d files (%d bytes), want the 2 legacy stream files", removed, reclaimed)
+	}
+	for _, p := range []string{legacy, legacyBad} {
+		if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("legacy file %s survived gc", filepath.Base(p))
+		}
+	}
+	for _, key := range []string{a, b} {
+		if _, err := s.GetResult(ctx, key, rb.Engine, rb.SpecKey); err != nil {
+			t.Fatalf("gc removed a live result: %v", err)
+		}
+	}
+	// Clear reclaims them too.
+	if err := os.WriteFile(legacy, junk, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if removed, _, err := s.Clear(); err != nil || removed != 3 {
+		t.Fatalf("clear removed %d files (err %v), want 2 results and the legacy stream file", removed, err)
 	}
 }
 
@@ -491,23 +481,12 @@ func TestGCAndClear(t *testing.T) {
 // even when the store itself is uncapped.
 func TestGCEnforcesCap(t *testing.T) {
 	s := openTestStore(t, Options{})
-	ctx := context.Background()
-	bs := testStream(t, 3, 3000, 16, false)
-	blob, err := bs.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rb := plainResultBlob()
+	var keys []string
 	for i, src := range []string{"file:a", "file:b", "file:c"} {
-		k := Key(src, 16, 0, false)
-		if err := s.Put(ctx, k, bs); err != nil {
-			t.Fatal(err)
-		}
-		past := time.Now().Add(time.Duration(i-4) * time.Hour)
-		if err := os.Chtimes(s.entryPath(k), past, past); err != nil {
-			t.Fatal(err)
-		}
+		keys = append(keys, putAged(t, s, src, rb, time.Duration(4-i)*time.Hour))
 	}
-	removed, _, err := s.GC(int64(len(blob)) + 8)
+	removed, _, err := s.GC(resultBlobSize(t, rb) + 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -522,7 +501,7 @@ func TestGCEnforcesCap(t *testing.T) {
 		t.Fatalf("%d entries after capped gc, want 1", ds.Entries)
 	}
 	// The most recently touched entry is the survivor.
-	if _, err := os.Stat(s.entryPath(Key("file:c", 16, 0, false))); err != nil {
+	if _, err := os.Stat(s.resultPath(keys[2])); err != nil {
 		t.Fatal("most recent entry did not survive the capped gc")
 	}
 }

@@ -29,19 +29,25 @@ func TestRunCellTraceCacheWarm(t *testing.T) {
 		logged = append(logged, fmt.Sprintf(f, a...))
 	}}
 	cold := runOne(t, r, p)
-	if cold.CacheHit || cold.ResultCacheHit {
-		t.Fatalf("cold cell reported a cache hit: stream=%v result=%v", cold.CacheHit, cold.ResultCacheHit)
+	if cold.ResultCacheHit {
+		t.Fatal("cold cell reported a cache hit")
 	}
 	if cold.ResultCacheKey == "" {
 		t.Fatal("cold cell missing its result cache key")
+	}
+	// The store holds finished results only: the cold cell's stream
+	// was decoded, used and dropped.
+	ents, err := os.ReadDir(st.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 || filepath.Ext(ents[0].Name()) != ".drs" {
+		t.Fatalf("cold cell left %d cache files (want its one .drs result): %v", len(ents), ents)
 	}
 
 	warm := runOne(t, r, p)
 	if !warm.ResultCacheHit || !warm.WarmVerified {
 		t.Fatalf("warm cell: result hit %v, live re-verified %v; want both", warm.ResultCacheHit, warm.WarmVerified)
-	}
-	if warm.CacheHit {
-		t.Fatal("result-warm cell reported stream work")
 	}
 	if warm.ResultCacheKey != cold.ResultCacheKey {
 		t.Fatal("result cache key changed between identical cells")

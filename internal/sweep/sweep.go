@@ -159,12 +159,6 @@ type Cell struct {
 	// timed sides replayed; Requests/StreamRuns is the compression
 	// ratio the stream frontend bought at this block size.
 	StreamRuns uint64
-	// CacheHit records that the cell's stream (for fold-derived rungs:
-	// its trace's ladder base) was loaded from the runner's artifact
-	// store — or shared from a concurrent materialization — instead of
-	// decoded from the trace. Loaded streams are bit-identical to
-	// decoded ones, so this is provenance only.
-	CacheHit bool
 
 	// ResultCacheHit records that the whole finished cell — results,
 	// counters and recorded wall times — was served from the runner's
@@ -300,21 +294,15 @@ type Runner struct {
 	// cell's own stream statistics (AutoShardsStream).
 	Shards int
 
-	// Cache, when non-nil, is the content-addressed artifact store
-	// consulted at two tiers. The result tier first: each cell's key
-	// (store.TraceID plus the cell axes and the runner's shard setting;
-	// see resultcache.go) is probed before any stream work, and a hit
-	// serves the whole finished cell — zero materializations, zero
-	// simulations — while a miss simulates and publishes the cell on
-	// completion. Then the stream tier: a simulating cell's stream
-	// materialization (keyed by store.TraceID plus the block size and
-	// kinds flag) loads from disk on a hit and publishes on a miss.
-	// Only the raw-trace decode is skipped on a stream hit — the
-	// instrumented cross-check pass still replays the raw trace, so a
-	// stream-warm cell remains a full exactness proof; a result-warm
-	// cell's trustworthiness rests on the sampled live re-check (see
-	// NoWarmCheck). Cell.CacheHit and Cell.ResultCacheHit/ResultCacheKey
-	// record the provenance.
+	// Cache, when non-nil, is the content-addressed result store: each
+	// cell's key (store.TraceID plus the cell axes and the runner's
+	// shard setting; see resultcache.go) is probed before any stream
+	// work, and a hit serves the whole finished cell — zero
+	// materializations, zero simulations — while a miss simulates and
+	// publishes the cell on completion. A result-warm cell's
+	// trustworthiness rests on the sampled live re-check (see
+	// NoWarmCheck). Cell.ResultCacheHit/ResultCacheKey record the
+	// provenance.
 	Cache *store.Store
 
 	// NoWarmCheck disables the sampled warm check: by default RunCells
@@ -388,8 +376,8 @@ func verifyRef(cell Cell, res engine.Result, st, first refsim.Stats) error {
 // block size, and — when the cell is sharded — that stream's partition
 // at the cell's resolved shard level (nil otherwise). Every pass runs
 // serially; cancelling ctx stops the cell between passes.
-func (r Runner) runCellStream(ctx context.Context, p Params, tr trace.Trace, bs *trace.BlockStream, ss *trace.ShardStream, cacheHit bool) (Cell, error) {
-	cell := Cell{Params: p, Requests: uint64(len(tr)), StreamRuns: uint64(bs.Len()), CacheHit: cacheHit}
+func (r Runner) runCellStream(ctx context.Context, p Params, tr trace.Trace, bs *trace.BlockStream, ss *trace.ShardStream) (Cell, error) {
+	cell := Cell{Params: p, Requests: uint64(len(tr)), StreamRuns: uint64(bs.Len())}
 	if bs.BlockSize != p.BlockSize || bs.Accesses != uint64(len(tr)) {
 		return cell, fmt.Errorf("sweep: stream (block %d, %d accesses) does not match cell %v over %d requests",
 			bs.BlockSize, bs.Accesses, p, len(tr))
@@ -505,17 +493,13 @@ func (r Runner) runCellStream(ctx context.Context, p Params, tr trace.Trace, bs 
 		}
 		cell.Verified++
 	}
-	cacheNote := ""
-	if cell.CacheHit {
-		cacheNote = ", stream cache-hit"
-	}
 	if cell.Shards > 0 {
-		r.logf("%s: %d requests (%.1fx run-compressed), speedup %.1fx, comparisons -%.1f%%, %d-shard pass %.2fx vs stream, sharded ref %.2fx (%d/%d parallel)%s",
+		r.logf("%s: %d requests (%.1fx run-compressed), speedup %.1fx, comparisons -%.1f%%, %d-shard pass %.2fx vs stream, sharded ref %.2fx (%d/%d parallel)",
 			p, cell.Requests, cell.CompressionRatio(), cell.Speedup(), cell.ComparisonReduction(),
-			cell.Shards, cell.ShardSpeedup(), cell.RefShardSpeedup(), cell.RefParallel, cell.Verified, cacheNote)
+			cell.Shards, cell.ShardSpeedup(), cell.RefShardSpeedup(), cell.RefParallel, cell.Verified)
 	} else {
-		r.logf("%s: %d requests (%.1fx run-compressed), speedup %.1fx, comparisons -%.1f%%%s",
-			p, cell.Requests, cell.CompressionRatio(), cell.Speedup(), cell.ComparisonReduction(), cacheNote)
+		r.logf("%s: %d requests (%.1fx run-compressed), speedup %.1fx, comparisons -%.1f%%",
+			p, cell.Requests, cell.CompressionRatio(), cell.Speedup(), cell.ComparisonReduction())
 	}
 	return cell, nil
 }
@@ -629,8 +613,7 @@ func (r Runner) RunCells(ctx context.Context, params []Params) ([]Cell, error) {
 
 	// One raw-trace decode per trace: collect the distinct block sizes
 	// the simulating cells need per trace, decode each trace once at its
-	// finest size — from the artifact store's stream tier when it holds
-	// it — and fold the coarser rungs from it (trace.FoldLadder —
+	// finest size and fold the coarser rungs from it (trace.FoldLadder —
 	// bit-identical to direct materialization, O(runs) per rung instead
 	// of one O(accesses) decode per (trace, block size)). Result-warm
 	// cells never touch a stream.
@@ -641,21 +624,11 @@ func (r Runner) RunCells(ctx context.Context, params []Params) ([]Cell, error) {
 		}
 	}
 	ladders := make([]map[int]*trace.BlockStream, len(traces))
-	baseHit := make([]bool, len(traces))
 	if err := pool.Run(ctx, r.workers(), len(traces), func(t int) error {
 		if len(blocks[t]) == 0 {
 			return nil // every cell of this trace was result-warm
 		}
-		finest := slices.Min(blocks[t])
-		decode := func(context.Context) (*trace.BlockStream, error) { return traces[t].BlockStream(finest) }
-		var base *trace.BlockStream
-		var err error
-		if r.Cache == nil {
-			base, err = decode(ctx)
-		} else {
-			key := store.Key(traceIDs[t], finest, 0, false)
-			base, baseHit[t], err = r.Cache.GetOrMaterialize(ctx, key, finest, false, decode)
-		}
+		base, err := traces[t].BlockStream(slices.Min(blocks[t]))
 		if err != nil {
 			return err
 		}
@@ -736,7 +709,7 @@ func (r Runner) RunCells(ctx context.Context, params []Params) ([]Cell, error) {
 	}
 	err := pool.Run(ctx, r.workers(), len(simIdx), func(k int) error {
 		i := simIdx[k]
-		cell, err := r.runCellStream(ctx, params[i], cellTrace[i], cellStream[i], cellShards[i], baseHit[traceOf[i]])
+		cell, err := r.runCellStream(ctx, params[i], cellTrace[i], cellStream[i], cellShards[i])
 		// Release this cell's references: a shared trace or stream
 		// becomes collectable as soon as its last consuming cell
 		// finishes. (Materialization is still up-front, so the batch's

@@ -731,10 +731,9 @@ func ConcatSpans(blockSize int, kinds bool, spans []*Span) *BlockStream {
 // SplitSpans is ConcatSpans' inverse for an already materialized
 // stream: it cuts bs into consecutive spans of at most spanRuns runs
 // each, sharing bs's columns (nothing is copied). spanRuns ≤ 0 means
-// the span size a pipeline at DefaultSpanMemBytes emits, so a stream
-// loaded whole (an artifact-cache hit) feeds a span consumer — a
-// per-span shard split, say — in the same slices the decode would have
-// delivered.
+// the span size a pipeline at DefaultSpanMemBytes emits, so a
+// materialized stream feeds a span consumer — a per-span shard split,
+// say — in the same slices the decode would have delivered.
 func SplitSpans(bs *BlockStream, spanRuns int) []*Span {
 	if spanRuns <= 0 {
 		spanRuns, _, _ = spanGeometry(DefaultSpanMemBytes, 1, bs.HasKinds())

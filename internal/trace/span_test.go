@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -443,4 +444,65 @@ func FuzzSpanEquivalence(f *testing.F) {
 		}
 		sameBlockStream(t, "fuzz weighted kinds", ConcatSpans(block, true, collectSpans(t, pk)), parentK)
 	})
+}
+
+// TestStreamRoundTrip: a stream cut into spans and concatenated back is
+// the identical stream, on the corners every stream consumer must
+// carry: empty streams with and without a kind channel, a single run,
+// decoded streams, uint32-overflow run splits (adjacent same-ID runs,
+// legal only after a saturated weight) and IDs at the top of the range.
+// Span boundaries land everywhere, including inside an overflow split.
+func TestStreamRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	tr := make(Trace, 20_000)
+	block := uint64(0)
+	for i := range tr {
+		if rng.Intn(4) == 0 {
+			block = uint64(rng.Intn(200))
+		}
+		tr[i] = Access{Addr: block*64 + uint64(rng.Intn(64)), Kind: Kind(rng.Intn(3))}
+	}
+	plain, err := MaterializeBlockStream(tr.NewSliceReader(), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withKinds, err := MaterializeBlockStreamWithKinds(tr.NewSliceReader(), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const m = math.MaxUint32
+	cases := map[string]*BlockStream{
+		"empty":       {BlockSize: 16},
+		"empty-kinds": {BlockSize: 16, Kinds: []KindRun{}},
+		"one-run": {BlockSize: 32, IDs: []uint64{42}, Runs: []uint32{3}, Accesses: 3,
+			Kinds: []KindRun{{W: [3]uint32{2, 1, 0}, Lead: 1, First: DataRead}}},
+		"materialized":       plain,
+		"materialized-kinds": withKinds,
+		"overflow-split": {BlockSize: 16,
+			IDs: []uint64{9, 9, 5}, Runs: []uint32{m, 2, 1}, Accesses: m + 3},
+		"overflow-split-kinds": {BlockSize: 16,
+			IDs: []uint64{9, 9}, Runs: []uint32{m, 2}, Accesses: m + 2,
+			Kinds: []KindRun{
+				{W: [3]uint32{m - 1, 1, 0}, Lead: 1, First: DataRead},
+				{W: [3]uint32{0, 0, 2}, First: IFetch},
+			}},
+		"huge-ids": {BlockSize: 1 << 30,
+			IDs: []uint64{math.MaxUint64, 0, math.MaxUint64}, Runs: []uint32{1, 1, 1}, Accesses: 3},
+	}
+	for name, bs := range cases {
+		t.Run(name, func(t *testing.T) {
+			for _, spanRuns := range []int{1, 2, 7, max(bs.Len(), 1), 0} {
+				label := fmt.Sprintf("spanRuns=%d", spanRuns)
+				spans := SplitSpans(bs, spanRuns)
+				checkSpanInvariants(t, spans)
+				got := ConcatSpans(bs.BlockSize, bs.HasKinds(), spans)
+				if !reflect.DeepEqual(got, bs) {
+					t.Fatalf("%s: round trip is not identity:\ngot  %+v\nwant %+v", label, got, bs)
+				}
+				if got.HasKinds() != bs.HasKinds() {
+					t.Fatalf("%s: kind channel presence flipped: got %v", label, got.HasKinds())
+				}
+			}
+		})
+	}
 }

@@ -8,9 +8,8 @@
 # materialize-then-shard baseline, the
 # block-size fold ladder vs the decode-per-block-size baseline, and the
 # write-policy reference replay over the kind-preserving stream vs its
-# per-access baseline, the DBS1 artifact marshal/load costs, the
-# artifact-store warm-vs-cold exploration pair, the result-tier
-# warm-vs-cold sweep pair, the pipelined streaming replay vs the
+# per-access baseline, the result-store warm-vs-cold exploration pair,
+# the result-tier warm-vs-cold sweep pair, the pipelined streaming replay vs the
 # phased materialize-then-replay baseline, the span-ladder driver's
 # concurrent vs serial rung replay, and one sweep cell's reference side
 # (30 kind-free FIFO passes over a materialized stream), and writes:
@@ -24,8 +23,7 @@
 #                    fold compression of the block ladder, the
 #                    write-policy stream-over-access speedup and the kind
 #                    channel's bytes-per-access footprint, the artifact
-#                    cache's warm-over-cold exploration speedup and
-#                    load throughput (cache_load_blocks_per_s), the
+#                    cache's warm-over-cold exploration speedup, the
 #                    result tier's warm-over-cold sweep speedup
 #                    (speedup_sweep_warm_over_cold) and warm cell-serve
 #                    throughput (result_cache_hit_cells_per_s), the
@@ -56,7 +54,7 @@ REV="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
 # Tee into a temp file and move it into place only once the benchmarks
 # pass (set -o pipefail fails the pipeline with go test), so a failed
 # or interrupted run cannot leave a truncated $OUT.txt behind.
-go test -run '^$' -bench 'Benchmark(Access(Single|Stream|StreamAssoc|StreamLRU|Sharded)|(Span|Serial)Shard|(Fold|Decode)Ladder|Ref(Access|Stream)Write|RefStream|Stream(Marshal|Load)|Explore(Cold|Warm)|Sweep(Cold|Warm)|Replay(Streamed|Materialized|StreamedLadder))$' -benchmem -count "$COUNT" . | tee "$OUT.txt.tmp"
+go test -run '^$' -bench 'Benchmark(Access(Single|Stream|StreamAssoc|StreamLRU|Sharded)|(Span|Serial)Shard|(Fold|Decode)Ladder|Ref(Access|Stream)Write|RefStream|Explore(Cold|Warm)|Sweep(Cold|Warm)|Replay(Streamed|Materialized|StreamedLadder))$' -benchmem -count "$COUNT" . | tee "$OUT.txt.tmp"
 mv "$OUT.txt.tmp" "$OUT.txt"
 
 # Preserve the previous recording as history: benchjson reads it from a

@@ -110,7 +110,6 @@ type historyEntry struct {
 	SpeedupRefWriteStream      map[string]float64            `json:"speedup_refwrite_stream_over_access,omitempty"`
 	KindChannelBPerAccess      map[string]float64            `json:"kind_channel_bytes_per_access,omitempty"`
 	SpeedupWarmOverCold        map[string]float64            `json:"speedup_warm_over_cold,omitempty"`
-	CacheLoadBlocksPerS        map[string]float64            `json:"cache_load_blocks_per_s,omitempty"`
 	SpeedupSweepWarmOverCold   map[string]float64            `json:"speedup_sweep_warm_over_cold,omitempty"`
 	ResultCacheHitCellsPerS    map[string]float64            `json:"result_cache_hit_cells_per_s,omitempty"`
 	SpeedupStreamedOverPhased  map[string]float64            `json:"speedup_streamed_over_phased,omitempty"`
@@ -194,10 +193,6 @@ type output struct {
 	// store runs than one that decodes the raw trace, both measured in
 	// this tree over the same one-pass space.
 	SpeedupWarmOverCold map[string]float64 `json:"speedup_warm_over_cold,omitempty"`
-	// CacheLoadBlocksPerS is the DBS1 artifact load throughput per
-	// workload (stream entries decoded per second, fastest sample of
-	// BenchmarkStreamLoad) — the warm path's raw read speed.
-	CacheLoadBlocksPerS map[string]float64 `json:"cache_load_blocks_per_s,omitempty"`
 	// SpeedupSweepWarmOverCold is, per workload,
 	// ns_per_access(SweepCold)/ns_per_access(SweepWarm): how much faster
 	// a comparison sweep served entirely from the result tier of the
@@ -268,7 +263,6 @@ func (o *output) summarize() historyEntry {
 		SpeedupRefWriteStream:      o.SpeedupRefWriteStream,
 		KindChannelBPerAccess:      o.KindChannelBPerAccess,
 		SpeedupWarmOverCold:        o.SpeedupWarmOverCold,
-		CacheLoadBlocksPerS:        o.CacheLoadBlocksPerS,
 		SpeedupSweepWarmOverCold:   o.SpeedupSweepWarmOverCold,
 		ResultCacheHitCellsPerS:    o.ResultCacheHitCellsPerS,
 		SpeedupStreamedOverPhased:  o.SpeedupStreamedOverPhased,
@@ -434,7 +428,6 @@ func main() {
 	out.SpeedupRefWriteStream = map[string]float64{}
 	out.KindChannelBPerAccess = map[string]float64{}
 	out.SpeedupWarmOverCold = map[string]float64{}
-	out.CacheLoadBlocksPerS = map[string]float64{}
 	out.SpeedupSweepWarmOverCold = map[string]float64{}
 	out.ResultCacheHitCellsPerS = map[string]float64{}
 	out.SpeedupStreamedOverPhased = map[string]float64{}
@@ -478,9 +471,6 @@ func main() {
 		}
 		if cell, ok := strings.CutPrefix(name, "BenchmarkRefStream/"); ok && s.NsPerAccessFastest > 0 {
 			out.RefStreamNsPerAccess[cell] = round2(s.NsPerAccessFastest)
-		}
-		if app, ok := strings.CutPrefix(name, "BenchmarkStreamLoad/"); ok && s.BlocksPerSFastest > 0 {
-			out.CacheLoadBlocksPerS[app] = round2(s.BlocksPerSFastest)
 		}
 		if app, ok := strings.CutPrefix(name, "BenchmarkSweepWarm/"); ok {
 			if s.NsPerAccessFastest > 0 {
