@@ -915,6 +915,7 @@ func BenchmarkSweepCold(b *testing.B) {
 			params := benchSweepParams(app)
 			nAccesses := benchRequests * len(params)
 			r := sweep.Runner{Workers: 1}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				cells, err := r.RunCells(context.Background(), params)

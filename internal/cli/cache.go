@@ -28,8 +28,7 @@ func Dew(ctx context.Context, env Env, args []string) error {
 //
 //	dew cache stats  — what is on disk: live result entries, dead files
 //	                   (quarantined entries, stream entries of earlier
-//	                   builds) and temp files, plus this process's
-//	                   hit/miss counters
+//	                   builds) and temp files
 //	dew cache gc     — remove dead and abandoned temp files, then evict
 //	                   least-recently-used entries down to -max-bytes
 //	                   (0 keeps every live entry), reporting files
@@ -68,12 +67,7 @@ func cacheCmd(ctx context.Context, env Env, args []string) error {
 		if err := tbl.Render(env.Stdout); err != nil {
 			return err
 		}
-		cs := st.Stats()
-		if _, err := fmt.Fprintf(env.Stdout, "\nthis process: result %d hits / %d misses\n",
-			cs.ResultHits, cs.ResultMisses); err != nil {
-			return err
-		}
-		_, err = fmt.Fprintf(env.Stdout, "cache %s: %d entries, %d bytes\n", st.Dir(), ds.Entries, ds.Bytes)
+		_, err = fmt.Fprintf(env.Stdout, "\ncache %s: %d entries, %d bytes\n", st.Dir(), ds.Entries, ds.Bytes)
 		return err
 	case "gc":
 		removed, reclaimed, err := st.GC(*maxBytes)

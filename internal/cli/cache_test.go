@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -307,6 +308,10 @@ func TestDewCacheSubcommand(t *testing.T) {
 	if !regexp.MustCompile(`dead \(gc reclaims\) *\| *1 *\| *10 `).MatchString(out) {
 		t.Errorf("stats output does not count the old stream entry as dead:\n%s", out)
 	}
+	// stats does no lookups, so it prints no per-process counters.
+	if strings.Contains(out, "this process") || strings.Contains(out, "hits") {
+		t.Errorf("stats output reports per-process lookup counters:\n%s", out)
+	}
 	out, _, err = run(t, Dew, "cache", "gc", "-cache", dir)
 	if err != nil {
 		t.Fatal(err)
@@ -366,5 +371,58 @@ func TestCacheEnvFallback(t *testing.T) {
 	}
 	if !strings.Contains(out, dir) {
 		t.Errorf("stats did not resolve DEW_CACHE:\n%s", out)
+	}
+}
+
+// TestExploreWarmFoldsOnlyLiveRungs: a warm explore whose only live
+// pass is the sampled re-check folds the block-size ladder only up to
+// that pass's rung — result-cached passes take their rung's compression
+// from their pass records — so it reports fewer folds than a cold run,
+// and its CSV is byte-identical to the cold run's. (The trace and space
+// are picked so that the sampled pass is not at the coarsest block
+// size, where the warm run would have to fold every rung too.)
+func TestExploreWarmFoldsOnlyLiveRungs(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-app", "CJPEG", "-n", "6000",
+		"-maxlog-sets", "4", "-maxlog-block", "4", "-maxlog-assoc", "1", "-quiet"}
+	folds := regexp.MustCompile(`1 trace decode \+ (\d+) folds`)
+	countFolds := func(out string) int {
+		t.Helper()
+		m := folds.FindStringSubmatch(out)
+		if m == nil {
+			t.Fatalf("no fold count in output:\n%s", out)
+		}
+		n, err := strconv.Atoi(m[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	out, _, err := run(t, Explore, args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := countFolds(out)
+	cached := append([]string{"-cache", dir}, args...)
+	coldCSV, _, err := run(t, Explore, append(cached, "-csv")...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warmCSV, _, err := run(t, Explore, append(cached, "-csv")...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if coldCSV != warmCSV {
+		t.Error("warm explore CSV differs from cold")
+	}
+	out, _, err = run(t, Explore, cached...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "passes: 0 simulated, 5 result-cached (1 live re-verified)") {
+		t.Fatalf("warm explore is not one sampled re-check over a warm cache:\n%s", out)
+	}
+	if warm := countFolds(out); warm >= cold {
+		t.Errorf("warm run folded %d rungs, cold %d: result-cached passes still fold their rungs", warm, cold)
 	}
 }

@@ -75,10 +75,11 @@
 // reads at every level, four records to a cache line. The MRE record
 // (tag plus saved wave pointer) lives in a side arena that only the
 // per-access walks (Access, and accessFast under LRU) read; they
-// allocate it on first use, so a FIFO pass that only streams never
-// holds it. Per-way state is the tag arena, the wave-pointer arena and,
-// for passes of 8 or more ways, a fingerprint arena of one hash byte
-// per way: every walk writes a way's fingerprint with its tag, and the
+// allocate it on first use, together with the wave-pointer arena, so a
+// FIFO pass that only streams never holds either. Per-way state is the
+// tag arena, the wave pointers and, for passes of 8 or more ways, a
+// fingerprint arena of one hash byte per way: every walk writes a way's
+// fingerprint with its tag, and the
 // columnar FIFO walk matches a node's fingerprints eight ways per
 // 64-bit word (a SWAR byte match, as in SwissTable-style hash tables'
 // control-byte groups) so that it reads only candidate tags. The
@@ -246,7 +247,7 @@ type level struct {
 
 	// Per-way state.
 	tags []uint64 // stored block addresses
-	wave []int8   // way position of the same tag in the child; -1 empty
+	wave []int8   // way position of the same tag in the child; -1 empty (nil until allocated)
 	// older and newer (LRU passes only) thread the node's exact recency
 	// order through its position-stable ways as a doubly-linked list:
 	// older[w]/newer[w] are way indices one step toward the LRU/MRU
@@ -266,9 +267,10 @@ type level struct {
 // Access or Simulate, then read Results and Counters.
 //
 // All per-way and per-node state lives in level-major arenas (nodes,
-// tags, wave, the fingerprints of Assoc >= 8 passes, the MRE side arena
-// once a per-access walk has run, and — for LRU passes — the
-// older/newer recency links); each level's slices are views into them.
+// tags, the fingerprints of Assoc >= 8 passes, the wave pointers and
+// MRE side arena once a per-access walk has run, and — for LRU passes —
+// the older/newer recency links); each level's slices are views into
+// them.
 // The instrumented path walks the per-level views, the fast path walks
 // the arenas directly with incrementally computed masks and offsets —
 // same memory, same results.
@@ -280,26 +282,32 @@ type Simulator struct {
 	levels  []level
 
 	// Arenas backing every level's slices, concatenated in level order.
+	// The per-way arenas are cut to the pass's width; their capacity is
+	// the width the simulator was built for (see Rebind).
 	nodes []nodeState
 	tags  []uint64
-	wave  []int8
 	older []int8 // LRU passes only
 	newer []int8 // LRU passes only
 
-	// fps is the fingerprint arena of passes with Assoc >= 8 (nil
-	// otherwise): fps[i] is fingerprint(tags[i]), one byte per way,
-	// written at every tag write of every walk. The columnar FIFO walk
-	// matches a node's fingerprints eight ways per 64-bit word and reads
-	// the full tags only of the candidate ways (see matchFingerprint).
-	// Like the tags, bytes beyond a node's fill are stale and never read.
-	fps []uint8
+	// fps is the fingerprint view of passes with Assoc >= 8 (nil
+	// otherwise — the walks test fps != nil): fps[i] is
+	// fingerprint(tags[i]), one byte per way, written at every tag write
+	// of every walk. The columnar FIFO walk matches a node's
+	// fingerprints eight ways per 64-bit word and reads the full tags
+	// only of the candidate ways (see matchFingerprint). Like the tags,
+	// bytes beyond a node's fill are stale and never read. fpsArena backs
+	// it and outlives a rebind to fewer than 8 ways.
+	fps      []uint8
+	fpsArena []uint8
 
-	// mres is the MRE side arena, one record per node in node-arena
-	// order. It is allocated by the first Access or accessFast walk
-	// (mreArena), so a pass that only runs the columnar FIFO walk never
-	// allocates it. mreDirty reports whether any record may be set;
-	// while it is false the arena (if any) is all "no MRE", so Reset and
-	// settleWave skip it.
+	// wave (one wave pointer per way plus a scratch slot) and mres (the
+	// MRE side arena, one record per node in node-arena order) serve
+	// only the per-access walks. The first Access or accessFast walk
+	// allocates both (mreArena), so a pass that only runs the columnar
+	// FIFO walk never holds them. mreDirty reports whether any MRE
+	// record may be set; while it is false the arena (if any) is all
+	// "no MRE", so Reset and settleWave skip it.
+	wave     []int8
 	mres     []mreState
 	mreDirty bool
 
@@ -358,13 +366,8 @@ func New(opt Options) (*Simulator, error) {
 	totalWays := totalNodes * opt.Assoc
 	s.nodes = make([]nodeState, totalNodes)
 	s.tags = make([]uint64, totalWays)
-	// One extra scratch entry at the end of the wave arena: the fast
-	// path's level-0 iteration "refreshes its parent's wave pointer"
-	// into it unconditionally, which removes a has-parent branch from
-	// every level of the walk. The slot is never read.
-	s.wave = make([]int8, totalWays+1)
 	if opt.Assoc >= 8 {
-		s.fps = make([]uint8, totalWays)
+		s.fpsArena = make([]uint8, totalWays)
 	}
 	s.missDM = make([]uint64, opt.Levels())
 	s.missA = make([]uint64, opt.Levels())
@@ -373,16 +376,37 @@ func New(opt Options) (*Simulator, error) {
 		s.older = make([]int8, totalWays)
 		s.newer = make([]int8, totalWays)
 	}
+	s.layout()
+	return s, nil
+}
+
+// layout cuts the per-way arenas to the pass's width and points every
+// level's slices into them. The arenas are capacity: a rebound pass may
+// use fewer ways per node than they hold (see Rebind).
+func (s *Simulator) layout() {
+	ways := len(s.nodes) * s.assoc
+	s.tags = s.tags[:ways]
+	if s.isLRU {
+		s.older, s.newer = s.older[:ways], s.newer[:ways]
+	}
+	s.fps = nil
+	if s.assoc >= 8 {
+		if cap(s.fpsArena) < ways {
+			s.fpsArena = make([]uint8, ways)
+		}
+		s.fps = s.fpsArena[:ways]
+	}
+	if s.wave != nil {
+		s.wave = s.wave[:ways+1]
+	}
 	nodeOff, wayOff := 0, 0
 	for i := range s.levels {
-		nodes := 1 << (opt.MinLogSets + i)
-		ways := nodes * opt.Assoc
+		nodes := 1 << (s.opt.MinLogSets + i)
+		ways := nodes * s.assoc
 		lv := &s.levels[i]
-		lv.mask = uint64(nodes - 1)
-		lv.nodeOff, lv.wayOff = nodeOff, wayOff
+		*lv = level{mask: uint64(nodes - 1), nodeOff: nodeOff, wayOff: wayOff}
 		lv.node = s.nodes[nodeOff : nodeOff+nodes : nodeOff+nodes]
 		lv.tags = s.tags[wayOff : wayOff+ways : wayOff+ways]
-		lv.wave = s.wave[wayOff : wayOff+ways : wayOff+ways]
 		if s.isLRU {
 			lv.older = s.older[wayOff : wayOff+ways : wayOff+ways]
 			lv.newer = s.newer[wayOff : wayOff+ways : wayOff+ways]
@@ -390,10 +414,15 @@ func New(opt Options) (*Simulator, error) {
 		if s.fps != nil {
 			lv.fps = s.fps[wayOff : wayOff+ways : wayOff+ways]
 		}
+		if s.wave != nil {
+			lv.wave = s.wave[wayOff : wayOff+ways : wayOff+ways]
+		}
+		if s.mres != nil {
+			lv.mre = s.mres[nodeOff : nodeOff+nodes : nodeOff+nodes]
+		}
 		nodeOff += nodes
 		wayOff += ways
 	}
-	return s, nil
 }
 
 // Reset returns the simulator to its freshly constructed state while
@@ -419,15 +448,25 @@ func (s *Simulator) Reset() {
 	s.waveStale = false
 }
 
-// mreArena allocates the MRE side arena on first use and marks it
+// mreArena allocates the per-access walks' side arenas on first use —
+// the MRE records and the wave pointers — and marks the MRE records
 // dirty: the caller is a per-access walk, which may record an eviction.
+// A new wave arena reads "unknown" (-1) everywhere, which is always
+// sound even when a columnar walk has already filled nodes; it gets one
+// extra scratch entry at the end: the fast path's level-0 iteration
+// "refreshes its parent's wave pointer" into it unconditionally, which
+// removes a has-parent branch from every level of the walk. The slot is
+// never read. The wave arena is sized to the tag arena's capacity, so a
+// rebound pass of any width that fits the tags fits it too.
 func (s *Simulator) mreArena() {
-	if s.mres == nil {
+	if s.wave == nil {
 		s.mres = make([]mreState, len(s.nodes))
-		for i := range s.levels {
-			lv := &s.levels[i]
-			lv.mre = s.mres[lv.nodeOff : lv.nodeOff+len(lv.node) : lv.nodeOff+len(lv.node)]
+		wave := make([]int8, cap(s.tags)+1)
+		for i := range wave {
+			wave[i] = -1
 		}
+		s.wave = wave[:len(s.tags)+1]
+		s.layout()
 	}
 	s.mreDirty = true
 }
@@ -462,18 +501,31 @@ func matchFingerprint(word uint64, f uint8) uint64 {
 	return (x - lo) &^ x & hi
 }
 
-// Rebind re-targets the simulator to another block size and resets it,
-// keeping every arena: their shape depends only on the set-count range,
-// the associativity and the policy, so a pass at a new block size on a
-// recycled simulator allocates nothing.
-func (s *Simulator) Rebind(blockSize int) error {
-	opt := s.opt
-	opt.BlockSize = blockSize
+// Rebind re-targets the simulator to opt and resets it, keeping every
+// arena. The arenas are capacity, not shape: opt must cover the same
+// set-count range under the same policy (the node arena and the LRU
+// links depend on both), and its ways must fit the tag arena, i.e. Assoc
+// may not exceed the associativity the simulator was built for. The
+// block size, a smaller associativity, the ablation switches and
+// Instrument are free, so a pass on a rebound simulator allocates
+// nothing. Stale ways beyond the new width, like every stale way, are
+// unreachable: each way read is gated on its node's fill count, which
+// the reset zeroes. A rejected opt leaves the simulator untouched.
+func (s *Simulator) Rebind(opt Options) error {
 	if err := opt.Validate(); err != nil {
 		return err
 	}
+	if opt.MinLogSets != s.opt.MinLogSets || opt.MaxLogSets != s.opt.MaxLogSets || opt.Policy != s.opt.Policy {
+		return fmt.Errorf("core: cannot rebind a %v pass over [2^%d, 2^%d] to a %v pass over [2^%d, 2^%d]",
+			s.opt.Policy, s.opt.MinLogSets, s.opt.MaxLogSets, opt.Policy, opt.MinLogSets, opt.MaxLogSets)
+	}
+	if ways := len(s.nodes) * opt.Assoc; ways > cap(s.tags) {
+		return fmt.Errorf("core: a %d-way pass needs %d ways, the arenas hold %d", opt.Assoc, ways, cap(s.tags))
+	}
 	s.opt = opt
-	s.offBits = uint(bits.TrailingZeros(uint(blockSize)))
+	s.offBits = uint(bits.TrailingZeros(uint(opt.BlockSize)))
+	s.assoc = opt.Assoc
+	s.layout()
 	s.Reset()
 	return nil
 }

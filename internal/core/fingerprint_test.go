@@ -107,7 +107,9 @@ func TestFingerprintCollisions(t *testing.T) {
 		for pass, blockSize := range []int{1, 2, 2} {
 			switch {
 			case pass == 1:
-				if err := sim.Rebind(blockSize); err != nil {
+				opt := sim.Options()
+				opt.BlockSize = blockSize
+				if err := sim.Rebind(opt); err != nil {
 					t.Fatal(err)
 				}
 			case pass > 1:

@@ -30,8 +30,8 @@ import "fmt"
 //
 // A wave-domain reset left pending by the columnar FIFO walk is applied
 // first, so 5 and 6 see the state the next reader sees. A simulator that
-// has only run the columnar walk has no MRE arena yet, so 5 holds
-// vacuously.
+// has only run the columnar walk has no MRE or wave arena yet, so 5 and
+// 6 (and 1's wave range) hold vacuously.
 func (s *Simulator) CheckInvariants() error {
 	s.settleWave()
 	for li := range s.levels {
@@ -47,8 +47,10 @@ func (s *Simulator) CheckInvariants() error {
 				return fmt.Errorf("core: level %d node %d: head %d out of range", li, node, h)
 			}
 			for w := 0; w < fill; w++ {
-				if v := lv.wave[base+w]; v < -1 || int(v) >= s.assoc {
-					return fmt.Errorf("core: level %d node %d way %d: wave %d out of range", li, node, w, v)
+				if lv.wave != nil {
+					if v := lv.wave[base+w]; v < -1 || int(v) >= s.assoc {
+						return fmt.Errorf("core: level %d node %d way %d: wave %d out of range", li, node, w, v)
+					}
 				}
 				for w2 := w + 1; w2 < fill; w2++ {
 					if lv.tags[base+w] == lv.tags[base+w2] {
@@ -147,7 +149,7 @@ func (s *Simulator) CheckInvariants() error {
 				}
 			}
 
-			if li+1 < len(s.levels) {
+			if li+1 < len(s.levels) && lv.wave != nil {
 				child := &s.levels[li+1]
 				for w := 0; w < fill; w++ {
 					v := lv.wave[base+w]

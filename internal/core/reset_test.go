@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"reflect"
 	"testing"
 
@@ -92,7 +93,10 @@ func TestResetDropsPendingWaveSettle(t *testing.T) {
 		{MinLogSets: 2, MaxLogSets: 7, Assoc: 2, BlockSize: 8},
 	} {
 		s := MustNew(opt)
-		if err := s.SimulateStream(mustStream(t, warmup, opt.BlockSize)); err != nil {
+		// One Access first: the wave arena is allocated by the first
+		// per-access walk, and the poisoning below needs it to exist.
+		s.Access(warmup[0])
+		if err := s.SimulateStream(mustStream(t, warmup[1:], opt.BlockSize)); err != nil {
 			t.Fatal(err)
 		}
 		if !s.waveStale {
@@ -143,32 +147,38 @@ func TestResetDropsPendingWaveSettle(t *testing.T) {
 	}
 }
 
-// TestRebindEquivalence: a simulator rebound from block size to block
-// size equals a fresh one at every step, whichever entry point — the
-// columnar AccessRuns walk or per-access Access — ran last, for FIFO
-// and LRU passes and forests (MinLogSets > 0). A rejected block size
-// leaves the simulator untouched.
+// TestRebindEquivalence: a simulator rebound from pass to pass — block
+// size, associativity up to the width it was built for, Instrument —
+// equals a fresh one at every step, whichever entry point (the columnar
+// AccessRuns walk or per-access Access) ran last, for FIFO and LRU
+// passes and forests (MinLogSets > 0). Before each rebind every way of
+// every arena is poisoned with a tag the next pass requests, so a read
+// the fill gate does not cover shows up as a wrong hit. A rejected
+// rebind — invalid block size, a wider pass, another set range or
+// policy — leaves the simulator untouched.
 func TestRebindEquivalence(t *testing.T) {
 	tr := workload.Take(workload.MPEG2Dec.Generator(8), 15_000)
-	blocks := []int{16, 4, 64, 8, 32}
-	for _, opt := range []Options{
-		{MaxLogSets: 6, Assoc: 4},
-		{MinLogSets: 2, MaxLogSets: 7, Assoc: 2},
-		{MinLogSets: 1, MaxLogSets: 6, Assoc: 8, Policy: cache.LRU},
+	steps := []struct{ block, assoc int }{{16, 8}, {4, 1}, {64, 4}, {8, 8}, {32, 2}, {4, 8}}
+	for _, base := range []Options{
+		{MaxLogSets: 6},
+		{MinLogSets: 2, MaxLogSets: 7},
+		{MinLogSets: 1, MaxLogSets: 6, Policy: cache.LRU},
 	} {
-		opt.BlockSize = blocks[0]
+		opt := base
+		opt.BlockSize, opt.Assoc = steps[0].block, steps[0].assoc
 		s := MustNew(opt)
-		for round, b := range blocks {
+		for round, st := range steps {
+			opt.BlockSize, opt.Assoc, opt.Instrument = st.block, st.assoc, round == 4
 			if round > 0 {
-				if err := s.Rebind(b); err != nil {
+				poisonArenas(s, uint64(tr[round].Addr)>>bits.TrailingZeros(uint(st.block)))
+				if err := s.Rebind(opt); err != nil {
 					t.Fatal(err)
 				}
 			}
-			opt.BlockSize = b
 			fresh := MustNew(opt)
 			for _, sim := range []*Simulator{s, fresh} {
 				if round%2 == 0 {
-					if err := sim.SimulateStream(mustStream(t, tr, b)); err != nil {
+					if err := sim.SimulateStream(mustStream(t, tr, st.block)); err != nil {
 						t.Fatal(err)
 					}
 				} else {
@@ -177,7 +187,7 @@ func TestRebindEquivalence(t *testing.T) {
 					}
 				}
 			}
-			label := fmt.Sprintf("%v min%d A%d B%d", opt.Policy, opt.MinLogSets, opt.Assoc, b)
+			label := fmt.Sprintf("%v min%d A%d B%d", opt.Policy, opt.MinLogSets, opt.Assoc, opt.BlockSize)
 			assertSameResults(t, label, fresh, s)
 			if fresh.Counters() != s.Counters() {
 				t.Errorf("%s: counters %+v, want %+v", label, s.Counters(), fresh.Counters())
@@ -187,11 +197,73 @@ func TestRebindEquivalence(t *testing.T) {
 			}
 		}
 		before := s.Results()
-		if err := s.Rebind(3); err == nil {
-			t.Fatal("Rebind accepted block size 3")
+		for _, mut := range []func(*Options){
+			func(o *Options) { o.BlockSize = 3 },
+			func(o *Options) { o.Assoc = 16 },
+			func(o *Options) { o.MaxLogSets++ },
+			func(o *Options) { o.MinLogSets++ },
+			func(o *Options) { o.Policy = cache.LRU + cache.FIFO - o.Policy },
+		} {
+			bad := opt
+			mut(&bad)
+			if err := s.Rebind(bad); err == nil {
+				t.Fatalf("Rebind accepted %+v on a simulator built as %+v", bad, base)
+			}
 		}
-		if !reflect.DeepEqual(s.Results(), before) {
+		if !reflect.DeepEqual(s.Results(), before) || s.Options() != opt {
 			t.Error("a rejected Rebind changed the simulator")
 		}
+	}
+}
+
+// poisonArenas overwrites every per-way entry of every arena, stale or
+// live, with what a pass looking for tag would find most misleading: the
+// tag itself, its fingerprint, wave pointer 0 and recency links into way
+// 0. Every read of these arenas must be gated on its node's fill count.
+func poisonArenas(s *Simulator, tag uint64) {
+	tags := s.tags[:cap(s.tags)]
+	for i := range tags {
+		tags[i] = tag
+	}
+	for i := range s.fpsArena {
+		s.fpsArena[i] = fingerprint(tag)
+	}
+	for _, links := range [][]int8{s.wave, s.older, s.newer} {
+		links = links[:cap(links)]
+		for i := range links {
+			links[i] = 0
+		}
+	}
+}
+
+// TestStreamPassAllocatesNoWalkArenas: a FIFO pass that only runs the
+// columnar walk never allocates the per-access walks' wave and MRE
+// arenas; the first Access does, with every wave pointer unknown, and
+// still matches a fresh simulator fed the same mix.
+func TestStreamPassAllocatesNoWalkArenas(t *testing.T) {
+	tr := workload.Take(workload.CJPEG.Generator(6), 12_000)
+	opt := Options{MaxLogSets: 8, Assoc: 16, BlockSize: 16}
+	s := MustNew(opt)
+	if err := s.SimulateStream(mustStream(t, tr[:8000], opt.BlockSize)); err != nil {
+		t.Fatal(err)
+	}
+	if s.wave != nil || s.mres != nil {
+		t.Fatalf("a pure stream pass allocated the wave (%d) or MRE (%d) arena", len(s.wave), len(s.mres))
+	}
+	fresh := MustNew(opt)
+	for _, a := range tr[:8000] {
+		fresh.Access(a)
+	}
+	for _, sim := range []*Simulator{s, fresh} {
+		for _, a := range tr[8000:] {
+			sim.Access(a)
+		}
+	}
+	if s.wave == nil || s.mres == nil {
+		t.Fatal("Access ran without the wave and MRE arenas")
+	}
+	assertSameResults(t, "stream then Access", fresh, s)
+	if err := s.CheckInvariants(); err != nil {
+		t.Error(err)
 	}
 }

@@ -26,12 +26,18 @@ func init() {
 
 // dewEngine adapts the DEW core: a monolithic core.Simulator for
 // stream replay and a core.Sharded for sharded replay, built lazily so
-// one engine only allocates the arenas it uses.
+// one engine only allocates the arenas it uses. The monolithic arenas
+// are sized for the spec the engine was built for, even when a narrower
+// spec was rebound before the first replay, so every spec Rebind
+// accepts fits them.
 type dewEngine struct {
-	spec    Spec
-	opt     core.Options
-	mono    *core.Simulator
-	sharded *core.Sharded
+	spec Spec
+	opt  core.Options
+	// maxAssoc is the associativity the engine was built for: the
+	// widest pass its arenas hold (see Rebind).
+	maxAssoc int
+	mono     *core.Simulator
+	sharded  *core.Sharded
 	// last points at the backend that ran most recently; Results and
 	// Accesses read it.
 	last interface {
@@ -50,7 +56,7 @@ func newDewEngine(spec Spec) (Engine, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	return &dewEngine{spec: spec, opt: opt}, nil
+	return &dewEngine{spec: spec, opt: opt, maxAssoc: spec.Assoc}, nil
 }
 
 // sameArenas reports whether a pass built for spec a can run spec b on
@@ -61,24 +67,40 @@ func sameArenas(a, b Spec) bool {
 	return a == b && b.BlockSize > 0 && b.BlockSize&(b.BlockSize-1) == 0
 }
 
-// Rebind implements Rebinder: the monolithic simulator keeps its
+// Rebind implements Rebinder: any kind-free spec over the engine's
+// set-count range and policy whose associativity is at most the one the
+// engine was built for — the monolithic simulator's arena capacity
+// (core.Simulator.Rebind) — is accepted, the simulator keeping its
 // arenas; a sharded backend, whose tree shapes depend on the block
 // size, is dropped and rebuilt on demand.
 func (e *dewEngine) Rebind(spec Spec) bool {
-	if !sameArenas(e.spec, spec) || e.mono != nil && e.mono.Rebind(spec.BlockSize) != nil {
+	opt := core.Options{
+		MinLogSets: spec.MinLogSets, MaxLogSets: spec.MaxLogSets,
+		Assoc: spec.Assoc, BlockSize: spec.BlockSize, Policy: spec.Policy,
+	}
+	if spec.WriteSim || opt.Validate() != nil ||
+		opt.MinLogSets != e.opt.MinLogSets || opt.MaxLogSets != e.opt.MaxLogSets ||
+		opt.Policy != e.opt.Policy || opt.Assoc > e.maxAssoc ||
+		e.mono != nil && e.mono.Rebind(opt) != nil {
 		return false
 	}
-	e.spec, e.opt.BlockSize = spec, spec.BlockSize
+	e.spec, e.opt = spec, opt
 	e.sharded, e.last = nil, nil
 	return true
 }
 
 func (e *dewEngine) SimulateStream(bs *trace.BlockStream) error {
 	if e.mono == nil {
-		var err error
-		if e.mono, err = core.New(e.opt); err != nil {
+		wide := e.opt
+		wide.Assoc = e.maxAssoc
+		mono, err := core.New(wide)
+		if err == nil && wide != e.opt {
+			err = mono.Rebind(e.opt)
+		}
+		if err != nil {
 			return err
 		}
+		e.mono = mono
 	}
 	e.last = e.mono
 	return e.mono.SimulateStream(bs)
@@ -151,7 +173,10 @@ func newTreeEngine(spec Spec) (Engine, error) {
 	return &treeEngine{spec: spec, opt: opt}, nil
 }
 
-// Rebind implements Rebinder exactly as dewEngine.Rebind does.
+// Rebind implements Rebinder: the monolithic simulator keeps its
+// arenas across block sizes (the only axis besides the worker count
+// that may change); a sharded backend, whose tree shapes depend on the
+// block size, is dropped and rebuilt on demand.
 func (e *treeEngine) Rebind(spec Spec) bool {
 	if !sameArenas(e.spec, spec) || e.mono != nil && e.mono.Rebind(spec.BlockSize) != nil {
 		return false
@@ -218,7 +243,11 @@ func (e *treeEngine) Accesses() uint64 {
 // fully-parameterized, maintain memory traffic, and need
 // kind-preserving streams.
 type refEngine struct {
-	cfg      cache.Config
+	cfg cache.Config
+	// capCfg is the configuration the engine was built for: the arenas
+	// its monolithic simulator allocates, whatever configuration it was
+	// rebound to first (see Rebind).
+	capCfg   cache.Config
 	policy   cache.Policy
 	workers  int
 	writeSim bool
@@ -239,7 +268,7 @@ func newRefEngine(spec Spec) (Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &refEngine{cfg: cfg, policy: spec.Policy, workers: spec.Workers, writeSim: spec.WriteSim}
+	e := &refEngine{cfg: cfg, capCfg: cfg, policy: spec.Policy, workers: spec.Workers, writeSim: spec.WriteSim}
 	if spec.WriteSim {
 		if spec.StoreBytes < 0 {
 			return nil, fmt.Errorf("engine: negative store width %d", spec.StoreBytes)
@@ -252,17 +281,48 @@ func newRefEngine(spec Spec) (Engine, error) {
 	return e, nil
 }
 
+// Rebind implements Rebinder: a one-configuration spec in the
+// engine's write-policy mode (and, in that mode, with its write, alloc
+// and store-width axes) is accepted when it fits the arenas of the
+// configuration the engine was built for — no more sets, no more ways
+// in all — and, once the monolithic simulator exists, the simulator
+// takes it (refsim.Simulator.Rebind; an LRU spec needs a simulator
+// that has LRU recency arenas). The sharded backend, whose sub-caches
+// are sized by the configuration, is dropped and rebuilt on demand.
+func (e *refEngine) Rebind(spec Spec) bool {
+	if spec.MinLogSets != spec.MaxLogSets || spec.WriteSim != e.writeSim ||
+		spec.WriteSim && (spec.Write != e.opts.Write || spec.Alloc != e.opts.Alloc || spec.StoreBytes != e.opts.StoreBytes) {
+		return false
+	}
+	cfg, err := cache.NewConfig(1<<spec.MinLogSets, spec.Assoc, spec.BlockSize)
+	if err != nil || cfg.Sets > e.capCfg.Sets || cfg.Sets*cfg.Assoc > e.capCfg.Sets*e.capCfg.Assoc ||
+		e.mono != nil && e.mono.Rebind(cfg, spec.Policy) != nil {
+		return false
+	}
+	e.cfg, e.policy, e.workers = cfg, spec.Policy, spec.Workers
+	e.opts.Config, e.opts.Replacement = cfg, spec.Policy
+	e.sharded, e.last = nil, 0
+	return true
+}
+
 func (e *refEngine) SimulateStream(bs *trace.BlockStream) error {
 	if e.mono == nil {
+		var mono *refsim.Simulator
 		var err error
 		if e.writeSim {
-			e.mono, err = refsim.NewSim(e.opts)
+			wide := e.opts
+			wide.Config = e.capCfg
+			mono, err = refsim.NewSim(wide)
 		} else {
-			e.mono, err = refsim.New(e.cfg, e.policy)
+			mono, err = refsim.New(e.capCfg, e.policy)
+		}
+		if err == nil && e.cfg != e.capCfg {
+			err = mono.Rebind(e.cfg, e.policy)
 		}
 		if err != nil {
 			return err
 		}
+		e.mono = mono
 	}
 	e.last = 1
 	_, err := e.mono.SimulateStream(bs)

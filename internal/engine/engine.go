@@ -47,6 +47,7 @@ import (
 	"time"
 
 	"dew/internal/cache"
+	"dew/internal/core"
 	"dew/internal/refsim"
 	"dew/internal/trace"
 )
@@ -177,11 +178,14 @@ func Parallel(e Engine) bool {
 	return ok && p.Parallel()
 }
 
-// Rebinder is the optional interface of engines whose arenas depend
-// only on the set-count range, associativity and policy. Rebind
-// re-targets a finished engine to spec's block size and resets it,
-// keeping its arenas; it reports false, leaving the engine untouched,
-// when any other axis of spec differs from the engine's own.
+// Rebinder is the optional interface of engines that can replay
+// another spec on the arenas they already hold. Arenas are capacity,
+// not shape: Rebind re-targets a finished engine to spec and resets it,
+// keeping its arenas, whenever spec fits them — the DEW engine takes
+// any block size and any narrower associativity over its set-count
+// range and policy, the reference engine any configuration whose ways
+// and sets fit, the LRU tree engine another block size — and reports
+// false, leaving the engine untouched, otherwise.
 type Rebinder interface {
 	Rebind(spec Spec) bool
 }
@@ -271,16 +275,23 @@ func Replay(ctx context.Context, e Engine, bs *trace.BlockStream, ss *trace.Shar
 // Run builds the named engine, replays the stream (or its shard
 // partition) through it once, and returns the engine for inspection.
 func Run(ctx context.Context, name string, spec Spec, bs *trace.BlockStream, ss *trace.ShardStream) (Engine, error) {
-	e, _, err := TimedRun(ctx, name, spec, bs, ss)
+	e, _, err := TimedRun(ctx, nil, name, spec, bs, ss)
 	return e, err
 }
 
-// TimedRun is Run with the replay's wall time measured: engine
-// construction is outside the timed region, the replay — including any
-// arenas the engine builds lazily on first use — inside it, so timed
-// comparisons across engines charge the per-pass setup identically.
-func TimedRun(ctx context.Context, name string, spec Spec, bs *trace.BlockStream, ss *trace.ShardStream) (Engine, time.Duration, error) {
-	e, err := New(name, spec)
+// TimedRun replays the stream (or its shard partition) once through e
+// rebound to spec — or through a fresh New(name, spec) when e is nil or
+// cannot take spec (see Reuse) — and returns the engine that ran with
+// the replay's wall time. Rebinding, resetting and construction are
+// outside the timed region, the replay — including any arenas the
+// engine builds lazily on first use — inside it, so timed comparisons
+// across engines charge the per-pass setup identically. Arenas are
+// capacity: a caller that hands every pass the engine the previous one
+// returned allocates only when a pass outgrows them. On a failed or
+// cancelled replay the engine is not returned, since its pass state is
+// undefined; the caller must drop e too.
+func TimedRun(ctx context.Context, e Engine, name string, spec Spec, bs *trace.BlockStream, ss *trace.ShardStream) (Engine, time.Duration, error) {
+	e, err := Reuse(e, name, spec)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -289,4 +300,17 @@ func TimedRun(ctx context.Context, name string, spec Spec, bs *trace.BlockStream
 		return nil, 0, err
 	}
 	return e, time.Since(start), nil
+}
+
+// Core returns the monolithic DEW simulator behind e when e is a dew
+// engine whose most recent replay was a stream replay, and nil
+// otherwise. It serves callers that need what the engine contract
+// leaves out — the per-access instrumented walk and its property
+// counters — on the arenas the engine already holds; after using it
+// they must treat e's Results as the simulator's.
+func Core(e Engine) *core.Simulator {
+	if d, ok := e.(*dewEngine); ok && d.mono != nil && d.last == d.mono {
+		return d.mono
+	}
+	return nil
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"dew/internal/cache"
@@ -65,10 +66,10 @@ func TestReuseMatchesFresh(t *testing.T) {
 }
 
 // TestReuseFallsBackToNew: Reuse builds a fresh engine when the offered
-// one cannot take the spec — another associativity, set range or
-// policy, write-policy simulation, an invalid block size, or an engine
-// without the Rebinder capability — and leaves the offered engine
-// untouched.
+// one cannot take the spec — a wider associativity, another set range
+// or policy, write-policy simulation, an invalid block size, or a
+// configuration beyond the reference engine's arenas — and leaves the
+// offered engine untouched.
 func TestReuseFallsBackToNew(t *testing.T) {
 	base := Spec{MaxLogSets: 5, Assoc: 2, BlockSize: 8}
 	dew, err := New("dew", base)
@@ -110,21 +111,160 @@ func TestReuseFallsBackToNew(t *testing.T) {
 	if tree.(Rebinder).Rebind(Spec{MaxLogSets: 5, Assoc: 2, BlockSize: 16}) {
 		t.Error("lrutree rebound to a FIFO spec")
 	}
-	ref, err := New("ref", Spec{MinLogSets: 3, MaxLogSets: 3, Assoc: 2, BlockSize: 8})
+	// The reference engine is a Rebinder whose arenas are capacity: once
+	// it has replayed, a configuration with as many or fewer ways and
+	// sets is rebound, a larger one, another write-policy mode or a
+	// policy needing arenas it lacks gets a fresh engine.
+	refSpec := Spec{MinLogSets: 3, MaxLogSets: 3, Assoc: 2, BlockSize: 8}
+	ref, err := New("ref", refSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := ref.(Rebinder); ok {
-		t.Error("ref claims the Rebinder capability")
-	}
-	got, err := Reuse(ref, "ref", Spec{MinLogSets: 3, MaxLogSets: 3, Assoc: 2, BlockSize: 16})
+	bs, err := engineTrace(2000).BlockStream(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got == ref {
-		t.Error("ref engine was reused")
+	if err := ref.SimulateStream(bs); err != nil {
+		t.Fatal(err)
+	}
+	for _, fits := range []Spec{
+		{MinLogSets: 3, MaxLogSets: 3, Assoc: 2, BlockSize: 16},
+		{MinLogSets: 2, MaxLogSets: 2, Assoc: 4, BlockSize: 64},
+		{MinLogSets: 0, MaxLogSets: 0, Assoc: 1, BlockSize: 4, Policy: cache.Random},
+	} {
+		got, err := Reuse(ref, "ref", fits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != ref {
+			t.Errorf("spec %+v: a fitting ref engine was rebuilt, not rebound", fits)
+		}
+	}
+	for _, mut := range []func(*Spec){
+		func(s *Spec) { s.MinLogSets, s.MaxLogSets = 4, 4 },
+		func(s *Spec) { s.Assoc = 4 },
+		func(s *Spec) { s.Policy = cache.LRU },
+		func(s *Spec) { s.WriteSim = true },
+	} {
+		spec := refSpec
+		mut(&spec)
+		got, err := Reuse(ref, "ref", spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got == ref {
+			t.Errorf("spec %+v: ref engine rebound beyond its arenas", spec)
+		}
+	}
+	if ref.(Rebinder).Rebind(Spec{MinLogSets: 1, MaxLogSets: 2, Assoc: 1, BlockSize: 8}) {
+		t.Error("ref rebound to a multi-configuration spec")
 	}
 	if got, err := Reuse(nil, "dew", base); err != nil || got == nil {
 		t.Errorf("Reuse(nil) = %v, %v; want a fresh engine", got, err)
+	}
+}
+
+// TestRecycledEnginesMatchFresh is the differential test of recycled
+// arenas: one dew engine and one ref engine (plus a write-back ref
+// engine over a kind-preserving stream, whose dirty bits must not
+// outlive a pass) are driven through a shuffled sequence of specs —
+// associativity 16, then 1, 4 and 8, set counts 2^0..2^maxLog for ref,
+// block sizes 4, 16 and 64 — each pass rebinding the engine the
+// previous pass left. Before every rebind the arenas are poisoned with
+// the tags the next pass requests: the engine first replays the next
+// pass's own stream under a poison spec of associativity 16/A (for
+// 4-way passes the next pass's own geometry, which leaves each tag
+// exactly where the next pass looks), with the same block size — so the
+// same block IDs — and, for ref, the same set count — so the same tags.
+// Every pass must equal a fresh engine on Results and on every RefStats
+// (and RefTraffic) field.
+func TestRecycledEnginesMatchFresh(t *testing.T) {
+	const maxLog = 9
+	tr := engineTrace(30000)
+	for i := range tr {
+		if i%3 == 1 {
+			tr[i].Kind = trace.DataWrite
+		}
+	}
+	rng := rand.New(rand.NewSource(24))
+	streams, kindStreams := map[int]*trace.BlockStream{}, map[int]*trace.BlockStream{}
+	for _, b := range []int{4, 16, 64} {
+		var err error
+		if streams[b], err = tr.BlockStream(b); err != nil {
+			t.Fatal(err)
+		}
+		if kindStreams[b], err = tr.BlockStreamWithKinds(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var dewSpecs, refSpecs []Spec
+	for _, a := range []int{16, 1, 4, 8} {
+		for _, b := range []int{4, 16, 64} {
+			dewSpecs = append(dewSpecs, Spec{MaxLogSets: maxLog, Assoc: a, BlockSize: b})
+			for log := 0; log <= maxLog; log += 3 {
+				refSpecs = append(refSpecs, Spec{MinLogSets: log, MaxLogSets: log, Assoc: a, BlockSize: b})
+			}
+		}
+	}
+	// Shuffle within each associativity group, keeping the 16→1→4→8
+	// order; the first pass of all is the widest, so every later pass
+	// fits the arenas it leaves.
+	for _, specs := range [][]Spec{dewSpecs, refSpecs} {
+		group := len(specs) / 4
+		for g := 0; g < 4; g++ {
+			part := specs[g*group : (g+1)*group]
+			rng.Shuffle(len(part), func(i, j int) { part[i], part[j] = part[j], part[i] })
+		}
+	}
+	refSpecs[0] = Spec{MinLogSets: maxLog, MaxLogSets: maxLog, Assoc: 16, BlockSize: 4}
+	writeSpecs := make([]Spec, len(refSpecs))
+	for i, spec := range refSpecs {
+		spec.WriteSim = true
+		writeSpecs[i] = spec
+	}
+
+	for _, fam := range []struct {
+		name, engine string
+		specs        []Spec
+		streams      map[int]*trace.BlockStream
+	}{
+		{"dew", "dew", dewSpecs, streams},
+		{"ref", "ref", refSpecs, streams},
+		{"ref write-back", "ref", writeSpecs, kindStreams},
+	} {
+		var e Engine
+		for step, spec := range fam.specs {
+			label := fmt.Sprintf("%s step %d sets 2^%d..2^%d A=%d B=%d", fam.name, step,
+				spec.MinLogSets, spec.MaxLogSets, spec.Assoc, spec.BlockSize)
+			bs := fam.streams[spec.BlockSize]
+			if e != nil {
+				poison := spec
+				poison.Assoc = 16 / spec.Assoc
+				if got, err := Reuse(e, fam.engine, poison); err != nil || got != e {
+					t.Fatalf("%s: the poison spec did not fit the recycled arenas (%v)", label, err)
+				}
+				if err := e.SimulateStream(bs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := Reuse(e, fam.engine, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e != nil && got != e {
+				t.Fatalf("%s: a fitting engine was rebuilt, not rebound", label)
+			}
+			e = got
+			want, err := New(fam.engine, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, x := range []Engine{got, want} {
+				if err := x.SimulateStream(bs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sameEngineState(t, label, got, want)
+		}
 	}
 }

@@ -165,8 +165,10 @@ type Result struct {
 	// fold-derived.
 	Decodes int
 	// Folds is the number of block sizes whose stream was derived by
-	// folding a finer rung instead of re-decoding the trace —
-	// len(StreamCompression) - Decodes.
+	// folding a finer rung instead of re-decoding the trace. A cold run
+	// folds every rung above the decoded one; a partially warm run of
+	// the materialized schedule folds only up to the coarsest rung a
+	// live pass replays, since result-tier hits need no stream.
 	Folds int
 	// StreamCompression maps each block size to the run-compression
 	// ratio (accesses per stream entry) of its stream — the work every
@@ -331,15 +333,12 @@ func Run(ctx context.Context, req Request) (*Result, error) {
 			}
 			mu.Lock()
 			rungs[n], built = next, n+1
-			res.StreamCompression[blocks[n]] = next.CompressionRatio()
 			release(n - 1)
 		}
 		return rungs[k]
 	}
 	rungs[0] = base
-	res.StreamCompression[blocks[0]] = base.CompressionRatio()
 	res.Decodes = 1
-	res.Folds = len(blocks) - 1
 	if req.Kinds {
 		// Folding preserves per-kind weights exactly, so any rung
 		// reports the same totals.
@@ -348,12 +347,14 @@ func Run(ctx context.Context, req Request) (*Result, error) {
 	}
 	includeAssoc1 := req.Space.MinLogAssoc == 0
 
-	// merge folds one pass's results into the shared tables, recycles
-	// its engine (nil for a result-tier hit) and releases its rung when
-	// it was the last pass over it.
+	// merge folds one pass's results into the shared tables — its rung's
+	// compression from the pass record, which a result-tier hit carries
+	// too — recycles its engine (nil for a result-tier hit) and releases
+	// its rung when it was the last pass over it.
 	merge := func(i int, eng engine.Engine, r engine.PassResult) error {
 		mu.Lock()
 		defer mu.Unlock()
+		res.compression(plan.Passes[i].Spec.BlockSize, r)
 		if err := res.add(includeAssoc1, r); err != nil {
 			return err
 		}
@@ -372,14 +373,14 @@ func Run(ctx context.Context, req Request) (*Result, error) {
 
 	if err := pool.Run(ctx, workers, len(rungOf), func(i int) error {
 		spec := plan.Passes[i].Spec
-		// Every pass, warm or not, takes its rung: the ladder folds each
-		// rung exactly once, so StreamCompression covers every block size.
-		bs := rung(rungOf[i])
 		if !plan.Live(i) {
-			// Served whole from the result tier: zero engine work.
+			// Served whole from the result tier: zero engine work and no
+			// rung, so the ladder folds only up to the coarsest rung a
+			// live pass replays.
 			r, _ := plan.Cached(i)
 			return merge(i, nil, r)
 		}
+		bs := rung(rungOf[i])
 		// The exploration's single engine-dispatch site: rebind a
 		// recycled engine (or build one) and replay the shared stream. An
 		// engine whose replay failed is dropped, never recycled.
@@ -405,6 +406,7 @@ func Run(ctx context.Context, req Request) (*Result, error) {
 	}); err != nil {
 		return nil, err
 	}
+	res.Folds = built - 1
 	if len(res.Stats) != req.Space.Count() {
 		return nil, fmt.Errorf("explore: covered %d of %d configurations", len(res.Stats), req.Space.Count())
 	}

@@ -87,9 +87,9 @@ func sameExploration(t *testing.T, label string, got, want *Result) {
 	if !reflect.DeepEqual(got.StreamCompression, want.StreamCompression) {
 		t.Fatalf("%s: StreamCompression %v, want %v", label, got.StreamCompression, want.StreamCompression)
 	}
-	if got.KindTotals != want.KindTotals || got.Folds != want.Folds || got.Passes != want.Passes {
-		t.Fatalf("%s: kinds %v folds %d passes %d, want %v %d %d", label,
-			got.KindTotals, got.Folds, got.Passes, want.KindTotals, want.Folds, want.Passes)
+	if got.KindTotals != want.KindTotals || got.Passes != want.Passes {
+		t.Fatalf("%s: kinds %v passes %d, want %v %d", label,
+			got.KindTotals, got.Passes, want.KindTotals, want.Passes)
 	}
 }
 
@@ -143,6 +143,12 @@ func TestRunRecycledEnginesBitIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				sameExploration(t, label, got, want)
+				// The ladder folds up to the coarsest rung a live pass
+				// replays: every rung cold and partially warm (the live
+				// passes are the coarse ones), at most every rung warm.
+				if got.Folds != want.Folds && (run.name != "warm" || got.Folds > want.Folds) {
+					t.Errorf("%s: Folds = %d, cold %d", label, got.Folds, want.Folds)
+				}
 				// Every run simulates something (the warm run its sampled
 				// check), so each decodes the trace once.
 				if got.Decodes != 1 {

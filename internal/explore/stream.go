@@ -36,6 +36,16 @@ func (res *Result) add(includeAssoc1 bool, r engine.PassResult) error {
 	return nil
 }
 
+// compression records the run compression of the rung a pass replayed
+// (or, for a result-tier hit, would have replayed), from the accesses
+// and runs its pass record carries; an empty stream reports 0.
+func (res *Result) compression(blockSize int, r engine.PassResult) {
+	res.StreamCompression[blockSize] = 0
+	if r.Runs > 0 {
+		res.StreamCompression[blockSize] = float64(r.Accesses) / float64(r.Runs)
+	}
+}
+
 // runStreamed is Run's span-pipeline schedule (Request.StreamMem, or
 // sharded passes): the plan (engine.Plan.Replay) decodes the raw trace
 // once into run-compressed spans at the finest rung (trace.StreamSpans
@@ -83,10 +93,7 @@ func runStreamed(ctx context.Context, req Request, plan *engine.Plan, workers, s
 	}
 	includeAssoc1 := req.Space.MinLogAssoc == 0
 	for i, r := range passes {
-		b := plan.Passes[i].Spec.BlockSize
-		if res.StreamCompression[b] = 0; r.Runs > 0 { // an empty stream reports 0
-			res.StreamCompression[b] = float64(r.Accesses) / float64(r.Runs)
-		}
+		res.compression(plan.Passes[i].Spec.BlockSize, r)
 		if err := res.add(includeAssoc1, r); err != nil {
 			return nil, err
 		}

@@ -122,16 +122,49 @@ func New(cfg cache.Config, policy cache.Policy) (*Simulator, error) {
 // random-replacement stream — reusing the allocated arenas so a
 // build-once-replay-many loop settles into zero steady-state
 // allocations (the seen-block bitmaps are cleared, keeping their slab).
+// Only per-set state and the dirty bits are cleared: every read of a
+// way's tag or recency slot is gated on its set's fill count, which
+// Reset zeroes, so stale tags and recency entries stay unreachable until
+// an install rewrites them. The dirty bits are cleared because an
+// install assumes a cold way is clean.
 func (s *Simulator) Reset() {
-	clear(s.tags)
 	clear(s.fill)
 	clear(s.head)
-	clear(s.order)
 	s.seen.Reset()
 	clear(s.dirty)
 	s.rnd = 0x9E3779B97F4A7C15
 	s.traffic = Traffic{}
 	s.stats = Stats{}
+}
+
+// Rebind re-targets the simulator to another configuration and
+// replacement policy and resets it, keeping its arenas: they are
+// capacity, so any configuration whose ways and sets fit them (and, for
+// LRU, whose ways fit the recency arena an LRU simulator owns) replays
+// on the same memory. A write-policy simulator keeps its write, alloc
+// and store-width settings. Rebind is for whole-trace simulators: it
+// resets the fill-traffic cost to cfg.BlockSize, which a sharded
+// sub-simulator overrides. It reports an error, leaving the simulator
+// untouched, when cfg is invalid or does not fit.
+func (s *Simulator) Rebind(cfg cache.Config, policy cache.Policy) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	n := cfg.Sets * cfg.Assoc
+	if cfg.Assoc > 127 || n > cap(s.tags) || cfg.Sets > cap(s.fill) ||
+		policy == cache.LRU && n > cap(s.order) || s.dirty != nil && n > cap(s.dirty) {
+		return fmt.Errorf("refsim: %v (%v) does not fit arenas of %d ways in %d sets", cfg, policy, cap(s.tags), cap(s.fill))
+	}
+	s.cfg, s.policy, s.fillBytes = cfg, policy, cfg.BlockSize
+	s.tags, s.fill, s.head = s.tags[:n], s.fill[:cfg.Sets], s.head[:cfg.Sets]
+	if policy == cache.LRU {
+		s.order = s.order[:n]
+	}
+	if s.dirty != nil {
+		s.dirty = s.dirty[:n]
+	}
+	s.Reset()
+	return nil
 }
 
 // Config returns the simulated configuration.

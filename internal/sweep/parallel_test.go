@@ -2,6 +2,8 @@ package sweep
 
 import (
 	"context"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"dew/internal/workload"
@@ -114,5 +116,64 @@ func TestRunCells(t *testing.T) {
 		}
 		single := runOne(t, Runner{Workers: 1}, p)
 		cellsEquivalent(t, p.String(), single, cells[i])
+	}
+}
+
+// untimed returns c with the scheduling-sensitive wall-time fields
+// zeroed and the workload reduced to its name (App holds a function
+// value, which reflect.DeepEqual never equates).
+func untimed(c Cell) Cell {
+	c.DEWTime, c.RefTime, c.ShardTime, c.RefShardTime = 0, 0, 0, 0
+	c.App = workload.App{Name: c.App.Name}
+	return c
+}
+
+// TestRunCellsMixedGeometryWorkers runs cells of mixed associativity
+// (including direct-mapped) and block size across two workers, whose
+// recycled engine kits therefore serve passes of every geometry in an
+// order the scheduler picks, and serially; every field except the wall
+// times must be identical, with and without sharded passes.
+func TestRunCellsMixedGeometryWorkers(t *testing.T) {
+	var params []Params
+	for i, assoc := range []int{16, 1, 4, 8, 2, 16, 4} {
+		params = append(params, Params{
+			App: []workload.App{workload.CJPEG, workload.MPEG2Dec}[i%2], Seed: 5, Requests: 6000,
+			BlockSize: []int{4, 16, 64}[i%3], Assoc: assoc, MaxLogSets: 6,
+		})
+	}
+	for _, shards := range []int{0, 2} {
+		serial, err := Runner{Workers: 1, Shards: shards}.RunCells(context.Background(), params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parallel, err := Runner{Workers: 2, Shards: shards}.RunCells(context.Background(), params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range params {
+			if a, b := untimed(serial[i]), untimed(parallel[i]); !reflect.DeepEqual(a, b) {
+				t.Errorf("shards %d, %v: workers 1 and 2 differ:\n%+v\n%+v", shards, params[i], a, b)
+			}
+		}
+	}
+}
+
+// TestRunCellsAllocationBound guards the recycled engine kits: a serial
+// batch of one application's nine Table 3 cells at MaxLogSets 14
+// allocates one 16-way DEW arena and one reference arena for all of its
+// passes (about 9 MiB in all, trace and streams included), where
+// building two DEW engines and 30 reference engines per cell allocated
+// about 95 MiB.
+func TestRunCellsAllocationBound(t *testing.T) {
+	const bound = 16 << 20
+	params := Table3Params([]workload.App{workload.G721Dec}, 1, 5000, 14)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := (Runner{Workers: 1}).RunCells(context.Background(), params); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+		t.Errorf("nine cells allocated %.1f MiB, bound %.0f MiB", float64(got)/(1<<20), float64(bound)/(1<<20))
 	}
 }

@@ -49,7 +49,12 @@
 //
 // Runner.Workers bounds a worker pool that RunCells spreads whole cells
 // across; each cell runs its DEW and reference passes serially, so the
-// machine is not oversubscribed. Result ordering is deterministic —
+// machine is not oversubscribed. Each running cell holds one kit of
+// recycled engines — a DEW engine and a reference engine, built for the
+// batch's widest pass — taken from a free list of at most Workers kits
+// and returned when the cell's passes all succeed (a failed or
+// cancelled cell drops its kit), so a worker allocates its arenas once
+// per batch, not once per pass. Result ordering is deterministic —
 // cells land in params order, configurations in configuration order,
 // never in completion order — and exactness verification is unaffected
 // because every pass replays the same shared stream. Only the wall-time
@@ -93,13 +98,17 @@
 // # Engine dispatch
 //
 // Every timed pass of a cell — DEW stream, DEW sharded, and both
-// reference replays — is built and replayed through the engine
-// registry's one dispatch seam (engine.TimedRun → engine.Replay); the
-// simulators differ only by registered name and spec, so a new engine
-// or policy variant needs one registration, not new sweep plumbing.
-// Only the untimed instrumented pass talks to the core directly: it
-// exists to collect the property counters the engine contract
-// deliberately leaves out.
+// reference replays — is replayed through the engine registry's one
+// dispatch seam (engine.TimedRun → engine.Replay); the simulators
+// differ only by registered name and spec, so a new engine or policy
+// variant needs one registration, not new sweep plumbing. TimedRun
+// rebinds the kit's engine to each pass's spec (engine.Rebinder: the
+// arenas are capacity, so any narrower pass fits them) and builds a
+// fresh one only when a pass outgrows it; rebinding and resetting stay
+// outside the timed region, as construction does. Only the untimed
+// instrumented pass talks to the core directly, on the timed pass's own
+// simulator (engine.Core), reset: it exists to collect the property
+// counters the engine contract deliberately leaves out.
 package sweep
 
 import (
@@ -371,12 +380,37 @@ func verifyRef(cell Cell, res engine.Result, st, first refsim.Stats) error {
 	return nil
 }
 
-// runCellStream simulates and verifies one cell over the shared inputs
-// RunCells built for it: the raw trace, its block stream at the cell's
-// block size, and — when the cell is sharded — that stream's partition
-// at the cell's resolved shard level (nil otherwise). Every pass runs
-// serially; cancelling ctx stops the cell between passes.
-func (r Runner) runCellStream(ctx context.Context, p Params, tr trace.Trace, bs *trace.BlockStream, ss *trace.ShardStream) (Cell, error) {
+// kit is one worker's recycled engines. The DEW engine serves a cell's
+// timed stream pass, its instrumented pass (on the same core simulator,
+// reset) and its sharded pass; the reference engine serves every
+// reference pass. Each pass rebinds the engine the previous pass left
+// (engine.TimedRun), so the arenas are allocated on the kit's first
+// pass and again only when a pass does not fit them (a cell over
+// another set-count range), instead of once per pass.
+type kit struct {
+	dew, ref engine.Engine
+}
+
+// newKit returns a kit whose engines are built for the widest pass of a
+// batch — 2^maxLog sets at assoc ways — so the arenas they allocate on
+// their first pass fit every later pass, whichever cell comes first. An
+// invalid widest spec leaves a slot empty; the first pass then builds
+// its own engine and reports the error.
+func newKit(maxLog, assoc int) *kit {
+	k := new(kit)
+	k.dew, _ = engine.New("dew", engine.Spec{MaxLogSets: maxLog, Assoc: assoc, BlockSize: 1, Policy: cache.FIFO})
+	k.ref, _ = engine.New("ref", engine.Spec{MinLogSets: maxLog, MaxLogSets: maxLog, Assoc: assoc, BlockSize: 1, Policy: cache.FIFO})
+	return k
+}
+
+// runCellStream simulates and verifies one cell on the worker's kit
+// over the shared inputs RunCells built for it: the raw trace, its block
+// stream at the cell's block size, and — when the cell is sharded — that
+// stream's partition at the cell's resolved shard level (nil otherwise).
+// Every pass runs serially; cancelling ctx stops the cell between
+// passes. On error the kit's engines are in an undefined state and the
+// caller must drop it.
+func (r Runner) runCellStream(ctx context.Context, k *kit, p Params, tr trace.Trace, bs *trace.BlockStream, ss *trace.ShardStream) (Cell, error) {
 	cell := Cell{Params: p, Requests: uint64(len(tr)), StreamRuns: uint64(bs.Len())}
 	if bs.BlockSize != p.BlockSize || bs.Accesses != uint64(len(tr)) {
 		return cell, fmt.Errorf("sweep: stream (block %d, %d accesses) does not match cell %v over %d requests",
@@ -391,29 +425,29 @@ func (r Runner) runCellStream(ctx context.Context, p Params, tr trace.Trace, bs 
 
 	// Timed pass: the counter-free stream fast path over the shared
 	// materialized stream — what DEWTime reports.
-	fast, dur, err := engine.TimedRun(ctx, "dew", spec, bs, nil)
+	fast, dur, err := engine.TimedRun(ctx, k.dew, "dew", spec, bs, nil)
 	if err != nil {
 		return cell, err
 	}
+	k.dew = fast
 	cell.DEWTime = dur
 	cell.Results = fast.Results()
 
 	// Instrumented pass (untimed): supplies the Table 3/4 counters and
 	// doubles as the stream path's exactness check — it replays the raw
-	// per-access trace through the core's counted path, and the two
-	// paths must agree bit for bit on every configuration.
-	dew, err := core.New(core.Options{
-		MinLogSets: 0, MaxLogSets: p.MaxLogSets,
-		Assoc: p.Assoc, BlockSize: p.BlockSize,
-	})
-	if err != nil {
-		return cell, err
+	// per-access trace through the core's counted path on the timed
+	// pass's simulator, reset, and the two paths must agree bit for bit
+	// on every configuration.
+	dew := engine.Core(fast)
+	if dew == nil {
+		return cell, fmt.Errorf("sweep: engine %T exposes no DEW simulator", fast)
 	}
 	if err := ctx.Err(); err != nil {
 		return cell, err
 	}
-	if err := dew.Simulate(tr.NewSliceReader()); err != nil {
-		return cell, err
+	dew.Reset()
+	for _, a := range tr {
+		dew.Access(a)
 	}
 	cell.Counters = dew.Counters()
 	cell.UnoptimizedEvaluations = dew.UnoptimizedEvaluations()
@@ -430,10 +464,11 @@ func (r Runner) runCellStream(ctx context.Context, p Params, tr trace.Trace, bs 
 	// instrumented pass exactly like the stream pass above. The
 	// partition itself is untimed shared input, like the stream.
 	if ss != nil {
-		sharded, dur, err := engine.TimedRun(ctx, "dew", spec, bs, ss)
+		sharded, dur, err := engine.TimedRun(ctx, k.dew, "dew", spec, bs, ss)
 		if err != nil {
 			return cell, err
 		}
+		k.dew = sharded
 		cell.Shards = ss.NumShards()
 		cell.ShardRuns = uint64(ss.Runs())
 		cell.ShardTime = dur
@@ -457,10 +492,11 @@ func (r Runner) runCellStream(ctx context.Context, p Params, tr trace.Trace, bs 
 			MinLogSets: logSets, MaxLogSets: logSets,
 			Assoc: res.Config.Assoc, BlockSize: res.Config.BlockSize, Policy: cache.FIFO,
 		}
-		eng, dur, err := engine.TimedRun(ctx, "ref", refSpec, bs, nil)
+		eng, dur, err := engine.TimedRun(ctx, k.ref, "ref", refSpec, bs, nil)
 		if err != nil {
 			return cell, err
 		}
+		k.ref = eng
 		st, err := refStats(eng)
 		if err != nil {
 			return cell, err
@@ -474,10 +510,11 @@ func (r Runner) runCellStream(ctx context.Context, p Params, tr trace.Trace, bs 
 			return cell, err
 		}
 		if ss != nil {
-			shardEng, shardDur, err := engine.TimedRun(ctx, "ref", refSpec, bs, ss)
+			shardEng, shardDur, err := engine.TimedRun(ctx, k.ref, "ref", refSpec, bs, ss)
 			if err != nil {
 				return cell, err
 			}
+			k.ref = shardEng
 			shardSt, err := refStats(shardEng)
 			if err != nil {
 				return cell, err
@@ -707,9 +744,24 @@ func (r Runner) RunCells(ctx context.Context, params []Params) ([]Cell, error) {
 			cells[i] = *warm[i]
 		}
 	}
-	err := pool.Run(ctx, r.workers(), len(simIdx), func(k int) error {
-		i := simIdx[k]
-		cell, err := r.runCellStream(ctx, params[i], cellTrace[i], cellStream[i], cellShards[i])
+	// The kits' free list: at most Workers cells run at once, so it
+	// never holds more than Workers kits. A cell takes one (or starts a
+	// new one, sized for the batch's widest pass) and returns it only
+	// when every pass succeeded.
+	wideLog, wideAssoc := 0, 1
+	for _, i := range simIdx {
+		wideLog, wideAssoc = max(wideLog, params[i].MaxLogSets), max(wideAssoc, params[i].Assoc)
+	}
+	kits := make(chan *kit, r.workers())
+	err := pool.Run(ctx, r.workers(), len(simIdx), func(n int) error {
+		i := simIdx[n]
+		var k *kit
+		select {
+		case k = <-kits:
+		default:
+			k = newKit(wideLog, wideAssoc)
+		}
+		cell, err := r.runCellStream(ctx, k, params[i], cellTrace[i], cellStream[i], cellShards[i])
 		// Release this cell's references: a shared trace or stream
 		// becomes collectable as soon as its last consuming cell
 		// finishes. (Materialization is still up-front, so the batch's
@@ -719,6 +771,7 @@ func (r Runner) RunCells(ctx context.Context, params []Params) ([]Cell, error) {
 		if err != nil {
 			return err
 		}
+		kits <- k
 		cell.ResultCacheKey = cellKeys[i]
 		if warm[i] != nil {
 			// The sampled warm check: the live re-simulation must agree
