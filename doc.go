@@ -51,9 +51,11 @@
 // mirrors the same instrumented/stream split for the LRU tree.
 //
 // Independent passes parallelize above the core: sweep.Runner.Workers
-// spreads whole cells (every seed's, under -seeds) across a worker pool
-// with deterministic result ordering, each cell running its passes
-// serially, and package explore does the same for design-space DEW
+// spreads stream groups — the cells that replay one trace (one seed's,
+// under -seeds) at one block size and share its direct-mapped
+// reference passes — across a worker pool with deterministic result
+// ordering, each group running its cells' passes serially, and
+// package explore does the same for design-space DEW
 // passes — exactness verification is unaffected because every pass
 // replays the same materialized read-only stream; only wall times are
 // scheduling-sensitive (use one worker for timing-faithful Table 3

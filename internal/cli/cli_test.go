@@ -404,6 +404,34 @@ func TestExperimentsTable4(t *testing.T) {
 	}
 }
 
+// TestExperimentsTable4ReusesTable3 runs Table 4 beside Table 3: its
+// cells are a subset of Table 3's, so the run is one sweep, and its
+// CSV block must equal that of Table 4 run alone.
+func TestExperimentsTable4ReusesTable3(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sweep-backed experiment test skipped in -short mode")
+	}
+	both, errBoth, err := run(t, Experiments, "-table", "3,4", "-requests", "5000", "-maxlog", "6", "-csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone, _, err := run(t, Experiments, "-table", "4", "-requests", "5000", "-maxlog", "6", "-csv", "-quiet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const header = "application,assoc pair,"
+	i := strings.Index(both, header)
+	if i < 0 || !strings.HasPrefix(alone, header) {
+		t.Fatalf("Table 4 CSV header missing:\n%s\n%s", both, alone)
+	}
+	if block := both[i:]; block != alone {
+		t.Errorf("Table 4 block of -table 3,4 differs from -table 4 alone:\n%s\n%s", block, alone)
+	}
+	if n := strings.Count(errBoth, "sweep of "); n != 1 {
+		t.Errorf("-table 3,4 ran %d sweeps, want 1:\n%s", n, errBoth)
+	}
+}
+
 func TestExperimentsSharded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep-backed experiment test skipped in -short mode")

@@ -100,7 +100,9 @@ func Experiments(ctx context.Context, env Env, args []string) error {
 		}
 	}
 
-	// Table 3 and both figures share one sweep.
+	// Table 3 and both figures share one sweep, and Table 4's cells are
+	// a subset of it: when it runs, Table 4 takes its rows from it
+	// instead of simulating them again.
 	var t3 []sweep.Cell
 	if ec.tables[3] || ec.figures[5] || ec.figures[6] {
 		cells, err := expSweep(ctx, ec, sweep.Table3Params(workload.Apps(), ec.seed, ec.requests, ec.maxLog))
@@ -115,9 +117,12 @@ func Experiments(ctx context.Context, env Env, args []string) error {
 		}
 	}
 	if ec.tables[4] {
-		cells, err := expSweep(ctx, ec, sweep.Table4Params(workload.Apps(), ec.seed, ec.requests, ec.maxLog))
-		if err != nil {
-			return err
+		params := sweep.Table4Params(workload.Apps(), ec.seed, ec.requests, ec.maxLog)
+		cells, ok := subsetCells(t3, params)
+		if !ok {
+			if cells, err = expSweep(ctx, ec, params); err != nil {
+				return err
+			}
 		}
 		if err := expTable4(ec, cells); err != nil {
 			return err
@@ -216,6 +221,32 @@ func expSweep(ctx context.Context, ec expConfig, params []sweep.Params) ([]sweep
 		}
 	}
 	return cells, nil
+}
+
+// subsetCells returns the cells whose params are want, in want's order,
+// or false when cells lacks one of them.
+func subsetCells(cells []sweep.Cell, want []sweep.Params) ([]sweep.Cell, bool) {
+	type key struct {
+		app                  string
+		seed, requests       uint64
+		block, assoc, maxLog int
+	}
+	keyOf := func(p sweep.Params) key {
+		return key{p.App.Name, p.Seed, p.Requests, p.BlockSize, p.Assoc, p.MaxLogSets}
+	}
+	index := make(map[key]sweep.Cell, len(cells))
+	for _, c := range cells {
+		index[keyOf(c.Params)] = c
+	}
+	out := make([]sweep.Cell, len(want))
+	for i, p := range want {
+		c, ok := index[keyOf(p)]
+		if !ok {
+			return nil, false
+		}
+		out[i] = c
+	}
+	return out, true
 }
 
 func expTable1(ec expConfig) error {

@@ -448,6 +448,20 @@ func (s *Simulator) Reset() {
 	s.waveStale = false
 }
 
+// Prefault writes the stream pass's arenas once over their whole
+// capacity — node records, tags, fingerprints and recency links — and
+// resets the simulator, so the pages behind freshly allocated arenas
+// are mapped now rather than inside the first pass that touches them.
+// Stale ways are unreachable (see Reset), so zeroing them is safe
+// between passes.
+func (s *Simulator) Prefault() {
+	clear(s.tags[:cap(s.tags)])
+	clear(s.fpsArena[:cap(s.fpsArena)])
+	clear(s.older[:cap(s.older)])
+	clear(s.newer[:cap(s.newer)])
+	s.Reset()
+}
+
 // mreArena allocates the per-access walks' side arenas on first use —
 // the MRE records and the wave pointers — and marks the MRE records
 // dirty: the caller is a per-access walk, which may record an eviction.

@@ -89,18 +89,42 @@ func (e *dewEngine) Rebind(spec Spec) bool {
 	return true
 }
 
+// monolithic builds the monolithic simulator on first use, with arenas
+// for the engine's widest pass, bound to its current spec.
+func (e *dewEngine) monolithic() error {
+	if e.mono != nil {
+		return nil
+	}
+	wide := e.opt
+	wide.Assoc = e.maxAssoc
+	mono, err := core.New(wide)
+	if err == nil && wide != e.opt {
+		err = mono.Rebind(e.opt)
+	}
+	if err != nil {
+		return err
+	}
+	e.mono = mono
+	return nil
+}
+
+// Prepare implements Preparer: it builds the monolithic simulator and
+// writes its arenas once. An engine that has replayed already keeps its
+// state.
+func (e *dewEngine) Prepare() error {
+	if e.mono != nil {
+		return nil
+	}
+	err := e.monolithic()
+	if err == nil {
+		e.mono.Prefault()
+	}
+	return err
+}
+
 func (e *dewEngine) SimulateStream(bs *trace.BlockStream) error {
-	if e.mono == nil {
-		wide := e.opt
-		wide.Assoc = e.maxAssoc
-		mono, err := core.New(wide)
-		if err == nil && wide != e.opt {
-			err = mono.Rebind(e.opt)
-		}
-		if err != nil {
-			return err
-		}
-		e.mono = mono
+	if err := e.monolithic(); err != nil {
+		return err
 	}
 	e.last = e.mono
 	return e.mono.SimulateStream(bs)
@@ -305,24 +329,49 @@ func (e *refEngine) Rebind(spec Spec) bool {
 	return true
 }
 
+// monolithic builds the monolithic simulator on first use, with arenas
+// for the configuration the engine was built for, bound to its current
+// one.
+func (e *refEngine) monolithic() error {
+	if e.mono != nil {
+		return nil
+	}
+	var mono *refsim.Simulator
+	var err error
+	if e.writeSim {
+		wide := e.opts
+		wide.Config = e.capCfg
+		mono, err = refsim.NewSim(wide)
+	} else {
+		mono, err = refsim.New(e.capCfg, e.policy)
+	}
+	if err == nil && e.cfg != e.capCfg {
+		err = mono.Rebind(e.cfg, e.policy)
+	}
+	if err != nil {
+		return err
+	}
+	e.mono = mono
+	return nil
+}
+
+// Prepare implements Preparer: it builds the monolithic simulator and
+// writes its arenas once. An engine that has replayed already keeps its
+// state.
+func (e *refEngine) Prepare() error {
+	if e.mono != nil {
+		return nil
+	}
+	err := e.monolithic()
+	if err == nil {
+		e.mono.Prefault()
+	}
+	return err
+}
+
 func (e *refEngine) SimulateStream(bs *trace.BlockStream) error {
-	if e.mono == nil {
-		var mono *refsim.Simulator
-		var err error
-		if e.writeSim {
-			wide := e.opts
-			wide.Config = e.capCfg
-			mono, err = refsim.NewSim(wide)
-		} else {
-			mono, err = refsim.New(e.capCfg, e.policy)
-		}
-		if err == nil && e.cfg != e.capCfg {
-			err = mono.Rebind(e.cfg, e.policy)
-		}
-		if err != nil {
-			return err
-		}
-		e.mono = mono
+	if err := e.monolithic(); err != nil {
+		return err
 	}
 	e.last = 1
 	_, err := e.mono.SimulateStream(bs)

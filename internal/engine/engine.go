@@ -190,6 +190,25 @@ type Rebinder interface {
 	Rebind(spec Spec) bool
 }
 
+// Preparer is the optional interface of engines that build their
+// stream-replay arenas lazily, on their first replay: Prepare builds
+// them ahead of it, for the widest pass the engine was built for, and
+// writes them once so their pages are mapped.
+type Preparer interface {
+	Prepare() error
+}
+
+// Prepare builds e's stream-replay arenas ahead of its first replay
+// when e is a Preparer, so the first timed pass (TimedRun) measures
+// simulation, not allocation and page faults; for other engines it
+// does nothing.
+func Prepare(e Engine) error {
+	if p, ok := e.(Preparer); ok {
+		return p.Prepare()
+	}
+	return nil
+}
+
 // Reuse returns e rebound to spec when e is a Rebinder that accepts
 // spec, and a fresh New(name, spec) otherwise (e == nil included). The
 // caller must only offer an engine whose last replay succeeded: a
@@ -283,11 +302,13 @@ func Run(ctx context.Context, name string, spec Spec, bs *trace.BlockStream, ss 
 // rebound to spec — or through a fresh New(name, spec) when e is nil or
 // cannot take spec (see Reuse) — and returns the engine that ran with
 // the replay's wall time. Rebinding, resetting and construction are
-// outside the timed region, the replay — including any arenas the
-// engine builds lazily on first use — inside it, so timed comparisons
-// across engines charge the per-pass setup identically. Arenas are
-// capacity: a caller that hands every pass the engine the previous one
-// returned allocates only when a pass outgrows them. On a failed or
+// outside the timed region and the replay inside it. An engine builds
+// its arenas lazily, on its first replay, and that replay pays for
+// them; a caller that wants every timed pass to measure simulation
+// alone hands TimedRun an engine built ahead with Prepare, as the
+// sweep's engine kits do. Arenas are capacity: a caller that hands
+// every pass the engine the previous one returned allocates only when
+// a pass outgrows them. On a failed or
 // cancelled replay the engine is not returned, since its pass state is
 // undefined; the caller must drop e too.
 func TimedRun(ctx context.Context, e Engine, name string, spec Spec, bs *trace.BlockStream, ss *trace.ShardStream) (Engine, time.Duration, error) {

@@ -137,6 +137,20 @@ func (s *Simulator) Reset() {
 	s.stats = Stats{}
 }
 
+// Prefault writes every arena once over its whole capacity and resets
+// the simulator, so the pages behind freshly allocated arenas are
+// mapped now rather than inside the first pass that touches them.
+// Stale ways are unreachable (see Reset), so zeroing them is safe
+// between passes.
+func (s *Simulator) Prefault() {
+	clear(s.tags[:cap(s.tags)])
+	clear(s.fill[:cap(s.fill)])
+	clear(s.head[:cap(s.head)])
+	clear(s.order[:cap(s.order)])
+	clear(s.dirty[:cap(s.dirty)])
+	s.Reset()
+}
+
 // Rebind re-targets the simulator to another configuration and
 // replacement policy and resets it, keeping its arenas: they are
 // capacity, so any configuration whose ways and sets fit them (and, for

@@ -8,6 +8,16 @@
 // paper's exactness verification). Runner.RunCells is the one way a
 // cell runs; RunSeeds replicates a batch across trace seeds through it.
 //
+// Dinero IV runs once per configuration, and so does the baseline: the
+// cells of one trace and block size (Table 3's 1&4, 1&8 and 1&16) share
+// their direct-mapped configurations, so each direct-mapped reference
+// pass runs and is timed once per (trace, block size, set count), and
+// its statistics and wall time are charged to every cell that pairs
+// with it. Every cell still checks each of its configurations against
+// reference statistics, so a shared pass is checked against the
+// direct-mapped results of every DEW pass that covers it, and a cell's
+// RefTime is still the sum of one pass time per configuration.
+//
 // # Stream materialization and sharing
 //
 // RunCells materializes each distinct workload trace exactly once, and
@@ -47,24 +57,28 @@
 //
 // # Parallelism
 //
-// Runner.Workers bounds a worker pool that RunCells spreads whole cells
-// across; each cell runs its DEW and reference passes serially, so the
-// machine is not oversubscribed. Each running cell holds one kit of
-// recycled engines — a DEW engine and a reference engine, built for the
-// batch's widest pass — taken from a free list of at most Workers kits
-// and returned when the cell's passes all succeed (a failed or
-// cancelled cell drops its kit), so a worker allocates its arenas once
-// per batch, not once per pass. Result ordering is deterministic —
-// cells land in params order, configurations in configuration order,
-// never in completion order — and exactness verification is unaffected
-// because every pass replays the same shared stream. Only the wall-time
-// fields are scheduling-sensitive: each reference pass is timed
-// individually, so RefTime remains the *summed* single-pass cost the
-// paper reports, but under Workers > 1 concurrent cells contend for
-// memory bandwidth and the sum can drift upward. Benchmarking runs that
-// feed Table 3 should therefore use Workers = 1 — the experiments CLI's
-// -workers flag defaults to exactly that — while correctness-focused
-// runs can use all cores (-workers 0).
+// Runner.Workers bounds a worker pool that RunCells spreads stream
+// groups across — the cells that replay one block stream, one trace at
+// one block size — and each group runs its cells, and each cell its DEW
+// and reference passes, serially, so the machine is not oversubscribed.
+// Running a group's cells in params order on one worker fixes which
+// cell runs and times each shared reference pass, whatever Workers is.
+// Each running group holds one kit of recycled engines — a DEW engine
+// and a reference engine, built with their arenas for the batch's
+// widest pass before any timed pass — taken from a free list of at most
+// Workers kits and returned when the group's passes all succeed (a
+// failed or cancelled group drops its kit), so a worker allocates its
+// arenas once per batch, not once per pass. Result ordering is
+// deterministic — cells land in params order, configurations in
+// configuration order, never in completion order — and exactness
+// verification is unaffected because every pass replays the same shared
+// stream. Only the wall-time fields are scheduling-sensitive: each
+// reference pass is timed individually, so RefTime remains the *summed*
+// single-pass cost the paper reports, but under Workers > 1 concurrent
+// groups contend for memory bandwidth and the sum can drift upward.
+// Benchmarking runs that feed Table 3 should therefore use Workers = 1
+// — the experiments CLI's -workers flag defaults to exactly that —
+// while correctness-focused runs can use all cores (-workers 0).
 //
 // # Sharded passes
 //
@@ -91,7 +105,9 @@
 // exact monolithic replay), and every sharded reference replay is
 // cross-checked bit-for-bit against the monolithic reference pass.
 // Cell.RefShardTime records the summed sharded reference wall time
-// next to RefTime. Shards may be ShardsAuto, which sizes each cell's
+// next to RefTime; like the monolithic passes, a sharded replay runs
+// once per stream group and partition and is charged to every cell
+// that pairs with it. Shards may be ShardsAuto, which sizes each cell's
 // fan-out from its own stream statistics (AutoShardsStream) instead of
 // a fixed count.
 //
@@ -183,8 +199,9 @@ type Cell struct {
 	WarmVerified   bool
 
 	// DEWTime is the wall time of the single DEW pass; RefTime is the
-	// summed wall time of the per-configuration reference passes. Both
-	// replay the shared materialized stream.
+	// summed wall time of the per-configuration reference passes, a pass
+	// that the cells of one stream group share counted in each of them.
+	// Both replay the shared materialized stream.
 	DEWTime, RefTime time.Duration
 
 	// Shards is the number of trees the sharded DEW pass fanned out
@@ -321,6 +338,11 @@ type Runner struct {
 	// this to measure cache-hit throughput without one cell's
 	// simulation cost.
 	NoWarmCheck bool
+
+	// onRefPass, when non-nil, is called for every reference replay a
+	// cell runs live rather than reusing from its stream group; tests
+	// count passes through it. Calls may be concurrent.
+	onRefPass func(cfg cache.Config, sharded bool)
 }
 
 // shardLog resolves the runner's shard level for a cell via the shared
@@ -384,33 +406,98 @@ func verifyRef(cell Cell, res engine.Result, st, first refsim.Stats) error {
 // timed stream pass, its instrumented pass (on the same core simulator,
 // reset) and its sharded pass; the reference engine serves every
 // reference pass. Each pass rebinds the engine the previous pass left
-// (engine.TimedRun), so the arenas are allocated on the kit's first
-// pass and again only when a pass does not fit them (a cell over
-// another set-count range), instead of once per pass.
+// (engine.TimedRun), so the arenas are allocated when the kit is built
+// and again only when a pass does not fit them (a cell over another
+// set-count range), instead of once per pass.
 type kit struct {
 	dew, ref engine.Engine
 }
 
 // newKit returns a kit whose engines are built for the widest pass of a
-// batch — 2^maxLog sets at assoc ways — so the arenas they allocate on
-// their first pass fit every later pass, whichever cell comes first. An
-// invalid widest spec leaves a slot empty; the first pass then builds
-// its own engine and reports the error.
+// batch — 2^maxLog sets at assoc ways — so their arenas fit every later
+// pass, whichever cell comes first. The arenas are built and written
+// here (engine.Prepare), outside every timed region, so the first cell
+// a kit serves is timed like the rest. An invalid widest spec leaves a
+// slot empty; the first pass then builds its own engine and reports the
+// error.
 func newKit(maxLog, assoc int) *kit {
-	k := new(kit)
-	k.dew, _ = engine.New("dew", engine.Spec{MaxLogSets: maxLog, Assoc: assoc, BlockSize: 1, Policy: cache.FIFO})
-	k.ref, _ = engine.New("ref", engine.Spec{MinLogSets: maxLog, MaxLogSets: maxLog, Assoc: assoc, BlockSize: 1, Policy: cache.FIFO})
-	return k
+	return &kit{
+		dew: prepared("dew", engine.Spec{MaxLogSets: maxLog, Assoc: assoc, BlockSize: 1, Policy: cache.FIFO}),
+		ref: prepared("ref", engine.Spec{MinLogSets: maxLog, MaxLogSets: maxLog, Assoc: assoc, BlockSize: 1, Policy: cache.FIFO}),
+	}
+}
+
+// prepared builds the named engine with its arenas (engine.Prepare), or
+// returns nil when spec is invalid.
+func prepared(name string, spec engine.Spec) engine.Engine {
+	e, err := engine.New(name, spec)
+	if err == nil {
+		err = engine.Prepare(e)
+	}
+	if err != nil {
+		return nil
+	}
+	return e
+}
+
+// refKey names one reference replay of a stream group's block stream:
+// the configuration, and the shard partition replayed (nil for the
+// monolithic pass).
+type refKey struct {
+	cfg cache.Config
+	ss  *trace.ShardStream
+}
+
+// refPass is one finished reference replay: its statistics, its wall
+// time, and whether a sharded replay really decomposed across
+// substreams.
+type refPass struct {
+	st       refsim.Stats
+	dur      time.Duration
+	parallel bool
+}
+
+// refRun returns the reference replay of cfg over bs, or over its
+// partition ss when ss is non-nil. The first cell of a stream group
+// that needs it runs and times it on the kit's reference engine and
+// records it in passes; later cells of the group reuse the record, as
+// Dinero IV would be run once per configuration.
+func (r Runner) refRun(ctx context.Context, k *kit, passes map[refKey]refPass, cfg cache.Config, bs *trace.BlockStream, ss *trace.ShardStream) (refPass, error) {
+	key := refKey{cfg, ss}
+	if p, ok := passes[key]; ok {
+		return p, nil
+	}
+	logSets := bits.Len(uint(cfg.Sets)) - 1
+	spec := engine.Spec{
+		MinLogSets: logSets, MaxLogSets: logSets,
+		Assoc: cfg.Assoc, BlockSize: cfg.BlockSize, Policy: cache.FIFO,
+	}
+	eng, dur, err := engine.TimedRun(ctx, k.ref, "ref", spec, bs, ss)
+	if err != nil {
+		return refPass{}, err
+	}
+	k.ref = eng
+	st, err := refStats(eng)
+	if err != nil {
+		return refPass{}, err
+	}
+	if r.onRefPass != nil {
+		r.onRefPass(cfg, ss != nil)
+	}
+	p := refPass{st: st, dur: dur, parallel: ss != nil && engine.Parallel(eng)}
+	passes[key] = p
+	return p, nil
 }
 
 // runCellStream simulates and verifies one cell on the worker's kit
 // over the shared inputs RunCells built for it: the raw trace, its block
 // stream at the cell's block size, and — when the cell is sharded — that
 // stream's partition at the cell's resolved shard level (nil otherwise).
-// Every pass runs serially; cancelling ctx stops the cell between
-// passes. On error the kit's engines are in an undefined state and the
-// caller must drop it.
-func (r Runner) runCellStream(ctx context.Context, k *kit, p Params, tr trace.Trace, bs *trace.BlockStream, ss *trace.ShardStream) (Cell, error) {
+// passes holds the reference replays earlier cells of the stream group
+// ran (see refRun). Every pass runs serially; cancelling ctx stops the
+// cell between passes. On error the kit's engines are in an undefined
+// state and the caller must drop it.
+func (r Runner) runCellStream(ctx context.Context, k *kit, passes map[refKey]refPass, p Params, tr trace.Trace, bs *trace.BlockStream, ss *trace.ShardStream) (Cell, error) {
 	cell := Cell{Params: p, Requests: uint64(len(tr)), StreamRuns: uint64(bs.Len())}
 	if bs.BlockSize != p.BlockSize || bs.Accesses != uint64(len(tr)) {
 		return cell, fmt.Errorf("sweep: stream (block %d, %d accesses) does not match cell %v over %d requests",
@@ -482,49 +569,36 @@ func (r Runner) runCellStream(ctx context.Context, k *kit, p Params, tr trace.Tr
 
 	// Reference baseline: one pass per configuration, Dinero-style, each
 	// replaying the shared read-only stream and verified as it finishes.
-	// With sharding on, each configuration additionally replays its
-	// set-substreams through the sharded reference pass, cross-checked
-	// bit-for-bit against the monolithic pass.
+	// A configuration another cell of the stream group has replayed
+	// already (Table 3's direct-mapped ones) reuses that pass and its
+	// wall time. With sharding on, each configuration additionally
+	// replays its set-substreams through the sharded reference pass,
+	// cross-checked bit-for-bit against the monolithic pass.
 	var first refsim.Stats
 	for i, res := range cell.Results {
-		logSets := bits.Len(uint(res.Config.Sets)) - 1
-		refSpec := engine.Spec{
-			MinLogSets: logSets, MaxLogSets: logSets,
-			Assoc: res.Config.Assoc, BlockSize: res.Config.BlockSize, Policy: cache.FIFO,
-		}
-		eng, dur, err := engine.TimedRun(ctx, k.ref, "ref", refSpec, bs, nil)
-		if err != nil {
-			return cell, err
-		}
-		k.ref = eng
-		st, err := refStats(eng)
+		mono, err := r.refRun(ctx, k, passes, res.Config, bs, nil)
 		if err != nil {
 			return cell, err
 		}
 		if i == 0 {
-			first = st
+			first = mono.st
 		}
-		cell.RefTime += dur
-		cell.RefComparisons += st.TagComparisons
-		if err := verifyRef(cell, res, st, first); err != nil {
+		cell.RefTime += mono.dur
+		cell.RefComparisons += mono.st.TagComparisons
+		if err := verifyRef(cell, res, mono.st, first); err != nil {
 			return cell, err
 		}
 		if ss != nil {
-			shardEng, shardDur, err := engine.TimedRun(ctx, k.ref, "ref", refSpec, bs, ss)
+			sharded, err := r.refRun(ctx, k, passes, res.Config, bs, ss)
 			if err != nil {
 				return cell, err
 			}
-			k.ref = shardEng
-			shardSt, err := refStats(shardEng)
-			if err != nil {
-				return cell, err
-			}
-			if shardSt != st {
+			if sharded.st != mono.st {
 				return cell, fmt.Errorf("sweep: sharded reference divergence at %v: sharded %+v, monolithic %+v",
-					res.Config, shardSt, st)
+					res.Config, sharded.st, mono.st)
 			}
-			cell.RefShardTime += shardDur
-			if engine.Parallel(shardEng) {
+			cell.RefShardTime += sharded.dur
+			if sharded.parallel {
 				cell.RefParallel++
 			}
 		}
@@ -547,19 +621,21 @@ func (r Runner) runCellStream(ctx context.Context, k *kit, p Params, tr trace.Tr
 // a block stream exactly once — at the finest block size any of its
 // cells needs — with every coarser (trace, block size) stream
 // fold-derived from that ladder and shared read-only by every cell that
-// needs it; each cell then runs its passes serially (the cells
-// themselves are the unit of parallelism). Traces are deduplicated by
-// (App.Name, Seed, Requests) — App.Name is the workload registry's
-// identity (see workload.Lookup), so two different generators must not
-// share a name within one batch. The first error — e.g. an exactness
-// violation, which falsifies everything else — stops further cells from
-// being dispatched; cells already in flight finish, and the first error
-// in params order is returned. Logf calls are serialized but may
-// interleave across cells.
+// needs it. The cells that replay one stream form a stream group, the
+// unit of parallelism: a group's cells run serially in params order on
+// one worker, and each reference configuration the group needs is
+// replayed once. Traces are deduplicated by (App.Name, Seed, Requests)
+// — App.Name is the workload registry's identity (see workload.Lookup),
+// so two different generators must not share a name within one batch.
+// The first error — e.g. an exactness violation, which falsifies
+// everything else — stops the failing group and further groups from
+// being dispatched; groups already in flight finish, and the error of
+// the earliest failing group (groups are ordered by their first cell)
+// is returned. Logf calls are serialized but may interleave across
+// groups.
 //
-// Cancelling ctx stops dispatching cells (the batch's cancellation
-// granularity is the cell; in-flight cells stop at their own pass
-// granularity) and returns ctx's error with the pool drained and no
+// Cancelling ctx stops dispatching groups and stops a running group at
+// its next pass, and returns ctx's error with the pool drained and no
 // goroutines left behind. A panic inside a cell surfaces as a
 // *pool.PanicError.
 func (r Runner) RunCells(ctx context.Context, params []Params) ([]Cell, error) {
@@ -744,24 +820,28 @@ func (r Runner) RunCells(ctx context.Context, params []Params) ([]Cell, error) {
 			cells[i] = *warm[i]
 		}
 	}
-	// The kits' free list: at most Workers cells run at once, so it
-	// never holds more than Workers kits. A cell takes one (or starts a
-	// new one, sized for the batch's widest pass) and returns it only
-	// when every pass succeeded.
-	wideLog, wideAssoc := 0, 1
+	// Stream groups: the simulating cells that replay one block stream —
+	// one trace at one block size — in params order. A group is the unit
+	// of dispatch: its cells run one after another on one kit, and each
+	// reference configuration is replayed once per group (refRun), so
+	// which cell runs and times a shared pass depends on params order
+	// alone, never on Workers.
+	groupOf := map[*trace.BlockStream]int{}
+	var groups [][]int
 	for _, i := range simIdx {
-		wideLog, wideAssoc = max(wideLog, params[i].MaxLogSets), max(wideAssoc, params[i].Assoc)
-	}
-	kits := make(chan *kit, r.workers())
-	err := pool.Run(ctx, r.workers(), len(simIdx), func(n int) error {
-		i := simIdx[n]
-		var k *kit
-		select {
-		case k = <-kits:
-		default:
-			k = newKit(wideLog, wideAssoc)
+		g, ok := groupOf[cellStream[i]]
+		if !ok {
+			g = len(groups)
+			groupOf[cellStream[i]] = g
+			groups = append(groups, nil)
 		}
-		cell, err := r.runCellStream(ctx, k, params[i], cellTrace[i], cellStream[i], cellShards[i])
+		groups[g] = append(groups[g], i)
+	}
+
+	// runCell runs cell i on k and files its outcome: a simulated cell
+	// is published, the sampled warm cell compared with its cached copy.
+	runCell := func(k *kit, passes map[refKey]refPass, i int) error {
+		cell, err := r.runCellStream(ctx, k, passes, params[i], cellTrace[i], cellStream[i], cellShards[i])
 		// Release this cell's references: a shared trace or stream
 		// becomes collectable as soon as its last consuming cell
 		// finishes. (Materialization is still up-front, so the batch's
@@ -771,7 +851,6 @@ func (r Runner) RunCells(ctx context.Context, params []Params) ([]Cell, error) {
 		if err != nil {
 			return err
 		}
-		kits <- k
 		cell.ResultCacheKey = cellKeys[i]
 		if warm[i] != nil {
 			// The sampled warm check: the live re-simulation must agree
@@ -793,6 +872,32 @@ func (r Runner) RunCells(ctx context.Context, params []Params) ([]Cell, error) {
 			r.publishCell(ctx, cellKeys[i], cell)
 		}
 		cells[i] = cell
+		return nil
+	}
+
+	// The kits' free list: at most Workers groups run at once, so it
+	// never holds more than Workers kits. A group takes one (or starts a
+	// new one, sized for the batch's widest pass) and returns it only
+	// when every pass of every cell succeeded.
+	wideLog, wideAssoc := 0, 1
+	for _, i := range simIdx {
+		wideLog, wideAssoc = max(wideLog, params[i].MaxLogSets), max(wideAssoc, params[i].Assoc)
+	}
+	kits := make(chan *kit, r.workers())
+	err := pool.Run(ctx, r.workers(), len(groups), func(g int) error {
+		var k *kit
+		select {
+		case k = <-kits:
+		default:
+			k = newKit(wideLog, wideAssoc)
+		}
+		passes := map[refKey]refPass{}
+		for _, i := range groups[g] {
+			if err := runCell(k, passes, i); err != nil {
+				return err
+			}
+		}
+		kits <- k
 		return nil
 	})
 	return cells, err
