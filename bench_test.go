@@ -166,12 +166,13 @@ func BenchmarkAccessStream(b *testing.B) {
 	}
 }
 
-// BenchmarkAccessStreamAssoc measures the columnar FIFO walk at each
-// associativity the paper sweeps up to 16 ways, on one workload and
-// otherwise the pass shape of BenchmarkAccessStream. The levels the MRA
-// check does not decide test membership with a different kernel per
-// associativity: an unrolled compare of conditional moves at 2 and 4
-// ways, the fingerprint match at 8 and 16. The simulator is Reset per
+// BenchmarkAccessStreamAssoc measures the columnar FIFO walk at every
+// associativity the simulator accepts, 1 to 64 ways, on one workload
+// and otherwise the pass shape of BenchmarkAccessStream. Each width
+// runs its own compiled copy of the walk kernel, and the levels the MRA
+// check does not decide test membership differently per width: an
+// unrolled compare of conditional moves at 1, 2 and 4 ways, the
+// fingerprint match at 8 and more. The simulator is Reset per
 // iteration, so allocs/op must read 0.
 func BenchmarkAccessStreamAssoc(b *testing.B) {
 	tr := benchTrace(b, workload.MPEG2Dec)
@@ -179,7 +180,7 @@ func BenchmarkAccessStreamAssoc(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, assoc := range []int{2, 4, 8, 16} {
+	for _, assoc := range []int{1, 2, 4, 8, 16, 32, 64} {
 		b.Run(fmt.Sprintf("A%d", assoc), func(b *testing.B) {
 			opt := benchAccessOpt
 			opt.Assoc = assoc

@@ -79,12 +79,20 @@
 // FIFO pass that only streams never holds either. Per-way state is the
 // tag arena, the wave pointers and, for passes of 8 or more ways, a
 // fingerprint arena of one hash byte per way: every walk writes a way's
-// fingerprint with its tag, and the
-// columnar FIFO walk matches a node's fingerprints eight ways per
-// 64-bit word (a SWAR byte match, as in SwissTable-style hash tables'
-// control-byte groups) so that it reads only candidate tags. The
-// instrumented path never reads the fingerprints, which keeps the
-// Table 4 comparison counters defined as the paper defines them.
+// fingerprint with its tag, and the columnar FIFO walk matches a node's
+// fingerprints eight ways per 64-bit word (a SWAR byte match, as in
+// SwissTable-style hash tables' control-byte groups) so that it reads
+// only candidate tags. The instrumented path never reads the
+// fingerprints, which keeps the Table 4 comparison counters defined as
+// the paper defines them.
+//
+// A node's ways are one contiguous row in each per-way arena, starting
+// at the node record's index times the associativity. The columnar FIFO
+// walk is one generic kernel compiled once per associativity (1 to 64
+// ways, each a separate copy), so it slices each row at a constant
+// length: its 1-, 2- and 4-way compares are unrolled, its fingerprint
+// word loop has a fixed trip count, and neither needs a bounds check
+// per way. The per-access walks read the associativity at run time.
 //
 // # Sharded parallel passes
 //
@@ -175,13 +183,17 @@ func (o Options) instrumented() bool {
 	return o.Instrument || o.DisableMRA || o.DisableWave || o.DisableMRE
 }
 
+// maxLogSets is the largest MaxLogSets a pass may have, so a pass has
+// at most maxLogSets+1 levels.
+const maxLogSets = 22
+
 // Validate reports whether the options describe a simulatable pass.
 func (o Options) Validate() error {
 	if o.MinLogSets < 0 || o.MaxLogSets < o.MinLogSets {
 		return fmt.Errorf("core: invalid set-count range [2^%d, 2^%d]", o.MinLogSets, o.MaxLogSets)
 	}
-	if o.MaxLogSets > 22 {
-		return fmt.Errorf("core: max log2 set count %d exceeds supported 22", o.MaxLogSets)
+	if o.MaxLogSets > maxLogSets {
+		return fmt.Errorf("core: max log2 set count %d exceeds supported %d", o.MaxLogSets, maxLogSets)
 	}
 	if o.Assoc < 1 || o.Assoc > 64 || o.Assoc&(o.Assoc-1) != 0 {
 		return fmt.Errorf("core: associativity must be a power of two in [1, 64], got %d", o.Assoc)
@@ -240,10 +252,10 @@ func (n *nodeState) mraValid() bool { return n.fill > 0 }
 // [i*assoc, (i+1)*assoc) of the per-way slices and record i of node.
 type level struct {
 	mask uint64 // 2^log - 1
-	// nodeOff and wayOff locate the level's node records and way entries
-	// in the arenas; the columnar FIFO walk indexes the arenas with them
-	// directly.
-	nodeOff, wayOff int
+	// nodeOff locates the level's first node record in the node arena;
+	// its ways start at nodeOff*assoc in the per-way arenas. The
+	// columnar FIFO walk indexes the arenas with it directly.
+	nodeOff int
 
 	// Per-way state.
 	tags []uint64 // stored block addresses
@@ -404,7 +416,7 @@ func (s *Simulator) layout() {
 		nodes := 1 << (s.opt.MinLogSets + i)
 		ways := nodes * s.assoc
 		lv := &s.levels[i]
-		*lv = level{mask: uint64(nodes - 1), nodeOff: nodeOff, wayOff: wayOff}
+		*lv = level{mask: uint64(nodes - 1), nodeOff: nodeOff}
 		lv.node = s.nodes[nodeOff : nodeOff+nodes : nodeOff+nodes]
 		lv.tags = s.tags[wayOff : wayOff+ways : wayOff+ways]
 		if s.isLRU {

@@ -44,9 +44,10 @@ func collidingIDs(c uint64, maxLog int, f uint8, n int) []uint64 {
 	return ids
 }
 
-// TestFingerprintCollisions drives the fingerprint match at 8, 16 and 64
-// ways through its hard cases on one node chain. Every ID shares the
-// node at every level; half the IDs also share one fingerprint byte f,
+// TestFingerprintCollisions drives the fingerprint match at 8, 16, 32
+// and 64 ways (each width runs its own compiled copy of the walk)
+// through its hard cases on one node chain. Every ID shares the node at
+// every level; half the IDs also share one fingerprint byte f,
 // so each lookup meets fingerprint hits on the wrong tag, and the other
 // half carry f^1, placed in the way right above an f way, so the
 // has-zero-byte borrow flags false candidates as well. The cold phase
@@ -69,7 +70,7 @@ func TestFingerprintCollisions(t *testing.T) {
 
 	const maxLog, c = 3, 5
 	f := fingerprint(c)
-	for _, assoc := range []int{8, 16, 64} {
+	for _, assoc := range []int{8, 16, 32, 64} {
 		same := collidingIDs(c, maxLog, f, assoc+assoc/2)
 		borrow := collidingIDs(c, maxLog, f^1, assoc)
 

@@ -16,14 +16,15 @@ func FuzzExactness(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(2), uint8(2), uint8(4))
 	f.Add([]byte{0, 0, 0, 0, 0, 0}, uint8(0), uint8(0), uint8(1))
 	f.Add([]byte{9, 9, 1, 1, 9, 9, 1, 1, 2, 2}, uint8(3), uint8(1), uint8(3))
-	f.Add(wideSeed(), uint8(4), uint8(0), uint8(1))
+	f.Add(wideSeed(23, 200), uint8(4), uint8(0), uint8(1))
+	f.Add(wideSeed(79, 600), uint8(6), uint8(0), uint8(1))
 	f.Fuzz(func(t *testing.T, raw []byte, logAssoc, logBlock, maxLog uint8) {
 		if len(raw) == 0 || len(raw) > 4096 {
 			return
 		}
 		opt := Options{
 			MaxLogSets: int(maxLog%5) + 1,
-			Assoc:      1 << (logAssoc % 5),
+			Assoc:      1 << (logAssoc % 7),
 			BlockSize:  1 << (logBlock % 4),
 		}
 		tr := make(trace.Trace, 0, len(raw)/2+1)
@@ -53,14 +54,15 @@ func FuzzExactness(f *testing.F) {
 	})
 }
 
-// wideSeed is a fuzz seed for 16-way passes: 200 accesses over 21
-// distinct blocks (each access's second byte is zero), so a 16-way set
-// fills both fingerprint words, then evicts, with hits in both the cold
-// and the warm phase.
-func wideSeed() []byte {
-	raw := make([]byte, 0, 400)
-	for i := 0; i < 200; i++ {
-		raw = append(raw, byte((i*i+i/3)%23), 0)
+// wideSeed is a fuzz seed for wide passes: n accesses to the blocks
+// (i*i+i/3) mod m (each access's second byte is zero). wideSeed(23, 200)
+// touches 21 distinct blocks, so a 16-way set fills both fingerprint
+// words, then evicts; wideSeed(79, 600) touches 70, enough to fill and
+// evict a 64-way set. Both hit in the cold and the warm phase.
+func wideSeed(m, n int) []byte {
+	raw := make([]byte, 0, 2*n)
+	for i := 0; i < n; i++ {
+		raw = append(raw, byte((i*i+i/3)%m), 0)
 	}
 	return raw
 }

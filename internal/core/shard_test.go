@@ -243,7 +243,8 @@ func FuzzShardedEquivalence(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0}, uint8(0), uint8(0), uint8(1), uint8(2), uint8(0), true)
 	f.Add([]byte{9, 9, 1, 1, 9, 9, 1, 1, 2, 2}, uint8(3), uint8(1), uint8(3), uint8(1), uint8(3), false)
 	f.Add([]byte{255, 0, 255, 1, 255, 2, 255, 3}, uint8(1), uint8(3), uint8(2), uint8(3), uint8(2), true)
-	f.Add(wideSeed(), uint8(4), uint8(0), uint8(1), uint8(0), uint8(1), false)
+	f.Add(wideSeed(23, 200), uint8(4), uint8(0), uint8(1), uint8(0), uint8(1), false)
+	f.Add(wideSeed(79, 600), uint8(6), uint8(0), uint8(1), uint8(0), uint8(1), false)
 	f.Fuzz(func(t *testing.T, raw []byte, logAssoc, logBlock, maxLog, minLog, shard uint8, lru bool) {
 		if len(raw) == 0 || len(raw) > 4096 {
 			return
@@ -251,7 +252,7 @@ func FuzzShardedEquivalence(f *testing.F) {
 		opt := Options{
 			MinLogSets: int(minLog % 4),
 			MaxLogSets: int(minLog%4) + int(maxLog%5),
-			Assoc:      1 << (logAssoc % 5),
+			Assoc:      1 << (logAssoc % 7),
 			BlockSize:  1 << (logBlock % 4),
 		}
 		if lru {

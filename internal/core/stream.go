@@ -113,8 +113,58 @@ func (s *Simulator) AccessRuns(ids []uint64, runs []uint32) {
 
 // runsFastFIFO is the columnar FIFO walk: the counter-free fast path
 // over the raw ids column, returning the total access weight consumed.
-// Results are bit-identical to the instrumented path — batch_test.go
-// and the stream equivalence tests enforce it.
+// The walk itself is runsFIFO, one kernel compiled once per
+// associativity Options.Validate accepts; runsFastFIFO only picks the
+// copy for the pass's width.
+func (s *Simulator) runsFastFIFO(ids []uint64, runs []uint32) uint64 {
+	switch s.assoc {
+	case 1:
+		return runsFIFO[[1]uint64](s, ids, runs)
+	case 2:
+		return runsFIFO[[2]uint64](s, ids, runs)
+	case 4:
+		return runsFIFO[[4]uint64](s, ids, runs)
+	case 8:
+		return runsFIFO[[8]uint64](s, ids, runs)
+	case 16:
+		return runsFIFO[[16]uint64](s, ids, runs)
+	case 32:
+		return runsFIFO[[32]uint64](s, ids, runs)
+	case 64:
+		return runsFIFO[[64]uint64](s, ids, runs)
+	}
+	panic(fmt.Sprintf("core: no FIFO walk for %d ways", s.assoc))
+}
+
+// wayRow is one node's row of tags at each associativity the simulator
+// accepts. runsFIFO never holds a value of it: the type only carries
+// the width, so that each array length gets its own compiled copy of
+// the kernel in which the width is a constant.
+type wayRow interface {
+	[1]uint64 | [2]uint64 | [4]uint64 | [8]uint64 | [16]uint64 | [32]uint64 | [64]uint64
+}
+
+// walkLevel is the columnar walk's view of one level: the node mask,
+// the offset of the level's first node record (a node's ways start at
+// its record's index times the width, so no way offset is needed) and
+// the level's pending associativity-A misses and MRA exits, added to
+// Simulator.missA and Simulator.exitHist when the walk returns.
+type walkLevel struct {
+	mask          uint64
+	nodeOff       int
+	misses, exits uint64
+}
+
+// runsFIFO is the columnar FIFO walk at A = len(R) ways. Results are
+// bit-identical to the instrumented path — batch_test.go, the stream
+// equivalence tests and, at every width, TestStreamWalkEveryWidth
+// enforce it.
+//
+// Go compiles one copy of this function per array length in wayRow, so
+// A is a constant in each copy: the width tests below fold away, each
+// node's row is sliced at constant length (so the unrolled compares and
+// the victim write need no bounds checks), and the fingerprint word
+// loop at 8+ ways has a fixed trip count.
 //
 // The walk sheds every piece of work-saving state the per-access walk
 // maintains, keeping only the state results are made of:
@@ -145,7 +195,7 @@ func (s *Simulator) AccessRuns(ids []uint64, runs []uint32) {
 // real traces, so a branch on it would mispredict on most visits: the
 // way/cursor/miss-count selections compile to conditional moves, and
 // the tag write is idempotent on a hit (it rewrites the hit way's own
-// tag). At 2 and 4 ways the membership test is branch-free too: an
+// tag). At 1, 2 and 4 ways the membership test is branch-free too: an
 // unrolled scan (at most one comparison can match) of conditional
 // moves.
 //
@@ -154,23 +204,26 @@ func (s *Simulator) AccessRuns(ids []uint64, runs []uint32) {
 // eight ways (matchFingerprint), masked to the fill on a cold node, and
 // only the candidate ways' full tags are compared. A miss with no
 // candidate — the common miss — reads no tag at all, and a hit reads
-// one tag instead of half the list on average.
+// one tag instead of half the list on average. The block's fingerprint
+// is computed once per walk and serves every level.
 //
 // LRU passes take the generic accessFast loop instead: every non-MRA
 // hit must reorder the node's recency links, update work this hot loop
 // has no slot for.
-func (s *Simulator) runsFastFIFO(ids []uint64, runs []uint32) uint64 {
-	assoc := s.assoc
+func runsFIFO[R wayRow](s *Simulator, ids []uint64, runs []uint32) uint64 {
+	const fpBytes = 8 // fingerprints per matchFingerprint word
+	var width R
+	A := len(width)
 	nodes := s.nodes
 	tags := s.tags
-	missA := s.missA
-	exitHist := s.exitHist
-	levels := s.levels
-	nLevels := len(levels)
+	fps := s.fps // nil below 8 ways
 
-	fps := s.fps      // nil below 8 ways
-	var misses uint64 // insertions performed; any of them moves a way
-	prev, ok := s.lastBlk, s.lastOK
+	var table [maxLogSets + 1]walkLevel
+	levels := table[:len(s.levels)]
+	for li := range levels {
+		levels[li] = walkLevel{mask: s.levels[li].mask, nodeOff: s.levels[li].nodeOff}
+	}
+	nLevels := len(levels)
 
 	// One tight pre-pass folds the whole weight column: the walk loop
 	// then iterates over ids alone, with no per-run weight load.
@@ -196,15 +249,22 @@ func (s *Simulator) runsFastFIFO(ids []uint64, runs []uint32) uint64 {
 		ids = clean
 	}
 
-	var pf uint64 // prefetch sink; forces the touch loads to issue
+	var fullWalks uint64 // walks that ran through every level
+	var pf uint64        // prefetch sink; forces the touch loads to issue
+
+	// An id equal to the one before it — in this call, or the last one
+	// the previous call simulated — is a level-0 MRA hit: skip it.
+	start := 0
+	if len(ids) > 0 && s.lastOK && ids[0] == s.lastBlk {
+		start = 1
+	}
 
 walk:
-	for idx := 0; idx < len(ids); idx++ {
+	for idx := start; idx < len(ids); idx++ {
 		blk := ids[idx]
-		if ok && blk == prev {
+		if idx > 0 && blk == ids[idx-1] {
 			continue
 		}
-		prev, ok = blk, true
 
 		// Touch the next id's mid-level node records while this walk
 		// runs: columnar materialization makes future block IDs visible,
@@ -213,59 +273,73 @@ walk:
 		// are permanently cache-resident and need no help.
 		if idx+1 < len(ids) && nLevels > 6 {
 			nb := ids[idx+1]
-			pf += nodes[levels[4].nodeOff+int(nb&levels[4].mask)].mra
-			pf += nodes[levels[5].nodeOff+int(nb&levels[5].mask)].mra
-			pf += nodes[levels[6].nodeOff+int(nb&levels[6].mask)].mra
+			pf += nodes[table[4].nodeOff+int(nb&table[4].mask)].mra
+			pf += nodes[table[5].nodeOff+int(nb&table[5].mask)].mra
+			pf += nodes[table[6].nodeOff+int(nb&table[6].mask)].mra
+		}
+
+		var f uint8
+		if A >= fpBytes {
+			f = fingerprint(blk)
 		}
 
 		for li := range levels {
 			lv := &levels[li]
-			node := int(blk & lv.mask)
-			nd := &nodes[lv.nodeOff+node]
+			ni := lv.nodeOff + int(blk&lv.mask)
+			nd := &nodes[ni]
 			fill := int(nd.fill)
 
 			// Direct-mapped check, doubling as Property 2: decided from
 			// the packed record alone (fill > 0 stands in for MRA
 			// validity; see nodeState.mraValid).
 			if nd.mra == blk && fill > 0 {
-				exitHist[li]++
+				lv.exits++
 				continue walk
 			}
 
-			base := lv.wayOff + node*assoc
-			if fill == assoc && assoc > 1 {
+			// The node's ways, at constant length. Masking an index
+			// with A-1 (or a word offset with A-8) never changes it
+			// below, but proves it in range, so the compiler drops the
+			// bounds checks.
+			base := ni * A
+			row := tags[base : base+A : base+A]
+			var fp []uint8
+			if A >= fpBytes {
+				fp = fps[base : base+A : base+A]
+			}
+			if fill == A {
 				// Warm node: find the hit way (a node never holds
 				// duplicate tags, so at most one way matches), then update
 				// without branching on the outcome.
 				hitWay := -1
-				var f uint8
-				if fps == nil {
-					// 2 or 4 ways: every comparison compiles to a
-					// conditional move.
-					if assoc == 4 {
-						if tags[base+3] == blk {
-							hitWay = 3
-						}
-						if tags[base+2] == blk {
-							hitWay = 2
-						}
-					}
-					if tags[base+1] == blk {
-						hitWay = 1
-					}
-					if tags[base] == blk {
-						hitWay = 0
-					}
-				} else {
-					f = fingerprint(blk)
+				if A >= fpBytes {
 				warm:
-					for k := 0; k < assoc; k += 8 {
-						for m := matchFingerprint(binary.LittleEndian.Uint64(fps[base+k:]), f); m != 0; m &= m - 1 {
-							if w := k + bits.TrailingZeros64(m)>>3; tags[base+w] == blk {
+					for k := 0; k < A; k += fpBytes {
+						for m := matchFingerprint(binary.LittleEndian.Uint64(fp[k&(A-fpBytes):][:fpBytes]), f); m != 0; m &= m - 1 {
+							if w := (k + bits.TrailingZeros64(m)>>3) & (A - 1); row[w] == blk {
 								hitWay = w
 								break warm
 							}
 						}
+					}
+				} else {
+					// 1, 2 or 4 ways: every comparison compiles to a
+					// conditional move.
+					if A == 4 {
+						if row[3] == blk {
+							hitWay = 3
+						}
+						if row[2] == blk {
+							hitWay = 2
+						}
+					}
+					if A >= 2 {
+						if row[1] == blk {
+							hitWay = 1
+						}
+					}
+					if row[0] == blk {
+						hitWay = 0
 					}
 				}
 				victim := int(nd.head)
@@ -277,31 +351,30 @@ walk:
 				if hitWay < 0 {
 					way = victim
 				}
-				misses += uint64(miss)
-				missA[li] += uint64(miss)
-				nd.head = int8((victim + miss) & (assoc - 1))
-				tags[base+way] = blk
-				if fps != nil {
-					fps[base+way] = f
+				way &= A - 1
+				lv.misses += uint64(miss)
+				nd.head = int8((victim + miss) & (A - 1))
+				row[way] = blk
+				if A >= fpBytes {
+					fp[way] = f
 				}
 				nd.mra = blk
 				continue
 			}
 
-			// Cold node, or a 1-way node: the same decisions Access makes
-			// minus the counters and the wave/MRE bookkeeping.
+			// Cold node (fill < A, so a miss inserts without a victim):
+			// the same decisions Access makes minus the counters and the
+			// wave/MRE bookkeeping.
 			hitWay := -1
-			var f uint8
-			if fps != nil {
-				f = fingerprint(blk)
+			if A >= fpBytes {
 			search:
-				for k := 0; k < fill; k += 8 {
+				for k := 0; k < fill; k += fpBytes {
 					// Ways at or beyond fill hold stale bytes; a shift of
 					// 64 or more leaves the mask all ones.
-					m := matchFingerprint(binary.LittleEndian.Uint64(fps[base+k:]), f) &
+					m := matchFingerprint(binary.LittleEndian.Uint64(fp[k&(A-fpBytes):][:fpBytes]), f) &
 						(1<<(uint(fill-k)*8) - 1)
 					for ; m != 0; m &= m - 1 {
-						if w := k + bits.TrailingZeros64(m)>>3; tags[base+w] == blk {
+						if w := (k + bits.TrailingZeros64(m)>>3) & (A - 1); row[w] == blk {
 							hitWay = w
 							break search
 						}
@@ -309,37 +382,39 @@ walk:
 				}
 			} else {
 				for w := 0; w < fill; w++ {
-					if tags[base+w] == blk {
+					if row[w&(A-1)] == blk {
 						hitWay = w
 						break
 					}
 				}
 			}
 			if hitWay < 0 {
-				misses++
-				missA[li]++
-				way := fill
-				if fill < assoc {
-					nd.fill++
-				} else {
-					way = int(nd.head)
-					nd.head = int8((way + 1) & (assoc - 1))
-				}
-				tags[base+way] = blk
-				if fps != nil {
-					fps[base+way] = f
+				lv.misses++
+				way := fill & (A - 1)
+				nd.fill++
+				row[way] = blk
+				if A >= fpBytes {
+					fp[way] = f
 				}
 			}
 			nd.mra = blk
 		}
-		exitHist[nLevels]++
+		fullWalks++
 	}
 
-	s.lastBlk, s.lastOK = prev, ok
-	s.pfSink = pf
-	if misses > 0 {
-		s.waveStale = true
+	// Any insertion moved a way, leaving the wave domain stale.
+	for li, lv := range levels {
+		s.missA[li] += lv.misses
+		s.exitHist[li] += lv.exits
+		if lv.misses > 0 {
+			s.waveStale = true
+		}
 	}
+	s.exitHist[nLevels] += fullWalks
+	if len(ids) > 0 {
+		s.lastBlk, s.lastOK = ids[len(ids)-1], true
+	}
+	s.pfSink = pf
 	return total
 }
 

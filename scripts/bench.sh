@@ -1,22 +1,24 @@
 #!/usr/bin/env bash
 # bench.sh — record the core perf trajectory.
 #
-# Runs the single-vs-batch-vs-stream access benchmarks, the FIFO stream
-# walk at associativities 2/4/8/16, the LRU-policy
-# stream benchmark, the set-sharded parallel pass at fan-outs 2/4/8,
-# the span pipeline's per-span shard split vs the serial
-# materialize-then-shard baseline, the
-# block-size fold ladder vs the decode-per-block-size baseline, and the
-# write-policy reference replay over the kind-preserving stream vs its
-# per-access baseline, the result-store warm-vs-cold exploration pair,
-# the result-tier warm-vs-cold sweep pair, the pipelined streaming replay vs the
-# phased materialize-then-replay baseline, the span-ladder driver's
+# Runs the per-access-vs-stream access benchmarks, the FIFO stream walk
+# at every associativity 1/2/4/8/16/32/64 (one compiled copy of the
+# walk kernel each), the LRU-policy stream benchmark, the set-sharded
+# parallel pass at fan-outs 2/4/8, the span pipeline's per-span shard
+# split vs the serial materialize-then-shard baseline, the block-size
+# fold ladder vs the decode-per-block-size baseline, the write-policy
+# reference replay over the kind-preserving stream vs its per-access
+# baseline, the result-store warm-vs-cold exploration pair, the
+# result-tier warm-vs-cold sweep pair, the pipelined streaming replay vs
+# the phased materialize-then-replay baseline, the span-ladder driver's
 # concurrent vs serial rung replay, and one sweep cell's reference side
 # (30 kind-free FIFO passes over a materialized stream), and writes:
 #   BENCH_core.txt   raw `go test -bench` output (benchstat input)
-#   BENCH_core.json  summary with means, batch-over-single,
-#                    stream-over-batch and sharded-over-stream speedup
-#                    curves, per-workload stream run-compression ratios,
+#   BENCH_core.json  summary with means, sharded-over-stream speedup
+#                    curves (the batch-over-single and stream-over-batch
+#                    speedups survive only in the history: the batch
+#                    entry points are gone), per-workload stream
+#                    run-compression ratios,
 #                    per-workload span-shard throughput (blocks/s,
 #                    decode→partition) and span-over-serial shard
 #                    speedups, the fold-over-decode speedup and per-rung
