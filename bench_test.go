@@ -400,15 +400,14 @@ func BenchmarkSerialShard(b *testing.B) {
 
 // BenchmarkAccessStreamLRU is BenchmarkAccessStream under the LRU
 // replacement policy: the same workloads, pass shape and shared
-// materialized stream, but every warm miss pays the LRU victim
-// selection instead of the FIFO cursor bump. It tracks the cost of the
-// policy generalization (the paper's Section 2.1 caveat) the same way
-// the FIFO benchmarks track the main path — and guarded the O(A)
-// victim-scan fix (per-node recency links replacing the min-stamp
-// scan).
+// materialized stream, replayed by the LRU simulation tree
+// (internal/lrutree), the pass every LRU spec runs on. It tracks the
+// LRU stream walk the same way the FIFO benchmarks track DEW's.
 func BenchmarkAccessStreamLRU(b *testing.B) {
-	opt := benchAccessOpt
-	opt.Policy = cache.LRU
+	opt := lrutree.Options{
+		MinLogSets: benchAccessOpt.MinLogSets, MaxLogSets: benchAccessOpt.MaxLogSets,
+		Assoc: benchAccessOpt.Assoc, BlockSize: benchAccessOpt.BlockSize,
+	}
 	for _, app := range benchAccessApps {
 		b.Run(app.Name, func(b *testing.B) {
 			tr := benchTrace(b, app)
@@ -416,7 +415,10 @@ func BenchmarkAccessStreamLRU(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			sim := core.MustNew(opt)
+			sim, err := lrutree.New(opt)
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -768,16 +770,6 @@ func BenchmarkLRUTreeVsDEW(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := sim.Simulate(tr.NewSliceReader()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	// The paper's Section 2.1 limitation: DEW can simulate LRU but is
-	// expected to be slower than the LRU-specialized tree simulator.
-	b.Run("DEW-LRU", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sim := core.MustNew(core.Options{MaxLogSets: benchMaxLog, Assoc: 4, BlockSize: 16, Policy: cache.LRU})
 			if err := sim.Simulate(tr.NewSliceReader()); err != nil {
 				b.Fatal(err)
 			}

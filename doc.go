@@ -223,7 +223,8 @@
 // Simulation itself runs behind the engine seam: package engine wraps
 // the three simulators (dew, lrutree, ref) in one interface —
 // SimulateStream / SimulateSharded / Reset / Results — resolved by
-// name from a registry. The sweep, explore and cli layers each drive
+// name from a registry. The DEW core simulates FIFO only; the "dew"
+// engine hands an LRU spec to lrutree, the one exact LRU walk. The sweep, explore and cli layers each drive
 // every pass through a single engine-dispatch site, so registering a
 // new simulator or policy variant makes it drivable everywhere with no
 // new plumbing. Engines stitch their sharded replays back into

@@ -177,6 +177,12 @@ func TestDewSimErrors(t *testing.T) {
 	if _, _, err := run(t, DewSim, "-bogus-flag"); err == nil || !IsUsage(err) {
 		t.Error("bad flag should be a usage error")
 	}
+	// The instrumented pass is DEW's FIFO walk; LRU runs on the engine.
+	for _, flag := range []string{"-counters", "-no-wave"} {
+		if _, _, err := run(t, DewSim, "-app", "CJPEG", flag, "-policy", "LRU"); err == nil || !IsUsage(err) {
+			t.Errorf("%s -policy LRU should be a usage error, got %v", flag, err)
+		}
+	}
 }
 
 func TestRefSimApp(t *testing.T) {

@@ -66,6 +66,9 @@ func DewSim(ctx context.Context, env Env, args []string) error {
 	if *shards > 1 && instrumented {
 		return usagef("-shards runs the counter-free parallel pass; drop -counters and the ablation switches")
 	}
+	if instrumented && pol != cache.FIFO {
+		return usagef("-counters and the ablation switches instrument DEW's FIFO pass, not %v", pol)
+	}
 	writeSim := *wp != "" || *allocStr != "" || *sbytes != 0
 	var writePol refsim.WritePolicy
 	var allocPol refsim.AllocPolicy
@@ -118,7 +121,7 @@ func DewSim(ctx context.Context, env Env, args []string) error {
 		// counter-free).
 		opt := core.Options{
 			MinLogSets: *minLog, MaxLogSets: *maxLog,
-			Assoc: *assoc, BlockSize: *block, Policy: pol,
+			Assoc: *assoc, BlockSize: *block,
 			DisableMRA: *noMRA, DisableWave: *noWave, DisableMRE: *noMRE,
 		}
 		if err := opt.Validate(); err != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"dew/internal/cache"
 	"dew/internal/trace"
 	"dew/internal/workload"
 )
@@ -30,8 +29,7 @@ func simulateBatches(t testing.TB, s *Simulator, tr trace.Trace, size int) {
 // TestAccessBatchEquivalence checks the counter-free fast path, fed the
 // trace in reader-sized batches, against the instrumented path —
 // including each single-property ablation of the instrumented path,
-// which must not change results — across both policies and several pass
-// shapes.
+// which must not change results — across several pass shapes.
 func TestAccessBatchEquivalence(t *testing.T) {
 	ablations := []struct {
 		name string
@@ -56,7 +54,7 @@ func TestAccessBatchEquivalence(t *testing.T) {
 			for _, ab := range ablations {
 				abOpt := opt
 				ab.mod(&abOpt)
-				label := fmt.Sprintf("%s/%s/min%d/A%d/B%d/%v", app.Name, ab.name, opt.MinLogSets, opt.Assoc, opt.BlockSize, opt.Policy)
+				label := fmt.Sprintf("%s/%s/min%d/A%d/B%d", app.Name, ab.name, opt.MinLogSets, opt.Assoc, opt.BlockSize)
 				assertSameResults(t, label, runInstrumented(t, abOpt, tr), fast)
 			}
 		}
@@ -124,17 +122,17 @@ func TestAccessBatchInterleaved(t *testing.T) {
 }
 
 // FuzzBatchEquivalence fuzzes batched replay against the instrumented
-// path: identical results for arbitrary folded address streams under
-// both policies, with the stream cut into two batches at a point the
+// path: identical results for arbitrary folded address streams at 1 to
+// 64 ways, with the stream cut into two batches at a point the
 // input chooses.
 func FuzzBatchEquivalence(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(2), uint8(2), uint8(4), false)
-	f.Add([]byte{0, 0, 0, 0, 0, 0}, uint8(0), uint8(0), uint8(1), true)
-	f.Add([]byte{9, 9, 1, 1, 9, 9, 1, 1, 2, 2}, uint8(3), uint8(1), uint8(3), false)
-	f.Add([]byte{255, 0, 255, 1, 255, 2, 255, 3}, uint8(1), uint8(3), uint8(2), true)
-	f.Add(wideSeed(23, 200), uint8(4), uint8(0), uint8(1), false)
-	f.Add(wideSeed(79, 600), uint8(6), uint8(0), uint8(1), false)
-	f.Fuzz(func(t *testing.T, raw []byte, logAssoc, logBlock, maxLog uint8, lru bool) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(2), uint8(2), uint8(4))
+	f.Add([]byte{0, 0, 0, 0, 0, 0}, uint8(0), uint8(0), uint8(1))
+	f.Add([]byte{9, 9, 1, 1, 9, 9, 1, 1, 2, 2}, uint8(3), uint8(1), uint8(3))
+	f.Add([]byte{255, 0, 255, 1, 255, 2, 255, 3}, uint8(1), uint8(3), uint8(2))
+	f.Add(wideSeed(23, 200), uint8(4), uint8(0), uint8(1))
+	f.Add(wideSeed(79, 600), uint8(6), uint8(0), uint8(1))
+	f.Fuzz(func(t *testing.T, raw []byte, logAssoc, logBlock, maxLog uint8) {
 		if len(raw) == 0 || len(raw) > 4096 {
 			return
 		}
@@ -142,9 +140,6 @@ func FuzzBatchEquivalence(f *testing.F) {
 			MaxLogSets: int(maxLog%5) + 1,
 			Assoc:      1 << (logAssoc % 7),
 			BlockSize:  1 << (logBlock % 4),
-		}
-		if lru {
-			opt.Policy = cache.LRU
 		}
 		tr := make(trace.Trace, 0, len(raw)/2+1)
 		for i := 0; i+1 < len(raw); i += 2 {

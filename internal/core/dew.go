@@ -1,7 +1,9 @@
 // Package core implements DEW ("Direct Explorer Wave"), the paper's
 // contribution: exact single-pass simulation of every power-of-two set
 // count for a fixed (associativity, block size) pair under the FIFO
-// replacement policy.
+// replacement policy. It simulates FIFO only: LRU passes run on the
+// Janapsatya-style simulation tree in internal/lrutree, to which the
+// engine registry's "dew" engine hands every LRU spec.
 //
 // # Simulation tree
 //
@@ -57,11 +59,10 @@
 // Simulate, which batches its reads but still calls Access per request)
 // is the instrumented path: it maintains the full Counters set that
 // Tables 3 and 4 report. AccessRuns (and SimulateStream, its
-// materialized-stream wrapper) is the counter-free fast path: the same
-// node walk over run-compressed block IDs with the per-access counter
-// increments compiled out and the hot per-level slices (tags, wave,
-// fill, mra) hoisted into local slice headers, counting only
-// Counters.Accesses. The two paths are bit-identical in Results —
+// materialized-stream wrapper) is the counter-free fast path: the
+// columnar walk (runsFIFO) over run-compressed block IDs, which keeps
+// only the state results are made of — no counters beyond
+// Counters.Accesses, no wave pointers, no MRE records. The two paths are bit-identical in Results —
 // stream_test.go and FuzzStreamEquivalence enforce it — and every sweep
 // cell replays the fast path and cross-checks it against the
 // instrumented pass. Setting Options.Instrument (or any ablation switch,
@@ -71,12 +72,11 @@
 // # Memory layout
 //
 // Per-node state is split by reader. The 16-byte nodeState record —
-// MRA tag, FIFO cursor, fill count, LRU endpoints — is what every walk
-// reads at every level, four records to a cache line. The MRE record
-// (tag plus saved wave pointer) lives in a side arena that only the
-// per-access walks (Access, and accessFast under LRU) read; they
-// allocate it on first use, together with the wave-pointer arena, so a
-// FIFO pass that only streams never holds either. Per-way state is the
+// MRA tag, FIFO cursor, fill count — is what every walk reads at every
+// level, four records to a cache line. The MRE record (tag plus saved
+// wave pointer) lives in a side arena that only the per-access walk
+// (Access) reads; it allocates it on first use, together with the
+// wave-pointer arena, so a pass that only streams never holds either. Per-way state is the
 // tag arena, the wave pointers and, for passes of 8 or more ways, a
 // fingerprint arena of one hash byte per way: every walk writes a way's
 // fingerprint with its tag, and the columnar FIFO walk matches a node's
@@ -92,7 +92,7 @@
 // ways, each a separate copy), so it slices each row at a constant
 // length: its 1-, 2- and 4-way compares are unrolled, its fingerprint
 // word loop has a fixed trip count, and neither needs a bounds check
-// per way. The per-access walks read the associativity at run time.
+// per way. The per-access walk reads the associativity at run time.
 //
 // # Sharded parallel passes
 //
@@ -105,26 +105,6 @@
 // tables are bit-identical to the monolithic pass — shard_test.go and
 // FuzzShardedEquivalence enforce it, and sweep cells running with
 // Shards cross-check it against the instrumented pass at runtime.
-//
-// # LRU cost
-//
-// Under cache.LRU FIFO's round-robin cursor does not apply, and keeping
-// ways position-stable (which the wave pointers require) rules out the
-// sorted recency list a dedicated LRU simulator would use. Earlier
-// versions paid an O(A) victim scan over per-way recency stamps on
-// every warm miss. (Tracking the min-stamp way incrementally cannot
-// remove that scan: every warm miss inserts at the min way, which
-// forces an O(A) recompute of the minimum — the scan just moves.) The
-// simulator instead threads an exact recency order through the
-// position-stable ways as a per-node doubly-linked list (older/newer
-// way indices plus the node's MRU/LRU endpoints): a hit unlinks and
-// relinks one way in O(1), and a warm miss reads the victim straight
-// from the node's LRU endpoint in O(1). Ways still never move, so the
-// wave pointers stay sound, and the list order equals the stamp order
-// (stamps were unique), so victim choice — and every result — is
-// bit-identical to the scanning implementation. The remaining LRU
-// overhead versus FIFO is the constant link maintenance per access,
-// not an O(A) term.
 package core
 
 import (
@@ -148,16 +128,6 @@ type Options struct {
 	// BlockSize is the cache block size in bytes (power of two).
 	BlockSize int
 
-	// Policy selects the replacement policy. DEW is designed and
-	// optimized for cache.FIFO (the default). cache.LRU is supported —
-	// the paper's Section 2.1 notes DEW "can simulate caches with the
-	// LRU replacement policy, but will typically be slower than
-	// Janapsatya's method" — by keeping tags in position-stable ways
-	// (recency lives in per-node linked recency order, so hits never
-	// move entries and the wave pointers stay sound) with O(1) victim
-	// selection (see the package comment). Other policies are rejected.
-	Policy cache.Policy
-
 	// DisableMRA, DisableWave and DisableMRE switch off properties 2, 3
 	// and 4 respectively for ablation studies. Results are identical
 	// either way; only the work counters change.
@@ -170,8 +140,8 @@ type Options struct {
 	// Counters set exactly as Access does (they fold run weights into
 	// the level-0 MRA counters arithmetically; see AccessRuns). When
 	// false (the default) and no property is disabled, they take the
-	// counter-free fast path: identical Results, but only
-	// Counters.Accesses is maintained. Access and Simulate are always
+	// counter-free columnar walk (runsFIFO): identical Results, but
+	// only Counters.Accesses is maintained. Access and Simulate are always
 	// instrumented — they are the Table 3/4 measurement path.
 	Instrument bool
 }
@@ -201,9 +171,6 @@ func (o Options) Validate() error {
 	if o.BlockSize < 1 || o.BlockSize&(o.BlockSize-1) != 0 {
 		return fmt.Errorf("core: block size must be a positive power of two, got %d", o.BlockSize)
 	}
-	if o.Policy != cache.FIFO && o.Policy != cache.LRU {
-		return fmt.Errorf("core: unsupported replacement policy %v (FIFO and LRU only)", o.Policy)
-	}
 	return nil
 }
 
@@ -216,23 +183,20 @@ func (o Options) Levels() int { return o.MaxLogSets - o.MinLogSets + 1 }
 // instead of parallel arrays means the per-level work of the hot walk —
 // which usually ends at the MRA comparison — touches one cache line, and
 // the 16-byte stride puts exactly four records on every line, so no
-// record ever straddles one. The two LRU recency-list endpoints occupy
-// what would otherwise be padding, so LRU passes add no record growth.
-// The MRE record (Property 4) lives in a side arena (mreState), because
-// the columnar FIFO walk, which runs the bulk of every design-space
-// sweep, never reads it.
+// record ever straddles one (the three fields fill ten bytes; the rest
+// is padding). The MRE record (Property 4) lives in a side arena
+// (mreState), because the columnar FIFO walk, which runs the bulk of
+// every design-space sweep, never reads it.
 type nodeState struct {
-	mra    uint64 // most recently accessed tag (= the DM configuration's content)
-	head   int8   // FIFO round-robin victim cursor
-	fill   int8   // number of valid ways
-	mruWay int8   // most recently used way (LRU passes; valid when fill > 0)
-	lruWay int8   // least recently used way = O(1) victim (LRU passes; valid when fill > 0)
+	mra  uint64 // most recently accessed tag (= the DM configuration's content)
+	head int8   // FIFO round-robin victim cursor
+	fill int8   // number of valid ways
 }
 
 // mreState is one node's Property 4 record: the most recently evicted
-// tag and the wave pointer saved with it. Only the per-access walks
-// (Access, accessFast) read or write it, so it lives in a side arena
-// indexed like the node records and allocated on their first use (see
+// tag and the wave pointer saved with it. Only the per-access walk
+// (Access) reads or writes it, so it lives in a side arena indexed like
+// the node records and allocated on its first use (see
 // Simulator.mres).
 type mreState struct {
 	tag  uint64 // most recently evicted tag
@@ -260,15 +224,7 @@ type level struct {
 	// Per-way state.
 	tags []uint64 // stored block addresses
 	wave []int8   // way position of the same tag in the child; -1 empty (nil until allocated)
-	// older and newer (LRU passes only) thread the node's exact recency
-	// order through its position-stable ways as a doubly-linked list:
-	// older[w]/newer[w] are way indices one step toward the LRU/MRU
-	// endpoint (-1 at the ends). Ways never move on hits, so wave
-	// pointers remain sound under LRU; the victim is the node's lruWay
-	// endpoint, read in O(1).
-	older []int8
-	newer []int8
-	fps   []uint8 // fingerprint of each way's tag (Assoc >= 8 only)
+	fps  []uint8  // fingerprint of each way's tag (Assoc >= 8 only)
 
 	// Per-node state.
 	node []nodeState
@@ -279,18 +235,16 @@ type level struct {
 // Access or Simulate, then read Results and Counters.
 //
 // All per-way and per-node state lives in level-major arenas (nodes,
-// tags, the fingerprints of Assoc >= 8 passes, the wave pointers and
-// MRE side arena once a per-access walk has run, and — for LRU passes —
-// the older/newer recency links); each level's slices are views into
-// them.
-// The instrumented path walks the per-level views, the fast path walks
-// the arenas directly with incrementally computed masks and offsets —
-// same memory, same results.
+// tags, the fingerprints of Assoc >= 8 passes, and the wave pointers
+// and MRE side arena once a per-access walk has run); each level's
+// slices are views into them. The instrumented path walks the
+// per-level views, the columnar walk indexes the arenas directly from a
+// per-call table of level masks and offsets — same memory, same
+// results.
 type Simulator struct {
 	opt     Options
 	offBits uint
 	assoc   int
-	isLRU   bool
 	levels  []level
 
 	// Arenas backing every level's slices, concatenated in level order.
@@ -298,8 +252,6 @@ type Simulator struct {
 	// the width the simulator was built for (see Rebind).
 	nodes []nodeState
 	tags  []uint64
-	older []int8 // LRU passes only
-	newer []int8 // LRU passes only
 
 	// fps is the fingerprint view of passes with Assoc >= 8 (nil
 	// otherwise — the walks test fps != nil): fps[i] is
@@ -312,13 +264,12 @@ type Simulator struct {
 	fps      []uint8
 	fpsArena []uint8
 
-	// wave (one wave pointer per way plus a scratch slot) and mres (the
-	// MRE side arena, one record per node in node-arena order) serve
-	// only the per-access walks. The first Access or accessFast walk
-	// allocates both (mreArena), so a pass that only runs the columnar
-	// FIFO walk never holds them. mreDirty reports whether any MRE
-	// record may be set; while it is false the arena (if any) is all
-	// "no MRE", so Reset and settleWave skip it.
+	// wave (one wave pointer per way) and mres (the MRE side arena, one
+	// record per node in node-arena order) serve only the per-access
+	// walk. The first Access allocates both (mreArena), so a pass that
+	// only runs the columnar walk never holds them. mreDirty reports
+	// whether any MRE record may be set; while it is false the arena
+	// (if any) is all "no MRE", so Reset and settleWave skip it.
 	wave     []int8
 	mres     []mreState
 	mreDirty bool
@@ -352,8 +303,8 @@ type Simulator struct {
 	pfSink uint64
 
 	// waveStale marks the wave pointers and MRE records as left stale by
-	// the columnar FIFO walk (FIFO passes only); the entry points that
-	// read them apply the pending reset first (see settleWave).
+	// the columnar FIFO walk; the entry points that read them apply the
+	// pending reset first (see settleWave).
 	waveStale bool
 
 	counters Counters
@@ -368,7 +319,6 @@ func New(opt Options) (*Simulator, error) {
 		opt:     opt,
 		offBits: uint(bits.TrailingZeros(uint(opt.BlockSize))),
 		assoc:   opt.Assoc,
-		isLRU:   opt.Policy == cache.LRU,
 		levels:  make([]level, opt.Levels()),
 	}
 	totalNodes := 0
@@ -384,10 +334,6 @@ func New(opt Options) (*Simulator, error) {
 	s.missDM = make([]uint64, opt.Levels())
 	s.missA = make([]uint64, opt.Levels())
 	s.exitHist = make([]uint64, opt.Levels()+1)
-	if s.isLRU {
-		s.older = make([]int8, totalWays)
-		s.newer = make([]int8, totalWays)
-	}
 	s.layout()
 	return s, nil
 }
@@ -398,9 +344,6 @@ func New(opt Options) (*Simulator, error) {
 func (s *Simulator) layout() {
 	ways := len(s.nodes) * s.assoc
 	s.tags = s.tags[:ways]
-	if s.isLRU {
-		s.older, s.newer = s.older[:ways], s.newer[:ways]
-	}
 	s.fps = nil
 	if s.assoc >= 8 {
 		if cap(s.fpsArena) < ways {
@@ -409,7 +352,7 @@ func (s *Simulator) layout() {
 		s.fps = s.fpsArena[:ways]
 	}
 	if s.wave != nil {
-		s.wave = s.wave[:ways+1]
+		s.wave = s.wave[:ways]
 	}
 	nodeOff, wayOff := 0, 0
 	for i := range s.levels {
@@ -419,10 +362,6 @@ func (s *Simulator) layout() {
 		*lv = level{mask: uint64(nodes - 1), nodeOff: nodeOff}
 		lv.node = s.nodes[nodeOff : nodeOff+nodes : nodeOff+nodes]
 		lv.tags = s.tags[wayOff : wayOff+ways : wayOff+ways]
-		if s.isLRU {
-			lv.older = s.older[wayOff : wayOff+ways : wayOff+ways]
-			lv.newer = s.newer[wayOff : wayOff+ways : wayOff+ways]
-		}
 		if s.fps != nil {
 			lv.fps = s.fps[wayOff : wayOff+ways : wayOff+ways]
 		}
@@ -442,7 +381,7 @@ func (s *Simulator) layout() {
 // iterations, sweep cells, per-shard tree replays — run with zero
 // steady-state allocations. Only the node records, the MRE side arena
 // (when a walk used it) and the result/counter arrays are cleared: the
-// per-way arenas (tags, fingerprints, wave, recency links) can stay
+// per-way arenas (tags, fingerprints, wave) can stay
 // stale because every read of a way is gated on the owning node's fill
 // count, which Reset zeroes — a stale entry is unreachable until an
 // insertion rewrites it, exactly as an uninitialized entry is after New.
@@ -461,7 +400,7 @@ func (s *Simulator) Reset() {
 }
 
 // Prefault writes the stream pass's arenas once over their whole
-// capacity — node records, tags, fingerprints and recency links — and
+// capacity — node records, tags and fingerprints — and
 // resets the simulator, so the pages behind freshly allocated arenas
 // are mapped now rather than inside the first pass that touches them.
 // Stale ways are unreachable (see Reset), so zeroing them is safe
@@ -469,29 +408,24 @@ func (s *Simulator) Reset() {
 func (s *Simulator) Prefault() {
 	clear(s.tags[:cap(s.tags)])
 	clear(s.fpsArena[:cap(s.fpsArena)])
-	clear(s.older[:cap(s.older)])
-	clear(s.newer[:cap(s.newer)])
 	s.Reset()
 }
 
-// mreArena allocates the per-access walks' side arenas on first use —
+// mreArena allocates the per-access walk's side arenas on first use —
 // the MRE records and the wave pointers — and marks the MRE records
-// dirty: the caller is a per-access walk, which may record an eviction.
-// A new wave arena reads "unknown" (-1) everywhere, which is always
-// sound even when a columnar walk has already filled nodes; it gets one
-// extra scratch entry at the end: the fast path's level-0 iteration
-// "refreshes its parent's wave pointer" into it unconditionally, which
-// removes a has-parent branch from every level of the walk. The slot is
-// never read. The wave arena is sized to the tag arena's capacity, so a
-// rebound pass of any width that fits the tags fits it too.
+// dirty: the caller is the per-access walk, which may record an
+// eviction. A new wave arena reads "unknown" (-1) everywhere, which is
+// always sound even when a columnar walk has already filled nodes. It
+// is sized to the tag arena's capacity, so a rebound pass of any width
+// that fits the tags fits it too.
 func (s *Simulator) mreArena() {
 	if s.wave == nil {
 		s.mres = make([]mreState, len(s.nodes))
-		wave := make([]int8, cap(s.tags)+1)
+		wave := make([]int8, cap(s.tags))
 		for i := range wave {
 			wave[i] = -1
 		}
-		s.wave = wave[:len(s.tags)+1]
+		s.wave = wave[:len(s.tags)]
 		s.layout()
 	}
 	s.mreDirty = true
@@ -529,21 +463,20 @@ func matchFingerprint(word uint64, f uint8) uint64 {
 
 // Rebind re-targets the simulator to opt and resets it, keeping every
 // arena. The arenas are capacity, not shape: opt must cover the same
-// set-count range under the same policy (the node arena and the LRU
-// links depend on both), and its ways must fit the tag arena, i.e. Assoc
-// may not exceed the associativity the simulator was built for. The
-// block size, a smaller associativity, the ablation switches and
-// Instrument are free, so a pass on a rebound simulator allocates
-// nothing. Stale ways beyond the new width, like every stale way, are
-// unreachable: each way read is gated on its node's fill count, which
-// the reset zeroes. A rejected opt leaves the simulator untouched.
+// set-count range (the node arena depends on it), and its ways must fit
+// the tag arena, i.e. Assoc may not exceed the associativity the
+// simulator was built for. The block size, a smaller associativity, the
+// ablation switches and Instrument are free, so a pass on a rebound
+// simulator allocates nothing. Stale ways beyond the new width, like
+// every stale way, are unreachable: each way read is gated on its
+// node's fill count, which the reset zeroes. A rejected opt leaves the simulator untouched.
 func (s *Simulator) Rebind(opt Options) error {
 	if err := opt.Validate(); err != nil {
 		return err
 	}
-	if opt.MinLogSets != s.opt.MinLogSets || opt.MaxLogSets != s.opt.MaxLogSets || opt.Policy != s.opt.Policy {
-		return fmt.Errorf("core: cannot rebind a %v pass over [2^%d, 2^%d] to a %v pass over [2^%d, 2^%d]",
-			s.opt.Policy, s.opt.MinLogSets, s.opt.MaxLogSets, opt.Policy, opt.MinLogSets, opt.MaxLogSets)
+	if opt.MinLogSets != s.opt.MinLogSets || opt.MaxLogSets != s.opt.MaxLogSets {
+		return fmt.Errorf("core: cannot rebind a pass over [2^%d, 2^%d] to a pass over [2^%d, 2^%d]",
+			s.opt.MinLogSets, s.opt.MaxLogSets, opt.MinLogSets, opt.MaxLogSets)
 	}
 	if ways := len(s.nodes) * opt.Assoc; ways > cap(s.tags) {
 		return fmt.Errorf("core: a %d-way pass needs %d ways, the arenas hold %d", opt.Assoc, ways, cap(s.tags))
@@ -554,45 +487,6 @@ func (s *Simulator) Rebind(opt Options) error {
 	s.layout()
 	s.Reset()
 	return nil
-}
-
-// lruTouch moves the linked way n to the MRU end of the node's recency
-// list in O(1). older and newer may be either a level's views or the
-// arenas, with base the node's way offset in them. Shared by the
-// instrumented and fast paths so both make identical updates.
-func lruTouch(nd *nodeState, older, newer []int8, base, n int) {
-	mru := int(nd.mruWay)
-	if mru == n {
-		return
-	}
-	o, nw := older[base+n], newer[base+n]
-	if o >= 0 {
-		newer[base+int(o)] = nw
-	} else {
-		nd.lruWay = nw // n was the LRU endpoint
-	}
-	if nw >= 0 {
-		older[base+int(nw)] = o
-	}
-	older[base+n] = int8(mru)
-	newer[base+mru] = int8(n)
-	newer[base+n] = -1
-	nd.mruWay = int8(n)
-}
-
-// lruInsert links the newly filled way n (always the node's previous
-// fill count) at the MRU end of the recency list.
-func lruInsert(nd *nodeState, older, newer []int8, base, n int) {
-	if n == 0 {
-		nd.lruWay = 0
-		older[base] = -1
-	} else {
-		mru := int(nd.mruWay)
-		older[base+n] = int8(mru)
-		newer[base+mru] = int8(n)
-	}
-	newer[base+n] = -1
-	nd.mruWay = int8(n)
 }
 
 // MustNew is New but panics on error; for tests and examples.
@@ -688,7 +582,6 @@ func (s *Simulator) Access(a trace.Access) {
 		}
 
 		var n int
-		coldFill := false
 		if hitWay >= 0 {
 			// Algorithm 1: Handle_hit.
 			n = hitWay
@@ -698,7 +591,6 @@ func (s *Simulator) Access(a trace.Access) {
 			if int(nd.fill) < s.assoc {
 				// Cold fill: no eviction, wave pointer unknown.
 				n = int(nd.fill)
-				coldFill = true
 				nd.fill++
 				lv.tags[base+n] = blk
 				lv.wave[base+n] = -1
@@ -706,13 +598,8 @@ func (s *Simulator) Access(a trace.Access) {
 					lv.fps[base+n] = fingerprint(blk)
 				}
 			} else {
-				if s.isLRU {
-					// LRU victim: the recency list's LRU endpoint, O(1).
-					n = int(nd.lruWay)
-				} else {
-					n = int(nd.head)
-					nd.head = int8((n + 1) & (s.assoc - 1))
-				}
+				n = int(nd.head)
+				nd.head = int8((n + 1) & (s.assoc - 1))
 				if !s.opt.DisableMRE && !mreChecked && me.ok {
 					// Algorithm 2 line 4 when the miss was decided by P3
 					// or a scan: the MRE may still be the requested tag.
@@ -740,16 +627,6 @@ func (s *Simulator) Access(a trace.Access) {
 				if lv.fps != nil {
 					lv.fps[base+n] = fingerprint(blk)
 				}
-			}
-		}
-
-		if s.isLRU {
-			// Refresh LRU recency; the way's position never changes, so
-			// wave pointers into and out of this entry stay valid.
-			if coldFill {
-				lruInsert(nd, lv.older, lv.newer, base, n)
-			} else {
-				lruTouch(nd, lv.older, lv.newer, base, n)
 			}
 		}
 

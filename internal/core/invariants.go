@@ -19,12 +19,7 @@ import "fmt"
 //  6. Wave soundness (Property 3): a live entry (b, w≥0) implies the
 //     child node on b's path either holds b exactly at way w, or does
 //     not hold b at all.
-//  7. LRU recency list (LRU passes): each non-empty node's older/newer
-//     links form one doubly-linked chain from lruWay to mruWay visiting
-//     every filled way exactly once, and the MRU way holds the node's
-//     MRA tag (the most recently used entry is the most recently
-//     accessed tag).
-//  8. Fingerprints (passes of 8 or more ways): every live way's
+//  7. Fingerprints (passes of 8 or more ways): every live way's
 //     fingerprint byte equals the fingerprint of its tag, so the
 //     columnar walk's byte match cannot miss a resident tag.
 //
@@ -57,51 +52,6 @@ func (s *Simulator) CheckInvariants() error {
 						return fmt.Errorf("core: level %d node %d: duplicate tag %#x at ways %d and %d",
 							li, node, lv.tags[base+w], w, w2)
 					}
-				}
-			}
-
-			if s.isLRU && fill > 0 {
-				// Walk the recency chain LRU → MRU: it must visit every
-				// filled way exactly once with mutually consistent links.
-				seen := make([]bool, fill)
-				w := int(lv.node[node].lruWay)
-				if w < 0 || w >= fill {
-					return fmt.Errorf("core: level %d node %d: lruWay %d outside fill %d", li, node, w, fill)
-				}
-				if lv.older[base+w] != -1 {
-					return fmt.Errorf("core: level %d node %d: LRU endpoint %d has older link %d",
-						li, node, w, lv.older[base+w])
-				}
-				steps := 0
-				for {
-					if seen[w] {
-						return fmt.Errorf("core: level %d node %d: recency cycle at way %d", li, node, w)
-					}
-					seen[w] = true
-					steps++
-					nw := int(lv.newer[base+w])
-					if nw < 0 {
-						break
-					}
-					if nw >= fill {
-						return fmt.Errorf("core: level %d node %d: newer link %d outside fill %d", li, node, nw, fill)
-					}
-					if int(lv.older[base+nw]) != w {
-						return fmt.Errorf("core: level %d node %d: links disagree between ways %d and %d",
-							li, node, w, nw)
-					}
-					w = nw
-				}
-				if steps != fill {
-					return fmt.Errorf("core: level %d node %d: recency chain covers %d of %d ways", li, node, steps, fill)
-				}
-				if w != int(lv.node[node].mruWay) {
-					return fmt.Errorf("core: level %d node %d: chain ends at way %d, mruWay %d",
-						li, node, w, lv.node[node].mruWay)
-				}
-				if lv.tags[base+w] != lv.node[node].mra {
-					return fmt.Errorf("core: level %d node %d: MRU way %d holds %#x, MRA is %#x",
-						li, node, w, lv.tags[base+w], lv.node[node].mra)
 				}
 			}
 

@@ -6,18 +6,17 @@ import (
 	"reflect"
 	"testing"
 
-	"dew/internal/cache"
 	"dew/internal/workload"
 )
 
 // TestResetEquivalence replays the same trace on a Reset simulator and
-// on a fresh one, through every entry point and both policies; results
+// on a fresh one, through every entry point; results
 // and counters must be identical (a Reset pass is a fresh pass).
 func TestResetEquivalence(t *testing.T) {
 	tr := workload.Take(workload.CJPEG.Generator(13), 15_000)
 	for _, opt := range []Options{
 		{MaxLogSets: 6, Assoc: 4, BlockSize: 16},
-		{MinLogSets: 2, MaxLogSets: 6, Assoc: 4, BlockSize: 16, Policy: cache.LRU},
+		{MinLogSets: 2, MaxLogSets: 6, Assoc: 4, BlockSize: 16},
 		{MaxLogSets: 5, Assoc: 8, BlockSize: 4, Instrument: true},
 	} {
 		bs := mustStream(t, tr, opt.BlockSize)
@@ -52,28 +51,23 @@ func TestResetEquivalence(t *testing.T) {
 }
 
 // TestResetZeroAllocs is the satellite's acceptance check: a Reset +
-// full stream replay allocates nothing in steady state, for FIFO and
-// LRU.
+// full stream replay allocates nothing in steady state.
 func TestResetZeroAllocs(t *testing.T) {
 	tr := workload.Take(workload.G721Dec.Generator(2), 20_000)
-	for _, opt := range []Options{
-		{MaxLogSets: 8, Assoc: 4, BlockSize: 16},
-		{MaxLogSets: 8, Assoc: 4, BlockSize: 16, Policy: cache.LRU},
-	} {
-		bs := mustStream(t, tr, opt.BlockSize)
-		s := MustNew(opt)
+	opt := Options{MaxLogSets: 8, Assoc: 4, BlockSize: 16}
+	bs := mustStream(t, tr, opt.BlockSize)
+	s := MustNew(opt)
+	if err := s.SimulateStream(bs); err != nil {
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(5, func() {
+		s.Reset()
 		if err := s.SimulateStream(bs); err != nil {
 			t.Fatal(err)
 		}
-		avg := testing.AllocsPerRun(5, func() {
-			s.Reset()
-			if err := s.SimulateStream(bs); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if avg != 0 {
-			t.Errorf("%v: %v allocs per Reset+replay, want 0", opt.Policy, avg)
-		}
+	})
+	if avg != 0 {
+		t.Errorf("%v allocs per Reset+replay, want 0", avg)
 	}
 }
 
@@ -150,19 +144,19 @@ func TestResetDropsPendingWaveSettle(t *testing.T) {
 // TestRebindEquivalence: a simulator rebound from pass to pass — block
 // size, associativity up to the width it was built for, Instrument —
 // equals a fresh one at every step, whichever entry point (the columnar
-// AccessRuns walk or per-access Access) ran last, for FIFO and LRU
-// passes and forests (MinLogSets > 0). Before each rebind every way of
+// AccessRuns walk or per-access Access) ran last, for trees and forests
+// (MinLogSets > 0). Before each rebind every way of
 // every arena is poisoned with a tag the next pass requests, so a read
 // the fill gate does not cover shows up as a wrong hit. A rejected
-// rebind — invalid block size, a wider pass, another set range or
-// policy — leaves the simulator untouched.
+// rebind — invalid block size, a wider pass, another set range —
+// leaves the simulator untouched.
 func TestRebindEquivalence(t *testing.T) {
 	tr := workload.Take(workload.MPEG2Dec.Generator(8), 15_000)
 	steps := []struct{ block, assoc int }{{16, 8}, {4, 1}, {64, 4}, {8, 8}, {32, 2}, {4, 8}}
 	for _, base := range []Options{
 		{MaxLogSets: 6},
 		{MinLogSets: 2, MaxLogSets: 7},
-		{MinLogSets: 1, MaxLogSets: 6, Policy: cache.LRU},
+		{MinLogSets: 1, MaxLogSets: 6},
 	} {
 		opt := base
 		opt.BlockSize, opt.Assoc = steps[0].block, steps[0].assoc
@@ -187,7 +181,7 @@ func TestRebindEquivalence(t *testing.T) {
 					}
 				}
 			}
-			label := fmt.Sprintf("%v min%d A%d B%d", opt.Policy, opt.MinLogSets, opt.Assoc, opt.BlockSize)
+			label := fmt.Sprintf("min%d A%d B%d", opt.MinLogSets, opt.Assoc, opt.BlockSize)
 			assertSameResults(t, label, fresh, s)
 			if fresh.Counters() != s.Counters() {
 				t.Errorf("%s: counters %+v, want %+v", label, s.Counters(), fresh.Counters())
@@ -202,7 +196,6 @@ func TestRebindEquivalence(t *testing.T) {
 			func(o *Options) { o.Assoc = 16 },
 			func(o *Options) { o.MaxLogSets++ },
 			func(o *Options) { o.MinLogSets++ },
-			func(o *Options) { o.Policy = cache.LRU + cache.FIFO - o.Policy },
 		} {
 			bad := opt
 			mut(&bad)
@@ -218,8 +211,7 @@ func TestRebindEquivalence(t *testing.T) {
 
 // poisonArenas overwrites every per-way entry of every arena, stale or
 // live, with what a pass looking for tag would find most misleading: the
-// tag itself, its fingerprint, wave pointer 0 and recency links into way
-// 0. Every read of these arenas must be gated on its node's fill count.
+// tag itself, its fingerprint and wave pointer 0. Every read of these arenas must be gated on its node's fill count.
 func poisonArenas(s *Simulator, tag uint64) {
 	tags := s.tags[:cap(s.tags)]
 	for i := range tags {
@@ -228,16 +220,14 @@ func poisonArenas(s *Simulator, tag uint64) {
 	for i := range s.fpsArena {
 		s.fpsArena[i] = fingerprint(tag)
 	}
-	for _, links := range [][]int8{s.wave, s.older, s.newer} {
-		links = links[:cap(links)]
-		for i := range links {
-			links[i] = 0
-		}
+	wave := s.wave[:cap(s.wave)]
+	for i := range wave {
+		wave[i] = 0
 	}
 }
 
 // TestStreamPassAllocatesNoWalkArenas: a FIFO pass that only runs the
-// columnar walk never allocates the per-access walks' wave and MRE
+// columnar walk never allocates the per-access walk's wave and MRE
 // arenas; the first Access does, with every wave pointer unknown, and
 // still matches a fresh simulator fed the same mix.
 func TestStreamPassAllocatesNoWalkArenas(t *testing.T) {

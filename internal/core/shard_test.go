@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"dew/internal/cache"
 	"dew/internal/trace"
 	"dew/internal/workload"
 )
@@ -39,7 +38,7 @@ func assertShardedResults(t *testing.T, label string, want *Simulator, got *Shar
 }
 
 // TestShardedEquivalence proves the sharded pass bit-identical to the
-// instrumented monolithic pass for FIFO and LRU across every shard
+// instrumented monolithic pass across every shard
 // level of each shape — including S=0 (one tree, no shallow pass),
 // S=MaxLogSets (every level above the leaf forest replayed shallow),
 // and MinLogSets>0 forests where the shard level falls below, inside
@@ -52,8 +51,7 @@ func TestShardedEquivalence(t *testing.T) {
 		{MinLogSets: 2, MaxLogSets: 7, Assoc: 2, BlockSize: 32},
 		{MinLogSets: 3, MaxLogSets: 6, Assoc: 4, BlockSize: 64},
 		{MaxLogSets: 5, Assoc: 1, BlockSize: 8},
-		{MaxLogSets: 6, Assoc: 4, BlockSize: 16, Policy: cache.LRU},
-		{MinLogSets: 1, MaxLogSets: 5, Assoc: 8, BlockSize: 32, Policy: cache.LRU},
+		{MinLogSets: 1, MaxLogSets: 5, Assoc: 8, BlockSize: 32},
 	}
 	for _, app := range apps {
 		tr := workload.Take(app.Generator(7), 30_000)
@@ -61,8 +59,8 @@ func TestShardedEquivalence(t *testing.T) {
 			bs := mustStream(t, tr, opt.BlockSize)
 			inst := runInstrumented(t, opt, tr)
 			for log := 0; log <= opt.MaxLogSets; log++ {
-				label := fmt.Sprintf("%s/min%d/max%d/A%d/B%d/%v/S%d",
-					app.Name, opt.MinLogSets, opt.MaxLogSets, opt.Assoc, opt.BlockSize, opt.Policy, log)
+				label := fmt.Sprintf("%s/min%d/max%d/A%d/B%d/S%d",
+					app.Name, opt.MinLogSets, opt.MaxLogSets, opt.Assoc, opt.BlockSize, log)
 				ss := mustShard(t, bs, log)
 				sh, err := SimulateSharded(context.Background(), opt, ss, 4)
 				if err != nil {
@@ -83,7 +81,7 @@ func TestShardedMidRunBoundaries(t *testing.T) {
 	tr := workload.Take(workload.G721Enc.Generator(3), 20_000)
 	for _, opt := range []Options{
 		{MaxLogSets: 6, Assoc: 4, BlockSize: 16},
-		{MinLogSets: 1, MaxLogSets: 6, Assoc: 4, BlockSize: 16, Policy: cache.LRU},
+		{MinLogSets: 1, MaxLogSets: 6, Assoc: 4, BlockSize: 16},
 	} {
 		const log = 2
 		bs := mustStream(t, tr, opt.BlockSize)
@@ -124,13 +122,13 @@ func TestShardedMidRunBoundaries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertShardedResults(t, fmt.Sprintf("public/%v", opt.Policy), want, pub)
+		assertShardedResults(t, fmt.Sprintf("public/min%d", opt.MinLogSets), want, pub)
 		for t2 := range sh.trees {
 			a, b := sh.trees[t2], pub.trees[t2]
 			for l := range a.missA {
 				if a.missA[l] != b.missA[l] || a.missDM[l] != b.missDM[l] {
-					t.Errorf("%v: tree %d level %d: mid-run split (%d,%d) vs whole (%d,%d)",
-						opt.Policy, t2, l, a.missA[l], a.missDM[l], b.missA[l], b.missDM[l])
+					t.Errorf("min%d: tree %d level %d: mid-run split (%d,%d) vs whole (%d,%d)",
+						opt.MinLogSets, t2, l, a.missA[l], a.missDM[l], b.missA[l], b.missDM[l])
 				}
 			}
 		}
@@ -174,7 +172,7 @@ func TestShardedRepeatedReplay(t *testing.T) {
 	for _, opt := range []Options{
 		{MaxLogSets: 6, Assoc: 4, BlockSize: 16},
 		{MinLogSets: 4, MaxLogSets: 6, Assoc: 4, BlockSize: 16}, // S ≤ MinLogSets: no shallow pass
-		{MaxLogSets: 5, Assoc: 2, BlockSize: 8, Policy: cache.LRU},
+		{MaxLogSets: 5, Assoc: 2, BlockSize: 8},
 	} {
 		bs := mustStream(t, tr, opt.BlockSize)
 		ss := mustShard(t, bs, 2)
@@ -236,16 +234,16 @@ func TestShardedRejects(t *testing.T) {
 }
 
 // FuzzShardedEquivalence fuzzes the sharded pass against the
-// instrumented monolithic path: arbitrary streams, both policies,
+// instrumented monolithic path: arbitrary streams, 1 to 64 ways,
 // arbitrary shard levels and forest shapes.
 func FuzzShardedEquivalence(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(2), uint8(2), uint8(4), uint8(0), uint8(1), false)
-	f.Add([]byte{0, 0, 0, 0, 0, 0}, uint8(0), uint8(0), uint8(1), uint8(2), uint8(0), true)
-	f.Add([]byte{9, 9, 1, 1, 9, 9, 1, 1, 2, 2}, uint8(3), uint8(1), uint8(3), uint8(1), uint8(3), false)
-	f.Add([]byte{255, 0, 255, 1, 255, 2, 255, 3}, uint8(1), uint8(3), uint8(2), uint8(3), uint8(2), true)
-	f.Add(wideSeed(23, 200), uint8(4), uint8(0), uint8(1), uint8(0), uint8(1), false)
-	f.Add(wideSeed(79, 600), uint8(6), uint8(0), uint8(1), uint8(0), uint8(1), false)
-	f.Fuzz(func(t *testing.T, raw []byte, logAssoc, logBlock, maxLog, minLog, shard uint8, lru bool) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(2), uint8(2), uint8(4), uint8(0), uint8(1))
+	f.Add([]byte{0, 0, 0, 0, 0, 0}, uint8(0), uint8(0), uint8(1), uint8(2), uint8(0))
+	f.Add([]byte{9, 9, 1, 1, 9, 9, 1, 1, 2, 2}, uint8(3), uint8(1), uint8(3), uint8(1), uint8(3))
+	f.Add([]byte{255, 0, 255, 1, 255, 2, 255, 3}, uint8(1), uint8(3), uint8(2), uint8(3), uint8(2))
+	f.Add(wideSeed(23, 200), uint8(4), uint8(0), uint8(1), uint8(0), uint8(1))
+	f.Add(wideSeed(79, 600), uint8(6), uint8(0), uint8(1), uint8(0), uint8(1))
+	f.Fuzz(func(t *testing.T, raw []byte, logAssoc, logBlock, maxLog, minLog, shard uint8) {
 		if len(raw) == 0 || len(raw) > 4096 {
 			return
 		}
@@ -254,9 +252,6 @@ func FuzzShardedEquivalence(f *testing.F) {
 			MaxLogSets: int(minLog%4) + int(maxLog%5),
 			Assoc:      1 << (logAssoc % 7),
 			BlockSize:  1 << (logBlock % 4),
-		}
-		if lru {
-			opt.Policy = cache.LRU
 		}
 		log := int(shard) % (opt.MaxLogSets + 1)
 		tr := make(trace.Trace, 0, len(raw)/2+1)

@@ -38,14 +38,12 @@ func (s *Simulator) SimulateStream(bs *trace.BlockStream) error {
 // Exactness of run folding rests on Property 2: every access after the
 // first of a run repeats the previous block, which is by construction a
 // level-0 MRA hit — a hit at every simulated configuration that
-// mutates no replacement state (FIFO never reorders on hits; under LRU
-// the repeated block is already at the MRU end of the recency order,
-// so touching it again moves nothing and cannot change any victim
-// choice). The counter-free fast path
-// therefore walks the tree once per run and adds the full run weight to
-// Counters.Accesses; the instrumented path walks once and folds the
-// remaining weight into the level-0 MRA-hit counters arithmetically,
-// exactly as per-access Access calls would have counted them. With a
+// mutates no replacement state (FIFO never reorders on hits). The
+// counter-free fast path therefore walks the tree once per run and adds
+// the full run weight to Counters.Accesses; the instrumented path walks
+// once and folds the remaining weight into the level-0 MRA-hit counters
+// arithmetically, exactly as per-access Access calls would have counted
+// them. With a
 // property ablated the fold is invalid (ablations change which counters
 // move on a repeat), so each run is expanded through Access.
 func (s *Simulator) AccessRuns(ids []uint64, runs []uint32) {
@@ -83,32 +81,24 @@ func (s *Simulator) AccessRuns(ids []uint64, runs []uint32) {
 		return
 	}
 
-	if !s.isLRU {
-		s.counters.Accesses += s.runsFastFIFO(ids, runs)
-	} else {
-		s.mreArena()
-		var total uint64
-		prev, ok := s.lastBlk, s.lastOK
-		for i, id := range ids {
-			w := runs[i]
-			if w == 0 {
-				continue
-			}
-			total += uint64(w)
-			if ok && id == prev {
-				// The run continues the previously simulated block — a
-				// chunk boundary mid-run, or a repeat across two
-				// AccessRuns calls. Guaranteed level-0 MRA hits,
-				// nothing to do.
-				continue
-			}
-			prev, ok = id, true
-			s.accessFast(id)
-		}
-		s.lastBlk, s.lastOK = prev, ok
-		s.counters.Accesses += total
-	}
+	s.counters.Accesses += s.runsFastFIFO(ids, runs)
 	s.foldExitHist()
+}
+
+// foldExitHist folds the pending exit-depth histogram into missDM: an
+// exit at depth d means the walk MRA-missed (and so
+// direct-mapped-missed) levels 0..d-1. Memoized skips and folded run
+// weights are level-0 exits and contribute to no level, so they need no
+// histogram entry at all. Called at the end of every counter-free
+// stream chunk, so missDM is current whenever no fast-path entry point
+// is running.
+func (s *Simulator) foldExitHist() {
+	var suffix uint64
+	for li := len(s.exitHist) - 1; li >= 1; li-- {
+		suffix += s.exitHist[li]
+		s.exitHist[li] = 0
+		s.missDM[li-1] += suffix
+	}
 }
 
 // runsFastFIFO is the columnar FIFO walk: the counter-free fast path
@@ -206,10 +196,6 @@ type walkLevel struct {
 // candidate — the common miss — reads no tag at all, and a hit reads
 // one tag instead of half the list on average. The block's fingerprint
 // is computed once per walk and serves every level.
-//
-// LRU passes take the generic accessFast loop instead: every non-MRA
-// hit must reorder the node's recency links, update work this hot loop
-// has no slot for.
 func runsFIFO[R wayRow](s *Simulator, ids []uint64, runs []uint32) uint64 {
 	const fpBytes = 8 // fingerprints per matchFingerprint word
 	var width R

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"dew/internal/cache"
 	"dew/internal/trace"
 	"dew/internal/workload"
 )
@@ -55,28 +54,27 @@ func mustStream(t testing.TB, tr trace.Trace, blockSize int) *trace.BlockStream 
 	return bs
 }
 
-// streamShapes are the pass shapes the equivalence tests cover: both
-// policies, a direct-mapped pass, and MinLogSets > 0 forests.
+// streamShapes are the pass shapes the equivalence tests cover: 1 to 16
+// ways, a direct-mapped pass, and MinLogSets > 0 forests.
 var streamShapes = []Options{
 	{MaxLogSets: 6, Assoc: 4, BlockSize: 16},
 	{MaxLogSets: 4, Assoc: 8, BlockSize: 4},
 	{MinLogSets: 2, MaxLogSets: 7, Assoc: 2, BlockSize: 32},
 	{MinLogSets: 3, MaxLogSets: 6, Assoc: 4, BlockSize: 64},
 	{MaxLogSets: 5, Assoc: 1, BlockSize: 8},
-	{MaxLogSets: 6, Assoc: 4, BlockSize: 16, Policy: cache.LRU},
-	{MinLogSets: 1, MaxLogSets: 5, Assoc: 8, BlockSize: 32, Policy: cache.LRU},
-	{MaxLogSets: 3, Assoc: 16, BlockSize: 4, Policy: cache.LRU},
+	{MinLogSets: 1, MaxLogSets: 5, Assoc: 8, BlockSize: 32},
+	{MaxLogSets: 3, Assoc: 16, BlockSize: 4},
 }
 
 // TestSimulateStreamEquivalence proves the stream path bit-identical to
-// the instrumented per-access path for FIFO and LRU across pass shapes,
+// the instrumented per-access path across pass shapes,
 // including MinLogSets > 0 forests; runs with weight > 1 are guaranteed
 // by the generated workloads' sequential-fetch components.
 func TestSimulateStreamEquivalence(t *testing.T) {
 	for _, app := range []workload.App{workload.CJPEG, workload.MPEG2Dec} {
 		tr := workload.Take(app.Generator(7), 30_000)
 		for _, opt := range streamShapes {
-			label := fmt.Sprintf("%s/min%d/A%d/B%d/%v", app.Name, opt.MinLogSets, opt.Assoc, opt.BlockSize, opt.Policy)
+			label := fmt.Sprintf("%s/min%d/A%d/B%d", app.Name, opt.MinLogSets, opt.Assoc, opt.BlockSize)
 			bs := mustStream(t, tr, opt.BlockSize)
 			if bs.CompressionRatio() <= 1 && opt.BlockSize >= 16 {
 				t.Fatalf("%s: workload produced no runs to fold (ratio %.2f)", label, bs.CompressionRatio())
@@ -157,7 +155,7 @@ func TestAccessRunsChunked(t *testing.T) {
 	tr := workload.Take(workload.G721Enc.Generator(3), 20_000)
 	for _, opt := range []Options{
 		{MaxLogSets: 6, Assoc: 4, BlockSize: 16},
-		{MinLogSets: 2, MaxLogSets: 6, Assoc: 4, BlockSize: 16, Policy: cache.LRU},
+		{MinLogSets: 2, MaxLogSets: 6, Assoc: 4, BlockSize: 16},
 	} {
 		bs := mustStream(t, tr, opt.BlockSize)
 		want := runInstrumented(t, opt, tr)
@@ -227,23 +225,20 @@ func TestAccessRunsInstrumented(t *testing.T) {
 			o.DisableMRA, o.DisableWave, o.DisableMRE = true, true, true
 		}},
 	}
-	for _, pol := range []cache.Policy{cache.FIFO, cache.LRU} {
-		base := Options{MaxLogSets: 5, Assoc: 4, BlockSize: 16, Policy: pol}
-		bs := mustStream(t, tr, base.BlockSize)
-		for _, ab := range ablations {
-			opt := base
-			ab.mod(&opt)
-			want := runInstrumented(t, opt, tr)
-			got := MustNew(opt)
-			if err := got.SimulateStream(bs); err != nil {
-				t.Fatal(err)
-			}
-			label := fmt.Sprintf("%v/%s", pol, ab.name)
-			assertSameResults(t, label, want, got)
-			if want.Counters() != got.Counters() {
-				t.Errorf("%s: stream counters %+v, per-access counters %+v",
-					label, got.Counters(), want.Counters())
-			}
+	base := Options{MaxLogSets: 5, Assoc: 4, BlockSize: 16}
+	bs := mustStream(t, tr, base.BlockSize)
+	for _, ab := range ablations {
+		opt := base
+		ab.mod(&opt)
+		want := runInstrumented(t, opt, tr)
+		got := MustNew(opt)
+		if err := got.SimulateStream(bs); err != nil {
+			t.Fatal(err)
+		}
+		assertSameResults(t, ab.name, want, got)
+		if want.Counters() != got.Counters() {
+			t.Errorf("%s: stream counters %+v, per-access counters %+v",
+				ab.name, got.Counters(), want.Counters())
 		}
 	}
 }
@@ -298,11 +293,10 @@ func TestAccessRunsLazyWaveReset(t *testing.T) {
 		{MaxLogSets: 6, Assoc: 4, BlockSize: 16},
 		{MinLogSets: 2, MaxLogSets: 7, Assoc: 2, BlockSize: 8},
 		{MaxLogSets: 5, Assoc: 8, BlockSize: 32},
-		{MaxLogSets: 6, Assoc: 4, BlockSize: 16, Policy: cache.LRU},
 	}
 	sizes := []int{1, 7, 300, 2500, 40}
 	for _, opt := range shapes {
-		label := fmt.Sprintf("min%d/A%d/B%d/%v", opt.MinLogSets, opt.Assoc, opt.BlockSize, opt.Policy)
+		label := fmt.Sprintf("min%d/A%d/B%d", opt.MinLogSets, opt.Assoc, opt.BlockSize)
 		want := runInstrumented(t, opt, tr)
 		checked, unchecked := MustNew(opt), MustNew(opt)
 		for seg, lo := 0, 0; lo < len(tr); seg++ {
@@ -333,16 +327,16 @@ func TestAccessRunsLazyWaveReset(t *testing.T) {
 }
 
 // FuzzStreamEquivalence fuzzes the stream path against the instrumented
-// per-access path: arbitrary folded address streams, both policies,
+// per-access path: arbitrary folded address streams, 1 to 64 ways,
 // forest (MinLogSets > 0) shapes included.
 func FuzzStreamEquivalence(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(2), uint8(2), uint8(4), uint8(0), false)
-	f.Add([]byte{0, 0, 0, 0, 0, 0}, uint8(0), uint8(0), uint8(1), uint8(2), true)
-	f.Add([]byte{9, 9, 1, 1, 9, 9, 1, 1, 2, 2}, uint8(3), uint8(1), uint8(3), uint8(1), false)
-	f.Add([]byte{255, 0, 255, 1, 255, 2, 255, 3}, uint8(1), uint8(3), uint8(2), uint8(3), true)
-	f.Add(wideSeed(23, 200), uint8(4), uint8(0), uint8(1), uint8(0), false)
-	f.Add(wideSeed(79, 600), uint8(6), uint8(0), uint8(1), uint8(0), false)
-	f.Fuzz(func(t *testing.T, raw []byte, logAssoc, logBlock, maxLog, minLog uint8, lru bool) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(2), uint8(2), uint8(4), uint8(0))
+	f.Add([]byte{0, 0, 0, 0, 0, 0}, uint8(0), uint8(0), uint8(1), uint8(2))
+	f.Add([]byte{9, 9, 1, 1, 9, 9, 1, 1, 2, 2}, uint8(3), uint8(1), uint8(3), uint8(1))
+	f.Add([]byte{255, 0, 255, 1, 255, 2, 255, 3}, uint8(1), uint8(3), uint8(2), uint8(3))
+	f.Add(wideSeed(23, 200), uint8(4), uint8(0), uint8(1), uint8(0))
+	f.Add(wideSeed(79, 600), uint8(6), uint8(0), uint8(1), uint8(0))
+	f.Fuzz(func(t *testing.T, raw []byte, logAssoc, logBlock, maxLog, minLog uint8) {
 		if len(raw) == 0 || len(raw) > 4096 {
 			return
 		}
@@ -351,9 +345,6 @@ func FuzzStreamEquivalence(f *testing.F) {
 			MaxLogSets: int(minLog%4) + int(maxLog%5),
 			Assoc:      1 << (logAssoc % 7),
 			BlockSize:  1 << (logBlock % 4),
-		}
-		if lru {
-			opt.Policy = cache.LRU
 		}
 		// Low bits vary inside a block so runs of weight > 1 appear.
 		tr := make(trace.Trace, 0, len(raw)/2+1)

@@ -15,18 +15,21 @@ import (
 // one registration. Tools resolve them by name, so a new simulator (or
 // policy specialization) becomes available everywhere by registering
 // here.
+//
+//   - dew: the DEW multi-configuration tree pass for FIFO; an LRU spec
+//     resolves to the lrutree pass.
+//   - lrutree: the Janapsatya-style LRU simulation tree pass.
+//   - ref: the Dinero-style single-configuration reference simulator
+//     (MinLogSets = MaxLogSets).
 func init() {
-	Register("dew", "DEW multi-configuration tree pass (FIFO or LRU, counter-free fast path)",
-		newDewEngine)
-	Register("lrutree", "LRU simulation tree pass (Janapsatya-style, exact LRU)",
-		newTreeEngine)
-	Register("ref", "Dinero-style single-configuration reference simulator (MinLogSets = MaxLogSets)",
-		newRefEngine)
+	Register("dew", "", newDewEngine)
+	Register("lrutree", "", newTreeEngine)
+	Register("ref", "", newRefEngine)
 }
 
-// dewEngine adapts the DEW core: a monolithic core.Simulator for
-// stream replay and a core.Sharded for sharded replay, built lazily so
-// one engine only allocates the arenas it uses. The monolithic arenas
+// dewEngine adapts the DEW core to FIFO passes: a monolithic
+// core.Simulator for stream replay and a core.Sharded for sharded
+// replay, built lazily so one engine only allocates the arenas it uses. The monolithic arenas
 // are sized for the spec the engine was built for, even when a narrower
 // spec was rebound before the first replay, so every spec Rebind
 // accepts fits them.
@@ -45,18 +48,28 @@ type dewEngine struct {
 	}
 }
 
+// newDewEngine builds the DEW engine for a FIFO spec and hands an LRU
+// spec to the lrutree engine, which simulates LRU exactly in one pass.
+// Either way the spec is validated as a DEW pass first, so the error
+// texts do not depend on the policy.
 func newDewEngine(spec Spec) (Engine, error) {
 	if spec.WriteSim {
 		return nil, fmt.Errorf("engine: dew does not simulate write policies; use ref")
 	}
 	opt := core.Options{
 		MinLogSets: spec.MinLogSets, MaxLogSets: spec.MaxLogSets,
-		Assoc: spec.Assoc, BlockSize: spec.BlockSize, Policy: spec.Policy,
+		Assoc: spec.Assoc, BlockSize: spec.BlockSize,
 	}
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	return &dewEngine{spec: spec, opt: opt, maxAssoc: spec.Assoc}, nil
+	switch spec.Policy {
+	case cache.FIFO:
+		return &dewEngine{spec: spec, opt: opt, maxAssoc: spec.Assoc}, nil
+	case cache.LRU:
+		return newTreeEngine(spec)
+	}
+	return nil, fmt.Errorf("core: unsupported replacement policy %v (FIFO and LRU only)", spec.Policy)
 }
 
 // sameArenas reports whether a pass built for spec a can run spec b on
@@ -67,8 +80,8 @@ func sameArenas(a, b Spec) bool {
 	return a == b && b.BlockSize > 0 && b.BlockSize&(b.BlockSize-1) == 0
 }
 
-// Rebind implements Rebinder: any kind-free spec over the engine's
-// set-count range and policy whose associativity is at most the one the
+// Rebind implements Rebinder: any kind-free FIFO spec over the engine's
+// set-count range whose associativity is at most the one the
 // engine was built for — the monolithic simulator's arena capacity
 // (core.Simulator.Rebind) — is accepted, the simulator keeping its
 // arenas; a sharded backend, whose tree shapes depend on the block
@@ -76,11 +89,11 @@ func sameArenas(a, b Spec) bool {
 func (e *dewEngine) Rebind(spec Spec) bool {
 	opt := core.Options{
 		MinLogSets: spec.MinLogSets, MaxLogSets: spec.MaxLogSets,
-		Assoc: spec.Assoc, BlockSize: spec.BlockSize, Policy: spec.Policy,
+		Assoc: spec.Assoc, BlockSize: spec.BlockSize,
 	}
-	if spec.WriteSim || opt.Validate() != nil ||
+	if spec.WriteSim || spec.Policy != cache.FIFO || opt.Validate() != nil ||
 		opt.MinLogSets != e.opt.MinLogSets || opt.MaxLogSets != e.opt.MaxLogSets ||
-		opt.Policy != e.opt.Policy || opt.Assoc > e.maxAssoc ||
+		opt.Assoc > e.maxAssoc ||
 		e.mono != nil && e.mono.Rebind(opt) != nil {
 		return false
 	}

@@ -1,6 +1,7 @@
 // Package engine unifies the repository's trace-driven simulators —
-// the DEW core (FIFO/LRU multi-configuration tree pass), the LRU
-// simulation tree, and the Dinero-style reference simulator — behind
+// the DEW core (FIFO multi-configuration tree pass), the LRU simulation
+// tree (which the "dew" engine name also resolves to for LRU specs),
+// and the Dinero-style reference simulator — behind
 // one replay interface, so the design-space layers (sweep, explore,
 // the CLI tools) drive every pass through a single dispatch seam
 // instead of re-implementing the stream-vs-sharded switch per
@@ -182,8 +183,8 @@ func Parallel(e Engine) bool {
 // another spec on the arenas they already hold. Arenas are capacity,
 // not shape: Rebind re-targets a finished engine to spec and resets it,
 // keeping its arenas, whenever spec fits them — the DEW engine takes
-// any block size and any narrower associativity over its set-count
-// range and policy, the reference engine any configuration whose ways
+// a FIFO spec of any block size and any narrower associativity over
+// its set-count range, the reference engine any configuration whose ways
 // and sets fit, the LRU tree engine another block size — and reports
 // false, leaving the engine untouched, otherwise.
 type Rebinder interface {
@@ -225,35 +226,31 @@ type Builder func(Spec) (Engine, error)
 
 var (
 	registryMu sync.RWMutex
-	registry   = map[string]registration{}
+	registry   = map[string]Builder{}
 )
 
-type registration struct {
-	build Builder
-	doc   string
-}
-
-// Register adds an engine under a name; doc is a one-line description
-// for tool help text. Registering a duplicate name panics — engine
-// names are a flat global namespace the CLI exposes.
-func Register(name, doc string, build Builder) {
+// Register adds an engine under a name. The second argument is unused;
+// it stays for source compatibility with existing callers. Registering
+// a duplicate name panics — engine names are a flat global namespace
+// the CLI exposes.
+func Register(name, _ string, build Builder) {
 	registryMu.Lock()
 	defer registryMu.Unlock()
 	if _, dup := registry[name]; dup {
 		panic(fmt.Sprintf("engine: duplicate registration of %q", name))
 	}
-	registry[name] = registration{build: build, doc: doc}
+	registry[name] = build
 }
 
 // New builds the named engine for the spec.
 func New(name string, spec Spec) (Engine, error) {
 	registryMu.RLock()
-	reg, ok := registry[name]
+	build, ok := registry[name]
 	registryMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("engine: unknown engine %q (have %v)", name, Names())
 	}
-	return reg.build(spec)
+	return build(spec)
 }
 
 // Names lists the registered engines, sorted.
@@ -266,13 +263,6 @@ func Names() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Doc returns the registered one-line description, or "".
-func Doc(name string) string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	return registry[name].doc
 }
 
 // Replay is the stream-vs-sharded dispatch seam: it replays the shard

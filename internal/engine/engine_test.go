@@ -3,6 +3,8 @@ package engine
 import (
 	"context"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"dew/internal/cache"
@@ -39,9 +41,6 @@ func TestRegistryNames(t *testing.T) {
 	names := Names()
 	want := map[string]bool{"dew": true, "lrutree": true, "ref": true}
 	for _, n := range names {
-		if Doc(n) == "" {
-			t.Errorf("engine %q has no doc line", n)
-		}
 		delete(want, n)
 	}
 	for n := range want {
@@ -49,6 +48,52 @@ func TestRegistryNames(t *testing.T) {
 	}
 	if _, err := New("nope", Spec{}); err == nil {
 		t.Error("want error for unknown engine")
+	}
+}
+
+// TestLRUAndFIFODiffer pins how the dew engine resolves policies: FIFO
+// and LRU passes differ on a thrashing trace, an LRU pass is the
+// lrutree pass bit for bit (monolithic and 2-shard replays), and any
+// other policy is rejected.
+func TestLRUAndFIFODiffer(t *testing.T) {
+	rng := rand.New(rand.NewSource(66))
+	tr := make(trace.Trace, 20000)
+	for i := range tr {
+		tr[i] = trace.Access{Addr: uint64(rng.Intn(256))}
+	}
+	bs, err := tr.BlockStream(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss, err := trace.ShardBlockStream(bs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := func(pol cache.Policy) Spec {
+		return Spec{MaxLogSets: 3, Assoc: 4, BlockSize: 1, Policy: pol, Workers: 2}
+	}
+	run := func(name string, pol cache.Policy, ss *trace.ShardStream) []Result {
+		t.Helper()
+		e, err := Run(context.Background(), name, spec(pol), bs, ss)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e.Results()
+	}
+
+	fifo, lru := run("dew", cache.FIFO, nil), run("dew", cache.LRU, nil)
+	if fifo[len(fifo)-1] == lru[len(lru)-1] {
+		t.Errorf("FIFO and LRU missed identically (%+v) on a thrashing trace; suspicious", fifo[len(fifo)-1])
+	}
+	for _, replay := range []*trace.ShardStream{nil, ss} {
+		got, want := run("dew", cache.LRU, replay), run("lrutree", cache.LRU, replay)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("sharded=%v: dew LRU %+v, lrutree %+v", replay != nil, got, want)
+		}
+	}
+	if _, err := New("dew", spec(cache.Random)); err == nil ||
+		!strings.Contains(err.Error(), "unsupported replacement policy Random") {
+		t.Errorf("dew Random: err %v, want the unsupported-policy error", err)
 	}
 }
 
@@ -69,13 +114,25 @@ func TestEnginesMatchDirectSimulators(t *testing.T) {
 	}
 
 	t.Run("dew", func(t *testing.T) {
+		// FIFO runs on the DEW core; LRU resolves to the LRU tree.
+		fifo := core.MustNew(core.Options{MaxLogSets: maxLog, Assoc: 4, BlockSize: block})
+		if err := fifo.SimulateStream(bs); err != nil {
+			t.Fatal(err)
+		}
+		lru, err := lrutree.New(lrutree.Options{MaxLogSets: maxLog, Assoc: 4, BlockSize: block})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := lru.SimulateStream(bs); err != nil {
+			t.Fatal(err)
+		}
+		direct := map[cache.Policy][]Result{
+			cache.FIFO: convertResults(fifo.Results()),
+			cache.LRU:  convertTreeResults(lru.Results()),
+		}
 		for _, pol := range []cache.Policy{cache.FIFO, cache.LRU} {
 			spec := Spec{MaxLogSets: maxLog, Assoc: 4, BlockSize: block, Policy: pol, Workers: 2}
-			direct := core.MustNew(core.Options{MaxLogSets: maxLog, Assoc: 4, BlockSize: block, Policy: pol})
-			if err := direct.SimulateStream(bs); err != nil {
-				t.Fatal(err)
-			}
-			want := convertResults(direct.Results())
+			want := direct[pol]
 
 			for _, sharded := range []bool{false, true} {
 				e, err := New("dew", spec)

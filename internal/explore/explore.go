@@ -85,13 +85,13 @@ type Request struct {
 	// replay.
 	Shards int
 	// Policy selects the replacement policy for every pass: cache.FIFO
-	// (the default, DEW's target) or cache.LRU (exact but slower; see
-	// core.Options.Policy).
+	// (the default, DEW's target) or cache.LRU.
 	Policy cache.Policy
 	// Engine names the registered simulation engine every pass runs on
-	// (see the engine package); "" means "dew". Any multi-configuration
-	// engine registered under the chosen policy works — e.g. "lrutree"
-	// with Policy cache.LRU.
+	// (see the engine package); "" means "dew", which runs FIFO passes
+	// on the DEW core and hands LRU passes to "lrutree". Any
+	// multi-configuration engine registered under the chosen policy
+	// works.
 	Engine string
 	// StreamMem, when positive, runs the exploration's replay through
 	// the bounded span pipeline instead of materializing the finest
