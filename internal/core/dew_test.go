@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dew/internal/cache"
+	"dew/internal/lrutree"
 	"dew/internal/refsim"
 	"dew/internal/trace"
 )
@@ -131,6 +132,33 @@ func TestExactnessWorkloadTraces(t *testing.T) {
 }
 
 // Ablations must not change results — only work counts.
+// TestLRUAndFIFODiffer guards against the FIFO walk degenerating into
+// LRU: on a thrashing trace the DEW pass and an LRU tree pass over the
+// same configurations must miss differently.
+func TestLRUAndFIFODiffer(t *testing.T) {
+	tr := randomTrace(20000, 256, 66)
+	fifo := MustNew(Options{MaxLogSets: 3, Assoc: 4, BlockSize: 1})
+	if err := fifo.Simulate(tr.NewSliceReader()); err != nil {
+		t.Fatal(err)
+	}
+	lru, err := lrutree.Run(lrutree.Options{MaxLogSets: 3, Assoc: 4, BlockSize: 1}, tr.NewSliceReader())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := fifo.MissesFor(8, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := lru.Results()
+	l := res[len(res)-1]
+	if l.Config != (cache.Config{Sets: 8, Assoc: 4, BlockSize: 1}) {
+		t.Fatalf("last LRU result is %+v, want 8 sets 4-way", l.Config)
+	}
+	if f == l.Misses {
+		t.Errorf("FIFO and LRU missed identically (%d) on a thrashing trace; suspicious", f)
+	}
+}
+
 func TestAblationEquivalence(t *testing.T) {
 	tr := streakyTrace(10000, 1<<12, 60)
 	base := MustNew(Options{MaxLogSets: 8, Assoc: 4, BlockSize: 4})

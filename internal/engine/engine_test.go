@@ -53,8 +53,7 @@ func TestRegistryNames(t *testing.T) {
 
 // TestLRUAndFIFODiffer pins how the dew engine resolves policies: FIFO
 // and LRU passes differ on a thrashing trace, an LRU pass is the
-// lrutree pass bit for bit (monolithic and 2-shard replays), and any
-// other policy is rejected.
+// lrutree pass bit for bit (monolithic and 2-shard replays).
 func TestLRUAndFIFODiffer(t *testing.T) {
 	rng := rand.New(rand.NewSource(66))
 	tr := make(trace.Trace, 20000)
@@ -91,7 +90,13 @@ func TestLRUAndFIFODiffer(t *testing.T) {
 			t.Errorf("sharded=%v: dew LRU %+v, lrutree %+v", replay != nil, got, want)
 		}
 	}
-	if _, err := New("dew", spec(cache.Random)); err == nil ||
+}
+
+// TestPolicyValidation checks the dew engine rejects any policy other
+// than FIFO and LRU when it is built.
+func TestPolicyValidation(t *testing.T) {
+	spec := Spec{MaxLogSets: 2, Assoc: 2, BlockSize: 4, Policy: cache.Random}
+	if _, err := New("dew", spec); err == nil ||
 		!strings.Contains(err.Error(), "unsupported replacement policy Random") {
 		t.Errorf("dew Random: err %v, want the unsupported-policy error", err)
 	}
