@@ -26,7 +26,7 @@ race:
 fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzBatchEquivalence -fuzztime 20s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzStreamEquivalence -fuzztime 20s
-	$(GO) test ./internal/core -run '^$$' -fuzz FuzzShardedEquivalence -fuzztime 20s
+	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzShardedEquivalence -fuzztime 20s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzExactness -fuzztime 20s
 	$(GO) test ./internal/lrutree -run '^$$' -fuzz FuzzFastEquivalence -fuzztime 20s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzShardBlockStream -fuzztime 20s

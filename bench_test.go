@@ -198,15 +198,16 @@ func BenchmarkAccessStreamAssoc(b *testing.B) {
 	}
 }
 
-// BenchmarkAccessSharded measures the set-sharded parallel pass at
-// increasing fan-outs against the same workloads, pass shape and
-// underlying stream as BenchmarkAccessStream (whose single-thread
-// ns/access is the baseline for the shard speedup curves bench.sh
-// records). The shard partition is materialized once outside the timed
-// region, like the stream; the pass is built once per fan-out and Reset
-// between iterations. Fan-out only helps with cores to spread across —
-// on a single-core machine the curve records the (small) coordination
-// overhead instead.
+// BenchmarkAccessSharded measures the set-sharded parallel pass (the
+// dew engine's SimulateSharded) at increasing fan-outs against the
+// same workloads, pass shape and underlying stream as
+// BenchmarkAccessStream (whose single-thread ns/access is the baseline
+// for the shard speedup curves bench.sh records). The shard partition
+// is materialized once outside the timed region, like the stream; the
+// engine is built once per fan-out, replays once untimed to build its
+// sharded pass, and is Reset between iterations.
+// Fan-out only helps with cores to spread across — on a single-core
+// machine the curve records the (small) coordination overhead instead.
 func BenchmarkAccessSharded(b *testing.B) {
 	for _, app := range benchAccessApps {
 		tr := benchTrace(b, app)
@@ -221,15 +222,21 @@ func BenchmarkAccessSharded(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				sh, err := core.NewSharded(benchAccessOpt, log, 0)
+				e, err := engine.New("dew", engine.Spec{
+					MaxLogSets: benchAccessOpt.MaxLogSets, Assoc: benchAccessOpt.Assoc,
+					BlockSize: benchAccessOpt.BlockSize, Policy: cache.FIFO,
+				})
 				if err != nil {
+					b.Fatal(err)
+				}
+				if err := e.SimulateSharded(context.Background(), ss); err != nil {
 					b.Fatal(err)
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					sh.Reset()
-					if err := sh.SimulateStream(context.Background(), ss); err != nil {
+					e.Reset()
+					if err := e.SimulateSharded(context.Background(), ss); err != nil {
 						b.Fatal(err)
 					}
 				}

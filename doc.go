@@ -66,11 +66,12 @@
 // 2^S trees that never share a node (a block address b walks only the
 // tree b mod 2^S), and every level of a pass is independently the exact
 // simulation of its own configuration. trace.ShardStream partitions a
-// block stream once into 2^S re-run-compressed substreams, and
-// core.Sharded (mirrored by lrutree.Sharded) replays them — one shallow
-// pass over the levels above S plus one compact tree pass per shard,
-// fanned across goroutines — stitching per-level miss tables back into
-// results bit-identical to the monolithic pass. refsim.Sharded does the
+// block stream once into 2^S re-run-compressed substreams, and the
+// engine package's one sharded tree pass replays them on the DEW core
+// or the LRU tree alike — one shallow pass over the levels above S plus
+// one compact tree pass per shard, fanned across goroutines — stitching
+// their results back into results bit-identical to the monolithic
+// pass. refsim.Sharded does the
 // same for the reference simulator: a configuration with 2^L sets
 // (L ≥ S) is the disjoint union of 2^S sub-caches, each replaying its
 // substream independently under FIFO/LRU (Random, whose replacement

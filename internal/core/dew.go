@@ -96,15 +96,15 @@
 //
 // # Sharded parallel passes
 //
-// A third, parallel execution form of the same pass lives in Sharded:
-// the levels at and below a shard level S decompose into 2^S trees that
-// never share a node (the node index taken mod 2^S equals the block
-// address mod 2^S at every level ≥ S), so each tree can replay its own
-// substream of a trace.ShardStream on its own goroutine while a
-// shallow pass covers the levels above S; the stitched per-level miss
-// tables are bit-identical to the monolithic pass — shard_test.go and
-// FuzzShardedEquivalence enforce it, and sweep cells running with
-// Shards cross-check it against the instrumented pass at runtime.
+// The levels at and below a shard level S decompose into 2^S trees
+// that never share a node (the node index taken mod 2^S equals the
+// block address mod 2^S at every level ≥ S), so a pass can run as a
+// shallow Simulator over the levels above S plus one compact Simulator
+// per tree, each replaying its own substream of a trace.ShardStream.
+// The engine package builds and stitches that sharded pass, for this
+// simulator and the LRU tree alike; its TestShardedEquivalence and
+// FuzzShardedEquivalence hold it to Access, and sweep cells running
+// with Shards cross-check it against the instrumented pass at runtime.
 package core
 
 import (
@@ -664,26 +664,19 @@ type Result struct {
 // direct-mapped configuration it simulates for free, in ascending set
 // count with the direct-mapped entry first.
 func (s *Simulator) Results() []Result {
-	return buildResults(s.opt, s.counters.Accesses, s.missDM, s.missA)
-}
-
-// buildResults assembles the per-configuration Result layout shared by
-// the monolithic Simulator and the stitched sharded pass: per level, the
-// direct-mapped configuration (when Assoc > 1) followed by the A-way
-// configuration, in ascending set count.
-func buildResults(opt Options, accesses uint64, missDM, missA []uint64) []Result {
+	opt, accesses := s.opt, s.counters.Accesses
 	var out []Result
 	for i := 0; i < opt.Levels(); i++ {
 		sets := 1 << (opt.MinLogSets + i)
 		if opt.Assoc > 1 {
 			out = append(out, Result{
 				Config: cache.Config{Sets: sets, Assoc: 1, BlockSize: opt.BlockSize},
-				Stats:  cache.Stats{Accesses: accesses, Misses: missDM[i]},
+				Stats:  cache.Stats{Accesses: accesses, Misses: s.missDM[i]},
 			})
 		}
 		out = append(out, Result{
 			Config: cache.Config{Sets: sets, Assoc: opt.Assoc, BlockSize: opt.BlockSize},
-			Stats:  cache.Stats{Accesses: accesses, Misses: missA[i]},
+			Stats:  cache.Stats{Accesses: accesses, Misses: s.missA[i]},
 		})
 	}
 	return out
@@ -693,12 +686,7 @@ func buildResults(opt Options, accesses uint64, missDM, missA []uint64) []Result
 // configurations (assoc must be 1 or the pass associativity, sets a
 // simulated level).
 func (s *Simulator) MissesFor(sets, assoc int) (uint64, error) {
-	return missesFor(s.opt, s.missDM, s.missA, sets, assoc)
-}
-
-// missesFor resolves one configuration's miss count from a pass's
-// per-level miss tables; shared by the monolithic and sharded passes.
-func missesFor(opt Options, missDM, missA []uint64, sets, assoc int) (uint64, error) {
+	opt := s.opt
 	if assoc != 1 && assoc != opt.Assoc {
 		return 0, fmt.Errorf("core: pass simulates associativity 1 and %d, not %d", opt.Assoc, assoc)
 	}
@@ -712,9 +700,9 @@ func missesFor(opt Options, missDM, missA []uint64, sets, assoc int) (uint64, er
 	}
 	li := log - opt.MinLogSets
 	if assoc == 1 {
-		return missDM[li], nil
+		return s.missDM[li], nil
 	}
-	return missA[li], nil
+	return s.missA[li], nil
 }
 
 // Run builds a Simulator, drains the reader and returns it.

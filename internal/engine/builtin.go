@@ -21,31 +21,24 @@ import (
 //   - lrutree: the Janapsatya-style LRU simulation tree pass.
 //   - ref: the Dinero-style single-configuration reference simulator
 //     (MinLogSets = MaxLogSets).
+//
+// The two tree engines share one adapter (treeEngine), and with it one
+// set-sharded pass (shardedPass).
 func init() {
 	Register("dew", "", newDewEngine)
-	Register("lrutree", "", newTreeEngine)
+	Register("lrutree", "", newLRUEngine)
 	Register("ref", "", newRefEngine)
 }
 
-// dewEngine adapts the DEW core to FIFO passes: a monolithic
-// core.Simulator for stream replay and a core.Sharded for sharded
-// replay, built lazily so one engine only allocates the arenas it uses. The monolithic arenas
-// are sized for the spec the engine was built for, even when a narrower
-// spec was rebound before the first replay, so every spec Rebind
-// accepts fits them.
+// dewEngine adapts the DEW core to FIFO passes. Its monolithic
+// simulator's arenas are sized for the spec the engine was built for,
+// even when a narrower spec was rebound before the first replay, so
+// every spec Rebind accepts fits them.
 type dewEngine struct {
-	spec Spec
-	opt  core.Options
+	treeEngine[core.Result]
 	// maxAssoc is the associativity the engine was built for: the
 	// widest pass its arenas hold (see Rebind).
 	maxAssoc int
-	mono     *core.Simulator
-	sharded  *core.Sharded
-	// last points at the backend that ran most recently; Results and
-	// Accesses read it.
-	last interface {
-		Results() []core.Result
-	}
 }
 
 // newDewEngine builds the DEW engine for a FIFO spec and hands an LRU
@@ -56,20 +49,83 @@ func newDewEngine(spec Spec) (Engine, error) {
 	if spec.WriteSim {
 		return nil, fmt.Errorf("engine: dew does not simulate write policies; use ref")
 	}
-	opt := core.Options{
-		MinLogSets: spec.MinLogSets, MaxLogSets: spec.MaxLogSets,
-		Assoc: spec.Assoc, BlockSize: spec.BlockSize,
-	}
-	if err := opt.Validate(); err != nil {
+	if err := coreOptions(spec).Validate(); err != nil {
 		return nil, err
 	}
 	switch spec.Policy {
 	case cache.FIFO:
-		return &dewEngine{spec: spec, opt: opt, maxAssoc: spec.Assoc}, nil
+		e := &dewEngine{maxAssoc: spec.Assoc}
+		e.treeEngine = treeEngine[core.Result]{spec: spec, build: newCore, buildMono: e.wide}
+		return e, nil
 	case cache.LRU:
-		return newTreeEngine(spec)
+		return newLRUEngine(spec)
 	}
 	return nil, fmt.Errorf("core: unsupported replacement policy %v (FIFO and LRU only)", spec.Policy)
+}
+
+// coreOptions is the DEW pass of a spec.
+func coreOptions(spec Spec) core.Options {
+	return core.Options{
+		MinLogSets: spec.MinLogSets, MaxLogSets: spec.MaxLogSets,
+		Assoc: spec.Assoc, BlockSize: spec.BlockSize,
+	}
+}
+
+// newCore builds a DEW simulator for spec. Like newTree and wide, it
+// returns a nil treeSim on error, never a typed nil pointer.
+func newCore(spec Spec) (treeSim[core.Result], error) {
+	s, err := core.New(coreOptions(spec))
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// wide builds the monolithic simulator with arenas for the engine's
+// widest pass, bound to spec.
+func (e *dewEngine) wide(spec Spec) (treeSim[core.Result], error) {
+	opt := coreOptions(spec)
+	wide := opt
+	wide.Assoc = e.maxAssoc
+	s, err := core.New(wide)
+	if err == nil && wide != opt {
+		err = s.Rebind(opt)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Rebind implements Rebinder: any kind-free FIFO spec over the engine's
+// set-count range whose associativity is at most the one the engine
+// was built for — the monolithic simulator's arena capacity
+// (core.Simulator.Rebind) — is accepted, the simulator keeping its
+// arenas.
+func (e *dewEngine) Rebind(spec Spec) bool {
+	opt := coreOptions(spec)
+	if spec.WriteSim || spec.Policy != cache.FIFO || opt.Validate() != nil ||
+		spec.MinLogSets != e.spec.MinLogSets || spec.MaxLogSets != e.spec.MaxLogSets ||
+		spec.Assoc > e.maxAssoc ||
+		e.mono != nil && e.mono.(*core.Simulator).Rebind(opt) != nil {
+		return false
+	}
+	e.rebind(spec)
+	return true
+}
+
+// Prepare implements Preparer: it builds the monolithic simulator and
+// writes its arenas once. An engine that has replayed already keeps its
+// state.
+func (e *dewEngine) Prepare() error {
+	if e.mono != nil {
+		return nil
+	}
+	if err := e.monolithic(); err != nil {
+		return err
+	}
+	e.mono.(*core.Simulator).Prefault()
+	return nil
 }
 
 // sameArenas reports whether a pass built for spec a can run spec b on
@@ -80,197 +136,49 @@ func sameArenas(a, b Spec) bool {
 	return a == b && b.BlockSize > 0 && b.BlockSize&(b.BlockSize-1) == 0
 }
 
-// Rebind implements Rebinder: any kind-free FIFO spec over the engine's
-// set-count range whose associativity is at most the one the
-// engine was built for — the monolithic simulator's arena capacity
-// (core.Simulator.Rebind) — is accepted, the simulator keeping its
-// arenas; a sharded backend, whose tree shapes depend on the block
-// size, is dropped and rebuilt on demand.
-func (e *dewEngine) Rebind(spec Spec) bool {
-	opt := core.Options{
-		MinLogSets: spec.MinLogSets, MaxLogSets: spec.MaxLogSets,
-		Assoc: spec.Assoc, BlockSize: spec.BlockSize,
-	}
-	if spec.WriteSim || spec.Policy != cache.FIFO || opt.Validate() != nil ||
-		opt.MinLogSets != e.opt.MinLogSets || opt.MaxLogSets != e.opt.MaxLogSets ||
-		opt.Assoc > e.maxAssoc ||
-		e.mono != nil && e.mono.Rebind(opt) != nil {
-		return false
-	}
-	e.spec, e.opt = spec, opt
-	e.sharded, e.last = nil, nil
-	return true
+// lruEngine adapts the LRU simulation tree.
+type lruEngine struct {
+	treeEngine[lrutree.Result]
 }
 
-// monolithic builds the monolithic simulator on first use, with arenas
-// for the engine's widest pass, bound to its current spec.
-func (e *dewEngine) monolithic() error {
-	if e.mono != nil {
-		return nil
-	}
-	wide := e.opt
-	wide.Assoc = e.maxAssoc
-	mono, err := core.New(wide)
-	if err == nil && wide != e.opt {
-		err = mono.Rebind(e.opt)
-	}
-	if err != nil {
-		return err
-	}
-	e.mono = mono
-	return nil
-}
-
-// Prepare implements Preparer: it builds the monolithic simulator and
-// writes its arenas once. An engine that has replayed already keeps its
-// state.
-func (e *dewEngine) Prepare() error {
-	if e.mono != nil {
-		return nil
-	}
-	err := e.monolithic()
-	if err == nil {
-		e.mono.Prefault()
-	}
-	return err
-}
-
-func (e *dewEngine) SimulateStream(bs *trace.BlockStream) error {
-	if err := e.monolithic(); err != nil {
-		return err
-	}
-	e.last = e.mono
-	return e.mono.SimulateStream(bs)
-}
-
-func (e *dewEngine) SimulateSharded(ctx context.Context, ss *trace.ShardStream) error {
-	if e.sharded == nil || e.sharded.ShardLog() != ss.Log {
-		var err error
-		if e.sharded, err = core.NewSharded(e.opt, ss.Log, e.spec.Workers); err != nil {
-			return err
-		}
-	}
-	e.last = e.sharded
-	return e.sharded.SimulateStream(ctx, ss)
-}
-
-func (e *dewEngine) Reset() {
-	if e.mono != nil {
-		e.mono.Reset()
-	}
-	if e.sharded != nil {
-		e.sharded.Reset()
-	}
-	e.last = nil
-}
-
-func (e *dewEngine) Results() []Result {
-	if e.last == nil {
-		return nil
-	}
-	return convertResults(e.last.Results())
-}
-
-func (e *dewEngine) Accesses() uint64 {
-	switch {
-	case e.last == nil:
-		return 0
-	case e.last == e.sharded:
-		return e.sharded.Accesses()
-	default:
-		return e.mono.Counters().Accesses
-	}
-}
-
-// treeEngine adapts the LRU simulation tree the same way.
-type treeEngine struct {
-	spec    Spec
-	opt     lrutree.Options
-	mono    *lrutree.Simulator
-	sharded *lrutree.Sharded
-	last    interface {
-		Results() []lrutree.Result
-	}
-}
-
-func newTreeEngine(spec Spec) (Engine, error) {
+func newLRUEngine(spec Spec) (Engine, error) {
 	if spec.Policy != cache.LRU {
 		return nil, fmt.Errorf("engine: lrutree simulates LRU only, got %v", spec.Policy)
 	}
 	if spec.WriteSim {
 		return nil, fmt.Errorf("engine: lrutree does not simulate write policies; use ref")
 	}
-	opt := lrutree.Options{
+	if err := treeOptions(spec).Validate(); err != nil {
+		return nil, err
+	}
+	return &lruEngine{treeEngine[lrutree.Result]{spec: spec, build: newTree, buildMono: newTree}}, nil
+}
+
+// treeOptions is the LRU tree pass of a spec.
+func treeOptions(spec Spec) lrutree.Options {
+	return lrutree.Options{
 		MinLogSets: spec.MinLogSets, MaxLogSets: spec.MaxLogSets,
 		Assoc: spec.Assoc, BlockSize: spec.BlockSize,
 	}
-	if err := opt.Validate(); err != nil {
+}
+
+func newTree(spec Spec) (treeSim[lrutree.Result], error) {
+	s, err := lrutree.New(treeOptions(spec))
+	if err != nil {
 		return nil, err
 	}
-	return &treeEngine{spec: spec, opt: opt}, nil
+	return s, nil
 }
 
 // Rebind implements Rebinder: the monolithic simulator keeps its
-// arenas across block sizes (the only axis besides the worker count
-// that may change); a sharded backend, whose tree shapes depend on the
-// block size, is dropped and rebuilt on demand.
-func (e *treeEngine) Rebind(spec Spec) bool {
-	if !sameArenas(e.spec, spec) || e.mono != nil && e.mono.Rebind(spec.BlockSize) != nil {
+// arenas across block sizes, the only axis besides the worker count
+// that may change.
+func (e *lruEngine) Rebind(spec Spec) bool {
+	if !sameArenas(e.spec, spec) || e.mono != nil && e.mono.(*lrutree.Simulator).Rebind(spec.BlockSize) != nil {
 		return false
 	}
-	e.spec, e.opt.BlockSize = spec, spec.BlockSize
-	e.sharded, e.last = nil, nil
+	e.rebind(spec)
 	return true
-}
-
-func (e *treeEngine) SimulateStream(bs *trace.BlockStream) error {
-	if e.mono == nil {
-		var err error
-		if e.mono, err = lrutree.New(e.opt); err != nil {
-			return err
-		}
-	}
-	e.last = e.mono
-	return e.mono.SimulateStream(bs)
-}
-
-func (e *treeEngine) SimulateSharded(ctx context.Context, ss *trace.ShardStream) error {
-	if e.sharded == nil || e.sharded.ShardLog() != ss.Log {
-		var err error
-		if e.sharded, err = lrutree.NewSharded(e.opt, ss.Log, e.spec.Workers); err != nil {
-			return err
-		}
-	}
-	e.last = e.sharded
-	return e.sharded.SimulateStream(ctx, ss)
-}
-
-func (e *treeEngine) Reset() {
-	if e.mono != nil {
-		e.mono.Reset()
-	}
-	if e.sharded != nil {
-		e.sharded.Reset()
-	}
-	e.last = nil
-}
-
-func (e *treeEngine) Results() []Result {
-	if e.last == nil {
-		return nil
-	}
-	return convertTreeResults(e.last.Results())
-}
-
-func (e *treeEngine) Accesses() uint64 {
-	switch {
-	case e.last == nil:
-		return 0
-	case e.last == e.sharded:
-		return e.sharded.Accesses()
-	default:
-		return e.mono.Counters().Accesses
-	}
 }
 
 // refEngine adapts the reference simulator: one configuration per
@@ -456,22 +364,4 @@ func (e *refEngine) Results() []Result {
 	}
 	st := e.RefStats()
 	return []Result{{Config: e.cfg, Stats: st.Stats}}
-}
-
-func (e *refEngine) Accesses() uint64 { return e.RefStats().Accesses }
-
-func convertResults(in []core.Result) []Result {
-	out := make([]Result, len(in))
-	for i, r := range in {
-		out[i] = Result(r)
-	}
-	return out
-}
-
-func convertTreeResults(in []lrutree.Result) []Result {
-	out := make([]Result, len(in))
-	for i, r := range in {
-		out[i] = Result(r)
-	}
-	return out
 }

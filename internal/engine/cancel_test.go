@@ -102,7 +102,7 @@ func TestSpanReplayerCancelMidStream(t *testing.T) {
 	if err := l2.Feed(ctx2, &spans[0].BlockStream); !errors.Is(err, context.Canceled) {
 		t.Fatalf("replay cancelled inside a rung: %v, want context.Canceled", err)
 	}
-	if n := engs[64][0].Accesses(); n != 0 {
+	if n := accesses(t, engs[64][0]); n != 0 {
 		t.Fatalf("a rung queued behind the cancellation replayed %d accesses", n)
 	}
 }

@@ -90,8 +90,8 @@ func sameEngineState(t *testing.T, label string, got, want Engine) {
 			t.Fatalf("%s: result %d = %+v, want %+v", label, i, gr[i], wr[i])
 		}
 	}
-	if got.Accesses() != want.Accesses() {
-		t.Fatalf("%s: accesses %d, want %d", label, got.Accesses(), want.Accesses())
+	if g, w := accesses(t, got), accesses(t, want); g != w {
+		t.Fatalf("%s: accesses %d, want %d", label, g, w)
 	}
 	if ws, ok := want.(RefStatser); ok {
 		if gs := got.(RefStatser).RefStats(); gs != ws.RefStats() {
@@ -290,8 +290,8 @@ func TestReplayPipelineErrors(t *testing.T) {
 	if err := l.Feed(context.Background(), bad); err == nil {
 		t.Fatal("mismatched span fed without error")
 	}
-	if e.Accesses() != 0 {
-		t.Fatalf("a refused span replayed %d accesses", e.Accesses())
+	if n := accesses(t, e); n != 0 {
+		t.Fatalf("a refused span replayed %d accesses", n)
 	}
 
 	// A simulate error in one rung aborts the Feed, naming the rung; the
@@ -392,8 +392,8 @@ func TestReplayPipelineBoundedMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	for b, es := range engs {
-		if es[0].Accesses() != n {
-			t.Fatalf("rung B=%d simulated %d accesses, want %d", b, es[0].Accesses(), n)
+		if got := accesses(t, es[0]); got != n {
+			t.Fatalf("rung B=%d simulated %d accesses, want %d", b, got, n)
 		}
 	}
 	if spans < 8 {

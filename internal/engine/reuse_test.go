@@ -101,7 +101,7 @@ func TestReuseFallsBackToNew(t *testing.T) {
 	if dew.(Rebinder).Rebind(ws) {
 		t.Error("dew rebound to a write-policy spec")
 	}
-	if b := dew.(*dewEngine).opt.BlockSize; b != 8 {
+	if b := dew.(*dewEngine).spec.BlockSize; b != 8 {
 		t.Errorf("rejected rebinds moved the engine to block size %d", b)
 	}
 	tree, err := New("lrutree", Spec{MaxLogSets: 5, Assoc: 2, BlockSize: 8, Policy: cache.LRU})

@@ -49,11 +49,11 @@
 // Options.Instrument, or disabling a pruning rule, routes the stream
 // entry points back through Access.
 //
-// Sharded mirrors the DEW core's set-sharded parallel pass for the LRU
-// tree: one shallow pass plus 2^S per-tree substream replays of a
-// trace.ShardStream, stitched bit-identical to the monolithic pass
-// (shard_test.go enforces it). Reset reuses the arenas across repeated
-// passes.
+// The engine package runs the set-sharded parallel form of a pass on
+// this simulator as it does on the DEW core's: one shallow Simulator
+// plus 2^S per-tree Simulators replaying the substreams of a
+// trace.ShardStream, stitched bit-identical to the monolithic pass.
+// Reset reuses the arenas across repeated passes.
 package lrutree
 
 import (
@@ -365,24 +365,19 @@ type Result struct {
 // ascending set count, direct-mapped before A-way (matching the DEW
 // core's Results layout).
 func (s *Simulator) Results() []Result {
-	return buildResults(s.opt, s.counters.Accesses, s.missDM, s.missA)
-}
-
-// buildResults assembles the per-configuration Result layout shared by
-// the monolithic simulator and the stitched sharded pass.
-func buildResults(opt Options, accesses uint64, missDM, missA []uint64) []Result {
+	opt, accesses := s.opt, s.counters.Accesses
 	var out []Result
 	for i := 0; i < opt.Levels(); i++ {
 		sets := 1 << (opt.MinLogSets + i)
 		if opt.Assoc > 1 {
 			out = append(out, Result{
 				Config: cache.Config{Sets: sets, Assoc: 1, BlockSize: opt.BlockSize},
-				Stats:  cache.Stats{Accesses: accesses, Misses: missDM[i]},
+				Stats:  cache.Stats{Accesses: accesses, Misses: s.missDM[i]},
 			})
 		}
 		out = append(out, Result{
 			Config: cache.Config{Sets: sets, Assoc: opt.Assoc, BlockSize: opt.BlockSize},
-			Stats:  cache.Stats{Accesses: accesses, Misses: missA[i]},
+			Stats:  cache.Stats{Accesses: accesses, Misses: s.missA[i]},
 		})
 	}
 	return out

@@ -11,8 +11,8 @@ import (
 )
 
 // Sharded is one reference simulation decomposed for intra-pass
-// parallelism at shard level S, the refsim counterpart of core.Sharded:
-// a configuration with 2^L sets (L ≥ S) is the disjoint union of 2^S
+// parallelism at shard level S, the refsim counterpart of the tree
+// engines' sharded pass (internal/engine): a configuration with 2^L sets (L ≥ S) is the disjoint union of 2^S
 // sub-caches — sub-cache t holds exactly the sets whose index is
 // congruent to t mod 2^S — and shard t of a trace.ShardStream carries
 // exactly the accesses that touch sub-cache t, in order. Each sub-cache

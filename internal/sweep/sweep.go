@@ -84,9 +84,10 @@
 //
 // Workers parallelizes *across* cells; Runner.Shards parallelizes
 // *inside* one pass. With Shards ≥ 2 every cell additionally runs the
-// set-sharded parallel DEW pass (core.Sharded): the cell's stream is
-// partitioned once per (trace, block size) into a trace.ShardStream —
-// shared read-only across cells exactly like the streams — and 2^S
+// set-sharded parallel DEW pass (the dew engine's SimulateSharded): the
+// cell's stream is partitioned once per (trace, block size) into a
+// trace.ShardStream — shared read-only across cells exactly like the
+// streams — and 2^S
 // independent tree passes replay it across goroutines, with a shallow
 // pass covering the levels above the shard level. Tree independence
 // makes the decomposition exact (a block address walks only the tree
