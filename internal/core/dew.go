@@ -102,9 +102,10 @@
 // shallow Simulator over the levels above S plus one compact Simulator
 // per tree, each replaying its own substream of a trace.ShardStream.
 // The engine package builds and stitches that sharded pass, for this
-// simulator and the LRU tree alike; its TestShardedEquivalence and
-// FuzzShardedEquivalence hold it to Access, and sweep cells running
-// with Shards cross-check it against the instrumented pass at runtime.
+// simulator and the LRU tree alike; this package's TestShardedEquivalence
+// and the engine's FuzzShardedEquivalence hold it to Access, and sweep
+// cells running with Shards cross-check it against the instrumented
+// pass at runtime.
 package core
 
 import (

@@ -119,49 +119,6 @@ func (p *shardedPass[R]) treeResults() [][]Result {
 	return out
 }
 
-// TestShardedEquivalence proves the sharded pass bit-identical to the
-// instrumented per-access pass of its simulator, for FIFO on the DEW
-// core and LRU on the LRU tree, across every shard level of each shape
-// — including S=0 (one tree, no shallow pass), S=MaxLogSets (every
-// level above the leaf forest replayed shallow), and MinLogSets>0
-// forests where the shard level falls below, inside and above the
-// simulated range's start.
-func TestShardedEquivalence(t *testing.T) {
-	apps := []workload.App{workload.CJPEG, workload.MPEG2Dec, workload.G721Enc}
-	shapes := []shape{
-		{0, 6, 4, 16},
-		{0, 5, 8, 4},
-		{2, 7, 2, 32},
-		{3, 6, 4, 64},
-		{0, 5, 1, 8},
-		{1, 5, 8, 32},
-		{2, 6, 2, 8},
-		{0, 5, 1, 4},
-	}
-	for _, c := range shardCases {
-		for _, app := range apps {
-			tr := workload.Take(app.Generator(7), 30_000)
-			for _, sh := range shapes {
-				spec := c.spec(sh, 4)
-				bs := mustBlocks(t, tr, sh.block)
-				want := c.oracle(t, spec, tr)
-				for log := 0; log <= sh.maxLog; log++ {
-					label := fmt.Sprintf("%s/%s/min%d/max%d/A%d/B%d/S%d",
-						c.name, app.Name, sh.minLog, sh.maxLog, sh.assoc, sh.block, log)
-					e := c.newEngine(t, spec)
-					if err := e.SimulateSharded(context.Background(), mustShard(t, bs, log)); err != nil {
-						t.Fatal(err)
-					}
-					sameResults(t, label, e.Results(), want)
-					if n := accesses(t, e); n != uint64(len(tr)) {
-						t.Errorf("%s: accesses %d, want %d", label, n, len(tr))
-					}
-				}
-			}
-		}
-	}
-}
-
 // splitRuns returns the stream with every run of weight w > 1 cut into
 // runs of w/2 and w-w/2 of the same block, so each second half starts
 // mid-run.
@@ -219,102 +176,29 @@ func TestShardedMidRunBoundaries(t *testing.T) {
 	}
 }
 
-// TestShardedReset reuses one sharded pass across repeated replays:
-// Reset must clear the stitched tables, and every replay must
-// reproduce the first's results exactly.
-func TestShardedReset(t *testing.T) {
+// TestShardedPassResetAndLevelGuard checks, for both tree engines,
+// what only the pass itself shows (the dew and lrutree packages test
+// the rest through the engines): Reset zeroes every stitched row, and
+// the pass rejects a partition cut at another shard level than its
+// own, which the engines never hand it because they rebuild the pass
+// on a level change.
+func TestShardedPassResetAndLevelGuard(t *testing.T) {
+	tr := workload.Take(workload.DJPEG.Generator(5), 15_000)
 	for _, c := range shardCases {
-		for _, w := range []struct {
-			app    workload.App
-			seed   uint64
-			n, log int
-		}{{workload.DJPEG, 5, 15_000, 3}, {workload.MPEG2Dec, 4, 12_000, 2}} {
-			label := fmt.Sprintf("%s/%s", c.name, w.app.Name)
-			tr := workload.Take(w.app.Generator(w.seed), w.n)
-			spec := c.spec(shape{0, 6, 4, 16}, 2)
-			ss := mustShard(t, mustBlocks(t, tr, spec.BlockSize), w.log)
-			e := c.newEngine(t, spec)
-			if err := e.SimulateSharded(context.Background(), ss); err != nil {
-				t.Fatal(err)
-			}
-			want := e.Results()
-			for i := 0; i < 3; i++ {
-				e.Reset()
-				if e.Results() != nil {
-					t.Fatalf("%s: Results survive Reset", label)
-				}
-				for _, r := range passOf(e).Results() {
-					if r.Accesses != 0 || r.Misses != 0 {
-						t.Fatalf("%s: Reset left %+v in the sharded pass", label, r)
-					}
-				}
-				if err := e.SimulateSharded(context.Background(), ss); err != nil {
-					t.Fatal(err)
-				}
-				for j, r := range e.Results() {
-					if r != want[j] {
-						t.Fatalf("%s: replay %d: result %d = %+v, want %+v", label, i, j, r, want[j])
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestShardedRepeatedReplay replays the same shard stream twice on one
-// pass without Reset — a chunked replay, which the monolithic stream
-// replay also supports — and demands agreement with the monolithic
-// pass fed the stream twice.
-func TestShardedRepeatedReplay(t *testing.T) {
-	tr := workload.Take(workload.CJPEG.Generator(8), 10_000)
-	for _, c := range shardCases {
-		for _, sh := range []shape{
-			{0, 6, 4, 16},
-			{4, 6, 4, 16}, // S ≤ MinLogSets: no shallow pass
-			{0, 5, 2, 8},
-		} {
-			spec := c.spec(sh, 2)
-			bs := mustBlocks(t, tr, sh.block)
-			ss := mustShard(t, bs, 2)
-			mono, sharded := c.newEngine(t, spec), c.newEngine(t, spec)
-			for round := 0; round < 2; round++ {
-				if err := mono.SimulateStream(bs); err != nil {
-					t.Fatal(err)
-				}
-				if err := sharded.SimulateSharded(context.Background(), ss); err != nil {
-					t.Fatal(err)
-				}
-				sameResults(t, fmt.Sprintf("%s/min%d/round%d", c.name, sh.minLog, round), sharded.Results(), mono.Results())
-			}
-		}
-	}
-}
-
-// TestShardedRejects covers the sharded pass's guards: shard levels
-// outside [0, MaxLogSets], and a partition cut at another level or
-// block size than the pass's.
-func TestShardedRejects(t *testing.T) {
-	tr := workload.Take(workload.CJPEG.Generator(1), 500)
-	bs := mustBlocks(t, tr, 16)
-	for _, c := range shardCases {
-		spec := c.spec(shape{0, 4, 2, 16}, 0)
-		if err := c.newEngine(t, spec).SimulateSharded(context.Background(), mustShard(t, bs, 5)); err == nil {
-			t.Errorf("%s: shard level above MaxLogSets accepted", c.name)
-		}
-		negative := &trace.ShardStream{BlockSize: 16, Log: -1, Source: bs}
-		if err := c.newEngine(t, spec).SimulateSharded(context.Background(), negative); err == nil {
-			t.Errorf("%s: negative shard level accepted", c.name)
-		}
+		spec := c.spec(shape{0, 6, 4, 16}, 2)
+		bs := mustBlocks(t, tr, spec.BlockSize)
 		e := c.newEngine(t, spec)
-		if err := e.SimulateSharded(context.Background(), mustShard(t, bs, 2)); err != nil {
+		if err := e.SimulateSharded(context.Background(), mustShard(t, bs, 3)); err != nil {
 			t.Fatal(err)
 		}
-		if err := passOf(e).SimulateStream(context.Background(), mustShard(t, bs, 3)); err == nil {
-			t.Errorf("%s: shard-level mismatch accepted", c.name)
+		e.Reset()
+		for _, r := range passOf(e).Results() {
+			if r.Accesses != 0 || r.Misses != 0 {
+				t.Fatalf("%s: Reset left %+v in the sharded pass", c.name, r)
+			}
 		}
-		wrongBlock := mustBlocks(t, tr, 4)
-		if err := e.SimulateSharded(context.Background(), mustShard(t, wrongBlock, 2)); err == nil {
-			t.Errorf("%s: block-size mismatch accepted", c.name)
+		if err := passOf(e).SimulateStream(context.Background(), mustShard(t, bs, 2)); err == nil {
+			t.Errorf("%s: shard-level mismatch accepted", c.name)
 		}
 	}
 }

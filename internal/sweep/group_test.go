@@ -4,6 +4,7 @@ import (
 	"context"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -112,6 +113,14 @@ func TestRunCellsSharesDirectMappedPasses(t *testing.T) {
 // timed pass allocates nothing, and the first reference pass allocates
 // less than its arenas would take (only the compulsory-miss set, which
 // depends on the stream).
+//
+// ReadMemStats counts the whole process's allocations, so the test
+// quiets what else allocates while it counts: it runs on one P, as
+// testing.AllocsPerRun does, so background goroutines (the scavenger,
+// new threads on a restarted world) wait; it holds the collector off,
+// whose cycles allocate worker state; and it warms Reuse's interface
+// assertion, whose cache the runtime builds — an allocation — on a
+// random ~1 in 1024 of its misses.
 func TestKitFirstPassAllocatesNothing(t *testing.T) {
 	const maxLog, assoc = 10, 8
 	tr := workload.Take(workload.CJPEG.Generator(1), 5000)
@@ -120,9 +129,20 @@ func TestKitFirstPassAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := newKit(maxLog, assoc)
+	spec := engine.Spec{MaxLogSets: maxLog, Assoc: 4, BlockSize: 16, Policy: cache.FIFO}
+	warm, err := engine.New("dew", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1<<14; i++ {
+		if _, err := engine.Reuse(warm, "dew", spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before, after runtime.MemStats
 
-	spec := engine.Spec{MaxLogSets: maxLog, Assoc: 4, BlockSize: 16, Policy: cache.FIFO}
 	runtime.ReadMemStats(&before)
 	e, _, err := engine.TimedRun(context.Background(), k.dew, "dew", spec, bs, nil)
 	runtime.ReadMemStats(&after)
