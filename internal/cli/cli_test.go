@@ -351,6 +351,21 @@ func TestExploreErrors(t *testing.T) {
 	if _, _, err := run(t, Explore, "-trace", "/nonexistent.din", "-quiet"); err == nil {
 		t.Error("missing trace file should fail")
 	}
+	if _, _, err := run(t, Explore, "-app", "CJPEG", "-n", "100", "-policy", "MRU", "-quiet"); err == nil {
+		t.Error("bad policy should fail")
+	}
+	// Each of these fails before the trace is read, with exit status 2.
+	for _, args := range [][]string{
+		{"-top", "-1"},
+		{"-max-size", "-1"},
+		{"-shards", "-1"},
+		{"-stream-mem", "lots"},
+	} {
+		args = append([]string{"-app", "CJPEG", "-n", "100", "-quiet"}, args...)
+		if _, _, err := run(t, Explore, args...); err == nil || !IsUsage(err) || ExitCode(err) != ExitUsage {
+			t.Errorf("explore %v: got %v, want a usage error", args, err)
+		}
+	}
 }
 
 func TestExperimentsTables12(t *testing.T) {

@@ -42,6 +42,12 @@ func Explore(ctx context.Context, env Env, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return usageError{err}
 	}
+	if *top < 0 {
+		return usagef("-top must be at least 0")
+	}
+	if *maxSize < 0 {
+		return usagef("-max-size must be at least 0")
+	}
 
 	space := cache.ParamSpace{
 		MinLogSets: 0, MaxLogSets: *maxLogS,

@@ -62,8 +62,7 @@ func TestAccessBatchEquivalence(t *testing.T) {
 }
 
 // TestAccessBatchChunking confirms that how a trace is split into
-// batches of raw accesses cannot affect results, and that Instrument
-// routes batched replay back onto the counted path.
+// batches of raw accesses cannot affect results.
 func TestAccessBatchChunking(t *testing.T) {
 	tr := workload.Take(workload.G721Enc.Generator(3), 20_000)
 	opt := Options{MaxLogSets: 6, Assoc: 4, BlockSize: 16}
@@ -75,17 +74,6 @@ func TestAccessBatchChunking(t *testing.T) {
 		split := MustNew(opt)
 		simulateBatches(t, split, tr, chunk)
 		assertSameResults(t, fmt.Sprintf("chunk=%d", chunk), whole, split)
-	}
-
-	instOpt := opt
-	instOpt.Instrument = true
-	inst := MustNew(instOpt)
-	simulateBatches(t, inst, tr, 1024)
-	want := runInstrumented(t, opt, tr)
-	assertSameResults(t, "instrumented batch", want, inst)
-	if inst.Counters() != want.Counters() {
-		t.Errorf("Instrument: batched counters %+v, Access counters %+v",
-			inst.Counters(), want.Counters())
 	}
 }
 

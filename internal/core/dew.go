@@ -65,9 +65,8 @@
 // Counters.Accesses, no wave pointers, no MRE records. The two paths are bit-identical in Results —
 // stream_test.go and FuzzStreamEquivalence enforce it — and every sweep
 // cell replays the fast path and cross-checks it against the
-// instrumented pass. Setting Options.Instrument (or any ablation switch,
-// whose whole point is moving counters) routes the stream entry points
-// back through the counted path.
+// instrumented pass. Any ablation switch, whose whole point is moving
+// counters, routes the stream entry points back through Access.
 //
 // # Memory layout
 //
@@ -135,23 +134,6 @@ type Options struct {
 	DisableMRA  bool
 	DisableWave bool
 	DisableMRE  bool
-
-	// Instrument forces the stream entry points (AccessRuns,
-	// SimulateStream) onto the instrumented path, maintaining the full
-	// Counters set exactly as Access does (they fold run weights into
-	// the level-0 MRA counters arithmetically; see AccessRuns). When
-	// false (the default) and no property is disabled, they take the
-	// counter-free columnar walk (runsFIFO): identical Results, but
-	// only Counters.Accesses is maintained. Access and Simulate are always
-	// instrumented — they are the Table 3/4 measurement path.
-	Instrument bool
-}
-
-// instrumented reports whether the fast entry points must route
-// through the fully counted per-access path: explicitly requested, or
-// required because an ablation switch changes which counters move.
-func (o Options) instrumented() bool {
-	return o.Instrument || o.DisableMRA || o.DisableWave || o.DisableMRE
 }
 
 // maxLogSets is the largest MaxLogSets a pass may have, so a pass has
@@ -466,8 +448,8 @@ func matchFingerprint(word uint64, f uint8) uint64 {
 // arena. The arenas are capacity, not shape: opt must cover the same
 // set-count range (the node arena depends on it), and its ways must fit
 // the tag arena, i.e. Assoc may not exceed the associativity the
-// simulator was built for. The block size, a smaller associativity, the
-// ablation switches and Instrument are free, so a pass on a rebound
+// simulator was built for. The block size, a smaller associativity and
+// the ablation switches are free, so a pass on a rebound
 // simulator allocates nothing. Stale ways beyond the new width, like
 // every stale way, are unreachable: each way read is gated on its
 // node's fill count, which the reset zeroes. A rejected opt leaves the simulator untouched.

@@ -17,7 +17,7 @@ func TestResetEquivalence(t *testing.T) {
 	for _, opt := range []Options{
 		{MaxLogSets: 6, Assoc: 4, BlockSize: 16},
 		{MinLogSets: 2, MaxLogSets: 6, Assoc: 4, BlockSize: 16},
-		{MaxLogSets: 5, Assoc: 8, BlockSize: 4, Instrument: true},
+		{MaxLogSets: 5, Assoc: 8, BlockSize: 4, DisableMRE: true},
 	} {
 		bs := mustStream(t, tr, opt.BlockSize)
 		// Alternate entry points across rounds: Reset must restore the
@@ -142,7 +142,7 @@ func TestResetDropsPendingWaveSettle(t *testing.T) {
 }
 
 // TestRebindEquivalence: a simulator rebound from pass to pass — block
-// size, associativity up to the width it was built for, Instrument —
+// size, associativity up to the width it was built for, an ablation —
 // equals a fresh one at every step, whichever entry point (the columnar
 // AccessRuns walk or per-access Access) ran last, for trees and forests
 // (MinLogSets > 0). Before each rebind every way of
@@ -162,7 +162,7 @@ func TestRebindEquivalence(t *testing.T) {
 		opt.BlockSize, opt.Assoc = steps[0].block, steps[0].assoc
 		s := MustNew(opt)
 		for round, st := range steps {
-			opt.BlockSize, opt.Assoc, opt.Instrument = st.block, st.assoc, round == 4
+			opt.BlockSize, opt.Assoc, opt.DisableMRA = st.block, st.assoc, round == 4
 			if round > 0 {
 				poisonArenas(s, uint64(tr[round].Addr)>>bits.TrailingZeros(uint(st.block)))
 				if err := s.Rebind(opt); err != nil {

@@ -11,9 +11,9 @@ import (
 // SimulateStream replays a materialized block stream through the pass.
 // The stream must have been materialized at the pass's block size — the
 // simulator consumes block IDs directly, with no per-access address
-// shift or struct load. With Options.Instrument unset and no property
-// ablated this is the fastest entry point: one tree walk per run, with
-// run weights folded arithmetically into Counters.Accesses.
+// shift or struct load. With no property ablated this is the fastest
+// entry point: one tree walk per run, with run weights folded
+// arithmetically into Counters.Accesses.
 //
 // The stream is only read, never written, so one stream may be shared
 // by any number of concurrent SimulateStream calls on distinct
@@ -40,12 +40,9 @@ func (s *Simulator) SimulateStream(bs *trace.BlockStream) error {
 // level-0 MRA hit — a hit at every simulated configuration that
 // mutates no replacement state (FIFO never reorders on hits). The
 // counter-free fast path therefore walks the tree once per run and adds
-// the full run weight to Counters.Accesses; the instrumented path walks
-// once and folds the remaining weight into the level-0 MRA-hit counters
-// arithmetically, exactly as per-access Access calls would have counted
-// them. With a
-// property ablated the fold is invalid (ablations change which counters
-// move on a repeat), so each run is expanded through Access.
+// the full run weight to Counters.Accesses. With a property ablated the
+// fold is invalid (ablations change which counters move on a repeat),
+// so each run is expanded through Access.
 func (s *Simulator) AccessRuns(ids []uint64, runs []uint32) {
 	if len(ids) != len(runs) {
 		// Fail loudly on every path: the fast path's weight pre-pass
@@ -61,26 +58,6 @@ func (s *Simulator) AccessRuns(ids []uint64, runs []uint32) {
 		}
 		return
 	}
-	if s.opt.Instrument {
-		off := s.offBits
-		for i, id := range ids {
-			w := runs[i]
-			if w == 0 {
-				continue
-			}
-			s.Access(trace.Access{Addr: id << off})
-			// The remaining w-1 accesses are level-0 MRA hits: each
-			// would count one access, one node evaluation pair, one tag
-			// comparison and one Property 2 cut-off, then stop.
-			rest := uint64(w - 1)
-			s.counters.Accesses += rest
-			s.counters.NodeEvaluations += 2 * rest
-			s.counters.TagComparisons += rest
-			s.counters.MRACount += rest
-		}
-		return
-	}
-
 	s.counters.Accesses += s.runsFastFIFO(ids, runs)
 	s.foldExitHist()
 }

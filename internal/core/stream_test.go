@@ -208,16 +208,14 @@ func TestAccessRunsChunked(t *testing.T) {
 }
 
 // TestAccessRunsInstrumented routes the stream through the counted path
-// and checks the arithmetic fold reproduces Access's counters exactly,
-// for both the Instrument switch and every property ablation (which must
-// expand runs instead of folding).
+// under every property ablation (which must expand runs instead of
+// folding) and checks it reproduces Access's counters exactly.
 func TestAccessRunsInstrumented(t *testing.T) {
 	tr := workload.Take(workload.DJPEG.Generator(9), 15_000)
 	ablations := []struct {
 		name string
 		mod  func(*Options)
 	}{
-		{"instrument", func(o *Options) { o.Instrument = true }},
 		{"noMRA", func(o *Options) { o.DisableMRA = true }},
 		{"noWave", func(o *Options) { o.DisableWave = true }},
 		{"noMRE", func(o *Options) { o.DisableMRE = true }},

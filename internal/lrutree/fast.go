@@ -23,12 +23,10 @@ func (s *Simulator) SimulateStream(bs *trace.BlockStream) error {
 // ids[i] accessed runs[i] consecutive times (zero-weight entries are
 // skipped). Run folding is exact because every access after the first
 // of a run is precisely a same-block repeat, which the CRCB pruning
-// rule proves hits every configuration and reorders nothing; the fast
-// path walks the tree once per run, the Instrument path walks once and
-// folds the remaining weight into the SameBlockSkips counter
-// arithmetically. With a pruning rule ablated the fold is invalid (the
-// whole point of the ablation is moving different counters), so runs
-// are expanded through Access.
+// rule proves hits every configuration and reorders nothing, so the
+// fast path walks the tree once per run. With a pruning rule ablated
+// the fold is invalid (the whole point of the ablation is moving
+// different counters), so runs are expanded through Access.
 func (s *Simulator) AccessRuns(ids []uint64, runs []uint32) {
 	if len(ids) != len(runs) {
 		panic(fmt.Sprintf("lrutree: AccessRuns columns disagree: %d ids, %d runs", len(ids), len(runs)))
@@ -42,23 +40,6 @@ func (s *Simulator) AccessRuns(ids []uint64, runs []uint32) {
 		}
 		return
 	}
-	if s.opt.Instrument {
-		off := s.offBits
-		for i, id := range ids {
-			w := runs[i]
-			if w == 0 {
-				continue
-			}
-			s.Access(trace.Access{Addr: id << off})
-			// The remaining w-1 accesses are same-block skips: each
-			// counts one access and one skip, then stops.
-			rest := uint64(w - 1)
-			s.counters.Accesses += rest
-			s.counters.SameBlockSkips += rest
-		}
-		return
-	}
-
 	var total uint64
 	prev, ok := s.prevBlk, s.havePrev
 	for i, id := range ids {

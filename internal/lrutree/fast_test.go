@@ -146,15 +146,14 @@ func testStreamEquivalence(t *testing.T, tr trace.Trace, name string) {
 	}
 }
 
-// TestAccessRunsInstrumented checks the arithmetic fold on the counted
-// path and the expansion under ablations.
+// TestAccessRunsInstrumented checks the expansion through the counted
+// path under ablations.
 func TestAccessRunsInstrumented(t *testing.T) {
 	tr := streakyTrace(10_000, 1<<12, 8)
 	mods := []struct {
 		name string
 		mod  func(*Options)
 	}{
-		{"instrument", func(o *Options) { o.Instrument = true }},
 		{"noSameBlock", func(o *Options) { o.DisableSameBlock = true }},
 		{"noMRUCutoff", func(o *Options) { o.DisableMRUCutoff = true }},
 	}

@@ -45,9 +45,8 @@
 // level-major nodeState arena — the same layout the DEW core's fast path
 // uses — and the per-level miss splits for the direct-mapped
 // configurations recovered from an exit-depth histogram. The two paths
-// are bit-identical in Results (fast_test.go enforces it). Setting
-// Options.Instrument, or disabling a pruning rule, routes the stream
-// entry points back through Access.
+// are bit-identical in Results (fast_test.go enforces it). Disabling a
+// pruning rule routes the stream entry points back through Access.
 //
 // The engine package runs the set-sharded parallel form of a pass on
 // this simulator as it does on the DEW core's: one shallow Simulator
@@ -79,21 +78,6 @@ type Options struct {
 	// for ablation; results are unchanged.
 	DisableSameBlock bool
 	DisableMRUCutoff bool
-
-	// Instrument forces the stream entry points (AccessRuns,
-	// SimulateStream) onto the instrumented per-access path, maintaining
-	// the full Counters set exactly as Access does. When false (the
-	// default) and no pruning rule is disabled, they take the
-	// counter-free fast path: identical Results, but only
-	// Counters.Accesses is maintained.
-	Instrument bool
-}
-
-// instrumented reports whether the fast entry points must route
-// through the fully counted per-access path: explicitly requested, or
-// required because an ablation switch changes which counters move.
-func (o Options) instrumented() bool {
-	return o.Instrument || o.DisableSameBlock || o.DisableMRUCutoff
 }
 
 // Validate reports whether the options are simulatable.

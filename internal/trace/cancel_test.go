@@ -207,14 +207,15 @@ func TestIngestStitcherPanicPoisons(t *testing.T) {
 	// of range mid-apply; the well-formed chunk after it must never
 	// surface.
 	torn := func() (*runChunk, error) {
-		return &runChunk{ids: []uint64{1}, runs: []uint32{1}, accesses: 1, head: 1, tail: 1}, nil
+		return &runChunk{BlockStream: BlockStream{IDs: []uint64{1}, Runs: []uint32{1}, Accesses: 1}, head: 1, tail: 1}, nil
 	}
 	fine := func() (*runChunk, error) {
-		cc := compressInto(&runChunk{}, true, 0)
+		c := &runChunk{}
+		c.reserve(true, 0)
 		for i := 0; i < 1000; i++ {
-			cc.addAccess(uint64(i), DataRead)
+			c.appendKind(uint64(i), DataRead)
 		}
-		return cc.finish(), nil
+		return c.finish(), nil
 	}
 	p := startWith(t, true, torn, fine)
 	spans := 0

@@ -117,7 +117,6 @@ func BenchmarkDinChunk(b *testing.B) {
 			b.SetBytes(int64(len(text)))
 			b.ReportAllocs()
 			for b.Loop() {
-				*dst = runChunk{ids: dst.ids[:0], runs: dst.runs[:0], kinds: dst.kinds[:0]}
 				if _, err := parseDinChunk(dst, text, 1, lines, 4, kinds); err != nil {
 					b.Fatal(err)
 				}

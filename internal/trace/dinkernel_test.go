@@ -58,17 +58,18 @@ func dinRefDecode(lines []dinRefLine) (Trace, error) {
 // compressRef run-compresses tr with the kind channel, at block size 1,
 // the way parseDinChunk compresses the lines it decodes.
 func compressRef(tr Trace) *runChunk {
-	cc := compressInto(&runChunk{}, true, len(tr))
+	c := &runChunk{}
+	c.reserve(true, len(tr))
 	for _, a := range tr {
-		cc.addAccess(a.Addr, a.Kind)
+		c.appendKind(a.Addr, a.Kind)
 	}
-	return cc.finish()
+	return c.finish()
 }
 
 func sameChunk(t *testing.T, label string, got, want *runChunk) {
 	t.Helper()
-	if !slices.Equal(got.ids, want.ids) || !slices.Equal(got.runs, want.runs) ||
-		!slices.Equal(got.kinds, want.kinds) || got.accesses != want.accesses ||
+	if !slices.Equal(got.IDs, want.IDs) || !slices.Equal(got.Runs, want.Runs) ||
+		!slices.Equal(got.Kinds, want.Kinds) || got.Accesses != want.Accesses ||
 		got.head != want.head || got.tail != want.tail {
 		t.Fatalf("%s: chunk %+v, want %+v", label, *got, *want)
 	}

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -21,99 +20,19 @@ import (
 // below MaxUint32, else start a new run. The 2B materialization of a
 // trace runs that machine over addr >> (log2 B + 1) — exactly the
 // per-access expansion of the B stream with every ID halved. Folding
-// replays that expansion run-at-a-time with appendRun's semantics
-// (saturate the tail at MaxUint32, then start runs greedily), which
-// reproduces the machine step for step, so the folded stream is
-// bit-identical to MaterializeBlockStream at the coarser size —
-// including where uint32 run-overflow splits land. Fold composes:
-// folding k times is bit-identical to materializing at B·2^k, and
-// sharding a folded stream (ShardBlockStream) is bit-identical to
-// decoding and sharding at the coarser size, so the decode-once → fold →
-// shard ladder carries every downstream exactness argument unchanged.
-
-// foldInto runs the fold over bs, appending to dst's (reset) columns.
-// Each source run appends at most one entry, so the output never holds
-// more runs than the input. The kind channel, when present, folds
-// along: merged runs concatenate their kind records, and a uint32
-// overflow splits the source record at the same cut the weight split
-// lands on (per-access semantics under the canonical expansion — see
-// kind.go).
-func foldInto(dst, bs *BlockStream) {
-	kinds := bs.Kinds != nil
-	dst.BlockSize = bs.BlockSize << 1
-	dst.IDs = dst.IDs[:0]
-	dst.Runs = dst.Runs[:0]
-	if kinds {
-		if dst.Kinds == nil {
-			dst.Kinds = []KindRun{}
-		}
-		dst.Kinds = dst.Kinds[:0]
-	} else {
-		dst.Kinds = nil
-	}
-	dst.Accesses = bs.Accesses
-	for i, id := range bs.IDs {
-		fid := id >> 1
-		w := bs.Runs[i]
-		var kr KindRun
-		if kinds {
-			kr = bs.Kinds[i]
-		}
-		if n := len(dst.IDs) - 1; n >= 0 && dst.IDs[n] == fid {
-			if sum := uint64(dst.Runs[n]) + uint64(w); sum <= math.MaxUint32 {
-				dst.Runs[n] = uint32(sum)
-				if kinds {
-					dst.Kinds[n] = mergeKind(dst.Kinds[n], kr)
-				}
-				continue
-			} else {
-				// Per-access semantics at the counter boundary: the
-				// tail saturates, the remainder starts the next run.
-				if kinds {
-					// The cut lands inside this source run: the tail
-					// absorbs its first `take` accesses, the remainder
-					// record starts the next run.
-					take := math.MaxUint32 - dst.Runs[n]
-					var front KindRun
-					front, kr = splitKindRun(kr, take)
-					dst.Kinds[n] = mergeKind(dst.Kinds[n], front)
-				}
-				w = uint32(sum - math.MaxUint32)
-				dst.Runs[n] = math.MaxUint32
-			}
-		}
-		dst.IDs = append(dst.IDs, fid)
-		dst.Runs = append(dst.Runs, w)
-		if kinds {
-			dst.Kinds = append(dst.Kinds, kr)
-		}
-	}
-}
-
-// foldRunCount replays the fold's merge decisions without writing: the
-// exact entry count of the folded stream, so FoldBlockStream's columns
-// never reallocate.
-func foldRunCount(bs *BlockStream) int {
-	n := 0
-	var lastID uint64
-	var lastRun uint32
-	for i, id := range bs.IDs {
-		fid := id >> 1
-		w := bs.Runs[i]
-		if n > 0 && lastID == fid {
-			if sum := uint64(lastRun) + uint64(w); sum <= math.MaxUint32 {
-				lastRun = uint32(sum)
-				continue
-			} else {
-				lastRun = uint32(sum - math.MaxUint32)
-			}
-		} else {
-			lastID, lastRun = fid, w
-		}
-		n++
-	}
-	return n
-}
+// (foldStage.feed, spanfold.go) replays that expansion run-at-a-time
+// with appendRun's semantics (saturate the tail at MaxUint32, then
+// start runs greedily), which reproduces the machine step for step, so
+// the folded stream is bit-identical to MaterializeBlockStream at the
+// coarser size — including where uint32 run-overflow splits land. The
+// machine's only mutable state is the tail run, which a foldStage keeps
+// as the last entry of its columns: FoldBlockStream feeds one stage the
+// whole stream, and LadderFolder feeds a chain of stages span by span,
+// visiting each stage's runs but its tail. Fold composes: folding k
+// times is bit-identical to materializing at B·2^k, and sharding a
+// folded stream (ShardBlockStream) is bit-identical to decoding and
+// sharding at the coarser size, so the decode-once → fold → shard
+// ladder carries every downstream exactness argument unchanged.
 
 // FoldBlockStream derives the stream at twice the block size: every run
 // ID halved, now-adjacent equal-ID runs merged, uint32 run-overflow
@@ -121,10 +40,10 @@ func foldRunCount(bs *BlockStream) int {
 // them. The result is bit-identical to MaterializeBlockStream of the
 // same trace at 2×bs.BlockSize, costs O(bs.Len()) instead of a full
 // trace re-decode, and leaves bs untouched (streams stay immutable and
-// shareable). An exact counting pass sizes the columns, so the fold
-// allocates exactly one ID and one run column.
+// shareable). A counting pass (foldLen) sizes the columns, so the fold
+// allocates exactly one ID and one run column of the folded length.
 func FoldBlockStream(bs *BlockStream) *BlockStream {
-	n := foldRunCount(bs)
+	n := foldLen(bs)
 	dst := &BlockStream{
 		IDs:  make([]uint64, 0, n),
 		Runs: make([]uint32, 0, n),
@@ -132,8 +51,25 @@ func FoldBlockStream(bs *BlockStream) *BlockStream {
 	if bs.Kinds != nil {
 		dst.Kinds = make([]KindRun, 0, n)
 	}
-	foldInto(dst, bs)
-	return dst
+	return FoldBlockStreamInto(dst, bs)
+}
+
+// foldLen returns the run count of bs's fold. It runs the fold machine
+// over bs a slice at a time through a small scratch stage, counting the
+// runs each slice makes final, then the tail: the ID and run columns
+// alone decide the count.
+func foldLen(bs *BlockStream) int {
+	const slice = 256
+	st := foldStage{out: BlockStream{IDs: make([]uint64, 0, slice+1), Runs: make([]uint32, 0, slice+1)}}
+	n := 0
+	for lo := 0; lo < bs.Len(); lo += slice {
+		hi := min(lo+slice, bs.Len())
+		st.settle(false)
+		st.feed(&BlockStream{IDs: bs.IDs[lo:hi], Runs: bs.Runs[lo:hi]}, false)
+		n += st.final(false).Len()
+	}
+	st.settle(false)
+	return n + st.out.Len()
 }
 
 // FoldBlockStreamInto is FoldBlockStream folding into a reusable
@@ -147,7 +83,16 @@ func FoldBlockStreamInto(dst, bs *BlockStream) *BlockStream {
 	if dst == bs {
 		panic("trace: FoldBlockStreamInto folding a stream into itself")
 	}
-	foldInto(dst, bs)
+	kinds := bs.Kinds != nil
+	st := foldStage{out: BlockStream{BlockSize: bs.BlockSize << 1, IDs: dst.IDs[:0], Runs: dst.Runs[:0]}}
+	if kinds {
+		st.out.Kinds = dst.Kinds[:0]
+		if st.out.Kinds == nil {
+			st.out.Kinds = []KindRun{}
+		}
+	}
+	st.feed(bs, kinds)
+	*dst = st.out
 	return dst
 }
 

@@ -55,6 +55,15 @@ func assertSameStream(t *testing.T, ctx string, got, want *BlockStream) {
 	}
 }
 
+// assertExactColumns fails unless FoldBlockStream sized every column of
+// s at exactly its run count.
+func assertExactColumns(t *testing.T, ctx string, s *BlockStream) {
+	t.Helper()
+	if cap(s.IDs) != s.Len() || cap(s.Runs) != s.Len() || (s.HasKinds() && cap(s.Kinds) != s.Len()) {
+		t.Fatalf("%s: column capacities %d/%d/%d for %d runs", ctx, cap(s.IDs), cap(s.Runs), cap(s.Kinds), s.Len())
+	}
+}
+
 // TestFoldBlockStreamEquivalence walks the full block ladder by folding
 // from the finest stream; every rung must be bit-identical to the
 // stream materialized directly from the trace at that size.
@@ -71,6 +80,7 @@ func TestFoldBlockStreamEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertSameStream(t, "fold to B="+itoa(block), cur, want)
+		assertExactColumns(t, "fold to B="+itoa(block), cur)
 	}
 }
 
@@ -334,13 +344,12 @@ func TestFoldZeroAllocs(t *testing.T) {
 	}
 }
 
-// FuzzFoldBlockStream checks the fold against the per-access run
-// machine (appendRun) on arbitrary weighted streams, with the weight
-// byte mapped into the near-MaxUint32 band so counter-overflow splits
-// land at fold merge points. The same pairs drive a kind-weighted
-// stream (crafted per-kind records of the same totals) checked against
-// the appendKindRun machine, so overflow splits land inside kind
-// records too.
+// FuzzFoldBlockStream checks the fold against the run-formation oracle
+// (oracle_test.go) over the halved IDs, on arbitrary weighted streams,
+// with the weight byte mapped into the near-MaxUint32 band so
+// counter-overflow splits land at fold merge points. The same pairs
+// drive a kind-weighted stream (crafted per-kind records of the same
+// totals), so overflow splits land inside kind records too.
 func FuzzFoldBlockStream(f *testing.F) {
 	f.Add([]byte{2, 255, 3, 1, 2, 255}, true)
 	f.Add([]byte{0, 1, 1, 1, 0, 1}, false)
@@ -364,22 +373,24 @@ func FuzzFoldBlockStream(f *testing.F) {
 			ks.appendKindRun(id, testKindRun(raw[i]/16, w))
 		}
 
-		got := FoldBlockStream(bs)
-		// Reference: the per-access state machine replayed run by run.
-		want := &BlockStream{BlockSize: bs.BlockSize << 1}
+		// Reference: the oracle over the same accesses with halved IDs.
+		o, ok := newRunOracle(bs.BlockSize<<1, false), newRunOracle(ks.BlockSize<<1, true)
 		for i, id := range bs.IDs {
-			want.appendRun(id>>1, bs.Runs[i])
+			o.add(id>>1, uint64(bs.Runs[i]))
 		}
-		assertSameStream(t, "fold vs appendRun machine", got, want)
+		for i, id := range ks.IDs {
+			ok.addKindRun(id>>1, ks.Kinds[i])
+		}
+		want, wantK := o.stream(), ok.stream()
+
+		got := FoldBlockStream(bs)
+		assertSameStream(t, "fold vs oracle", got, want)
+		assertExactColumns(t, "fold", got)
 		assertSameStream(t, "fold into", FoldBlockStreamInto(&BlockStream{}, bs), want)
 
-		// Kind-weighted fold vs the appendKindRun machine.
 		gotK := FoldBlockStream(ks)
-		wantK := &BlockStream{BlockSize: ks.BlockSize << 1, Kinds: []KindRun{}}
-		for i, id := range ks.IDs {
-			wantK.appendKindRun(id>>1, ks.Kinds[i])
-		}
-		assertSameStream(t, "kind fold vs appendKindRun machine", gotK, wantK)
+		assertSameStream(t, "kind fold vs oracle", gotK, wantK)
+		assertExactColumns(t, "kind fold", gotK)
 		assertSameStream(t, "kind fold into", FoldBlockStreamInto(&BlockStream{}, ks), wantK)
 
 		// Invariants: weight conservation, no zero runs, no mergeable

@@ -37,10 +37,13 @@ package trace
 // appends record exact positions (each step appends one access of one
 // kind), and a block must be touched 2^32 times in a row before a
 // split can land inside a summarized region, so the convention is
-// unobservable outside crafted weighted inputs; the weighted fuzz
-// oracles (appendKindRun) expand runs in the same canonical order,
-// keeping fold/shard/stitch bit-identical to their per-access
-// references even at crafted near-MaxUint32 weights.
+// unobservable outside crafted weighted inputs. Fold and shard split
+// only a record they are handed, in its canonical order, so they match
+// the test oracle (oracle_test.go) even at crafted near-MaxUint32
+// weights. The span stitcher does not always: it splits a decode
+// chunk's first record, which may have merged accesses out of
+// canonical order, so a saturation split landing inside it can divide
+// the kinds differently from the serial materialization.
 
 // KindRun is one run's kind record: W counts the run's accesses by
 // kind (indexed by Kind; the components sum to the run weight), Lead

@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"context"
-	"math"
 )
 
 // This file is the chunk front half of the span pipeline (span.go): the
@@ -18,14 +17,16 @@ import (
 //
 // Run formation is a per-access state machine whose only mutable state
 // is the tail run (BlockStream.append: grow the tail while it holds the
-// same ID and is below MaxUint32, else start a new run). appendRun
-// applies w such steps at once, so replaying a chunk's locally formed
-// runs through appendRun reproduces the global machine exactly — the
-// boundary-merge step. Only a chunk's edges (its leading and trailing
-// same-ID spans) can merge with a neighbour; the interior between them
-// is final regardless of what neighbouring chunks hold, so the stitcher
-// bulk-appends it and replays just the edges through the serial
-// machine.
+// same ID and is below MaxUint32, else start a new run). A chunk runs
+// that same machine over its own accesses — its columns are a
+// BlockStream, filled by append/appendKind (appendAccesses for a reader
+// batch) — and appendRun applies w steps at once, so replaying a
+// chunk's locally formed runs through appendRun reproduces the global
+// machine exactly: the boundary-merge step. Only a chunk's edges (its
+// leading and trailing same-ID spans) can merge with a neighbour; the
+// interior between them is final regardless of what neighbouring
+// chunks hold, so the stitcher bulk-appends it and replays just the
+// edges through the serial machine.
 //
 // Sharding is not a decode concern: a sharded replay splits each
 // stitched span with ShardBlockStreamInto as it arrives (shard.go).
@@ -39,28 +40,6 @@ const (
 	dinChunkBytes = 1 << 20
 )
 
-// appendRun appends a run of w consecutive accesses to block id with
-// exactly the per-access semantics of append: the tail run grows until
-// the uint32 counter saturates, then new runs are started greedily.
-func (b *BlockStream) appendRun(id uint64, w uint32) {
-	if w == 0 {
-		return
-	}
-	b.Accesses += uint64(w)
-	rem := uint64(w)
-	if n := len(b.IDs); n > 0 && b.IDs[n-1] == id && b.Runs[n-1] < math.MaxUint32 {
-		take := min(rem, uint64(math.MaxUint32-b.Runs[n-1]))
-		b.Runs[n-1] += uint32(take)
-		rem -= take
-	}
-	for rem > 0 {
-		take := min(rem, math.MaxUint32)
-		b.IDs = append(b.IDs, id)
-		b.Runs = append(b.Runs, uint32(take))
-		rem -= take
-	}
-}
-
 // appendSpan appends a span's columns (final runs, already cut at run
 // boundaries) to b — the materializing side of span concatenation.
 func (b *BlockStream) appendSpan(s *BlockStream) {
@@ -72,110 +51,49 @@ func (b *BlockStream) appendSpan(s *BlockStream) {
 	b.Accesses += s.Accesses
 }
 
-// runChunk is one chunk's locally run-compressed columns.
+// runChunk is one chunk's locally run-compressed columns. Its
+// BlockStream carries no block size: a chunk's IDs are already shifted.
 type runChunk struct {
-	ids      []uint64
-	runs     []uint32
-	kinds    []KindRun // kind channel parallel to runs; nil in kind-free mode
-	accesses uint64
+	BlockStream
 	// head is the length of the leading same-ID span; tail is the start
 	// of the trailing same-ID span. Runs in [head, tail) — the interior
 	// — are final regardless of what neighbouring chunks hold.
 	head, tail int
 }
 
-// chunkCompressor builds a runChunk from a stream of (id, weight)
-// pairs, applying the per-access run-formation semantics locally. In
-// kind mode (kinds set at construction) every addition goes through
-// addAccess or addKindRun, which keep the kind column parallel.
-type chunkCompressor struct {
-	c     *runChunk
-	kinds bool
-}
-
-// compressInto starts a compressor filling dst, an empty chunk, first
-// reserving its columns for maxRuns runs: a chunk of n accesses (or n
-// .din lines) forms at most n runs unless a weight overflows uint32, so
-// the columns are allocated at their full size instead of regrown. A
-// fresh reservation gets 1/8 slack because a text chunk's line count
-// varies with its line lengths, and a recycled chunk should fit the
-// next one.
-func compressInto(dst *runChunk, kinds bool, maxRuns int) chunkCompressor {
-	if cap(dst.ids) < maxRuns {
+// reserve empties c and sizes its columns for maxRuns runs, with the
+// kind column when kinds is set: a chunk of n accesses (or n .din
+// lines) forms at most n runs, so the columns are allocated at their
+// full size instead of regrown. A fresh reservation gets 1/8 slack
+// because a text chunk's line count varies with its line lengths, and
+// a recycled chunk should fit the next one.
+func (c *runChunk) reserve(kinds bool, maxRuns int) {
+	*c = runChunk{BlockStream: BlockStream{IDs: c.IDs[:0], Runs: c.Runs[:0], Kinds: c.Kinds[:0]}}
+	if cap(c.IDs) < maxRuns {
 		n := maxRuns + maxRuns/8
-		dst.ids = make([]uint64, 0, n)
-		dst.runs = make([]uint32, 0, n)
-		if kinds {
-			dst.kinds = make([]KindRun, 0, n)
-		}
+		c.IDs = make([]uint64, 0, n)
+		c.Runs = make([]uint32, 0, n)
+		c.Kinds = nil
 	}
-	return chunkCompressor{c: dst, kinds: kinds}
+	if !kinds {
+		c.Kinds = nil
+	} else if c.Kinds == nil {
+		c.Kinds = make([]KindRun, 0, cap(c.IDs))
+	}
 }
 
-// add appends one access in kind-free mode.
-func (cc *chunkCompressor) add(id uint64) {
-	c := cc.c
-	c.accesses++
-	if n := len(c.ids); n > 0 && c.ids[n-1] == id && c.runs[n-1] < math.MaxUint32 {
-		c.runs[n-1]++
-		return
-	}
-	c.ids = append(c.ids, id)
-	c.runs = append(c.runs, 1)
-}
-
-// addAccess is add for one access in kind mode.
-func (cc *chunkCompressor) addAccess(id uint64, k Kind) {
-	cc.c.accesses++
-	if n := len(cc.c.ids); n > 0 && cc.c.ids[n-1] == id && cc.c.runs[n-1] < math.MaxUint32 {
-		cc.c.runs[n-1]++
-		cc.c.kinds[n-1].addSpan(k, 1)
-		return
-	}
-	cc.c.ids = append(cc.c.ids, id)
-	cc.c.runs = append(cc.c.runs, 1)
-	cc.c.kinds = append(cc.c.kinds, kindRunOf(k))
-}
-
-// addKindRun appends a pre-weighted kind run (kr.Total() == w),
-// splitting the record at the uint32 counter boundary exactly where
-// the weight splits.
-func (cc *chunkCompressor) addKindRun(id uint64, w uint32, kr KindRun) {
-	if w == 0 {
-		return
-	}
-	cc.c.accesses += uint64(w)
-	if n := len(cc.c.ids); n > 0 && cc.c.ids[n-1] == id && cc.c.runs[n-1] < math.MaxUint32 {
-		space := math.MaxUint32 - cc.c.runs[n-1]
-		if w <= space {
-			cc.c.runs[n-1] += w
-			cc.c.kinds[n-1] = mergeKind(cc.c.kinds[n-1], kr)
-			return
-		}
-		var front KindRun
-		front, kr = splitKindRun(kr, space)
-		cc.c.runs[n-1] = math.MaxUint32
-		cc.c.kinds[n-1] = mergeKind(cc.c.kinds[n-1], front)
-		w -= space
-	}
-	cc.c.ids = append(cc.c.ids, id)
-	cc.c.runs = append(cc.c.runs, w)
-	cc.c.kinds = append(cc.c.kinds, kr)
-}
-
-// finish computes the chunk's edge spans.
-func (cc *chunkCompressor) finish() *runChunk {
-	c := cc.c
-	n := len(c.ids)
+// finish computes the chunk's edge spans and returns c.
+func (c *runChunk) finish() *runChunk {
+	n := len(c.IDs)
 	if n == 0 {
 		return c
 	}
 	head := 1
-	for head < n && c.ids[head] == c.ids[0] {
+	for head < n && c.IDs[head] == c.IDs[0] {
 		head++
 	}
 	tail := n - 1
-	for tail > 0 && c.ids[tail-1] == c.ids[n-1] {
+	for tail > 0 && c.IDs[tail-1] == c.IDs[n-1] {
 		tail--
 	}
 	if tail < head {
@@ -188,7 +106,7 @@ func (cc *chunkCompressor) finish() *runChunk {
 }
 
 // chunkJob is one chunk's parallel work unit: run compresses the chunk
-// into dst, an empty chunk the worker supplies, and returns it.
+// into dst, a chunk the worker supplies, and returns it.
 type chunkJob struct {
 	seq int
 	run func(dst *runChunk) (*runChunk, error)
@@ -203,11 +121,10 @@ type chunkResult struct {
 // parseDinChunk parses whole .din lines from b (the producer cuts at
 // line boundaries, so b holds at most lines+1 of them) through the
 // same line kernel as DinReader — dinCanonical, falling back to
-// parseDinLine — feeding block IDs straight into a chunk compressor
-// filling dst. Semantics, including error line numbers, match
-// NewDinReader.
+// parseDinLine — appending block IDs straight to dst's columns.
+// Semantics, including error line numbers, match NewDinReader.
 func parseDinChunk(dst *runChunk, b []byte, startLine, lines int, off uint, kinds bool) (*runChunk, error) {
-	cc := compressInto(dst, kinds, lines+1)
+	dst.reserve(kinds, lines+1)
 	line := startLine - 1
 	for len(b) > 0 {
 		line++
@@ -227,12 +144,12 @@ func parseDinChunk(dst *runChunk, b []byte, startLine, lines int, off uint, kind
 			}
 		}
 		if kinds {
-			cc.addAccess(a.Addr>>off, a.Kind)
+			dst.appendKind(a.Addr>>off, a.Kind)
 		} else {
-			cc.add(a.Addr >> off)
+			dst.append(a.Addr >> off)
 		}
 	}
-	return cc.finish(), nil
+	return dst.finish(), nil
 }
 
 // IngestFileShards decodes a trace file (transparently decompressing
@@ -275,13 +192,4 @@ func ingestFileShards(ctx context.Context, name string, blockSize, log, workers 
 		return nil, err
 	}
 	return ShardBlockStream(bs, log)
-}
-
-// blockShift returns log2 of a validated block size.
-func blockShift(blockSize int) uint {
-	off := uint(0)
-	for 1<<off < blockSize {
-		off++
-	}
-	return off
 }

@@ -154,37 +154,18 @@ func weightedProducer(ids [][]uint64, runs [][]uint32, kinds [][]KindRun) func(e
 				ckinds = kinds[seq]
 			}
 			emit(chunkJob{seq: seq, run: func(dst *runChunk) (*runChunk, error) {
-				cc := compressInto(dst, ckinds != nil, len(cids))
+				dst.reserve(ckinds != nil, len(cids))
 				for i := range cids {
 					if ckinds != nil {
-						cc.addKindRun(cids[i], cruns[i], ckinds[i])
+						dst.appendKindRun(cids[i], ckinds[i])
 					} else {
-						addWeighted(&cc, cids[i], cruns[i])
+						dst.appendRun(cids[i], cruns[i])
 					}
 				}
-				return cc.finish(), nil
+				return dst.finish(), nil
 			}})
 		}
 		return nil
-	}
-}
-
-// addWeighted appends w accesses of id in kind-free mode, splitting
-// the run at the uint32 counter boundary.
-func addWeighted(cc *chunkCompressor, id uint64, w uint32) {
-	c := cc.c
-	c.accesses += uint64(w)
-	rem := uint64(w)
-	if n := len(c.ids); n > 0 && c.ids[n-1] == id && c.runs[n-1] < math.MaxUint32 {
-		take := min(rem, uint64(math.MaxUint32-c.runs[n-1]))
-		c.runs[n-1] += uint32(take)
-		rem -= take
-	}
-	for rem > 0 {
-		take := min(rem, math.MaxUint32)
-		c.ids = append(c.ids, id)
-		c.runs = append(c.runs, uint32(take))
-		rem -= take
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"runtime"
 	"strings"
@@ -254,25 +255,25 @@ func (st *spanStitcher) add(c *runChunk) error {
 	p := &st.pend
 	appendEdge := func(i int) {
 		if st.kinds {
-			p.appendKindRun(c.ids[i], c.kinds[i])
+			p.appendKindRun(c.IDs[i], c.Kinds[i])
 		} else {
-			p.appendRun(c.ids[i], c.runs[i])
+			p.appendRun(c.IDs[i], c.Runs[i])
 		}
 	}
 	for i := 0; i < c.head; i++ {
 		appendEdge(i)
 	}
 	if c.tail > c.head {
-		p.IDs = append(p.IDs, c.ids[c.head:c.tail]...)
-		p.Runs = append(p.Runs, c.runs[c.head:c.tail]...)
+		p.IDs = append(p.IDs, c.IDs[c.head:c.tail]...)
+		p.Runs = append(p.Runs, c.Runs[c.head:c.tail]...)
 		if st.kinds {
-			p.Kinds = append(p.Kinds, c.kinds[c.head:c.tail]...)
+			p.Kinds = append(p.Kinds, c.Kinds[c.head:c.tail]...)
 		}
-		for _, w := range c.runs[c.head:c.tail] {
+		for _, w := range c.Runs[c.head:c.tail] {
 			p.Accesses += uint64(w)
 		}
 	}
-	for i := max(c.tail, c.head); i < len(c.ids); i++ {
+	for i := max(c.tail, c.head); i < len(c.IDs); i++ {
 		appendEdge(i)
 	}
 	return st.flush(false)
@@ -504,16 +505,14 @@ func (p *StreamPipeline) start(ctx context.Context, st *spanStitcher,
 	}()
 }
 
-// chunk returns an empty run chunk for a decode worker: a released one
-// when the free list has one, else a fresh one (its compressor sizes
-// the columns to the chunk's access count).
+// chunk returns a run chunk for a decode worker: a released one when
+// the free list has one, else a fresh one (the job's reserve empties it
+// and sizes its columns to the chunk's access count).
 func (p *StreamPipeline) chunk() *runChunk {
-	c := p.freeChunks.get()
-	if c == nil {
-		return &runChunk{}
+	if c := p.freeChunks.get(); c != nil {
+		return c
 	}
-	*c = runChunk{ids: c.ids[:0], runs: c.runs[:0], kinds: c.kinds[:0]}
-	return c
+	return &runChunk{}
 }
 
 // StreamSpans starts a span pipeline over a generic trace reader at the
@@ -533,7 +532,7 @@ func StreamSpans(ctx context.Context, r Reader, blockSize int, opts SpanOptions)
 // Its input buffers go back to a free list of at most buffers once
 // their chunk is compressed.
 func spanReaderProducer(r Reader, blockSize int, kinds bool, chunkSize, buffers int) func(emit func(chunkJob), stop func() bool) error {
-	off := blockShift(blockSize)
+	off := uint(bits.TrailingZeros(uint(blockSize)))
 	free := make(freeList[[]Access], buffers)
 	return func(emit func(chunkJob), stop func() bool) error {
 		br := Batch(r)
@@ -557,20 +556,11 @@ func spanReaderProducer(r Reader, blockSize int, kinds bool, chunkSize, buffers 
 				accs := buf[:filled]
 				emit(chunkJob{seq: seq, run: func(dst *runChunk) (*runChunk, error) {
 					defer free.put(buf)
-					cc := compressInto(dst, kinds, len(accs))
-					if kinds {
-						for _, a := range accs {
-							if !a.Kind.Valid() {
-								return nil, fmt.Errorf("trace: invalid access kind %v at address %#x", a.Kind, a.Addr)
-							}
-							cc.addAccess(a.Addr>>off, a.Kind)
-						}
-					} else {
-						for _, a := range accs {
-							cc.add(a.Addr >> off)
-						}
+					dst.reserve(kinds, len(accs))
+					if err := dst.appendAccesses(accs, off); err != nil {
+						return nil, err
 					}
-					return cc.finish(), nil
+					return dst.finish(), nil
 				}})
 				seq++
 			} else {
@@ -616,7 +606,7 @@ func (p *StreamPipeline) startDin(ctx context.Context, st *spanStitcher, r io.Re
 // fails the decode exactly as it fails DinReader, after every earlier
 // line, so the carry stays below maxDinLine+chunkBytes.
 func spanDinProducer(r io.Reader, blockSize int, kinds bool, chunkBytes, buffers int) func(emit func(chunkJob), stop func() bool) error {
-	off := blockShift(blockSize)
+	off := uint(bits.TrailingZeros(uint(blockSize)))
 	free := make(freeList[[]byte], buffers)
 	// Every line but a buffer's first lies within one read of at most
 	// chunkBytes bytes, so only the first can reach the limit.

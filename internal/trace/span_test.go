@@ -79,16 +79,15 @@ func TestStreamSpansMatchesMaterialize(t *testing.T) {
 		tr := pipelineTrace(rng, n)
 		for _, block := range []int{1, 4, 32} {
 			for _, kinds := range []bool{false, true} {
-				var want *BlockStream
-				var err error
+				want := oracleOf(tr, block, kinds)
+				mat, err := MaterializeBlockStream(tr.NewSliceReader(), block)
 				if kinds {
-					want, err = tr.BlockStreamWithKinds(block)
-				} else {
-					want, err = tr.BlockStream(block)
+					mat, err = MaterializeBlockStreamWithKinds(tr.NewSliceReader(), block)
 				}
 				if err != nil {
 					t.Fatal(err)
 				}
+				sameBlockStream(t, fmt.Sprintf("n=%d block=%d kinds=%v materialized", n, block, kinds), mat, want)
 				for _, geo := range [][2]int{{1, 3}, {2, 64}, {7, 997}, {0, 0}} {
 					p, err := streamSpansWithRuns(ctx, tr.NewSliceReader(), block,
 						SpanOptions{MemBytes: 1, Workers: 3, Kinds: kinds}, geo[0], geo[1])
@@ -253,8 +252,8 @@ func TestStreamFileSpans(t *testing.T) {
 
 // TestStreamSpansWeightedOverflow pushes crafted near-MaxUint32 run
 // weights through the span pipeline so uint32 saturation splits land at
-// span boundaries, and checks the concatenation against the serial
-// appendRun/appendKindRun machines.
+// span boundaries, and checks the concatenation against the
+// run-formation oracle.
 func TestStreamSpansWeightedOverflow(t *testing.T) {
 	const m = math.MaxUint32
 	var ids []uint64
@@ -268,12 +267,7 @@ func TestStreamSpansWeightedOverflow(t *testing.T) {
 			testKindRun(uint8(i%5), m-3), testKindRun(uint8(i%3), 7),
 			testKindRun(uint8(i%4), w), testKindRun(uint8(i%2), m))
 	}
-	parent := &BlockStream{BlockSize: 4}
-	parentK := &BlockStream{BlockSize: 4, Kinds: []KindRun{}}
-	for i := range ids {
-		parent.appendRun(ids[i], runs[i])
-		parentK.appendKindRun(ids[i], kinds[i])
-	}
+	parent, parentK := weightedOracle(4, ids, runs, kinds)
 
 	chunk := func(n int) ([][]uint64, [][]uint32, [][]KindRun) {
 		var cids [][]uint64
@@ -356,10 +350,11 @@ func TestStreamSpansCancelAndClose(t *testing.T) {
 	p3.Close()
 }
 
-// FuzzSpanEquivalence cross-checks streamed spans against the serial
-// materialization over fuzzer-chosen traces, span sizes, chunk sizes
-// and kind channels — including the weighted path whose near-MaxUint32
-// run weights put uint32 saturation splits at span boundaries.
+// FuzzSpanEquivalence cross-checks streamed spans and the serial
+// materialization against the run-formation oracle over fuzzer-chosen
+// traces, span sizes, chunk sizes and kind channels — including the
+// weighted path whose near-MaxUint32 run weights put uint32 saturation
+// splits at span boundaries.
 func FuzzSpanEquivalence(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 200, 200, 200, 7}, uint8(3), uint8(5), uint8(1))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 9}, uint8(1), uint8(1), uint8(0))
@@ -385,16 +380,15 @@ func FuzzSpanEquivalence(f *testing.F) {
 			tr = append(tr, Access{Addr: addr, Kind: k})
 		}
 
-		var want *BlockStream
-		var err error
+		want := oracleOf(tr, block, kinds)
+		mat, err := tr.BlockStream(block)
 		if kinds {
-			want, err = tr.BlockStreamWithKinds(block)
-		} else {
-			want, err = tr.BlockStream(block)
+			mat, err = tr.BlockStreamWithKinds(block)
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
+		sameBlockStream(t, "fuzz materialized", mat, want)
 		p, err := streamSpansWithRuns(ctx, tr.NewSliceReader(), block,
 			SpanOptions{MemBytes: 1, Workers: 3, Kinds: kinds}, spanRuns, chunk)
 		if err != nil {
@@ -418,12 +412,7 @@ func FuzzSpanEquivalence(f *testing.F) {
 			wruns = append(wruns, w)
 			wkinds = append(wkinds, testKindRun(data[i]/32, w))
 		}
-		parent := &BlockStream{BlockSize: block}
-		parentK := &BlockStream{BlockSize: block, Kinds: []KindRun{}}
-		for i := range wids {
-			parent.appendRun(wids[i], wruns[i])
-			parentK.appendKindRun(wids[i], wkinds[i])
-		}
+		parent, parentK := weightedOracle(block, wids, wruns, wkinds)
 		var cids [][]uint64
 		var cruns [][]uint32
 		ckinds := [][]KindRun{}

@@ -26,18 +26,15 @@ type LadderFolder struct {
 	kinds  bool
 	taps   map[int]bool
 	stages []*foldStage
-	fls    BlockStream // scratch for Flush's carry injections
 }
 
-// foldStage folds one doubling: its carry is the pending tail run of
-// the coarser stream, and out receives the final runs emitted while
-// folding the current input span.
+// foldStage folds one doubling. out holds the coarser stream's runs,
+// and its last entry is the tail run, the fold machine's only mutable
+// state (the carry across input spans); every run before it is final.
+// fin is the view of the final runs a ladder cascade visits.
 type foldStage struct {
-	carryID uint64
-	carryW  uint32
-	carryK  KindRun
-	has     bool
-	out     BlockStream
+	out BlockStream
+	fin BlockStream
 }
 
 // NewLadderFolder builds a folder deriving every requested block size
@@ -63,14 +60,11 @@ func NewLadderFolder(base int, blockSizes []int, kinds bool) (*LadderFolder, err
 	}
 	for size := base; size < maxSize; size <<= 1 {
 		st := &foldStage{}
-		st.out.BlockSize = size << 1
+		st.out.BlockSize, st.fin.BlockSize = size<<1, size<<1
 		if kinds {
 			st.out.Kinds = []KindRun{}
 		}
 		lf.stages = append(lf.stages, st)
-	}
-	if kinds {
-		lf.fls.Kinds = []KindRun{}
 	}
 	return lf, nil
 }
@@ -85,65 +79,83 @@ func (lf *LadderFolder) Blocks() []int {
 	return out
 }
 
-// emit appends one final folded run to the stage's output span.
-func (st *foldStage) emit(id uint64, w uint32, kr KindRun, kinds bool) {
-	st.out.IDs = append(st.out.IDs, id)
-	st.out.Runs = append(st.out.Runs, w)
-	if kinds {
-		st.out.Kinds = append(st.out.Kinds, kr)
-	}
-	st.out.Accesses += uint64(w)
-}
-
-// feed folds one input span (final runs only) into the stage,
-// refilling out with the final runs of the coarser stream and retaining
-// the new tail as the carry. The merge/split decisions are exactly
-// foldInto's, applied against the carry instead of a materialized tail.
+// feed folds one input span (final runs only) onto out: the one fold
+// merge/split step (see fold.go). A run whose halved ID matches the
+// tail merges into it while the sum fits the uint32 counter; at the
+// counter boundary the tail saturates and the remainder starts the next
+// run; any other run is appended. Each input run appends at most one
+// entry, so out never gains more runs than the input holds. The kind
+// channel, when present, folds along: merged runs concatenate their
+// kind records, and an overflow splits the source record at the same
+// cut the weight split lands on (per-access semantics under the
+// canonical expansion — see kind.go).
 func (st *foldStage) feed(in *BlockStream, kinds bool) {
-	out := &st.out
-	out.IDs = out.IDs[:0]
-	out.Runs = out.Runs[:0]
-	if kinds {
-		out.Kinds = out.Kinds[:0]
-	}
-	out.Accesses = 0
+	dst := &st.out
 	for i, id := range in.IDs {
 		fid := id >> 1
 		w := in.Runs[i]
+		dst.Accesses += uint64(w)
 		var kr KindRun
 		if kinds {
 			kr = in.Kinds[i]
 		}
-		if st.has && st.carryID == fid {
-			if sum := uint64(st.carryW) + uint64(w); sum <= math.MaxUint32 {
-				st.carryW = uint32(sum)
+		if n := len(dst.IDs) - 1; n >= 0 && dst.IDs[n] == fid {
+			if sum := uint64(dst.Runs[n]) + uint64(w); sum <= math.MaxUint32 {
+				dst.Runs[n] = uint32(sum)
 				if kinds {
-					st.carryK = mergeKind(st.carryK, kr)
+					dst.Kinds[n] = mergeKind(dst.Kinds[n], kr)
 				}
 				continue
 			} else {
 				// Per-access semantics at the counter boundary: the
-				// carry saturates (a saturated run is final — append
-				// never regrows it), the remainder is the new carry.
+				// tail saturates (a saturated run is final — append
+				// never regrows it), the remainder starts the next run.
 				if kinds {
-					take := math.MaxUint32 - st.carryW
 					var front KindRun
-					front, kr = splitKindRun(kr, take)
-					st.carryK = mergeKind(st.carryK, front)
+					front, kr = splitKindRun(kr, math.MaxUint32-dst.Runs[n])
+					dst.Kinds[n] = mergeKind(dst.Kinds[n], front)
 				}
-				st.emit(fid, math.MaxUint32, st.carryK, kinds)
-				st.carryW = uint32(sum - math.MaxUint32)
-				st.carryK = kr
-				continue
+				w = uint32(sum - math.MaxUint32)
+				dst.Runs[n] = math.MaxUint32
 			}
 		}
-		if st.has {
-			// A different ID arrived: the carry can never merge again
-			// (fold only merges adjacent runs), so it is final.
-			st.emit(st.carryID, st.carryW, st.carryK, kinds)
+		dst.IDs = append(dst.IDs, fid)
+		dst.Runs = append(dst.Runs, w)
+		if kinds {
+			dst.Kinds = append(dst.Kinds, kr)
 		}
-		st.carryID, st.carryW, st.carryK, st.has = fid, w, kr, true
 	}
+}
+
+// settle drops the final runs a cascade has visited, keeping only the
+// tail, at the front of out.
+func (st *foldStage) settle(kinds bool) {
+	out := &st.out
+	n := len(out.IDs)
+	if n == 0 {
+		return
+	}
+	out.IDs[0], out.Runs[0] = out.IDs[n-1], out.Runs[n-1]
+	out.IDs, out.Runs = out.IDs[:1], out.Runs[:1]
+	if kinds {
+		out.Kinds[0] = out.Kinds[n-1]
+		out.Kinds = out.Kinds[:1]
+	}
+	out.Accesses = uint64(out.Runs[0])
+}
+
+// final returns the view of out's final runs: all but the tail.
+func (st *foldStage) final(kinds bool) *BlockStream {
+	out, fin := &st.out, &st.fin
+	n := max(len(out.IDs)-1, 0)
+	fin.IDs, fin.Runs, fin.Accesses = out.IDs[:n], out.Runs[:n], out.Accesses
+	if n < len(out.IDs) {
+		fin.Accesses -= uint64(out.Runs[n])
+	}
+	if kinds {
+		fin.Kinds = out.Kinds[:n]
+	}
+	return fin
 }
 
 // cascade feeds in through stages[from:], visiting each requested rung's
@@ -152,8 +164,9 @@ func (lf *LadderFolder) cascade(from int, in *BlockStream, visit func(blockSize 
 	cur := in
 	for sj := from; sj < len(lf.stages); sj++ {
 		st := lf.stages[sj]
+		st.settle(lf.kinds)
 		st.feed(cur, lf.kinds)
-		cur = &st.out
+		cur = st.final(lf.kinds)
 		if lf.taps[cur.BlockSize] && cur.Len() > 0 {
 			if err := visit(cur.BlockSize, cur); err != nil {
 				return err
@@ -181,30 +194,23 @@ func (lf *LadderFolder) Feed(span *BlockStream, visit func(blockSize int, s *Blo
 	return lf.cascade(0, span, visit)
 }
 
-// Flush drains every stage's carry in ladder order, visiting the final
+// Flush drains every stage's tail in ladder order, visiting the final
 // span of each requested rung. After Flush the concatenation of every
 // rung's visited spans is bit-identical to FoldLadder over the
 // concatenated input. Call exactly once, after the last Feed.
 func (lf *LadderFolder) Flush(visit func(blockSize int, s *BlockStream) error) error {
 	for si, st := range lf.stages {
-		if !st.has {
+		st.settle(lf.kinds)
+		tail := &st.out
+		if tail.Len() == 0 {
 			continue
 		}
-		fls := &lf.fls
-		fls.BlockSize = st.out.BlockSize
-		fls.IDs = append(fls.IDs[:0], st.carryID)
-		fls.Runs = append(fls.Runs[:0], st.carryW)
-		if lf.kinds {
-			fls.Kinds = append(fls.Kinds[:0], st.carryK)
-		}
-		fls.Accesses = uint64(st.carryW)
-		st.has = false
-		if lf.taps[fls.BlockSize] {
-			if err := visit(fls.BlockSize, fls); err != nil {
+		if lf.taps[tail.BlockSize] {
+			if err := visit(tail.BlockSize, tail); err != nil {
 				return err
 			}
 		}
-		if err := lf.cascade(si+1, fls, visit); err != nil {
+		if err := lf.cascade(si+1, tail, visit); err != nil {
 			return err
 		}
 	}

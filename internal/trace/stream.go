@@ -121,12 +121,34 @@ func (b *BlockStream) appendKind(id uint64, k Kind) {
 	b.Accesses++
 }
 
+// appendRun appends a run of w consecutive accesses to block id with
+// exactly the per-access semantics of append: the tail run grows until
+// the uint32 counter saturates, then new runs are started greedily.
+func (b *BlockStream) appendRun(id uint64, w uint32) {
+	if w == 0 {
+		return
+	}
+	b.Accesses += uint64(w)
+	rem := uint64(w)
+	if n := len(b.IDs); n > 0 && b.IDs[n-1] == id && b.Runs[n-1] < math.MaxUint32 {
+		take := min(rem, uint64(math.MaxUint32-b.Runs[n-1]))
+		b.Runs[n-1] += uint32(take)
+		rem -= take
+	}
+	for rem > 0 {
+		take := min(rem, math.MaxUint32)
+		b.IDs = append(b.IDs, id)
+		b.Runs = append(b.Runs, uint32(take))
+		rem -= take
+	}
+}
+
 // appendKindRun appends a weighted kind run with exactly the per-access
 // semantics of appendKind over kr's canonical expansion: the tail run
 // grows until the uint32 counter saturates (splitting the kind record
 // at the same cut), then new runs are started greedily. It is the
-// kind-preserving counterpart of appendRun and the oracle the weighted
-// fuzz tests replay.
+// kind-preserving counterpart of appendRun: the span stitcher replays
+// chunk edges through the pair.
 func (b *BlockStream) appendKindRun(id uint64, kr KindRun) {
 	rem := kr.Total()
 	if rem == 0 {
@@ -159,24 +181,33 @@ func (b *BlockStream) appendKindRun(id uint64, kr KindRun) {
 	b.Kinds = append(b.Kinds, kr)
 }
 
+// appendAccesses run-compresses a batch of accesses, each block ID the
+// address shifted right by off. It is the one per-access loop of run
+// formation: both materializers and the generic-reader span producer
+// call it. With the kind channel present (Kinds non-nil) an access with
+// an invalid kind fails the batch there; without it the kind is never
+// read.
+func (b *BlockStream) appendAccesses(batch []Access, off uint) error {
+	if b.Kinds == nil {
+		for _, a := range batch {
+			b.append(a.Addr >> off)
+		}
+		return nil
+	}
+	for _, a := range batch {
+		if !a.Kind.Valid() {
+			return fmt.Errorf("trace: invalid access kind %v at address %#x", a.Kind, a.Addr)
+		}
+		b.appendKind(a.Addr>>off, a.Kind)
+	}
+	return nil
+}
+
 // MaterializeBlockStream drains the reader into a run-compressed block
 // stream for the given block size. Reads go through the batched path
 // (trace.BatchReader), and runs are collapsed across batch boundaries.
 func MaterializeBlockStream(r Reader, blockSize int) (*BlockStream, error) {
-	if blockSize < 1 || blockSize&(blockSize-1) != 0 {
-		return nil, fmt.Errorf("trace: block size must be a positive power of two, got %d", blockSize)
-	}
-	bs := &BlockStream{BlockSize: blockSize}
-	off := uint(bits.TrailingZeros(uint(blockSize)))
-	err := Drain(r, func(batch []Access) {
-		for _, a := range batch {
-			bs.append(a.Addr >> off)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return bs, nil
+	return materialize(r, blockSize, false)
 }
 
 // MaterializeBlockStreamWithKinds is MaterializeBlockStream with the
@@ -186,22 +217,22 @@ func MaterializeBlockStream(r Reader, blockSize int) (*BlockStream, error) {
 // rejected (the kind-free path tolerates them because it never reads
 // the kind).
 func MaterializeBlockStreamWithKinds(r Reader, blockSize int) (*BlockStream, error) {
+	return materialize(r, blockSize, true)
+}
+
+func materialize(r Reader, blockSize int, kinds bool) (*BlockStream, error) {
 	if blockSize < 1 || blockSize&(blockSize-1) != 0 {
 		return nil, fmt.Errorf("trace: block size must be a positive power of two, got %d", blockSize)
 	}
-	bs := &BlockStream{BlockSize: blockSize, Kinds: []KindRun{}}
+	bs := &BlockStream{BlockSize: blockSize}
+	if kinds {
+		bs.Kinds = []KindRun{}
+	}
 	off := uint(bits.TrailingZeros(uint(blockSize)))
 	var badKind error
 	err := Drain(r, func(batch []Access) {
-		if badKind != nil {
-			return
-		}
-		for _, a := range batch {
-			if !a.Kind.Valid() {
-				badKind = fmt.Errorf("trace: invalid access kind %v at address %#x", a.Kind, a.Addr)
-				return
-			}
-			bs.appendKind(a.Addr>>off, a.Kind)
+		if badKind == nil {
+			badKind = bs.appendAccesses(batch, off)
 		}
 	})
 	if err == nil {

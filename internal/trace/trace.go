@@ -28,7 +28,10 @@
 // run in bounded memory on traces larger than RAM. Materializing is
 // draining the spans (IngestFileShards does exactly that before
 // partitioning); MaterializeBlockStream remains the serial in-process
-// form.
+// form. Each machine exists once: every run is formed by
+// BlockStream.append (the serial materializers and every decode chunk
+// run it), and every fold by foldStage (FoldBlockStream and
+// LadderFolder).
 //
 // The frontend is built to fail loudly rather than silently: decode
 // errors are typed and position-carrying (CorruptError,
