@@ -71,11 +71,12 @@
 // or the LRU tree alike — one shallow pass over the levels above S plus
 // one compact tree pass per shard, fanned across goroutines — stitching
 // their results back into results bit-identical to the monolithic
-// pass. refsim.Sharded does the
-// same for the reference simulator: a configuration with 2^L sets
-// (L ≥ S) is the disjoint union of 2^S sub-caches, each replaying its
-// substream independently under FIFO/LRU (Random, whose replacement
-// stream is global, falls back to the exact monolithic replay).
+// pass. The ref engine runs the same pass for the reference
+// simulator: a configuration with 2^L sets (L ≥ S) is the disjoint
+// union of 2^S sub-caches, each replaying its substream independently
+// under FIFO/LRU (Random, whose replacement stream is global, and
+// configurations with fewer than 2^S sets fall back to the exact
+// monolithic replay).
 // sweep.Runner.Shards cross-checks both identities — sharded DEW
 // against the instrumented pass, sharded reference against the
 // monolithic reference — on every cell; the -shards CLI flag exposes
@@ -166,7 +167,7 @@
 // and every stage — fold, shard, the span stitcher with its boundary
 // merges and uint32 overflow splits — preserves it exactly (fuzzed
 // alongside the kind-free invariants). A write-policy reference replay
-// (refsim.NewSim / NewShardedSim, the write-back/write-through ×
+// (refsim.NewSim, sharded by the ref engine; the write-back/write-through ×
 // write-allocate/no-write-allocate axes) folds each run from its
 // KindRun record in O(1): a run is resident-at-head, an installing
 // miss, or a bypassing miss (no-write-allocate leading stores), and in

@@ -118,11 +118,3 @@ func (s Stats) MissRate() float64 {
 	}
 	return float64(s.Misses) / float64(s.Accesses)
 }
-
-// HitRate returns 1 - MissRate for a non-empty run, else 0.
-func (s Stats) HitRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Hits()) / float64(s.Accesses)
-}

@@ -88,11 +88,8 @@ func TestStatsRates(t *testing.T) {
 	if s.MissRate() != 0.25 {
 		t.Errorf("MissRate = %f", s.MissRate())
 	}
-	if s.HitRate() != 0.75 {
-		t.Errorf("HitRate = %f", s.HitRate())
-	}
 	var zero Stats
-	if zero.MissRate() != 0 || zero.HitRate() != 0 {
+	if zero.MissRate() != 0 {
 		t.Error("zero-access rates should be 0")
 	}
 }

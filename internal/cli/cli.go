@@ -10,7 +10,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
+	"runtime"
 	"strings"
 
 	"dew/internal/engine"
@@ -40,6 +42,20 @@ func IsUsage(err error) bool {
 
 func usagef(format string, args ...interface{}) error {
 	return usageError{fmt.Errorf(format, args...)}
+}
+
+// resolveShards resolves a -shards count: negative is a usage error,
+// and 0 asks for the fan-out matched to the machine alone — the
+// largest power of two not above GOMAXPROCS, 1 (sharding off) on a
+// single core, where a parallel pass cannot win.
+func resolveShards(n int) (int, error) {
+	switch {
+	case n < 0:
+		return 0, usagef("-shards must be at least 0")
+	case n > 0:
+		return n, nil
+	}
+	return 1 << (bits.Len(uint(runtime.GOMAXPROCS(0))) - 1), nil
 }
 
 // traceFlags is the common "-trace file or -app model" input selection

@@ -15,7 +15,6 @@ import (
 	"dew/internal/engine"
 	"dew/internal/refsim"
 	"dew/internal/report"
-	"dew/internal/sweep"
 	"dew/internal/trace"
 )
 
@@ -56,11 +55,8 @@ func DewSim(ctx context.Context, env Env, args []string) error {
 	if err != nil {
 		return err
 	}
-	if *shards < 0 {
-		return usagef("-shards must be at least 0")
-	}
-	if *shards == 0 {
-		*shards = sweep.AutoShards()
+	if *shards, err = resolveShards(*shards); err != nil {
+		return err
 	}
 	instrumented := *counters || *noMRA || *noWave || *noMRE
 	if *shards > 1 && instrumented {

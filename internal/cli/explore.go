@@ -12,7 +12,6 @@ import (
 	"dew/internal/energy"
 	"dew/internal/explore"
 	"dew/internal/report"
-	"dew/internal/sweep"
 	"dew/internal/trace"
 	"dew/internal/workload"
 )
@@ -37,7 +36,7 @@ func Explore(ctx context.Context, env Env, args []string) error {
 		kinds   = fs.Bool("kinds", false, "materialize the kind-preserving stream and price the trace's store share at the model's write energy factor in the ranking")
 	)
 	cacheDir := addCacheFlag(fs)
-	streamMemStr := addStreamMemFlag(fs)
+	streamMemStr := addStreamMemFlag(fs, "materialized path", "materializes streams in full")
 	tf := addTraceFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return usageError{err}
@@ -82,11 +81,8 @@ func Explore(ctx context.Context, env Env, args []string) error {
 	if err != nil {
 		return err
 	}
-	if *shards < 0 {
-		return usagef("-shards must be at least 0")
-	}
-	if *shards == 0 {
-		*shards = sweep.AutoShards()
+	if *shards, err = resolveShards(*shards); err != nil {
+		return err
 	}
 	streamMem, err := parseMemBytes(*streamMemStr)
 	if err != nil {

@@ -11,7 +11,6 @@ import (
 	"dew/internal/cache"
 	"dew/internal/engine"
 	"dew/internal/refsim"
-	"dew/internal/sweep"
 	"dew/internal/trace"
 )
 
@@ -38,7 +37,7 @@ func RefSim(ctx context.Context, env Env, args []string) error {
 		shards    = fs.Int("shards", 1, "replay this many set-substreams in parallel over the kind-preserving stream, split span by span as the trace streams in (1 = off, 0 = auto from GOMAXPROCS; -stream-mem sets the span budget)")
 	)
 	cacheDir := addCacheFlag(fs)
-	streamMemStr := addStreamMemFlag(fs)
+	streamMemStr := addStreamMemFlag(fs, "per-access replay", "replays the trace access by access from the reader, materializing nothing")
 	tf := addTraceFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return usageError{err}
@@ -52,11 +51,8 @@ func RefSim(ctx context.Context, env Env, args []string) error {
 	if err != nil {
 		return err
 	}
-	if *shards < 0 {
-		return usagef("-shards must be at least 0")
-	}
-	if *shards == 0 {
-		*shards = sweep.AutoShards()
+	if *shards, err = resolveShards(*shards); err != nil {
+		return err
 	}
 	opts := refsim.Options{Config: cfg, Replacement: policy, StoreBytes: *sbytes}
 	if opts.Write, err = parseWritePolicy(*wp); err != nil {

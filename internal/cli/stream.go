@@ -14,10 +14,11 @@ import (
 
 // addStreamMemFlag adds the -stream-mem flag refsim and explore share:
 // a byte budget that switches the replay onto the bounded span
-// pipeline.
-func addStreamMemFlag(fs *flag.FlagSet) *string {
+// pipeline. baseline names the replay the tool runs at 0, whose results
+// the streamed replay matches bit for bit, and zero says what it does.
+func addStreamMemFlag(fs *flag.FlagSet, baseline, zero string) *string {
 	return fs.String("stream-mem", "0",
-		"replay through the bounded streaming span pipeline holding roughly this much stream state resident (e.g. 8MiB) — decode, fold and simulation overlap and results are bit-identical to the materialized path; 0 materializes streams in full, except that -shards runs always stream (at an 8MiB default budget) and this sets their budget")
+		"replay through the bounded streaming span pipeline holding roughly this much stream state resident (e.g. 8MiB) — decode, fold and simulation overlap and results are bit-identical to the "+baseline+"; 0 "+zero+", except that -shards runs always stream (at an 8MiB default budget) and this sets their budget")
 }
 
 // parseMemBytes parses a human-readable byte count: a bare decimal

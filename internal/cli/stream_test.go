@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -326,5 +327,38 @@ func TestShardedStreamCache(t *testing.T) {
 	}
 	if withoutLines(sharded, "replay:") != withoutLines(plain, "replay:") {
 		t.Errorf("sharded refsim differs from the per-access replay:\n%s\nvs\n%s", sharded, plain)
+	}
+}
+
+// TestResolveShards pins the one -shards resolver: negative counts are
+// usage errors, 0 is a power of two in [1, GOMAXPROCS], and any other
+// count stays as given.
+func TestResolveShards(t *testing.T) {
+	if _, err := resolveShards(-1); err == nil || ExitCode(err) != ExitUsage {
+		t.Errorf("resolveShards(-1) = %v, want a usage error", err)
+	}
+	if got, err := resolveShards(0); err != nil || got < 1 || got > runtime.GOMAXPROCS(0) || got&(got-1) != 0 {
+		t.Errorf("resolveShards(0) = %d, %v; want a power of two in [1, GOMAXPROCS]", got, err)
+	}
+	if got, err := resolveShards(3); err != nil || got != 3 {
+		t.Errorf("resolveShards(3) = %d, %v; want 3", got, err)
+	}
+}
+
+// TestStreamMemUsage: each tool's -stream-mem help says what 0 does
+// there — refsim replays access by access, explore materializes.
+func TestStreamMemUsage(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		tool func(context.Context, Env, []string) error
+		want string
+	}{
+		{"refsim", RefSim, "0 replays the trace access by access from the reader, materializing nothing"},
+		{"explore", Explore, "0 materializes streams in full"},
+	} {
+		_, stderr, err := run(t, c.tool, "-h")
+		if !IsUsage(err) || !strings.Contains(strings.Join(strings.Fields(stderr), " "), c.want) {
+			t.Errorf("%s -h: %v; usage lacks %q:\n%s", c.name, err, c.want, stderr)
+		}
 	}
 }

@@ -22,8 +22,9 @@ import (
 //   - ref: the Dinero-style single-configuration reference simulator
 //     (MinLogSets = MaxLogSets).
 //
-// The two tree engines share one adapter (treeEngine), and with it one
-// set-sharded pass (shardedPass).
+// All three share one adapter (tree.go), and with it one set-sharded
+// pass (shardedPass); each wraps its simulator to serve the records
+// the pass stitches.
 func init() {
 	Register("dew", "", newDewEngine)
 	Register("lrutree", "", newLRUEngine)
@@ -35,7 +36,7 @@ func init() {
 // even when a narrower spec was rebound before the first replay, so
 // every spec Rebind accepts fits them.
 type dewEngine struct {
-	treeEngine[core.Result]
+	adapter[Result]
 	// maxAssoc is the associativity the engine was built for: the
 	// widest pass its arenas hold (see Rebind).
 	maxAssoc int
@@ -55,7 +56,7 @@ func newDewEngine(spec Spec) (Engine, error) {
 	switch spec.Policy {
 	case cache.FIFO:
 		e := &dewEngine{maxAssoc: spec.Assoc}
-		e.treeEngine = treeEngine[core.Result]{spec: spec, build: newCore, buildMono: e.wide}
+		e.adapter = adapter[Result]{spec: spec, build: newCore, buildMono: e.wide}
 		return e, nil
 	case cache.LRU:
 		return newLRUEngine(spec)
@@ -71,19 +72,23 @@ func coreOptions(spec Spec) core.Options {
 	}
 }
 
-// newCore builds a DEW simulator for spec. Like newTree and wide, it
-// returns a nil treeSim on error, never a typed nil pointer.
-func newCore(spec Spec) (treeSim[core.Result], error) {
+// coreSim serves a DEW simulator's results as engine Results.
+type coreSim struct{ *core.Simulator }
+
+func (s coreSim) Results() []Result { return results(s.Simulator.Results()) }
+
+// newCore builds a DEW simulator for spec.
+func newCore(spec Spec) (sim[Result], error) {
 	s, err := core.New(coreOptions(spec))
 	if err != nil {
 		return nil, err
 	}
-	return s, nil
+	return coreSim{s}, nil
 }
 
 // wide builds the monolithic simulator with arenas for the engine's
 // widest pass, bound to spec.
-func (e *dewEngine) wide(spec Spec) (treeSim[core.Result], error) {
+func (e *dewEngine) wide(spec Spec) (sim[Result], error) {
 	opt := coreOptions(spec)
 	wide := opt
 	wide.Assoc = e.maxAssoc
@@ -94,7 +99,7 @@ func (e *dewEngine) wide(spec Spec) (treeSim[core.Result], error) {
 	if err != nil {
 		return nil, err
 	}
-	return s, nil
+	return coreSim{s}, nil
 }
 
 // Rebind implements Rebinder: any kind-free FIFO spec over the engine's
@@ -107,7 +112,7 @@ func (e *dewEngine) Rebind(spec Spec) bool {
 	if spec.WriteSim || spec.Policy != cache.FIFO || opt.Validate() != nil ||
 		spec.MinLogSets != e.spec.MinLogSets || spec.MaxLogSets != e.spec.MaxLogSets ||
 		spec.Assoc > e.maxAssoc ||
-		e.mono != nil && e.mono.(*core.Simulator).Rebind(opt) != nil {
+		e.mono != nil && e.mono.(coreSim).Rebind(opt) != nil {
 		return false
 	}
 	e.rebind(spec)
@@ -124,7 +129,7 @@ func (e *dewEngine) Prepare() error {
 	if err := e.monolithic(); err != nil {
 		return err
 	}
-	e.mono.(*core.Simulator).Prefault()
+	e.mono.(coreSim).Prefault()
 	return nil
 }
 
@@ -138,7 +143,7 @@ func sameArenas(a, b Spec) bool {
 
 // lruEngine adapts the LRU simulation tree.
 type lruEngine struct {
-	treeEngine[lrutree.Result]
+	adapter[Result]
 }
 
 func newLRUEngine(spec Spec) (Engine, error) {
@@ -151,7 +156,7 @@ func newLRUEngine(spec Spec) (Engine, error) {
 	if err := treeOptions(spec).Validate(); err != nil {
 		return nil, err
 	}
-	return &lruEngine{treeEngine[lrutree.Result]{spec: spec, build: newTree, buildMono: newTree}}, nil
+	return &lruEngine{adapter[Result]{spec: spec, build: newTree, buildMono: newTree}}, nil
 }
 
 // treeOptions is the LRU tree pass of a spec.
@@ -162,19 +167,24 @@ func treeOptions(spec Spec) lrutree.Options {
 	}
 }
 
-func newTree(spec Spec) (treeSim[lrutree.Result], error) {
+// lruSim serves an LRU tree simulator's results as engine Results.
+type lruSim struct{ *lrutree.Simulator }
+
+func (s lruSim) Results() []Result { return results(s.Simulator.Results()) }
+
+func newTree(spec Spec) (sim[Result], error) {
 	s, err := lrutree.New(treeOptions(spec))
 	if err != nil {
 		return nil, err
 	}
-	return s, nil
+	return lruSim{s}, nil
 }
 
 // Rebind implements Rebinder: the monolithic simulator keeps its
 // arenas across block sizes, the only axis besides the worker count
 // that may change.
 func (e *lruEngine) Rebind(spec Spec) bool {
-	if !sameArenas(e.spec, spec) || e.mono != nil && e.mono.(*lrutree.Simulator).Rebind(spec.BlockSize) != nil {
+	if !sameArenas(e.spec, spec) || e.mono != nil && e.mono.(lruSim).Rebind(spec.BlockSize) != nil {
 		return false
 	}
 	e.rebind(spec)
@@ -182,26 +192,71 @@ func (e *lruEngine) Rebind(spec Spec) bool {
 }
 
 // refEngine adapts the reference simulator: one configuration per
-// engine (MinLogSets == MaxLogSets), with refsim.Sharded supplying the
-// set-substream parallel replay and its exact monolithic fallback. In
-// write-policy mode (Spec.WriteSim) the backends are built
-// fully-parameterized, maintain memory traffic, and need
-// kind-preserving streams.
+// engine (MinLogSets == MaxLogSets). In write-policy mode
+// (Spec.WriteSim) its simulators are built fully-parameterized,
+// maintain memory traffic, and need kind-preserving streams.
 type refEngine struct {
-	cfg cache.Config
+	adapter[refRecord]
 	// capCfg is the configuration the engine was built for: the arenas
 	// its monolithic simulator allocates, whatever configuration it was
 	// rebound to first (see Rebind).
-	capCfg   cache.Config
-	policy   cache.Policy
-	workers  int
-	writeSim bool
-	opts     refsim.Options
-	mono     *refsim.Simulator
-	sharded  *refsim.Sharded
-	// last selects which backend's stats Results reads: 0 none,
-	// 1 mono, 2 sharded.
-	last int
+	capCfg cache.Config
+}
+
+// refRecord is the reference engine's per-configuration record: the
+// full Dinero-style statistics and the memory traffic.
+type refRecord struct {
+	Config  cache.Config
+	Stats   refsim.Stats
+	Traffic refsim.Traffic
+}
+
+// The reference engine's stitch: every statistic and traffic counter
+// is a sum of per-set contributions.
+func (r refRecord) plus(o refRecord) refRecord {
+	r.Stats.Accesses += o.Stats.Accesses
+	r.Stats.Misses += o.Stats.Misses
+	for k := range r.Stats.AccessesByKind {
+		r.Stats.AccessesByKind[k] += o.Stats.AccessesByKind[k]
+		r.Stats.MissesByKind[k] += o.Stats.MissesByKind[k]
+	}
+	r.Stats.CompulsoryMisses += o.Stats.CompulsoryMisses
+	r.Stats.Evictions += o.Stats.Evictions
+	r.Stats.TagComparisons += o.Stats.TagComparisons
+	r.Traffic.BytesFromMemory += o.Traffic.BytesFromMemory
+	r.Traffic.BytesToMemory += o.Traffic.BytesToMemory
+	r.Traffic.Writebacks += o.Traffic.Writebacks
+	return r
+}
+
+func (r refRecord) unshard(log int) refRecord {
+	r.Config = unshard(r.Config, log)
+	return r
+}
+
+func (r refRecord) result() Result { return Result{Config: r.Config, Stats: r.Stats.Stats} }
+
+// refSim serves a reference simulator's full record.
+type refSim struct{ *refsim.Simulator }
+
+func (s refSim) SimulateStream(bs *trace.BlockStream) error {
+	_, err := s.Simulator.SimulateStream(bs)
+	return err
+}
+
+func (s refSim) Results() []refRecord {
+	return []refRecord{{Config: s.Config(), Stats: s.Stats(), Traffic: s.Traffic()}}
+}
+
+// refConfig is the one configuration of a reference spec.
+func refConfig(spec Spec) (cache.Config, error) {
+	return cache.NewConfig(1<<spec.MinLogSets, spec.Assoc, spec.BlockSize)
+}
+
+// refOptions is the write-policy simulation of a spec at cfg.
+func refOptions(spec Spec, cfg cache.Config) refsim.Options {
+	return refsim.Options{Config: cfg, Replacement: spec.Policy,
+		Write: spec.Write, Alloc: spec.Alloc, StoreBytes: spec.StoreBytes}
 }
 
 func newRefEngine(spec Spec) (Engine, error) {
@@ -209,21 +264,58 @@ func newRefEngine(spec Spec) (Engine, error) {
 		return nil, fmt.Errorf("engine: ref simulates one configuration per pass; MinLogSets %d != MaxLogSets %d",
 			spec.MinLogSets, spec.MaxLogSets)
 	}
-	cfg, err := cache.NewConfig(1<<spec.MinLogSets, spec.Assoc, spec.BlockSize)
+	cfg, err := refConfig(spec)
 	if err != nil {
 		return nil, err
 	}
-	e := &refEngine{cfg: cfg, capCfg: cfg, policy: spec.Policy, workers: spec.Workers, writeSim: spec.WriteSim}
-	if spec.WriteSim {
-		if spec.StoreBytes < 0 {
-			return nil, fmt.Errorf("engine: negative store width %d", spec.StoreBytes)
-		}
-		e.opts = refsim.Options{
-			Config: cfg, Replacement: spec.Policy,
-			Write: spec.Write, Alloc: spec.Alloc, StoreBytes: spec.StoreBytes,
-		}
+	if spec.WriteSim && spec.StoreBytes < 0 {
+		return nil, fmt.Errorf("engine: negative store width %d", spec.StoreBytes)
 	}
+	e := &refEngine{capCfg: cfg}
+	e.adapter = adapter[refRecord]{spec: spec, build: e.shard, buildMono: e.wide}
 	return e, nil
+}
+
+// wide builds the monolithic simulator with arenas for the
+// configuration the engine was built for, bound to spec's.
+func (e *refEngine) wide(spec Spec) (sim[refRecord], error) {
+	cfg, err := refConfig(spec)
+	if err != nil {
+		return nil, err
+	}
+	var s *refsim.Simulator
+	if spec.WriteSim {
+		s, err = refsim.NewSim(refOptions(spec, e.capCfg))
+	} else {
+		s, err = refsim.New(e.capCfg, spec.Policy)
+	}
+	if err == nil && cfg != e.capCfg {
+		err = s.Rebind(cfg, spec.Policy)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return refSim{s}, nil
+}
+
+// shard builds one sub-cache of the sharded pass for its tree-local
+// spec; in write-policy mode fills and writebacks are charged at the
+// engine's block size (refsim.NewShardSim).
+func (e *refEngine) shard(spec Spec) (sim[refRecord], error) {
+	cfg, err := refConfig(spec)
+	if err != nil {
+		return nil, err
+	}
+	var s *refsim.Simulator
+	if spec.WriteSim {
+		s, err = refsim.NewShardSim(refOptions(spec, cfg), e.spec.BlockSize)
+	} else {
+		s, err = refsim.New(cfg, spec.Policy)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return refSim{s}, nil
 }
 
 // Rebind implements Rebinder: a one-configuration spec in the
@@ -232,48 +324,19 @@ func newRefEngine(spec Spec) (Engine, error) {
 // configuration the engine was built for — no more sets, no more ways
 // in all — and, once the monolithic simulator exists, the simulator
 // takes it (refsim.Simulator.Rebind; an LRU spec needs a simulator
-// that has LRU recency arenas). The sharded backend, whose sub-caches
-// are sized by the configuration, is dropped and rebuilt on demand.
+// that has LRU recency arenas).
 func (e *refEngine) Rebind(spec Spec) bool {
-	if spec.MinLogSets != spec.MaxLogSets || spec.WriteSim != e.writeSim ||
-		spec.WriteSim && (spec.Write != e.opts.Write || spec.Alloc != e.opts.Alloc || spec.StoreBytes != e.opts.StoreBytes) {
+	if spec.MinLogSets != spec.MaxLogSets || spec.WriteSim != e.spec.WriteSim ||
+		spec.WriteSim && (spec.Write != e.spec.Write || spec.Alloc != e.spec.Alloc || spec.StoreBytes != e.spec.StoreBytes) {
 		return false
 	}
-	cfg, err := cache.NewConfig(1<<spec.MinLogSets, spec.Assoc, spec.BlockSize)
+	cfg, err := refConfig(spec)
 	if err != nil || cfg.Sets > e.capCfg.Sets || cfg.Sets*cfg.Assoc > e.capCfg.Sets*e.capCfg.Assoc ||
-		e.mono != nil && e.mono.Rebind(cfg, spec.Policy) != nil {
+		e.mono != nil && e.mono.(refSim).Rebind(cfg, spec.Policy) != nil {
 		return false
 	}
-	e.cfg, e.policy, e.workers = cfg, spec.Policy, spec.Workers
-	e.opts.Config, e.opts.Replacement = cfg, spec.Policy
-	e.sharded, e.last = nil, 0
+	e.rebind(spec)
 	return true
-}
-
-// monolithic builds the monolithic simulator on first use, with arenas
-// for the configuration the engine was built for, bound to its current
-// one.
-func (e *refEngine) monolithic() error {
-	if e.mono != nil {
-		return nil
-	}
-	var mono *refsim.Simulator
-	var err error
-	if e.writeSim {
-		wide := e.opts
-		wide.Config = e.capCfg
-		mono, err = refsim.NewSim(wide)
-	} else {
-		mono, err = refsim.New(e.capCfg, e.policy)
-	}
-	if err == nil && e.cfg != e.capCfg {
-		err = mono.Rebind(e.cfg, e.policy)
-	}
-	if err != nil {
-		return err
-	}
-	e.mono = mono
-	return nil
 }
 
 // Prepare implements Preparer: it builds the monolithic simulator and
@@ -283,85 +346,45 @@ func (e *refEngine) Prepare() error {
 	if e.mono != nil {
 		return nil
 	}
-	err := e.monolithic()
-	if err == nil {
-		e.mono.Prefault()
-	}
-	return err
-}
-
-func (e *refEngine) SimulateStream(bs *trace.BlockStream) error {
 	if err := e.monolithic(); err != nil {
 		return err
 	}
-	e.last = 1
-	_, err := e.mono.SimulateStream(bs)
-	return err
+	e.mono.(refSim).Prefault()
+	return nil
 }
 
+// SimulateSharded replays the partition through the sharded pass, or
+// ss.Source through the monolithic simulator where sets do not
+// decompose: under Random replacement, whose one replacement stream
+// spans every set (splitting the replay would reorder its draws), and
+// for configurations with fewer than 2^S sets.
 func (e *refEngine) SimulateSharded(ctx context.Context, ss *trace.ShardStream) error {
-	if e.sharded == nil || e.sharded.ShardLog() != ss.Log {
-		var err error
-		if e.writeSim {
-			e.sharded, err = refsim.NewShardedSim(e.opts, ss.Log, e.workers)
-		} else {
-			e.sharded, err = refsim.NewSharded(e.cfg, e.policy, ss.Log, e.workers)
-		}
-		if err != nil {
+	if e.spec.Policy == cache.Random || ss.Log > e.spec.MaxLogSets {
+		if err := ctx.Err(); err != nil {
 			return err
 		}
+		return e.SimulateStream(ss.Source)
 	}
-	e.last = 2
-	_, err := e.sharded.SimulateStream(ctx, ss)
-	return err
+	return e.adapter.SimulateSharded(ctx, ss)
 }
 
-func (e *refEngine) Reset() {
-	if e.mono != nil {
-		e.mono.Reset()
+// record is the record of the last replay; zero before any.
+func (e *refEngine) record() refRecord {
+	if recs := e.records(); recs != nil {
+		return recs[0]
 	}
-	if e.sharded != nil {
-		e.sharded.Reset()
-	}
-	e.last = 0
+	return refRecord{}
 }
 
 // RefStats implements RefStatser with the full Dinero-style record.
-func (e *refEngine) RefStats() refsim.Stats {
-	switch e.last {
-	case 1:
-		return e.mono.Stats()
-	case 2:
-		return e.sharded.Stats()
-	default:
-		return refsim.Stats{}
-	}
-}
+func (e *refEngine) RefStats() refsim.Stats { return e.record().Stats }
 
 // RefTraffic implements TrafficStatser; zero unless the engine was
 // built in write-policy mode.
-func (e *refEngine) RefTraffic() refsim.Traffic {
-	switch e.last {
-	case 1:
-		return e.mono.Traffic()
-	case 2:
-		return e.sharded.Traffic()
-	default:
-		return refsim.Traffic{}
-	}
-}
+func (e *refEngine) RefTraffic() refsim.Traffic { return e.record().Traffic }
 
-// Parallel reports whether the last sharded replay really decomposed
-// across substreams (false after a monolithic fallback or stream
-// replay).
+// Parallel reports whether the last replay really decomposed across
+// substreams (false after a monolithic fallback or stream replay).
 func (e *refEngine) Parallel() bool {
-	return e.last == 2 && e.sharded.Parallel()
-}
-
-func (e *refEngine) Results() []Result {
-	if e.last == 0 {
-		return nil
-	}
-	st := e.RefStats()
-	return []Result{{Config: e.cfg, Stats: st.Stats}}
+	return e.sharded != nil && e.last == e.sharded
 }

@@ -29,12 +29,12 @@
 // exactly is expected to fall back to an exact monolithic replay
 // inside SimulateSharded (the reference engine does this for Random
 // replacement and for configurations with fewer sets than shards),
-// never to approximate. The two tree engines, dew and lrutree, share
-// one adapter and one set-sharded pass (tree.go): a shallow simulator
-// over the levels above the shard level plus one compact simulator
-// per tree of the forest below it, whose results the pass stitches
-// back into the monolithic layout. The simulators know nothing of
-// sharding.
+// never to approximate. The built-in engines — dew, lrutree and ref —
+// share one adapter and one set-sharded pass (tree.go): a shallow
+// simulator over the levels above the shard level plus one compact
+// simulator per tree of the forest below it (for ref, one sub-cache
+// per shard), whose records the pass stitches back into the
+// monolithic layout. The simulators know nothing of sharding.
 //
 // Engines register themselves by name in a package-level registry
 // (Register/New/Names); adding a policy or pass variant is one
@@ -325,7 +325,7 @@ func TimedRun(ctx context.Context, e Engine, name string, spec Spec, bs *trace.B
 // they must treat e's Results as the simulator's.
 func Core(e Engine) *core.Simulator {
 	if d, ok := e.(*dewEngine); ok && d.mono != nil && d.last == d.mono {
-		return d.mono.(*core.Simulator)
+		return d.mono.(coreSim).Simulator
 	}
 	return nil
 }

@@ -8,22 +8,73 @@ import (
 	"dew/internal/cache"
 	"dew/internal/core"
 	"dew/internal/lrutree"
+	"dew/internal/refsim"
 	"dew/internal/trace"
 	"dew/internal/workload"
 )
 
-// shardCase is one tree engine the sharded pass serves, with the
-// per-access oracle its results must equal: the simulator's
-// instrumented walk, fed one access at a time.
+// shardCase is one engine mode the sharded pass serves, with the
+// per-access oracle its outcome must equal: the simulator's own walk,
+// fed one access at a time.
 type shardCase struct {
 	name   string
 	engine string
 	policy cache.Policy
-	oracle func(t testing.TB, spec Spec, tr trace.Trace) []Result
+	// writeSim, write and alloc select the reference engine's
+	// write-policy mode.
+	writeSim bool
+	write    refsim.WritePolicy
+	alloc    refsim.AllocPolicy
+	oracle   func(t testing.TB, spec Spec, tr trace.Trace) outcome
+}
+
+// outcome is what an engine reports after a replay: its Results and,
+// for the reference engine, the full record behind them.
+type outcome struct {
+	results []Result
+	stats   refsim.Stats
+	traffic refsim.Traffic
+}
+
+func outcomeOf(e Engine) outcome {
+	o := outcome{results: e.Results()}
+	if r, ok := e.(RefStatser); ok {
+		o.stats = r.RefStats()
+	}
+	if r, ok := e.(TrafficStatser); ok {
+		o.traffic = r.RefTraffic()
+	}
+	return o
+}
+
+// refOracle replays tr one access at a time through the reference
+// simulator of spec. A kind-free stream carries no request kinds, so a
+// kind-free pass keeps no per-kind counts.
+func refOracle(t testing.TB, spec Spec, tr trace.Trace) outcome {
+	t.Helper()
+	cfg, err := refConfig(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := refsim.New(cfg, spec.Policy)
+	if spec.WriteSim {
+		s, err = refsim.NewSim(refOptions(spec, cfg))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.Simulate(tr.NewSliceReader())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !spec.WriteSim {
+		st.AccessesByKind, st.MissesByKind = [3]uint64{}, [3]uint64{}
+	}
+	return outcome{results: []Result{{Config: cfg, Stats: st.Stats}}, stats: st, traffic: s.Traffic()}
 }
 
 var shardCases = []shardCase{
-	{"dew-FIFO", "dew", cache.FIFO, func(t testing.TB, spec Spec, tr trace.Trace) []Result {
+	{name: "dew-FIFO", engine: "dew", policy: cache.FIFO, oracle: func(t testing.TB, spec Spec, tr trace.Trace) outcome {
 		s, err := core.New(coreOptions(spec))
 		if err != nil {
 			t.Fatal(err)
@@ -31,9 +82,9 @@ var shardCases = []shardCase{
 		for _, a := range tr {
 			s.Access(a)
 		}
-		return results(s.Results())
+		return outcome{results: results(s.Results())}
 	}},
-	{"lrutree-LRU", "lrutree", cache.LRU, func(t testing.TB, spec Spec, tr trace.Trace) []Result {
+	{name: "lrutree-LRU", engine: "lrutree", policy: cache.LRU, oracle: func(t testing.TB, spec Spec, tr trace.Trace) outcome {
 		s, err := lrutree.New(treeOptions(spec))
 		if err != nil {
 			t.Fatal(err)
@@ -41,16 +92,26 @@ var shardCases = []shardCase{
 		for _, a := range tr {
 			s.Access(a)
 		}
-		return results(s.Results())
+		return outcome{results: results(s.Results())}
 	}},
+	{name: "ref-LRU", engine: "ref", policy: cache.LRU, oracle: refOracle},
+	{name: "ref-FIFO-wt-nwa", engine: "ref", policy: cache.FIFO, writeSim: true,
+		write: refsim.WriteThrough, alloc: refsim.NoWriteAllocate, oracle: refOracle},
+	{name: "ref-LRU-wb-wa", engine: "ref", policy: cache.LRU, writeSim: true,
+		write: refsim.WriteBack, alloc: refsim.WriteAllocate, oracle: refOracle},
 }
 
-// shape is a pass shape the sharded tests cover under every policy.
+// shape is a pass shape the sharded tests cover under every policy;
+// the reference engine simulates its largest configuration.
 type shape struct{ minLog, maxLog, assoc, block int }
 
 func (c shardCase) spec(sh shape, workers int) Spec {
-	return Spec{MinLogSets: sh.minLog, MaxLogSets: sh.maxLog, Assoc: sh.assoc, BlockSize: sh.block,
-		Policy: c.policy, Workers: workers}
+	spec := Spec{MinLogSets: sh.minLog, MaxLogSets: sh.maxLog, Assoc: sh.assoc, BlockSize: sh.block,
+		Policy: c.policy, Workers: workers, WriteSim: c.writeSim, Write: c.write, Alloc: c.alloc}
+	if c.engine == "ref" {
+		spec.MinLogSets = sh.maxLog
+	}
+	return spec
 }
 
 func (c shardCase) newEngine(t testing.TB, spec Spec) Engine {
@@ -60,6 +121,20 @@ func (c shardCase) newEngine(t testing.TB, spec Spec) Engine {
 		t.Fatal(err)
 	}
 	return e
+}
+
+// blocks materializes tr at block size block, with the kind channel
+// in write-policy mode.
+func (c shardCase) blocks(t testing.TB, tr trace.Trace, block int) *trace.BlockStream {
+	t.Helper()
+	if !c.writeSim {
+		return mustBlocks(t, tr, block)
+	}
+	bs, err := tr.BlockStreamWithKinds(block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bs
 }
 
 // mustShard partitions a stream at the given shard level.
@@ -94,46 +169,135 @@ func sameResults(t testing.TB, label string, got, want []Result) {
 	}
 }
 
-// passOf is the sharded pass behind a tree engine that has replayed
-// sharded.
-func passOf(e Engine) interface {
+// sameOutcome fails unless got equals want on every field.
+func sameOutcome(t testing.TB, label string, got, want outcome) {
+	t.Helper()
+	sameResults(t, label, got.results, want.results)
+	if got.stats != want.stats || got.traffic != want.traffic {
+		t.Errorf("%s: sharded record %+v %+v, want %+v %+v", label, got.stats, got.traffic, want.stats, want.traffic)
+	}
+}
+
+// pass is what the tests read of a sharded pass, whatever its record
+// type.
+type pass interface {
 	SimulateStream(ctx context.Context, ss *trace.ShardStream) error
-	Results() []Result
-	treeResults() [][]Result
-} {
+	// stitched returns the stitched records.
+	stitched() []any
+	// treeRecords returns each tree's own records, in tree-local
+	// terms.
+	treeRecords() [][]any
+}
+
+// passOf is the sharded pass behind an engine that has replayed
+// sharded.
+func passOf(e Engine) pass {
 	switch e := e.(type) {
 	case *dewEngine:
 		return e.sharded
 	case *lruEngine:
 		return e.sharded
+	case *refEngine:
+		return e.sharded
 	}
-	panic(fmt.Sprintf("%T is not a tree engine", e))
+	panic(fmt.Sprintf("%T is not a built-in engine", e))
 }
 
-// treeResults returns each tree's own results, in tree-local terms.
-func (p *shardedPass[R]) treeResults() [][]Result {
-	out := make([][]Result, len(p.trees))
-	for t, tree := range p.trees {
-		out[t] = results(tree.Results())
+func anys[R any](in []R) []any {
+	out := make([]any, len(in))
+	for i, r := range in {
+		out[i] = r
 	}
 	return out
+}
+
+func (p *shardedPass[R]) stitched() []any { return anys(p.Results()) }
+
+func (p *shardedPass[R]) treeRecords() [][]any {
+	out := make([][]any, len(p.trees))
+	for t, tree := range p.trees {
+		out[t] = anys(tree.Results())
+	}
+	return out
+}
+
+// zeroed reports whether a stitched record counts nothing.
+func zeroed(r any) bool {
+	switch r := r.(type) {
+	case Result:
+		return r.Stats == cache.Stats{}
+	case refRecord:
+		return r.Stats == refsim.Stats{} && r.Traffic == refsim.Traffic{}
+	}
+	panic(fmt.Sprintf("unknown record %T", r))
 }
 
 // splitRuns returns the stream with every run of weight w > 1 cut into
 // runs of w/2 and w-w/2 of the same block, so each second half starts
-// mid-run.
+// mid-run; a kind record is cut in its canonical order (splitKinds).
 func splitRuns(bs *trace.BlockStream) trace.BlockStream {
 	out := trace.BlockStream{BlockSize: bs.BlockSize, Accesses: bs.Accesses}
+	if bs.HasKinds() {
+		out.Kinds = []trace.KindRun{}
+	}
 	for i, id := range bs.IDs {
-		if w := bs.Runs[i]; w > 1 {
-			out.IDs = append(out.IDs, id, id)
-			out.Runs = append(out.Runs, w/2, w-w/2)
-		} else {
+		w := bs.Runs[i]
+		if w <= 1 {
 			out.IDs = append(out.IDs, id)
 			out.Runs = append(out.Runs, w)
+			if bs.HasKinds() {
+				out.Kinds = append(out.Kinds, bs.Kinds[i])
+			}
+			continue
+		}
+		out.IDs = append(out.IDs, id, id)
+		out.Runs = append(out.Runs, w/2, w-w/2)
+		if bs.HasKinds() {
+			front, back := splitKinds(bs.Kinds[i], w/2)
+			out.Kinds = append(out.Kinds, front, back)
 		}
 	}
 	return out
+}
+
+// splitKinds cuts a kind record after the first n accesses of its
+// canonical order: the Lead stores, the First non-store, then the
+// remaining loads, stores and fetches.
+func splitKinds(kr trace.KindRun, n uint32) (front, back trace.KindRun) {
+	add := func(dst *trace.KindRun, k trace.Kind, m uint32) {
+		if m == 0 {
+			return
+		}
+		if dst.AllWrites() {
+			if k == trace.DataWrite {
+				dst.Lead += m
+			} else {
+				dst.First = k
+			}
+		}
+		dst.W[k] += m
+	}
+	type seg struct {
+		k trace.Kind
+		m uint32
+	}
+	rest := kr.W
+	rest[trace.DataWrite] -= kr.Lead
+	segs := []seg{{trace.DataWrite, kr.Lead}}
+	if !kr.AllWrites() {
+		segs = append(segs, seg{kr.First, 1})
+		rest[kr.First]--
+	}
+	for _, k := range []trace.Kind{trace.DataRead, trace.DataWrite, trace.IFetch} {
+		segs = append(segs, seg{k, rest[k]})
+	}
+	for _, sg := range segs {
+		take := min(sg.m, n)
+		add(&front, sg.k, take)
+		add(&back, sg.k, sg.m-take)
+		n -= take
+	}
+	return front, back
 }
 
 // TestShardedMidRunBoundaries feeds each tree its substream with every
@@ -149,7 +313,7 @@ func TestShardedMidRunBoundaries(t *testing.T) {
 			const log = 2
 			label := fmt.Sprintf("%s/min%d", c.name, sh.minLog)
 			spec := c.spec(sh, 1)
-			ss := mustShard(t, mustBlocks(t, tr, sh.block), log)
+			ss := mustShard(t, c.blocks(t, tr, sh.block), log)
 			split := &trace.ShardStream{BlockSize: ss.BlockSize, Log: ss.Log, Source: ss.Source,
 				Shards: make([]trace.BlockStream, len(ss.Shards))}
 			for i := range ss.Shards {
@@ -163,8 +327,8 @@ func TestShardedMidRunBoundaries(t *testing.T) {
 			if err := whole.SimulateSharded(context.Background(), ss); err != nil {
 				t.Fatal(err)
 			}
-			sameResults(t, label, cut.Results(), c.oracle(t, spec, tr))
-			a, b := passOf(cut).treeResults(), passOf(whole).treeResults()
+			sameOutcome(t, label, outcomeOf(cut), c.oracle(t, spec, tr))
+			a, b := passOf(cut).treeRecords(), passOf(whole).treeRecords()
 			for tree := range b {
 				for l := range b[tree] {
 					if a[tree][l] != b[tree][l] {
@@ -176,29 +340,66 @@ func TestShardedMidRunBoundaries(t *testing.T) {
 	}
 }
 
-// TestShardedPassResetAndLevelGuard checks, for both tree engines,
-// what only the pass itself shows (the dew and lrutree packages test
-// the rest through the engines): Reset zeroes every stitched row, and
-// the pass rejects a partition cut at another shard level than its
-// own, which the engines never hand it because they rebuild the pass
-// on a level change.
+// TestShardedPassResetAndLevelGuard checks, for every engine mode,
+// what only the pass itself shows (the simulator packages test the
+// rest through the engines): Reset zeroes every stitched record,
+// traffic included, and the pass rejects a partition cut at another
+// shard level than its own, which the engines never hand it because
+// they rebuild the pass on a level change. Through the engine it also
+// checks that a partition at another block size is rejected, and what
+// a shard level above the set count does: the tree engines reject it,
+// while the reference engine — like under Random replacement — replays
+// the parent stream monolithically, exactly, with Parallel() false.
 func TestShardedPassResetAndLevelGuard(t *testing.T) {
 	tr := workload.Take(workload.DJPEG.Generator(5), 15_000)
 	for _, c := range shardCases {
 		spec := c.spec(shape{0, 6, 4, 16}, 2)
-		bs := mustBlocks(t, tr, spec.BlockSize)
+		bs := c.blocks(t, tr, spec.BlockSize)
 		e := c.newEngine(t, spec)
 		if err := e.SimulateSharded(context.Background(), mustShard(t, bs, 3)); err != nil {
 			t.Fatal(err)
 		}
 		e.Reset()
-		for _, r := range passOf(e).Results() {
-			if r.Accesses != 0 || r.Misses != 0 {
+		for _, r := range passOf(e).stitched() {
+			if !zeroed(r) {
 				t.Fatalf("%s: Reset left %+v in the sharded pass", c.name, r)
 			}
 		}
 		if err := passOf(e).SimulateStream(context.Background(), mustShard(t, bs, 2)); err == nil {
 			t.Errorf("%s: shard-level mismatch accepted", c.name)
+		}
+
+		above := mustShard(t, bs, spec.MaxLogSets+1)
+		wide := mustShard(t, c.blocks(t, tr, 2*spec.BlockSize), 3)
+		wideAbove := mustShard(t, c.blocks(t, tr, 2*spec.BlockSize), spec.MaxLogSets+1)
+		if err := c.newEngine(t, spec).SimulateSharded(context.Background(), wide); err == nil {
+			t.Errorf("%s: block-size mismatch accepted", c.name)
+		}
+		if c.engine != "ref" {
+			if err := c.newEngine(t, spec).SimulateSharded(context.Background(), above); err == nil {
+				t.Errorf("%s: shard level above MaxLogSets accepted", c.name)
+			}
+			continue
+		}
+		random := spec
+		random.Policy = cache.Random
+		for _, fb := range []struct {
+			label string
+			spec  Spec
+			ss    *trace.ShardStream
+		}{{"above", spec, above}, {"random", random, mustShard(t, bs, 3)}} {
+			label := c.name + "/" + fb.label
+			e := c.newEngine(t, fb.spec)
+			if err := e.SimulateSharded(context.Background(), fb.ss); err != nil {
+				t.Fatal(err)
+			}
+			if Parallel(e) {
+				t.Errorf("%s: Parallel() = true on the monolithic fallback", label)
+			}
+			sameOutcome(t, label, outcomeOf(e), c.oracle(t, fb.spec, tr))
+		}
+		if err := c.newEngine(t, spec).SimulateSharded(context.Background(), wideAbove); err == nil {
+			t.Errorf("%s: block-size mismatch accepted by the fallback", c.name)
 		}
 	}
 }
@@ -233,9 +434,14 @@ func FuzzShardedEquivalence(f *testing.F) {
 		if len(raw) == 0 || len(raw) > 4096 {
 			return
 		}
+		// shard's top bit selects a reference engine mode (by logBlock's
+		// high bits); the rest pick a tree engine by policy.
 		c := shardCases[0]
 		if lru {
 			c = shardCases[1]
+		}
+		if shard >= 128 {
+			c = shardCases[2+int(logBlock/4)%3]
 		}
 		spec := c.spec(shape{
 			minLog: int(minLog % 4),
@@ -243,7 +449,7 @@ func FuzzShardedEquivalence(f *testing.F) {
 			assoc:  1 << (logAssoc % 7),
 			block:  1 << (logBlock % 4),
 		}, 3)
-		log := int(shard) % (spec.MaxLogSets + 1)
+		log := int(shard%128) % (spec.MaxLogSets + 1)
 		tr := make(trace.Trace, 0, len(raw)/2+1)
 		for i := 0; i+1 < len(raw); i += 2 {
 			tr = append(tr, trace.Access{Addr: uint64(raw[i])<<3 | uint64(raw[i+1])&7})
@@ -252,10 +458,10 @@ func FuzzShardedEquivalence(f *testing.F) {
 			return
 		}
 		e := c.newEngine(t, spec)
-		if err := e.SimulateSharded(context.Background(), mustShard(t, mustBlocks(t, tr, spec.BlockSize), log)); err != nil {
+		if err := e.SimulateSharded(context.Background(), mustShard(t, c.blocks(t, tr, spec.BlockSize), log)); err != nil {
 			t.Fatal(err)
 		}
-		sameResults(t, fmt.Sprintf("%s/S%d", c.name, log), e.Results(), c.oracle(t, spec, tr))
+		sameOutcome(t, fmt.Sprintf("%s/S%d", c.name, log), outcomeOf(e), c.oracle(t, spec, tr))
 		if n := accesses(t, e); n != uint64(len(tr)) {
 			t.Fatalf("accesses = %d, want %d", n, len(tr))
 		}

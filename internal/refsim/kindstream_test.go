@@ -1,14 +1,12 @@
 package refsim
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"dew/internal/cache"
 	"dew/internal/trace"
-	"dew/internal/workload"
 )
 
 // kindTestTrace builds a trace that exercises every run shape the kind
@@ -147,60 +145,6 @@ func TestKindStreamPerKindStats(t *testing.T) {
 	}
 }
 
-// TestShardedSimEquivalence: the sharded write-policy pass stitches to
-// the monolithic per-access results exactly, traffic included, for every
-// policy combination — including the Random fallback and kind-mix
-// workload traces.
-func TestShardedSimEquivalence(t *testing.T) {
-	gen := workload.NewKindMix(11, workload.NewTableLookup(3, 0, 512, 8, 0.1, 0.8, trace.DataRead), 5, 4, 1)
-	tr := workload.Take(gen, 15_000)
-	cfg := mustCfg(64, 2, 8)
-	for _, policy := range []cache.Policy{cache.FIFO, cache.LRU, cache.Random} {
-		for _, log := range []int{0, 2, 3} {
-			parent, err := tr.BlockStreamWithKinds(cfg.BlockSize)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ss, err := trace.ShardBlockStream(parent, log)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, combo := range writeCombos {
-				label := fmt.Sprintf("%v/log%d/%v/%v", policy, log, combo.write, combo.alloc)
-				o := Options{Config: cfg, Replacement: policy, Write: combo.write, Alloc: combo.alloc}
-				ref, err := NewSim(o)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantS, err := ref.Simulate(tr.NewSliceReader())
-				if err != nil {
-					t.Fatal(err)
-				}
-				sh, err := NewShardedSim(o, log, 4)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if sh.Parallel() == (policy == cache.Random) {
-					t.Fatalf("%s: Parallel() = %v", label, sh.Parallel())
-				}
-				gotS, err := sh.SimulateStream(context.Background(), ss)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertStatsAndTrafficEqual(t, label, wantS, gotS, ref.Traffic(), sh.Traffic())
-
-				// Reset and replay must reproduce the pass.
-				sh.Reset()
-				gotS, err = sh.SimulateStream(context.Background(), ss)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertStatsAndTrafficEqual(t, label+"/reset", wantS, gotS, ref.Traffic(), sh.Traffic())
-			}
-		}
-	}
-}
-
 // TestKindStreamCraftedRuns pins the no-write-allocate bypass fold on
 // hand-built kind streams where the per-access expansion is easy to
 // reason about: all-store runs leave the block cold, store-led runs
@@ -251,85 +195,4 @@ func TestKindStreamCraftedRuns(t *testing.T) {
 			assertStatsAndTrafficEqual(t, label, wantS, gotS, ref.Traffic(), sim.Traffic())
 		}
 	}
-}
-
-// FuzzKindStreamWrite fuzzes the kind-preserving stream replay against
-// the per-access replay across every policy combination: the fuzzer
-// chooses the trace (addresses and kinds), the geometry and the
-// policies, and the two replays must agree on every statistic and
-// traffic counter.
-func FuzzKindStreamWrite(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 200, 200, 7}, uint8(1), uint8(0))
-	f.Add([]byte{0, 0, 0, 9, 255, 255}, uint8(6), uint8(3))
-	f.Add([]byte{40, 41, 40, 41, 40, 41}, uint8(10), uint8(2))
-	f.Fuzz(func(t *testing.T, data []byte, geom, pol uint8) {
-		sets := 1 << (geom % 5)
-		assoc := 1 + int(geom/32)%4
-		block := 4 << (pol % 3)
-		policy := []cache.Policy{cache.FIFO, cache.LRU, cache.Random}[int(pol/4)%3]
-		combo := writeCombos[int(pol/16)%4]
-
-		tr := make(trace.Trace, 0, len(data))
-		addr := uint64(0)
-		for j, b := range data {
-			k := trace.Kind(uint64(b+uint8(j)) % 3)
-			if b >= 192 {
-				for i := 0; i < int(b-191); i++ {
-					tr = append(tr, trace.Access{Addr: addr, Kind: k})
-				}
-				continue
-			}
-			addr += uint64(b)
-			tr = append(tr, trace.Access{Addr: addr, Kind: k})
-		}
-
-		cfg, err := cache.NewConfig(sets, assoc, block)
-		if err != nil {
-			t.Skip()
-		}
-		o := Options{Config: cfg, Replacement: policy, Write: combo.write, Alloc: combo.alloc, StoreBytes: 1 + int(geom%4)}
-		ref, err := NewSim(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantS, err := ref.Simulate(tr.NewSliceReader())
-		if err != nil {
-			t.Fatal(err)
-		}
-		bs, err := tr.BlockStreamWithKinds(cfg.BlockSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sim, err := NewSim(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotS, err := sim.SimulateStream(bs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertStatsAndTrafficEqual(t, "fuzz", wantS, gotS, ref.Traffic(), sim.Traffic())
-
-		// The sharded pass over the same stream must stitch identically.
-		if len(tr) > 0 {
-			log := int(geom/8) % 3
-			parent, err := tr.BlockStreamWithKinds(cfg.BlockSize)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ss, err := trace.ShardBlockStream(parent, log)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sh, err := NewShardedSim(o, log, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotSh, err := sh.SimulateStream(context.Background(), ss)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertStatsAndTrafficEqual(t, "fuzz sharded", wantS, gotSh, ref.Traffic(), sh.Traffic())
-		}
-	})
 }

@@ -81,9 +81,9 @@ type Simulator struct {
 	alloc      AllocPolicy
 	storeBytes int
 	// fillBytes is the memory-traffic cost of one block fill or dirty
-	// writeback. Normally cfg.BlockSize; a sharded sub-simulator runs at
-	// a widened block size that is an addressing trick, so NewShardedSim
-	// overrides it with the parent block size.
+	// writeback. Normally cfg.BlockSize; a set-sharded pass's
+	// sub-simulator runs at a widened block size that is an addressing
+	// trick, so NewShardSim sets it to the parent block size.
 	fillBytes int
 	dirty     []bool
 	traffic   Traffic
@@ -157,9 +157,9 @@ func (s *Simulator) Prefault() {
 // LRU, whose ways fit the recency arena an LRU simulator owns) replays
 // on the same memory. A write-policy simulator keeps its write, alloc
 // and store-width settings. Rebind is for whole-trace simulators: it
-// resets the fill-traffic cost to cfg.BlockSize, which a sharded
-// sub-simulator overrides. It reports an error, leaving the simulator
-// untouched, when cfg is invalid or does not fit.
+// resets the fill-traffic cost to cfg.BlockSize, which NewShardSim's
+// sub-simulators set otherwise. It reports an error, leaving the
+// simulator untouched, when cfg is invalid or does not fit.
 func (s *Simulator) Rebind(cfg cache.Config, policy cache.Policy) error {
 	if err := cfg.Validate(); err != nil {
 		return err

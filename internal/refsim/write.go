@@ -107,6 +107,23 @@ func NewSim(o Options) (*Simulator, error) {
 	return s, nil
 }
 
+// NewShardSim builds one sub-cache of a set-sharded write-policy pass
+// (the engine package's sharded pass): o holds the sub-cache's widened
+// configuration, 2^S times fewer sets at a 2^S times larger block size.
+// The widened block is an addressing trick rather than a longer line,
+// so fills and writebacks are charged at the parent block size
+// blockBytes. Dirty bits live per way of one set and each block's first
+// reference falls in exactly one sub-cache, so the sub-caches' records
+// sum to the parent's.
+func NewShardSim(o Options, blockBytes int) (*Simulator, error) {
+	s, err := NewSim(o)
+	if err != nil {
+		return nil, err
+	}
+	s.fillBytes = blockBytes
+	return s, nil
+}
+
 // Traffic returns the memory-traffic counters. It is zero unless the
 // simulator was built with NewSim (New keeps the legacy
 // allocate-everything behaviour with no traffic accounting).

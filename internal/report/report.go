@@ -131,9 +131,6 @@ func (c *BarChart) Add(label string, value float64) {
 	c.bars = append(c.bars, Bar{Label: label, Value: value})
 }
 
-// Bars returns the number of bars added.
-func (c *BarChart) Bars() int { return len(c.bars) }
-
 // Render writes the chart.
 func (c *BarChart) Render(w io.Writer) error {
 	width := c.Width
@@ -180,13 +177,4 @@ func Ratio(a, b float64) string {
 		return "inf"
 	}
 	return fmt.Sprintf("%.2f", a/b)
-}
-
-// Percent formats 100*(1 - a/b), the "percentage reduction of a relative
-// to b" used by Figure 6; "n/a" when b is zero.
-func Percent(a, b float64) string {
-	if b == 0 {
-		return "n/a"
-	}
-	return fmt.Sprintf("%.2f", 100*(1-a/b))
 }

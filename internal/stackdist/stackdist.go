@@ -125,14 +125,6 @@ func (s *Simulator) Accesses() uint64 { return s.accesses }
 // for every associativity).
 func (s *Simulator) ColdMisses() uint64 { return s.cold }
 
-// Histogram returns a copy of the stack-distance histogram; index d
-// counts accesses that found their block at LRU depth d.
-func (s *Simulator) Histogram() []uint64 {
-	out := make([]uint64, len(s.hist))
-	copy(out, s.hist)
-	return out
-}
-
 // MissesFor returns the exact LRU miss count for associativity assoc at
 // this simulator's set count and block size. assoc must not exceed the
 // tracked depth.

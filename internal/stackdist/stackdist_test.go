@@ -42,10 +42,6 @@ func TestStackDistanceHandSequence(t *testing.T) {
 	if s.ColdMisses() != 3 {
 		t.Errorf("cold = %d, want 3", s.ColdMisses())
 	}
-	hist := s.Histogram()
-	if hist[0] != 1 || hist[2] != 3 {
-		t.Errorf("hist = %v", hist)
-	}
 }
 
 // The stack property: one pass answers every associativity exactly,

@@ -13,19 +13,6 @@ import (
 // maps here.
 const ShardsAuto = -1
 
-// AutoShards returns the shard count matched to the machine alone: the
-// largest power of two not above GOMAXPROCS (minimum 1, which leaves
-// sharding off on a single-core machine where a parallel pass cannot
-// win). Callers holding a materialized stream should prefer
-// AutoShardsStream, which also reads the trace's shape.
-func AutoShards() int {
-	n := runtime.GOMAXPROCS(0)
-	if n < 2 {
-		return 1
-	}
-	return 1 << (bits.Len(uint(n)) - 1)
-}
-
 // Shard levels deeper than this stop paying even on wide machines (the
 // shallow pass and stitch overheads grow with 2^S).
 const maxAutoShardLog = 8

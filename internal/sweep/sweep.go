@@ -102,9 +102,11 @@
 // Sharding also parallelizes the reference side of every cell: each
 // configuration with at least 2^S sets decomposes into 2^S independent
 // sub-caches that replay the same shard substreams the DEW trees do
-// (refsim.Sharded; configurations with fewer sets fall back to the
-// exact monolithic replay), and every sharded reference replay is
-// cross-checked bit-for-bit against the monolithic reference pass.
+// (the ref engine's SimulateSharded, through the engines' one sharded
+// pass; configurations with fewer sets, and Random replacement, fall
+// back to the exact monolithic replay), and every sharded reference
+// replay is cross-checked bit-for-bit against the monolithic reference
+// pass.
 // Cell.RefShardTime records the summed sharded reference wall time
 // next to RefTime; like the monolithic passes, a sharded replay runs
 // once per stream group and partition and is charged to every cell

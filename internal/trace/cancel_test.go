@@ -203,11 +203,11 @@ func TestIngestWorkerPanic(t *testing.T) {
 // error and no span follows it.
 func TestIngestStitcherPanicPoisons(t *testing.T) {
 	defer leakcheck.Check(t)()
-	// A kind-mode chunk with no kind column makes the stitcher index out
-	// of range mid-apply; the well-formed chunk after it must never
-	// surface.
+	// A chunk whose head claims more runs than it holds makes the
+	// stitcher slice out of range mid-apply; the well-formed chunk after
+	// it must never surface.
 	torn := func() (*runChunk, error) {
-		return &runChunk{BlockStream: BlockStream{IDs: []uint64{1}, Runs: []uint32{1}, Accesses: 1}, head: 1, tail: 1}, nil
+		return &runChunk{BlockStream: BlockStream{IDs: []uint64{1}, Runs: []uint32{1}, Accesses: 1}, head: 2}, nil
 	}
 	fine := func() (*runChunk, error) {
 		c := &runChunk{}

@@ -70,7 +70,7 @@ func sameChunk(t *testing.T, label string, got, want *runChunk) {
 	t.Helper()
 	if !slices.Equal(got.IDs, want.IDs) || !slices.Equal(got.Runs, want.Runs) ||
 		!slices.Equal(got.Kinds, want.Kinds) || got.Accesses != want.Accesses ||
-		got.head != want.head || got.tail != want.tail {
+		got.head != want.head || !slices.Equal(got.headKinds, want.headKinds) {
 		t.Fatalf("%s: chunk %+v, want %+v", label, *got, *want)
 	}
 }

@@ -40,10 +40,9 @@ package trace
 // unobservable outside crafted weighted inputs. Fold and shard split
 // only a record they are handed, in its canonical order, so they match
 // the test oracle (oracle_test.go) even at crafted near-MaxUint32
-// weights. The span stitcher does not always: it splits a decode
-// chunk's first record, which may have merged accesses out of
-// canonical order, so a saturation split landing inside it can divide
-// the kinds differently from the serial materialization.
+// weights. The span stitcher never splits a summary: a decode chunk
+// records its head span's kinds in access order while it is formed, and
+// the stitcher replays them through the per-access machine.
 
 // KindRun is one run's kind record: W counts the run's accesses by
 // kind (indexed by Kind; the components sum to the run weight), Lead

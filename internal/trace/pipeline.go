@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"context"
+	"math"
 )
 
 // This file is the chunk front half of the span pipeline (span.go): the
@@ -22,11 +23,15 @@ import (
 // BlockStream, filled by append/appendKind (appendAccesses for a reader
 // batch) — and appendRun applies w steps at once, so replaying a
 // chunk's locally formed runs through appendRun reproduces the global
-// machine exactly: the boundary-merge step. Only a chunk's edges (its
-// leading and trailing same-ID spans) can merge with a neighbour; the
-// interior between them is final regardless of what neighbouring
-// chunks hold, so the stitcher bulk-appends it and replays just the
-// edges through the serial machine.
+// machine exactly: the boundary-merge step. Only a chunk's head (its
+// leading same-ID span) can merge with the stream so far, whose tail
+// run it may extend; every run after the head is final regardless of
+// what neighbouring chunks hold (a trailing span merges when the next
+// chunk's head is replayed onto it), so the stitcher replays just the
+// head through the serial machine and bulk-appends the rest. With the
+// kind channel the head replays from its recorded kind order
+// (appendKindSpan per segment), since a saturating merge cuts it at an
+// access its KindRun summaries cannot locate.
 //
 // Sharding is not a decode concern: a sharded replay splits each
 // stitched span with ShardBlockStreamInto as it arrives (shard.go).
@@ -55,10 +60,17 @@ func (b *BlockStream) appendSpan(s *BlockStream) {
 // BlockStream carries no block size: a chunk's IDs are already shifted.
 type runChunk struct {
 	BlockStream
-	// head is the length of the leading same-ID span; tail is the start
-	// of the trailing same-ID span. Runs in [head, tail) — the interior
-	// — are final regardless of what neighbouring chunks hold.
-	head, tail int
+	// head is the length of the leading same-ID span, the only runs
+	// that can merge with the previous chunk's tail run. The runs after
+	// it are final regardless of what neighbouring chunks hold.
+	head int
+	// headKinds is, with the kind channel, the head span's accesses in
+	// access order as (kind, count) segments, and headAcc the accesses
+	// they cover. A KindRun summary does not keep the order of its
+	// kinds, and a head span that merges into a tail run saturating
+	// inside it is cut at an access the summary cannot locate.
+	headKinds []kindSpan
+	headAcc   uint64
 }
 
 // reserve empties c and sizes its columns for maxRuns runs, with the
@@ -68,7 +80,7 @@ type runChunk struct {
 // because a text chunk's line count varies with its line lengths, and
 // a recycled chunk should fit the next one.
 func (c *runChunk) reserve(kinds bool, maxRuns int) {
-	*c = runChunk{BlockStream: BlockStream{IDs: c.IDs[:0], Runs: c.Runs[:0], Kinds: c.Kinds[:0]}}
+	*c = runChunk{BlockStream: BlockStream{IDs: c.IDs[:0], Runs: c.Runs[:0], Kinds: c.Kinds[:0]}, headKinds: c.headKinds[:0]}
 	if cap(c.IDs) < maxRuns {
 		n := maxRuns + maxRuns/8
 		c.IDs = make([]uint64, 0, n)
@@ -82,7 +94,46 @@ func (c *runChunk) reserve(kinds bool, maxRuns int) {
 	}
 }
 
-// finish computes the chunk's edge spans and returns c.
+// inHead reports whether an access of block id extends the head span:
+// every access so far is in it, and id is its block (or the chunk is
+// empty).
+func (c *runChunk) inHead(id uint64) bool {
+	return c.headAcc == c.Accesses && (len(c.IDs) == 0 || c.IDs[0] == id)
+}
+
+// noteHead appends n accesses of kind k to headKinds.
+func (c *runChunk) noteHead(k Kind, n uint32) {
+	if s := len(c.headKinds) - 1; s >= 0 && c.headKinds[s].k == k && c.headKinds[s].n <= math.MaxUint32-n {
+		c.headKinds[s].n += n
+	} else {
+		c.headKinds = append(c.headKinds, kindSpan{k, n})
+	}
+	c.headAcc += uint64(n)
+}
+
+// appendKind is BlockStream.appendKind, recording the head span's
+// kinds.
+func (c *runChunk) appendKind(id uint64, k Kind) {
+	if c.inHead(id) {
+		c.noteHead(k, 1)
+	}
+	c.BlockStream.appendKind(id, k)
+}
+
+// appendAccesses is BlockStream.appendAccesses, recording the head
+// span's kinds: the batch's leading accesses go one by one through
+// appendKind, the rest through the shared loop.
+func (c *runChunk) appendAccesses(batch []Access, off uint) error {
+	if c.Kinds != nil {
+		for len(batch) > 0 && batch[0].Kind.Valid() && c.inHead(batch[0].Addr>>off) {
+			c.appendKind(batch[0].Addr>>off, batch[0].Kind)
+			batch = batch[1:]
+		}
+	}
+	return c.BlockStream.appendAccesses(batch, off)
+}
+
+// finish computes the chunk's head span and returns c.
 func (c *runChunk) finish() *runChunk {
 	n := len(c.IDs)
 	if n == 0 {
@@ -92,16 +143,7 @@ func (c *runChunk) finish() *runChunk {
 	for head < n && c.IDs[head] == c.IDs[0] {
 		head++
 	}
-	tail := n - 1
-	for tail > 0 && c.IDs[tail-1] == c.IDs[n-1] {
-		tail--
-	}
-	if tail < head {
-		// Single span: the whole chunk is edge.
-		c.head, c.tail = n, n
-		return c
-	}
-	c.head, c.tail = head, tail
+	c.head = head
 	return c
 }
 

@@ -139,6 +139,28 @@ func streamWeightedSpans(ctx context.Context, blockSize int, opts SpanOptions, s
 	return p, nil
 }
 
+// appendKindRun appends a weighted kind run with exactly the per-access
+// semantics of appendKind over kr's canonical expansion, one
+// appendKindSpan per segment: the weighted producer's step.
+func (b *BlockStream) appendKindRun(id uint64, kr KindRun) {
+	var buf [5]kindSpan
+	for _, sp := range kr.spans(&buf) {
+		b.appendKindSpan(id, sp.k, sp.n)
+	}
+}
+
+// appendKindRun is BlockStream.appendKindRun, recording the head
+// span's kinds in kr's canonical order.
+func (c *runChunk) appendKindRun(id uint64, kr KindRun) {
+	if c.inHead(id) {
+		var buf [5]kindSpan
+		for _, sp := range kr.spans(&buf) {
+			c.noteHead(sp.k, sp.n)
+		}
+	}
+	c.BlockStream.appendKindRun(id, kr)
+}
+
 // weightedProducer emits one chunk job per pre-weighted column set;
 // kinds, when non-nil, parallels runs (each record's Total must equal
 // its run weight).

@@ -248,33 +248,27 @@ type spanStitcher struct {
 	emit     func(*Span) error
 }
 
-// add appends one chunk in stream order: chunk edges replay through the
-// per-access tail machine, the interior — final regardless of its
-// neighbours — bulk-appends (see pipeline.go).
+// add appends one chunk in stream order: the head replays through the
+// serial machine, the runs after it — final regardless of their
+// neighbours — bulk-append (see pipeline.go).
 func (st *spanStitcher) add(c *runChunk) error {
 	p := &st.pend
-	appendEdge := func(i int) {
-		if st.kinds {
-			p.appendKindRun(c.IDs[i], c.Kinds[i])
-		} else {
+	if st.kinds {
+		for _, sp := range c.headKinds {
+			p.appendKindSpan(c.IDs[0], sp.k, sp.n)
+		}
+	} else {
+		for i := 0; i < c.head; i++ {
 			p.appendRun(c.IDs[i], c.Runs[i])
 		}
 	}
-	for i := 0; i < c.head; i++ {
-		appendEdge(i)
+	p.IDs = append(p.IDs, c.IDs[c.head:]...)
+	p.Runs = append(p.Runs, c.Runs[c.head:]...)
+	if st.kinds {
+		p.Kinds = append(p.Kinds, c.Kinds[c.head:]...)
 	}
-	if c.tail > c.head {
-		p.IDs = append(p.IDs, c.IDs[c.head:c.tail]...)
-		p.Runs = append(p.Runs, c.Runs[c.head:c.tail]...)
-		if st.kinds {
-			p.Kinds = append(p.Kinds, c.Kinds[c.head:c.tail]...)
-		}
-		for _, w := range c.Runs[c.head:c.tail] {
-			p.Accesses += uint64(w)
-		}
-	}
-	for i := max(c.tail, c.head); i < len(c.IDs); i++ {
-		appendEdge(i)
+	for _, w := range c.Runs[c.head:] {
+		p.Accesses += uint64(w)
 	}
 	return st.flush(false)
 }

@@ -143,41 +143,26 @@ func (b *BlockStream) appendRun(id uint64, w uint32) {
 	}
 }
 
-// appendKindRun appends a weighted kind run with exactly the per-access
-// semantics of appendKind over kr's canonical expansion: the tail run
-// grows until the uint32 counter saturates (splitting the kind record
-// at the same cut), then new runs are started greedily. It is the
-// kind-preserving counterpart of appendRun: the span stitcher replays
-// chunk edges through the pair.
-func (b *BlockStream) appendKindRun(id uint64, kr KindRun) {
-	rem := kr.Total()
-	if rem == 0 {
+// appendKindSpan appends n accesses of kind k to block id with exactly
+// the per-access semantics of appendKind: the tail run grows until the
+// uint32 counter saturates, then a new run starts.
+func (b *BlockStream) appendKindSpan(id uint64, k Kind, n uint32) {
+	if n == 0 {
 		return
 	}
-	b.Accesses += rem
-	if n := len(b.IDs); n > 0 && b.IDs[n-1] == id && b.Runs[n-1] < math.MaxUint32 {
-		space := uint64(math.MaxUint32 - b.Runs[n-1])
-		if rem <= space {
-			b.Runs[n-1] += uint32(rem)
-			b.Kinds[n-1] = mergeKind(b.Kinds[n-1], kr)
+	b.Accesses += uint64(n)
+	if last := len(b.IDs) - 1; last >= 0 && b.IDs[last] == id && b.Runs[last] < math.MaxUint32 {
+		take := min(n, math.MaxUint32-b.Runs[last])
+		b.Runs[last] += take
+		b.Kinds[last].addSpan(k, take)
+		if n -= take; n == 0 {
 			return
 		}
-		var front KindRun
-		front, kr = splitKindRun(kr, uint32(space))
-		b.Runs[n-1] = math.MaxUint32
-		b.Kinds[n-1] = mergeKind(b.Kinds[n-1], front)
-		rem -= space
 	}
-	for rem > math.MaxUint32 {
-		var front KindRun
-		front, kr = splitKindRun(kr, math.MaxUint32)
-		b.IDs = append(b.IDs, id)
-		b.Runs = append(b.Runs, math.MaxUint32)
-		b.Kinds = append(b.Kinds, front)
-		rem -= math.MaxUint32
-	}
+	var kr KindRun
+	kr.addSpan(k, n)
 	b.IDs = append(b.IDs, id)
-	b.Runs = append(b.Runs, uint32(rem))
+	b.Runs = append(b.Runs, n)
 	b.Kinds = append(b.Kinds, kr)
 }
 
