@@ -276,15 +276,7 @@ func (p *Plan) Replay(ctx context.Context, sp Spans) ([]PassResult, int64, error
 		return nil, 0, err
 	}
 	defer pl.Close()
-	// Folding and span cuts both preserve per-kind weights exactly, so
-	// the finest rung's spans give the trace-wide totals.
-	p.KindTotals = [3]uint64{}
 	for s := range pl.Spans() {
-		if p.Kinds {
-			for k, n := range s.KindTotals() {
-				p.KindTotals[k] += n
-			}
-		}
 		if err := ladder.Feed(ctx, &s.BlockStream); err != nil {
 			return nil, 0, err
 		}
@@ -292,6 +284,12 @@ func (p *Plan) Replay(ctx context.Context, sp Spans) ([]PassResult, int64, error
 	}
 	if err := pl.Err(); err != nil {
 		return nil, 0, err
+	}
+	// Folding preserves per-kind weights exactly, so the decode's
+	// totals are the trace-wide totals.
+	p.KindTotals = [3]uint64{}
+	if p.Kinds {
+		p.KindTotals = pl.KindTotals()
 	}
 	if err := ladder.Flush(ctx); err != nil {
 		return nil, 0, err

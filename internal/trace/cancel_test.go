@@ -210,10 +210,14 @@ func TestIngestStitcherPanicPoisons(t *testing.T) {
 		return &runChunk{BlockStream: BlockStream{IDs: []uint64{1}, Runs: []uint32{1}, Accesses: 1}, head: 2}, nil
 	}
 	fine := func() (*runChunk, error) {
+		batch := make([]Access, 1000)
+		for i := range batch {
+			batch[i] = Access{Addr: uint64(i), Kind: DataRead}
+		}
 		c := &runChunk{}
-		c.reserve(true, 0)
-		for i := 0; i < 1000; i++ {
-			c.appendKind(uint64(i), DataRead)
+		c.reserve(true, len(batch), len(batch))
+		if err := c.appendAccesses(batch, 0); err != nil {
+			return nil, err
 		}
 		return c.finish(), nil
 	}

@@ -101,31 +101,6 @@ func canonicalDin(n int) []byte {
 	return dinText(tr)
 }
 
-// BenchmarkDinChunk measures the chunk-parallel decoder's kernel:
-// parseDinChunk over one chunk of canonical lines at block size 16,
-// kind-free and with the kind channel, reported per line.
-func BenchmarkDinChunk(b *testing.B) {
-	const lines = 50_000
-	text := canonicalDin(lines)
-	for _, kinds := range []bool{false, true} {
-		name := "kindfree"
-		if kinds {
-			name = "kinds"
-		}
-		b.Run(name, func(b *testing.B) {
-			dst := &runChunk{}
-			b.SetBytes(int64(len(text)))
-			b.ReportAllocs()
-			for b.Loop() {
-				if _, err := parseDinChunk(dst, text, 1, lines, 4, kinds); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/lines, "ns/line")
-		})
-	}
-}
-
 // BenchmarkDinWriter measures .din encoding, reported per line.
 func BenchmarkDinWriter(b *testing.B) {
 	const lines = 50_000

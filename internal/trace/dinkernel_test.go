@@ -56,12 +56,13 @@ func dinRefDecode(lines []dinRefLine) (Trace, error) {
 }
 
 // compressRef run-compresses tr with the kind channel, at block size 1,
-// the way parseDinChunk compresses the lines it decodes.
+// through the reader producer's route — the chunk parseDinChunk must
+// form from the lines it decodes.
 func compressRef(tr Trace) *runChunk {
 	c := &runChunk{}
-	c.reserve(true, len(tr))
-	for _, a := range tr {
-		c.appendKind(a.Addr, a.Kind)
+	c.reserve(true, len(tr), len(tr))
+	if err := c.appendAccesses(tr, 0); err != nil {
+		panic(err)
 	}
 	return c.finish()
 }
@@ -70,7 +71,8 @@ func sameChunk(t *testing.T, label string, got, want *runChunk) {
 	t.Helper()
 	if !slices.Equal(got.IDs, want.IDs) || !slices.Equal(got.Runs, want.Runs) ||
 		!slices.Equal(got.Kinds, want.Kinds) || got.Accesses != want.Accesses ||
-		got.head != want.head || !slices.Equal(got.headKinds, want.headKinds) {
+		got.head != want.head || !slices.Equal(got.headKinds, want.headKinds) ||
+		got.kindTotals != want.kindTotals {
 		t.Fatalf("%s: chunk %+v, want %+v", label, *got, *want)
 	}
 }
@@ -120,86 +122,147 @@ func FuzzDinKernel(f *testing.F) {
 	} {
 		f.Add([]byte(s), uint8(len(s)))
 	}
+	for i, s := range dinKernelCases() {
+		f.Add([]byte(s), uint8(i))
+	}
 	f.Fuzz(func(t *testing.T, in []byte, cut uint8) {
 		if len(in) >= maxDinLine {
 			t.Skip("longer than the longest .din line")
 		}
-		lines := dinRefLines(in)
-		want, wantErr := dinRefDecode(lines)
-
-		// DinReader: the accesses before the first bad line, then its
-		// error.
-		r := NewDinReader(bytes.NewReader(in))
-		var got Trace
-		var err error
-		for {
-			a, e := r.Next()
-			if e != nil {
-				if !errors.Is(e, io.EOF) {
-					err = e
-				}
-				break
-			}
-			got = append(got, a)
-		}
-		sameDinErr(t, "DinReader", err, wantErr)
-		if !slices.Equal(got, want) {
-			t.Fatalf("DinReader decoded %v, want %v", got, want)
-		}
-
-		// parseDinChunk over the whole buffer.
-		c, err := parseDinChunk(&runChunk{}, in, 1, bytes.Count(in, []byte{'\n'}), 0, true)
-		sameDinErr(t, "whole chunk", err, wantErr)
-		if err == nil {
-			sameChunk(t, "whole chunk", c, compressRef(want))
-		}
-
-		// parseDinChunk over pieces of k lines, each numbered from its
-		// first line; the first failing piece reports the reference
-		// error.
-		k := 1 + int(cut%8)
-		rest, failed := in, false
-		for first := 0; first < len(lines) && !failed; first += k {
-			take := min(k, len(lines)-first)
-			n := 0
-			for range take {
-				if nl := bytes.IndexByte(rest[n:], '\n'); nl >= 0 {
-					n += nl + 1
-				} else {
-					n = len(rest)
-				}
-			}
-			piece := rest[:n]
-			rest = rest[n:]
-			label := fmt.Sprintf("lines %d..%d", first+1, first+take)
-			pwant, perr := dinRefDecode(lines[first : first+take])
-			c, err := parseDinChunk(&runChunk{}, piece, first+1, bytes.Count(piece, []byte{'\n'}), 0, true)
-			sameDinErr(t, label, err, perr)
-			if err != nil {
-				sameDinErr(t, label, err, wantErr)
-				failed = true
-				continue
-			}
-			sameChunk(t, label, c, compressRef(pwant))
-		}
-		if !failed && wantErr != nil {
-			t.Fatalf("pieces decoded cleanly, want %v", wantErr)
-		}
-
-		// The span pipeline, whose producer cuts text chunks of a few
-		// bytes and carries partial lines between them.
-		p, err := streamDinSpansWith(context.Background(), bytes.NewReader(in), 1,
-			SpanOptions{Workers: 2, Kinds: true}, 3, 1+int(cut%32))
-		bs, err := drainSpans(p, err, 1, true)
-		sameDinErr(t, "span pipeline", err, wantErr)
-		if err == nil {
-			wbs, err := want.BlockStreamWithKinds(1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameBlockStream(t, "span pipeline", bs, wbs)
-		}
+		checkDinKernel(t, in, cut)
 	})
+}
+
+// checkDinKernel is FuzzDinKernel's differential check on one input,
+// cut every 1+cut%8 lines and into text chunks of 1+cut%32 bytes.
+func checkDinKernel(t *testing.T, in []byte, cut uint8) {
+	t.Helper()
+	lines := dinRefLines(in)
+	want, wantErr := dinRefDecode(lines)
+
+	// DinReader: the accesses before the first bad line, then its
+	// error.
+	r := NewDinReader(bytes.NewReader(in))
+	var got Trace
+	var err error
+	for {
+		a, e := r.Next()
+		if e != nil {
+			if !errors.Is(e, io.EOF) {
+				err = e
+			}
+			break
+		}
+		got = append(got, a)
+	}
+	sameDinErr(t, "DinReader", err, wantErr)
+	if !slices.Equal(got, want) {
+		t.Fatalf("DinReader decoded %v, want %v", got, want)
+	}
+
+	// parseDinChunk over the whole buffer, with kinds and kind-free.
+	c, err := parseDinChunk(&runChunk{}, in, 1, bytes.Count(in, []byte{'\n'}), 0, true)
+	sameDinErr(t, "whole chunk", err, wantErr)
+	if err == nil {
+		sameChunk(t, "whole chunk", c, compressRef(want))
+	}
+	free, err := parseDinChunk(&runChunk{}, in, 1, bytes.Count(in, []byte{'\n'}), 0, false)
+	sameDinErr(t, "kind-free chunk", err, wantErr)
+	if err == nil {
+		ref := compressRef(want)
+		ref.Kinds, ref.headKinds, ref.headAcc, ref.kindTotals = nil, nil, 0, [3]uint64{}
+		free.headKinds = nil
+		sameChunk(t, "kind-free chunk", free, ref)
+	}
+
+	// parseDinChunk over pieces of k lines, each numbered from its
+	// first line; the first failing piece reports the reference
+	// error.
+	k := 1 + int(cut%8)
+	rest, failed := in, false
+	for first := 0; first < len(lines) && !failed; first += k {
+		take := min(k, len(lines)-first)
+		n := 0
+		for range take {
+			if nl := bytes.IndexByte(rest[n:], '\n'); nl >= 0 {
+				n += nl + 1
+			} else {
+				n = len(rest)
+			}
+		}
+		piece := rest[:n]
+		rest = rest[n:]
+		label := fmt.Sprintf("lines %d..%d", first+1, first+take)
+		pwant, perr := dinRefDecode(lines[first : first+take])
+		c, err := parseDinChunk(&runChunk{}, piece, first+1, bytes.Count(piece, []byte{'\n'}), 0, true)
+		sameDinErr(t, label, err, perr)
+		if err != nil {
+			sameDinErr(t, label, err, wantErr)
+			failed = true
+			continue
+		}
+		sameChunk(t, label, c, compressRef(pwant))
+	}
+	if !failed && wantErr != nil {
+		t.Fatalf("pieces decoded cleanly, want %v", wantErr)
+	}
+
+	// The span pipeline, whose producer cuts text chunks of a few
+	// bytes and carries partial lines between them.
+	p, err := streamDinSpansWith(context.Background(), bytes.NewReader(in), 1,
+		SpanOptions{Workers: 2, Kinds: true}, 3, 1+int(cut%32))
+	bs, err := drainSpans(p, err, 1, true)
+	sameDinErr(t, "span pipeline", err, wantErr)
+	if err == nil {
+		wbs, err := want.BlockStreamWithKinds(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBlockStream(t, "span pipeline", bs, wbs)
+	}
+}
+
+// dinKernelCases are the canonical-line kernel's boundary inputs:
+// canonical lines of 1–17 digits in both cases, each ending the buffer
+// with and without a newline; each byte just outside a hex digit range
+// (and 0x00, 0x80, 0xff) at every digit position of a 16-digit line;
+// and lines shorter than a machine word at the end of the buffer.
+func dinKernelCases() []string {
+	const digits = "0123456789abcdef0"
+	var cases []string
+	for d := 1; d <= 17; d++ {
+		// A leading f, not 0, so the digit count shows in the value.
+		for _, ds := range []string{"f" + digits[1:d], "F" + strings.ToUpper(digits[1:d])} {
+			cases = append(cases, "2 40\n1 "+ds+"\n", "2 40\n1 "+ds)
+		}
+	}
+	for _, c := range []byte{0x00, '/', ':', '@', 'G', '`', 'g', 0x80, 0xff} {
+		for at := 0; at <= 16; at++ {
+			line := []byte("0 " + digits[:16])
+			if at < 16 {
+				line[2+at] = c
+			} else {
+				line = append(line, c)
+			}
+			cases = append(cases, string(line)+"\n2 80\n", string(line))
+		}
+	}
+	for n := 3; n <= 10; n++ {
+		line := "1 " + strings.Repeat("9", n-2)
+		cases = append(cases, "0 123456789abcdef\n"+line, "0 123456789abcdef\n"+line+"\n")
+	}
+	return cases
+}
+
+// TestDinKernelBoundaries runs FuzzDinKernel's differential check over
+// dinKernelCases, each cut every k lines and into text chunks of every
+// small size.
+func TestDinKernelBoundaries(t *testing.T) {
+	for _, in := range dinKernelCases() {
+		for cut := range uint8(32) {
+			checkDinKernel(t, []byte(in), cut)
+		}
+	}
 }
 
 // TestDinLongLine pins the one line-length limit both decoders share: a

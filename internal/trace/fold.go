@@ -15,14 +15,14 @@ import (
 //
 // # Exactness
 //
-// Run formation is the per-access state machine of BlockStream.append:
-// grow the tail run while the ID repeats and the uint32 counter is
-// below MaxUint32, else start a new run. The 2B materialization of a
-// trace runs that machine over addr >> (log2 B + 1) — exactly the
-// per-access expansion of the B stream with every ID halved. Folding
-// (foldStage.feed, spanfold.go) replays that expansion run-at-a-time
-// with appendRun's semantics (saturate the tail at MaxUint32, then
-// start runs greedily), which reproduces the machine step for step, so
+// Run formation is the state machine of BlockStream.step: grow the open
+// run while the ID repeats and the uint32 counter is below MaxUint32,
+// else start a new run. The 2B materialization of a trace runs that
+// machine over addr >> (log2 B + 1) — exactly the per-access expansion
+// of the B stream with every ID halved. Folding (foldStage.feed,
+// spanfold.go) replays that expansion run-at-a-time with a weighted
+// step's semantics (saturate the tail at MaxUint32, then start runs
+// greedily), which reproduces the machine step for step, so
 // the folded stream is bit-identical to MaterializeBlockStream at the
 // coarser size — including where uint32 run-overflow splits land. The
 // machine's only mutable state is the tail run, which a foldStage keeps

@@ -369,7 +369,7 @@ func FuzzFoldBlockStream(f *testing.F) {
 			if bigWeights && raw[i+1] >= 240 {
 				w = math.MaxUint32 - uint32(255-raw[i+1])
 			}
-			bs.appendRun(id, w)
+			bs.push(id, 0, w)
 			ks.appendKindRun(id, testKindRun(raw[i]/16, w))
 		}
 

@@ -42,7 +42,7 @@ package trace
 // the test oracle (oracle_test.go) even at crafted near-MaxUint32
 // weights. The span stitcher never splits a summary: a decode chunk
 // records its head span's kinds in access order while it is formed, and
-// the stitcher replays them through the per-access machine.
+// the stitcher replays them through run formation's step.
 
 // KindRun is one run's kind record: W counts the run's accesses by
 // kind (indexed by Kind; the components sum to the run weight), Lead
@@ -171,11 +171,4 @@ func splitKindRun(kr KindRun, n uint32) (front, back KindRun) {
 		}
 	}
 	return front, back
-}
-
-// kindRunOf returns the weight-1 record of a single access.
-func kindRunOf(k Kind) KindRun {
-	var kr KindRun
-	kr.addSpan(k, 1)
-	return kr
 }

@@ -147,8 +147,8 @@ func TestAppendKindMatchesAppend(t *testing.T) {
 			id = uint64(rng.Intn(8))
 		}
 		k := Kind(rng.Intn(3))
-		plain.append(id)
-		kinds.appendKind(id, k)
+		plain.push(id, 0, 1)
+		kinds.push(id, k, 1)
 	}
 	assertSameStream(t, "appendKind runs", &BlockStream{
 		BlockSize: kinds.BlockSize, IDs: kinds.IDs, Runs: kinds.Runs, Accesses: kinds.Accesses,
@@ -171,7 +171,7 @@ func TestAppendKindRunMatchesPerAccess(t *testing.T) {
 		kr := randKindRun(rng, 6)
 		weighted.appendKindRun(id, kr)
 		for _, k := range expandKinds(kr) {
-			perAccess.appendKind(id, k)
+			perAccess.push(id, k, 1)
 		}
 	}
 	assertSameStream(t, "appendKindRun vs appendKind", weighted, perAccess)
@@ -207,4 +207,11 @@ func TestKindTotals(t *testing.T) {
 	if got := plain.KindTotals(); got != ([3]uint64{}) {
 		t.Errorf("kind-free KindTotals = %v", got)
 	}
+}
+
+// kindRunOf returns the weight-1 record of a single access.
+func kindRunOf(k Kind) KindRun {
+	var kr KindRun
+	kr.addSpan(k, 1)
+	return kr
 }

@@ -4,14 +4,15 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"testing"
 )
 
 // This file is the run-formation oracle: a deliberately naive
 // expand-and-group that shares no code with the package's run machines
-// (append, appendKind, appendRun, appendKindRun, addSpan, mergeKind,
-// splitKindRun). It takes the access sequence — single accesses, or
-// weighted entries standing for many accesses of one block — groups
+// (openRun and step, appendKindRun, addSpan, mergeKind, splitKindRun).
+// It takes the access sequence — single accesses, or weighted entries
+// standing for many accesses of one block — groups
 // maximal stretches of equal block IDs, cuts each group into runs of
 // at most MaxUint32 accesses from the front, and summarizes each run's
 // kinds straight from KindRun's definition. The materializers, the
@@ -159,7 +160,10 @@ func weightedOracle(blockSize int, ids []uint64, runs []uint32, kinds []KindRun)
 // counter boundary, which a decoded trace never reaches: the tail run
 // is seeded a few accesses short of MaxUint32 (or at it), and a batch
 // of accesses that repeats its block, leaves and returns is appended
-// through appendAccesses, on a bare stream and on a decode chunk.
+// through appendAccesses, on a bare stream and on a decode chunk, and
+// as .din text through the chunk kernel. Each route reopens the seeded
+// run into the open run it holds in locals, so the counter's guard is
+// the one the loops run.
 func TestAppendMatchesOracleAtSaturation(t *testing.T) {
 	const id = 7
 	batch := Trace{
@@ -181,20 +185,27 @@ func TestAppendMatchesOracleAtSaturation(t *testing.T) {
 
 				bs := &BlockStream{BlockSize: 1, IDs: []uint64{id}, Runs: []uint32{seedW}, Accesses: uint64(seedW)}
 				var c runChunk
-				c.reserve(kinds, len(batch))
+				c.reserve(kinds, len(batch), len(batch))
 				c.IDs, c.Runs, c.Accesses = append(c.IDs, id), append(c.Runs, seedW), uint64(seedW)
 				if kinds {
 					bs.Kinds = []KindRun{seed}
 					c.Kinds = append(c.Kinds, seed)
 				}
+				din := c
+				din.IDs, din.Runs = slices.Clone(c.IDs), slices.Clone(c.Runs)
+				din.Kinds = slices.Clone(c.Kinds)
 				for _, b := range []*BlockStream{bs, &c.BlockStream} {
 					if err := b.appendAccesses(batch, 0); err != nil {
 						t.Fatal(err)
 					}
 				}
+				if err := din.appendDin(dinText(batch), 1, 0, kinds); err != nil {
+					t.Fatal(err)
+				}
 				sameBlockStream(t, label, bs, want)
-				c.BlockSize = 1
+				c.BlockSize, din.BlockSize = 1, 1
 				sameBlockStream(t, label+" chunk", &c.BlockStream, want)
+				sameBlockStream(t, label+" din kernel", &din.BlockStream, want)
 			}
 		}
 	}

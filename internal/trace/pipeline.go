@@ -16,22 +16,23 @@ import (
 //
 // # Exactness
 //
-// Run formation is a per-access state machine whose only mutable state
-// is the tail run (BlockStream.append: grow the tail while it holds the
-// same ID and is below MaxUint32, else start a new run). A chunk runs
-// that same machine over its own accesses — its columns are a
-// BlockStream, filled by append/appendKind (appendAccesses for a reader
-// batch) — and appendRun applies w steps at once, so replaying a
-// chunk's locally formed runs through appendRun reproduces the global
-// machine exactly: the boundary-merge step. Only a chunk's head (its
-// leading same-ID span) can merge with the stream so far, whose tail
-// run it may extend; every run after the head is final regardless of
-// what neighbouring chunks hold (a trailing span merges when the next
-// chunk's head is replayed onto it), so the stitcher replays just the
-// head through the serial machine and bulk-appends the rest. With the
-// kind channel the head replays from its recorded kind order
-// (appendKindSpan per segment), since a saturating merge cuts it at an
-// access its KindRun summaries cannot locate.
+// Run formation is a state machine whose only mutable state is the open
+// run (openRun, BlockStream.step: grow it while the ID repeats and its
+// counter is below MaxUint32, else close it and open a new run). A
+// chunk runs that same machine over its own accesses, holding its open
+// run in locals (appendDin for .din text, appendAccesses for a reader
+// batch), and a step of weight w applies w accesses at once, so
+// replaying a chunk's locally formed runs through step reproduces the
+// global machine exactly: the boundary-merge step. Only a chunk's head
+// (its leading same-ID span) can merge with the stream so far, whose
+// open run it may extend; every run after the head is final regardless
+// of what neighbouring chunks hold, and the chunk's last run becomes
+// the stream's open run (the next chunk's head replays onto it). So the
+// stitcher steps just the head onto its open run and copies every run
+// after it but the last straight from the chunk's columns into spans.
+// With the kind channel the head replays from its recorded kind order
+// (one step per segment), since a saturating merge cuts it at an access
+// its KindRun summaries cannot locate.
 //
 // Sharding is not a decode concern: a sharded replay splits each
 // stitched span with ShardBlockStreamInto as it arrives (shard.go).
@@ -71,18 +72,21 @@ type runChunk struct {
 	// inside it is cut at an access the summary cannot locate.
 	headKinds []kindSpan
 	headAcc   uint64
+	// kindTotals are the chunk's per-kind access totals, zero without
+	// the kind channel.
+	kindTotals [3]uint64
 }
 
-// reserve empties c and sizes its columns for maxRuns runs, with the
-// kind column when kinds is set: a chunk of n accesses (or n .din
-// lines) forms at most n runs, so the columns are allocated at their
-// full size instead of regrown. A fresh reservation gets 1/8 slack
-// because a text chunk's line count varies with its line lengths, and
-// a recycled chunk should fit the next one.
-func (c *runChunk) reserve(kinds bool, maxRuns int) {
+// reserve empties c and sizes its columns for need runs, with the kind
+// column when kinds is set, so the producer's runs close into capacity
+// set aside instead of regrowing it. A fresh reservation gets 1/8
+// slack, up to limit runs — the most any chunk of the producer forms —
+// because a text chunk's line count varies with its line lengths and a
+// recycled chunk should fit the next one.
+func (c *runChunk) reserve(kinds bool, need, limit int) {
 	*c = runChunk{BlockStream: BlockStream{IDs: c.IDs[:0], Runs: c.Runs[:0], Kinds: c.Kinds[:0]}, headKinds: c.headKinds[:0]}
-	if cap(c.IDs) < maxRuns {
-		n := maxRuns + maxRuns/8
+	if cap(c.IDs) < need {
+		n := max(need, min(need+need/8, limit))
 		c.IDs = make([]uint64, 0, n)
 		c.Runs = make([]uint32, 0, n)
 		c.Kinds = nil
@@ -92,13 +96,6 @@ func (c *runChunk) reserve(kinds bool, maxRuns int) {
 	} else if c.Kinds == nil {
 		c.Kinds = make([]KindRun, 0, cap(c.IDs))
 	}
-}
-
-// inHead reports whether an access of block id extends the head span:
-// every access so far is in it, and id is its block (or the chunk is
-// empty).
-func (c *runChunk) inHead(id uint64) bool {
-	return c.headAcc == c.Accesses && (len(c.IDs) == 0 || c.IDs[0] == id)
 }
 
 // noteHead appends n accesses of kind k to headKinds.
@@ -111,26 +108,40 @@ func (c *runChunk) noteHead(k Kind, n uint32) {
 	c.headAcc += uint64(n)
 }
 
-// appendKind is BlockStream.appendKind, recording the head span's
-// kinds.
-func (c *runChunk) appendKind(id uint64, k Kind) {
-	if c.inHead(id) {
-		c.noteHead(k, 1)
-	}
-	c.BlockStream.appendKind(id, k)
-}
-
-// appendAccesses is BlockStream.appendAccesses, recording the head
-// span's kinds: the batch's leading accesses go one by one through
-// appendKind, the rest through the shared loop.
+// appendAccesses is BlockStream.appendAccesses, counting the batch's
+// kinds and recording the head span's: while every access so far is in
+// the head, the batch's leading accesses of the head's block are noted
+// first.
 func (c *runChunk) appendAccesses(batch []Access, off uint) error {
-	if c.Kinds != nil {
-		for len(batch) > 0 && batch[0].Kind.Valid() && c.inHead(batch[0].Addr>>off) {
-			c.appendKind(batch[0].Addr>>off, batch[0].Kind)
-			batch = batch[1:]
+	if c.Kinds != nil && len(batch) > 0 {
+		head := c.headAcc == c.Accesses
+		hid := batch[0].Addr >> off
+		if len(c.IDs) > 0 {
+			hid = c.IDs[0]
 		}
+		var kw, n uint64
+		for _, a := range batch {
+			if !a.Kind.Valid() {
+				break // the shared loop fails the batch here
+			}
+			if head = head && a.Addr>>off == hid; head {
+				c.noteHead(a.Kind, 1)
+			}
+			kw += kindWords[a.Kind].rf
+			n++
+		}
+		c.countKinds(kw, n)
 	}
 	return c.BlockStream.appendAccesses(batch, off)
+}
+
+// countKinds adds n accesses to the chunk's kind totals, kw their loads
+// and fetches packed as in openRun.rf.
+func (c *runChunk) countKinds(kw, n uint64) {
+	rd, fe := kw&math.MaxUint32, kw>>32
+	c.kindTotals[DataRead] += rd
+	c.kindTotals[DataWrite] += n - rd - fe
+	c.kindTotals[IFetch] += fe
 }
 
 // finish computes the chunk's head span and returns c.
@@ -161,37 +172,96 @@ type chunkResult struct {
 }
 
 // parseDinChunk parses whole .din lines from b (the producer cuts at
-// line boundaries, so b holds at most lines+1 of them) through the
-// same line kernel as DinReader — dinCanonical, falling back to
-// parseDinLine — appending block IDs straight to dst's columns.
-// Semantics, including error line numbers, match NewDinReader.
+// line boundaries, so b holds at most lines+1 of them) into dst. The
+// runs it reserves are bounded by b's capacity: a line forms a run only
+// if it holds a label, a separator and a digit, so a chunk of text
+// forms at most one run per 4 bytes, newline included.
 func parseDinChunk(dst *runChunk, b []byte, startLine, lines int, off uint, kinds bool) (*runChunk, error) {
-	dst.reserve(kinds, lines+1)
-	line := startLine - 1
+	dst.reserve(kinds, min(lines+1, dinMaxRuns(len(b))), dinMaxRuns(cap(b)))
+	if err := dst.appendDin(b, startLine, off, kinds); err != nil {
+		return nil, err
+	}
+	return dst.finish(), nil
+}
+
+// dinMaxRuns is the most runs n bytes of .din text can form: the
+// shortest line that decodes is "0 0", and every line but the last
+// ends in a newline.
+func dinMaxRuns(n int) int { return (n + 1) / 4 }
+
+// appendDin is the .din kernel: it parses whole lines from b, the first
+// numbered line, through the same line kernel as DinReader —
+// dinCanonical, falling back to parseDinLine — and forms runs from
+// their block IDs with the open run held in locals, continuing c's tail
+// run; a run reaches the columns only when it closes. Semantics,
+// including error line numbers, match NewDinReader.
+func (c *runChunk) appendDin(b []byte, line int, off uint, kinds bool) error {
+	if kinds {
+		return dinLines[[1]byte](c, b, line, off)
+	}
+	return dinLines[[0]byte](c, b, line, off)
+}
+
+// kindChannel selects the kind channel of a per-access run-formation
+// loop at compile time: [1]byte carries it, [0]byte does not. Go
+// compiles one copy of such a loop per array length, so the kind-free
+// copy folds every kind branch away and carries no kind state across
+// its calls.
+type kindChannel interface{ [0]byte | [1]byte }
+
+// dinLines is appendDin's loop. It keeps little state across its call
+// to dinCanonical: a line is numbered only if it fails.
+func dinLines[K kindChannel](c *runChunk, b []byte, line int, off uint) error {
+	var k K
+	kinds := len(k) == 1
+	text := b
+	r := c.reopen()
+	// The head's kinds are noted while every access so far is in it.
+	head := kinds && c.headAcc == c.Accesses
+	// Accesses, and loads and fetches packed as in openRun.rf, are
+	// counted as runs close; the reopened run's were counted before.
+	acc, kw := -uint64(r.weight()), -r.rf
 	for len(b) > 0 {
-		line++
 		a, n := dinCanonical(b)
 		if n > 0 {
 			b = b[n:]
 		} else {
+			at := len(text) - len(b)
 			var ln []byte
 			ln, b, _ = bytes.Cut(b, []byte{'\n'})
 			var blank bool
 			var err error
-			if a, blank, err = parseDinLine(ln, line); err != nil {
-				return nil, err
+			if a, blank, err = parseDinLine(ln, 0); err != nil {
+				_, _, err = parseDinLine(ln, line+bytes.Count(text[:at], []byte{'\n'}))
+				return err
 			}
 			if blank {
 				continue
 			}
 		}
-		if kinds {
-			dst.appendKind(a.Addr>>off, a.Kind)
+		id := a.Addr >> off
+		if head {
+			if head = r.wf == 0 || r.id == id; head {
+				c.noteHead(a.Kind, 1)
+			}
+		}
+		if r.fits(id, 1) {
+			r = r.grow(id, a.Kind, 1, kinds)
 		} else {
-			dst.append(a.Addr >> off)
+			c.close(r, kinds)
+			acc, kw = acc+uint64(r.weight()), kw+r.rf
+			r = openRun{}.grow(id, a.Kind, 1, kinds)
 		}
 	}
-	return dst.finish(), nil
+	if r.wf != 0 {
+		c.close(r, kinds)
+	}
+	acc, kw = acc+uint64(r.weight()), kw+r.rf
+	c.Accesses += acc
+	if kinds {
+		c.countKinds(kw, acc)
+	}
+	return nil
 }
 
 // IngestFileShards decodes a trace file (transparently decompressing

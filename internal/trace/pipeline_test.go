@@ -115,7 +115,7 @@ func streamDinSpansWith(ctx context.Context, r io.Reader, blockSize int, opts Sp
 	if spanRuns > 0 {
 		st.spanRuns = spanRuns
 	}
-	p.start(ctx, st, spanDinProducer(r, blockSize, opts.Kinds, chunkBytes, liveChunks(p.workers)))
+	p.start(ctx, st, spanDinProducer(r, blockSize, opts.Kinds, chunkBytes, p.freeText))
 	return p, nil
 }
 
@@ -139,20 +139,33 @@ func streamWeightedSpans(ctx context.Context, blockSize int, opts SpanOptions, s
 	return p, nil
 }
 
+// push appends n accesses of block id (of kind k with the kind
+// channel) to b through run formation's step, continuing b's tail run:
+// the test entry to the machine every producer runs.
+func (b *BlockStream) push(id uint64, k Kind, n uint32) {
+	kinds := b.Kinds != nil
+	b.close(b.step(b.reopen(), id, k, n, kinds), kinds)
+	b.Accesses += uint64(n)
+}
+
 // appendKindRun appends a weighted kind run with exactly the per-access
-// semantics of appendKind over kr's canonical expansion, one
-// appendKindSpan per segment: the weighted producer's step.
+// semantics of single accesses over kr's canonical expansion, one push
+// per segment: the weighted producer's step.
 func (b *BlockStream) appendKindRun(id uint64, kr KindRun) {
 	var buf [5]kindSpan
 	for _, sp := range kr.spans(&buf) {
-		b.appendKindSpan(id, sp.k, sp.n)
+		b.push(id, sp.k, sp.n)
 	}
 }
 
 // appendKindRun is BlockStream.appendKindRun, recording the head
-// span's kinds in kr's canonical order.
+// span's kinds in kr's canonical order while every access so far is in
+// the head and id is its block.
 func (c *runChunk) appendKindRun(id uint64, kr KindRun) {
-	if c.inHead(id) {
+	for k, w := range kr.W {
+		c.kindTotals[k] += uint64(w)
+	}
+	if c.headAcc == c.Accesses && (len(c.IDs) == 0 || c.IDs[0] == id) {
 		var buf [5]kindSpan
 		for _, sp := range kr.spans(&buf) {
 			c.noteHead(sp.k, sp.n)
@@ -176,12 +189,12 @@ func weightedProducer(ids [][]uint64, runs [][]uint32, kinds [][]KindRun) func(e
 				ckinds = kinds[seq]
 			}
 			emit(chunkJob{seq: seq, run: func(dst *runChunk) (*runChunk, error) {
-				dst.reserve(ckinds != nil, len(cids))
+				dst.reserve(ckinds != nil, len(cids), len(cids))
 				for i := range cids {
 					if ckinds != nil {
 						dst.appendKindRun(cids[i], ckinds[i])
 					} else {
-						dst.appendRun(cids[i], cruns[i])
+						dst.push(cids[i], 0, cruns[i])
 					}
 				}
 				return dst.finish(), nil
@@ -378,6 +391,49 @@ func TestIngestShardsWithKindsMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestPipelineKindTotals: the per-kind totals the decode chunks count
+// as they form runs add up to the trace's, through the .din kernel and
+// the reader producer alike, over many chunks; without the kind channel
+// they are zero.
+func TestPipelineKindTotals(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	tr := pipelineTrace(rng, 20000)
+	var want [3]uint64
+	for i := range tr {
+		tr[i].Kind = Kind(rng.Intn(3))
+		want[tr[i].Kind]++
+	}
+	text := dinText(tr)
+	for _, kinds := range []bool{false, true} {
+		din, err := streamDinSpansWith(context.Background(), bytes.NewReader(text), 4, SpanOptions{Workers: 3, Kinds: kinds}, 7, 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reader, err := streamSpansWithRuns(context.Background(), tr.NewSliceReader(), 4, SpanOptions{Workers: 3, Kinds: kinds}, 7, 1024)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			route string
+			p     *StreamPipeline
+		}{{"din", din}, {"reader", reader}} {
+			for s := range c.p.Spans() {
+				c.p.Release(s)
+			}
+			if err := c.p.Err(); err != nil {
+				t.Fatal(err)
+			}
+			w := want
+			if !kinds {
+				w = [3]uint64{}
+			}
+			if got := c.p.KindTotals(); got != w {
+				t.Errorf("%s kinds=%v: totals %v, want %v", c.route, kinds, got, w)
+			}
+		}
+	}
+}
+
 func TestIngestWithKindsRejectsInvalidKind(t *testing.T) {
 	tr := Trace{{Addr: 4, Kind: DataRead}, {Addr: 8, Kind: Kind(7)}}
 	p, err := StreamSpans(context.Background(), tr.NewSliceReader(), 4, SpanOptions{Workers: 2, Kinds: true})
@@ -410,7 +466,7 @@ func TestIngestWeightedOverflow(t *testing.T) {
 		parent := &BlockStream{BlockSize: 4}
 		parentK := &BlockStream{BlockSize: 4, Kinds: []KindRun{}}
 		for i := range ids {
-			parent.appendRun(ids[i], runs[i])
+			parent.push(ids[i], 0, runs[i])
 			parentK.appendKindRun(ids[i], kinds[i])
 		}
 		for _, withKinds := range []bool{false, true} {

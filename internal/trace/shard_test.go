@@ -194,8 +194,8 @@ func TestShardBlockStreamRecompression(t *testing.T) {
 	// a and b differ only in the shard bit: the parent alternates
 	// a b a b ..., each shard sees a single block throughout.
 	for i := 0; i < 10; i++ {
-		bs.append(0x10) // shard 0
-		bs.append(0x11) // shard 1
+		bs.push(0x10, 0, 1) // shard 0
+		bs.push(0x11, 0, 1) // shard 1
 	}
 	ss, err := ShardBlockStream(bs, 1)
 	if err != nil {
@@ -268,7 +268,7 @@ func FuzzShardBlockStream(f *testing.F) {
 		}
 		bs := &BlockStream{BlockSize: 1}
 		for _, b := range raw {
-			bs.append(uint64(b))
+			bs.push(uint64(b), 0, 1)
 		}
 		s := int(log % 6)
 		ss, err := ShardBlockStream(bs, s)

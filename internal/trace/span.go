@@ -31,9 +31,9 @@ import (
 //
 // # Exactness
 //
-// Run formation's only mutable state is the tail run (see pipeline.go);
+// Run formation's only mutable state is the open run (see pipeline.go);
 // every run before it is final. The span stitcher therefore always
-// withholds the tail run and emits only final runs, cutting spans at
+// withholds the open run and emits only final runs, cutting spans at
 // run boundaries. Concatenating the emitted spans reproduces the
 // materialized stream column-for-column — same IDs, same weights, same
 // uint32 overflow splits, same kind records — because the cut points
@@ -78,8 +78,9 @@ const DefaultSpanMemBytes = 8 << 20
 const spanChanCap = 2
 
 // liveSpans is the number of spans the geometry charges: spanChanCap
-// in the channel, one being built in the pending tail, one held by the
-// consumer, one in flight.
+// in the channel, the one the stitcher is building, the one the
+// consumer reads, and one it may still hold while it receives the
+// next.
 const liveSpans = spanChanCap + 3
 
 // liveChunks is the number of decode chunks the geometry charges: one
@@ -88,8 +89,8 @@ func liveChunks(workers int) int { return workers + 2 }
 
 // SpanOptions configures a span pipeline.
 type SpanOptions struct {
-	// MemBytes is the pipeline's working-set budget — buffered spans,
-	// the pending tail, and in-flight decode chunks; 0 means
+	// MemBytes is the pipeline's working-set budget — buffered spans
+	// and in-flight decode chunks; 0 means
 	// DefaultSpanMemBytes. It sizes the geometry (spans, chunks and the
 	// free lists that recycle them), not a hard allocator cap: tiny
 	// budgets are clamped to the minimum workable chunk and span sizes,
@@ -108,12 +109,13 @@ type SpanOptions struct {
 // (cancel + drain) and is safe to defer alongside normal consumption.
 //
 // Every buffer the pipeline allocates has one owner at a time and goes
-// back to a per-pipeline free list once its last reader is done: input
-// buffers after their chunk is compressed, run chunks after the stitch,
-// spans after the consumer's Release. Each list is bounded by the
-// geometry's counts (liveChunks input buffers and run chunks, liveSpans
-// spans), so what the lists park is charged in ResidentBound and the
-// heap tracks the live working set instead of its garbage.
+// back to a free list once its last reader is done: input buffers (.din
+// text or access batches) after their chunk is compressed, run chunks
+// after the stitch, spans after the consumer's Release. Each list is
+// bounded by the geometry's counts (liveChunks input buffers and run
+// chunks, liveSpans spans), so what the lists park is charged in
+// ResidentBound and the heap tracks the live working set instead of its
+// garbage.
 type StreamPipeline struct {
 	spans  chan *Span
 	done   chan struct{}
@@ -129,9 +131,11 @@ type StreamPipeline struct {
 
 	freeSpans  freeList[*Span]
 	freeChunks freeList[*runChunk]
+	freeText   freeList[[]byte] // .din text buffers
 
-	spansOut atomic.Uint64
-	accOut   atomic.Uint64
+	spansOut   atomic.Uint64
+	accOut     atomic.Uint64
+	kindTotals [3]uint64 // set once the stitch stops
 }
 
 // freeList is a bounded list of released buffers. put never blocks and
@@ -192,16 +196,26 @@ func (p *StreamPipeline) Close() {
 	<-p.done
 }
 
-// MemBytes returns the resolved resident-byte budget.
-func (p *StreamPipeline) MemBytes() int64 { return p.memBytes }
-
 // ResidentBound returns the pipeline's worst-case resident bytes under
 // the resolved geometry: every bufferable span live at once plus every
-// in-flight decode chunk. The free lists park no more than those same
-// counts, so the figure covers every buffer the pipeline holds; spans a
-// consumer keeps without releasing are its own. This is the figure
-// provenance reports as "peak resident".
+// in-flight decode chunk — its input buffer and the most runs that input
+// can reserve, which for .din text is one run per 4 bytes. The free
+// lists park no more than those same counts, so the figure covers every
+// buffer the pipeline holds; spans a consumer keeps without releasing
+// are its own, and a .din line longer than 1/64 of a text chunk grows
+// the buffers that carry it. This is the figure provenance reports as
+// "peak resident".
 func (p *StreamPipeline) ResidentBound() int64 { return p.resident }
+
+// KindTotals returns the per-kind access totals of the stream, indexed
+// by Kind: all zeros without the kind channel, else the totals the
+// decode chunks counted as they formed their runs, which sum to the
+// emitted accesses. It blocks until the pipeline has stopped, like
+// Err.
+func (p *StreamPipeline) KindTotals() [3]uint64 {
+	<-p.done
+	return p.kindTotals
+}
 
 // EmittedSpans returns the spans emitted so far (final once Err
 // returns).
@@ -221,13 +235,14 @@ func bytesPerSpanRun(kinds bool) int64 {
 // spanGeometry resolves the budget into span and chunk sizes: half the
 // budget to buffered spans, half to in-flight decode chunks, both
 // clamped to workable minima so a tiny budget degrades to small spans
-// instead of failing. workers must already be resolved.
+// instead of failing. workers must already be resolved. resident is
+// the bound of a pipeline fed by an access reader, whose chunks hold
+// chunkAcc accesses (16 B each) and reserve at most chunkAcc runs; a
+// .din pipeline charges its text chunks instead (dinGeometry).
 func spanGeometry(memBytes int64, workers int, kinds bool) (spanRuns, chunkAcc int, resident int64) {
 	bpr := bytesPerSpanRun(kinds)
 	spanRuns = int(memBytes / 2 / (bpr * liveSpans))
 	spanRuns = max(256, min(spanRuns, 1<<22))
-	// Each chunk costs the raw accesses (16 B) plus worst-case
-	// run-compressed columns.
 	perAcc := int64(16) + bpr
 	chunks := int64(liveChunks(workers))
 	chunkAcc = int(memBytes / 2 / (perAcc * chunks))
@@ -236,96 +251,179 @@ func spanGeometry(memBytes int64, workers int, kinds bool) (spanRuns, chunkAcc i
 	return spanRuns, chunkAcc, resident
 }
 
-// spanStitcher consumes runChunks in stream order, maintains the
-// pending tail stream, and emits final runs as spans.
-type spanStitcher struct {
-	pend     BlockStream // pending runs; only the last is mutable
-	start    uint64      // access offset of pend's first access
-	seq      int
-	spanRuns int
-	kinds    bool
-	owner    *StreamPipeline // recycles released spans
-	emit     func(*Span) error
+// dinGeometry resolves a .din pipeline's text chunk size from the
+// access geometry — a .din line is ≥ 8 bytes per access, so the access
+// geometry bounds the byte geometry — and its resident bound: every
+// span, and for each live chunk its text buffer (dinTextCap) and the
+// runs its reservation may take, one per 4 bytes of that text (the
+// shortest line, "0 0\n"), plus the producer's carried partial line.
+// Lines longer than chunkBytes/64 carry past the bound.
+func dinGeometry(spanRuns, chunkAcc, workers int, kinds bool) (chunkBytes int, resident int64) {
+	bpr := bytesPerSpanRun(kinds)
+	chunkBytes = max(64<<10, min(chunkAcc*16, dinChunkBytes))
+	text := dinTextCap(chunkBytes)
+	perChunk := int64(text) + int64(dinMaxRuns(text))*bpr
+	resident = liveSpans*int64(spanRuns)*bpr + int64(liveChunks(workers))*perChunk + int64(chunkBytes/64)
+	return chunkBytes, resident
 }
 
-// add appends one chunk in stream order: the head replays through the
-// serial machine, the runs after it — final regardless of their
-// neighbours — bulk-append (see pipeline.go).
+// dinTextCap is the capacity of a .din text buffer for chunks of
+// chunkBytes: the chunk plus room for a carried partial line.
+func dinTextCap(chunkBytes int) int { return chunkBytes + chunkBytes/64 }
+
+// spanStitcher consumes runChunks in stream order and emits their
+// final runs as spans. Its only state is run formation's — the
+// stream's open run — and the span being built.
+type spanStitcher struct {
+	open       openRun // the stream's open run, withheld until it closes
+	span       *Span   // the span being built, or nil
+	start      uint64  // access offset of the next span's first access
+	seq        int
+	blockSize  int
+	spanRuns   int
+	kinds      bool
+	kindTotals [3]uint64       // per-kind totals of the chunks stitched
+	owner      *StreamPipeline // recycles released spans
+	emit       func(*Span) error
+}
+
+// add appends one chunk in stream order (see pipeline.go): its head
+// steps onto the open run — from its recorded kind order with the kind
+// channel — and, if a run follows the head, the open run is final,
+// every run after the head but the chunk's last copies straight into
+// spans, and the last becomes the open run.
 func (st *spanStitcher) add(c *runChunk) error {
-	p := &st.pend
+	n := len(c.IDs)
+	if n == 0 {
+		return nil
+	}
+	for k, t := range c.kindTotals {
+		st.kindTotals[k] += t
+	}
+	rest := c.Accesses - uint64(c.Runs[n-1]) // accesses of the runs to copy
 	if st.kinds {
 		for _, sp := range c.headKinds {
-			p.appendKindSpan(c.IDs[0], sp.k, sp.n)
+			if err := st.push(c.IDs[0], sp.k, sp.n); err != nil {
+				return err
+			}
 		}
+		rest -= c.headAcc
 	} else {
-		for i := 0; i < c.head; i++ {
-			p.appendRun(c.IDs[i], c.Runs[i])
+		for i := range c.head {
+			if err := st.push(c.IDs[i], 0, c.Runs[i]); err != nil {
+				return err
+			}
+			rest -= uint64(c.Runs[i])
 		}
 	}
-	p.IDs = append(p.IDs, c.IDs[c.head:]...)
-	p.Runs = append(p.Runs, c.Runs[c.head:]...)
-	if st.kinds {
-		p.Kinds = append(p.Kinds, c.Kinds[c.head:]...)
+	if c.head == n {
+		return nil
 	}
-	for _, w := range c.Runs[c.head:] {
-		p.Accesses += uint64(w)
+	if err := st.closeOpen(); err != nil {
+		return err
 	}
-	return st.flush(false)
-}
-
-// flush emits spans of up to spanRuns final runs. While the stream may
-// continue the mutable tail run is withheld; finish passes final to
-// drain everything.
-func (st *spanStitcher) flush(final bool) error {
-	for {
-		avail := len(st.pend.IDs)
-		if !final {
-			avail-- // the tail run may still grow
+	for i := c.head; i < n-1; {
+		s := st.building(n - 1 - i)
+		j := min(n-1, i+st.spanRuns-s.Len())
+		s.IDs = append(s.IDs, c.IDs[i:j]...)
+		s.Runs = append(s.Runs, c.Runs[i:j]...)
+		if st.kinds {
+			s.Kinds = append(s.Kinds, c.Kinds[i:j]...)
 		}
-		if avail <= 0 || (!final && avail < st.spanRuns) {
-			break
+		part := rest
+		if j < n-1 { // a span cut inside the chunk: its part is summed
+			part = 0
+			for _, w := range c.Runs[i:j] {
+				part += uint64(w)
+			}
 		}
-		if err := st.emitSpan(min(avail, st.spanRuns)); err != nil {
+		s.Accesses += part
+		rest -= part
+		if err := st.ship(false); err != nil {
 			return err
 		}
+		i = j
 	}
+	var kr KindRun
+	if st.kinds {
+		kr = c.Kinds[n-1]
+	}
+	st.open = openRunOf(c.IDs[n-1], c.Runs[n-1], kr, st.kinds)
 	return nil
 }
 
-// emitSpan cuts the first n (final) pending runs into a Span — a
-// released one when its columns are large enough, else a fresh one
-// sized to n, which is the full geometry for every span but a stream's
-// last — and compacts the pending tail.
-func (st *spanStitcher) emitSpan(n int) error {
-	s := st.owner.freeSpans.get()
-	if s == nil || cap(s.IDs) < n {
-		s = &Span{BlockStream: BlockStream{IDs: make([]uint64, 0, n), Runs: make([]uint32, 0, n)}}
+// push steps the open run, moving a run it closes into the span being
+// built.
+func (st *spanStitcher) push(id uint64, k Kind, n uint32) error {
+	s := st.building(1)
+	m := s.Len()
+	if st.open = s.step(st.open, id, k, n, st.kinds); s.Len() == m {
+		return nil
+	}
+	s.Accesses += uint64(s.Runs[m])
+	return st.ship(false)
+}
+
+// closeOpen moves the open run, which the next run makes final, into
+// the span being built.
+func (st *spanStitcher) closeOpen() error {
+	if st.open.wf == 0 {
+		return nil
+	}
+	s := st.building(1)
+	s.close(st.open, st.kinds)
+	s.Accesses += uint64(st.open.weight())
+	st.open = openRun{}
+	return st.ship(false)
+}
+
+// building returns the span being built, with room for m more runs or
+// as many as it still takes, starting one when there is none: a
+// released span when the free list has one, else a fresh one whose
+// columns grow by doubling to the geometry's size, so a short stream
+// allocates only about what it holds.
+func (st *spanStitcher) building(m int) *Span {
+	s := st.span
+	if s == nil {
+		if s = st.owner.freeSpans.get(); s == nil {
+			s = &Span{}
+		}
+		s.IDs, s.Runs, s.Kinds = s.IDs[:0], s.Runs[:0], s.Kinds[:0]
+		s.BlockSize, s.Accesses = st.blockSize, 0
+		s.Seq, s.Start, s.owner = st.seq, st.start, st.owner
+		st.span = s
+	}
+	if n := min(len(s.IDs)+m, st.spanRuns); n > cap(s.IDs) {
+		c := min(st.spanRuns, max(2*n, 256))
+		s.IDs = append(make([]uint64, 0, c), s.IDs...)
+		s.Runs = append(make([]uint32, 0, c), s.Runs...)
 		if st.kinds {
-			s.Kinds = make([]KindRun, 0, n)
+			s.Kinds = append(make([]KindRun, 0, c), s.Kinds...)
 		}
 	}
-	s.Seq, s.Start, s.owner = st.seq, st.start, st.owner
-	s.BlockSize, s.Accesses = st.pend.BlockSize, 0
-	s.IDs = append(s.IDs[:0], st.pend.IDs[:n]...)
-	s.Runs = append(s.Runs[:0], st.pend.Runs[:n]...)
-	if st.kinds {
-		s.Kinds = append(s.Kinds[:0], st.pend.Kinds[:n]...)
+	return s
+}
+
+// ship emits the span being built once it holds spanRuns runs, or, at
+// the end of the stream, whatever it holds.
+func (st *spanStitcher) ship(end bool) error {
+	s := st.span
+	if s == nil || !end && s.Len() < st.spanRuns {
+		return nil
 	}
-	for _, w := range s.Runs {
-		s.Accesses += uint64(w)
-	}
-	m := copy(st.pend.IDs, st.pend.IDs[n:])
-	st.pend.IDs = st.pend.IDs[:m]
-	copy(st.pend.Runs, st.pend.Runs[n:])
-	st.pend.Runs = st.pend.Runs[:m]
-	if st.kinds {
-		copy(st.pend.Kinds, st.pend.Kinds[n:])
-		st.pend.Kinds = st.pend.Kinds[:m]
-	}
-	st.pend.Accesses -= s.Accesses
+	st.span = nil
 	st.start += s.Accesses
 	st.seq++
 	return st.emit(s)
+}
+
+// finish ends the stream: the open run is final, and the span being
+// built is emitted.
+func (st *spanStitcher) finish() error {
+	if err := st.closeOpen(); err != nil {
+		return err
+	}
+	return st.ship(true)
 }
 
 // newStreamPipeline validates geometry and builds the pipeline shell
@@ -354,15 +452,13 @@ func newStreamPipeline(blockSize int, opts SpanOptions) (*StreamPipeline, *spanS
 
 		freeSpans:  make(freeList[*Span], liveSpans),
 		freeChunks: make(freeList[*runChunk], liveChunks(workers)),
+		freeText:   make(freeList[[]byte], liveChunks(workers)),
 	}
 	st := &spanStitcher{
-		pend:     BlockStream{BlockSize: blockSize},
-		spanRuns: spanRuns,
-		kinds:    opts.Kinds,
-		owner:    p,
-	}
-	if opts.Kinds {
-		st.pend.Kinds = []KindRun{}
+		blockSize: blockSize,
+		spanRuns:  spanRuns,
+		kinds:     opts.Kinds,
+		owner:     p,
 	}
 	return p, st, nil
 }
@@ -493,8 +589,9 @@ func (p *StreamPipeline) start(ctx context.Context, st *spanStitcher,
 			firstErr = ctx.Err()
 		}
 		if firstErr == nil {
-			firstErr = pool.Protect(func() error { return st.flush(true) })
+			firstErr = pool.Protect(st.finish)
 		}
+		p.kindTotals = st.kindTotals
 		p.err = firstErr
 	}()
 }
@@ -550,7 +647,7 @@ func spanReaderProducer(r Reader, blockSize int, kinds bool, chunkSize, buffers 
 				accs := buf[:filled]
 				emit(chunkJob{seq: seq, run: func(dst *runChunk) (*runChunk, error) {
 					defer free.put(buf)
-					dst.reserve(kinds, len(accs))
+					dst.reserve(kinds, len(accs), chunkSize)
 					if err := dst.appendAccesses(accs, off); err != nil {
 						return nil, err
 					}
@@ -585,23 +682,22 @@ func StreamDinSpans(ctx context.Context, r io.Reader, blockSize int, opts SpanOp
 	return p, nil
 }
 
-// startDin starts the .din text producer over r. The text chunks scale
-// with the budget: a .din line is ≥ 8 bytes per access, so the access
-// geometry bounds the byte geometry.
+// startDin starts the .din text producer over r, with the text chunks
+// and resident bound of dinGeometry.
 func (p *StreamPipeline) startDin(ctx context.Context, st *spanStitcher, r io.Reader, blockSize int, kinds bool) {
-	chunkBytes := max(64<<10, min(p.chunkAcc*16, dinChunkBytes))
-	p.start(ctx, st, spanDinProducer(r, blockSize, kinds, chunkBytes, liveChunks(p.workers)))
+	var chunkBytes int
+	chunkBytes, p.resident = dinGeometry(st.spanRuns, p.chunkAcc, p.workers, kinds)
+	p.start(ctx, st, spanDinProducer(r, blockSize, kinds, chunkBytes, p.freeText))
 }
 
 // spanDinProducer emits .din text chunks cut at line boundaries. Its
-// text buffers go back to a free list of at most buffers once their
-// chunk is parsed; the partial line after each cut is carried in a
-// buffer the producer alone owns. A line of maxDinLine bytes or more
+// text buffers go back to the free list once their chunk is parsed;
+// the partial line after each cut is carried in a buffer the producer
+// alone owns. A line of maxDinLine bytes or more
 // fails the decode exactly as it fails DinReader, after every earlier
 // line, so the carry stays below maxDinLine+chunkBytes.
-func spanDinProducer(r io.Reader, blockSize int, kinds bool, chunkBytes, buffers int) func(emit func(chunkJob), stop func() bool) error {
+func spanDinProducer(r io.Reader, blockSize int, kinds bool, chunkBytes int, free freeList[[]byte]) func(emit func(chunkJob), stop func() bool) error {
 	off := uint(bits.TrailingZeros(uint(blockSize)))
-	free := make(freeList[[]byte], buffers)
 	// Every line but a buffer's first lies within one read of at most
 	// chunkBytes bytes, so only the first can reach the limit.
 	chunkBytes = min(chunkBytes, maxDinLine)
@@ -626,7 +722,7 @@ func spanDinProducer(r io.Reader, blockSize int, kinds bool, chunkBytes, buffers
 			if cap(buf) < need {
 				// Slack for the carried partial line, so a recycled
 				// buffer fits the next chunk too.
-				buf = make([]byte, need, need+chunkBytes/64)
+				buf = make([]byte, need, max(need, dinTextCap(chunkBytes)))
 			}
 			buf = buf[:need]
 			copy(buf, rem)

@@ -147,14 +147,77 @@ func TestSplitSpans(t *testing.T) {
 	}
 }
 
+// TestDinResidentBound runs .din pipelines over the shortest lines,
+// "0 0\n" and "0 1\n", which reserve the most runs per byte of text, and
+// requires ResidentBound to cover every buffer the pipeline reserved:
+// the text buffers, run chunks and spans left on its free lists once a
+// releasing consumer has drained it, each within its own charge.
+func TestDinResidentBound(t *testing.T) {
+	text := bytes.Repeat([]byte("0 0\n0 1\n"), 1<<19)
+	for _, mem := range []int64{0, 1 << 20} {
+		for _, kinds := range []bool{false, true} {
+			label := fmt.Sprintf("mem=%d kinds=%v", mem, kinds)
+			p, err := StreamDinSpans(context.Background(), bytes.NewReader(text), 1, SpanOptions{MemBytes: mem, Workers: 2, Kinds: kinds})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var acc uint64
+			for s := range p.Spans() {
+				acc += s.Accesses
+				p.Release(s)
+			}
+			if err := p.Err(); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if acc != 1<<20 {
+				t.Fatalf("%s: %d accesses, want %d", label, acc, 1<<20)
+			}
+			bpr := bytesPerSpanRun(kinds)
+			chunkBytes, _ := dinGeometry(p.spanRuns, p.chunkAcc, p.workers, kinds)
+			textCap := dinTextCap(chunkBytes)
+			var reserved int64
+			texts, chunks := 0, 0
+			for len(p.freeText) > 0 {
+				b := <-p.freeText
+				if cap(b) > textCap {
+					t.Errorf("%s: text buffer of %d B, charged %d", label, cap(b), textCap)
+				}
+				reserved += int64(cap(b))
+				texts++
+			}
+			for len(p.freeChunks) > 0 {
+				c := <-p.freeChunks
+				if cap(c.IDs) > dinMaxRuns(textCap) || cap(c.Runs) != cap(c.IDs) || kinds && cap(c.Kinds) != cap(c.IDs) {
+					t.Errorf("%s: chunk of %d runs, charged %d", label, cap(c.IDs), dinMaxRuns(textCap))
+				}
+				reserved += int64(cap(c.IDs)) * bpr
+				chunks++
+			}
+			for len(p.freeSpans) > 0 {
+				s := <-p.freeSpans
+				if cap(s.IDs) > p.spanRuns {
+					t.Errorf("%s: span of %d runs, charged %d", label, cap(s.IDs), p.spanRuns)
+				}
+				reserved += int64(cap(s.IDs)) * bpr
+			}
+			if texts == 0 || chunks == 0 {
+				t.Fatalf("%s: %d text buffers and %d chunks parked; want some of each", label, texts, chunks)
+			}
+			if bound := p.ResidentBound(); reserved > bound {
+				t.Errorf("%s: buffers reserve %d B, ResidentBound %d", label, reserved, bound)
+			}
+		}
+	}
+}
+
 func TestStreamSpansGeometry(t *testing.T) {
 	p, err := StreamSpans(context.Background(), Trace{}.NewSliceReader(), 16, SpanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if p.MemBytes() != DefaultSpanMemBytes {
-		t.Errorf("default budget %d, want %d", p.MemBytes(), DefaultSpanMemBytes)
+	if p.memBytes != DefaultSpanMemBytes {
+		t.Errorf("default budget %d, want %d", p.memBytes, DefaultSpanMemBytes)
 	}
 	if p.ResidentBound() <= 0 {
 		t.Errorf("resident bound %d, want > 0", p.ResidentBound())

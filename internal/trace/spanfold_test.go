@@ -156,7 +156,7 @@ func TestLadderFolderWeightedOverflow(t *testing.T) {
 		ids := []uint64{8, 9, 2, 9}
 		runs := []uint32{m - 5, 11, uint32(i + 1), m}
 		for j := range ids {
-			parent.appendRun(ids[j], runs[j])
+			parent.push(ids[j], 0, runs[j])
 			parentK.appendKindRun(ids[j], testKindRun(uint8((i+j)%5), runs[j]))
 		}
 	}

@@ -132,9 +132,8 @@ func TestSpanLeaseHeldIntact(t *testing.T) {
 // TestSpanLeaseAllocs: once the free lists are warm, a releasing
 // consumer costs the pipeline less than a tenth of one span's columns
 // in fresh allocation per emitted span. The warm-up covers several
-// decode chunks, because the stitcher's pending tail grows to its
-// working size over the first few, and the decode runs ahead of the
-// consumer by a varying number of spans.
+// decode chunks, because the decode runs ahead of the consumer by a
+// varying number of spans.
 func TestSpanLeaseAllocs(t *testing.T) {
 	const warm = 200
 	for _, c := range leaseCases() {

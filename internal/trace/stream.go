@@ -95,97 +95,164 @@ func (b *BlockStream) KindTotals() [3]uint64 {
 	return t
 }
 
-// append adds one access's block ID, extending the current run when the
-// block repeats.
-func (b *BlockStream) append(id uint64) {
-	if n := len(b.IDs); n > 0 && b.IDs[n-1] == id && b.Runs[n-1] < math.MaxUint32 {
-		b.Runs[n-1]++
-	} else {
-		b.IDs = append(b.IDs, id)
-		b.Runs = append(b.Runs, 1)
-	}
-	b.Accesses++
+// openRun is run formation's only mutable state: the run at the tail
+// of the stream, which the next access may still extend. Every run
+// before it is final. Producers hold it in locals while they form runs
+// and write it to the columns only once it closes. It is four machine
+// words, so it travels in registers, with the kind channel's KindRun
+// packed into the halves of wf, rf and sl. The zero value is the empty
+// run: it holds no block, so any access grows it.
+type openRun struct {
+	id uint64
+	// wf holds the weight (low half) and KindRun.First (high half).
+	wf uint64
+	// rf counts the loads (low half) and fetches (high half): the
+	// non-stores, so it is zero while every access is a store.
+	rf uint64
+	// sl counts the stores (low half) and holds KindRun.Lead (high
+	// half).
+	sl uint64
 }
 
-// appendKind adds one access's block ID and kind, extending the
-// current run (and its kind record) when the block repeats.
-func (b *BlockStream) appendKind(id uint64, k Kind) {
-	if n := len(b.IDs); n > 0 && b.IDs[n-1] == id && b.Runs[n-1] < math.MaxUint32 {
-		b.Runs[n-1]++
-		b.Kinds[n-1].addSpan(k, 1)
-	} else {
-		b.IDs = append(b.IDs, id)
-		b.Runs = append(b.Runs, 1)
-		b.Kinds = append(b.Kinds, kindRunOf(k))
-	}
-	b.Accesses++
+// kindWords is one access of each kind in openRun's rf and sl.
+var kindWords = [3]struct{ rf, sl uint64 }{
+	DataRead:  {rf: 1},
+	DataWrite: {sl: 1},
+	IFetch:    {rf: 1 << 32},
 }
 
-// appendRun appends a run of w consecutive accesses to block id with
-// exactly the per-access semantics of append: the tail run grows until
-// the uint32 counter saturates, then new runs are started greedily.
-func (b *BlockStream) appendRun(id uint64, w uint32) {
-	if w == 0 {
-		return
+// openRunOf reopens a closed run: block id, weight w and, with the kind
+// channel, its record kr.
+func openRunOf(id uint64, w uint32, kr KindRun, kinds bool) openRun {
+	r := openRun{id: id, wf: uint64(w)}
+	if kinds {
+		r.wf |= uint64(kr.First) << 32
+		r.rf = uint64(kr.W[DataRead]) | uint64(kr.W[IFetch])<<32
+		r.sl = uint64(kr.W[DataWrite]) | uint64(kr.Lead)<<32
 	}
-	b.Accesses += uint64(w)
-	rem := uint64(w)
-	if n := len(b.IDs); n > 0 && b.IDs[n-1] == id && b.Runs[n-1] < math.MaxUint32 {
-		take := min(rem, uint64(math.MaxUint32-b.Runs[n-1]))
-		b.Runs[n-1] += uint32(take)
-		rem -= take
-	}
-	for rem > 0 {
-		take := min(rem, math.MaxUint32)
-		b.IDs = append(b.IDs, id)
-		b.Runs = append(b.Runs, uint32(take))
-		rem -= take
-	}
+	return r
 }
 
-// appendKindSpan appends n accesses of kind k to block id with exactly
-// the per-access semantics of appendKind: the tail run grows until the
-// uint32 counter saturates, then a new run starts.
-func (b *BlockStream) appendKindSpan(id uint64, k Kind, n uint32) {
-	if n == 0 {
-		return
-	}
-	b.Accesses += uint64(n)
-	if last := len(b.IDs) - 1; last >= 0 && b.IDs[last] == id && b.Runs[last] < math.MaxUint32 {
-		take := min(n, math.MaxUint32-b.Runs[last])
-		b.Runs[last] += take
-		b.Kinds[last].addSpan(k, take)
-		if n -= take; n == 0 {
-			return
+// weight returns the number of accesses r holds.
+func (r openRun) weight() uint32 { return uint32(r.wf) }
+
+// fits reports whether n more accesses of block id grow r in place: r
+// is empty or holds id, and its counter has room for them.
+func (r openRun) fits(id uint64, n uint32) bool {
+	return (r.id == id || r.wf == 0) && r.weight() <= math.MaxUint32-n
+}
+
+// grow adds n ≥ 1 accesses of block id and kind k (read only with the
+// kind channel) to r, which fits them: KindRun.addSpan on the packed
+// record.
+func (r openRun) grow(id uint64, k Kind, n uint32, kinds bool) openRun {
+	r.id = id
+	if kinds {
+		if r.rf == 0 { // every access so far is a store
+			if k == DataWrite {
+				r.sl += uint64(n) << 32
+			} else {
+				r.wf |= uint64(k) << 32
+			}
 		}
+		r.rf += uint64(n) * kindWords[k].rf
+		r.sl += uint64(n) * kindWords[k].sl
 	}
+	r.wf += uint64(n)
+	return r
+}
+
+// close appends r, which is not empty, to b's columns as a final run.
+// The per-access loops run it on every run they close, so it must stay
+// within the compiler's inlining budget (go build -gcflags=-m).
+func (b *BlockStream) close(r openRun, kinds bool) {
+	b.IDs = append(b.IDs, r.id)
+	b.Runs = append(b.Runs, uint32(r.wf))
+	if kinds {
+		// Field by field into the column: copying a whole record built
+		// by narrow stores stalls on store forwarding.
+		b.Kinds = append(b.Kinds, KindRun{})
+		kr := &b.Kinds[len(b.Kinds)-1]
+		kr.W[DataRead], kr.W[DataWrite], kr.W[IFetch] = uint32(r.rf), uint32(r.sl), uint32(r.rf>>32)
+		kr.Lead, kr.First = uint32(r.sl>>32), Kind(r.wf>>32)
+	}
+}
+
+// step is run formation, the one machine every producer runs: it adds
+// n accesses of block id (of kind k when kinds is set; otherwise the
+// kind is not read) to the open run r and returns the open run after
+// them. r grows while it holds id and its uint32 counter has room; a
+// run that closes — another block arrives, or the counter saturates,
+// when the rest of the n opens the next run — is appended to b's
+// columns. One step closes at most one run. b.Accesses is the
+// caller's to count.
+//
+// Its operations — fits and grow in place, else close and open — each
+// inline, so a per-access loop (n = 1, where a saturated run simply
+// closes) runs them itself instead of calling step.
+func (b *BlockStream) step(r openRun, id uint64, k Kind, n uint32, kinds bool) openRun {
+	if n == 0 {
+		return r
+	}
+	if w := r.weight(); (r.id == id || w == 0) && w < math.MaxUint32 {
+		take := min(n, math.MaxUint32-w)
+		if r = r.grow(id, k, take, kinds); take == n {
+			return r
+		}
+		n -= take
+	}
+	b.close(r, kinds)
+	return openRun{}.grow(id, k, n, kinds)
+}
+
+// reopen takes b's tail run off its columns as the open run, so run
+// formation can continue the stream; close puts it back (unless it is
+// empty).
+func (b *BlockStream) reopen() openRun {
+	n := len(b.IDs) - 1
+	if n < 0 {
+		return openRun{}
+	}
+	kinds := b.Kinds != nil
 	var kr KindRun
-	kr.addSpan(k, n)
-	b.IDs = append(b.IDs, id)
-	b.Runs = append(b.Runs, n)
-	b.Kinds = append(b.Kinds, kr)
+	if kinds {
+		kr = b.Kinds[n]
+		b.Kinds = b.Kinds[:n]
+	}
+	r := openRunOf(b.IDs[n], b.Runs[n], kr, kinds)
+	b.IDs, b.Runs = b.IDs[:n], b.Runs[:n]
+	return r
 }
 
 // appendAccesses run-compresses a batch of accesses, each block ID the
-// address shifted right by off. It is the one per-access loop of run
-// formation: both materializers and the generic-reader span producer
-// call it. With the kind channel present (Kinds non-nil) an access with
-// an invalid kind fails the batch there; without it the kind is never
+// address shifted right by off, continuing b's tail run: the
+// materializers and the generic-reader span producer form their runs
+// here. With the kind channel present (Kinds non-nil) an access with an
+// invalid kind fails the batch there; without it the kind is never
 // read.
 func (b *BlockStream) appendAccesses(batch []Access, off uint) error {
-	if b.Kinds == nil {
-		for _, a := range batch {
-			b.append(a.Addr >> off)
+	kinds := b.Kinds != nil
+	r := b.reopen()
+	var err error
+	n := len(batch)
+	for i, a := range batch {
+		if kinds && !a.Kind.Valid() {
+			err = fmt.Errorf("trace: invalid access kind %v at address %#x", a.Kind, a.Addr)
+			n = i
+			break
 		}
-		return nil
-	}
-	for _, a := range batch {
-		if !a.Kind.Valid() {
-			return fmt.Errorf("trace: invalid access kind %v at address %#x", a.Kind, a.Addr)
+		if id := a.Addr >> off; r.fits(id, 1) {
+			r = r.grow(id, a.Kind, 1, kinds)
+		} else {
+			b.close(r, kinds)
+			r = openRun{}.grow(id, a.Kind, 1, kinds)
 		}
-		b.appendKind(a.Addr>>off, a.Kind)
 	}
-	return nil
+	if r.wf != 0 {
+		b.close(r, kinds)
+	}
+	b.Accesses += uint64(n)
+	return err
 }
 
 // MaterializeBlockStream drains the reader into a run-compressed block

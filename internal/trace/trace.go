@@ -29,9 +29,9 @@
 // draining the spans (IngestFileShards does exactly that before
 // partitioning); MaterializeBlockStream remains the serial in-process
 // form. Each machine exists once: every run is formed by
-// BlockStream.append (the serial materializers and every decode chunk
-// run it), and every fold by foldStage (FoldBlockStream and
-// LadderFolder).
+// BlockStream.step's open-run machine (the serial materializers, every
+// decode chunk and the span stitcher run it), and every fold by
+// foldStage (FoldBlockStream and LadderFolder).
 //
 // The frontend is built to fail loudly rather than silently: decode
 // errors are typed and position-carrying (CorruptError,
