@@ -22,7 +22,8 @@ bench:
 race:
 	$(GO) test -race ./internal/sweep ./internal/explore ./internal/core ./internal/lrutree ./internal/refsim ./internal/engine ./internal/trace ./internal/store
 
-# fuzz gives each fuzz target a short budget beyond its seed corpus.
+# fuzz gives each fuzz target a short budget beyond its seed corpus;
+# TestMakefileFuzz (reach_test.go) fails when a target is missing here.
 fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzBatchEquivalence -fuzztime 20s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzStreamEquivalence -fuzztime 20s
@@ -39,3 +40,6 @@ fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzDinKernel -fuzztime 20s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzBinCorrupt -fuzztime 20s
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzResultUnmarshal -fuzztime 20s
+	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzDinReader -fuzztime 20s
+	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzBinReader -fuzztime 20s
+	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzRoundTrip -fuzztime 20s

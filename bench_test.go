@@ -1,6 +1,7 @@
 package dew
 
-// One benchmark per table and figure of the paper's evaluation section,
+// One benchmark per table and figure of the paper's evaluation section
+// (Table 1 is a parameter count, with nothing to time),
 // plus ablation benchmarks for the DEW properties and the perf
 // trajectory of the access pipeline (single vs batch vs stream; see
 // README.md).
@@ -13,6 +14,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"unsafe"
 
@@ -46,18 +49,6 @@ func benchTrace(b *testing.B, app workload.App) trace.Trace {
 		benchTraces[app.Name] = tr
 	}
 	return tr
-}
-
-// BenchmarkTable1ConfigSpace measures enumerating the 525-configuration
-// parameter space of Table 1.
-func BenchmarkTable1ConfigSpace(b *testing.B) {
-	space := cache.PaperSpace()
-	for i := 0; i < b.N; i++ {
-		cfgs := space.Configs()
-		if len(cfgs) != 525 {
-			b.Fatalf("got %d configs", len(cfgs))
-		}
-	}
 }
 
 // BenchmarkTable2TraceGeneration measures the synthetic Mediabench trace
@@ -345,7 +336,7 @@ func benchDinText(b *testing.B, app workload.App) []byte {
 const benchShardLog = 3
 
 // BenchmarkSpanShard measures the front half of every sharded replay
-// on .din text: the chunk-parallel span pipeline decodes and
+// on a .din file: the chunk-parallel span pipeline decodes and
 // run-compresses the trace at the default span budget, and each span
 // is split into a reused 2^3-shard partition (ShardBlockStreamInto) as
 // it arrives. blocks/s is the end-to-end decode→partition throughput
@@ -355,12 +346,15 @@ const benchShardLog = 3
 func BenchmarkSpanShard(b *testing.B) {
 	for _, app := range benchAccessApps {
 		b.Run(app.Name, func(b *testing.B) {
-			text := benchDinText(b, app)
+			path := filepath.Join(b.TempDir(), "trace.din")
+			if err := os.WriteFile(path, benchDinText(b, app), 0o644); err != nil {
+				b.Fatal(err)
+			}
 			var accesses uint64
 			var part trace.ShardStream
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p, err := trace.StreamDinSpans(context.Background(), bytes.NewReader(text), benchAccessOpt.BlockSize, trace.SpanOptions{})
+				p, err := trace.StreamFileSpans(context.Background(), path, benchAccessOpt.BlockSize, trace.SpanOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -498,7 +492,7 @@ func BenchmarkRefStreamWrite(b *testing.B) {
 	for _, app := range benchAccessApps {
 		b.Run(app.Name, func(b *testing.B) {
 			tr := benchTrace(b, app)
-			bs, err := tr.BlockStreamWithKinds(benchAccessOpt.BlockSize)
+			bs, err := trace.MaterializeBlockStreamWithKinds(tr.NewSliceReader(), benchAccessOpt.BlockSize)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -48,7 +48,8 @@
 // against each other (FuzzStreamEquivalence; ≥2× the seed's
 // single-access throughput on the sequential-fetch workloads, the
 // trajectory recorded in BENCH_core.json by scripts/bench.sh). lrutree
-// mirrors the same instrumented/stream split for the LRU tree.
+// mirrors the same per-access/stream split for the LRU tree, without
+// counters.
 //
 // Independent passes parallelize above the core: sweep.Runner.Workers
 // spreads stream groups — the cells that replay one trace (one seed's,
@@ -91,7 +92,7 @@
 //
 // A sharded run never materializes the raw trace, never holds the
 // whole run-compressed stream and never walks the trace twice. The
-// span pipeline (trace.StreamSpans / StreamDinSpans / StreamFileSpans,
+// span pipeline (trace.StreamSpans / StreamFileSpans,
 // below) decodes the trace in chunks — for .din text the decode itself
 // is chunk-parallel, the byte stream cut at line boundaries and parsed
 // by workers — run-compresses every chunk in parallel, and emits the
@@ -119,7 +120,7 @@
 //
 // For traces too large to materialize — or whenever decode latency
 // should overlap simulation — the same pipeline runs span by span:
-// trace.StreamSpans (and StreamDinSpans / StreamFileSpans) delivers
+// trace.StreamSpans (and StreamFileSpans) delivers
 // the run-compressed stream as a bounded, backpressured channel of
 // spans, each span a self-contained BlockStream slice with the exact
 // boundary-merge semantics applied where chunks meet, so the

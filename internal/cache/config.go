@@ -71,17 +71,6 @@ func (c Config) OffsetBits() int { return bits.TrailingZeros(uint(c.BlockSize)) 
 // same cache block.
 func (c Config) BlockAddr(addr uint64) uint64 { return addr >> uint(c.OffsetBits()) }
 
-// Index returns the set index the address maps to: (addr / B) mod S.
-func (c Config) Index(addr uint64) uint64 {
-	return c.BlockAddr(addr) & uint64(c.Sets-1)
-}
-
-// Tag returns the stored tag for the address: (addr / B) / S. Combined
-// with the set index it uniquely identifies the block.
-func (c Config) Tag(addr uint64) uint64 {
-	return c.BlockAddr(addr) >> uint(c.IndexBits())
-}
-
 // String renders the configuration as, e.g., "S=256 A=4 B=32 (32KiB)".
 func (c Config) String() string {
 	return fmt.Sprintf("S=%d A=%d B=%d (%s)", c.Sets, c.Assoc, c.BlockSize, FormatSize(c.SizeBytes()))

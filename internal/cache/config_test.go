@@ -67,51 +67,48 @@ func TestAddressMapping(t *testing.T) {
 	if got, want := cfg.BlockAddr(addr), uint64(addr>>5); got != want {
 		t.Errorf("BlockAddr = %#x, want %#x", got, want)
 	}
-	if got, want := cfg.Index(addr), uint64((addr>>5)&255); got != want {
-		t.Errorf("Index = %#x, want %#x", got, want)
-	}
-	if got, want := cfg.Tag(addr), uint64(addr>>13); got != want {
-		t.Errorf("Tag = %#x, want %#x", got, want)
-	}
 }
 
 func TestAddressMappingDegenerate(t *testing.T) {
-	// 1 set, block size 1: index is always 0, tag is the full address.
+	// 1 set, block size 1: no index bits, and the block address is the
+	// full address.
 	cfg := mustCfg(1, 2, 1)
+	if cfg.IndexBits() != 0 || cfg.OffsetBits() != 0 {
+		t.Errorf("IndexBits, OffsetBits = %d, %d, want 0, 0", cfg.IndexBits(), cfg.OffsetBits())
+	}
 	for _, addr := range []uint64{0, 1, 12345, 1 << 40} {
-		if cfg.Index(addr) != 0 {
-			t.Errorf("Index(%d) = %d, want 0", addr, cfg.Index(addr))
-		}
-		if cfg.Tag(addr) != addr {
-			t.Errorf("Tag(%d) = %d, want %d", addr, cfg.Tag(addr), addr)
+		if cfg.BlockAddr(addr) != addr {
+			t.Errorf("BlockAddr(%d) = %d, want %d", addr, cfg.BlockAddr(addr), addr)
 		}
 	}
 }
 
-// Tag and index must together reconstruct the block address: the mapping
-// loses no information. Checked as a property over random addresses and
+// The block address (tag and set index together) and the in-block
+// offset must reconstruct the byte address: the mapping loses no
+// information. Checked as a property over random addresses and
 // configurations.
 func TestTagIndexReconstruction(t *testing.T) {
 	f := func(addr uint64, lsRaw, lbRaw uint8) bool {
 		ls := int(lsRaw % 15)
 		lb := int(lbRaw % 7)
 		cfg := mustCfg(1<<ls, 1, 1<<lb)
-		rebuilt := cfg.Tag(addr)<<uint(ls) | cfg.Index(addr)
-		return rebuilt == cfg.BlockAddr(addr)
+		rebuilt := cfg.BlockAddr(addr)<<uint(cfg.OffsetBits()) | addr&uint64(cfg.BlockSize-1)
+		return rebuilt == addr && cfg.IndexBits() == ls
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-// Two addresses inside the same block must map to the same set and tag.
+// Two addresses inside the same block must map to the same block address,
+// hence the same set and tag.
 func TestSameBlockSameSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	cfg := mustCfg(64, 2, 16)
 	for i := 0; i < 1000; i++ {
 		base := uint64(rng.Int63()) &^ 15 // block-aligned
 		off := uint64(rng.Intn(16))
-		if cfg.Index(base) != cfg.Index(base+off) || cfg.Tag(base) != cfg.Tag(base+off) {
+		if cfg.BlockAddr(base) != cfg.BlockAddr(base+off) {
 			t.Fatalf("addresses %#x and %#x map differently", base, base+off)
 		}
 	}

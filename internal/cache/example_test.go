@@ -21,13 +21,15 @@ func ExampleConfig() {
 	// index bits: 8 offset bits: 5
 }
 
-func ExampleConfig_Index() {
+func ExampleConfig_BlockAddr() {
 	cfg, err := cache.NewConfig(8, 2, 16)
 	if err != nil {
 		log.Fatal(err)
 	}
 	addr := uint64(0x12345)
-	fmt.Printf("block %#x -> set %d, tag %#x\n", cfg.BlockAddr(addr), cfg.Index(addr), cfg.Tag(addr))
+	blk := cfg.BlockAddr(addr)
+	set, tag := blk&uint64(cfg.Sets-1), blk>>uint(cfg.IndexBits())
+	fmt.Printf("block %#x -> set %d, tag %#x\n", blk, set, tag)
 	// Output:
 	// block 0x1234 -> set 4, tag 0x246
 }
@@ -35,8 +37,8 @@ func ExampleConfig_Index() {
 func ExamplePaperSpace() {
 	space := cache.PaperSpace()
 	fmt.Println("configurations:", space.Count())
-	fmt.Println("set sizes:", len(space.SetSizes()), "block sizes:", len(space.BlockSizes()), "associativities:", len(space.Assocs()))
+	fmt.Println("block sizes:", len(space.BlockSizes()), "associativities:", len(space.Assocs()))
 	// Output:
 	// configurations: 525
-	// set sizes: 15 block sizes: 7 associativities: 5
+	// block sizes: 7 associativities: 5
 }

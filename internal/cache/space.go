@@ -55,32 +55,6 @@ func (p ParamSpace) Count() int {
 		(p.MaxLogAssoc - p.MinLogAssoc + 1)
 }
 
-// Configs enumerates every configuration in the space in (block size,
-// associativity, sets) order — the order in which a DEW forest sweep
-// visits them, since one DEW pass covers all set sizes for a fixed
-// (associativity, block size) pair.
-func (p ParamSpace) Configs() []Config {
-	out := make([]Config, 0, p.Count())
-	for lb := p.MinLogBlock; lb <= p.MaxLogBlock; lb++ {
-		for la := p.MinLogAssoc; la <= p.MaxLogAssoc; la++ {
-			for ls := p.MinLogSets; ls <= p.MaxLogSets; ls++ {
-				out = append(out, Config{Sets: 1 << ls, Assoc: 1 << la, BlockSize: 1 << lb})
-			}
-		}
-	}
-	return out
-}
-
-// SetSizes returns the set counts 2^MinLogSets .. 2^MaxLogSets in
-// ascending order: the levels of one DEW simulation tree.
-func (p ParamSpace) SetSizes() []int {
-	out := make([]int, 0, p.MaxLogSets-p.MinLogSets+1)
-	for ls := p.MinLogSets; ls <= p.MaxLogSets; ls++ {
-		out = append(out, 1<<ls)
-	}
-	return out
-}
-
 // BlockSizes returns the block sizes in the space in ascending order.
 func (p ParamSpace) BlockSizes() []int {
 	out := make([]int, 0, p.MaxLogBlock-p.MinLogBlock+1)
@@ -107,9 +81,6 @@ type Stats struct {
 	// Misses is the number of requests not found in the cache.
 	Misses uint64
 }
-
-// Hits returns Accesses - Misses.
-func (s Stats) Hits() uint64 { return s.Accesses - s.Misses }
 
 // MissRate returns Misses/Accesses, or 0 for an empty run.
 func (s Stats) MissRate() float64 {

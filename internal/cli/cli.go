@@ -250,16 +250,3 @@ func (s *selfClosingReader) close() {
 		s.closer = nil
 	}
 }
-
-// load materializes the selected trace in memory (for tools that need
-// multiple passes).
-func (tf traceFlags) load() (trace.Trace, error) {
-	r, closer, err := tf.open()
-	if err != nil {
-		return nil, err
-	}
-	if closer != nil {
-		defer closer.Close()
-	}
-	return trace.ReadAll(r)
-}

@@ -225,10 +225,15 @@ func TestTraceGenList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, app := range []string{"CJPEG", "DJPEG", "G721 Enc", "MPEG2 Dec"} {
+	// Every model -app accepts is listed: the paper's six, then the
+	// extended ones.
+	for _, app := range []string{"CJPEG", "DJPEG", "G721 Enc", "MPEG2 Dec", "ADPCM Enc", "ADPCM Dec", "EPIC", "PEGWIT"} {
 		if !strings.Contains(out, app) {
 			t.Errorf("list missing %s", app)
 		}
+	}
+	if strings.Index(out, "MPEG2 Dec") > strings.Index(out, "ADPCM Enc") {
+		t.Errorf("extended models listed before the paper's:\n%s", out)
 	}
 }
 

@@ -21,7 +21,7 @@ func TraceGen(_ context.Context, env Env, args []string) error {
 		out     = fs.String("o", "", "output trace file (.din, .din.gz, .dtb, .dtb.gz)")
 		profile = fs.Bool("profile", false, "print the trace profile (request mix, footprint)")
 		block   = fs.Int("profile-block", 32, "block size for footprint profiling")
-		list    = fs.Bool("list", false, "list available workload models and exit")
+		list    = fs.Bool("list", false, "list available workload models (the paper's six, then the extended ones) and exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return usageError{err}
@@ -30,6 +30,9 @@ func TraceGen(_ context.Context, env Env, args []string) error {
 	if *list {
 		for _, a := range workload.Apps() {
 			fmt.Fprintf(env.Stdout, "%-10s %13d paper requests  %s\n", a.Name, a.PaperRequests, a.Description)
+		}
+		for _, a := range workload.ExtendedApps() {
+			fmt.Fprintf(env.Stdout, "%-10s %28s  %s\n", a.Name, "extended, not in Table 2", a.Description)
 		}
 		return nil
 	}

@@ -119,16 +119,3 @@ func (s *Simulator) CheckInvariants() error {
 	}
 	return nil
 }
-
-// PaperBits returns the storage the paper's Section 5 accounting assigns
-// to one simulation tree with these options: per node (cache set), 96
-// bits of MRA/MRE state plus 64 bits (32-bit tag + 32-bit wave pointer)
-// per tag-list entry, i.e. S × (96 + 64·A) bits per level, summed over
-// all levels.
-func (o Options) PaperBits() uint64 {
-	var bits uint64
-	for l := o.MinLogSets; l <= o.MaxLogSets; l++ {
-		bits += uint64(1<<l) * uint64(96+64*o.Assoc)
-	}
-	return bits
-}

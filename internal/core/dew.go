@@ -160,6 +160,19 @@ func (o Options) Validate() error {
 // Levels returns the number of tree levels the pass simulates.
 func (o Options) Levels() int { return o.MaxLogSets - o.MinLogSets + 1 }
 
+// PaperBits returns the storage the paper's Section 5 accounting assigns
+// to one simulation tree with these options: per node (cache set), 96
+// bits of MRA/MRE state plus 64 bits (32-bit tag + 32-bit wave pointer)
+// per tag-list entry, i.e. S × (96 + 64·A) bits per level, summed over
+// all levels.
+func (o Options) PaperBits() uint64 {
+	var bits uint64
+	for l := o.MinLogSets; l <= o.MaxLogSets; l++ {
+		bits += uint64(1<<l) * uint64(96+64*o.Assoc)
+	}
+	return bits
+}
+
 // nodeState packs the per-node metadata every walk reads into one
 // 16-byte record: the MRA tag the direct-mapped check reads on every
 // visit plus the small bookkeeping fields. Keeping them in one record

@@ -350,7 +350,7 @@ func TestRefEngineWriteSim(t *testing.T) {
 	}
 	wantT := ref.Traffic()
 
-	bs, err := tr.BlockStreamWithKinds(block)
+	bs, err := trace.MaterializeBlockStreamWithKinds(tr.NewSliceReader(), block)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestRefEngineWriteSim(t *testing.T) {
 		t.Errorf("stream traffic = %+v, want %+v", gotT, wantT)
 	}
 
-	parent, err := tr.BlockStreamWithKinds(block)
+	parent, err := trace.MaterializeBlockStreamWithKinds(tr.NewSliceReader(), block)
 	if err != nil {
 		t.Fatal(err)
 	}

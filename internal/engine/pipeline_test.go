@@ -134,7 +134,7 @@ func TestSimulateSpansEverySplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kinded, err := tr.BlockStreamWithKinds(block)
+	kinded, err := trace.MaterializeBlockStreamWithKinds(tr.NewSliceReader(), block)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestReplayPipelineMatchesMaterialized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kinded, err := tr.BlockStreamWithKinds(block)
+	kinded, err := trace.MaterializeBlockStreamWithKinds(tr.NewSliceReader(), block)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +460,7 @@ func TestSpanLadderMatchesReplay(t *testing.T) {
 			for _, b := range blocks {
 				bs, err := tr.BlockStream(b)
 				if kinds {
-					bs, err = tr.BlockStreamWithKinds(b)
+					bs, err = trace.MaterializeBlockStreamWithKinds(tr.NewSliceReader(), b)
 				}
 				if err != nil {
 					t.Fatal(err)

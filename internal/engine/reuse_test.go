@@ -193,7 +193,7 @@ func TestRecycledEnginesMatchFresh(t *testing.T) {
 		if streams[b], err = tr.BlockStream(b); err != nil {
 			t.Fatal(err)
 		}
-		if kindStreams[b], err = tr.BlockStreamWithKinds(b); err != nil {
+		if kindStreams[b], err = trace.MaterializeBlockStreamWithKinds(tr.NewSliceReader(), b); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -130,7 +130,7 @@ func (c shardCase) blocks(t testing.TB, tr trace.Trace, block int) *trace.BlockS
 	if !c.writeSim {
 		return mustBlocks(t, tr, block)
 	}
-	bs, err := tr.BlockStreamWithKinds(block)
+	bs, err := trace.MaterializeBlockStreamWithKinds(tr.NewSliceReader(), block)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,21 +24,10 @@ func (s *Simulator) SimulateStream(bs *trace.BlockStream) error {
 // skipped). Run folding is exact because every access after the first
 // of a run is precisely a same-block repeat, which the CRCB pruning
 // rule proves hits every configuration and reorders nothing, so the
-// fast path walks the tree once per run. With a pruning rule ablated
-// the fold is invalid (the whole point of the ablation is moving
-// different counters), so runs are expanded through Access.
+// fast path walks the tree once per run.
 func (s *Simulator) AccessRuns(ids []uint64, runs []uint32) {
 	if len(ids) != len(runs) {
 		panic(fmt.Sprintf("lrutree: AccessRuns columns disagree: %d ids, %d runs", len(ids), len(runs)))
-	}
-	if s.opt.DisableSameBlock || s.opt.DisableMRUCutoff {
-		off := s.offBits
-		for i, id := range ids {
-			for k := uint32(0); k < runs[i]; k++ {
-				s.Access(trace.Access{Addr: id << off})
-			}
-		}
-		return
 	}
 	var total uint64
 	prev, ok := s.prevBlk, s.havePrev
@@ -56,15 +45,15 @@ func (s *Simulator) AccessRuns(ids []uint64, runs []uint32) {
 		s.accessFast(id)
 	}
 	s.prevBlk, s.havePrev = prev, ok
-	s.counters.Accesses += total
+	s.accesses += total
 	s.foldExitHist()
 }
 
-// accessFast is Access with the instrumentation compiled out: the same
-// walk down the simulation tree — MRU cut-off, recency-list scan,
-// rotate-or-insert — mutating exactly the same state in exactly the same
-// order, so results are bit-identical to the instrumented path. Same-
-// block pruning happens in the callers' memo check before this runs.
+// accessFast is Access's walk on the arenas: the same walk down the
+// simulation tree — MRU cut-off, recency-list scan, rotate-or-insert —
+// mutating exactly the same state in exactly the same order, so results
+// are bit-identical to the per-access path. Same-block pruning happens
+// in the callers' memo check before this runs.
 //
 // It walks the level-major arenas directly, with the per-level node mask
 // and arena offsets computed incrementally in registers (mask doubles,

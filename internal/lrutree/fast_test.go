@@ -7,8 +7,8 @@ import (
 	"dew/internal/trace"
 )
 
-// runInstrumented drives the single-access instrumented path.
-func runInstrumented(t *testing.T, opt Options, tr trace.Trace) *Simulator {
+// runPerAccess drives the per-access path.
+func runPerAccess(t *testing.T, opt Options, tr trace.Trace) *Simulator {
 	t.Helper()
 	s := mustSim(opt)
 	for _, a := range tr {
@@ -27,16 +27,16 @@ func assertSameResults(t *testing.T, label string, want, got *Simulator) {
 	}
 	for i := range wr {
 		if wr[i] != gr[i] {
-			t.Errorf("%s: result %d: instrumented %+v, fast %+v", label, i, wr[i], gr[i])
+			t.Errorf("%s: result %d: per-access %+v, fast %+v", label, i, wr[i], gr[i])
 		}
 	}
 	for i := range want.levels {
 		if want.missDM[i] != got.missDM[i] {
-			t.Errorf("%s: level %d missDM: instrumented %d, fast %d",
+			t.Errorf("%s: level %d missDM: per-access %d, fast %d",
 				label, i, want.missDM[i], got.missDM[i])
 		}
 		if want.missA[i] != got.missA[i] {
-			t.Errorf("%s: level %d missA: instrumented %d, fast %d",
+			t.Errorf("%s: level %d missA: per-access %d, fast %d",
 				label, i, want.missA[i], got.missA[i])
 		}
 	}
@@ -50,20 +50,20 @@ var fastShapes = []Options{
 	{MinLogSets: 1, MaxLogSets: 4, Assoc: 16, BlockSize: 4},
 }
 
-// TestAccessBatchEquivalence checks the counter-free fast path, fed raw
+// TestAccessBatchEquivalence checks the fast path, fed raw
 // accesses whole and in 997-access batches that each fold into a block
-// stream of their own, against the instrumented path across pass shapes,
+// stream of their own, against the per-access path across pass shapes,
 // including forests.
 func TestAccessBatchEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		tr := streakyTrace(20_000, 1<<13, seed)
 		for _, opt := range fastShapes {
 			label := fmt.Sprintf("seed%d/min%d/A%d/B%d", seed, opt.MinLogSets, opt.Assoc, opt.BlockSize)
-			want := runInstrumented(t, opt, tr)
+			want := runPerAccess(t, opt, tr)
 
 			fast := mustSim(opt)
 			simulateBatch(t, fast, tr)
-			if got := fast.Counters().Accesses; got != uint64(len(tr)) {
+			if got := fast.accesses; got != uint64(len(tr)) {
 				t.Errorf("%s: fast path Accesses = %d, want %d", label, got, len(tr))
 			}
 			assertSameResults(t, label, want, fast)
@@ -94,7 +94,7 @@ func simulateBatch(t *testing.T, s *Simulator, batch trace.Trace) {
 
 // TestSimulateStreamEquivalence checks the stream entry point — run
 // weights folded, chunked delivery, mid-run chunk starts — against the
-// instrumented path across pass shapes, including forests.
+// per-access path across pass shapes, including forests.
 func TestSimulateStreamEquivalence(t *testing.T) {
 	for seed := int64(5); seed < 8; seed++ {
 		testStreamEquivalence(t, streakyTrace(20_000, 1<<13, seed), fmt.Sprintf("seed%d", seed))
@@ -108,13 +108,13 @@ func testStreamEquivalence(t *testing.T, tr trace.Trace, name string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := runInstrumented(t, opt, tr)
+		want := runPerAccess(t, opt, tr)
 
 		fast := mustSim(opt)
 		if err := fast.SimulateStream(bs); err != nil {
 			t.Fatal(err)
 		}
-		if got := fast.Counters().Accesses; got != uint64(len(tr)) {
+		if got := fast.accesses; got != uint64(len(tr)) {
 			t.Errorf("%s: stream Accesses = %d, want %d", label, got, len(tr))
 		}
 		assertSameResults(t, label, want, fast)
@@ -146,44 +146,12 @@ func testStreamEquivalence(t *testing.T, tr trace.Trace, name string) {
 	}
 }
 
-// TestAccessRunsInstrumented checks the expansion through the counted
-// path under ablations.
-func TestAccessRunsInstrumented(t *testing.T) {
-	tr := streakyTrace(10_000, 1<<12, 8)
-	mods := []struct {
-		name string
-		mod  func(*Options)
-	}{
-		{"noSameBlock", func(o *Options) { o.DisableSameBlock = true }},
-		{"noMRUCutoff", func(o *Options) { o.DisableMRUCutoff = true }},
-	}
-	base := Options{MaxLogSets: 5, Assoc: 4, BlockSize: 16}
-	bs, err := tr.BlockStream(base.BlockSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range mods {
-		opt := base
-		m.mod(&opt)
-		want := runInstrumented(t, opt, tr)
-		got := mustSim(opt)
-		if err := got.SimulateStream(bs); err != nil {
-			t.Fatal(err)
-		}
-		assertSameResults(t, m.name, want, got)
-		if want.Counters() != got.Counters() {
-			t.Errorf("%s: stream counters %+v, per-access counters %+v",
-				m.name, got.Counters(), want.Counters())
-		}
-	}
-}
-
 // TestFastEntryPointsInterleaved mixes Access and AccessRuns on one
 // simulator; the shared same-block memo must keep them coherent.
 func TestFastEntryPointsInterleaved(t *testing.T) {
 	tr := streakyTrace(9_000, 1<<12, 13)
 	opt := Options{MaxLogSets: 6, Assoc: 4, BlockSize: 16}
-	want := runInstrumented(t, opt, tr)
+	want := runPerAccess(t, opt, tr)
 
 	third := len(tr) / 3
 	mixed := mustSim(opt)
@@ -202,7 +170,7 @@ func TestFastEntryPointsInterleaved(t *testing.T) {
 	}
 	stream(tr[2*third:])
 	assertSameResults(t, "stream+access+stream", want, mixed)
-	if got := mixed.Counters().Accesses; got != uint64(len(tr)) {
+	if got := mixed.accesses; got != uint64(len(tr)) {
 		t.Errorf("Accesses = %d, want %d", got, len(tr))
 	}
 }
@@ -220,7 +188,7 @@ func TestSimulateStreamRejectsBlockMismatch(t *testing.T) {
 }
 
 // TestSimulateStreamMatchesSimulate runs the stream path against the
-// instrumented reader-draining loop on a uniform random trace.
+// per-access reader-draining loop on a uniform random trace.
 func TestSimulateStreamMatchesSimulate(t *testing.T) {
 	tr := randomTrace(8_000, 1<<12, 21)
 	opt := Options{MaxLogSets: 6, Assoc: 4, BlockSize: 8}
@@ -240,7 +208,7 @@ func TestSimulateStreamMatchesSimulate(t *testing.T) {
 }
 
 // FuzzFastEquivalence fuzzes the lrutree fast path (whole stream and
-// one-run chunks) against the instrumented path.
+// one-run chunks) against the per-access path.
 func FuzzFastEquivalence(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(2), uint8(2), uint8(4), uint8(0))
 	f.Add([]byte{0, 0, 0, 0, 0, 0}, uint8(0), uint8(0), uint8(1), uint8(2))
@@ -317,8 +285,8 @@ func TestRebindEquivalence(t *testing.T) {
 			}
 		}
 		assertSameResults(t, fmt.Sprintf("B%d", b), fresh, s)
-		if fresh.Counters() != s.Counters() {
-			t.Errorf("B%d: counters %+v, want %+v", b, s.Counters(), fresh.Counters())
+		if fresh.accesses != s.accesses {
+			t.Errorf("B%d: %d accesses, want %d", b, s.accesses, fresh.accesses)
 		}
 	}
 	if err := s.Rebind(6); err == nil {

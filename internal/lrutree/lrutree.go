@@ -34,19 +34,16 @@
 //     still need updating, which bounds how much work inclusion alone
 //     can save and motivates the cut-off rules.
 //
-// # Instrumented and fast paths
+// # Per-access and stream paths
 //
-// Like the DEW core, the simulator exposes two equivalent evaluation
-// paths. Access (and Simulate) is the instrumented path, maintaining the
-// full Counters set. The stream entry points AccessRuns /
-// SimulateStream are the counter-free fast path: the same walk with
-// per-access counter increments compiled out (only Counters.Accesses is
-// maintained), the per-node metadata packed into a
-// level-major nodeState arena — the same layout the DEW core's fast path
-// uses — and the per-level miss splits for the direct-mapped
-// configurations recovered from an exit-depth histogram. The two paths
-// are bit-identical in Results (fast_test.go enforces it). Disabling a
-// pruning rule routes the stream entry points back through Access.
+// The simulator exposes two equivalent evaluation paths. Access (and
+// Simulate) walks the per-level views one access at a time. The stream
+// entry points AccessRuns / SimulateStream are the fast path: one walk
+// per run of a block stream over the level-major nodeState arena — the
+// same layout the DEW core's fast path uses — with the per-level miss
+// splits for the direct-mapped configurations recovered from an
+// exit-depth histogram. The two paths are bit-identical in Results
+// (fast_test.go enforces it).
 //
 // The engine package runs the set-sharded parallel form of a pass on
 // this simulator as it does on the DEW core's: one shallow Simulator
@@ -73,11 +70,6 @@ type Options struct {
 	Assoc int
 	// BlockSize is the block size in bytes (power of two).
 	BlockSize int
-
-	// DisableSameBlock and DisableMRUCutoff switch off the pruning rules
-	// for ablation; results are unchanged.
-	DisableSameBlock bool
-	DisableMRUCutoff bool
 }
 
 // Validate reports whether the options are simulatable.
@@ -99,27 +91,6 @@ func (o Options) Validate() error {
 
 // Levels returns the number of tree levels.
 func (o Options) Levels() int { return o.MaxLogSets - o.MinLogSets + 1 }
-
-// Counters records the work one pass performed, comparable with the DEW
-// core's counters. The counter-free fast path maintains only Accesses.
-type Counters struct {
-	// Accesses is the number of requests processed (including skipped).
-	Accesses uint64
-	// NodeEvaluations counts visited tree nodes, two per node (the
-	// direct-mapped check plus the A-way list work), matching the DEW
-	// accounting convention.
-	NodeEvaluations uint64
-	// SameBlockSkips counts accesses pruned entirely because they
-	// repeated the previous block address.
-	SameBlockSkips uint64
-	// MRUCutoffs counts walks stopped because the tag was at a node's
-	// MRU position.
-	MRUCutoffs uint64
-	// Searches counts recency-list scans.
-	Searches uint64
-	// TagComparisons counts tag equality tests.
-	TagComparisons uint64
-}
 
 // nodeState packs one node's (one cache set's) metadata into a single
 // record: the MRU tag the direct-mapped check reads on every visit —
@@ -144,7 +115,7 @@ type level struct {
 // Simulator is one LRU tree pass in progress.
 //
 // All per-way and per-node state lives in two level-major arenas (nodes,
-// tags); each level's slices are views into them. The instrumented path
+// tags); each level's slices are views into them. The per-access path
 // walks the per-level views, the fast path walks the arenas directly
 // with incrementally computed masks and offsets — same memory, same
 // results.
@@ -178,7 +149,8 @@ type Simulator struct {
 	havePrev bool
 	prevBlk  uint64
 
-	counters Counters
+	// accesses counts the requests simulated, pruned ones included.
+	accesses uint64
 }
 
 // New builds a Simulator for the options.
@@ -228,7 +200,7 @@ func (s *Simulator) Reset() {
 	clear(s.missDM)
 	clear(s.missA)
 	clear(s.exitHist)
-	s.counters = Counters{}
+	s.accesses = 0
 	s.havePrev, s.prevBlk = false, 0
 }
 
@@ -246,27 +218,14 @@ func (s *Simulator) Rebind(blockSize int) error {
 	return nil
 }
 
-// Options returns the pass configuration.
-func (s *Simulator) Options() Options { return s.opt }
-
-// Counters returns a snapshot of the work counters.
-func (s *Simulator) Counters() Counters { return s.counters }
-
-// UnoptimizedEvaluations returns the work bound of a property-free pass:
-// two evaluations per level per access.
-func (s *Simulator) UnoptimizedEvaluations() uint64 {
-	return 2 * uint64(s.opt.Levels()) * s.counters.Accesses
-}
-
 // Access simulates one request against every configuration of the pass.
 func (s *Simulator) Access(a trace.Access) {
 	blk := a.Addr >> s.offBits
-	s.counters.Accesses++
+	s.accesses++
 
-	if !s.opt.DisableSameBlock && s.havePrev && blk == s.prevBlk {
+	if s.havePrev && blk == s.prevBlk {
 		// Same-block pruning: a repeat hits everywhere and every
 		// LRU reorder is a no-op.
-		s.counters.SameBlockSkips++
 		return
 	}
 	s.havePrev = true
@@ -277,30 +236,20 @@ func (s *Simulator) Access(a trace.Access) {
 		node := int(blk & lv.mask)
 		nd := &lv.node[node]
 		base := node * s.assoc
-		s.counters.NodeEvaluations += 2
 
 		fill := int(nd.fill)
-		// Direct-mapped check: the MRU tag is the DM content.
-		s.counters.TagComparisons++
-		mruHit := fill > 0 && nd.mru == blk
-		if mruHit {
-			if !s.opt.DisableMRUCutoff {
-				// The tag is MRU here, hence MRU in every deeper set it
-				// maps to: hits everywhere below, no state changes.
-				s.counters.MRUCutoffs++
-				return
-			}
-			// Cut-off disabled: the hit still needs no reorder at this
-			// level; continue to the next level.
-			continue
+		// Direct-mapped check (the MRU tag is the DM content), doubling
+		// as the MRU cut-off: the tag is MRU here, hence MRU in every
+		// deeper set it maps to — hits everywhere below, no state
+		// changes.
+		if fill > 0 && nd.mru == blk {
+			return
 		}
 		s.missDM[li]++
 
 		// Scan the recency list (skipping the MRU slot already tested).
-		s.counters.Searches++
 		hitAt := -1
 		for w := 1; w < fill; w++ {
-			s.counters.TagComparisons++
 			if lv.tags[base+w] == blk {
 				hitAt = w
 				break
@@ -327,10 +276,9 @@ func (s *Simulator) Access(a trace.Access) {
 	}
 }
 
-// Simulate drains the reader through the instrumented per-access path.
-// Reads are batched (trace.BatchReader) so the reader is consulted once
-// per chunk, but every access maintains the full counter set. For the
-// counter-free fast path use SimulateStream.
+// Simulate drains the reader through the per-access path. Reads are
+// batched (trace.BatchReader) so the reader is consulted once per
+// chunk. For the fast path use SimulateStream.
 func (s *Simulator) Simulate(r trace.Reader) error {
 	return trace.Drain(r, func(batch []trace.Access) {
 		for _, a := range batch {
@@ -349,7 +297,7 @@ type Result struct {
 // ascending set count, direct-mapped before A-way (matching the DEW
 // core's Results layout).
 func (s *Simulator) Results() []Result {
-	opt, accesses := s.opt, s.counters.Accesses
+	opt, accesses := s.opt, s.accesses
 	var out []Result
 	for i := 0; i < opt.Levels(); i++ {
 		sets := 1 << (opt.MinLogSets + i)

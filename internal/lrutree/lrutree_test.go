@@ -89,32 +89,6 @@ func TestExactnessForest(t *testing.T) {
 		streakyTrace(5000, 1<<13, 30))
 }
 
-func TestAblationEquivalence(t *testing.T) {
-	tr := streakyTrace(8000, 1<<12, 40)
-	base := mustSim(Options{MaxLogSets: 7, Assoc: 4, BlockSize: 4})
-	if err := base.Simulate(tr.NewSliceReader()); err != nil {
-		t.Fatal(err)
-	}
-	baseRes := base.Results()
-	variants := []Options{
-		{MaxLogSets: 7, Assoc: 4, BlockSize: 4, DisableSameBlock: true},
-		{MaxLogSets: 7, Assoc: 4, BlockSize: 4, DisableMRUCutoff: true},
-		{MaxLogSets: 7, Assoc: 4, BlockSize: 4, DisableSameBlock: true, DisableMRUCutoff: true},
-	}
-	for _, opt := range variants {
-		v := mustSim(opt)
-		if err := v.Simulate(tr.NewSliceReader()); err != nil {
-			t.Fatal(err)
-		}
-		res := v.Results()
-		for i := range res {
-			if res[i] != baseRes[i] {
-				t.Errorf("%+v: result %d = %+v, want %+v", opt, i, res[i], baseRes[i])
-			}
-		}
-	}
-}
-
 // LRU inclusion: within one pass, misses must be non-increasing in set
 // count for both associativities.
 func TestInclusionAcrossLevels(t *testing.T) {
@@ -139,36 +113,46 @@ func TestInclusionAcrossLevels(t *testing.T) {
 
 func TestSameBlockSkip(t *testing.T) {
 	s := mustSim(Options{MaxLogSets: 5, Assoc: 4, BlockSize: 16})
-	// Addresses within one 16-byte block.
+	// Addresses within one 16-byte block: the 49 repeats are pruned,
+	// and every configuration sees one miss in 50 accesses.
 	for i := 0; i < 50; i++ {
 		s.Access(trace.Access{Addr: uint64(i % 16)})
 	}
-	c := s.Counters()
-	if c.SameBlockSkips != 49 {
-		t.Errorf("SameBlockSkips = %d, want 49", c.SameBlockSkips)
-	}
-	// Only the first access did any tree work.
-	if c.NodeEvaluations != 2*6 {
-		t.Errorf("NodeEvaluations = %d, want 12", c.NodeEvaluations)
-	}
 	for _, res := range s.Results() {
-		if res.Misses != 1 {
-			t.Errorf("%v: misses = %d, want 1", res.Config, res.Misses)
+		if res.Misses != 1 || res.Accesses != 50 {
+			t.Errorf("%v: %d misses over %d accesses, want 1 over 50", res.Config, res.Misses, res.Accesses)
 		}
 	}
 }
 
+// TestMRUCutoff checks where the fast path's walk stops: at the first
+// level whose node holds the block at its MRU position, recorded as the
+// walk's exit depth.
 func TestMRUCutoff(t *testing.T) {
-	s := mustSim(Options{MaxLogSets: 5, Assoc: 4, BlockSize: 1, DisableSameBlock: true})
-	for i := 0; i < 50; i++ {
-		s.Access(trace.Access{Addr: 7})
+	opt := Options{MaxLogSets: 5, Assoc: 4, BlockSize: 1}
+	s := mustSim(opt)
+	// Blocks 7 and 15 share a node at 1..8 sets (levels 0-3) and part at
+	// 16 sets (level 4), where 7's node still has 7 as its MRU tag.
+	for _, blk := range []uint64{7, 15, 7} {
+		s.accessFast(blk)
 	}
-	c := s.Counters()
-	if c.MRUCutoffs != 49 {
-		t.Errorf("MRUCutoffs = %d, want 49", c.MRUCutoffs)
+	want := []uint64{0, 0, 0, 0, 1, 0, 2} // two full walks, one cut off at level 4
+	for d, n := range s.exitHist {
+		if n != want[d] {
+			t.Fatalf("exit depths %v, want %v", s.exitHist, want)
+		}
 	}
-	if c.NodeEvaluations != 2*6+49*2 {
-		t.Errorf("NodeEvaluations = %d, want %d", c.NodeEvaluations, 2*6+49*2)
+	// The cut-off walk direct-mapped-misses levels 0-3 only.
+	runs := mustSim(opt)
+	runs.AccessRuns([]uint64{7, 15, 7}, []uint32{1, 1, 1})
+	for _, res := range runs.Results() {
+		want := uint64(2)
+		if res.Config.Assoc == 1 && res.Config.Sets <= 8 {
+			want = 3
+		}
+		if res.Misses != want {
+			t.Errorf("%v: %d misses, want %d", res.Config, res.Misses, want)
+		}
 	}
 }
 
@@ -217,8 +201,8 @@ func TestRunAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Counters().Accesses != 100 {
-		t.Errorf("accesses = %d", s.Counters().Accesses)
+	if s.accesses != 100 {
+		t.Errorf("accesses = %d", s.accesses)
 	}
 	if _, err := Run(Options{Assoc: 0, BlockSize: 1}, nil); err == nil {
 		t.Error("Run should reject invalid options")
@@ -266,15 +250,37 @@ func TestQuickExactness(t *testing.T) {
 	}
 }
 
+// TestWorkBelowUnoptimized checks that the pruning rules save work on
+// the fast path: same-block pruning skips walks, and the MRU cut-off
+// stops walks early, so the levels visited (counted by exit depth) fall
+// below one full walk per access.
 func TestWorkBelowUnoptimized(t *testing.T) {
 	tr := streakyTrace(10000, 1<<12, 70)
 	s := mustSim(Options{MaxLogSets: 8, Assoc: 4, BlockSize: 4})
-	if err := s.Simulate(tr.NewSliceReader()); err != nil {
-		t.Fatal(err)
+	var prev uint64
+	walks := 0
+	for i, a := range tr {
+		blk := a.Addr >> s.offBits
+		if i > 0 && blk == prev {
+			continue
+		}
+		prev = blk
+		s.accessFast(blk)
+		walks++
 	}
-	c := s.Counters()
-	if c.NodeEvaluations >= s.UnoptimizedEvaluations() {
-		t.Errorf("pruning saved nothing: %d >= %d", c.NodeEvaluations, s.UnoptimizedEvaluations())
+	levels := uint64(len(s.levels))
+	var visited, cut uint64
+	for d, n := range s.exitHist {
+		visited += n * min(uint64(d)+1, levels)
+		if uint64(d) < levels {
+			cut += n
+		}
+	}
+	if walks >= len(tr) || cut == 0 {
+		t.Errorf("pruning saved nothing: %d walks for %d accesses, %d cut off", walks, len(tr), cut)
+	}
+	if visited >= levels*uint64(len(tr)) {
+		t.Errorf("pruning saved nothing: %d levels visited, unoptimized %d", visited, levels*uint64(len(tr)))
 	}
 }
 

@@ -62,7 +62,7 @@ func results(in []lrutree.Result) []engine.Result {
 	return out
 }
 
-// perAccess runs the simulator's instrumented per-access walk over tr.
+// perAccess runs the simulator's per-access walk over tr.
 func perAccess(t testing.TB, opt lrutree.Options, tr trace.Trace) []engine.Result {
 	t.Helper()
 	s, err := lrutree.New(opt)
@@ -90,7 +90,7 @@ func assertSharded(t testing.TB, label string, got, want []engine.Result) {
 }
 
 // TestShardedEquivalence proves the sharded LRU tree pass bit-identical to
-// the instrumented per-access pass across every shard level of each
+// the per-access pass across every shard level of each
 // shape — including S=0 (one tree, no shallow pass), S=MaxLogSets
 // (every level above the leaf forest replayed shallow), and
 // MinLogSets>0 forests where the shard level falls below, inside and

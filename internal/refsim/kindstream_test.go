@@ -92,7 +92,7 @@ func TestKindStreamEquivalence(t *testing.T) {
 				mustCfg(1, 8, 32),
 				mustCfg(16, 1, 8),
 			} {
-				bs, err := tr.BlockStreamWithKinds(cfg.BlockSize)
+				bs, err := trace.MaterializeBlockStreamWithKinds(tr.NewSliceReader(), cfg.BlockSize)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -133,7 +133,7 @@ func TestKindStreamPerKindStats(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bs, err := tr.BlockStreamWithKinds(cfg.BlockSize)
+		bs, err := trace.MaterializeBlockStreamWithKinds(tr.NewSliceReader(), cfg.BlockSize)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +176,7 @@ func TestKindStreamCraftedRuns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bs, err := tr.BlockStreamWithKinds(cfg.BlockSize)
+			bs, err := trace.MaterializeBlockStreamWithKinds(tr.NewSliceReader(), cfg.BlockSize)
 			if err != nil {
 				t.Fatal(err)
 			}

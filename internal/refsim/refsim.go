@@ -184,9 +184,6 @@ func (s *Simulator) Rebind(cfg cache.Config, policy cache.Policy) error {
 // Config returns the simulated configuration.
 func (s *Simulator) Config() cache.Config { return s.cfg }
 
-// Policy returns the replacement policy.
-func (s *Simulator) Policy() cache.Policy { return s.policy }
-
 // Stats returns a snapshot of the accumulated statistics.
 func (s *Simulator) Stats() Stats { return s.stats }
 

@@ -267,7 +267,7 @@ func TestShardedSimEquivalence(t *testing.T) {
 	cfg := config(t, 64, 2, 8)
 	for _, policy := range []cache.Policy{cache.FIFO, cache.LRU, cache.Random} {
 		for _, log := range []int{0, 2, 3} {
-			parent, err := tr.BlockStreamWithKinds(cfg.BlockSize)
+			parent, err := trace.MaterializeBlockStreamWithKinds(tr.NewSliceReader(), cfg.BlockSize)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -294,7 +294,7 @@ func TestShardedSimEquivalence(t *testing.T) {
 
 func cancelShardStream(t *testing.T, n int) *trace.ShardStream {
 	t.Helper()
-	tr := workload.CJPEG.Trace(1, n)
+	tr := workload.Take(workload.CJPEG.Generator(1), n)
 	parent, err := tr.BlockStream(16)
 	if err != nil {
 		t.Fatal(err)
@@ -370,7 +370,7 @@ func FuzzKindStreamWrite(f *testing.F) {
 		}
 		o := refsim.Options{Config: cfg, Replacement: policy, Write: combo.write, Alloc: combo.alloc, StoreBytes: 1 + int(geom%4)}
 		wantS, wantT := perAccess(t, o, tr)
-		bs, err := tr.BlockStreamWithKinds(cfg.BlockSize)
+		bs, err := trace.MaterializeBlockStreamWithKinds(tr.NewSliceReader(), cfg.BlockSize)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,11 +1,11 @@
-package lrutree
+package stackdist
 
 import (
 	"math/bits"
 	"math/rand"
 	"testing"
 
-	"dew/internal/stackdist"
+	"dew/internal/lrutree"
 	"dew/internal/trace"
 )
 
@@ -40,9 +40,9 @@ func TestLRUMatchesStackDistance(t *testing.T) {
 	}
 
 	const block, maxLog, maxAssoc = 16, 8, 16
-	oracle := make([]*stackdist.Simulator, maxLog+1)
+	oracle := make([]*Simulator, maxLog+1)
 	for log := range oracle {
-		sd, err := stackdist.Run(1<<log, block, maxAssoc, tr.NewSliceReader())
+		sd, err := Run(1<<log, block, maxAssoc, tr.NewSliceReader())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +53,10 @@ func TestLRUMatchesStackDistance(t *testing.T) {
 		t.Fatal(err)
 	}
 	for assoc := 2; assoc <= maxAssoc; assoc *= 2 {
-		s := mustSim(Options{MaxLogSets: maxLog, Assoc: assoc, BlockSize: block})
+		s, err := lrutree.New(lrutree.Options{MaxLogSets: maxLog, Assoc: assoc, BlockSize: block})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := s.SimulateStream(bs); err != nil {
 			t.Fatal(err)
 		}

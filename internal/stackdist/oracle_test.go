@@ -1,8 +1,11 @@
-// Package stackdist implements the classic stack (Mattson) algorithm for
-// LRU caches — the foundation of the "all-associativity" simulation
-// lineage the DEW paper builds on (Gecsei, Slutz and Traiger, reference
-// [9]; Hill and Smith's forest/all-associativity simulation, reference
-// [11]; Sugumar's generalized binomial trees, reference [19]).
+// Package stackdist is a test-only oracle: the classic stack (Mattson)
+// algorithm for LRU caches, which checks the lrutree simulator's LRU
+// counts independently of the reference simulator
+// (TestLRUMatchesStackDistance). The algorithm is the foundation of the
+// "all-associativity" simulation lineage the DEW paper builds on
+// (Gecsei, Slutz and Traiger, reference [9]; Hill and Smith's
+// forest/all-associativity simulation, reference [11]; Sugumar's
+// generalized binomial trees, reference [19]).
 //
 // For a fixed set count and block size, one pass over the trace yields
 // the LRU stack-distance histogram of every set. Because LRU obeys the

@@ -47,7 +47,7 @@ func BenchmarkDinChunk(b *testing.B) {
 func cjpegDin(n int) []byte {
 	var buf bytes.Buffer
 	w := trace.NewDinWriter(&buf)
-	if _, err := trace.Copy(w, workload.CJPEG.Trace(1, n).NewSliceReader()); err != nil {
+	if _, err := trace.Copy(w, workload.Take(workload.CJPEG.Generator(1), n).NewSliceReader()); err != nil {
 		panic(err)
 	}
 	if err := w.Flush(); err != nil {

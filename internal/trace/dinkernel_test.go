@@ -214,7 +214,7 @@ func checkDinKernel(t *testing.T, in []byte, cut uint8) {
 	bs, err := drainSpans(p, err, 1, true)
 	sameDinErr(t, "span pipeline", err, wantErr)
 	if err == nil {
-		wbs, err := want.BlockStreamWithKinds(1)
+		wbs, err := MaterializeBlockStreamWithKinds(want.NewSliceReader(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}

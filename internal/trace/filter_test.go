@@ -58,7 +58,7 @@ func TestDedupCollapsesRuns(t *testing.T) {
 	}
 	wantAddrs := []uint64{0, 4, 0}
 	if len(got) != len(wantAddrs) {
-		t.Fatalf("deduped to %d accesses, want %d (%v)", len(got), len(wantAddrs), got.Addrs())
+		t.Fatalf("deduped to %d accesses, want %d (%v)", len(got), len(wantAddrs), got)
 	}
 	for i, w := range wantAddrs {
 		if got[i].Addr != w {

@@ -93,13 +93,13 @@ func TestFoldKindEquivalence(t *testing.T) {
 	for i := range tr {
 		tr[i].Kind = Kind(uint64(tr[i].Addr+uint64(i)) % 3)
 	}
-	cur, err := tr.BlockStreamWithKinds(1)
+	cur, err := MaterializeBlockStreamWithKinds(tr.NewSliceReader(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for block := 2; block <= 64; block <<= 1 {
 		cur = FoldBlockStream(cur)
-		want, err := tr.BlockStreamWithKinds(block)
+		want, err := MaterializeBlockStreamWithKinds(tr.NewSliceReader(), block)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +109,7 @@ func TestFoldKindEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := tr.BlockStreamWithKinds(64)
+	direct, err := MaterializeBlockStreamWithKinds(tr.NewSliceReader(), 64)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,11 +63,6 @@ type KindRun struct {
 	First Kind
 }
 
-// Total returns the run weight the record accounts for.
-func (kr KindRun) Total() uint64 {
-	return uint64(kr.W[DataRead]) + uint64(kr.W[DataWrite]) + uint64(kr.W[IFetch])
-}
-
 // AllWrites reports whether the run consists only of stores (vacuously
 // true for an empty record).
 func (kr KindRun) AllWrites() bool {

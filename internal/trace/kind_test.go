@@ -7,6 +7,11 @@ import (
 )
 
 // kindOf expands kr's canonical sequence into per-access kinds.
+// Total returns the run weight the record accounts for.
+func (kr KindRun) Total() uint64 {
+	return uint64(kr.W[DataRead]) + uint64(kr.W[DataWrite]) + uint64(kr.W[IFetch])
+}
+
 func expandKinds(kr KindRun) []Kind {
 	var buf [5]kindSpan
 	var out []Kind
@@ -185,7 +190,7 @@ func TestKindTotals(t *testing.T) {
 		tr[i] = Access{Addr: uint64(i*13) % 2048, Kind: k}
 		want[k]++
 	}
-	bs, err := tr.BlockStreamWithKinds(8)
+	bs, err := MaterializeBlockStreamWithKinds(tr.NewSliceReader(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -353,7 +353,7 @@ func TestIngestShardsMatchesSerial(t *testing.T) {
 // kinds, then shard.
 func serialKindShards(t *testing.T, tr Trace, blockSize, log int) *ShardStream {
 	t.Helper()
-	bs, err := tr.BlockStreamWithKinds(blockSize)
+	bs, err := MaterializeBlockStreamWithKinds(tr.NewSliceReader(), blockSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +440,7 @@ func TestIngestWithKindsRejectsInvalidKind(t *testing.T) {
 	if bs, err := drainSpans(p, err, 4, true); err == nil || bs != nil {
 		t.Error("want error (and no stream) for invalid kind on the span path")
 	}
-	if _, err := tr.BlockStreamWithKinds(4); err == nil {
+	if _, err := MaterializeBlockStreamWithKinds(tr.NewSliceReader(), 4); err == nil {
 		t.Error("want error for invalid kind on materialize path")
 	}
 }

@@ -36,7 +36,7 @@ func shardTestStream(t *testing.T, n int, seed int64, blockSize int) *BlockStrea
 func TestShardBlockStreamInto(t *testing.T) {
 	bs := shardTestStream(t, 20_000, 9, 4)
 	tr := pipelineTrace(rand.New(rand.NewSource(4)), 5000)
-	kbs, err := tr.BlockStreamWithKinds(4)
+	kbs, err := MaterializeBlockStreamWithKinds(tr.NewSliceReader(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestShardZeroAllocs(t *testing.T) {
 	for _, kinds := range []bool{false, true} {
 		bs, err := tr.BlockStream(4)
 		if kinds {
-			bs, err = tr.BlockStreamWithKinds(4)
+			bs, err = MaterializeBlockStreamWithKinds(tr.NewSliceReader(), 4)
 		}
 		if err != nil {
 			t.Fatal(err)

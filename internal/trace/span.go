@@ -257,10 +257,12 @@ func spanGeometry(memBytes int64, workers int, kinds bool) (spanRuns, chunkAcc i
 // span, and for each live chunk its text buffer (dinTextCap) and the
 // runs its reservation may take, one per 4 bytes of that text (the
 // shortest line, "0 0\n"), plus the producer's carried partial line.
-// Lines longer than chunkBytes/64 carry past the bound.
+// Lines longer than chunkBytes/64 carry past the bound. A text chunk
+// holds the bytes of chunkAcc 16-byte lines, so its floor is
+// spanGeometry's: 16 KiB at the 1024-access minimum.
 func dinGeometry(spanRuns, chunkAcc, workers int, kinds bool) (chunkBytes int, resident int64) {
 	bpr := bytesPerSpanRun(kinds)
-	chunkBytes = max(64<<10, min(chunkAcc*16, dinChunkBytes))
+	chunkBytes = min(chunkAcc*16, dinChunkBytes)
 	text := dinTextCap(chunkBytes)
 	perChunk := int64(text) + int64(dinMaxRuns(text))*bpr
 	resident = liveSpans*int64(spanRuns)*bpr + int64(liveChunks(workers))*perChunk + int64(chunkBytes/64)
@@ -668,20 +670,6 @@ func spanReaderProducer(r Reader, blockSize int, kinds bool, chunkSize, buffers 
 	}
 }
 
-// StreamDinSpans starts a span pipeline over Dinero .din text, with the
-// text decode itself chunk-parallel: the producer cuts the byte stream
-// at line boundaries and workers parse and run-compress each chunk
-// independently. Semantics (including error line numbers) match
-// NewDinReader.
-func StreamDinSpans(ctx context.Context, r io.Reader, blockSize int, opts SpanOptions) (*StreamPipeline, error) {
-	p, st, err := newStreamPipeline(blockSize, opts)
-	if err != nil {
-		return nil, err
-	}
-	p.startDin(ctx, st, r, blockSize, opts.Kinds)
-	return p, nil
-}
-
 // startDin starts the .din text producer over r, with the text chunks
 // and resident bound of dinGeometry.
 func (p *StreamPipeline) startDin(ctx context.Context, st *spanStitcher, r io.Reader, blockSize int, kinds bool) {
@@ -794,23 +782,9 @@ func StreamFileSpans(ctx context.Context, name string, blockSize int, opts SpanO
 	return p, nil
 }
 
-// ConcatSpans materializes spans back into one stream. It is the test
-// oracle: span-pipeline tests replay its result as the monolithic
-// stream the spans must reproduce.
-func ConcatSpans(blockSize int, kinds bool, spans []*Span) *BlockStream {
-	bs := &BlockStream{BlockSize: blockSize}
-	if kinds {
-		bs.Kinds = []KindRun{}
-	}
-	for _, s := range spans {
-		bs.appendSpan(&s.BlockStream)
-	}
-	return bs
-}
-
-// SplitSpans is ConcatSpans' inverse for an already materialized
-// stream: it cuts bs into consecutive spans of at most spanRuns runs
-// each, sharing bs's columns (nothing is copied). spanRuns ≤ 0 means
+// SplitSpans cuts an already materialized stream into consecutive
+// spans of at most spanRuns runs each, sharing bs's columns (nothing is
+// copied). spanRuns ≤ 0 means
 // the span size a pipeline at DefaultSpanMemBytes emits, so a
 // materialized stream feeds a span consumer — a per-span shard split,
 // say — in the same slices the decode would have delivered.

@@ -117,7 +117,7 @@ func TestSplitSpans(t *testing.T) {
 	for _, kinds := range []bool{false, true} {
 		bs, err := tr.BlockStream(8)
 		if kinds {
-			bs, err = tr.BlockStreamWithKinds(8)
+			bs, err = MaterializeBlockStreamWithKinds(tr.NewSliceReader(), 8)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -147,6 +147,31 @@ func TestSplitSpans(t *testing.T) {
 	}
 }
 
+// TestDinGeometryBudget pins the .din chunk geometry on 2 workers. A
+// small budget sizes text chunks from the access chunk (16 KiB at its
+// 1024-access floor), so a 64 KiB kind-preserving budget bounds the
+// decode below the 2,438,144 B it reached with text chunks floored at
+// 64 KiB; the default budget, which every benchmark workload runs at,
+// keeps its geometry.
+func TestDinGeometryBudget(t *testing.T) {
+	geom := func(mem int64, kinds bool) (int, int64) {
+		spanRuns, chunkAcc, _ := spanGeometry(mem, 2, kinds)
+		return dinGeometry(spanRuns, chunkAcc, 2, kinds)
+	}
+	if chunkBytes, resident := geom(64<<10, true); chunkBytes != 16<<10 || resident >= 2438144 {
+		t.Errorf("64 KiB budget: %d B text chunks, resident bound %d B; want 16 KiB chunks and a bound below 2438144 B", chunkBytes, resident)
+	}
+	for _, c := range []struct {
+		kinds      bool
+		chunkBytes int
+		resident   int64
+	}{{false, 599184, 13940374}, {true, 349520, 16978985}} {
+		if chunkBytes, resident := geom(DefaultSpanMemBytes, c.kinds); chunkBytes != c.chunkBytes || resident != c.resident {
+			t.Errorf("default budget, kinds=%v: (%d, %d), want (%d, %d)", c.kinds, chunkBytes, resident, c.chunkBytes, c.resident)
+		}
+	}
+}
+
 // TestDinResidentBound runs .din pipelines over the shortest lines,
 // "0 0\n" and "0 1\n", which reserve the most runs per byte of text, and
 // requires ResidentBound to cover every buffer the pipeline reserved:
@@ -154,7 +179,7 @@ func TestSplitSpans(t *testing.T) {
 // releasing consumer has drained it, each within its own charge.
 func TestDinResidentBound(t *testing.T) {
 	text := bytes.Repeat([]byte("0 0\n0 1\n"), 1<<19)
-	for _, mem := range []int64{0, 1 << 20} {
+	for _, mem := range []int64{0, 1 << 20, 64 << 10} {
 		for _, kinds := range []bool{false, true} {
 			label := fmt.Sprintf("mem=%d kinds=%v", mem, kinds)
 			p, err := StreamDinSpans(context.Background(), bytes.NewReader(text), 1, SpanOptions{MemBytes: mem, Workers: 2, Kinds: kinds})
@@ -248,7 +273,7 @@ func TestStreamDinSpans(t *testing.T) {
 		var want *BlockStream
 		var err error
 		if kinds {
-			want, err = tr.BlockStreamWithKinds(16)
+			want, err = MaterializeBlockStreamWithKinds(tr.NewSliceReader(), 16)
 		} else {
 			want, err = tr.BlockStream(16)
 		}
@@ -282,7 +307,7 @@ func TestStreamDinSpans(t *testing.T) {
 func TestStreamFileSpans(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	tr := pipelineTrace(rng, 3000)
-	want, err := tr.BlockStreamWithKinds(8)
+	want, err := MaterializeBlockStreamWithKinds(tr.NewSliceReader(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +471,7 @@ func FuzzSpanEquivalence(f *testing.F) {
 		want := oracleOf(tr, block, kinds)
 		mat, err := tr.BlockStream(block)
 		if kinds {
-			mat, err = tr.BlockStreamWithKinds(block)
+			mat, err = MaterializeBlockStreamWithKinds(tr.NewSliceReader(), block)
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -89,7 +89,7 @@ func TestLadderFolderMatchesFoldLadder(t *testing.T) {
 			var base *BlockStream
 			var err error
 			if kinds {
-				base, err = tr.BlockStreamWithKinds(4)
+				base, err = MaterializeBlockStreamWithKinds(tr.NewSliceReader(), 4)
 			} else {
 				base, err = tr.BlockStream(4)
 			}
@@ -117,7 +117,7 @@ func TestLadderFolderStreamedPipeline(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	tr := pipelineTrace(rng, 25000)
 	sizes := []int{4, 16, 64}
-	base, err := tr.BlockStreamWithKinds(4)
+	base, err := MaterializeBlockStreamWithKinds(tr.NewSliceReader(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

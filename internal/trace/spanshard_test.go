@@ -168,7 +168,7 @@ func FuzzIngestShards(f *testing.F) {
 			addr += uint64(b)
 			tr = append(tr, trace.Access{Addr: addr, Kind: k})
 		}
-		bs, err := tr.BlockStreamWithKinds(block)
+		bs, err := trace.MaterializeBlockStreamWithKinds(tr.NewSliceReader(), block)
 		if err != nil {
 			t.Fatal(err)
 		}

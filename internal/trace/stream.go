@@ -56,7 +56,7 @@ type BlockStream struct {
 	Runs []uint32
 	// Kinds is the optional kind-preserving channel, parallel to IDs;
 	// nil when the stream was materialized without kinds. When present,
-	// Kinds[i].Total() == Runs[i].
+	// the counts of Kinds[i].W sum to Runs[i].
 	Kinds []KindRun
 	// Accesses is the total access count, the sum over Runs.
 	Accesses uint64
@@ -299,10 +299,4 @@ func materialize(r Reader, blockSize int, kinds bool) (*BlockStream, error) {
 // BlockStream materializes the in-memory trace at the given block size.
 func (t Trace) BlockStream(blockSize int) (*BlockStream, error) {
 	return MaterializeBlockStream(t.NewSliceReader(), blockSize)
-}
-
-// BlockStreamWithKinds materializes the in-memory trace at the given
-// block size with the kind-preserving channel.
-func (t Trace) BlockStreamWithKinds(blockSize int) (*BlockStream, error) {
-	return MaterializeBlockStreamWithKinds(t.NewSliceReader(), blockSize)
 }

@@ -14,7 +14,7 @@
 // re-decoding the trace at that stage's parameters.
 //
 // There is one decoder for file and generator traces: StreamSpans
-// (StreamDinSpans, StreamFileSpans) runs a chunk-parallel decode and
+// (StreamFileSpans for files) runs a chunk-parallel decode and
 // emits the run-compressed stream as a bounded, backpressured pipeline
 // of spans whose concatenation is bit-identical to the materialized
 // BlockStream (FuzzSpanEquivalence), with decode overlapped with the
@@ -107,15 +107,6 @@ type Trace []Access
 // NewSliceReader returns a Reader over t.
 func (t Trace) NewSliceReader() *SliceReader { return &SliceReader{trace: t} }
 
-// Addrs returns just the addresses, convenient for tests.
-func (t Trace) Addrs() []uint64 {
-	out := make([]uint64, len(t))
-	for i, a := range t {
-		out[i] = a.Addr
-	}
-	return out
-}
-
 // SliceReader reads an in-memory Trace.
 type SliceReader struct {
 	trace Trace
@@ -142,9 +133,6 @@ func (r *SliceReader) ReadBatch(dst []Access) (int, error) {
 	r.pos += n
 	return n, nil
 }
-
-// Reset rewinds the reader to the first access.
-func (r *SliceReader) Reset() { r.pos = 0 }
 
 // ReadAll drains a Reader into a Trace. It fails on any error other than
 // io.EOF. Reads go through the batched path, so decoding a large trace

@@ -40,10 +40,6 @@ func TestSliceReader(t *testing.T) {
 			t.Fatalf("post-EOF Next err = %v, want io.EOF", err)
 		}
 	}
-	r.Reset()
-	if a, err := r.Next(); err != nil || a != tr[0] {
-		t.Fatalf("after Reset: %+v, %v", a, err)
-	}
 }
 
 func TestKindString(t *testing.T) {
@@ -58,14 +54,6 @@ func TestKindString(t *testing.T) {
 	}
 	if Kind(3).Valid() {
 		t.Error("Kind(3) should be invalid")
-	}
-}
-
-func TestAddrs(t *testing.T) {
-	tr := Trace{{Addr: 5}, {Addr: 9}}
-	a := tr.Addrs()
-	if len(a) != 2 || a[0] != 5 || a[1] != 9 {
-		t.Fatalf("Addrs = %v", a)
 	}
 }
 

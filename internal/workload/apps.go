@@ -40,11 +40,6 @@ func (a App) DefaultRequests() uint64 {
 	return n
 }
 
-// Trace materializes n accesses of the app's model.
-func (a App) Trace(seed uint64, n int) trace.Trace {
-	return Take(a.Generator(seed), n)
-}
-
 // The six Mediabench models. Each composes an instruction stream with the
 // program's characteristic data streams; the instruction:data interleave
 // ratio (roughly 2:1) matches in-order embedded cores, where every

@@ -68,14 +68,14 @@ func TestDefaultRequestsScaling(t *testing.T) {
 
 func TestAppDeterminism(t *testing.T) {
 	for _, a := range Apps() {
-		t1 := a.Trace(99, 5000)
-		t2 := a.Trace(99, 5000)
+		t1 := Take(a.Generator(99), 5000)
+		t2 := Take(a.Generator(99), 5000)
 		for i := range t1 {
 			if t1[i] != t2[i] {
 				t.Fatalf("%s: same seed diverged at access %d", a.Name, i)
 			}
 		}
-		t3 := a.Trace(100, 5000)
+		t3 := Take(a.Generator(100), 5000)
 		diff := 0
 		for i := range t1 {
 			if t1[i] != t3[i] {
@@ -90,7 +90,7 @@ func TestAppDeterminism(t *testing.T) {
 
 func TestAppTraceShape(t *testing.T) {
 	for _, a := range Apps() {
-		tr := a.Trace(1, 30000)
+		tr := Take(a.Generator(1), 30000)
 		p, err := trace.ProfileReader(tr.NewSliceReader(), 4)
 		if err != nil {
 			t.Fatal(err)
@@ -121,7 +121,7 @@ func TestAppTraceShape(t *testing.T) {
 func TestWorkingSetOrdering(t *testing.T) {
 	const n = 200000
 	footprint := func(a App) uint64 {
-		p, err := trace.ProfileReader(a.Trace(7, n).NewSliceReader(), 32)
+		p, err := trace.ProfileReader(Take(a.Generator(7), n).NewSliceReader(), 32)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func TestWorkingSetOrdering(t *testing.T) {
 // feeds on exactly this.
 func TestTraceStreakiness(t *testing.T) {
 	for _, a := range Apps() {
-		tr := a.Trace(3, 50000)
+		tr := Take(a.Generator(3), 50000)
 		same := 0
 		for i := 1; i < len(tr); i++ {
 			if tr[i].Addr>>5 == tr[i-1].Addr>>5 {

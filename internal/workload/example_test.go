@@ -16,7 +16,7 @@ func Example() {
 	}
 	fmt.Println(app.Name, "models", app.PaperRequests, "paper requests")
 
-	tr := app.Trace(42, 100_000)
+	tr := workload.Take(app.Generator(42), 100_000)
 	p, err := trace.ProfileReader(tr.NewSliceReader(), 32)
 	if err != nil {
 		log.Fatal(err)

@@ -35,8 +35,8 @@ func TestExtendedAppsRegistry(t *testing.T) {
 
 func TestExtendedAppsDeterministicAndShaped(t *testing.T) {
 	for _, a := range ExtendedApps() {
-		t1 := a.Trace(7, 20000)
-		t2 := a.Trace(7, 20000)
+		t1 := Take(a.Generator(7), 20000)
+		t2 := Take(a.Generator(7), 20000)
 		for i := range t1 {
 			if t1[i] != t2[i] {
 				t.Fatalf("%s: same seed diverged at %d", a.Name, i)
@@ -59,7 +59,7 @@ func TestExtendedAppsDeterministicAndShaped(t *testing.T) {
 // the workload-shape difference the extended suite exists to provide.
 func TestExtendedAppsSpreadWorkingSets(t *testing.T) {
 	footprint := func(a App) uint64 {
-		p, err := trace.ProfileReader(a.Trace(3, 100_000).NewSliceReader(), 32)
+		p, err := trace.ProfileReader(Take(a.Generator(3), 100_000).NewSliceReader(), 32)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -81,9 +81,18 @@ func TestStreamAndTake(t *testing.T) {
 	}
 }
 
+// addrsOf returns just the addresses of a trace.
+func addrsOf(tr trace.Trace) []uint64 {
+	out := make([]uint64, len(tr))
+	for i, a := range tr {
+		out[i] = a.Addr
+	}
+	return out
+}
+
 func TestSequentialWraps(t *testing.T) {
 	g := NewSequential(100, 8, 16, trace.DataWrite)
-	addrs := Take(g, 5).Addrs()
+	addrs := addrsOf(Take(g, 5))
 	want := []uint64{100, 108, 100, 108, 100}
 	for i := range want {
 		if addrs[i] != want[i] {
@@ -120,7 +129,7 @@ func TestBlocked2DCoversTileFirst(t *testing.T) {
 	// 4x4 array, 2x2 tiles, elem 1: first four accesses are the first
 	// tile, not the first row.
 	g := NewBlocked2D(0, 4, 4, 1, 2, trace.DataRead)
-	addrs := Take(g, 8).Addrs()
+	addrs := addrsOf(Take(g, 8))
 	want := []uint64{0, 1, 4, 5, 2, 3, 6, 7}
 	for i := range want {
 		if addrs[i] != want[i] {
